@@ -10,8 +10,7 @@ stamps. Run as: python3 ci/validate_schedule.py <schedule.json>
 import json
 import sys
 
-# Kinds Comm::stamp can produce (crates/mpisim/src/comm.rs); the static
-# emitter lowers *_packed variants onto these.
+# Kinds Comm::stamp can produce (crates/mpisim/src/comm.rs).
 RUNTIME_KINDS = {
     "barrier",
     "allreduce_f64",

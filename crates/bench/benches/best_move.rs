@@ -1,17 +1,14 @@
-//! Best-move kernel microbench: the epoch-stamped dense accumulator vs
-//! the legacy scratch-vec scan, in isolation, on a leaf vertex (deg ≈ 4)
-//! and a hub vertex (deg ≈ 10⁴).
+//! Best-move kernel microbench: the epoch-stamped dense accumulator in
+//! isolation, on a leaf vertex (deg ≈ 4) and a hub vertex (deg ≈ 10⁴).
 //!
-//! The scan is O(deg·k) per vertex (k = distinct neighbor modules): on
-//! the hub under singleton modules k ≈ deg, so the asymptotic gap — not
-//! just constant factors — is visible here, while the leaf shows the two
-//! kernels cost about the same where k is tiny. The `coarse64` variants
-//! re-run the hub with vertices folded into 64 modules, the intermediate
-//! regime of mid-convergence sweeps.
+//! The kernel is O(deg) per vertex whatever the number k of distinct
+//! neighbor modules: the hub under singleton modules (k ≈ deg) and the
+//! `coarse64` variant (vertices folded into 64 modules, the intermediate
+//! regime of mid-convergence sweeps) should cost about the same.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use infomap_distributed::state::{build_stage1_states, LocalState};
-use infomap_distributed::{best_local_move, best_local_move_scan, NeighborhoodScratch};
+use infomap_distributed::{best_local_move, NeighborhoodScratch};
 use infomap_graph::Graph;
 use infomap_partition::Partition;
 
@@ -58,26 +55,15 @@ fn bench_kernels(c: &mut Criterion) {
     coarsen(&mut coarse, 64);
 
     let mut group = c.benchmark_group("best_move");
-    // The hub scan is O(deg²) ≈ 10⁸ under singletons — keep samples low.
     group.sample_size(10);
 
     let mut neigh = NeighborhoodScratch::new();
-    let mut scan: Vec<(u32, f64, bool)> = Vec::new();
 
-    group.bench_function("leaf_scan", |b| {
-        b.iter(|| best_local_move_scan(black_box(&st), leaf, 1e-10, false, &mut scan))
-    });
     group.bench_function("leaf_stamped", |b| {
         b.iter(|| best_local_move(black_box(&st), leaf, 1e-10, false, &mut neigh))
     });
-    group.bench_function("hub_scan_singletons", |b| {
-        b.iter(|| best_local_move_scan(black_box(&st), hub, 1e-10, false, &mut scan))
-    });
     group.bench_function("hub_stamped_singletons", |b| {
         b.iter(|| best_local_move(black_box(&st), hub, 1e-10, false, &mut neigh))
-    });
-    group.bench_function("hub_scan_coarse64", |b| {
-        b.iter(|| best_local_move_scan(black_box(&coarse), hub, 1e-10, false, &mut scan))
     });
     group.bench_function("hub_stamped_coarse64", |b| {
         b.iter(|| best_local_move(black_box(&coarse), hub, 1e-10, false, &mut neigh))

@@ -7,20 +7,15 @@
 //! Find Best Module dominates and shrinks with p; Broadcast Delegates is
 //! small and shrinks; Swap Boundary Info stays roughly flat; Other shrinks.
 
-use infomap_bench::{
-    env_scale, env_seed, fmt_secs, parse_comm_path, scaled_model, stage1_phase_breakdown, Table,
-};
+use infomap_bench::{env_scale, env_seed, fmt_secs, scaled_model, stage1_phase_breakdown, Table};
 use infomap_distributed::{DistributedConfig, DistributedInfomap};
 use infomap_graph::datasets::DatasetId;
 
 fn main() {
     let scale = env_scale();
     let seed = env_seed();
-    let comm_path = parse_comm_path();
     let procs = [16usize, 32, 64, 128];
-    println!(
-        "Figure 8: stage-1 per-iteration time breakdown (modeled, scale {scale}, {comm_path:?} comm path)\n"
-    );
+    println!("Figure 8: stage-1 per-iteration time breakdown (modeled, scale {scale})\n");
 
     for id in DatasetId::LARGE {
         let profile = id.profile();
@@ -42,7 +37,6 @@ fn main() {
             let out = DistributedInfomap::new(DistributedConfig {
                 nranks: p,
                 seed,
-                comm_path,
                 ..Default::default()
             })
             .run(&g);

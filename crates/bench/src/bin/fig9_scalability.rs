@@ -7,18 +7,15 @@
 //! (Friendster/UK-2007 class) have comparatively shorter stage-2 times
 //! (the paper's §5 discussion).
 
-use infomap_bench::{
-    env_scale, env_seed, fmt_secs, parse_comm_path, scaled_model, stage_split, Table,
-};
+use infomap_bench::{env_scale, env_seed, fmt_secs, scaled_model, stage_split, Table};
 use infomap_distributed::{DistributedConfig, DistributedInfomap};
 use infomap_graph::datasets::DatasetId;
 
 fn main() {
     let scale = env_scale();
     let seed = env_seed();
-    let comm_path = parse_comm_path();
     let procs = [8usize, 16, 32, 64, 128];
-    println!("Figure 9: scalability (modeled time, scale {scale}, {comm_path:?} comm path)\n");
+    println!("Figure 9: scalability (modeled time, scale {scale})\n");
 
     for id in DatasetId::LARGE {
         let profile = id.profile();
@@ -35,7 +32,6 @@ fn main() {
             let out = DistributedInfomap::new(DistributedConfig {
                 nranks: p,
                 seed,
-                comm_path,
                 ..Default::default()
             })
             .run(&g);

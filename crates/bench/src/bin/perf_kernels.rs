@@ -1,32 +1,21 @@
-//! perf_kernels — wall-clock and modeled-runtime comparison of the
-//! hot-path best-move kernels (DESIGN.md §6.12): the epoch-stamped dense
-//! accumulator (`MoveKernel::Stamped`, the default) against the legacy
-//! scratch-vec scan (`MoveKernel::LegacyScan`, the pre-rewrite baseline).
+//! perf_kernels — wall-clock and modeled-runtime record of the hot-path
+//! best-move kernel (DESIGN.md §6.12): the epoch-stamped dense accumulator.
 //!
 //! Runs the full distributed pipeline on generated scale-free graphs —
-//! one hub-heavy instance (delegate hubs are where the O(deg·k) scan is
-//! quadratic) and one flat instance — across p ∈ {4, 16, 64}, with both
-//! kernels on identical seeds. Because the kernels are bit-identical by
-//! construction, every pair of runs is also asserted to produce the same
-//! MDL series, move counts, and final assignment — the harness doubles as
-//! a determinism check on realistic inputs.
+//! one hub-heavy instance and one flat instance — across p ∈ {4, 16, 64}.
 //!
 //! Reported per run:
 //!
-//! - **kernel sweeps** (the headline numbers): the FindBestModule compute
-//!   — subset gate, best-move kernel, move application — replayed
-//!   serially over real stage-1 rank states for a fixed number of rounds,
-//!   per kernel. Serial replay removes thread-scheduler noise (the
-//!   simulated ranks oversubscribe cores), so this is the honest
-//!   kernel-vs-kernel wall-clock comparison. Measured under both
-//!   partitionings: 1D (hubs keep their whole adjacency — the O(deg·k)
-//!   regime the stamped kernel removes) and delegate (local degrees
-//!   capped near d_high — both kernels near-linear).
+//! - **kernel sweeps**: the FindBestModule compute — subset gate,
+//!   best-move kernel, move application — replayed serially over real
+//!   stage-1 rank states for a fixed number of rounds. Serial replay
+//!   removes thread-scheduler noise (the simulated ranks oversubscribe
+//!   cores), so this is the honest kernel wall-clock. Measured under both
+//!   partitionings: 1D (hubs keep their whole adjacency) and delegate
+//!   (local degrees capped near d_high).
 //! - per-phase wall-clock of the full threaded pipeline (summed over
-//!   ranks), and the modeled makespan from the metered counters. The
-//!   modeled numbers are kernel-invariant by design — `add_work` meters
-//!   logical arc relaxations, not kernel instructions — so only
-//!   wall-clock shows the win.
+//!   ranks), and the modeled makespan from the metered counters
+//!   (`add_work` meters logical arc relaxations, not kernel instructions).
 //!
 //! - **thread sweeps** (the `threads` axis, DESIGN.md §6 note 16): the
 //!   real `find_best_modules` entry point replayed over the same stage-1
@@ -47,8 +36,8 @@ use std::time::Instant;
 use infomap_bench::{cost_model, env_seed, fmt_secs, Table};
 use infomap_distributed::state::build_stage1_states;
 use infomap_distributed::{
-    apply_local_move, best_local_move, best_local_move_scan, find_best_modules, DistributedConfig,
-    DistributedInfomap, DistributedOutput, MoveKernel, NeighborhoodScratch, RoundBuffers,
+    apply_local_move, best_local_move, find_best_modules, DistributedConfig, DistributedInfomap,
+    DistributedOutput, NeighborhoodScratch, RoundBuffers,
 };
 use infomap_graph::generators::{chung_lu, power_law_degrees};
 use infomap_graph::Graph;
@@ -61,7 +50,7 @@ struct GraphSpec {
     graph: Graph,
 }
 
-/// Everything recorded about one (graph, p, kernel) run.
+/// Everything recorded about one (graph, p) run.
 struct RunMeasure {
     wall_total_s: f64,
     /// Per-phase wall seconds, summed over ranks.
@@ -71,16 +60,12 @@ struct RunMeasure {
     modeled_total_s: f64,
     total_moves: u64,
     mdl_final: f64,
-    /// Bit-comparison fingerprint: every per-round MDL across all stages.
-    mdl_bits: Vec<u64>,
-    modules: Vec<u32>,
 }
 
-fn measure(g: &Graph, p: usize, seed: u64, kernel: MoveKernel) -> RunMeasure {
+fn measure(g: &Graph, p: usize, seed: u64) -> RunMeasure {
     let cfg = DistributedConfig {
         nranks: p,
         seed,
-        kernel,
         ..Default::default()
     };
     let t0 = Instant::now();
@@ -95,11 +80,6 @@ fn measure(g: &Graph, p: usize, seed: u64, kernel: MoveKernel) -> RunMeasure {
     }
     let bd = cost_model().makespan(&out.rank_stats);
     let total_moves: u64 = out.trace.iter().map(|t| t.moves).sum();
-    let mdl_bits: Vec<u64> = out
-        .trace
-        .iter()
-        .flat_map(|t| t.mdl_series.iter().map(|m| m.to_bits()))
-        .collect();
     RunMeasure {
         wall_total_s,
         phase_wall_s,
@@ -107,8 +87,6 @@ fn measure(g: &Graph, p: usize, seed: u64, kernel: MoveKernel) -> RunMeasure {
         modeled_total_s: bd.total,
         total_moves,
         mdl_final: out.codelength,
-        mdl_bits,
-        modules: out.modules,
     }
 }
 
@@ -120,19 +98,12 @@ fn find_best_wall(m: &RunMeasure) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Serial replay of the FindBestModule compute, per kernel.
+/// Serial replay of the FindBestModule compute.
 struct SweepMeasure {
     rounds: usize,
     arcs_relaxed: u64,
     moves: u64,
-    scan_wall_s: f64,
-    stamped_wall_s: f64,
-}
-
-impl SweepMeasure {
-    fn speedup(&self) -> f64 {
-        self.scan_wall_s / self.stamped_wall_s.max(1e-12)
-    }
+    wall_s: f64,
 }
 
 /// Replay the stage-1 greedy sweep serially over the real rank states of
@@ -140,20 +111,12 @@ impl SweepMeasure {
 /// move application as `find_best_modules`, minus communication and
 /// thread scheduling. Moves are applied so modules coalesce round over
 /// round exactly as in the driver's early stage-1 rounds, covering the
-/// singleton (k ≈ deg) regime where the scan kernel is quadratic on hubs
-/// as well as the coarsened regime where both kernels are near-linear.
+/// singleton (k ≈ deg) regime as well as the coarsened one.
 ///
 /// The partition decides which regime the kernel sees. Under 1D
-/// partitioning (`cfg.threshold = Fixed(huge)`) hubs keep their whole
-/// adjacency on the owner rank, so the legacy scan pays O(deg·k) there —
-/// the blowup the stamped accumulator removes. Under delegate
-/// partitioning (the default) hub arcs are split across ranks and every
-/// local degree is capped near `d_high`, so both kernels are near-linear
-/// and only constant factors differ.
-///
-/// Both kernels replay the identical trajectory (they are bit-identical
-/// by construction — asserted here via the move count), so the wall-clock
-/// difference is purely the kernel.
+/// partitioning hubs keep their whole adjacency on the owner rank; under
+/// delegate partitioning (the default) hub arcs are split across ranks and
+/// every local degree is capped near `d_high`.
 fn kernel_sweep(g: &Graph, part: &Partition) -> SweepMeasure {
     const ROUNDS: usize = 6;
     // DistributedConfig defaults: move_fraction_denom = 2, min_gain = 1e-10.
@@ -170,10 +133,9 @@ fn kernel_sweep(g: &Graph, part: &Partition) -> SweepMeasure {
     // so the replay can mutate the states while iterating it.
     let orders: Vec<Vec<u32>> = pristine.iter().map(|st| st.movable.clone()).collect();
 
-    let replay = |stamped: bool| -> (f64, u64, u64) {
+    let replay = || -> (f64, u64, u64) {
         let mut states = pristine.clone();
         let mut neigh = NeighborhoodScratch::new();
-        let mut scan_buf: Vec<(u32, f64, bool)> = Vec::new();
         let mut arcs = 0u64;
         let mut moves = 0u64;
         let t0 = Instant::now();
@@ -190,12 +152,9 @@ fn kernel_sweep(g: &Graph, part: &Partition) -> SweepMeasure {
                         continue;
                     }
                     arcs += (st.adj_off[li as usize + 1] - st.adj_off[li as usize]) as u64;
-                    let cand = if stamped {
+                    if let Some(c) =
                         best_local_move(st, li, MIN_GAIN, restrict_boundary, &mut neigh)
-                    } else {
-                        best_local_move_scan(st, li, MIN_GAIN, restrict_boundary, &mut scan_buf)
-                    };
-                    if let Some(c) = cand {
+                    {
                         apply_local_move(st, li, &c);
                         moves += 1;
                     }
@@ -205,29 +164,19 @@ fn kernel_sweep(g: &Graph, part: &Partition) -> SweepMeasure {
         (t0.elapsed().as_secs_f64(), arcs, moves)
     };
 
-    let mut scan_wall_s = f64::INFINITY;
-    let mut stamped_wall_s = f64::INFINITY;
-    let (mut scan_moves, mut stamped_moves) = (0, 0);
-    let mut arcs_relaxed = 0;
+    let mut wall_s = f64::INFINITY;
+    let (mut arcs_relaxed, mut moves) = (0, 0);
     for _ in 0..REPS {
-        let (w, a, m) = replay(false);
-        scan_wall_s = scan_wall_s.min(w);
+        let (w, a, m) = replay();
+        wall_s = wall_s.min(w);
         arcs_relaxed = a;
-        scan_moves = m;
-        let (w, _, m) = replay(true);
-        stamped_wall_s = stamped_wall_s.min(w);
-        stamped_moves = m;
+        moves = m;
     }
-    assert_eq!(
-        scan_moves, stamped_moves,
-        "sweep replay diverged between kernels"
-    );
     SweepMeasure {
         rounds: ROUNDS,
         arcs_relaxed,
-        moves: stamped_moves,
-        scan_wall_s,
-        stamped_wall_s,
+        moves,
+        wall_s,
     }
 }
 
@@ -348,8 +297,8 @@ fn json_threads(out: &mut String, indent: &str, points: &[ThreadPoint]) {
 fn json_sweep(out: &mut String, indent: &str, s: &SweepMeasure) {
     let _ = write!(
         out,
-        "{{\n{indent}  \"rounds\": {},\n{indent}  \"arcs_relaxed\": {},\n{indent}  \"moves\": {},\n{indent}  \"baseline_scan_wall_s\": {:e},\n{indent}  \"stamped_wall_s\": {:e},\n{indent}  \"speedup\": {:.4}\n{indent}}}",
-        s.rounds, s.arcs_relaxed, s.moves, s.scan_wall_s, s.stamped_wall_s, s.speedup()
+        "{{\n{indent}  \"rounds\": {},\n{indent}  \"arcs_relaxed\": {},\n{indent}  \"moves\": {},\n{indent}  \"wall_s\": {:e}\n{indent}}}",
+        s.rounds, s.arcs_relaxed, s.moves, s.wall_s
     );
 }
 
@@ -401,9 +350,8 @@ fn main() {
     let seed = env_seed();
     let procs = [4usize, 16, 64];
 
-    // Hub-heavy: a heavy power-law tail, so the delegate hubs the scan
-    // kernel is quadratic on carry a large share of all arcs. Flat: a
-    // bounded-degree instance where both kernels are near-linear.
+    // Hub-heavy: a heavy power-law tail, so the delegate hubs carry a
+    // large share of all arcs. Flat: a bounded-degree instance.
     let (n_hub, kmax_hub, n_flat, kmax_flat) = if tiny {
         (1_500, 750, 1_500, 16)
     } else {
@@ -424,17 +372,17 @@ fn main() {
     ];
 
     let mode = if tiny { "tiny" } else { "full" };
-    println!("perf_kernels: stamped vs legacy-scan best-move kernels ({mode}, seed {seed})\n");
+    println!("perf_kernels: best-move kernel and thread sweeps ({mode}, seed {seed})\n");
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"dinfomap-perf-kernels-v2\",\n");
+    json.push_str("{\n  \"schema\": \"dinfomap-perf-kernels-v3\",\n");
     let _ = write!(json, "  \"mode\": \"{mode}\",\n  \"seed\": {seed},\n");
     json.push_str(
         "  \"regenerate\": \"cargo run --release -p infomap-bench --bin perf_kernels\",\n",
     );
-    json.push_str("  \"host_note\": \"absolute wall-clock is machine-dependent (reference numbers recorded on a single-core container); the speedup ratios are the comparable quantity\",\n");
+    json.push_str("  \"host_note\": \"absolute wall-clock is machine-dependent; the arc counts and the modeled ratios are the comparable quantities\",\n");
     json.push_str("  \"threads_note\": \"thread_sweep_1d replays the real find_best_modules over stage-1 rank states for t in {1,2,4,8} intra-rank slices; all t are asserted bit-identical; modeled_speedup = serial_arcs / critical_arcs is the exact critical-path FindBestModule speedup from the per-slice arc counters (wall_s is honest but meaningless on a single-core host, where slices time-share the core)\",\n");
-    json.push_str("  \"wall_clock_note\": \"kernel_sweep_* are serial replays of the FindBestModule compute over real stage-1 rank states (no thread-scheduler noise): _1d keeps hub adjacencies whole (the O(deg*k) regime the stamped kernel removes; find_best_module_speedup is its speedup), _delegate caps local degrees near d_high so only constant factors differ; phase_wall_s sums thread wall time over simulated ranks; modeled_s is the cost-model makespan from metered counters and is kernel-invariant by design\",\n");
+    json.push_str("  \"wall_clock_note\": \"kernel_sweep_* are serial replays of the FindBestModule compute over real stage-1 rank states (no thread-scheduler noise): _1d keeps hub adjacencies whole, _delegate caps local degrees near d_high; phase_wall_s sums thread wall time over simulated ranks; modeled_s is the cost-model makespan from metered counters; bit_identical = every thread count of thread_sweep_1d replayed the same trajectory\",\n");
     json.push_str("  \"graphs\": [");
 
     for (gi, spec) in graphs.iter().enumerate() {
@@ -452,10 +400,8 @@ fn main() {
         );
         let mut table = Table::new(&[
             "p",
-            "1d scan",
-            "1d stamped",
-            "1d speedup",
-            "delegate speedup",
+            "1d sweep",
+            "delegate sweep",
             "t4 modeled",
             "modeled total",
         ]);
@@ -471,35 +417,15 @@ fn main() {
             max_deg
         );
         for (pi, &p) in procs.iter().enumerate() {
-            let scan = measure(g, p, seed, MoveKernel::LegacyScan);
-            let stamped = measure(g, p, seed, MoveKernel::Stamped);
-            // The kernels must be interchangeable to the bit — this is the
-            // determinism contract the rewrite was built around.
-            assert_eq!(
-                scan.mdl_bits, stamped.mdl_bits,
-                "{} p={p}: MDL series diverged",
-                spec.name
-            );
-            assert_eq!(
-                scan.total_moves, stamped.total_moves,
-                "{} p={p}: moves",
-                spec.name
-            );
-            assert_eq!(
-                scan.modules, stamped.modules,
-                "{} p={p}: assignment",
-                spec.name
-            );
-            // 1D partitioning: hubs keep their whole adjacency — the
-            // O(deg·k) regime the rewrite targets (headline number).
+            let run = measure(g, p, seed);
+            // 1D partitioning: hubs keep their whole adjacency.
             let sweep_1d = kernel_sweep(g, &Partition::one_d(g, p));
             // Delegate partitioning (driver default): local degrees are
-            // capped near d_high, so constant factors only.
+            // capped near d_high.
             let sweep_del = kernel_sweep(
                 g,
                 &Partition::delegate(g, p, DelegateThreshold::Auto(4.0), true),
             );
-            let speedup = sweep_1d.speedup();
             // The threads axis (§6 note 16): bit-identity across t is
             // asserted inside; the modeled t=4 number is the acceptance
             // headline on hub_heavy.
@@ -521,23 +447,19 @@ fn main() {
             }
             table.row(vec![
                 p.to_string(),
-                fmt_secs(sweep_1d.scan_wall_s),
-                fmt_secs(sweep_1d.stamped_wall_s),
-                format!("{speedup:.2}x"),
-                format!("{:.2}x", sweep_del.speedup()),
+                fmt_secs(sweep_1d.wall_s),
+                fmt_secs(sweep_del.wall_s),
                 format!("{t4_modeled:.2}x"),
-                fmt_secs(stamped.modeled_total_s),
+                fmt_secs(run.modeled_total_s),
             ]);
             if pi > 0 {
                 json.push(',');
             }
             let _ = write!(
                 json,
-                "\n        {{\n          \"p\": {p},\n          \"baseline_scan\": "
+                "\n        {{\n          \"p\": {p},\n          \"run\": "
             );
-            json_run(&mut json, "          ", &scan);
-            json.push_str(",\n          \"stamped\": ");
-            json_run(&mut json, "          ", &stamped);
+            json_run(&mut json, "          ", &run);
             json.push_str(",\n          \"kernel_sweep_1d\": ");
             json_sweep(&mut json, "          ", &sweep_1d);
             json.push_str(",\n          \"kernel_sweep_delegate\": ");
@@ -546,7 +468,7 @@ fn main() {
             json_threads(&mut json, "          ", &threads_1d);
             let _ = write!(
                 json,
-                ",\n          \"thread_t4_modeled_speedup\": {t4_modeled:.4},\n          \"find_best_module_speedup\": {speedup:.4},\n          \"bit_identical\": true\n        }}"
+                ",\n          \"thread_t4_modeled_speedup\": {t4_modeled:.4},\n          \"bit_identical\": true\n        }}"
             );
         }
         json.push_str("\n      ]\n    }");

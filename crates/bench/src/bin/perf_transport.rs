@@ -1,24 +1,21 @@
 //! perf_transport — the thread world against the socket transport
 //! (DESIGN.md §6.15, §6.18): the same distributed pipeline run over
 //! in-memory channels and over a real socket mesh with length-prefixed
-//! frames, deadlines and heartbeats, on identical seeds — with the
-//! socket side measured under **both** collective routings (flat full
-//! mesh and log-round Bruck).
+//! frames, deadlines and heartbeats, on identical seeds.
 //!
 //! Ranks are threads either way — what changes is every byte of
 //! algorithm traffic crossing genuine kernel socket buffers instead of
 //! a `Vec` swap, so the delta is the transport's real cost: syscalls,
 //! copies, framing, and the byte-lowering of collectives onto blob
-//! exchanges. All three configurations are asserted **bit-identical**
+//! exchanges. Both backends are asserted **bit-identical**
 //! per run (MDL series, move counts, final assignment) — the harness
 //! doubles as the backend-equivalence gate on a hub-heavy stand-in
 //! where the collectives carry real volume.
 //!
 //! The transport meters itself (per-collective-kind frames, wire bytes,
-//! wall clock). The harness asserts the frame budgets in-line — exactly
-//! p−1 frames per exchange under `flat`, exactly ⌈log₂ p⌉ under `logp`
-//! — and feeds the measured rounds of the largest logp run into a
-//! least-squares latency/bandwidth fit. The calibrated cost model's
+//! wall clock). The harness asserts the frame budget in-line — exactly
+//! ⌈log₂ p⌉ frames per exchange — and feeds the measured rounds of the
+//! largest run into a least-squares latency/bandwidth fit. The calibrated cost model's
 //! makespan is then checked against the measured socket wall clock and
 //! both are recorded, with per-kind residuals, in the output.
 //!
@@ -38,7 +35,7 @@ use infomap_graph::generators::{chung_lu, power_law_degrees};
 use infomap_graph::Graph;
 use infomap_mpisim::{fit_latency_bandwidth, CalibrationSample, Comm, CostModel, TransportMetrics};
 use infomap_transport_socket::collectives::ceil_log2;
-use infomap_transport_socket::{CollectiveAlgo, SocketConfig, SocketTransport};
+use infomap_transport_socket::{SocketConfig, SocketTransport};
 
 /// The calibrated makespan must land within this factor of the measured
 /// socket wall clock (either side). The model is bulk-synchronous
@@ -93,19 +90,17 @@ fn thread_run(g: &Graph, p: usize, seed: u64) -> RunMeasure {
     summarize(out, started.elapsed().as_secs_f64())
 }
 
-/// Every rank on its own [`SocketTransport`] over a private UDS mesh,
-/// under the given collective routing. Returns the run summary, the
-/// per-rank transport metrics, and their world-wide aggregate.
+/// Every rank on its own [`SocketTransport`] over a private UDS mesh.
+/// Returns the run summary, the per-rank transport metrics, and their
+/// world-wide aggregate.
 fn socket_run(
     g: &Graph,
     p: usize,
     seed: u64,
-    algo: CollectiveAlgo,
 ) -> (RunMeasure, Vec<TransportMetrics>, TransportMetrics) {
     let dir = std::env::temp_dir().join(format!(
-        "dinf-perf-transport-{}-p{p}-s{seed}-{}",
-        std::process::id(),
-        algo.name()
+        "dinf-perf-transport-{}-p{p}-s{seed}",
+        std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mesh dir");
@@ -118,7 +113,6 @@ fn socket_run(
     let store = Arc::new(CheckpointStore::new(p));
     let mut scfg = SocketConfig::uds(&dir);
     scfg.timeout = std::time::Duration::from_secs(60);
-    scfg.collective_algo = algo;
 
     let started = Instant::now();
     let mut handles = Vec::new();
@@ -156,19 +150,17 @@ fn socket_run(
     (summarize(out, wall_s), per_rank, aggregate)
 }
 
-/// In-harness frame-budget gate: every rank's exchange cost must match
-/// its routing exactly — p−1 frames per exchange under flat, ⌈log₂ p⌉
-/// under logp. An inflated count here means the routing regressed even
-/// if wall clocks look fine on this machine.
-fn assert_frame_budget(p: usize, algo: CollectiveAlgo, per_rank: &[TransportMetrics]) -> u64 {
-    let (key, budget) = match algo {
-        CollectiveAlgo::Flat => ("exchange_flat", (p - 1) as u64),
-        CollectiveAlgo::LogP => ("exchange_logp", ceil_log2(p) as u64),
-    };
+/// In-harness frame-budget gate: every rank's exchange must cost exactly
+/// ⌈log₂ p⌉ frames. An inflated count here means the routing regressed
+/// even if wall clocks look fine on this machine.
+fn assert_frame_budget(p: usize, per_rank: &[TransportMetrics]) -> u64 {
+    let key = "exchange_logp";
+    let budget = ceil_log2(p) as u64;
     for (rank, m) in per_rank.iter().enumerate() {
-        let op = m.ops.get(key).unwrap_or_else(|| {
-            panic!("p={p} rank {rank}: no {key} metrics — wrong routing selected?")
-        });
+        let op = m
+            .ops
+            .get(key)
+            .unwrap_or_else(|| panic!("p={p} rank {rank}: no {key} metrics"));
         assert!(op.calls > 0, "p={p} rank {rank}: no exchanges metered");
         assert_eq!(
             op.frames_sent,
@@ -253,9 +245,7 @@ fn main() {
         .unwrap_or(0);
 
     let mode = if tiny { "tiny" } else { "full" };
-    println!(
-        "perf_transport: thread world vs socket transport, flat vs logp ({mode}, seed {seed})"
-    );
+    println!("perf_transport: thread world vs socket transport ({mode}, seed {seed})");
     println!(
         "hub stand-in: |V|={}, |E|={}, max deg {}\n",
         g.num_vertices(),
@@ -264,13 +254,13 @@ fn main() {
     );
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"dinfomap-perf-transport-v2\",\n");
+    json.push_str("{\n  \"schema\": \"dinfomap-perf-transport-v3\",\n");
     let _ = write!(json, "  \"mode\": \"{mode}\",\n  \"seed\": {seed},\n");
     json.push_str(
         "  \"regenerate\": \"cargo run --release -p infomap-bench --bin perf_transport\",\n",
     );
-    json.push_str("  \"note\": \"ranks are threads on all backends; the socket backends route every byte through a UDS mesh with length-prefixed frames, deadlines and heartbeats, under flat (full-mesh) or logp (Bruck log-round) collective routing. wall_s is machine-dependent (no acceptance bar except the logp<flat gate below); modeled_total_s is the deterministic cost-model makespan from the metered counters\",\n");
-    json.push_str("  \"invariants\": \"all three configurations are bit-identical per (p, seed): asserted on the MDL series, move counts, and final assignment. frame budgets asserted per rank: exchange_flat sends exactly p-1 frames per exchange, exchange_logp exactly ceil(log2 p)\",\n");
+    json.push_str("  \"note\": \"ranks are threads on both backends; the socket backend routes every byte through a UDS mesh with length-prefixed frames, deadlines and heartbeats, its collectives as Bruck log-round exchanges. wall_s is machine-dependent (no acceptance bar); modeled_total_s is the deterministic cost-model makespan from the metered counters\",\n");
+    json.push_str("  \"invariants\": \"both backends are bit-identical per (p, seed): asserted on the MDL series, move counts, and final assignment. frame budget asserted per rank: exchange_logp sends exactly ceil(log2 p) frames per exchange\",\n");
     let _ = writeln!(
         json,
         "  \"graph\": {{ \"name\": \"hub_standin\", \"vertices\": {}, \"edges\": {}, \"max_degree\": {} }},",
@@ -280,59 +270,37 @@ fn main() {
     );
     json.push_str("  \"runs\": [");
 
-    let mut table = Table::new(&[
-        "p",
-        "thread wall",
-        "flat wall",
-        "logp wall",
-        "ratio flat",
-        "ratio logp",
-        "frames/exch",
-    ]);
+    let mut table = Table::new(&["p", "thread wall", "socket wall", "ratio", "frames/exch"]);
     let mut calib_source: Option<(usize, RunMeasure, TransportMetrics)> = None;
     for (pi, &p) in procs.iter().enumerate() {
         let threaded = thread_run(&g, p, seed);
-        let (flat, flat_ranks, flat_agg) = socket_run(&g, p, seed, CollectiveAlgo::Flat);
-        let (logp, logp_ranks, logp_agg) = socket_run(&g, p, seed, CollectiveAlgo::LogP);
-        assert_bit_identical(&format!("p={p} flat"), &threaded, &flat);
-        assert_bit_identical(&format!("p={p} logp"), &threaded, &logp);
-        let flat_budget = assert_frame_budget(p, CollectiveAlgo::Flat, &flat_ranks);
-        let logp_budget = assert_frame_budget(p, CollectiveAlgo::LogP, &logp_ranks);
-        let ratio_flat = flat.wall_s / threaded.wall_s.max(1e-9);
-        let ratio_logp = logp.wall_s / threaded.wall_s.max(1e-9);
+        let (logp, logp_ranks, logp_agg) = socket_run(&g, p, seed);
+        assert_bit_identical(&format!("p={p}"), &threaded, &logp);
+        let budget = assert_frame_budget(p, &logp_ranks);
+        let ratio = logp.wall_s / threaded.wall_s.max(1e-9);
         table.row(vec![
             p.to_string(),
             fmt_secs(threaded.wall_s),
-            fmt_secs(flat.wall_s),
             fmt_secs(logp.wall_s),
-            format!("{ratio_flat:.2}x"),
-            format!("{ratio_logp:.2}x"),
-            format!("{flat_budget} flat / {logp_budget} logp"),
+            format!("{ratio:.2}x"),
+            budget.to_string(),
         ]);
         if pi > 0 {
             json.push(',');
         }
         let _ = write!(json, "\n    {{\n      \"p\": {p},\n      \"thread\": ");
         json_run(&mut json, "      ", &threaded);
-        json.push_str(",\n      \"socket_flat\": ");
-        json_run(&mut json, "      ", &flat);
         json.push_str(",\n      \"socket_logp\": ");
         json_run(&mut json, "      ", &logp);
         let _ = write!(
             json,
-            ",\n      \"wall_ratio_flat\": {ratio_flat:.4},\n      \"wall_ratio_logp\": {ratio_logp:.4},"
+            ",\n      \"wall_ratio_logp\": {ratio:.4},\n      \"frames_per_exchange\": {budget},"
         );
-        let _ = write!(
-            json,
-            "\n      \"frames_per_exchange\": {{ \"flat\": {flat_budget}, \"logp\": {logp_budget} }},"
-        );
-        json.push_str("\n      \"transport_flat\": ");
-        json_metrics(&mut json, "      ", &flat_agg);
-        json.push_str(",\n      \"transport_logp\": ");
+        json.push_str("\n      \"transport_logp\": ");
         json_metrics(&mut json, "      ", &logp_agg);
         json.push_str(",\n      \"bit_identical\": true\n    }");
-        // Calibrate from the largest logp world — the most rounds, the
-        // most signal.
+        // Calibrate from the largest world — the most rounds, the most
+        // signal.
         if pi == procs.len() - 1 {
             calib_source = Some((p, logp, logp_agg));
         }
@@ -385,7 +353,7 @@ fn main() {
 
     table.print();
     println!(
-        "\ncalibration (from logp p={calib_p}): t_frame={:.3}us t_byte={:.3}ns — calibrated \
+        "\ncalibration (from p={calib_p}): t_frame={:.3}us t_byte={:.3}ns — calibrated \
          makespan {} vs measured wall {}",
         fit.t_frame * 1e6,
         fit.t_byte * 1e9,

@@ -20,29 +20,10 @@
 
 #![forbid(unsafe_code)]
 
-use infomap_distributed::{CommPath, DistributedOutput};
+use infomap_distributed::DistributedOutput;
 use infomap_graph::datasets::DatasetProfile;
 use infomap_graph::Graph;
 use infomap_mpisim::{CostModel, PhaseBreakdown};
-
-/// Parse `--comm-path compact|legacy` from argv (default compact). The
-/// figure harnesses accept this so both wire formats can be measured; the
-/// clustering trajectory is bit-identical on either path.
-pub fn parse_comm_path() -> CommPath {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .iter()
-        .position(|a| a == "--comm-path")
-        .and_then(|i| args.get(i + 1))
-    {
-        None => CommPath::Compact,
-        Some(v) => match v.as_str() {
-            "compact" => CommPath::Compact,
-            "legacy" => CommPath::Legacy,
-            other => panic!("--comm-path: expected compact|legacy, got {other:?}"),
-        },
-    }
-}
 
 /// Experiment scale factor from `DINFOMAP_SCALE` (default 0.15).
 pub fn env_scale() -> f64 {

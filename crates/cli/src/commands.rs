@@ -5,7 +5,7 @@ use std::path::Path;
 
 use infomap_baselines::{gossip_map, GossipConfig, RelaxMap, RelaxMapConfig};
 use infomap_core::sequential::{Infomap, InfomapConfig};
-use infomap_distributed::{CommPath, DistributedConfig, DistributedInfomap, RecoveryConfig};
+use infomap_distributed::{DistributedConfig, DistributedInfomap, RecoveryConfig};
 use infomap_graph::datasets::DatasetId;
 use infomap_graph::generators::{lfr_like, streaming_lfr_edges, LfrParams};
 use infomap_graph::snapshot::{read_header, write_shards, write_snapshot, ShardSink};
@@ -29,7 +29,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             fault_plan,
             checkpoint_every,
             max_retries,
-            comm_path,
         } => cluster(
             &path,
             algorithm,
@@ -41,7 +40,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             fault_plan.as_deref(),
             checkpoint_every,
             max_retries,
-            comm_path,
         ),
         Command::Partition {
             path,
@@ -96,7 +94,6 @@ fn cluster(
     fault_plan: Option<&str>,
     checkpoint_every: usize,
     max_retries: usize,
-    comm_path: CommPath,
 ) -> Result<(), String> {
     if algorithm != Algorithm::Distributed && (fault_plan.is_some() || checkpoint_every > 0) {
         return Err(
@@ -130,7 +127,6 @@ fn cluster(
             let r = DistributedInfomap::new(DistributedConfig {
                 nranks: ranks,
                 seed,
-                comm_path,
                 threads: threads.max(1),
                 recovery: RecoveryConfig {
                     checkpoint_every,
@@ -417,7 +413,6 @@ mod tests {
             fault_plan: None,
             checkpoint_every: 0,
             max_retries: 3,
-            comm_path: CommPath::Compact,
         })
         .unwrap();
         let text = std::fs::read_to_string(&out).unwrap();
@@ -456,7 +451,6 @@ mod tests {
                 fault_plan: None,
                 checkpoint_every: 0,
                 max_retries: 3,
-                comm_path: CommPath::Compact,
             })
             .unwrap();
         }
@@ -476,7 +470,6 @@ mod tests {
             fault_plan: Some("seed=1;crash=0@5".into()),
             checkpoint_every: 0,
             max_retries: 3,
-            comm_path: CommPath::Compact,
         });
         assert!(err
             .unwrap_err()
@@ -498,7 +491,6 @@ mod tests {
             fault_plan: Some("seed=3;crash=1@50".into()),
             checkpoint_every: 2,
             max_retries: 3,
-            comm_path: CommPath::Legacy,
         })
         .unwrap();
         std::fs::remove_dir_all(dir).ok();

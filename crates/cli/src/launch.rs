@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use infomap_distributed::{
-    checkpoint_files_present, degraded_output, CheckpointStore, CommPath, DistributedConfig,
+    checkpoint_files_present, degraded_output, CheckpointStore, DistributedConfig,
     DistributedOutput, FileCheckpointStore, RankProgram, RecoveryConfig, RecoveryReport,
     SnapshotStore,
 };
@@ -47,7 +47,7 @@ use infomap_graph::snapshot::{
     read_header, shard_path, PageCacheConfig, SnapshotHeader, SnapshotStore as GraphSnapshotStore,
 };
 use infomap_mpisim::{Comm, CostModel, TransportFault};
-use infomap_transport_socket::{CollectiveAlgo, SocketConfig, SocketTransport};
+use infomap_transport_socket::{SocketConfig, SocketTransport};
 
 /// Worker exit code for a structured transport failure (diagnostic JSON
 /// written). Anything else nonzero is an ordinary error.
@@ -80,7 +80,6 @@ pub struct LaunchOpts {
     pub kill_rank: Option<(usize, u64)>,
     /// Rendezvous directory override (default: a fresh temp dir).
     pub dir: Option<String>,
-    pub comm_path: CommPath,
     /// Intra-rank worker threads per rank process (bit-identical for
     /// every value; see `DistributedConfig::threads`).
     pub threads: usize,
@@ -96,10 +95,6 @@ pub struct LaunchOpts {
     pub block_bytes: usize,
     /// Paged mode: cache capacity in blocks (0 = library default).
     pub cache_blocks: usize,
-    /// Collective routing inside the socket transport (`--collective-algo`);
-    /// flat is the verification baseline, logp the default fast path.
-    /// Bit-identical either way — only the routing differs.
-    pub collective_algo: CollectiveAlgo,
 }
 
 /// Parsed hidden `_rank` invocation (one worker process).
@@ -113,7 +108,6 @@ pub struct WorkerOpts {
     pub transport: TransportKind,
     pub checkpoint_every: usize,
     pub timeout_ms: u64,
-    pub comm_path: CommPath,
     /// Intra-rank worker threads (forwarded from `launch --threads`).
     pub threads: usize,
     /// Rank 0 writes `vertex community` lines here on success.
@@ -126,8 +120,6 @@ pub struct WorkerOpts {
     pub block_bytes: usize,
     /// Forwarded from `launch --cache-blocks`.
     pub cache_blocks: usize,
-    /// Forwarded from `launch --collective-algo`.
-    pub collective_algo: CollectiveAlgo,
 }
 
 /// The `--paged`/`--block-bytes`/`--cache-blocks` triple as a cache
@@ -161,12 +153,7 @@ fn diag_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("rank-{rank}.diag.json"))
 }
 
-fn socket_config(
-    o_transport: TransportKind,
-    dir: &Path,
-    timeout_ms: u64,
-    collective_algo: CollectiveAlgo,
-) -> SocketConfig {
+fn socket_config(o_transport: TransportKind, dir: &Path, timeout_ms: u64) -> SocketConfig {
     let mut cfg = match o_transport {
         TransportKind::Uds => SocketConfig::uds(sock_dir(dir)),
         TransportKind::Tcp { base_port } => SocketConfig::tcp(base_port),
@@ -175,7 +162,6 @@ fn socket_config(
     // Keep the liveness window responsive relative to the deadline.
     cfg.heartbeat = Duration::from_millis((timeout_ms / 8).clamp(25, 250));
     cfg.setup_timeout = setup_window(timeout_ms);
-    cfg.collective_algo = collective_algo;
     cfg
 }
 
@@ -190,13 +176,11 @@ fn distributed_config(
     procs: usize,
     seed: u64,
     checkpoint_every: usize,
-    comm_path: CommPath,
     threads: usize,
 ) -> DistributedConfig {
     DistributedConfig {
         nranks: procs,
         seed,
-        comm_path,
         threads: threads.max(1),
         recovery: RecoveryConfig {
             checkpoint_every,
@@ -257,7 +241,7 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
                 .map_err(|e| WorkerFailure::Other(format!("cannot read {}: {e}", o.graph)))?,
         ),
     };
-    let cfg = distributed_config(o.procs, o.seed, o.checkpoint_every, o.comm_path, o.threads);
+    let cfg = distributed_config(o.procs, o.seed, o.checkpoint_every, o.threads);
 
     // Durable checkpoints when enabled, so a relaunched world resumes;
     // the in-memory store otherwise (no files, bit-identical fast path).
@@ -271,7 +255,7 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
     };
     let restored = store.agreed_pos().is_some();
 
-    let scfg = socket_config(o.transport, &dir, o.timeout_ms, o.collective_algo);
+    let scfg = socket_config(o.transport, &dir, o.timeout_ms);
     let transport = SocketTransport::connect(o.rank, o.procs, scfg).map_err(|e| {
         write_diag(&dir, o.rank, "connect", &format!("{e}"));
         WorkerFailure::Transport
@@ -617,8 +601,7 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
                 )));
             };
             if o.checkpoint_every > 0 && checkpoint_files_present(&ckpt) {
-                let cfg =
-                    distributed_config(o.procs, o.seed, o.checkpoint_every, o.comm_path, o.threads);
+                let cfg = distributed_config(o.procs, o.seed, o.checkpoint_every, o.threads);
                 let program = RankProgram::prepare(cfg, &loaded.graph);
                 let store = FileCheckpointStore::open(&ckpt, o.procs, o.seed)
                     .map_err(|e| format!("checkpoint store: {e}"))?;
@@ -704,12 +687,6 @@ fn run_world_once(
         if let TransportKind::Tcp { base_port } = o.transport {
             cmd.arg("--transport").arg("tcp");
             cmd.arg("--base-port").arg(base_port.to_string());
-        }
-        if o.comm_path == CommPath::Legacy {
-            cmd.arg("--comm-path").arg("legacy");
-        }
-        if o.collective_algo != CollectiveAlgo::default() {
-            cmd.arg("--collective-algo").arg(o.collective_algo.name());
         }
         if rank == 0 {
             if let Some(out) = &o.output {

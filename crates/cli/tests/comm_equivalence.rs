@@ -23,7 +23,7 @@ use infomap_graph::snapshot::{
 };
 use infomap_graph::Graph;
 use infomap_mpisim::Comm;
-use infomap_transport_socket::{CollectiveAlgo, SocketConfig, SocketTransport};
+use infomap_transport_socket::{SocketConfig, SocketTransport};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -52,19 +52,11 @@ fn fresh_dir() -> std::path::PathBuf {
 /// [`SocketTransport`] over a private UDS mesh (threads stand in for
 /// processes; the byte path is identical either way).
 fn socket_run(g: &Graph, p: usize, seed: u64, threads: usize) -> DistributedOutput {
-    socket_run_cfg(g, p, seed, threads, CollectiveAlgo::default(), false)
+    socket_run_cfg(g, p, seed, threads, false)
 }
 
-/// [`socket_run`] with the transport axes explicit: collective routing
-/// (flat mesh vs log-round Bruck) × socket family (UDS vs loopback TCP).
-fn socket_run_cfg(
-    g: &Graph,
-    p: usize,
-    seed: u64,
-    threads: usize,
-    algo: CollectiveAlgo,
-    tcp: bool,
-) -> DistributedOutput {
+/// [`socket_run`] with the socket family explicit (UDS vs loopback TCP).
+fn socket_run_cfg(g: &Graph, p: usize, seed: u64, threads: usize, tcp: bool) -> DistributedOutput {
     let dir = fresh_dir();
     let cfg = DistributedConfig {
         nranks: p,
@@ -79,7 +71,6 @@ fn socket_run_cfg(
     } else {
         SocketConfig::uds(&dir)
     };
-    scfg.collective_algo = algo;
     scfg.timeout = std::time::Duration::from_secs(30); // generous for CI
     let mut handles = Vec::new();
     for rank in 0..p {
@@ -264,11 +255,11 @@ fn shard_mode_over_sockets_is_bit_identical_to_thread_world() {
 }
 
 #[test]
-fn collective_algo_and_endpoint_matrix_is_bit_identical() {
-    // {flat, logp} × {uds, tcp} against the thread world, at a
-    // power-of-two world and at p=3 (the Bruck remainder round). Routing
-    // must be invisible: the log-round relays and the TCP byte stream
-    // both have to hand every rank the same blobs in the same slots.
+fn endpoint_matrix_is_bit_identical() {
+    // {uds, tcp} against the thread world, at a power-of-two world and at
+    // p=3 (the Bruck remainder round). Routing must be invisible: the
+    // log-round relays and the TCP byte stream both have to hand every
+    // rank the same blobs in the same slots.
     let (g, _) = lfr_like(
         LfrParams {
             n: 300,
@@ -279,26 +270,20 @@ fn collective_algo_and_endpoint_matrix_is_bit_identical() {
     );
     for p in [3usize, 4] {
         let reference = thread_run(&g, p, 0, 1);
-        for algo in [CollectiveAlgo::Flat, CollectiveAlgo::LogP] {
-            for tcp in [false, true] {
-                let socketed = socket_run_cfg(&g, p, 0, 1, algo, tcp);
-                let what = format!(
-                    "p={p} algo={} endpoint={}",
-                    algo.name(),
-                    if tcp { "tcp" } else { "uds" }
-                );
-                assert_eq!(
-                    mdl_bits(&reference),
-                    mdl_bits(&socketed),
-                    "{what}: MDL series diverged"
-                );
-                assert_eq!(
-                    reference.codelength.to_bits(),
-                    socketed.codelength.to_bits(),
-                    "{what}: codelength bits"
-                );
-                assert_eq!(reference.modules, socketed.modules, "{what}: assignment");
-            }
+        for tcp in [false, true] {
+            let socketed = socket_run_cfg(&g, p, 0, 1, tcp);
+            let what = format!("p={p} endpoint={}", if tcp { "tcp" } else { "uds" });
+            assert_eq!(
+                mdl_bits(&reference),
+                mdl_bits(&socketed),
+                "{what}: MDL series diverged"
+            );
+            assert_eq!(
+                reference.codelength.to_bits(),
+                socketed.codelength.to_bits(),
+                "{what}: codelength bits"
+            );
+            assert_eq!(reference.modules, socketed.modules, "{what}: assignment");
         }
     }
 }

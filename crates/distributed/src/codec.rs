@@ -1,5 +1,5 @@
-//! Compact wire codecs for the [`crate::CommPath::Compact`] path
-//! (DESIGN.md §6.13).
+//! The wire format of a round's records (DESIGN.md §6.13) — the one place
+//! that decides how they are laid out in a packet.
 //!
 //! Every batch the distributed algorithm exchanges is a `Vec` of records
 //! whose integer fields are small and strongly clustered: module and
@@ -13,10 +13,9 @@
 //! * **bit-packed flag bitmaps** hoisted in front of the records,
 //!
 //! while every `f64` travels as its raw 8 little-endian bytes. Floats are
-//! never transformed, rounded or delta-encoded: the compact path must
-//! drive the clustering through the bit-identical trajectory of the
-//! legacy path, so the payloads that feed δL arithmetic and MDL sums have
-//! to arrive with the exact bits they left with. Decoding mirrors
+//! never transformed, rounded or delta-encoded: the payloads that feed δL
+//! arithmetic and MDL sums have to arrive with the exact bits they left
+//! with, or ranks would diverge. Decoding mirrors
 //! encoding exactly; `decode(encode(batch)) == batch` holds for
 //! *arbitrary* batches — including NaN payloads and unsorted IDs — which
 //! the proptests in `tests/proptests.rs` exercise.
@@ -460,7 +459,8 @@ mod tests {
             .collect();
         let mut buf = Vec::new();
         encode_infos(&mut buf, &infos);
-        assert!((buf.len() as u64) < infos.len() as u64 * ModuleInfoMsg::WIRE_BYTES);
+        // Packed field extent of one record: u64 + f64 + f64 + u32 + u8.
+        assert!(buf.len() < infos.len() * 29);
         let mut pos = 0;
         assert_eq!(decode_infos(&buf, &mut pos), infos);
         assert_eq!(pos, buf.len());
@@ -541,7 +541,8 @@ mod tests {
         assert_eq!(decode_proposals(&buf, &mut pos), props);
         assert_eq!(pos, buf.len());
         // One duplicate info elided: well under 4 packed proposals.
-        assert!((buf.len() as u64) < props.len() as u64 * DelegateProposal::WIRE_BYTES);
+        // (packed field extent: u32 + u64 + f64 + u32 + 29-byte info)
+        assert!(buf.len() < props.len() * 53);
         // The second proposal's identical info must have been elided; an
         // encoding that carried all four infos would be at least 25 bytes
         // larger (info payload ≥ 8+8+1+1+1 bytes).

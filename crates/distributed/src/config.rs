@@ -2,45 +2,6 @@
 
 use infomap_partition::DelegateThreshold;
 
-/// Which best-move kernel the greedy sweep uses. Both kernels are
-/// bit-identical (same candidates, same δL bits, same tie-breaks); the
-/// choice only affects wall-clock, never results — which is what lets the
-/// `perf_kernels` harness measure one against the other on the same run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MoveKernel {
-    /// Epoch-stamped dense accumulator over interned module slots:
-    /// O(deg) per vertex (DESIGN.md §6.12). The default.
-    #[default]
-    Stamped,
-    /// The pre-interning linear scan of a scratch vec: O(deg·k) per vertex
-    /// where k is the number of distinct neighbor modules. Kept as the
-    /// measurable baseline.
-    LegacyScan,
-}
-
-/// Which wire layout and exchange pattern the three communication paths
-/// use (DESIGN.md §6.13). Both paths drive the clustering through the
-/// identical trajectory — same proposals, same elected winners, same MDL
-/// bits, same assignments per seed — the choice only affects how many
-/// bytes, messages and collectives the substrate meters, which is what
-/// the `perf_comm` harness measures one path against the other.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CommPath {
-    /// Owner-reduced delegate election (proposals route to the delegate's
-    /// owner via alltoallv; only winners are gathered back), varint/delta
-    /// wire codecs on every batch, and coalesced sync rounds (moves count
-    /// and MDL partials piggyback on exchanges that already happen). The
-    /// default.
-    #[default]
-    Compact,
-    /// The pre-overhaul paths: the election allgathers every proposal to
-    /// every rank (O(total × p) receive bytes), records travel as padded
-    /// POD structs, and the moves count / MDL reduction are standalone
-    /// collectives. Kept as the measurable baseline and as the bit-level
-    /// cross-check of the compact path.
-    Legacy,
-}
-
 /// Tunables of [`crate::DistributedInfomap`]. The defaults follow the
 /// paper's §4 setup (`d_high` = rank count, rebalancing on, minimum-label
 /// tie-break on, full `Module_Info` swapping on).
@@ -85,9 +46,6 @@ pub struct DistributedConfig {
     /// modules, so syncing every round caps scalability; the paper's own
     /// "Other" phase shrinks with p because it is purely local.
     pub sync_interval: usize,
-    /// Best-move kernel of the greedy sweep (bit-identical results either
-    /// way; see [`MoveKernel`]).
-    pub kernel: MoveKernel,
     /// Intra-rank worker threads for the local sweep (DESIGN.md §6 note
     /// 16). Each rank's eligible vertices are statically cut into this
     /// many arc-balanced slices, evaluated slice-parallel against the
@@ -95,9 +53,6 @@ pub struct DistributedConfig {
     /// order — so MDL series, moves, and assignments are **bit-identical
     /// for every value**, including 1. Only wall-clock changes.
     pub threads: usize,
-    /// Communication path (bit-identical trajectories either way; see
-    /// [`CommPath`]).
-    pub comm_path: CommPath,
     /// Checkpoint/retry policy for fault-tolerant runs.
     pub recovery: RecoveryConfig,
 }
@@ -143,9 +98,7 @@ impl Default for DistributedConfig {
             full_module_swap: true,
             move_fraction_denom: 2,
             sync_interval: 1,
-            kernel: MoveKernel::default(),
             threads: 1,
-            comm_path: CommPath::default(),
             recovery: RecoveryConfig::default(),
         }
     }
@@ -162,8 +115,6 @@ mod tests {
         assert!(c.rebalance);
         assert!(c.min_label_tiebreak);
         assert!(c.full_module_swap);
-        assert_eq!(c.kernel, MoveKernel::Stamped);
-        assert_eq!(c.comm_path, CommPath::Compact);
         assert_eq!(c.threads, 1, "thread parallelism is opt-in");
     }
 

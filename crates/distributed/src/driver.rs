@@ -13,8 +13,8 @@ use infomap_partition::{delegates_from_degrees, plan_rebalance, shard_rank_arcs,
 
 use crate::checkpoint::{CheckpointStore, RankSnapshot, SnapshotPos, SnapshotStore};
 use crate::codec;
-use crate::config::{CommPath, DistributedConfig};
-use crate::messages::{AssignmentReply, MergedArc, MergedFlow};
+use crate::config::DistributedConfig;
+use crate::messages::{MergedArc, MergedFlow};
 use crate::rounds::{cluster_stage_recoverable, StageCursor, StageOutcome};
 use crate::state::{assemble, build_1d_state, build_stage1_states, LocalState, VertexKind};
 
@@ -618,7 +618,7 @@ impl RankProgram {
                 push_trace(&mut trace, 2, level, &s2, level_vertices, new_vertices);
 
                 // Re-point original assignments through this level.
-                refresh_assignments(comm, &st, &merge.dense, &mut assign, cfg.comm_path);
+                refresh_assignments(comm, &st, &merge.dense, &mut assign);
 
                 let improved = prev_mdl - s2.mdl;
                 prev_mdl = s2.mdl;
@@ -842,92 +842,56 @@ fn dense_of(dense: &HashMap<u64, u32>, module: u64) -> u32 {
 /// Re-point original-vertex assignments through one merge level: each
 /// current value is a level vertex owned by `value % p`.
 ///
-/// Legacy path: a query/reply alltoallv pair — ask the owner for the new
-/// dense module id, then rewrite in place. Compact path: the two
-/// collectives fuse into one *migration* alltoallv — the `(vertex,
-/// current)` pairs travel to the owner, which rewrites and **keeps** them.
-/// Assignments thereby change rank between levels, which is safe because
-/// every consumer (the final allgatherv assembly, checkpoint snapshots,
-/// degraded-output union) is agnostic to where a pair lives.
+/// One *migration* alltoallv: the `(vertex, current)` pairs travel to the
+/// owner, which rewrites and **keeps** them. Assignments thereby change
+/// rank between levels, which is safe because every consumer (the final
+/// allgatherv assembly, checkpoint snapshots, degraded-output union) is
+/// agnostic to where a pair lives.
 fn refresh_assignments(
     comm: &mut Comm,
     st: &LocalState,
     dense: &HashMap<u64, u32>,
     assign: &mut Vec<(u32, u32)>,
-    path: CommPath,
 ) {
     let p = st.nranks;
-    match path {
-        CommPath::Legacy => {
-            let mut queries: Vec<Vec<u32>> = vec![Vec::new(); p];
-            for &(_, current) in assign.iter() {
-                queries[(current as usize) % p].push(current);
+    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
+    for &(v, current) in assign.iter() {
+        buckets[(current as usize) % p].push((v, current));
+    }
+    // Sorted buckets delta-compress well; order is otherwise free.
+    for bucket in &mut buckets {
+        bucket.sort_unstable();
+    }
+    let mut enc = 0u64;
+    let outgoing: Vec<Vec<u8>> = buckets
+        .iter()
+        .map(|b| {
+            let mut buf = Vec::new();
+            if !b.is_empty() {
+                codec::encode_pairs(&mut buf, b);
+                enc += buf.len() as u64;
             }
-            let incoming = comm.alltoallv(queries);
-            let mut replies: Vec<Vec<AssignmentReply>> = vec![Vec::new(); p];
-            for (src, keys) in incoming.into_iter().enumerate() {
-                for key in keys {
-                    let li = st.local_of(key);
-                    let module = st.module_id_of(li as usize);
-                    replies[src].push(AssignmentReply {
-                        key,
-                        module: dense_of(dense, module),
-                    });
-                    comm.add_work(1);
-                }
-            }
-            let answers = comm.alltoallv(replies);
-            let mut lookup: HashMap<u32, u32> = HashMap::new();
-            for msgs in answers {
-                for r in msgs {
-                    lookup.insert(r.key, r.module);
-                }
-            }
-            for slot in assign.iter_mut() {
-                slot.1 = lookup[&slot.1];
-            }
+            buf
+        })
+        .collect();
+    comm.add_codec_bytes(enc);
+    let incoming = comm.alltoallv(outgoing);
+    assign.clear();
+    let mut dec = 0u64;
+    for buf in incoming {
+        if buf.is_empty() {
+            continue;
         }
-        CommPath::Compact => {
-            let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
-            for &(v, current) in assign.iter() {
-                buckets[(current as usize) % p].push((v, current));
-            }
-            // Sorted buckets delta-compress well; order is otherwise free.
-            for bucket in &mut buckets {
-                bucket.sort_unstable();
-            }
-            let mut enc = 0u64;
-            let outgoing: Vec<Vec<u8>> = buckets
-                .iter()
-                .map(|b| {
-                    let mut buf = Vec::new();
-                    if !b.is_empty() {
-                        codec::encode_pairs(&mut buf, b);
-                        enc += buf.len() as u64;
-                    }
-                    buf
-                })
-                .collect();
-            comm.add_codec_bytes(enc);
-            let incoming = comm.alltoallv(outgoing);
-            assign.clear();
-            let mut dec = 0u64;
-            for buf in incoming {
-                if buf.is_empty() {
-                    continue;
-                }
-                dec += buf.len() as u64;
-                let mut pos = 0;
-                for (v, current) in codec::decode_pairs(&buf, &mut pos) {
-                    let li = st.local_of(current);
-                    let module = st.module_id_of(li as usize);
-                    assign.push((v, dense_of(dense, module)));
-                    comm.add_work(1);
-                }
-            }
-            comm.add_codec_bytes(dec);
+        dec += buf.len() as u64;
+        let mut pos = 0;
+        for (v, current) in codec::decode_pairs(&buf, &mut pos) {
+            let li = st.local_of(current);
+            let module = st.module_id_of(li as usize);
+            assign.push((v, dense_of(dense, module)));
+            comm.add_work(1);
         }
     }
+    comm.add_codec_bytes(dec);
 }
 
 #[cfg(test)]

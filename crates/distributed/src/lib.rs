@@ -9,8 +9,9 @@
 //! 2. **Parallel clustering with delegates** (lines 2–7): synchronized
 //!    rounds of local greedy moves; each rank proposes the best local `δL`
 //!    for every delegate copy it holds, the globally best proposal per
-//!    delegate is elected with an allgather and applied identically on all
-//!    ranks (with the *minimum-label* tie-break against vertex bouncing);
+//!    delegate is elected at the delegate's owner rank and the winners are
+//!    applied identically on all ranks (with the *minimum-label* tie-break
+//!    against vertex bouncing);
 //!    boundary community IDs and full `Module_Info` records (List 1, with
 //!    the `is_sent` duplicate-suppression of Algorithm 3) are swapped with
 //!    neighbor ranks; authoritative module statistics are re-established
@@ -33,10 +34,9 @@
 //! and efficiency figures from the counters.
 //!
 //! The per-rank hot paths run on interned module slots with epoch-stamped
-//! dense accumulators and persistent round buffers (DESIGN.md §6.12); the
-//! pre-interning scan kernel survives as [`MoveKernel::LegacyScan`] and
-//! both are bit-identical, which the `perf_kernels` harness exploits to
-//! benchmark one against the other on the same runs.
+//! dense accumulators and persistent round buffers (DESIGN.md §6.12), and
+//! every batch crosses the wire in the compact layout of [`codec`]
+//! (DESIGN.md §6.13).
 //!
 //! ```
 //! use infomap_graph::generators::ring_of_cliques;
@@ -65,11 +65,11 @@ pub use checkpoint::{
     checkpoint_files_present, CheckpointStore, FileCheckpointStore, RankSnapshot, SnapshotPos,
     SnapshotStore,
 };
-pub use config::{CommPath, DistributedConfig, MoveKernel, RecoveryConfig};
+pub use config::{DistributedConfig, RecoveryConfig};
 pub use driver::{
     degraded_output, DistributedInfomap, DistributedOutput, RankProgram, RecoveryReport, StageTrace,
 };
 pub use rounds::{
-    apply_local_move, best_local_move, best_local_move_scan, find_best_modules, LocalCandidate,
-    NeighborhoodScratch, RoundBuffers,
+    apply_local_move, best_local_move, find_best_modules, LocalCandidate, NeighborhoodScratch,
+    RoundBuffers,
 };

@@ -1,15 +1,12 @@
-//! Wire formats exchanged between ranks.
+//! Records exchanged between ranks.
 //!
-//! All messages are plain-old-data structs moved in `Vec`s. An MPI
-//! derived datatype transmits the *packed* extent of the fields — not the
-//! Rust in-memory layout, which pads e.g. `ModuleInfoMsg` from 29 packed
-//! bytes to 32 and `DelegateProposal` from 53 to 64. Each struct
-//! therefore declares a `WIRE_BYTES` constant, and both communication
-//! paths meter records at that packed size (the compact path additionally
-//! delta/varint-encodes them below the packed size; see
-//! [`crate::codec`]). Metering `size_of` would overstate legacy traffic
-//! by the padding and make the compact path's savings look better than
-//! they are.
+//! All messages are plain-old-data structs. The round's records
+//! ([`VertexUpdate`], [`ModuleInfoMsg`], [`DelegateProposal`],
+//! [`ModuleContribution`]) never cross the wire as structs: how they are
+//! laid out in a packet is decided in [`crate::codec`] alone, and the
+//! communicator only ever sees the encoded bytes. The merge records
+//! ([`MergedArc`], [`MergedFlow`]) travel field by field through
+//! [`infomap_mpisim::WirePayload`].
 
 /// The paper's List 1 message interface: the full information of one
 /// module, plus the duplicate-suppression flag of Algorithm 3.
@@ -29,21 +26,11 @@ pub struct ModuleInfoMsg {
     pub is_sent: bool,
 }
 
-impl ModuleInfoMsg {
-    /// Packed extent: u64 + f64 + f64 + u32 + u8 (Rust pads to 32).
-    pub const WIRE_BYTES: u64 = 8 + 8 + 8 + 4 + 1;
-}
-
 /// Boundary community-ID update: vertex → current module.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VertexUpdate {
     pub vertex: u32,
     pub module: u64,
-}
-
-impl VertexUpdate {
-    /// Packed extent: u32 + u64 (Rust pads to 16).
-    pub const WIRE_BYTES: u64 = 4 + 8;
 }
 
 /// A rank's best-local-δL proposal for one delegate (paper Algorithm 2
@@ -58,12 +45,6 @@ pub struct DelegateProposal {
     pub target_info: ModuleInfoMsg,
 }
 
-impl DelegateProposal {
-    /// Packed extent: u32 + u64 + f64 + u32 + packed info (Rust pads
-    /// to 64).
-    pub const WIRE_BYTES: u64 = 4 + 8 + 8 + 4 + ModuleInfoMsg::WIRE_BYTES;
-}
-
 /// A rank's local contribution to (or subscription of) a module's
 /// statistics, reduced at the module's owner rank. A record with zero
 /// contributions and `retract == false` is a pure subscription; a record
@@ -76,11 +57,6 @@ pub struct ModuleContribution {
     pub exit: f64,
     pub members: u32,
     pub retract: bool,
-}
-
-impl ModuleContribution {
-    /// Packed extent: u64 + f64 + f64 + u32 + u8 (Rust pads to 32).
-    pub const WIRE_BYTES: u64 = 8 + 8 + 8 + 4 + 1;
 }
 
 /// One aggregated inter-module arc of the merged graph, routed to the
@@ -99,24 +75,9 @@ pub struct MergedFlow {
     pub flow: f64,
 }
 
-/// Lookup request/response used when composing original-vertex assignments
-/// across merge levels.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AssignmentQuery {
-    pub key: u32,
-}
-
-/// Response to an [`AssignmentQuery`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AssignmentReply {
-    pub key: u32,
-    pub module: u32,
-}
-
-/// Field-wise [`WirePayload`] impls so the message structs can cross a
+/// Field-wise [`WirePayload`] impls so the merge records can cross a
 /// byte-level transport backend. The encoding is the packed field
-/// sequence in declaration order — the same extent `WIRE_BYTES` meters
-/// (bools travel as one byte).
+/// sequence in declaration order.
 macro_rules! wire_payload_fields {
     ($t:ty { $($field:ident),+ $(,)? }) => {
         impl infomap_mpisim::WirePayload for $t {
@@ -134,32 +95,8 @@ macro_rules! wire_payload_fields {
     };
 }
 
-wire_payload_fields!(ModuleInfoMsg {
-    mod_id,
-    flow,
-    exit,
-    members,
-    is_sent
-});
-wire_payload_fields!(VertexUpdate { vertex, module });
-wire_payload_fields!(DelegateProposal {
-    delegate,
-    to_module,
-    delta,
-    proposer,
-    target_info
-});
-wire_payload_fields!(ModuleContribution {
-    mod_id,
-    flow,
-    exit,
-    members,
-    retract
-});
 wire_payload_fields!(MergedArc { src, dst, weight });
 wire_payload_fields!(MergedFlow { vertex, flow });
-wire_payload_fields!(AssignmentQuery { key });
-wire_payload_fields!(AssignmentReply { key, module });
 
 #[cfg(test)]
 mod tests {
@@ -169,20 +106,6 @@ mod tests {
     fn module_info_is_compact() {
         // List 1 declares u64 + 2×double + int + bool; allow padding to 32.
         assert!(std::mem::size_of::<ModuleInfoMsg>() <= 32);
-    }
-
-    #[test]
-    fn wire_sizes_are_packed_extents() {
-        assert_eq!(ModuleInfoMsg::WIRE_BYTES, 29);
-        assert_eq!(ModuleContribution::WIRE_BYTES, 29);
-        assert_eq!(DelegateProposal::WIRE_BYTES, 53);
-        assert_eq!(VertexUpdate::WIRE_BYTES, 12);
-        // The packed extent must never exceed the in-memory layout the
-        // legacy metering previously charged.
-        assert!(ModuleInfoMsg::WIRE_BYTES <= std::mem::size_of::<ModuleInfoMsg>() as u64);
-        assert!(ModuleContribution::WIRE_BYTES <= std::mem::size_of::<ModuleContribution>() as u64);
-        assert!(DelegateProposal::WIRE_BYTES <= std::mem::size_of::<DelegateProposal>() as u64);
-        assert!(VertexUpdate::WIRE_BYTES <= std::mem::size_of::<VertexUpdate>() as u64);
     }
 
     #[test]

@@ -6,16 +6,20 @@
 //! 1. **FindBestModule** — every rank sweeps its movable vertices in random
 //!    order; owned low-degree vertices move immediately, delegate copies
 //!    only produce proposals.
-//! 2. **BroadcastDelegates** — delegate proposals are allgathered; the
-//!    proposal with the globally minimal δL wins per delegate
-//!    (minimum-label tie-break) and is applied identically on all ranks.
+//! 2. **BroadcastDelegates** — delegate proposals travel to the delegate's
+//!    owner rank (`delegate mod p`), which elects the proposal with the
+//!    minimal δL (minimum-label tie-break); only the winners are gathered
+//!    back and applied identically on all ranks. The round's move count
+//!    rides on the same exchange.
 //! 3. **SwapBoundaryInfo** — boundary community IDs plus full
 //!    `Module_Info` records (Algorithm 3, with `is_sent` duplicate
-//!    suppression) travel point-to-point to the static neighbor ranks.
+//!    suppression) travel point-to-point to the static neighbor ranks, one
+//!    encoded packet per neighbor.
 //! 4. **Other** — module statistics are re-established exactly by an
-//!    owner-rank reduction (modID → rank `modID mod p`), the global MDL is
-//!    computed from the owners' partial sums, and the round's move count is
-//!    allreduced to decide termination.
+//!    owner-rank reduction (modID → rank `modID mod p`), and the global MDL
+//!    is folded from the owners' partial sums on the publish exchange.
+//!
+//! Every batch crosses the wire in the layout [`crate::codec`] defines.
 //!
 //! The owner reduction is the crate's realization of the paper's "swap the
 //! whole community information of each boundary vertex": every rank that
@@ -31,16 +35,13 @@
 //! * **Module-ID interning** — [`LocalState`] stores module assignments as
 //!   dense slots (`u32` indices into the SoA stat arrays), so every stat lookup
 //!   in the sweep is array indexing; global `u64` ids appear only on the
-//!   wire (messages are unchanged).
+//!   wire.
 //! * **Epoch-stamped dense accumulators** — [`best_local_move`] aggregates
 //!   neighbor-module flow in a [`NeighborhoodScratch`] (an
-//!   [`infomap_core::StampedSlotMap`]) in O(deg) per vertex, replacing the
-//!   O(deg·k) scratch-vec scan; `sync_modules` builds its contribution
-//!   table the same way instead of hashing per arc. Results are
-//!   bit-identical: the stamped map yields candidates in the scan's push
-//!   order, and min-label / tie-break comparisons still use global ids.
-//!   The legacy scan survives as [`best_local_move_scan`]
-//!   ([`MoveKernel::LegacyScan`]) for baselining and ablation.
+//!   [`infomap_core::StampedSlotMap`]) in O(deg) per vertex;
+//!   `sync_modules` builds its contribution table the same way instead of
+//!   hashing per arc. The stamped map yields candidates in first-touch
+//!   order, and min-label / tie-break comparisons use global ids.
 //! * **Zero-alloc rounds** — all per-round scratch ([`RoundBuffers`])
 //!   persists across rounds: sweep order, election index, boundary-send
 //!   staging, contribution diff state and the sorted-ID vec of the MDL
@@ -48,8 +49,7 @@
 //!   fabric takes ownership of (as a real MPI transport would).
 //!
 //! `comm.add_work` keeps metering *logical* arc relaxations (arcs scanned
-//! by the sweep, per-record reduction work), so modeled runtimes stay
-//! comparable across kernels even though the wall-clock per unit changed.
+//! by the sweep, per-record reduction work).
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -59,7 +59,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use crate::codec;
-use crate::config::{CommPath, DistributedConfig, MoveKernel};
+use crate::config::DistributedConfig;
 use crate::messages::{DelegateProposal, ModuleContribution, ModuleInfoMsg, VertexUpdate};
 use crate::state::{LocalState, ModuleEntry, VertexKind};
 
@@ -79,11 +79,8 @@ pub struct StageOutcome {
     pub num_modules: u64,
 }
 
-/// Tag bases for point-to-point boundary traffic.
-const TAG_VERTEX_UPDATES: u64 = 0x10;
-const TAG_MODULE_INFO: u64 = 0x11;
-/// Fused updates+infos packet of the compact path (one message per
-/// neighbor instead of two).
+/// Tag base of the boundary packet (updates + infos, one message per
+/// neighbor per round).
 const TAG_BOUNDARY_PACKET: u64 = 0x12;
 
 /// Per-vertex neighborhood accumulator: module slot → (flow, seen via a
@@ -97,17 +94,14 @@ pub type NeighborhoodScratch = StampedSlotMap<(f64, bool)>;
 pub struct RoundBuffers {
     /// Stamped accumulator of [`best_local_move`].
     pub neigh: NeighborhoodScratch,
-    /// Scratch vec of the legacy scan kernel ([`MoveKernel::LegacyScan`]).
-    pub scan: Vec<(u32, f64, bool)>,
     /// Shuffled sweep order.
     order: Vec<u32>,
-    /// Delegate election: delegate id → index into the allgathered
+    /// Delegate election: delegate id → index into the owner's received
     /// proposals.
     elected: BTreeMap<u32, usize>,
     /// Sorted winning proposal indices.
     winners: Vec<usize>,
-    /// Compact election: proposal staging per owner rank
-    /// (`delegate mod p`).
+    /// Proposal staging per owner rank (`delegate mod p`).
     prop_out: Vec<Vec<DelegateProposal>>,
     /// Boundary-update staging, one bucket per destination rank.
     updates: Vec<Vec<VertexUpdate>>,
@@ -143,15 +137,13 @@ pub struct RoundBuffers {
 }
 
 /// One worker thread's private evaluation scratch: its own stamped
-/// accumulator (and legacy-scan vec), the cache-blocked walk order, and
+/// accumulator, the cache-blocked walk order, and
 /// the slice's results keyed by position so the merge can replay them in
 /// the global shuffled order.
 #[derive(Debug, Default)]
 pub struct SliceScratch {
     /// Per-slice [`best_local_move`] accumulator.
     neigh: NeighborhoodScratch,
-    /// Per-slice scratch of the legacy scan kernel.
-    scan: Vec<(u32, f64, bool)>,
     /// `(local vertex, position-in-slice)` pairs, block-sorted by local
     /// index so CSR reads stream within each block.
     walk: Vec<(u32, u32)>,
@@ -165,7 +157,6 @@ impl RoundBuffers {
     pub fn new(nranks: usize) -> Self {
         RoundBuffers {
             neigh: NeighborhoodScratch::new(),
-            scan: Vec::new(),
             order: Vec::new(),
             elected: BTreeMap::new(),
             winners: Vec::new(),
@@ -251,8 +242,7 @@ pub struct LocalCandidate {
 /// comparisons use **global** module ids, so results are independent of
 /// the rank-local interning order.
 ///
-/// Exposed (with [`best_local_move_scan`]) for the criterion microbench
-/// and the `perf_kernels` harness.
+/// Exposed for the criterion microbench and the `perf_kernels` harness.
 pub fn best_local_move(
     st: &LocalState,
     li: u32,
@@ -290,85 +280,6 @@ pub fn best_local_move(
     let mut best_gid = u64::MAX;
     for &m in scratch.touched() {
         let (flow_to_target, via_ghost) = scratch.get(m);
-        let gid = st.module_ids[m as usize];
-        if min_label && via_ghost && gid >= current_gid {
-            continue; // boundary community: minimum-label rule
-        }
-        let to = st.module_entry(m);
-        let delta = delta_codelength(
-            st.sum_exit,
-            &from,
-            &to,
-            p_u,
-            out_u,
-            flow_to_current,
-            flow_to_target,
-        );
-        if delta >= -min_gain {
-            continue;
-        }
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                delta < b.delta - 1e-12 || ((delta - b.delta).abs() <= 1e-12 && gid < best_gid)
-            }
-        };
-        if better {
-            best = Some(LocalCandidate {
-                to_slot: m,
-                delta,
-                flow_to_current,
-                flow_to_target,
-            });
-            best_gid = gid;
-        }
-    }
-    best
-}
-
-/// The pre-interning linear-scan kernel (O(deg·k) per vertex): accumulates
-/// neighbor-module flow by scanning a scratch vec. Kept as the measurable
-/// baseline ([`MoveKernel::LegacyScan`]) and as a bit-for-bit cross-check
-/// of the stamped kernel.
-pub fn best_local_move_scan(
-    st: &LocalState,
-    li: u32,
-    min_gain: f64,
-    min_label: bool,
-    scratch: &mut Vec<(u32, f64, bool)>,
-) -> Option<LocalCandidate> {
-    scratch.clear();
-    let current = st.module_of[li as usize];
-    let mut flow_to_current = 0.0;
-    for (tgt, w) in st.arcs_of(li) {
-        if tgt == li {
-            continue;
-        }
-        let f = w * st.inv_two_w;
-        let m = st.module_of[tgt as usize];
-        let ghost = st.kind[tgt as usize] == VertexKind::Ghost;
-        if m == current {
-            flow_to_current += f;
-        } else {
-            match scratch.iter_mut().find(|(mm, _, _)| *mm == m) {
-                Some((_, acc, b)) => {
-                    *acc += f;
-                    *b |= ghost;
-                }
-                None => scratch.push((m, f, ghost)),
-            }
-        }
-    }
-    if scratch.is_empty() {
-        return None;
-    }
-    let from = st.module_entry(current);
-    let current_gid = st.module_ids[current as usize];
-    let p_u = st.node_flow[li as usize];
-    let out_u = st.out_flow[li as usize];
-    let mut best: Option<LocalCandidate> = None;
-    let mut best_gid = u64::MAX;
-    for &(m, flow_to_target, via_ghost) in scratch.iter() {
         let gid = st.module_ids[m as usize];
         if min_label && via_ghost && gid >= current_gid {
             continue; // boundary community: minimum-label rule
@@ -455,7 +366,6 @@ fn eval_slice(
 ) {
     let SliceScratch {
         neigh,
-        scan,
         walk,
         out,
         arcs,
@@ -478,14 +388,7 @@ fn eval_slice(
         walk.sort_unstable_by_key(|&(li, _)| li);
         for &(li, pos) in walk.iter() {
             *arcs += st.adj_off[li as usize + 1] as u64 - st.adj_off[li as usize] as u64;
-            out[pos as usize] = match cfg.kernel {
-                MoveKernel::Stamped => {
-                    best_local_move(st, li, cfg.min_gain, restrict_boundary, neigh)
-                }
-                MoveKernel::LegacyScan => {
-                    best_local_move_scan(st, li, cfg.min_gain, restrict_boundary, scan)
-                }
-            };
+            out[pos as usize] = best_local_move(st, li, cfg.min_gain, restrict_boundary, neigh);
         }
     }
 }
@@ -639,10 +542,8 @@ pub fn find_best_modules(
 /// Elect per delegate: minimal δL; ties by smaller target module id
 /// (minimum label), then by proposer rank, making the election
 /// deterministic and identical everywhere. Within the ±1e-15 band the
-/// retained winner depends on scan order, so both communication paths
-/// feed `all` in the same (source rank, emission) order — the compact
-/// owner sees exactly the legacy concatenation restricted to its own
-/// delegates, which leaves every per-delegate subsequence intact.
+/// retained winner depends on scan order, so `all` is always fed in
+/// (source rank, emission) order.
 fn elect(all: &[DelegateProposal], elected: &mut BTreeMap<u32, usize>) {
     elected.clear();
     for (i, p) in all.iter().enumerate() {
@@ -664,7 +565,7 @@ fn elect(all: &[DelegateProposal], elected: &mut BTreeMap<u32, usize>) {
 /// Apply one elected winner to the local view. Winners mutate module
 /// statistics, and a later winner's flow recompute reads assignments an
 /// earlier one may have changed — so every rank must apply the winners in
-/// the same (delegate-sorted) order, on both communication paths.
+/// the same (delegate-sorted) order.
 fn apply_winner(
     comm: &mut Comm,
     st: &mut LocalState,
@@ -720,35 +621,11 @@ fn apply_winner(
     }
 }
 
-/// Phase 2, legacy path: every proposal is allgathered to every rank and
-/// each rank runs the full election locally. Simple, but the receive side
-/// replicates the total proposal volume p times. Returns the number of
-/// delegates moved (identical on every rank).
-fn broadcast_delegates(
-    comm: &mut Comm,
-    st: &mut LocalState,
-    proposals: Vec<DelegateProposal>,
-    delegate_assign: &mut BTreeMap<u32, u64>,
-    bufs: &mut RoundBuffers,
-) -> u64 {
-    let all = comm.allgatherv_packed(proposals, DelegateProposal::WIRE_BYTES);
-    elect(&all, &mut bufs.elected);
-    let mut moved = 0u64;
-    bufs.winners.clear();
-    bufs.winners.extend(bufs.elected.values().copied());
-    bufs.winners.sort_by_key(|&i| all[i].delegate);
-    for idx in 0..bufs.winners.len() {
-        let p = all[bufs.winners[idx]];
-        moved += 1;
-        apply_winner(comm, st, &p, delegate_assign);
-    }
-    moved
-}
-
-/// Phase 2, compact path: owner-reduced election. Proposals travel once,
-/// to the delegate's owner rank (`delegate mod p`) via an alltoallv; the
-/// owner elects, and only the winners are gathered back — turning the
-/// legacy O(total × p) receive volume into O(total + winners × p).
+/// Phase 2: owner-reduced election. Proposals travel once, to the
+/// delegate's owner rank (`delegate mod p`) via an alltoallv; the owner
+/// elects, and only the winners are gathered back — O(total + winners × p)
+/// receive volume, where allgathering every proposal would cost
+/// O(total × p).
 ///
 /// The exchange rides on [`Comm::alltoallv_reduce`], which folds a
 /// 16-byte `(owned_moves, proposals)` partial per rank alongside the
@@ -756,11 +633,11 @@ fn broadcast_delegates(
 /// round needs no standalone moves-allreduce) and the global proposal
 /// count (so the winner gather is skipped entirely on proposal-free
 /// rounds — the steady state of every quiescing stage). Empty buckets
-/// ship zero bytes, like the legacy path's empty allgatherv parts.
+/// ship zero bytes.
 ///
 /// Returns `(delegates moved, global owned moves)`, both identical on
 /// every rank.
-fn broadcast_delegates_compact(
+fn broadcast_delegates(
     comm: &mut Comm,
     st: &mut LocalState,
     proposals: Vec<DelegateProposal>,
@@ -836,8 +713,8 @@ fn broadcast_delegates_compact(
         winners.extend(codec::decode_proposals(part, &mut pos));
     }
     comm.add_codec_bytes(dec2);
-    // Delegates are globally unique across owners, so this is the total
-    // order the legacy path applies in.
+    // Delegates are globally unique across owners, so this is a total
+    // order.
     winners.sort_by_key(|w| w.delegate);
     let mut moved = 0u64;
     for w in &winners {
@@ -850,18 +727,14 @@ fn broadcast_delegates_compact(
 /// Phase 3: swap boundary community IDs and `Module_Info` records with the
 /// static neighbor ranks (Algorithm 3).
 ///
-/// On the compact path, a destination's updates and infos fuse into one
-/// delta/varint-encoded packet — halving the message count under full
-/// swapping and shrinking each record below its packed extent. The
-/// receiver processes the identical records in the identical per-provider
-/// order either way.
+/// A destination's updates and infos fuse into one delta/varint-encoded
+/// packet: one message per neighbor per round.
 fn swap_boundary_info(
     comm: &mut Comm,
     st: &mut LocalState,
     full_swap: bool,
     round: u64,
     bufs: &mut RoundBuffers,
-    path: CommPath,
 ) {
     // Build per-destination updates into the persistent staging buckets.
     // `sent_to` marks modules already included for a destination this
@@ -904,71 +777,34 @@ fn swap_boundary_info(
     for &(li, gid) in &bufs.announce {
         st.last_announced[li as usize] = gid;
     }
-    match path {
-        CommPath::Legacy => {
-            for &dest in &st.send_targets {
-                comm.send_slice_packed(
-                    dest,
-                    TAG_VERTEX_UPDATES + round * 16,
-                    &bufs.updates[dest],
-                    VertexUpdate::WIRE_BYTES,
-                );
-                if full_swap {
-                    comm.send_slice_packed(
-                        dest,
-                        TAG_MODULE_INFO + round * 16,
-                        &bufs.infos[dest],
-                        ModuleInfoMsg::WIRE_BYTES,
-                    );
-                }
+    for &dest in &st.send_targets {
+        let mut buf = Vec::new();
+        // Quiet destinations get a zero-byte packet (infos are only staged
+        // for updated vertices, so empty updates imply empty infos).
+        if !bufs.updates[dest].is_empty() {
+            codec::encode_updates(&mut buf, &bufs.updates[dest]);
+            if full_swap {
+                codec::encode_infos(&mut buf, &bufs.infos[dest]);
             }
+            comm.add_codec_bytes(buf.len() as u64);
         }
-        CommPath::Compact => {
-            for &dest in &st.send_targets {
-                let mut buf = Vec::new();
-                // Quiet destinations get a zero-byte packet, like the
-                // legacy path's empty record slices (infos are only
-                // staged for updated vertices, so empty updates imply
-                // empty infos).
-                if !bufs.updates[dest].is_empty() {
-                    codec::encode_updates(&mut buf, &bufs.updates[dest]);
-                    if full_swap {
-                        codec::encode_infos(&mut buf, &bufs.infos[dest]);
-                    }
-                    comm.add_codec_bytes(buf.len() as u64);
-                }
-                comm.send(dest, TAG_BOUNDARY_PACKET + round * 16, buf);
-            }
-        }
+        comm.send(dest, TAG_BOUNDARY_PACKET + round * 16, buf);
     }
     for i in 0..st.providers.len() {
         let src = st.providers[i];
-        let (ups, infos) = match path {
-            CommPath::Legacy => {
-                let ups: Vec<VertexUpdate> = comm.recv(src, TAG_VERTEX_UPDATES + round * 16);
-                let infos: Vec<ModuleInfoMsg> = if full_swap {
-                    comm.recv(src, TAG_MODULE_INFO + round * 16)
-                } else {
-                    Vec::new()
-                };
-                (ups, infos)
-            }
-            CommPath::Compact => {
-                let buf: Vec<u8> = comm.recv(src, TAG_BOUNDARY_PACKET + round * 16);
-                if buf.is_empty() {
-                    (Vec::new(), Vec::new())
-                } else {
-                    comm.add_codec_bytes(buf.len() as u64);
-                    let mut pos = 0;
-                    let ups = codec::decode_updates(&buf, &mut pos);
-                    let infos = if full_swap {
-                        codec::decode_infos(&buf, &mut pos)
-                    } else {
-                        Vec::new()
-                    };
-                    (ups, infos)
-                }
-            }
+        let buf: Vec<u8> = comm.recv(src, TAG_BOUNDARY_PACKET + round * 16);
+        let (ups, infos) = if buf.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            comm.add_codec_bytes(buf.len() as u64);
+            let mut pos = 0;
+            let ups = codec::decode_updates(&buf, &mut pos);
+            let infos = if full_swap {
+                codec::decode_infos(&buf, &mut pos)
+            } else {
+                Vec::new()
+            };
+            (ups, infos)
         };
         for u in ups {
             if let Some(&li) = st.index.get(&u.vertex) {
@@ -1016,34 +852,18 @@ fn contrib_changed(old: &(f64, f64, u32), new: &(f64, f64, u32)) -> bool {
 /// subscribers. The totals are therefore exact every round, while the
 /// traffic and the owner work shrink with the move rate instead of
 /// costing O(p) per popular module per round.
+///
+/// Both exchanges are delta/varint-encoded, and the MDL partials ride the
+/// publish collective via [`Comm::alltoallv_reduce`], whose rank-order
+/// fold matches `allreduce_with`. (Without full swapping there is no
+/// publish exchange to ride on, so the partials take a standalone
+/// allreduce.)
 pub fn sync_modules(
     comm: &mut Comm,
     st: &mut LocalState,
     node_term: f64,
     full_swap: bool,
     bufs: &mut RoundBuffers,
-) -> (f64, u64) {
-    sync_modules_path(comm, st, node_term, full_swap, bufs, CommPath::Legacy)
-}
-
-/// [`sync_modules`] with an explicit communication path.
-///
-/// Both paths run the identical reduction; they differ in wire format and
-/// collective count. Legacy ships contributions and refreshed infos as
-/// packed records and allreduces the MDL partials separately. Compact
-/// delta/varint-encodes both exchanges and fuses the partials into the
-/// publish collective via [`Comm::alltoallv_reduce`], whose rank-order
-/// fold matches `allreduce_with` — so the MDL bits are identical while
-/// one collective per sync disappears. (Without full swapping there is no
-/// publish exchange to ride on, so the compact path falls back to the
-/// allreduce.)
-pub fn sync_modules_path(
-    comm: &mut Comm,
-    st: &mut LocalState,
-    node_term: f64,
-    full_swap: bool,
-    bufs: &mut RoundBuffers,
-    path: CommPath,
 ) -> (f64, u64) {
     let p = st.nranks;
     // ---- 1. Fresh local contributions (exact, O(local arcs)), into the
@@ -1144,47 +964,34 @@ pub fn sync_modules_path(
     }
     // The fabric takes ownership of the wire payload (as MPI buffering
     // would); the staging buckets keep their capacity for the next round.
-    let incoming: Vec<Vec<ModuleContribution>> = match path {
-        CommPath::Legacy => {
-            let outgoing: Vec<Vec<ModuleContribution>> = bufs
-                .contrib_out
-                .iter()
-                .map(|b| b.as_slice().to_vec())
-                .collect();
-            comm.alltoallv_packed(outgoing, ModuleContribution::WIRE_BYTES)
-        }
-        CommPath::Compact => {
-            let mut enc = 0u64;
-            let outgoing: Vec<Vec<u8>> = bufs
-                .contrib_out
-                .iter()
-                .map(|b| {
-                    let mut buf = Vec::new();
-                    if !b.is_empty() {
-                        codec::encode_contribs(&mut buf, b);
-                        enc += buf.len() as u64;
-                    }
-                    buf
-                })
-                .collect();
-            comm.add_codec_bytes(enc);
-            let packets = comm.alltoallv(outgoing);
-            let mut dec = 0u64;
-            let decoded = packets
-                .iter()
-                .map(|buf| {
-                    if buf.is_empty() {
-                        return Vec::new();
-                    }
-                    dec += buf.len() as u64;
-                    let mut pos = 0;
-                    codec::decode_contribs(buf, &mut pos)
-                })
-                .collect();
-            comm.add_codec_bytes(dec);
-            decoded
-        }
-    };
+    let mut enc = 0u64;
+    let outgoing: Vec<Vec<u8>> = bufs
+        .contrib_out
+        .iter()
+        .map(|b| {
+            let mut buf = Vec::new();
+            if !b.is_empty() {
+                codec::encode_contribs(&mut buf, b);
+                enc += buf.len() as u64;
+            }
+            buf
+        })
+        .collect();
+    comm.add_codec_bytes(enc);
+    let packets = comm.alltoallv(outgoing);
+    let mut dec = 0u64;
+    let incoming: Vec<Vec<ModuleContribution>> = packets
+        .iter()
+        .map(|buf| {
+            if buf.is_empty() {
+                return Vec::new();
+            }
+            dec += buf.len() as u64;
+            let mut pos = 0;
+            codec::decode_contribs(buf, &mut pos)
+        })
+        .collect();
+    comm.add_codec_bytes(dec);
 
     // ---- 3. Owner: apply deltas to running totals. ----
     // (module, src) pairs whose stats must be (re)published.
@@ -1285,73 +1092,48 @@ pub fn sync_modules_path(
             });
             comm.add_work(1);
         }
-        match path {
-            CommPath::Legacy => {
-                let red = comm.allreduce_with((q, s1, s2, k), |parts| {
-                    parts.into_iter().fold((0.0, 0.0, 0.0, 0u64), |acc, x| {
-                        (acc.0 + x.0, acc.1 + x.1, acc.2 + x.2, acc.3 + x.3)
-                    })
-                });
-                (sum_exit, s_plogp_exit, s_plogp_both, nmod) = *red;
-                let responses: Vec<Vec<ModuleInfoMsg>> = bufs
-                    .info_out
-                    .iter()
-                    .map(|b| b.as_slice().to_vec())
-                    .collect();
-                let received = comm.alltoallv_packed(responses, ModuleInfoMsg::WIRE_BYTES);
-                for msgs in received {
-                    for m in msgs {
-                        apply_published_info(comm, st, &m);
-                    }
+        // The publish exchange and the MDL allreduce fuse into one
+        // `alltoallv_reduce`: the 32-byte (q, s1, s2, k) partial rides the
+        // collective, folded in source-rank order — the exact order
+        // `allreduce_with` folds in. Destinations with nothing to publish
+        // get zero bytes.
+        let mut enc = 0u64;
+        let outgoing: Vec<Vec<u8>> = bufs
+            .info_out
+            .iter()
+            .map(|b| {
+                let mut buf = Vec::new();
+                if !b.is_empty() {
+                    codec::encode_infos(&mut buf, b);
+                    enc += buf.len() as u64;
                 }
+                buf
+            })
+            .collect();
+        comm.add_codec_bytes(enc);
+        let (packets, red) = comm.alltoallv_reduce(outgoing, (q, s1, s2, k), |parts| {
+            parts.into_iter().fold((0.0, 0.0, 0.0, 0u64), |acc, x| {
+                (acc.0 + x.0, acc.1 + x.1, acc.2 + x.2, acc.3 + x.3)
+            })
+        });
+        // Apply each source's infos in ascending source order.
+        let mut dec = 0u64;
+        for buf in &packets {
+            if buf.is_empty() {
+                continue;
             }
-            CommPath::Compact => {
-                // The publish exchange and the MDL allreduce fuse into one
-                // `alltoallv_reduce`: the 32-byte (q, s1, s2, k) partial
-                // rides the collective — folded in source-rank order, the
-                // exact order `allreduce_with` folds in, so the sums are
-                // bit-identical — and one collective per sync disappears.
-                // Destinations with nothing to publish get zero bytes.
-                let mut enc = 0u64;
-                let outgoing: Vec<Vec<u8>> = bufs
-                    .info_out
-                    .iter()
-                    .map(|b| {
-                        let mut buf = Vec::new();
-                        if !b.is_empty() {
-                            codec::encode_infos(&mut buf, b);
-                            enc += buf.len() as u64;
-                        }
-                        buf
-                    })
-                    .collect();
-                comm.add_codec_bytes(enc);
-                let (packets, red) = comm.alltoallv_reduce(outgoing, (q, s1, s2, k), |parts| {
-                    parts.into_iter().fold((0.0, 0.0, 0.0, 0u64), |acc, x| {
-                        (acc.0 + x.0, acc.1 + x.1, acc.2 + x.2, acc.3 + x.3)
-                    })
-                });
-                // Apply each source's infos in ascending source order — the
-                // legacy apply order.
-                let mut dec = 0u64;
-                for buf in &packets {
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    dec += buf.len() as u64;
-                    let mut pos = 0;
-                    for m in codec::decode_infos(buf, &mut pos) {
-                        apply_published_info(comm, st, &m);
-                    }
-                }
-                comm.add_codec_bytes(dec);
-                (sum_exit, s_plogp_exit, s_plogp_both, nmod) = red;
+            dec += buf.len() as u64;
+            let mut pos = 0;
+            for m in codec::decode_infos(buf, &mut pos) {
+                apply_published_info(comm, st, &m);
             }
         }
+        comm.add_codec_bytes(dec);
+        (sum_exit, s_plogp_exit, s_plogp_both, nmod) = red;
     } else {
-        // Naive-swap ablation: no stat redistribution to ride on — both
-        // paths reduce the partials with the standalone collective, and
-        // local views drift until the next full swap.
+        // Naive-swap ablation: no stat redistribution to ride on — the
+        // partials take the standalone collective, and local views drift
+        // until the next full swap.
         let red = comm.allreduce_with((q, s1, s2, k), |parts| {
             parts.into_iter().fold((0.0, 0.0, 0.0, 0u64), |acc, x| {
                 (acc.0 + x.0, acc.1 + x.1, acc.2 + x.2, acc.3 + x.3)
@@ -1463,8 +1245,8 @@ pub fn cluster_stage_recoverable(
     // driver seeds `delegate_assign` from the replicated delegate set for
     // stage 1 and passes an empty map for stage 2, so a delegate-free
     // stage can skip the election exchange outright — zero bytes and zero
-    // collectives in BroadcastDelegates, like the legacy path's empty
-    // allgatherv — and count moves with the plain allreduce instead.
+    // collectives in BroadcastDelegates — and count moves with the plain
+    // allreduce instead.
     let has_delegates = !delegate_assign.is_empty();
     let mut bufs = RoundBuffers::new(st.nranks);
     let mut rng;
@@ -1502,14 +1284,7 @@ pub fn cluster_stage_recoverable(
             // so it is metered as "Init", not amortized into the
             // per-iteration "Other" phase that Figure 8 breaks down.
             let (mdl0, nmod0) = comm.phase(&ph("Init"), |c| {
-                sync_modules_path(
-                    c,
-                    st,
-                    node_term,
-                    cfg.full_module_swap,
-                    &mut bufs,
-                    cfg.comm_path,
-                )
+                sync_modules(c, st, node_term, cfg.full_module_swap, &mut bufs)
             });
             mdl = mdl0;
             nmod = nmod0;
@@ -1530,44 +1305,28 @@ pub fn cluster_stage_recoverable(
         });
 
         let (delegate_moves, global_owned) = comm.phase(&ph("BroadcastDelegates"), |c| {
-            match cfg.comm_path {
-                CommPath::Legacy => (
-                    broadcast_delegates(c, st, proposals, delegate_assign, &mut bufs),
-                    0,
-                ),
-                CommPath::Compact if has_delegates => broadcast_delegates_compact(
-                    c,
-                    st,
-                    proposals,
-                    owned_moves,
-                    delegate_assign,
-                    &mut bufs,
-                ),
+            if has_delegates {
+                broadcast_delegates(c, st, proposals, owned_moves, delegate_assign, &mut bufs)
+            } else {
                 // No delegates anywhere: nothing to elect, nothing to send.
-                CommPath::Compact => (0, 0),
+                (0, 0)
             }
         });
 
         comm.phase(&ph("SwapBoundaryInfo"), |c| {
-            swap_boundary_info(
-                c,
-                st,
-                cfg.full_module_swap,
-                round as u64 + 1,
-                &mut bufs,
-                cfg.comm_path,
-            )
+            swap_boundary_info(c, st, cfg.full_module_swap, round as u64 + 1, &mut bufs)
         });
 
-        let round_moves = comm.phase(&ph("Other"), |c| match cfg.comm_path {
-            // Legacy: a standalone allreduce establishes the global move
-            // count. Compact with delegates: the count already arrived on
-            // the election collective — no extra traffic here. Compact
-            // without delegates: there was no election collective to ride,
-            // so the same allreduce the legacy path uses runs instead.
-            CommPath::Legacy => c.allreduce_u64(owned_moves, ReduceOp::Sum) + delegate_moves,
-            CommPath::Compact if has_delegates => global_owned + delegate_moves,
-            CommPath::Compact => c.allreduce_u64(owned_moves, ReduceOp::Sum),
+        let round_moves = comm.phase(&ph("Other"), |c| {
+            // With delegates the global move count already arrived on the
+            // election collective — no extra traffic here. Without, there
+            // was no election collective to ride, so a plain allreduce
+            // establishes it.
+            if has_delegates {
+                global_owned + delegate_moves
+            } else {
+                c.allreduce_u64(owned_moves, ReduceOp::Sum)
+            }
         });
         total_moves += round_moves;
 
@@ -1588,14 +1347,7 @@ pub fn cluster_stage_recoverable(
         let due = (round + 1) % sync_interval == 0;
         if due || quiesced || round + 1 == cfg.max_inner_iterations {
             let (new_mdl, new_nmod) = comm.phase(&ph("Other"), |c| {
-                sync_modules_path(
-                    c,
-                    st,
-                    node_term,
-                    cfg.full_module_swap,
-                    &mut bufs,
-                    cfg.comm_path,
-                )
+                sync_modules(c, st, node_term, cfg.full_module_swap, &mut bufs)
             });
             mdl_series.push(new_mdl);
             let improved = mdl - new_mdl;
@@ -1773,9 +1525,87 @@ mod tests {
         assert!(join < 0.0, "joining a connected module should gain: {join}");
     }
 
+    /// Reference oracle for [`best_local_move`]: the straightforward
+    /// O(deg·k) kernel that accumulates neighbor-module flow by scanning a
+    /// scratch vec.
+    fn best_local_move_scan(
+        st: &LocalState,
+        li: u32,
+        min_gain: f64,
+        min_label: bool,
+        scratch: &mut Vec<(u32, f64, bool)>,
+    ) -> Option<LocalCandidate> {
+        scratch.clear();
+        let current = st.module_of[li as usize];
+        let mut flow_to_current = 0.0;
+        for (tgt, w) in st.arcs_of(li) {
+            if tgt == li {
+                continue;
+            }
+            let f = w * st.inv_two_w;
+            let m = st.module_of[tgt as usize];
+            let ghost = st.kind[tgt as usize] == VertexKind::Ghost;
+            if m == current {
+                flow_to_current += f;
+            } else {
+                match scratch.iter_mut().find(|(mm, _, _)| *mm == m) {
+                    Some((_, acc, b)) => {
+                        *acc += f;
+                        *b |= ghost;
+                    }
+                    None => scratch.push((m, f, ghost)),
+                }
+            }
+        }
+        if scratch.is_empty() {
+            return None;
+        }
+        let from = st.module_entry(current);
+        let current_gid = st.module_ids[current as usize];
+        let p_u = st.node_flow[li as usize];
+        let out_u = st.out_flow[li as usize];
+        let mut best: Option<LocalCandidate> = None;
+        let mut best_gid = u64::MAX;
+        for &(m, flow_to_target, via_ghost) in scratch.iter() {
+            let gid = st.module_ids[m as usize];
+            if min_label && via_ghost && gid >= current_gid {
+                continue; // boundary community: minimum-label rule
+            }
+            let to = st.module_entry(m);
+            let delta = delta_codelength(
+                st.sum_exit,
+                &from,
+                &to,
+                p_u,
+                out_u,
+                flow_to_current,
+                flow_to_target,
+            );
+            if delta >= -min_gain {
+                continue;
+            }
+            let better = match &best {
+                None => true,
+                Some(b) => {
+                    delta < b.delta - 1e-12 || ((delta - b.delta).abs() <= 1e-12 && gid < best_gid)
+                }
+            };
+            if better {
+                best = Some(LocalCandidate {
+                    to_slot: m,
+                    delta,
+                    flow_to_current,
+                    flow_to_target,
+                });
+                best_gid = gid;
+            }
+        }
+        best
+    }
+
     #[test]
     fn stamped_kernel_matches_legacy_scan_bitwise() {
-        // Both kernels must agree to the bit on real stage-1 states —
+        // The kernel and its oracle must agree to the bit on real stage-1 states —
         // same target slot, same δL bits, same flow bits — including under
         // the minimum-label restriction.
         let degs = generators::power_law_degrees(300, 2.1, 2, 80, 5);

@@ -6,8 +6,8 @@
 //! one on the same seed.
 
 use infomap_distributed::{
-    CommPath, DistributedConfig, DistributedInfomap, FileCheckpointStore, RankProgram,
-    RecoveryConfig, RecoveryReport,
+    DistributedConfig, DistributedInfomap, FileCheckpointStore, RankProgram, RecoveryConfig,
+    RecoveryReport,
 };
 use infomap_mpisim::{Comm, FaultPlan, RankStats, World};
 
@@ -36,11 +36,9 @@ fn chaos_cfg() -> DistributedConfig {
     }
 }
 
-// Crash events are calibrated against the comm-event stream of the
-// *default* (compact) path on this graph: the whole run spans ~300
-// events on rank 1, stage 1 ends near event 140, and the legacy path —
-// which meters a standalone moves-allreduce, a separate MDL allreduce
-// and two messages per boundary neighbor — spans ~495.
+// Crash events are calibrated against the comm-event stream on this
+// graph: the whole run spans ~300 events on rank 1, and stage 1 ends near
+// event 140.
 
 #[test]
 fn fault_free_run_reports_no_recovery_activity() {
@@ -202,88 +200,51 @@ fn retry_exhaustion_surfaces_every_failure() {
     assert!(err.contains("fault injected"), "got `{err}`");
 }
 
-fn path_cfg(path: CommPath) -> DistributedConfig {
-    DistributedConfig {
-        comm_path: path,
-        ..chaos_cfg()
-    }
-}
-
-/// The legacy path stays fully recoverable, and its fault-free run is
-/// bit-identical to the compact default's — crashes in stage 1 (event
-/// 200) and stage 2 (event 450 of ~495) both replay to the exact same
-/// clustering.
-#[test]
-fn legacy_path_recovers_and_matches_compact() {
-    let g = lfr();
-    let compact = DistributedInfomap::new(path_cfg(CommPath::Compact)).run(&g);
-    let clean = DistributedInfomap::new(path_cfg(CommPath::Legacy)).run(&g);
-    assert_eq!(clean.modules, compact.modules);
-    assert_eq!(clean.codelength.to_bits(), compact.codelength.to_bits());
-    assert_eq!(clean.trace, compact.trace);
-
-    for at_event in [200u64, 450] {
-        let plan = FaultPlan::new(7).crash(1, at_event);
-        let out = DistributedInfomap::new(path_cfg(CommPath::Legacy))
-            .run_with_plan(&g, Some(plan))
-            .expect("legacy crashes stay recoverable");
-        assert_eq!(out.recovery.restores, 1, "crash at {at_event} did not fire");
-        assert_eq!(out.modules, clean.modules);
-        assert_eq!(out.codelength.to_bits(), clean.codelength.to_bits());
-        assert_eq!(out.trace, clean.trace);
-    }
-}
-
 /// Dropped messages starve a receive, fail the rank, and recover through
-/// the checkpoint — bit-identically, on both communication paths. The
-/// fate coins are seeded, so seed 9 deterministically drops a message on
-/// the first attempt (forcing a restore) and lets a retry through on
-/// both paths.
+/// the checkpoint — bit-identically. The fate coins are seeded, so seed 9
+/// deterministically drops a message on the first attempt (forcing a
+/// restore) and lets a retry through.
 #[test]
-fn dropped_messages_recover_bit_identically_on_both_paths() {
+fn dropped_messages_recover_bit_identically() {
     let g = lfr();
-    for path in [CommPath::Compact, CommPath::Legacy] {
-        let cfg = DistributedConfig {
-            recovery: RecoveryConfig {
-                checkpoint_every: 2,
-                max_retries: 6,
-                degrade_gracefully: false,
-            },
-            ..path_cfg(path)
-        };
-        let clean = DistributedInfomap::new(cfg).run(&g);
-        let plan = FaultPlan::new(9)
-            .drop_messages(None, None, 0.004)
-            .hang_timeout_ms(250);
-        let out = DistributedInfomap::new(cfg)
-            .run_with_plan(&g, Some(plan))
-            .expect("retries must ride out the dropped messages");
-        let drops: u64 = out.rank_stats.iter().map(|r| r.faults.msgs_dropped).sum();
-        assert!(drops >= 1, "{path:?}: the plan injected no drop at all");
-        assert!(out.recovery.restores >= 1, "{path:?}: no restore happened");
-        assert_eq!(out.modules, clean.modules, "{path:?} diverged");
-        assert_eq!(out.codelength.to_bits(), clean.codelength.to_bits());
-    }
+    let cfg = DistributedConfig {
+        recovery: RecoveryConfig {
+            checkpoint_every: 2,
+            max_retries: 6,
+            degrade_gracefully: false,
+        },
+        ..chaos_cfg()
+    };
+    let clean = DistributedInfomap::new(cfg).run(&g);
+    let plan = FaultPlan::new(9)
+        .drop_messages(None, None, 0.004)
+        .hang_timeout_ms(250);
+    let out = DistributedInfomap::new(cfg)
+        .run_with_plan(&g, Some(plan))
+        .expect("retries must ride out the dropped messages");
+    let drops: u64 = out.rank_stats.iter().map(|r| r.faults.msgs_dropped).sum();
+    assert!(drops >= 1, "the plan injected no drop at all");
+    assert!(out.recovery.restores >= 1, "no restore happened");
+    assert_eq!(out.modules, clean.modules);
+    assert_eq!(out.codelength.to_bits(), clean.codelength.to_bits());
 }
 
 /// A straggler inflates metered compute but injects no failure: the
-/// result is bit-identical with zero recovery activity on both paths,
-/// and the overhead is attributed in the fault counters.
+/// result is bit-identical with zero recovery activity, and the overhead
+/// is attributed in the fault counters.
 #[test]
 fn stragglers_slow_but_never_diverge() {
     let g = lfr();
-    for path in [CommPath::Compact, CommPath::Legacy] {
-        let clean = DistributedInfomap::new(path_cfg(path)).run(&g);
-        let plan = FaultPlan::new(3).straggler(1, 4);
-        let out = DistributedInfomap::new(path_cfg(path))
-            .run_with_plan(&g, Some(plan))
-            .expect("a slow rank is not a failed rank");
-        assert_eq!(out.recovery.restores, 0);
-        assert_eq!(out.modules, clean.modules, "{path:?} diverged");
-        assert_eq!(out.codelength.to_bits(), clean.codelength.to_bits());
-        assert!(out.rank_stats[1].faults.straggler_units > 0);
-        assert_eq!(out.rank_stats[0].faults.straggler_units, 0);
-    }
+    let clean = DistributedInfomap::new(chaos_cfg()).run(&g);
+    let plan = FaultPlan::new(3).straggler(1, 4);
+    let out = DistributedInfomap::new(chaos_cfg())
+        .run_with_plan(&g, Some(plan))
+        .expect("a slow rank is not a failed rank");
+    assert_eq!(out.recovery.restores, 0);
+    assert_eq!(out.modules, clean.modules);
+    assert_eq!(out.codelength.to_bits(), clean.codelength.to_bits());
+    assert!(out.rank_stats[1].faults.straggler_units > 0);
+    assert_eq!(out.rank_stats[0].faults.straggler_units, 0);
 }
 
 /// The launcher's durable path in miniature: the same retry loop as

@@ -1,9 +1,10 @@
-//! Determinism regression for the hot-path kernel rewrite (DESIGN.md
-//! §6.12) and the slice-parallel sweep (§6 note 16): a seeded 4-rank
-//! distributed run must be reproducible to the bit — across invocations,
-//! across best-move kernels (the stamped accumulator vs the pre-rewrite
-//! legacy scan), across every intra-rank thread count, and against
-//! recorded golden fingerprints.
+//! Determinism regression for the hot-path kernel (DESIGN.md §6.12) and
+//! the slice-parallel sweep (§6 note 16): a seeded 4-rank distributed run
+//! must be reproducible to the bit — across invocations, across every
+//! intra-rank thread count, and against recorded golden fingerprints. The
+//! fingerprint also carries the run's summed traffic counters, so a wire
+//! format or routing change that keeps the trajectory but moves a byte has
+//! to re-record the golden consciously.
 //!
 //! The golden files (`tests/golden_determinism_p4.txt`,
 //! `tests/golden_determinism_threads.txt`) are recorded by the first run
@@ -14,7 +15,7 @@
 //! trajectory for everyone (any silent tie-break or accumulation-order
 //! change then fails this test).
 
-use infomap_distributed::{DistributedConfig, DistributedInfomap, MoveKernel};
+use infomap_distributed::{DistributedConfig, DistributedInfomap};
 use infomap_graph::generators::{chung_lu, power_law_degrees};
 use infomap_graph::Graph;
 
@@ -30,25 +31,37 @@ fn test_graph() -> Graph {
 
 /// The full bit-level trajectory of one run: every per-round MDL (as raw
 /// bits) of every stage, the per-stage move log, the final codelength
-/// bits, and the final assignment.
+/// bits, the final assignment, and the metered traffic summed over ranks.
 #[derive(PartialEq, Eq, Debug)]
 struct Fingerprint {
     mdl_bits: Vec<u64>,
     moves_log: Vec<u64>,
     codelength_bits: u64,
     modules: Vec<u32>,
+    /// p2p messages, p2p bytes, collective calls, collective bytes
+    /// (sent + received), codec bytes.
+    traffic: [u64; 5],
 }
 
-fn run_with(graph: &Graph, kernel: MoveKernel, seed: u64, threads: usize) -> Fingerprint {
+fn run_with(graph: &Graph, seed: u64, threads: usize) -> Fingerprint {
     let cfg = DistributedConfig {
         nranks: NRANKS,
         seed,
-        kernel,
         threads,
         ..Default::default()
     };
     let out = DistributedInfomap::new(cfg).run(graph);
+    let mut traffic = [0u64; 5];
+    for s in &out.rank_stats {
+        let t = &s.total;
+        traffic[0] += t.p2p_msgs_sent;
+        traffic[1] += t.p2p_bytes_sent;
+        traffic[2] += t.collective_calls;
+        traffic[3] += t.collective_bytes + t.collective_bytes_recv;
+        traffic[4] += t.codec_bytes;
+    }
     Fingerprint {
+        traffic,
         mdl_bits: out
             .trace
             .iter()
@@ -60,8 +73,8 @@ fn run_with(graph: &Graph, kernel: MoveKernel, seed: u64, threads: usize) -> Fin
     }
 }
 
-fn run(kernel: MoveKernel) -> Fingerprint {
-    run_with(&test_graph(), kernel, SEED, 1)
+fn run() -> Fingerprint {
+    run_with(&test_graph(), SEED, 1)
 }
 
 impl Fingerprint {
@@ -74,8 +87,11 @@ impl Fingerprint {
         }
         let mdl_hex: Vec<String> = self.mdl_bits.iter().map(|b| format!("{b:016x}")).collect();
         let moves: Vec<String> = self.moves_log.iter().map(|m| m.to_string()).collect();
+        let [p2p_msgs, p2p_bytes, coll_calls, coll_bytes, codec_bytes] = self.traffic;
         format!(
-            "mdl_series_bits: {}\nmoves_log: {}\ncodelength_bits: {:016x}\nassignment_fnv: {:016x}\n",
+            "mdl_series_bits: {}\nmoves_log: {}\ncodelength_bits: {:016x}\nassignment_fnv: {:016x}\n\
+             traffic: p2p_msgs={p2p_msgs} p2p_bytes={p2p_bytes} collective_calls={coll_calls} \
+             collective_bytes={coll_bytes} codec_bytes={codec_bytes}\n",
             mdl_hex.join(","),
             moves.join(","),
             self.codelength_bits,
@@ -86,20 +102,13 @@ impl Fingerprint {
 
 #[test]
 fn seeded_run_is_bit_identical_across_invocations() {
-    let a = run(MoveKernel::Stamped);
-    let b = run(MoveKernel::Stamped);
+    let a = run();
+    let b = run();
     assert_eq!(a, b, "two invocations of the same seeded run diverged");
-}
-
-#[test]
-fn stamped_and_legacy_scan_kernels_agree_bitwise() {
-    // The legacy scan IS the pre-rewrite algorithm; bit-equality here is
-    // the "identical before vs. after" acceptance criterion.
-    let stamped = run(MoveKernel::Stamped);
-    let scan = run(MoveKernel::LegacyScan);
-    assert_eq!(
-        stamped, scan,
-        "stamped kernel diverged from the legacy scan (tie-break or accumulation-order change?)"
+    assert!(
+        a.traffic.iter().all(|&c| c > 0),
+        "a traffic counter went unmetered: {:?}",
+        a.traffic
     );
 }
 
@@ -122,9 +131,9 @@ fn thread_counts_are_bit_identical() {
     // series, move logs, and final assignments for t ∈ {1, 2, 4, 8}.
     for (name, graph) in &thread_standins() {
         for &seed in &THREAD_SEEDS {
-            let base = run_with(graph, MoveKernel::Stamped, seed, 1);
+            let base = run_with(graph, seed, 1);
             for &t in &THREAD_COUNTS[1..] {
-                let got = run_with(graph, MoveKernel::Stamped, seed, t);
+                let got = run_with(graph, seed, t);
                 assert_eq!(
                     base.encode(),
                     got.encode(),
@@ -135,51 +144,39 @@ fn thread_counts_are_bit_identical() {
     }
 }
 
-#[test]
-fn threaded_runs_match_recorded_golden() {
-    // Record-once golden over the full stand-in × seed matrix (at t = 4;
-    // `thread_counts_are_bit_identical` pins the other thread counts to
-    // the same bytes). Re-recording requires deleting the file.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden_determinism_threads.txt"
-    );
-    let mut encoded = String::new();
-    for (name, graph) in &thread_standins() {
-        for &seed in &THREAD_SEEDS {
-            let fp = run_with(graph, MoveKernel::Stamped, seed, 4);
-            encoded.push_str(&format!("[{name} seed={seed}]\n{}", fp.encode()));
-        }
-    }
-    match std::fs::read_to_string(path) {
+/// Compare `encoded` against the golden at `tests/<file>`, recording it
+/// when the file does not exist yet.
+fn check_golden(file: &str, encoded: &str) {
+    let path = format!("{}/tests/{file}", env!("CARGO_MANIFEST_DIR"));
+    match std::fs::read_to_string(&path) {
         Ok(golden) => assert_eq!(
             golden, encoded,
-            "threaded run no longer matches the recorded golden at {path}; if the change \
-             in trajectory is intended and reviewed, delete the file to re-record"
+            "run no longer matches the recorded golden at {path}; if the change in \
+             trajectory or traffic is intended and reviewed, delete the file to re-record"
         ),
         Err(_) => {
-            std::fs::write(path, &encoded).expect("record golden fingerprint");
+            std::fs::write(&path, encoded).expect("record golden fingerprint");
             eprintln!("recorded new golden fingerprint at {path}");
         }
     }
 }
 
 #[test]
-fn seeded_run_matches_recorded_golden() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden_determinism_p4.txt"
-    );
-    let encoded = run(MoveKernel::Stamped).encode();
-    match std::fs::read_to_string(path) {
-        Ok(golden) => assert_eq!(
-            golden, encoded,
-            "run no longer matches the recorded golden at {path}; if the change in \
-             trajectory is intended and reviewed, delete the file to re-record"
-        ),
-        Err(_) => {
-            std::fs::write(path, &encoded).expect("record golden fingerprint");
-            eprintln!("recorded new golden fingerprint at {path}");
+fn threaded_runs_match_recorded_golden() {
+    // Record-once golden over the full stand-in × seed matrix (at t = 4;
+    // `thread_counts_are_bit_identical` pins the other thread counts to
+    // the same bytes).
+    let mut encoded = String::new();
+    for (name, graph) in &thread_standins() {
+        for &seed in &THREAD_SEEDS {
+            let fp = run_with(graph, seed, 4);
+            encoded.push_str(&format!("[{name} seed={seed}]\n{}", fp.encode()));
         }
     }
+    check_golden("golden_determinism_threads.txt", &encoded);
+}
+
+#[test]
+fn seeded_run_matches_recorded_golden() {
+    check_golden("golden_determinism_p4.txt", &run().encode());
 }

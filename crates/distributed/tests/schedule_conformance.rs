@@ -7,14 +7,14 @@
 //! either the analyzer or the runtime drifted without the other.
 //!
 //! The schedule is emitted from the checked-in sources at test time (no
-//! stale artifact can pass), then every rank of real 4-rank runs on both
-//! comm paths is checked, plus the live in-`Comm` matcher variant that
-//! panics at the first divergent collective.
+//! stale artifact can pass), then every rank of a real 4-rank run is
+//! checked, plus the live in-`Comm` matcher variant that panics at the
+//! first divergent collective.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use infomap_distributed::{CheckpointStore, CommPath, DistributedConfig, RankProgram};
+use infomap_distributed::{CheckpointStore, DistributedConfig, RankProgram};
 use infomap_graph::generators::{self, LfrParams};
 use infomap_mpisim::{Matcher, ScheduleSet, World};
 use spmd_lint::{emit_workspace_schedule, Allowlist};
@@ -45,11 +45,10 @@ fn test_graph() -> infomap_graph::Graph {
     .0
 }
 
-fn cfg(path: CommPath) -> DistributedConfig {
+fn cfg() -> DistributedConfig {
     DistributedConfig {
         nranks: 4,
         seed: 7,
-        comm_path: path,
         ..Default::default()
     }
 }
@@ -62,33 +61,31 @@ fn four_rank_traces_are_words_of_the_static_schedule() {
         .expect("spmd-lint.toml [[entry]] must cover RankProgram::run_rank");
     let g = test_graph();
 
-    for path in [CommPath::Legacy, CommPath::Compact] {
-        let program = RankProgram::prepare(cfg(path), &g);
-        let store = CheckpointStore::new(4);
-        let traces: Mutex<Vec<Vec<&'static str>>> = Mutex::new(vec![Vec::new(); 4]);
+    let program = RankProgram::prepare(cfg(), &g);
+    let store = CheckpointStore::new(4);
+    let traces: Mutex<Vec<Vec<&'static str>>> = Mutex::new(vec![Vec::new(); 4]);
 
-        let report = World::new(4).run(|comm| {
-            comm.enable_schedule_trace();
-            let out = program.run_rank(comm, &store);
-            let trace = comm.take_schedule_trace().expect("recording was enabled");
-            traces.lock().unwrap()[comm.rank()] = trace;
-            out
-        });
-        assert_eq!(report.results.len(), 4);
+    let report = World::new(4).run(|comm| {
+        comm.enable_schedule_trace();
+        let out = program.run_rank(comm, &store);
+        let trace = comm.take_schedule_trace().expect("recording was enabled");
+        traces.lock().unwrap()[comm.rank()] = trace;
+        out
+    });
+    assert_eq!(report.results.len(), 4);
 
-        for (rank, trace) in traces.into_inner().unwrap().into_iter().enumerate() {
-            assert!(
-                trace.len() > 10,
-                "{path:?} rank {rank}: implausibly short trace ({} stamps)",
+    for (rank, trace) in traces.into_inner().unwrap().into_iter().enumerate() {
+        assert!(
+            trace.len() > 10,
+            "rank {rank}: implausibly short trace ({} stamps)",
+            trace.len()
+        );
+        if let Err(e) = Matcher::new(automaton).accepts(&trace) {
+            panic!(
+                "rank {rank}: runtime trace of {} stamps is not a word \
+                 of the static schedule: {e}",
                 trace.len()
             );
-            if let Err(e) = Matcher::new(automaton).accepts(&trace) {
-                panic!(
-                    "{path:?} rank {rank}: runtime trace of {} stamps is not a word \
-                     of the static schedule: {e}",
-                    trace.len()
-                );
-            }
         }
     }
 }
@@ -101,7 +98,7 @@ fn live_matcher_rides_along_a_real_run() {
         .expect("entry present")
         .clone();
     let g = test_graph();
-    let program = RankProgram::prepare(cfg(CommPath::Compact), &g);
+    let program = RankProgram::prepare(cfg(), &g);
     let store = CheckpointStore::new(4);
 
     let accepted: Mutex<Vec<bool>> = Mutex::new(vec![false; 4]);

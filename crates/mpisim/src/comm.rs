@@ -375,9 +375,7 @@ impl Comm {
     /// Send `payload` to `dest` under `tag`. Non-blocking (buffered).
     ///
     /// Bytes are metered as `payload.len() * size_of::<T>()` — the size of
-    /// `T`'s in-memory representation. For records whose wire form is
-    /// smaller than their padded in-memory form, use
-    /// [`Comm::send_slice_packed`] with an explicit per-record wire size.
+    /// `T`'s in-memory representation (exact for encoded `u8` packets).
     pub fn send<T: Clone + Send + WirePayload + 'static>(
         &mut self,
         dest: usize,
@@ -385,16 +383,6 @@ impl Comm {
         payload: Vec<T>,
     ) {
         let bytes = (payload.len() * size_of::<T>()) as u64;
-        self.send_metered(dest, tag, payload, bytes);
-    }
-
-    fn send_metered<T: Clone + Send + WirePayload + 'static>(
-        &mut self,
-        dest: usize,
-        tag: u64,
-        payload: Vec<T>,
-        bytes: u64,
-    ) {
         assert!(dest < self.size(), "send to rank {dest} out of range");
         self.comm_event();
         self.charge(|s| {
@@ -493,22 +481,6 @@ impl Comm {
         payload: &[T],
     ) {
         self.send(dest, tag, payload.to_vec());
-    }
-
-    /// [`Comm::send_slice`] metered at an explicit per-record wire size
-    /// instead of `size_of::<T>()` — what an MPI derived type with no
-    /// interior padding would occupy (e.g. `ModuleInfoMsg`: 29 wire bytes
-    /// vs a 32-byte in-memory layout). The matching `recv` is charged the
-    /// same total because the envelope carries the metered size.
-    pub fn send_slice_packed<T: Clone + Send + WirePayload + 'static>(
-        &mut self,
-        dest: usize,
-        tag: u64,
-        payload: &[T],
-        wire_bytes_per_record: u64,
-    ) {
-        let bytes = payload.len() as u64 * wire_bytes_per_record;
-        self.send_metered(dest, tag, payload.to_vec(), bytes);
     }
 
     /// Blocking selective receive: the next message from `src` with `tag`.
@@ -776,18 +748,8 @@ impl Comm {
         &mut self,
         local: Vec<T>,
     ) -> Arc<Vec<T>> {
-        self.allgatherv_packed(local, size_of::<T>() as u64)
-    }
-
-    /// [`Comm::allgatherv`] metered at an explicit per-record wire size
-    /// (see [`Comm::send_slice_packed`]).
-    #[track_caller]
-    pub fn allgatherv_packed<T: Clone + Send + Sync + WirePayload + 'static>(
-        &mut self,
-        local: Vec<T>,
-        wire_bytes_per_record: u64,
-    ) -> Arc<Vec<T>> {
-        let bytes = local.len() as u64 * wire_bytes_per_record;
+        let per = size_of::<T>() as u64;
+        let bytes = local.len() as u64 * per;
         let out = self.collective("allgatherv", bytes, local, |parts| {
             let total = parts.iter().map(Vec::len).sum();
             let mut all = Vec::with_capacity(total);
@@ -796,7 +758,7 @@ impl Comm {
             }
             all
         });
-        let recv = (out.len() as u64 * wire_bytes_per_record).saturating_sub(bytes);
+        let recv = (out.len() as u64 * per).saturating_sub(bytes);
         self.charge(|s| s.collective_bytes_recv += recv);
         out
     }
@@ -834,26 +796,13 @@ impl Comm {
         &mut self,
         outgoing: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
-        self.alltoallv_packed(outgoing, size_of::<T>() as u64)
-    }
-
-    /// [`Comm::alltoallv`] metered at an explicit per-record wire size
-    /// (see [`Comm::send_slice_packed`]).
-    #[track_caller]
-    pub fn alltoallv_packed<T: Clone + Send + Sync + WirePayload + 'static>(
-        &mut self,
-        outgoing: Vec<Vec<T>>,
-        wire_bytes_per_record: u64,
-    ) -> Vec<Vec<T>> {
         assert_eq!(
             outgoing.len(),
             self.size(),
             "alltoallv needs one bucket per rank"
         );
-        let bytes: u64 = outgoing
-            .iter()
-            .map(|b| b.len() as u64 * wire_bytes_per_record)
-            .sum();
+        let per = size_of::<T>() as u64;
+        let bytes: u64 = outgoing.iter().map(|b| b.len() as u64 * per).sum();
         let me = self.rank;
         let incoming: Vec<Vec<T>> = if self.is_thread() {
             let matrix = self.collective("alltoallv", bytes, outgoing, |rows| rows);
@@ -866,7 +815,7 @@ impl Comm {
             .iter()
             .enumerate()
             .filter(|(src, _)| *src != me)
-            .map(|(_, b)| b.len() as u64 * wire_bytes_per_record)
+            .map(|(_, b)| b.len() as u64 * per)
             .sum();
         self.charge(|s| s.collective_bytes_recv += recv);
         incoming

@@ -36,7 +36,7 @@ pub struct PhaseStats {
     pub collective_bytes_recv: u64,
     /// Bytes passed through a wire codec (encode side). Priced by
     /// [`crate::CostModel::t_encode`] so the CPU cost of compact encoding
-    /// can be modeled honestly; zero on the legacy communication path.
+    /// can be modeled honestly.
     pub codec_bytes: u64,
     /// Bytes written to (or read back from) checkpoint storage, priced
     /// separately from network traffic by the cost model.

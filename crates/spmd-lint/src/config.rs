@@ -4,7 +4,7 @@
 //! Three table kinds are supported: `[[allow]]` (justified rule
 //! suppressions), `[[entry]]` (SPMD entry points the static schedule is
 //! emitted for), and `[[checkpoint]]` (struct ↔ serializer pairs checked
-//! by R7). Values are `key = "string"` or `key = integer`; `#` starts a
+//! by R7). Values are `key = "string"`; `#` starts a
 //! comment. Every allow entry must carry a non-empty `justification` —
 //! an allowlist entry is a reviewed claim that the flagged site provably
 //! cannot break determinism, and the claim has to be written down.
@@ -24,12 +24,9 @@ pub struct AllowEntry {
     pub contains: Option<String>,
     /// Optional function-scope anchor (`fn = "run_rank"` or
     /// `fn = "RankProgram::run_rank"`): the diagnostic must sit inside
-    /// that function. Preferred over `line` — it survives any edit that
-    /// does not move the site out of the function.
+    /// that function. Survives any edit that does not move the site out
+    /// of the function.
     pub fn_name: Option<String>,
-    /// Optional exact line pin (brittle; use only when neither `contains`
-    /// nor `fn` can disambiguate).
-    pub line: Option<u32>,
     pub justification: String,
     /// Audit trail: set when a diagnostic matched this entry.
     used: Cell<bool>,
@@ -69,7 +66,6 @@ enum Table {
         path: Option<String>,
         contains: Option<String>,
         fn_name: Option<String>,
-        line: Option<u32>,
         justification: Option<String>,
     },
     Entry {
@@ -105,7 +101,6 @@ impl Allowlist {
                     path,
                     contains,
                     fn_name,
-                    line,
                     justification,
                 }) => {
                     let rule = rule.ok_or(format!(
@@ -125,7 +120,6 @@ impl Allowlist {
                         path,
                         contains,
                         fn_name,
-                        line,
                         justification,
                         used: Cell::new(false),
                     });
@@ -176,7 +170,6 @@ impl Allowlist {
                         path: None,
                         contains: None,
                         fn_name: None,
-                        line: None,
                         justification: None,
                     });
                     continue;
@@ -216,7 +209,6 @@ impl Allowlist {
                     path,
                     contains,
                     fn_name,
-                    line: line_pin,
                     justification,
                 } => match key {
                     "rule" => {
@@ -229,13 +221,6 @@ impl Allowlist {
                     "path" => *path = Some(parse_string(value, lineno)?),
                     "contains" => *contains = Some(parse_string(value, lineno)?),
                     "fn" => *fn_name = Some(parse_string(value, lineno)?),
-                    "line" => {
-                        *line_pin = Some(
-                            value
-                                .parse::<u32>()
-                                .map_err(|_| format!("line {lineno}: `line` must be an integer"))?,
-                        )
-                    }
                     "justification" => *justification = Some(parse_string(value, lineno)?),
                     other => return Err(format!("line {lineno}: unknown key `{other}`")),
                 },
@@ -293,11 +278,6 @@ impl Allowlist {
                     None => false,
                 };
                 if !hit {
-                    continue;
-                }
-            }
-            if let Some(l) = e.line {
-                if l != d.line {
                     continue;
                 }
             }
@@ -460,6 +440,13 @@ encoder = "encode_state"
     fn missing_justification_is_an_error() {
         let toml = "[[allow]]\nrule = \"R1\"\npath = \"x.rs\"\n";
         assert!(Allowlist::parse(toml).is_err());
+    }
+
+    #[test]
+    fn line_pins_are_rejected_with_the_offending_line() {
+        let toml = "[[allow]]\nrule = \"R1\"\npath = \"x.rs\"\nline = 5\njustification = \"j\"\n";
+        let err = Allowlist::parse(toml).unwrap_err();
+        assert_eq!(err, "line 4: unknown key `line`");
     }
 
     #[test]

@@ -35,10 +35,8 @@ pub const COLLECTIVES: &[&str] = &[
     "allreduce_u64",
     "allreduce_with",
     "allgatherv",
-    "allgatherv_packed",
     "allgather_parts",
     "alltoallv",
-    "alltoallv_packed",
     "alltoallv_reduce",
     "broadcast",
 ];
@@ -47,21 +45,13 @@ pub const COLLECTIVES: &[&str] = &[
 pub const RANK_MARKERS: &[&str] = &["rank", "my_rank", "myrank"];
 
 /// Map a static `Comm` method name to the kind string the runtime
-/// `ScheduleStamp` records (the `*_packed` wrappers stamp their lowered
-/// collective's kind).
+/// `ScheduleStamp` records: every collective stamps its own name.
 pub fn runtime_kind(method: &str) -> &'static str {
-    match method {
-        "barrier" => "barrier",
-        "allreduce_f64" => "allreduce_f64",
-        "allreduce_u64" => "allreduce_u64",
-        "allreduce_with" => "allreduce_with",
-        "allgatherv" | "allgatherv_packed" => "allgatherv",
-        "allgather_parts" => "allgather_parts",
-        "alltoallv" | "alltoallv_packed" => "alltoallv",
-        "alltoallv_reduce" => "alltoallv_reduce",
-        "broadcast" => "broadcast",
-        _ => "unknown",
-    }
+    COLLECTIVES
+        .iter()
+        .find(|&&c| c == method)
+        .copied()
+        .unwrap_or("unknown")
 }
 
 /// Does this token slice mention rank-local state?
@@ -1121,9 +1111,9 @@ fn run(c: &mut Comm, rank: usize) {
     }
 
     #[test]
-    fn packed_methods_normalize_to_runtime_kinds() {
-        assert_eq!(runtime_kind("allgatherv_packed"), "allgatherv");
-        assert_eq!(runtime_kind("alltoallv_packed"), "alltoallv");
+    fn runtime_kinds_are_the_collective_names() {
+        assert_eq!(runtime_kind("alltoallv_reduce"), "alltoallv_reduce");
         assert_eq!(runtime_kind("barrier"), "barrier");
+        assert_eq!(runtime_kind("send"), "unknown");
     }
 }

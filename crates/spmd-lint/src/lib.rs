@@ -170,7 +170,7 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> Result<LintReport, Stri
             .iter()
             .map(|(p, s)| (p.as_path(), s.as_str()))
             .collect();
-        diags.extend(rules::lint_crate(&c.name, &files, false));
+        diags.extend(rules::lint_crate(&c.name, &files));
     }
     let mut analysis = workspace_analysis(&crates);
     diags.extend(analysis.check_divergence());
@@ -215,7 +215,7 @@ pub fn emit_workspace_schedule(
 }
 
 /// Lint a single source text as if it belonged to `crate_name` with the
-/// full v2 pipeline — the entry point the fixture tests use. Optional
+/// full pipeline — the entry point the fixture tests use. Optional
 /// `checkpoints` drive R7.
 pub fn lint_source_with(
     crate_name: &str,
@@ -223,7 +223,7 @@ pub fn lint_source_with(
     source: &str,
     checkpoints: &[CheckpointSpec],
 ) -> Vec<Diagnostic> {
-    let mut diags = rules::lint_crate(crate_name, &[(path, source)], false);
+    let mut diags = rules::lint_crate(crate_name, &[(path, source)]);
     let files = vec![(path.to_path_buf(), source.to_string())];
     let mut analysis = Analysis::build([(crate_name, files.as_slice())]);
     diags.extend(analysis.check_divergence());
@@ -239,16 +239,9 @@ pub fn lint_source_with(
     diags
 }
 
-/// Single-file lint with the default (v2) pipeline and no R7 config.
+/// Single-file lint with no R7 config.
 pub fn lint_source(crate_name: &str, path: &Path, source: &str) -> Vec<Diagnostic> {
     lint_source_with(crate_name, path, source, &[])
-}
-
-/// Single-file lint in v1-compat mode: the PR 4 per-line frame-stack
-/// scanner, with R1 as a local (non-interprocedural) frame check. Exists
-/// so regression tests can encode exactly what v1 misses.
-pub fn lint_source_v1(crate_name: &str, path: &Path, source: &str) -> Vec<Diagnostic> {
-    rules::lint_crate(crate_name, &[(path, source)], true)
 }
 
 /// Walk up from `start` to the first directory whose `Cargo.toml` declares

@@ -3,7 +3,7 @@
 //!
 //! The scanner tracks the block structure (functions, conditionals, loops,
 //! `#[cfg(test)]` modules) with a frame stack so rules can ask questions
-//! like "is this collective call inside a rank-keyed conditional?" without
+//! like "is this `+=` inside a loop over a hash container?" without
 //! a full AST. The heuristics are deliberately conservative-but-auditable:
 //! anything they flag that is provably safe goes in `spmd-lint.toml` with a
 //! written justification, and anything they cannot see (e.g. a HashMap
@@ -14,7 +14,6 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use crate::diag::{Diagnostic, Rule};
-use crate::effects::{COLLECTIVES, RANK_MARKERS};
 use crate::lexer::{is_float_literal, lex, Tok, TokKind};
 
 /// Order-sensitive iteration methods (R2).
@@ -58,16 +57,9 @@ enum FrameKind {
     Plain,
     /// Function body; R4 sends are resolved when the frame pops.
     Fn,
-    /// `if` / `while` / `match` body (or `else` of one); `rank` records
-    /// whether the head mentions rank-local state.
-    Cond {
-        rank: bool,
-        is_if: bool,
-    },
     /// `for` body; `unordered` means the head iterates a hash container.
     For {
         unordered: bool,
-        rank: bool,
     },
     /// `#[cfg(test)]` module or function: rules are silent inside.
     TestMod,
@@ -168,11 +160,6 @@ pub struct FileLint<'a> {
     lines: Vec<&'a str>,
     toks: Vec<Tok>,
     names: &'a TypedNames,
-    /// v1-compat mode: run the frame-stack R1 check. The default pipeline
-    /// leaves R1 to the interprocedural analysis (`effects`), which is
-    /// path-sensitive; this flag exists so the regression tests can prove
-    /// what the per-line scanner misses.
-    legacy_r1: bool,
     diags: Vec<Diagnostic>,
     /// Dedup per (rule, line): a `for` head can trip both the head check
     /// and the method-chain check.
@@ -184,7 +171,6 @@ pub fn lint_file(
     path: &Path,
     source: &str,
     names: &TypedNames,
-    legacy_r1: bool,
 ) -> Vec<Diagnostic> {
     let mut fl = FileLint {
         crate_name,
@@ -192,7 +178,6 @@ pub fn lint_file(
         lines: source.lines().collect(),
         toks: lex(source),
         names,
-        legacy_r1,
         diags: Vec::new(),
         seen: BTreeSet::new(),
     };
@@ -232,12 +217,6 @@ impl<'a> FileLint<'a> {
 
     fn in_scope_r4(&self) -> bool {
         METERED_CRATES.contains(&self.crate_name)
-    }
-
-    /// Does this token slice mention rank-local state?
-    fn head_is_rank_keyed(toks: &[Tok]) -> bool {
-        toks.iter()
-            .any(|t| t.kind == TokKind::Ident && RANK_MARKERS.contains(&t.text.as_str()))
     }
 
     /// Does a `for`-head expression iterate a hash container?
@@ -290,9 +269,6 @@ impl<'a> FileLint<'a> {
         // Braces claimed by a construct head: opening-brace index -> frame.
         let mut pending: Vec<(usize, FrameKind)> = Vec::new();
         let mut pending_cfg_test = false;
-        // Set right after popping an `if` frame, so `else` inherits the
-        // rank-keyed flag of its chain.
-        let mut else_inherits_rank = false;
 
         let mut i = 0usize;
         while i < n {
@@ -336,40 +312,6 @@ impl<'a> FileLint<'a> {
                 }
 
                 // ---- construct heads ---------------------------------
-                "if" | "while" => {
-                    if let Some(b) = Self::find_body_brace(&toks, i) {
-                        let mut rank = Self::head_is_rank_keyed(&toks[i + 1..b]);
-                        if else_inherits_rank && i > 0 && toks[i - 1].is_ident("else") {
-                            rank = true;
-                        }
-                        pending.push((
-                            b,
-                            FrameKind::Cond {
-                                rank,
-                                is_if: t.is_ident("if"),
-                            },
-                        ));
-                    }
-                    else_inherits_rank = false;
-                }
-                "match" => {
-                    if let Some(b) = Self::find_body_brace(&toks, i) {
-                        let rank = Self::head_is_rank_keyed(&toks[i + 1..b]);
-                        pending.push((b, FrameKind::Cond { rank, is_if: false }));
-                    }
-                    else_inherits_rank = false;
-                }
-                // `else {` — the bare-else body inherits the chain's
-                // rank flag. (`else if` is handled by the `if` arm.)
-                "else" if toks.get(i + 1).map(|x| x.is("{")).unwrap_or(false) => {
-                    pending.push((
-                        i + 1,
-                        FrameKind::Cond {
-                            rank: else_inherits_rank,
-                            is_if: true,
-                        },
-                    ));
-                }
                 "for" => {
                     if let Some(b) = Self::find_body_brace(&toks, i) {
                         let head = &toks[i + 1..b];
@@ -388,7 +330,6 @@ impl<'a> FileLint<'a> {
                             }
                         }
                         let expr = in_pos.map(|p| &head[p + 1..]).unwrap_or(head);
-                        let rank = Self::head_is_rank_keyed(expr);
                         let hash_src = if self.in_scope_r2() && !in_test {
                             self.expr_iterates_hash(expr)
                         } else {
@@ -406,9 +347,8 @@ impl<'a> FileLint<'a> {
                                 ),
                             );
                         }
-                        pending.push((b, FrameKind::For { unordered, rank }));
+                        pending.push((b, FrameKind::For { unordered }));
                     }
-                    else_inherits_rank = false;
                 }
                 "fn" => {
                     if let Some(b) = Self::find_body_brace(&toks, i) {
@@ -419,7 +359,6 @@ impl<'a> FileLint<'a> {
                             pending.push((b, FrameKind::Fn));
                         }
                     }
-                    else_inherits_rank = false;
                 }
                 "mod" => {
                     if let Some(b) = Self::find_body_brace(&toks, i) {
@@ -429,7 +368,6 @@ impl<'a> FileLint<'a> {
                         }
                         let _ = b;
                     }
-                    else_inherits_rank = false;
                 }
 
                 // ---- braces ------------------------------------------
@@ -457,19 +395,12 @@ impl<'a> FileLint<'a> {
                                         format!(
                                             "`.{name}(..)` call with no WIRE_BYTES-based \
                                              metering in the enclosing function — use \
-                                             `send_slice_packed`/`add_codec_bytes` or a \
-                                             `*_WIRE_BYTES` size"
+                                             `add_codec_bytes` or a `*_WIRE_BYTES` size"
                                         ),
                                     );
                                 }
                             }
-                            FrameKind::Cond { rank, is_if } => {
-                                else_inherits_rank = is_if && rank;
-                            }
                             _ => {}
-                        }
-                        if !matches!(frame.kind, FrameKind::Cond { .. }) {
-                            else_inherits_rank = false;
                         }
                     }
                 }
@@ -479,30 +410,6 @@ impl<'a> FileLint<'a> {
                     let m = &toks[i + 1];
                     if m.kind == TokKind::Ident {
                         let name = m.text.as_str();
-                        // R1 (legacy frame-stack mode only): collective
-                        // inside a rank-keyed construct, regardless of
-                        // whether the branch arms agree.
-                        if self.legacy_r1 && COLLECTIVES.contains(&name) {
-                            let divergent = stack.iter().any(|f| {
-                                matches!(
-                                    f.kind,
-                                    FrameKind::Cond { rank: true, .. }
-                                        | FrameKind::For { rank: true, .. }
-                                )
-                            });
-                            if divergent {
-                                self.emit(
-                                    Rule::DivergentCollective,
-                                    m.line,
-                                    format!(
-                                        "collective `.{name}(..)` is reachable inside a \
-                                         conditional keyed on rank-local state; ranks can \
-                                         disagree on the collective schedule — hoist the \
-                                         collective out of the rank-conditional path"
-                                    ),
-                                );
-                            }
-                        }
                         // R2: iteration method on a hash-typed receiver.
                         if self.in_scope_r2() && ITER_METHODS.contains(&name) && i > 0 {
                             let recv = &toks[i - 1];
@@ -618,10 +525,8 @@ impl<'a> FileLint<'a> {
             // Metering markers make the enclosing fn R4-clean.
             if t.kind == TokKind::Ident
                 && (t.text.contains("WIRE_BYTES")
-                    || t.text == "send_slice_packed"
                     || t.text == "add_codec_bytes"
-                    || t.text == "wire_bytes"
-                    || t.text == "wire_bytes_per_record")
+                    || t.text == "wire_bytes")
             {
                 if let Some(f) = stack.iter_mut().rev().find(|f| f.kind == FrameKind::Fn) {
                     f.metered = true;
@@ -634,14 +539,13 @@ impl<'a> FileLint<'a> {
     }
 }
 
-/// Lint one crate with the token-scan rules (R2–R5; plus the legacy R1
-/// frame check when `legacy_r1`): collect crate-wide typed names, then
-/// scan every file.
-pub fn lint_crate(crate_name: &str, files: &[(&Path, &str)], legacy_r1: bool) -> Vec<Diagnostic> {
+/// Lint one crate with the token-scan rules (R2–R5): collect crate-wide
+/// typed names, then scan every file.
+pub fn lint_crate(crate_name: &str, files: &[(&Path, &str)]) -> Vec<Diagnostic> {
     let names = collect_typed_names(files);
     let mut diags = Vec::new();
     for (path, src) in files {
-        diags.extend(lint_file(crate_name, path, src, &names, legacy_r1));
+        diags.extend(lint_file(crate_name, path, src, &names));
     }
     diags
 }

@@ -250,7 +250,7 @@ fn run(c: &mut Comm, n: usize) {
         if c.changed() {
             c.allgatherv(&x);
         } else {
-            c.alltoallv_packed(&y);
+            c.alltoallv(&y);
         }
     }
 }
@@ -266,7 +266,6 @@ fn run(c: &mut Comm, n: usize) {
         .unwrap();
         assert!(json.contains("\"t\":\"loop\""));
         assert!(json.contains("\"t\":\"alt\""));
-        // Packed lowers to the runtime alltoallv stamp kind.
         assert!(json.contains("\"kind\":\"alltoallv\""));
     }
 

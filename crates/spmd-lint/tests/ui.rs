@@ -6,8 +6,7 @@
 use std::path::Path;
 
 use spmd_lint::{
-    lint_source, lint_source_v1, lint_source_with, Allowlist, CheckpointSpec, Diagnostic, Rule,
-    Severity,
+    lint_source, lint_source_with, Allowlist, CheckpointSpec, Diagnostic, Rule, Severity,
 };
 
 /// Lint a fixture as if it lived in `infomap-distributed` (in scope for
@@ -143,24 +142,6 @@ fn r6_symmetric_transitive_arms_are_clean() {
     assert!(
         diags.is_empty(),
         "arms with identical collective shapes must not fire: {diags:#?}"
-    );
-}
-
-/// The PR's regression contract: the v1 per-line scanner is provably
-/// blind to transitive divergence (its R1 sees no collective token inside
-/// the branch), while the v2 interprocedural analysis flags it.
-#[test]
-fn v1_scanner_misses_the_transitive_mutant_v2_catches() {
-    let src = include_str!("fixtures/bad_r6.rs");
-    let v1 = lint_source_v1("infomap-distributed", Path::new("bad_r6.rs"), src);
-    assert!(
-        v1.is_empty(),
-        "v1 mode must be clean on the transitive mutant: {v1:#?}"
-    );
-    let v2 = lint_fixture("bad_r6.rs", src);
-    assert!(
-        !hits(&v2, Rule::DivergentCollectiveTransitive).is_empty(),
-        "v2 must flag the same mutant as R6: {v2:#?}"
     );
 }
 

@@ -1,18 +1,17 @@
 //! Log-round collective schedules and the round-block wire codec.
 //!
-//! The flat `exchange` sends each rank's full contribution to every other
-//! rank: p−1 frames out, p−1 frames in, O(p²) frames on the wire per
-//! collective. The Bruck (dissemination) allgather replaces that with
+//! A full-mesh exchange would send each rank's full contribution to every
+//! other rank: p−1 frames out, p−1 frames in, O(p²) frames on the wire per
+//! collective. The Bruck (dissemination) allgather does it in
 //! ⌈log₂ p⌉ rounds: in round k a rank holding n = 2^k contiguous blocks
 //! sends min(n, p−n) of them to the rank n below it and receives as many
 //! from the rank n above it, doubling its holdings each round. Works for
 //! any p — the final round simply sends the remainder p−n instead of n.
 //!
-//! Every rank still finishes with **all p blobs, indexed by source rank**,
-//! so the local rank-order folds in `Comm::over_transport` run on exactly
-//! the same inputs in exactly the same order as under the flat exchange —
-//! bit-identity is preserved by construction, not by re-verification.
-//! Only the routing changes.
+//! Every rank finishes with **all p blobs, indexed by source rank**, so
+//! the local rank-order folds in `Comm::over_transport` run on the same
+//! inputs in the same order whatever the routing — bit-identity with the
+//! thread world holds by construction.
 //!
 //! Blocks travel in *virtual* order: rank r's buffer position v holds the
 //! contribution of global rank (r + v) mod p, so its own blob sits at

@@ -68,39 +68,6 @@ impl Endpoint {
     }
 }
 
-/// How symmetric collectives route their contributions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CollectiveAlgo {
-    /// Full mesh: every rank sends its whole contribution to every other
-    /// rank — p−1 frames out per rank, a p-way incast in. Kept selectable
-    /// as the verification baseline (the `CommPath::Legacy` precedent).
-    Flat,
-    /// Bruck/dissemination allgather: ⌈log₂ p⌉ rounds, one send and one
-    /// receive per rank per round, any p (see [`collectives`]). Every rank
-    /// still ends with all p blobs indexed by source rank, so the local
-    /// rank-order folds above are untouched and bit-identity holds by
-    /// construction. All ranks of a world must agree on the algorithm.
-    #[default]
-    LogP,
-}
-
-impl CollectiveAlgo {
-    pub fn parse(s: &str) -> Option<CollectiveAlgo> {
-        match s {
-            "flat" => Some(CollectiveAlgo::Flat),
-            "logp" => Some(CollectiveAlgo::LogP),
-            _ => None,
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            CollectiveAlgo::Flat => "flat",
-            CollectiveAlgo::LogP => "logp",
-        }
-    }
-}
-
 /// Tuning knobs for the robustness layer. The defaults suit tests and
 /// local runs; production-sized graphs want a larger `timeout`.
 #[derive(Clone, Debug)]
@@ -120,9 +87,6 @@ pub struct SocketConfig {
     /// Extra allowance for the whole bootstrap handshake (process spawn +
     /// mesh dial + Ready/Go), on top of `timeout`.
     pub setup_timeout: Duration,
-    /// Routing of symmetric collectives; must agree across all ranks of a
-    /// world (the launcher forwards one value to every worker).
-    pub collective_algo: CollectiveAlgo,
 }
 
 impl SocketConfig {
@@ -134,7 +98,6 @@ impl SocketConfig {
             connect_retries: 6,
             connect_backoff: Duration::from_millis(20),
             setup_timeout: Duration::from_millis(10_000),
-            collective_algo: CollectiveAlgo::default(),
         }
     }
 
@@ -1014,108 +977,6 @@ impl SocketTransport {
         }
     }
 
-    /// Flat full-mesh exchange: broadcast `mine` to every peer, then
-    /// gather. The verification baseline for [`CollectiveAlgo::LogP`].
-    fn exchange_flat(&mut self, seq: u64, mine: Vec<u8>) -> Result<Vec<Vec<u8>>, TransportError> {
-        let started = Instant::now();
-        let mut frames_sent = 0u64;
-        let mut bytes_sent = 0u64;
-        for dest in 0..self.size {
-            if dest != self.rank {
-                self.send_frame(dest, FrameKind::Coll, seq, &mine)?;
-                frames_sent += 1;
-                bytes_sent += frame::wire_bytes(mine.len());
-            }
-        }
-        let out = self.gather_collective(seq, "exchange", mine)?;
-        let (frames_recv, bytes_recv) = recv_side(&out, self.rank);
-        self.op_done(
-            "exchange_flat",
-            started,
-            [frames_sent, bytes_sent, frames_recv, bytes_recv],
-        );
-        Ok(out)
-    }
-
-    /// Bruck log-round exchange: ⌈log₂ p⌉ rounds, one send and one receive
-    /// per round (see [`collectives`]). Returns all p blobs indexed by
-    /// source rank — the exact contract of [`Self::exchange_flat`].
-    fn exchange_logp(&mut self, seq: u64, mine: Vec<u8>) -> Result<Vec<Vec<u8>>, TransportError> {
-        let started = Instant::now();
-        let p = self.size;
-        if p == 1 {
-            self.op_done("exchange_logp", started, [0, 0, 0, 0]);
-            return Ok(vec![mine]);
-        }
-        let deadline = started + self.cfg.timeout;
-        let mut frames_sent = 0u64;
-        let mut bytes_sent = 0u64;
-        let mut frames_recv = 0u64;
-        let mut bytes_recv = 0u64;
-        // Virtual-order buffer: slot v holds the blob of rank (rank+v)%p.
-        let mut have: Vec<Option<Vec<u8>>> = vec![None; p];
-        have[0] = Some(mine);
-        let plans = collectives::bruck_rounds(self.rank, p);
-        for step in 0..plans.len() {
-            let plan = plans[step];
-            let body = collectives::encode_round(
-                plan.round,
-                (0..plan.send_blocks).map(|v| {
-                    (
-                        (self.rank + v) % p,
-                        have[v].as_deref().expect("bruck invariant: prefix held"),
-                    )
-                }),
-            );
-            self.send_frame(plan.send_to, FrameKind::CollRound, seq, &body)?;
-            frames_sent += 1;
-            bytes_sent += frame::wire_bytes(body.len());
-            let payload = self.await_round(seq, &plans[step..], deadline, started)?;
-            frames_recv += 1;
-            bytes_recv += frame::wire_bytes(payload.len());
-            let (round, blocks) = match collectives::decode_round(&payload) {
-                Ok(d) => d,
-                Err(detail) => return Err(self.round_corrupt(plan.recv_from, detail)),
-            };
-            if round != plan.round {
-                return Err(self.round_corrupt(
-                    plan.recv_from,
-                    format!("round {round} frame arrived in round {}", plan.round),
-                ));
-            }
-            if blocks.len() != plan.send_blocks {
-                return Err(self.round_corrupt(
-                    plan.recv_from,
-                    format!(
-                        "round {round} carried {} blocks, schedule says {}",
-                        blocks.len(),
-                        plan.send_blocks
-                    ),
-                ));
-            }
-            for (i, (gsrc, blob)) in blocks.into_iter().enumerate() {
-                let expected = (plan.recv_from + i) % p;
-                if gsrc != expected {
-                    return Err(self.round_corrupt(
-                        plan.recv_from,
-                        format!(
-                            "round {round} block {i} claims source {gsrc}, expected {expected}"
-                        ),
-                    ));
-                }
-                let v = plan.recv_at + i;
-                debug_assert!(have[v].is_none(), "bruck slot filled twice");
-                have[v] = Some(blob);
-            }
-        }
-        self.op_done(
-            "exchange_logp",
-            started,
-            [frames_sent, bytes_sent, frames_recv, bytes_recv],
-        );
-        Ok(collectives::reindex(self.rank, have))
-    }
-
     /// Wait for the `CollRound` frame of `remaining[0]`. Fails fast on any
     /// dead *remaining upstream* (current or future round) that never
     /// delivered its round frame — under log-round routing those frames
@@ -1293,11 +1154,84 @@ impl Transport for SocketTransport {
         }
     }
 
+    /// Bruck/dissemination allgather: ⌈log₂ p⌉ rounds, one send and one
+    /// receive per rank per round, any p (see [`collectives`]). Every rank
+    /// ends with all p blobs indexed by source rank, so the rank-order
+    /// folds above the transport see the same input on any carrier.
     fn exchange(&mut self, seq: u64, mine: Vec<u8>) -> Result<Vec<Vec<u8>>, TransportError> {
-        match self.cfg.collective_algo {
-            CollectiveAlgo::Flat => self.exchange_flat(seq, mine),
-            CollectiveAlgo::LogP => self.exchange_logp(seq, mine),
+        let started = Instant::now();
+        let p = self.size;
+        if p == 1 {
+            self.op_done("exchange_logp", started, [0, 0, 0, 0]);
+            return Ok(vec![mine]);
         }
+        let deadline = started + self.cfg.timeout;
+        let mut frames_sent = 0u64;
+        let mut bytes_sent = 0u64;
+        let mut frames_recv = 0u64;
+        let mut bytes_recv = 0u64;
+        // Virtual-order buffer: slot v holds the blob of rank (rank+v)%p.
+        let mut have: Vec<Option<Vec<u8>>> = vec![None; p];
+        have[0] = Some(mine);
+        let plans = collectives::bruck_rounds(self.rank, p);
+        for step in 0..plans.len() {
+            let plan = plans[step];
+            let body = collectives::encode_round(
+                plan.round,
+                (0..plan.send_blocks).map(|v| {
+                    (
+                        (self.rank + v) % p,
+                        have[v].as_deref().expect("bruck invariant: prefix held"),
+                    )
+                }),
+            );
+            self.send_frame(plan.send_to, FrameKind::CollRound, seq, &body)?;
+            frames_sent += 1;
+            bytes_sent += frame::wire_bytes(body.len());
+            let payload = self.await_round(seq, &plans[step..], deadline, started)?;
+            frames_recv += 1;
+            bytes_recv += frame::wire_bytes(payload.len());
+            let (round, blocks) = match collectives::decode_round(&payload) {
+                Ok(d) => d,
+                Err(detail) => return Err(self.round_corrupt(plan.recv_from, detail)),
+            };
+            if round != plan.round {
+                return Err(self.round_corrupt(
+                    plan.recv_from,
+                    format!("round {round} frame arrived in round {}", plan.round),
+                ));
+            }
+            if blocks.len() != plan.send_blocks {
+                return Err(self.round_corrupt(
+                    plan.recv_from,
+                    format!(
+                        "round {round} carried {} blocks, schedule says {}",
+                        blocks.len(),
+                        plan.send_blocks
+                    ),
+                ));
+            }
+            for (i, (gsrc, blob)) in blocks.into_iter().enumerate() {
+                let expected = (plan.recv_from + i) % p;
+                if gsrc != expected {
+                    return Err(self.round_corrupt(
+                        plan.recv_from,
+                        format!(
+                            "round {round} block {i} claims source {gsrc}, expected {expected}"
+                        ),
+                    ));
+                }
+                let v = plan.recv_at + i;
+                debug_assert!(have[v].is_none(), "bruck slot filled twice");
+                have[v] = Some(blob);
+            }
+        }
+        self.op_done(
+            "exchange_logp",
+            started,
+            [frames_sent, bytes_sent, frames_recv, bytes_recv],
+        );
+        Ok(collectives::reindex(self.rank, have))
     }
 
     fn alltoallv(
@@ -1334,11 +1268,7 @@ impl Transport for SocketTransport {
     }
 
     fn describe(&self) -> String {
-        format!(
-            "{} [{}]",
-            self.cfg.endpoint.describe(),
-            self.cfg.collective_algo.name()
-        )
+        self.cfg.endpoint.describe()
     }
 
     fn metrics(&self) -> Option<TransportMetrics> {
@@ -1555,24 +1485,18 @@ mod tests {
     }
 
     #[test]
-    fn logp_exchange_matches_flat_for_many_world_sizes() {
+    fn exchange_returns_every_ranks_blob_for_many_world_sizes() {
         for p in [2usize, 3, 5, 8] {
-            let run = |algo: CollectiveAlgo| {
-                let mut cfg = test_cfg(&format!("eq{p}{}", algo.name()));
-                cfg.collective_algo = algo;
-                mesh(p, cfg, |mut t| {
-                    let mut outs = Vec::new();
-                    for seq in 0..3u64 {
-                        outs.push(t.exchange(seq, stress_blob(t.rank(), seq)).unwrap());
-                    }
-                    outs
-                })
-            };
-            let flat = run(CollectiveAlgo::Flat);
-            let logp = run(CollectiveAlgo::LogP);
-            assert_eq!(flat, logp, "flat and logp disagree at p={p}");
-            for (rank, outs) in logp.iter().enumerate() {
+            let outs = mesh(p, test_cfg(&format!("eq{p}")), |mut t| {
+                let mut outs = Vec::new();
+                for seq in 0..3u64 {
+                    outs.push(t.exchange(seq, stress_blob(t.rank(), seq)).unwrap());
+                }
+                outs
+            });
+            for (rank, outs) in outs.iter().enumerate() {
                 for (seq, all) in outs.iter().enumerate() {
+                    assert_eq!(all.len(), p, "p={p} rank={rank} seq={seq}");
                     for (src, blob) in all.iter().enumerate() {
                         assert_eq!(
                             blob,
@@ -1586,37 +1510,22 @@ mod tests {
     }
 
     #[test]
-    fn exchange_frame_counts_match_the_collective_algo() {
+    fn exchange_costs_ceil_log2_p_frames() {
         let p = 5;
         let exchanges = 3u64;
-        for algo in [CollectiveAlgo::Flat, CollectiveAlgo::LogP] {
-            let mut cfg = test_cfg(&format!("budget{}", algo.name()));
-            cfg.collective_algo = algo;
-            let metrics = mesh(p, cfg, move |mut t| {
-                for seq in 0..exchanges {
-                    t.exchange(seq, vec![t.rank() as u8; 16]).unwrap();
-                }
-                t.metrics().expect("socket transport meters itself")
-            });
-            let per_exchange = match algo {
-                CollectiveAlgo::Flat => (p - 1) as u64,
-                CollectiveAlgo::LogP => collectives::ceil_log2(p) as u64,
-            };
-            for (rank, m) in metrics.iter().enumerate() {
-                let op = &m.ops[match algo {
-                    CollectiveAlgo::Flat => "exchange_flat",
-                    CollectiveAlgo::LogP => "exchange_logp",
-                }];
-                assert_eq!(op.calls, exchanges, "rank {rank} calls");
-                assert_eq!(
-                    op.frames_sent,
-                    exchanges * per_exchange,
-                    "rank {rank} frames under {}",
-                    algo.name()
-                );
-                assert_eq!(op.frames_recv, exchanges * per_exchange, "rank {rank} recv");
-                assert!(op.bytes_sent > 0 && op.wall > Duration::ZERO, "rank {rank}");
+        let metrics = mesh(p, test_cfg("budget"), move |mut t| {
+            for seq in 0..exchanges {
+                t.exchange(seq, vec![t.rank() as u8; 16]).unwrap();
             }
+            t.metrics().expect("socket transport meters itself")
+        });
+        let per_exchange = collectives::ceil_log2(p) as u64;
+        for (rank, m) in metrics.iter().enumerate() {
+            let op = &m.ops["exchange_logp"];
+            assert_eq!(op.calls, exchanges, "rank {rank} calls");
+            assert_eq!(op.frames_sent, exchanges * per_exchange, "rank {rank} sent");
+            assert_eq!(op.frames_recv, exchanges * per_exchange, "rank {rank} recv");
+            assert!(op.bytes_sent > 0 && op.wall > Duration::ZERO, "rank {rank}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for the log-round collective layer: for arbitrary world
 //! sizes (odd, even, prime, power-of-two) and arbitrary per-rank blobs
 //! (including empty ones), a lockstep execution of the Bruck schedule must
-//! deliver exactly what the flat exchange delivers — every rank ends with
+//! deliver the exchange contract — every rank ends with
 //! all p blobs indexed by source rank. The round codec must round-trip
 //! arbitrary block lists and reject arbitrary damage without panicking.
 
@@ -62,8 +62,7 @@ proptest! {
 
     #[test]
     fn logp_delivers_exactly_the_flat_result(blobs in arb_blobs()) {
-        // The flat exchange's contract is trivial: out[s] = blobs[s] at
-        // every rank. The Bruck run must match it blob for blob.
+        // The exchange contract: out[s] = blobs[s] at every rank.
         let all = run_schedule(&blobs);
         for (rank, out) in all.iter().enumerate() {
             prop_assert_eq!(out.len(), blobs.len(), "rank {}", rank);
