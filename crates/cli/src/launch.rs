@@ -245,13 +245,14 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
 
     // Durable checkpoints when enabled, so a relaunched world resumes;
     // the in-memory store otherwise (no files, bit-identical fast path).
-    let store: Box<dyn SnapshotStore> = if o.checkpoint_every > 0 {
-        Box::new(
-            FileCheckpointStore::open(ckpt_dir(&dir), o.procs, o.seed)
-                .map_err(|e| WorkerFailure::Other(format!("checkpoint store: {e}")))?,
-        )
-    } else {
-        Box::new(CheckpointStore::new(o.procs))
+    let files = (o.checkpoint_every > 0)
+        .then(|| FileCheckpointStore::open(ckpt_dir(&dir), o.procs, o.seed))
+        .transpose()
+        .map_err(|e| WorkerFailure::Other(format!("checkpoint store: {e}")))?;
+    let memory = CheckpointStore::new(o.procs);
+    let store: &dyn SnapshotStore = match &files {
+        Some(files) => files,
+        None => &memory,
     };
     let restored = store.agreed_pos().is_some();
 
@@ -283,7 +284,7 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
                 RankProgram::prepare_shard(cfg, header, g, &mut comm)
             }
         };
-        let done = program.run_rank(&mut comm, store.as_ref());
+        let done = program.run_rank(&mut comm, store);
         (program, done)
     }));
     match run {
@@ -295,6 +296,15 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
                     attempts: 1,
                     restores: usize::from(restored),
                     checkpoints_committed: store.checkpoints_committed(),
+                    // This process's store: rank 0's commits, like the
+                    // count above.
+                    checkpoint_commit_failures: files
+                        .as_ref()
+                        .map_or(0, FileCheckpointStore::commit_failures),
+                    checkpoint_bytes_written: files
+                        .as_ref()
+                        .map(FileCheckpointStore::bytes_written)
+                        .unwrap_or_default(),
                     degraded: false,
                     failures: Vec::new(),
                 };
@@ -397,6 +407,17 @@ fn write_result(
         j,
         "  \"checkpoints_committed\": {},",
         out.recovery.checkpoints_committed
+    );
+    let _ = writeln!(
+        j,
+        "  \"checkpoint_commit_failures\": {},",
+        out.recovery.checkpoint_commit_failures
+    );
+    let written = out.recovery.checkpoint_bytes_written;
+    let _ = writeln!(
+        j,
+        "  \"checkpoint_bytes_written\": {{\"base_files\": {}, \"bases\": {}, \"deltas\": {}}},",
+        written.base_files, written.base_bytes, written.delta_bytes
     );
     let _ = writeln!(j, "  \"wall_ms\": {:.3},", wall.as_secs_f64() * 1e3);
     let _ = writeln!(j, "  \"modeled_ms\": {:.6},", modeled * 1e3);
@@ -523,7 +544,15 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
 
     for attempt in 0..attempts_budget {
         attempts += 1;
-        if attempt > 0 && checkpoint_files_present(&ckpt_dir(&dir)) {
+        // A relaunch restores only from a boundary every rank holds —
+        // the same question each worker asks its store on entry. Files
+        // alone (a rank killed before its first commit, a base with no
+        // delta) restore nothing.
+        if attempt > 0
+            && o.checkpoint_every > 0
+            && FileCheckpointStore::open(ckpt_dir(&dir), o.procs, o.seed)
+                .is_ok_and(|store| store.agreed_pos().is_some())
+        {
             restores += 1;
         }
         let _ = std::fs::remove_file(result_path(&dir));
@@ -611,6 +640,7 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
                     checkpoints_committed: store.checkpoints_committed(),
                     degraded: true,
                     failures: failures.clone(),
+                    ..Default::default()
                 };
                 let out = degraded_output(
                     &store,

@@ -271,3 +271,50 @@ fn exhausted_retries_degrade_to_the_best_checkpoint() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_relaunch_that_starts_from_scratch_is_not_counted_as_a_restore() {
+    let dir = tmpdir("norestore");
+    let (_g, graph_path) = write_graph(&dir);
+    let rendezvous = dir.join("world");
+    // A checkpoint file no boundary can be agreed from — what a rank
+    // killed between its stage base and its first delta leaves behind.
+    let ckpt = rendezvous.join("ckpt");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    std::fs::write(ckpt.join("rank-0.base-s1-l0.ckpt"), b"DINFCKPT").unwrap();
+    let (ok, stdout, stderr) = run_guarded(&[
+        "launch",
+        &graph_path,
+        "--procs",
+        "3",
+        "--seed",
+        "4",
+        "--checkpoint-every",
+        "2",
+        "--max-retries",
+        "2",
+        "--timeout-ms",
+        "1500",
+        // @0: rank 1 dies before any rank can have committed.
+        "--kill-rank",
+        "1@0",
+        "--dir",
+        rendezvous.to_str().unwrap(),
+    ]);
+    assert!(ok, "the relaunch must complete:\n{stderr}");
+    assert!(
+        stdout.contains("2 attempt(s), 0 restore(s)"),
+        "a from-scratch relaunch was reported as a restore:\n{stdout}"
+    );
+    let result = std::fs::read_to_string(rendezvous.join("result.json")).unwrap();
+    assert!(result.contains("\"restored\": false"), "{result}");
+    assert!(
+        result.contains("\"checkpoint_commit_failures\": 0"),
+        "{result}"
+    );
+    assert!(
+        result.contains("\"checkpoint_bytes_written\": {\"base_files\": "),
+        "{result}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

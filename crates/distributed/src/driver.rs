@@ -11,7 +11,9 @@ use infomap_graph::{GraphStore, VertexId};
 use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World};
 use infomap_partition::{delegates_from_degrees, plan_rebalance, shard_rank_arcs, Arc, Partition};
 
-use crate::checkpoint::{CheckpointStore, RankSnapshot, SnapshotPos, SnapshotStore};
+use crate::checkpoint::{
+    CheckpointBytesWritten, CheckpointStore, RankSnapshot, SnapshotPos, SnapshotStore, SnapshotView,
+};
 use crate::codec;
 use crate::config::DistributedConfig;
 use crate::messages::{MergedArc, MergedFlow};
@@ -70,6 +72,11 @@ pub struct RecoveryReport {
     pub restores: usize,
     /// Rank-snapshot commits across all attempts.
     pub checkpoints_committed: u64,
+    /// Commits a durable store could not write (always 0 in memory).
+    pub checkpoint_commit_failures: u64,
+    /// File bytes a durable store wrote for those commits (zeros in
+    /// memory).
+    pub checkpoint_bytes_written: CheckpointBytesWritten,
     /// True when retries were exhausted and the output is the best
     /// checkpointed clustering instead of a completed run.
     pub degraded: bool,
@@ -519,22 +526,22 @@ impl RankProgram {
                         s1_resume,
                         checkpoint_every,
                         &mut |c, stc, da, cursor| {
-                            let snap = RankSnapshot {
+                            let view = SnapshotView {
                                 pos: SnapshotPos {
                                     stage: 1,
                                     level: 0,
                                     round: cursor.next_round as u32,
                                 },
-                                st: stc.clone(),
-                                cursor: cursor.clone(),
-                                delegate_assign: da.clone(),
-                                assign: assign_ref.clone(),
-                                trace: trace_ref.clone(),
+                                st: stc,
+                                cursor,
+                                delegate_assign: da,
+                                assign: assign_ref,
+                                trace: trace_ref,
                                 prev_mdl,
                                 level_vertices,
                             };
-                            c.add_checkpoint_bytes(snap.approx_wire_bytes());
-                            store.commit(rank, &snap);
+                            c.add_checkpoint_bytes(view.approx_wire_bytes());
+                            store.commit_view(rank, &view);
                         },
                     )
                 };
@@ -594,22 +601,22 @@ impl RankProgram {
                         s2_resume,
                         checkpoint_every,
                         &mut |c, stc, da, cursor| {
-                            let snap = RankSnapshot {
+                            let view = SnapshotView {
                                 pos: SnapshotPos {
                                     stage: 2,
                                     level: level as u32,
                                     round: cursor.next_round as u32,
                                 },
-                                st: stc.clone(),
-                                cursor: cursor.clone(),
-                                delegate_assign: da.clone(),
-                                assign: assign_ref.clone(),
-                                trace: trace_ref.clone(),
+                                st: stc,
+                                cursor,
+                                delegate_assign: da,
+                                assign: assign_ref,
+                                trace: trace_ref,
                                 prev_mdl,
                                 level_vertices,
                             };
-                            c.add_checkpoint_bytes(snap.approx_wire_bytes());
-                            store.commit(rank, &snap);
+                            c.add_checkpoint_bytes(view.approx_wire_bytes());
+                            store.commit_view(rank, &view);
                         },
                     )
                 };

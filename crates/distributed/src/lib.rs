@@ -62,8 +62,8 @@ pub mod rounds;
 pub mod state;
 
 pub use checkpoint::{
-    checkpoint_files_present, CheckpointStore, FileCheckpointStore, RankSnapshot, SnapshotPos,
-    SnapshotStore,
+    checkpoint_files_present, CheckpointBytesWritten, CheckpointStore, FileCheckpointStore,
+    RankSnapshot, SnapshotPos, SnapshotStore, SnapshotView,
 };
 pub use config::{DistributedConfig, RecoveryConfig};
 pub use driver::{

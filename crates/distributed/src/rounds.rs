@@ -1027,6 +1027,10 @@ pub fn sync_modules(
     }
     bufs.changed_modules.sort_unstable();
     bufs.changed_modules.dedup();
+    // A module nobody subscribes to any more needs no list (the publish
+    // step reads a missing one as empty), and thousands of empty ones
+    // would ride in every checkpoint delta.
+    st.owner_subs.retain(|_, subs| !subs.is_empty());
     // Drop empty modules.
     for m in &bufs.changed_modules {
         let dead = st

@@ -104,8 +104,9 @@ pub struct LocalState {
     /// Owner side of the reduction: per (module, source rank) last
     /// absolute contribution.
     pub owner_sources: HashMap<(u64, u32), (f64, f64, u32)>,
-    /// Owner side: current subscriber ranks per owned module.
-    pub owner_subs: HashMap<u64, Vec<usize>>,
+    /// Owner side: current subscriber ranks per owned module (modules
+    /// with none have no entry).
+    pub owner_subs: BTreeMap<u64, Vec<usize>>,
 }
 
 impl LocalState {
@@ -415,7 +416,7 @@ pub fn assemble(
         last_contrib: vec![(0.0, 0.0, 0); n],
         last_contrib_active: vec![false; n],
         owner_sources: HashMap::new(),
-        owner_subs: HashMap::new(),
+        owner_subs: BTreeMap::new(),
     }
 }
 

@@ -47,7 +47,8 @@ pub struct EntrySpec {
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     pub struct_name: String,
-    /// Bare or impl-qualified serializer function name.
+    /// Bare or impl-qualified serializer function name — or several,
+    /// comma-separated, whose bodies cover the struct between them.
     pub encoder: String,
 }
 

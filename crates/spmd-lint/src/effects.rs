@@ -930,27 +930,31 @@ impl Analysis {
                     spec.struct_name
                 ));
             };
-            // Union the ident sets of every function matching the encoder
-            // name (qual-exact first, bare-name fallback).
-            let cands: Vec<usize> = if spec.encoder.contains("::") {
-                self.by_qual.get(&spec.encoder).cloned().unwrap_or_default()
-            } else {
-                self.by_name.get(&spec.encoder).cloned().unwrap_or_default()
-            };
-            if cands.is_empty() {
-                return Err(format!(
-                    "[[checkpoint]] names unknown encoder `{}` for struct `{}`",
-                    spec.encoder, spec.struct_name
-                ));
-            }
+            // Union the ident sets of every function matching each listed
+            // encoder name (qual-exact first, bare-name fallback): a struct
+            // serialized in sections is covered by its section encoders
+            // together.
             let mut idents: BTreeSet<&str> = BTreeSet::new();
-            for &c in &cands {
-                let rec = &self.fns[c];
-                let file = &self.files[rec.file];
-                let item = &file.parsed.fns[rec.item];
-                for t in &file.toks[item.body_open..=item.body_close.min(file.toks.len() - 1)] {
-                    if t.kind == TokKind::Ident {
-                        idents.insert(&t.text);
+            for encoder in spec.encoder.split(',').map(str::trim) {
+                let cands: &[usize] = if encoder.contains("::") {
+                    self.by_qual.get(encoder).map_or(&[], Vec::as_slice)
+                } else {
+                    self.by_name.get(encoder).map_or(&[], Vec::as_slice)
+                };
+                if cands.is_empty() {
+                    return Err(format!(
+                        "[[checkpoint]] names unknown encoder `{encoder}` for struct `{}`",
+                        spec.struct_name
+                    ));
+                }
+                for &c in cands {
+                    let rec = &self.fns[c];
+                    let file = &self.files[rec.file];
+                    let item = &file.parsed.fns[rec.item];
+                    for t in &file.toks[item.body_open..=item.body_close.min(file.toks.len() - 1)] {
+                        if t.kind == TokKind::Ident {
+                            idents.insert(&t.text);
+                        }
                     }
                 }
             }

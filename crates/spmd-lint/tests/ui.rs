@@ -202,6 +202,36 @@ fn encode_snap(s: &Snap, out: &mut Vec<u8>) {
 }
 
 #[test]
+fn r7_takes_the_union_of_section_encoders_and_flags_the_field_in_neither() {
+    let lint = |encoder: &str| {
+        let specs = [CheckpointSpec {
+            struct_name: "Snap".into(),
+            encoder: encoder.into(),
+        }];
+        lint_source_with(
+            "infomap-distributed",
+            Path::new("bad_r7_sections.rs"),
+            include_str!("fixtures/bad_r7_sections.rs"),
+            &specs,
+        )
+    };
+    let diags = lint("encode_base, encode_delta");
+    let r7 = hits(&diags, Rule::CheckpointCompleteness);
+    assert_eq!(r7.len(), 1, "exactly the `stale` field: {diags:#?}");
+    assert_eq!(r7[0].0, 9, "flagged at the field declaration");
+    assert!(r7[0].1.contains("stale"));
+    // Either encoder alone leaves the other section's field uncovered.
+    assert_eq!(
+        hits(&lint("encode_base"), Rule::CheckpointCompleteness).len(),
+        2
+    );
+    assert_eq!(
+        hits(&lint("encode_delta"), Rule::CheckpointCompleteness).len(),
+        2
+    );
+}
+
+#[test]
 fn r7_is_suppressible_by_a_contains_anchored_allow_entry() {
     let toml = r#"
 [[allow]]
