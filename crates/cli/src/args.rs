@@ -10,7 +10,7 @@ dinfomap — community detection with (distributed) Infomap
 USAGE:
   dinfomap cluster <edges.txt> [options]   detect communities
   dinfomap launch <edges.txt> [options]    detect communities with real OS processes
-  dinfomap launch --graph-shard-dir D ...  same, out-of-core from binary shards
+  dinfomap launch --graph-shard-dir D ...  same, from ready-made binary shards
   dinfomap partition <edges.txt> [options] analyze a partitioning
   dinfomap generate <what> [options]       write a synthetic graph
   dinfomap snapshot <edges.txt> [options]  convert an edge list to binary snapshot(s)
@@ -31,7 +31,8 @@ CLUSTER OPTIONS:
   --max-retries N                     dist only: retries from the last checkpoint (default 3)
 
 LAUNCH OPTIONS (distributed Infomap over the socket transport,
-one OS process per rank; bit-identical to `cluster --algorithm dist`):
+one OS process per rank, each reading only its own shard of <edges.txt>
+(cut by the launcher); bit-identical to `cluster --algorithm dist`):
   --procs N                           worker processes (default 4)
   --threads N                         intra-rank sweep threads per worker
                                       (default 1; bit-identical for every N)
@@ -47,8 +48,8 @@ one OS process per rank; bit-identical to `cluster --algorithm dist`):
   --dir D                             rendezvous directory (default: temp dir)
   --graph-shard-dir D                 out-of-core: each rank reads its own
                                       `shard-R.snap` from D; no edge list needed
-  --paged                             shard mode: demand-page shards over a
-                                      block cache instead of loading eagerly
+  --paged                             either input: workers demand-page their
+                                      shard over a block cache, not eagerly
   --block-bytes N                     paged: cache block size (default 65536)
   --cache-blocks N                    paged: cache capacity in blocks (default 64)
 
@@ -330,15 +331,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut o = WorkerOpts {
                 rank: usize::MAX,
                 procs: 0,
-                graph: String::new(),
                 seed: 0,
                 dir: String::new(),
                 transport: TransportKind::Uds,
                 checkpoint_every: 0,
                 timeout_ms: 5000,
                 threads: 1,
-                output: None,
-                graph_shard_dir: None,
+                graph_shard_dir: String::new(),
                 paged: false,
                 block_bytes: 0,
                 cache_blocks: 0,
@@ -350,15 +349,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--rank" => o.rank = num(&mut it, flag)?,
                     "--procs" => o.procs = num(&mut it, flag)?,
                     "--threads" => o.threads = num(&mut it, flag)?,
-                    "--graph" => o.graph = next(&mut it, flag)?,
                     "--seed" => o.seed = num(&mut it, flag)?,
                     "--dir" => o.dir = next(&mut it, flag)?,
                     "--transport" => tcp = parse_transport(&next(&mut it, flag)?)?,
                     "--base-port" => base_port = Some(num(&mut it, flag)?),
                     "--checkpoint-every" => o.checkpoint_every = num(&mut it, flag)?,
                     "--timeout-ms" => o.timeout_ms = num(&mut it, flag)?,
-                    "--output" => o.output = Some(next(&mut it, flag)?),
-                    "--graph-shard-dir" => o.graph_shard_dir = Some(next(&mut it, flag)?),
+                    "--graph-shard-dir" => o.graph_shard_dir = next(&mut it, flag)?,
                     "--paged" => o.paged = true,
                     "--block-bytes" => o.block_bytes = num(&mut it, flag)?,
                     "--cache-blocks" => o.cache_blocks = num(&mut it, flag)?,
@@ -368,11 +365,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if o.rank == usize::MAX
                 || o.procs == 0
                 || o.dir.is_empty()
-                || o.graph.is_empty() == o.graph_shard_dir.is_none()
+                || o.graph_shard_dir.is_empty()
             {
-                return Err("_rank: --rank, --procs, --dir and exactly one of \
-                            --graph/--graph-shard-dir are required"
-                    .into());
+                return Err(
+                    "_rank: --rank, --procs, --dir and --graph-shard-dir are required".into(),
+                );
             }
             o.transport = resolve_transport(tcp, base_port)?;
             Ok(Command::RankWorker(o))
@@ -511,7 +508,7 @@ mod tests {
             format!("--{}-path", "comm"),
             format!("--{}-algo", "collective"),
         ];
-        let worker = "_rank --rank 0 --procs 2 --graph g.txt --dir d";
+        let worker = "_rank --rank 0 --procs 2 --graph-shard-dir s --dir d";
         for base in ["cluster g.txt", "launch g.txt", worker] {
             for flag in &removed {
                 let err = parse(&argv(&format!("{base} {flag} x"))).unwrap_err();
@@ -519,6 +516,11 @@ mod tests {
                 assert!(!USAGE.contains(flag.as_str()), "{flag} still documented");
             }
             assert!(parse(&argv(base)).is_ok(), "{base}");
+        }
+        // A worker holds one shard and writes no assignment file.
+        for gone in ["--graph", "--output"] {
+            let err = parse(&argv(&format!("{worker} {gone} x"))).unwrap_err();
+            assert!(err.contains("unknown flag"), "{gone}: {err}");
         }
     }
 
@@ -542,7 +544,7 @@ mod tests {
         }
         // Workers default to 1 and accept the forwarded flag.
         let cmd = parse(&argv(
-            "_rank --rank 0 --procs 2 --graph g.txt --dir d --threads 4",
+            "_rank --rank 0 --procs 2 --graph-shard-dir s --dir d --threads 4",
         ))
         .unwrap();
         match cmd {
@@ -571,14 +573,14 @@ mod tests {
         // Exactly one input: neither and both are errors.
         assert!(parse(&argv("launch --procs 2")).is_err());
         assert!(parse(&argv("launch g.txt --graph-shard-dir shards")).is_err());
-        // Workers accept the forwarded shard flags in place of --graph.
+        // Workers accept the forwarded shard flags.
         let cmd = parse(&argv(
             "_rank --rank 1 --procs 2 --dir d --graph-shard-dir shards --paged",
         ))
         .unwrap();
         match cmd {
             Command::RankWorker(o) => {
-                assert_eq!(o.graph_shard_dir.as_deref(), Some("shards"));
+                assert_eq!(o.graph_shard_dir, "shards");
                 assert!(o.paged);
             }
             other => panic!("wrong parse: {other:?}"),

@@ -180,19 +180,31 @@ fn cluster(
     }
 
     if let Some(out_path) = output {
-        let mut w = std::io::BufWriter::new(
-            std::fs::File::create(out_path)
-                .map_err(|e| format!("cannot create {out_path}: {e}"))?,
-        );
-        writeln!(w, "# vertex community").map_err(|e| e.to_string())?;
-        for (dense, &m) in modules.iter().enumerate() {
-            writeln!(w, "{} {}", loaded.original_ids[dense], m).map_err(|e| e.to_string())?;
-        }
+        write_assignments(out_path, &modules, Some(&loaded.original_ids))?;
         if !quiet {
             println!("  wrote {out_path}");
         }
     }
     Ok(())
+}
+
+/// `vertex community` lines in dense-id order. `original_ids` maps a
+/// dense id back to the edge list's; `None` is the identity (snapshot
+/// rows are already keyed by global vertex id).
+pub(crate) fn write_assignments(
+    path: &str,
+    modules: &[u32],
+    original_ids: Option<&[u64]>,
+) -> Result<(), String> {
+    let mut w = std::io::BufWriter::new(
+        std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
+    );
+    writeln!(w, "# vertex community").map_err(|e| e.to_string())?;
+    for (dense, &m) in modules.iter().enumerate() {
+        let id = original_ids.map_or(dense as u64, |ids| ids[dense]);
+        writeln!(w, "{id} {m}").map_err(|e| e.to_string())?;
+    }
+    w.flush().map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn partition(path: &str, ranks: usize, strategy: Strategy) -> Result<(), String> {

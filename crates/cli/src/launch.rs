@@ -2,14 +2,17 @@
 //! processes** over the socket transport, instead of simulated ranks on
 //! threads.
 //!
-//! The launcher forks `--procs` copies of this binary with the hidden
-//! `_rank` subcommand. Every worker loads the same edge list, calls
-//! [`RankProgram::prepare`] (a pure function of the config and graph, so
-//! independently-preparing processes agree bit-for-bit), connects a
-//! [`SocketTransport`] mesh in a shared rendezvous directory, and runs
-//! the identical SPMD driver the thread world runs — the two backends
-//! produce bit-identical MDL series, move counts, and assignments per
-//! seed (gated by `tests/comm_equivalence.rs`).
+//! The launcher parses an edge list once, cuts the relabelled graph into
+//! `<dir>/shards/shard-R.snap` (always rewritten at launch start) and
+//! keeps only the original vertex ids; `--graph-shard-dir` supplies
+//! ready-made shards instead. It then forks `--procs` copies of this
+//! binary with the hidden `_rank` subcommand. Every worker opens only its
+//! own shard, connects a [`SocketTransport`] mesh in a shared rendezvous
+//! directory, rebuilds its state with [`RankProgram::prepare_shard`]
+//! (collectives stand in for every global fact), and runs the identical
+//! SPMD driver the thread world runs — the two backends produce
+//! bit-identical MDL series, move counts, and assignments per seed (gated
+//! by `tests/comm_equivalence.rs`).
 //!
 //! Failure handling against genuine OS failures (a SIGKILLed child, a
 //! wedged rank):
@@ -18,7 +21,8 @@
 //!   rank exits with code [`EXIT_TRANSPORT_FAULT`] and writes a
 //!   `rank-N.diag.json` naming the dead peer or the blocked collective
 //!   and the ranks it was waiting on.
-//! - The launcher relaunches the world up to `--max-retries` times; with
+//! - The launcher relaunches the world up to `--max-retries` times,
+//!   reusing the shards (the input has not changed); with
 //!   `--checkpoint-every N` the workers resume from the newest checkpoint
 //!   boundary **all** ranks hold on disk ([`FileCheckpointStore`]).
 //! - When retries are exhausted, the launcher degrades gracefully: it
@@ -27,27 +31,30 @@
 //!
 //! Rank 0 writes `result.json` into the rendezvous directory with the
 //! codelength and per-round MDL series as exact f64 bit patterns, the
-//! measured wall time, and the modeled makespan from the same metering
-//! counters the thread world uses.
+//! measured wall time, the modeled makespan from the same metering
+//! counters the thread world uses, and every vertex's module, from which
+//! the launcher writes `--output` in the edge list's original ids.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::process::Child;
 use std::time::{Duration, Instant};
 
 use infomap_distributed::{
-    checkpoint_files_present, degraded_output, CheckpointStore, DistributedConfig,
+    checkpoint_files_present, degraded_output, node_term, CheckpointStore, DistributedConfig,
     DistributedOutput, FileCheckpointStore, RankProgram, RecoveryConfig, RecoveryReport,
     SnapshotStore,
 };
-use infomap_graph::io;
 use infomap_graph::snapshot::{
-    read_header, shard_path, PageCacheConfig, SnapshotHeader, SnapshotStore as GraphSnapshotStore,
+    read_header, shard_path, write_shards, PageCacheConfig, SnapshotStore as GraphSnapshotStore,
 };
+use infomap_graph::{io, GraphStore};
 use infomap_mpisim::{Comm, CostModel, TransportFault};
 use infomap_transport_socket::{SocketConfig, SocketTransport};
+
+use crate::commands::write_assignments;
 
 /// Worker exit code for a structured transport failure (diagnostic JSON
 /// written). Anything else nonzero is an ordinary error.
@@ -83,13 +90,11 @@ pub struct LaunchOpts {
     /// Intra-rank worker threads per rank process (bit-identical for
     /// every value; see `DistributedConfig::threads`).
     pub threads: usize,
-    /// Out-of-core mode: read per-rank binary shards `shard-R.snap` from
-    /// this directory instead of parsing the `path` edge list. Each
-    /// worker touches only its own shard, so the global graph is never
-    /// materialized in any single process.
+    /// Read ready-made per-rank shards `shard-R.snap` from this directory
+    /// instead of parsing the `path` edge list and cutting them here.
     pub graph_shard_dir: Option<String>,
-    /// Shard mode: open the shard demand-paged over a block cache
-    /// instead of loading it eagerly (bit-identical either way).
+    /// Workers open their shard demand-paged over a block cache instead
+    /// of loading it eagerly (bit-identical either way, for both inputs).
     pub paged: bool,
     /// Paged mode: cache block size in bytes (0 = library default).
     pub block_bytes: usize,
@@ -102,7 +107,6 @@ pub struct LaunchOpts {
 pub struct WorkerOpts {
     pub rank: usize,
     pub procs: usize,
-    pub graph: String,
     pub seed: u64,
     pub dir: String,
     pub transport: TransportKind,
@@ -110,10 +114,9 @@ pub struct WorkerOpts {
     pub timeout_ms: u64,
     /// Intra-rank worker threads (forwarded from `launch --threads`).
     pub threads: usize,
-    /// Rank 0 writes `vertex community` lines here on success.
-    pub output: Option<String>,
-    /// Forwarded from `launch --graph-shard-dir` (replaces `graph`).
-    pub graph_shard_dir: Option<String>,
+    /// Directory holding this rank's `shard-R.snap`: the launcher's
+    /// `<dir>/shards`, or the user's `launch --graph-shard-dir`.
+    pub graph_shard_dir: String,
     /// Forwarded from `launch --paged`.
     pub paged: bool,
     /// Forwarded from `launch --block-bytes`.
@@ -172,24 +175,6 @@ fn setup_window(timeout_ms: u64) -> Duration {
     Duration::from_millis(timeout_ms.saturating_mul(4).max(4_000))
 }
 
-fn distributed_config(
-    procs: usize,
-    seed: u64,
-    checkpoint_every: usize,
-    threads: usize,
-) -> DistributedConfig {
-    DistributedConfig {
-        nranks: procs,
-        seed,
-        threads: threads.max(1),
-        recovery: RecoveryConfig {
-            checkpoint_every,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
 // ---------------------------------------------------------------------
 // Worker (`dinfomap _rank ...`)
 // ---------------------------------------------------------------------
@@ -212,36 +197,24 @@ enum WorkerFailure {
     Other(String),
 }
 
-/// What one worker clusters: the shared edge list, or its own binary
-/// shard (eager or demand-paged).
-enum WorkerGraph {
-    Edges(io::LoadedGraph),
-    Shard {
-        header: SnapshotHeader,
-        store: GraphSnapshotStore,
-    },
-}
-
 fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
     let dir = PathBuf::from(&o.dir);
-    let graph = match &o.graph_shard_dir {
-        Some(d) => {
-            let path = shard_path(Path::new(d), o.rank);
-            let header = read_header(&path).map_err(|e| {
-                WorkerFailure::Other(format!("cannot read {}: {e}", path.display()))
-            })?;
-            let cache = page_cache(o.paged, o.block_bytes, o.cache_blocks);
-            let store = GraphSnapshotStore::open(&path, cache).map_err(|e| {
-                WorkerFailure::Other(format!("cannot open {}: {e}", path.display()))
-            })?;
-            WorkerGraph::Shard { header, store }
-        }
-        None => WorkerGraph::Edges(
-            io::read_edge_list_file(&o.graph)
-                .map_err(|e| WorkerFailure::Other(format!("cannot read {}: {e}", o.graph)))?,
-        ),
+    // Checksummed on open: a missing, torn or bit-flipped shard ends the
+    // worker here with the named error.
+    let path = shard_path(Path::new(&o.graph_shard_dir), o.rank);
+    let cache = page_cache(o.paged, o.block_bytes, o.cache_blocks);
+    let graph = GraphSnapshotStore::open(&path, cache)
+        .map_err(|e| WorkerFailure::Other(format!("cannot open {}: {e}", path.display())))?;
+    let cfg = DistributedConfig {
+        nranks: o.procs,
+        seed: o.seed,
+        threads: o.threads.max(1),
+        recovery: RecoveryConfig {
+            checkpoint_every: o.checkpoint_every,
+            ..Default::default()
+        },
+        ..Default::default()
     };
-    let cfg = distributed_config(o.procs, o.seed, o.checkpoint_every, o.threads);
 
     // Durable checkpoints when enabled, so a relaunched world resumes;
     // the in-memory store otherwise (no files, bit-identical fast path).
@@ -274,16 +247,10 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
     }));
 
     let started = Instant::now();
-    // Shard preparation is itself collective (degrees, rebalance, and
-    // ghost discovery all cross ranks), so it runs inside the fault
-    // boundary; monolithic preparation is pure and rides along.
+    // Shard preparation is itself collective (degrees, rebalance, ghost
+    // discovery), so it runs inside the fault boundary.
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let program = match &graph {
-            WorkerGraph::Edges(loaded) => RankProgram::prepare(cfg, &loaded.graph),
-            WorkerGraph::Shard { header, store: g } => {
-                RankProgram::prepare_shard(cfg, header, g, &mut comm)
-            }
-        };
+        let program = RankProgram::prepare_shard(cfg, graph.header(), &graph, &mut comm);
         let done = program.run_rank(&mut comm, store);
         (program, done)
     }));
@@ -305,28 +272,12 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
                         .as_ref()
                         .map(FileCheckpointStore::bytes_written)
                         .unwrap_or_default(),
-                    degraded: false,
-                    failures: Vec::new(),
+                    ..Default::default()
                 };
                 let out =
                     program.assemble_output(modules, trace, codelength, vec![stats], recovery);
                 write_result(&dir, o, &out, wall)
                     .map_err(|e| WorkerFailure::Other(format!("write result: {e}")))?;
-                if let Some(out_path) = &o.output {
-                    match &graph {
-                        WorkerGraph::Edges(loaded) => {
-                            write_assignments(out_path, &out.modules, &loaded.original_ids)
-                                .map_err(WorkerFailure::Other)?;
-                        }
-                        // Snapshot rows are already keyed by global
-                        // vertex id, so the id map is the identity.
-                        WorkerGraph::Shard { header, .. } => {
-                            let ids: Vec<u64> = (0..header.global_vertices as u64).collect();
-                            write_assignments(out_path, &out.modules, &ids)
-                                .map_err(WorkerFailure::Other)?;
-                        }
-                    }
-                }
             }
             Ok(())
         }
@@ -349,17 +300,6 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
             Err(WorkerFailure::Transport)
         }
     }
-}
-
-fn write_assignments(path: &str, modules: &[u32], original_ids: &[u64]) -> Result<(), String> {
-    let mut w = std::io::BufWriter::new(
-        std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-    );
-    writeln!(w, "# vertex community").map_err(|e| e.to_string())?;
-    for (dense, &m) in modules.iter().enumerate() {
-        writeln!(w, "{} {}", original_ids[dense], m).map_err(|e| e.to_string())?;
-    }
-    Ok(())
 }
 
 /// Atomic (tmp + rename) so the launcher never reads a torn file.
@@ -463,69 +403,95 @@ fn json_string(s: &str) -> String {
 // Launcher (`dinfomap launch ...`)
 // ---------------------------------------------------------------------
 
-/// Validated launch input: the shared edge list (kept loaded for
-/// reporting and degraded assembly) or a directory of per-rank shards
-/// (only their headers are read launcher-side).
-enum LaunchSource {
-    Edges {
-        abs: String,
-        loaded: io::LoadedGraph,
-    },
-    Shards {
-        abs: String,
-        vertices: usize,
-        edges: usize,
-    },
+/// Validated launch input, as every worker sees it: a directory of
+/// per-rank shards — cut here from the one edge-list parse, or supplied
+/// with `--graph-shard-dir` (only the headers are read launcher-side).
+#[derive(Default)]
+struct LaunchSource {
+    shard_dir: PathBuf,
+    vertices: usize,
+    edges: usize,
+    /// `original_ids[dense]` of a parsed edge list; `None` for supplied
+    /// shards, whose rows are already keyed by the ids to report.
+    original_ids: Option<Vec<u64>>,
+    parse: Duration,
+    shard_write: Duration,
+    shard_bytes: u64,
 }
 
-fn resolve_source(o: &LaunchOpts) -> Result<LaunchSource, String> {
-    if let Some(d) = &o.graph_shard_dir {
-        let abs = std::fs::canonicalize(d)
-            .map_err(|e| format!("cannot resolve {d}: {e}"))?
-            .to_string_lossy()
-            .into_owned();
-        // Every rank's shard must exist and agree on the world shape
-        // before any process is forked.
-        let mut vertices = 0usize;
-        let mut edges = 0usize;
-        for rank in 0..o.procs {
-            let path = shard_path(Path::new(&abs), rank);
-            let h =
-                read_header(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            if h.nranks != o.procs || h.rank != rank {
-                return Err(format!(
-                    "{}: sharded for rank {}/{} but launching {} procs",
-                    path.display(),
-                    h.rank,
-                    h.nranks,
-                    o.procs
-                ));
-            }
-            vertices = h.global_vertices;
-            edges = h.global_edges;
+fn resolve_source(o: &LaunchOpts, dir: &Path) -> Result<LaunchSource, String> {
+    let mut source = LaunchSource::default();
+    let shard_dir = match &o.graph_shard_dir {
+        Some(d) => PathBuf::from(d),
+        None => {
+            // The one parse of the launch. Shards left in a reused `--dir`
+            // are never trusted: every rank's file is rewritten.
+            let begun = Instant::now();
+            let loaded = io::read_edge_list_file(&o.path)
+                .map_err(|e| format!("cannot read {}: {e}", o.path))?;
+            source.parse = begun.elapsed();
+            let begun = Instant::now();
+            let shard_dir = dir.join("shards");
+            let written = write_shards(&loaded.graph, o.procs, &shard_dir)
+                .map_err(|e| format!("cannot write shards under {}: {e}", shard_dir.display()))?;
+            source.shard_write = begun.elapsed();
+            source.shard_bytes = written
+                .iter()
+                .filter_map(|p| std::fs::metadata(p).ok())
+                .map(|m| m.len())
+                .sum();
+            source.original_ids = Some(loaded.original_ids);
+            shard_dir
         }
-        Ok(LaunchSource::Shards {
-            abs,
-            vertices,
-            edges,
-        })
-    } else {
-        let loaded =
-            io::read_edge_list_file(&o.path).map_err(|e| format!("cannot read {}: {e}", o.path))?;
-        let abs = std::fs::canonicalize(&o.path)
-            .map_err(|e| format!("cannot resolve {}: {e}", o.path))?
-            .to_string_lossy()
-            .into_owned();
-        Ok(LaunchSource::Edges { abs, loaded })
+    };
+    source.shard_dir = std::fs::canonicalize(&shard_dir)
+        .map_err(|e| format!("cannot resolve {}: {e}", shard_dir.display()))?;
+    // Every rank's shard must exist and agree on the world shape before
+    // any process is forked.
+    for rank in 0..o.procs {
+        let path = shard_path(&source.shard_dir, rank);
+        let h = read_header(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        if h.nranks != o.procs || h.rank != rank {
+            return Err(format!(
+                "{}: sharded for rank {}/{} but launching {} procs",
+                path.display(),
+                h.rank,
+                h.nranks,
+                o.procs
+            ));
+        }
+        source.vertices = h.global_vertices;
+        source.edges = h.global_edges;
     }
+    Ok(source)
+}
+
+/// One-module codelength and vertex count for degraded assembly: the
+/// shards' strength sections, folded as the workers' `prepare_shard` does.
+fn one_level_of_shards(shard_dir: &Path, procs: usize) -> Result<(f64, usize), String> {
+    let mut strengths = Vec::new();
+    let mut total_weight = 0.0;
+    for rank in 0..procs {
+        let path = shard_path(shard_dir, rank);
+        let shard = GraphSnapshotStore::open(&path, None)
+            .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+        let h = *shard.header();
+        strengths.resize(h.global_vertices, 0.0);
+        total_weight = h.global_weight;
+        for row in 0..h.rows {
+            let v = h.vertex_of_row(row);
+            strengths[v as usize] = shard.strength(v);
+        }
+    }
+    let one_level = -node_term(strengths.iter().copied(), total_weight);
+    Ok((one_level, strengths.len()))
 }
 
 pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
+    let started = Instant::now();
     if o.procs == 0 {
         return Err("launch: --procs must be >= 1".into());
     }
-    let source = resolve_source(&o)?;
-
     let (dir, ephemeral) = match &o.dir {
         Some(d) => (PathBuf::from(d), false),
         None => (
@@ -533,17 +499,15 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
             true,
         ),
     };
+    let source = resolve_source(&o, &dir)?;
     std::fs::create_dir_all(sock_dir(&dir)).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
 
-    let started = Instant::now();
-    let attempts_budget = o.max_retries + 1;
+    let world_started = Instant::now();
     let mut failures: Vec<String> = Vec::new();
-    let mut attempts = 0usize;
     let mut restores = 0usize;
-    let mut outcome: Result<(), String> = Err("never launched".into());
+    let mut completed = false;
 
-    for attempt in 0..attempts_budget {
-        attempts += 1;
+    for attempt in 0..=o.max_retries {
         // A relaunch restores only from a boundary every rank holds —
         // the same question each worker asks its store on entry. Files
         // alone (a rank killed before its first commit, a base with no
@@ -560,22 +524,22 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
             let _ = std::fs::remove_file(diag_path(&dir, r));
         }
         let kill = if attempt == 0 { o.kill_rank } else { None };
-        match run_world_once(&o, &dir, &source, kill) {
+        match run_world_once(&o, &dir, &source.shard_dir, kill) {
             Ok(()) => {
-                outcome = Ok(());
+                completed = true;
                 break;
             }
             Err(msg) => {
                 if !o.quiet {
                     eprintln!("attempt {}: {msg}", attempt + 1);
                 }
-                failures.push(msg.clone());
-                outcome = Err(msg);
+                failures.push(msg);
             }
         }
     }
 
-    let wall = started.elapsed();
+    let world = world_started.elapsed();
+    let attempts = failures.len() + usize::from(completed);
     let finish = |res: Result<(), String>| {
         if ephemeral && res.is_ok() {
             let _ = std::fs::remove_dir_all(&dir);
@@ -583,91 +547,85 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
         res
     };
 
-    match outcome {
-        Ok(()) => {
-            if !o.quiet {
-                let report = read_result_summary(&result_path(&dir))?;
-                let (vertices, edges) = match &source {
-                    LaunchSource::Edges { loaded, .. } => {
-                        (loaded.graph.num_vertices(), loaded.graph.num_edges())
-                    }
-                    LaunchSource::Shards {
-                        vertices, edges, ..
-                    } => (*vertices, *edges),
-                };
-                println!(
-                    "distributed Infomap over {} OS processes ({}): {vertices} vertices, {edges} edges",
-                    o.procs,
-                    match o.transport {
-                        TransportKind::Uds => "unix sockets".to_string(),
-                        TransportKind::Tcp { base_port } => format!("tcp 127.0.0.1:{base_port}+"),
-                    },
-                );
-                println!("  modules:    {}", report.num_modules);
-                println!("  codelength: {:.6} bits", report.codelength);
-                println!(
-                    "  wall time:  {:.1} ms total, {:.1} ms in the world (modeled {:.3} ms)",
-                    wall.as_secs_f64() * 1e3,
-                    report.wall_ms,
-                    report.modeled_ms
-                );
-                if attempts > 1 {
-                    println!("  recovery:   {attempts} attempt(s), {restores} restore(s)");
-                }
-            }
-            finish(Ok(()))
+    if completed {
+        let path = result_path(&dir);
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+        if let Some(out_path) = &o.output {
+            let modules = result_modules(&text)?;
+            write_assignments(out_path, &modules, source.original_ids.as_deref())?;
         }
-        Err(last) => {
-            // Retries exhausted. Degrade gracefully when checkpoints
-            // exist: assemble the best agreed clustering in-process.
-            // Degraded assembly re-prepares from the whole graph, which
-            // only the edge-list mode has in one place.
-            let ckpt = ckpt_dir(&dir);
-            let LaunchSource::Edges { loaded, .. } = &source else {
-                return finish(Err(format!(
-                    "launch failed after {attempts} attempt(s): {last} \
-                     (degraded assembly needs edge-list input, not --graph-shard-dir)"
-                )));
-            };
-            if o.checkpoint_every > 0 && checkpoint_files_present(&ckpt) {
-                let cfg = distributed_config(o.procs, o.seed, o.checkpoint_every, o.threads);
-                let program = RankProgram::prepare(cfg, &loaded.graph);
-                let store = FileCheckpointStore::open(&ckpt, o.procs, o.seed)
-                    .map_err(|e| format!("checkpoint store: {e}"))?;
-                let recovery = RecoveryReport {
-                    attempts,
-                    restores,
-                    checkpoints_committed: store.checkpoints_committed(),
-                    degraded: true,
-                    failures: failures.clone(),
-                    ..Default::default()
-                };
-                let out = degraded_output(
-                    &store,
-                    o.procs,
-                    program.one_level,
-                    program.original_n,
-                    Vec::new(),
-                    recovery,
-                );
-                if !o.quiet {
-                    println!(
-                        "degraded result after {attempts} attempt(s): {} modules, {:.6} bits (best checkpointed clustering)",
-                        out.num_modules(),
-                        out.codelength
-                    );
-                    println!("  last failure: {last}");
-                }
-                if let Some(out_path) = &o.output {
-                    write_assignments(out_path, &out.modules, &loaded.original_ids)?;
-                }
-                return finish(Ok(()));
+        if !o.quiet {
+            let report = result_summary(&text)?;
+            println!(
+                "distributed Infomap over {} OS processes ({}): {} vertices, {} edges",
+                o.procs,
+                match o.transport {
+                    TransportKind::Uds => "unix sockets".to_string(),
+                    TransportKind::Tcp { base_port } => format!("tcp 127.0.0.1:{base_port}+"),
+                },
+                source.vertices,
+                source.edges,
+            );
+            println!("  modules:    {}", report.num_modules);
+            println!("  codelength: {:.6} bits", report.codelength);
+            let ms = |d: Duration| d.as_secs_f64() * 1e3;
+            let total = started.elapsed();
+            println!(
+                "  wall time:  {:.1} ms total, {:.1} ms in the world (modeled {:.3} ms)",
+                ms(total),
+                report.wall_ms,
+                report.modeled_ms
+            );
+            println!(
+                "  launcher:   parse {:.1} ms, shard write {:.1} ms ({} bytes), \
+                 world {:.1} ms, other {:.1} ms",
+                ms(source.parse),
+                ms(source.shard_write),
+                source.shard_bytes,
+                ms(world),
+                ms(total.saturating_sub(source.parse + source.shard_write + world)),
+            );
+            if attempts > 1 {
+                println!("  recovery:   {attempts} attempt(s), {restores} restore(s)");
             }
-            finish(Err(format!(
-                "launch failed after {attempts} attempt(s): {last}"
-            )))
         }
+        return finish(Ok(()));
     }
+
+    // Retries exhausted. Degrade gracefully when checkpoints exist:
+    // assemble the best agreed clustering in-process.
+    let last = failures.last().expect("every attempt failed").clone();
+    let ckpt = ckpt_dir(&dir);
+    if o.checkpoint_every == 0 || !checkpoint_files_present(&ckpt) {
+        return finish(Err(format!(
+            "launch failed after {attempts} attempt(s): {last}"
+        )));
+    }
+    let (one_level, original_n) = one_level_of_shards(&source.shard_dir, o.procs)?;
+    let store = FileCheckpointStore::open(&ckpt, o.procs, o.seed)
+        .map_err(|e| format!("checkpoint store: {e}"))?;
+    let recovery = RecoveryReport {
+        attempts,
+        restores,
+        checkpoints_committed: store.checkpoints_committed(),
+        degraded: true,
+        failures,
+        ..Default::default()
+    };
+    let out = degraded_output(&store, o.procs, one_level, original_n, Vec::new(), recovery);
+    if !o.quiet {
+        println!(
+            "degraded result after {attempts} attempt(s): {} modules, {:.6} bits (best checkpointed clustering)",
+            out.num_modules(),
+            out.codelength
+        );
+        println!("  last failure: {last}");
+    }
+    if let Some(out_path) = &o.output {
+        write_assignments(out_path, &out.modules, source.original_ids.as_deref())?;
+    }
+    finish(Ok(()))
 }
 
 /// Spawn one world of `procs` workers and wait for it. `Ok` only when
@@ -675,34 +633,26 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
 fn run_world_once(
     o: &LaunchOpts,
     dir: &Path,
-    source: &LaunchSource,
+    shard_dir: &Path,
     kill: Option<(usize, u64)>,
 ) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut children = Vec::with_capacity(o.procs);
+    let mut children: Vec<Option<Child>> = Vec::with_capacity(o.procs);
     for rank in 0..o.procs {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("_rank")
             .arg("--rank")
             .arg(rank.to_string())
             .arg("--procs")
-            .arg(o.procs.to_string());
-        match source {
-            LaunchSource::Edges { abs, .. } => {
-                cmd.arg("--graph").arg(abs);
-            }
-            LaunchSource::Shards { abs, .. } => {
-                cmd.arg("--graph-shard-dir").arg(abs);
-                if o.paged {
-                    cmd.arg("--paged");
-                    if o.block_bytes > 0 {
-                        cmd.arg("--block-bytes").arg(o.block_bytes.to_string());
-                    }
-                    if o.cache_blocks > 0 {
-                        cmd.arg("--cache-blocks").arg(o.cache_blocks.to_string());
-                    }
-                }
-            }
+            .arg(o.procs.to_string())
+            .arg("--graph-shard-dir")
+            .arg(shard_dir);
+        if o.paged {
+            cmd.arg("--paged")
+                .arg("--block-bytes")
+                .arg(o.block_bytes.to_string())
+                .arg("--cache-blocks")
+                .arg(o.cache_blocks.to_string());
         }
         cmd.arg("--seed")
             .arg(o.seed.to_string())
@@ -718,13 +668,15 @@ fn run_world_once(
             cmd.arg("--transport").arg("tcp");
             cmd.arg("--base-port").arg(base_port.to_string());
         }
-        if rank == 0 {
-            if let Some(out) = &o.output {
-                cmd.arg("--output").arg(out);
+        match cmd.spawn() {
+            Ok(child) => children.push(Some(child)),
+            Err(e) => {
+                // Left alone, the ranks already running would sit in the
+                // socket directory the retry reuses until setup times out.
+                kill_and_reap(&mut children);
+                return Err(format!("spawn rank {rank}: {e}"));
             }
         }
-        let child = cmd.spawn().map_err(|e| format!("spawn rank {rank}: {e}"))?;
-        children.push(Some(child));
     }
 
     // Poll loop: supervise exits, fire the chaos kill, enforce a hang
@@ -771,11 +723,8 @@ fn run_world_once(
         }
         let over_grace = first_failure.is_some_and(|t| t.elapsed() > grace);
         if begun.elapsed() > watchdog || over_grace {
-            for slot in children.iter_mut() {
-                if let Some(child) = slot.as_mut() {
-                    let _ = child.kill();
-                }
-            }
+            // Reaped statuses stay readable: the next sweep collects them.
+            kill_and_reap(&mut children);
             if begun.elapsed() > watchdog {
                 return Err(format!(
                     "watchdog: world still running after {:?}; killed",
@@ -817,6 +766,15 @@ fn run_world_once(
     }
 }
 
+/// SIGKILL every child still held and wait for it, so no worker outlives
+/// the world it was spawned for.
+fn kill_and_reap(children: &mut [Option<Child>]) {
+    for child in children.iter_mut().flatten() {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
 /// The fields of `result.json` the launcher reports. Parsed with a
 /// purpose-built scanner — the file is machine-written by this same
 /// binary, so a `"key": value` scan is exact.
@@ -835,13 +793,12 @@ fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
-fn read_result_summary(path: &Path) -> Result<ResultSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let bits = json_field(&text, "codelength_bits")
+fn result_summary(text: &str) -> Result<ResultSummary, String> {
+    let bits = json_field(text, "codelength_bits")
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or("result.json: missing codelength_bits")?;
     let field = |key: &str| -> Result<f64, String> {
-        json_field(&text, key)
+        json_field(text, key)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| format!("result.json: missing {key}"))
     };
@@ -851,6 +808,21 @@ fn read_result_summary(path: &Path) -> Result<ResultSummary, String> {
         wall_ms: field("wall_ms")?,
         modeled_ms: field("modeled_ms")?,
     })
+}
+
+/// The `modules` array of `result.json`: the dense module of every
+/// vertex, in dense-id order.
+fn result_modules(text: &str) -> Result<Vec<u32>, String> {
+    let missing = "result.json: missing modules";
+    let (_, rest) = text.split_once("\"modules\": [").ok_or(missing)?;
+    let (list, _) = rest.split_once(']').ok_or(missing)?;
+    list.split(',')
+        .filter(|m| !m.is_empty())
+        .map(|m| {
+            m.parse()
+                .map_err(|_| format!("result.json: bad module {m:?}"))
+        })
+        .collect()
 }
 
 fn read_diag_summary(dir: &Path, rank: usize) -> Option<String> {
@@ -873,19 +845,42 @@ mod tests {
             json_field(text, "codelength_bits"),
             Some("4008000000000000")
         );
-        let s = read_result_summary_from(text).unwrap();
+        let s = result_summary(text).unwrap();
         assert_eq!(s.codelength, 3.0);
         assert_eq!(s.num_modules, 7);
+        assert_eq!(result_modules(text).unwrap(), [1, 2]);
+        assert!(result_modules("{\"modules\": [1,x]}").is_err());
+        assert!(result_modules("{}").is_err());
     }
 
-    fn read_result_summary_from(text: &str) -> Result<ResultSummary, String> {
-        let dir = std::env::temp_dir().join(format!("dinf-launch-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("result.json");
-        std::fs::write(&p, text).unwrap();
-        let r = read_result_summary(&p);
+    #[test]
+    fn kill_and_reap_leaves_no_child_running() {
+        let mut children: Vec<Option<Child>> = (0..3)
+            .map(|_| std::process::Command::new("sleep").arg("600").spawn().ok())
+            .collect();
+        assert!(children.iter().all(Option::is_some), "spawn sleep");
+        let begun = Instant::now();
+        kill_and_reap(&mut children);
+        assert!(
+            begun.elapsed() < Duration::from_secs(60),
+            "waited out a sleep"
+        );
+        for child in children.iter_mut().flatten() {
+            let status = child.try_wait().expect("try_wait").expect("reaped");
+            assert_eq!(status.code(), None, "killed by signal, not exited");
+        }
+    }
+
+    #[test]
+    fn one_level_of_shards_folds_in_global_vertex_order() {
+        let (g, _) = infomap_graph::generators::ring_of_cliques(5, 7, 3);
+        let dir = std::env::temp_dir().join(format!("dinf-launch-fold-{}", std::process::id()));
+        write_shards(&g, 3, &dir).unwrap();
+        let (one_level, n) = one_level_of_shards(&dir, 3).unwrap();
+        let whole = node_term((0..n as u32).map(|v| g.strength(v)), g.total_weight());
+        assert_eq!(n, g.num_vertices());
+        assert_eq!(one_level.to_bits(), (-whole).to_bits());
         let _ = std::fs::remove_dir_all(&dir);
-        r
     }
 
     #[test]

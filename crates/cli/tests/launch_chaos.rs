@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use infomap_distributed::{DistributedConfig, DistributedInfomap};
 use infomap_graph::generators::{lfr_like, LfrParams};
 use infomap_graph::io;
+use infomap_graph::snapshot::write_shards;
 
 const BIN: &str = env!("CARGO_BIN_EXE_dinfomap");
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -209,14 +210,28 @@ fn sigkill_without_checkpoints_names_the_dead_peer() {
 fn exhausted_retries_degrade_to_the_best_checkpoint() {
     let dir = tmpdir("degrade");
     let (_g, graph_path) = write_graph(&dir);
+    degrades_to_the_best_checkpoint(&dir, &[&graph_path]);
+}
+
+/// The same contract for supplied shards: the launcher folds the
+/// one-module codelength from the shards' strength sections, so degraded
+/// assembly needs no edge list.
+#[test]
+fn exhausted_retries_degrade_to_the_best_checkpoint_from_shards() {
+    let dir = tmpdir("degrade-shards");
+    let (g, _graph_path) = write_graph(&dir);
+    let shard_dir = dir.join("shards");
+    write_shards(&g, 3, &shard_dir).expect("write shards");
+    degrades_to_the_best_checkpoint(&dir, &["--graph-shard-dir", shard_dir.to_str().unwrap()]);
+}
+
+fn degrades_to_the_best_checkpoint(dir: &std::path::Path, input: &[&str]) {
     let out_path = dir.join("deg.txt");
     let rendezvous = dir.join("world");
     // Seed the rendezvous directory with durable checkpoints from a
     // fault-free run, so the degradation path is exercised regardless of
     // where in the (build-profile-dependent) timeline the kill lands.
-    let (ok, _stdout, stderr) = run_guarded(&[
-        "launch",
-        &graph_path,
+    let seeding = [
         "--procs",
         "3",
         "--seed",
@@ -228,13 +243,12 @@ fn exhausted_retries_degrade_to_the_best_checkpoint() {
         "--dir",
         rendezvous.to_str().unwrap(),
         "--quiet",
-    ]);
+    ];
+    let (ok, _stdout, stderr) = run_guarded(&[&["launch"], input, &seeding[..]].concat());
     assert!(ok, "checkpoint-seeding launch failed:\n{stderr}");
     // Zero retries but durable checkpoints: the launcher must fall back
     // to the agreed boundary and still produce a (marked) clustering.
-    let (ok, stdout, stderr) = run_guarded(&[
-        "launch",
-        &graph_path,
+    let killed = [
         "--procs",
         "3",
         "--seed",
@@ -257,7 +271,8 @@ fn exhausted_retries_degrade_to_the_best_checkpoint() {
         rendezvous.to_str().unwrap(),
         "--output",
         out_path.to_str().unwrap(),
-    ]);
+    ];
+    let (ok, stdout, stderr) = run_guarded(&[&["launch"], input, &killed[..]].concat());
     assert!(ok, "graceful degradation should exit 0:\n{stderr}");
     assert!(
         stdout.contains("degraded"),
@@ -269,7 +284,7 @@ fn exhausted_retries_degrade_to_the_best_checkpoint() {
         300,
         "degraded assignment must cover every vertex"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

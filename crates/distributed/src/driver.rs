@@ -215,6 +215,16 @@ impl DistributedInfomap {
     }
 }
 
+/// Σ plogp(p_v) over all vertices — the MDL's constant node term, whose
+/// negation is the one-module codelength — from the vertex strengths in
+/// global vertex order and the total edge weight `W`. One fold, one
+/// summation order: [`RankProgram::prepare`], [`RankProgram::prepare_shard`]
+/// and the launcher's degraded assembly must agree on it bit for bit.
+pub fn node_term(strengths: impl Iterator<Item = f64>, total_weight: f64) -> f64 {
+    let inv_two_w = 1.0 / (2.0 * total_weight);
+    strengths.map(|s| plogp(s * inv_two_w)).sum()
+}
+
 /// Everything the per-rank SPMD program needs besides its communicator and
 /// snapshot store: the partitioned input and the shared scalars derived
 /// from the graph. Prepared identically (and deterministically) by every
@@ -246,10 +256,10 @@ impl RankProgram {
         let p = cfg.nranks;
         let partition = Partition::delegate(graph, p, cfg.threshold, cfg.rebalance);
         let states = build_stage1_states(graph, &partition);
-        let inv_two_w = 1.0 / (2.0 * graph.total_weight());
-        let node_term: f64 = (0..graph.num_vertices() as VertexId)
-            .map(|v| plogp(graph.strength(v) * inv_two_w))
-            .sum();
+        let node_term = node_term(
+            (0..graph.num_vertices() as VertexId).map(|v| graph.strength(v)),
+            graph.total_weight(),
+        );
         RankProgram {
             cfg,
             delegates: partition.delegates.clone(),
@@ -394,7 +404,7 @@ impl RankProgram {
                 base += rows;
             }
             let inv_two_w = 1.0 / (2.0 * header.global_weight);
-            let node_term: f64 = strengths.iter().map(|&s| plogp(s * inv_two_w)).sum();
+            let node_term = node_term(strengths.iter().copied(), header.global_weight);
 
             let delegate_set: HashSet<u32> = delegates.iter().copied().collect();
             let st = assemble(
@@ -926,10 +936,10 @@ mod tests {
         let p = cfg.nranks;
         let partition = Partition::delegate(&g, p, cfg.threshold, cfg.rebalance);
         let states = build_stage1_states(&g, &partition);
-        let inv_two_w = 1.0 / (2.0 * g.total_weight());
-        let node_term: f64 = (0..g.num_vertices() as VertexId)
-            .map(|v| plogp(g.strength(v) * inv_two_w))
-            .sum();
+        let node_term = node_term(
+            (0..g.num_vertices() as VertexId).map(|v| g.strength(v)),
+            g.total_weight(),
+        );
         let delegates = partition.delegates.clone();
 
         // (rank, owned `(vertex, module)` pairs, ghost `(vertex, owner, module)` views)

@@ -67,7 +67,8 @@ pub use checkpoint::{
 };
 pub use config::{DistributedConfig, RecoveryConfig};
 pub use driver::{
-    degraded_output, DistributedInfomap, DistributedOutput, RankProgram, RecoveryReport, StageTrace,
+    degraded_output, node_term, DistributedInfomap, DistributedOutput, RankProgram, RecoveryReport,
+    StageTrace,
 };
 pub use rounds::{
     apply_local_move, best_local_move, find_best_modules, LocalCandidate, NeighborhoodScratch,
