@@ -34,6 +34,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use infomap_bench::{cost_model, env_seed, fmt_secs, Table};
+use infomap_distributed::rounds::MOVE_FRACTION_DENOM;
 use infomap_distributed::state::build_stage1_states;
 use infomap_distributed::{
     apply_local_move, best_local_move, find_best_modules, DistributedConfig, DistributedInfomap,
@@ -107,11 +108,13 @@ struct SweepMeasure {
 }
 
 /// Replay the stage-1 greedy sweep serially over the real rank states of
-/// `part`: the same subset gate, min-label alternation, kernel call, and
-/// move application as `find_best_modules`, minus communication and
-/// thread scheduling. Moves are applied so modules coalesce round over
-/// round exactly as in the driver's early stage-1 rounds, covering the
-/// singleton (k ≈ deg) regime as well as the coarsened one.
+/// `part`: the same subset gate, min-label schedule, kernel call, and
+/// move application as `find_best_modules`, minus communication, thread
+/// scheduling, merge-time re-validation and the active-set filter (every
+/// eligible vertex is swept: this measures the kernel, not the rounds).
+/// Moves are applied so modules coalesce round over round exactly as in
+/// the driver's early stage-1 rounds, covering the singleton (k ≈ deg)
+/// regime as well as the coarsened one.
 ///
 /// The partition decides which regime the kernel sees. Under 1D
 /// partitioning hubs keep their whole adjacency on the owner rank; under
@@ -119,8 +122,8 @@ struct SweepMeasure {
 /// every local degree is capped near `d_high`.
 fn kernel_sweep(g: &Graph, part: &Partition) -> SweepMeasure {
     const ROUNDS: usize = 6;
-    // DistributedConfig defaults: move_fraction_denom = 2, min_gain = 1e-10.
-    const SUBSET: u64 = 2;
+    // The driver's throttle, and DistributedConfig's default min_gain.
+    const SUBSET: u64 = MOVE_FRACTION_DENOM as u64;
     const MIN_GAIN: f64 = 1e-10;
     const REPS: usize = 2; // best-of-N to shed scheduler noise
 
@@ -140,7 +143,7 @@ fn kernel_sweep(g: &Graph, part: &Partition) -> SweepMeasure {
         let mut moves = 0u64;
         let t0 = Instant::now();
         for round in 0..ROUNDS {
-            let restrict_boundary = round % 2 == 0;
+            let restrict_boundary = (round as u64 / SUBSET).is_multiple_of(2);
             for (st, order) in states.iter_mut().zip(&orders) {
                 for &li in order {
                     // The driver's hashed 1/k eligibility gate, verbatim.

@@ -5,7 +5,7 @@ use std::path::Path;
 
 use infomap_baselines::{gossip_map, GossipConfig, RelaxMap, RelaxMapConfig};
 use infomap_core::sequential::{Infomap, InfomapConfig};
-use infomap_distributed::{DistributedConfig, DistributedInfomap, RecoveryConfig};
+use infomap_distributed::{DistributedConfig, DistributedInfomap, RecoveryConfig, StageTrace};
 use infomap_graph::datasets::DatasetId;
 use infomap_graph::generators::{lfr_like, streaming_lfr_edges, LfrParams};
 use infomap_graph::snapshot::{read_header, write_shards, write_snapshot, ShardSink};
@@ -104,6 +104,7 @@ fn cluster(
     let g = &loaded.graph;
     let started = std::time::Instant::now();
     let mut recovery_line = None;
+    let mut stages = None;
     let (name, modules, codelength): (&str, Vec<u32>, f64) = match algorithm {
         Algorithm::Sequential => {
             let r = Infomap::new(InfomapConfig {
@@ -142,6 +143,7 @@ fn cluster(
                     r.recovery.attempts, r.recovery.restores, r.recovery.checkpoints_committed
                 ));
             }
+            stages = Some(stages_line(trace_stages(&r.trace)));
             ("distributed Infomap", r.modules, r.codelength)
         }
         Algorithm::Gossip => {
@@ -153,6 +155,7 @@ fn cluster(
                     ..Default::default()
                 },
             );
+            stages = Some(stages_line(trace_stages(&r.trace)));
             ("GossipMap-like baseline", r.modules, r.codelength)
         }
     };
@@ -174,6 +177,9 @@ fn cluster(
         println!("  codelength: {codelength:.6} bits");
         println!("  modularity: {:.4}", modularity(g, &modules));
         println!("  wall time:  {elapsed:?}");
+        if let Some(line) = &stages {
+            println!("  stages:     {line}");
+        }
         if let Some(line) = &recovery_line {
             println!("  recovery:   {line}");
         }
@@ -186,6 +192,34 @@ fn cluster(
         }
     }
     Ok(())
+}
+
+/// `(stage, rounds, stop reason)` of every clustering stage of a run.
+pub(crate) fn trace_stages(trace: &[StageTrace]) -> impl Iterator<Item = (u8, usize, &str)> {
+    trace
+        .iter()
+        .map(|t| (t.stage, t.inner_iterations, t.stop.name()))
+}
+
+/// The `stages:` report line — how many rounds every clustering stage ran
+/// and why it stopped, merge levels of one stage comma-separated:
+/// `s1 40 (cap) | s2 14 (stalled), 5 (quiesced)`.
+pub(crate) fn stages_line<'a>(stages: impl Iterator<Item = (u8, usize, &'a str)>) -> String {
+    let mut line = String::new();
+    let mut current = None;
+    for (stage, rounds, stop) in stages {
+        if current == Some(stage) {
+            line.push_str(", ");
+        } else {
+            if current.is_some() {
+                line.push_str(" | ");
+            }
+            line.push_str(&format!("s{stage} "));
+            current = Some(stage);
+        }
+        line.push_str(&format!("{rounds} ({stop})"));
+    }
+    line
 }
 
 /// `vertex community` lines in dense-id order. `original_ids` maps a

@@ -54,7 +54,7 @@ use infomap_graph::{io, GraphStore};
 use infomap_mpisim::{Comm, CostModel, TransportFault};
 use infomap_transport_socket::{SocketConfig, SocketTransport};
 
-use crate::commands::write_assignments;
+use crate::commands::{stages_line, write_assignments};
 
 /// Worker exit code for a structured transport failure (diagnostic JSON
 /// written). Anything else nonzero is an ordinary error.
@@ -333,6 +333,22 @@ fn write_result(
     );
     let _ = writeln!(j, "  \"num_modules\": {},", out.num_modules());
     let _ = writeln!(j, "  \"total_moves\": {total_moves},");
+    j.push_str("  \"stages\": [");
+    for (i, t) in out.trace.iter().enumerate() {
+        if i > 0 {
+            j.push_str(", ");
+        }
+        let _ = write!(
+            j,
+            "{{\"stage\": {}, \"level\": {}, \"rounds\": {}, \"moves\": {}, \"stop\": \"{}\"}}",
+            t.stage,
+            t.level,
+            t.inner_iterations,
+            t.moves,
+            t.stop.name()
+        );
+    }
+    j.push_str("],\n");
     j.push_str("  \"mdl_series_bits\": [");
     for (i, b) in mdl_bits.iter().enumerate() {
         if i > 0 {
@@ -569,6 +585,7 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
             );
             println!("  modules:    {}", report.num_modules);
             println!("  codelength: {:.6} bits", report.codelength);
+            println!("  stages:     {}", stages_line(result_stages(&text)));
             let ms = |d: Duration| d.as_secs_f64() * 1e3;
             let total = started.elapsed();
             println!(
@@ -810,6 +827,22 @@ fn result_summary(text: &str) -> Result<ResultSummary, String> {
     })
 }
 
+/// `(stage, rounds, stop)` of every entry of the `stages` array of
+/// `result.json` (one flat object per clustering stage).
+fn result_stages(text: &str) -> impl Iterator<Item = (u8, usize, &str)> {
+    let list = text
+        .split_once("\"stages\": [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map_or("", |(list, _)| list);
+    list.split('}').filter_map(|stage| {
+        Some((
+            json_field(stage, "stage")?.parse().ok()?,
+            json_field(stage, "rounds")?.parse().ok()?,
+            json_field(stage, "stop")?,
+        ))
+    })
+}
+
 /// The `modules` array of `result.json`: the dense module of every
 /// vertex, in dense-id order.
 fn result_modules(text: &str) -> Result<Vec<u32>, String> {
@@ -838,7 +871,7 @@ mod tests {
 
     #[test]
     fn json_field_scanner_reads_machine_written_fields() {
-        let text = "{\n  \"schema\": \"x\",\n  \"codelength_bits\": \"4008000000000000\",\n  \"num_modules\": 7,\n  \"wall_ms\": 12.5,\n  \"modeled_ms\": 0.25,\n  \"modules\": [1,2]\n}\n";
+        let text = "{\n  \"schema\": \"x\",\n  \"codelength_bits\": \"4008000000000000\",\n  \"num_modules\": 7,\n  \"stages\": [{\"stage\": 1, \"level\": 0, \"rounds\": 40, \"moves\": 9, \"stop\": \"cap\"}, {\"stage\": 2, \"level\": 1, \"rounds\": 14, \"moves\": 3, \"stop\": \"stalled\"}, {\"stage\": 2, \"level\": 2, \"rounds\": 5, \"moves\": 0, \"stop\": \"quiesced\"}],\n  \"wall_ms\": 12.5,\n  \"modeled_ms\": 0.25,\n  \"modules\": [1,2]\n}\n";
         assert_eq!(json_field(text, "num_modules"), Some("7"));
         assert_eq!(json_field(text, "wall_ms"), Some("12.5"));
         assert_eq!(
@@ -849,6 +882,11 @@ mod tests {
         assert_eq!(s.codelength, 3.0);
         assert_eq!(s.num_modules, 7);
         assert_eq!(result_modules(text).unwrap(), [1, 2]);
+        assert_eq!(
+            stages_line(result_stages(text)),
+            "s1 40 (cap) | s2 14 (stalled), 5 (quiesced)"
+        );
+        assert_eq!(stages_line(result_stages("{}")), "");
         assert!(result_modules("{\"modules\": [1,x]}").is_err());
         assert!(result_modules("{}").is_err());
     }

@@ -31,8 +31,9 @@ use infomap_mpisim::{WireDecodeError, WirePayload};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
+use crate::codec::put_uvarint;
 use crate::driver::StageTrace;
-use crate::rounds::StageCursor;
+use crate::rounds::{StageCursor, StageStop};
 use crate::state::{LocalState, ModuleEntry, VertexKind};
 
 /// Global position of a snapshot: which stage, merge level and round the
@@ -104,7 +105,8 @@ impl SnapshotView<'_> {
     ///
     /// This prices, per record, what a round *delta* holds — assignments,
     /// the module tables of present slots and owned modules, the live
-    /// delta-sync contributions, the delegate map, the MDL series — plus
+    /// delta-sync contributions, the delegate maps, the active-set marks,
+    /// the MDL series — plus
     /// the carried `assign` pairs, which the file store writes once per
     /// (stage, level) in the stage base. It does not count the rest of the
     /// base (level topology, flows, boundary lists, trace), nor the
@@ -119,9 +121,11 @@ impl SnapshotView<'_> {
         // modules this rank has a live view of.
         let tables = (st.num_known_modules() + st.owned_modules.len()) as u64 * 28;
         let delta_bookkeeping = (st.num_active_contribs() + st.owner_sources.len()) as u64 * 28;
-        let delegate = self.delegate_assign.len() as u64 * 12;
+        let delegate = self.delegate_assign.len() as u64 * 12 + st.delegate_left.len() as u64 * 20;
         let carry = self.assign.len() as u64 * 8 + self.cursor.mdl_series.len() as u64 * 8;
-        assignments + tables + delta_bookkeeping + delegate + carry + 64
+        // Active-set marks: one byte per stamp until round 127.
+        let marks = (st.moved_at.len() + st.movable.len()) as u64;
+        assignments + tables + delta_bookkeeping + delegate + carry + marks + 64
     }
 
     /// The owned form (one clone of everything viewed).
@@ -297,7 +301,10 @@ impl SnapshotStore for CheckpointStore {
 //   ever announced. Absent slots hold `ModuleEntry::default()` and a zero
 //   contribution in the live state (`remove_module` and `sync_modules`
 //   keep that) and never-announced vertices hold `u64::MAX`, so decode
-//   rebuilds the dense tables exactly.
+//   rebuilds the dense tables exactly. Last come the election hysteresis
+//   records and the active-set marks: one LEB128 round stamp per local
+//   vertex (`moved_at`) and one per movable vertex (`swept_at`; a ghost is
+//   never swept, so its stamp stays 0).
 //
 // `RankSnapshot::encode` is the two sections back to back; the file store
 // writes the same two sections to separate files, the base once.
@@ -318,7 +325,7 @@ impl SnapshotStore for CheckpointStore {
 
 /// Format version of the serialized snapshot. Bumped on layout changes so
 /// a stale file fails loudly instead of decoding garbage.
-const SNAPSHOT_VERSION: u32 = 2;
+const SNAPSHOT_VERSION: u32 = 3;
 
 const CKPT_MAGIC: &[u8; 8] = b"DINFCKPT";
 
@@ -488,6 +495,7 @@ fn encode_trace(t: &StageTrace, out: &mut Vec<u8>) {
     t.inner_iterations.encode_into(out);
     t.moves.encode_into(out);
     t.mdl_series.encode_into(out);
+    (t.stop as u8).encode_into(out);
 }
 
 fn decode_trace(buf: &mut &[u8]) -> Result<StageTrace, WireDecodeError> {
@@ -501,6 +509,12 @@ fn decode_trace(buf: &mut &[u8]) -> Result<StageTrace, WireDecodeError> {
         inner_iterations: usize::decode_from(buf)?,
         moves: u64::decode_from(buf)?,
         mdl_series: Vec::decode_from(buf)?,
+        stop: match u8::decode_from(buf)? {
+            0 => StageStop::Quiesced,
+            1 => StageStop::Stalled,
+            2 => StageStop::Cap,
+            _ => return Err(corrupt("StageStop")),
+        },
     })
 }
 
@@ -629,6 +643,39 @@ fn encode_delta(v: &SnapshotView<'_>, base: &BaseRef, out: &mut Vec<u8>) {
         m.encode_into(out);
         ranks.encode_into(out);
     }
+    (st.delegate_left.len() as u64).encode_into(out);
+    for (&d, &left) in &st.delegate_left {
+        d.encode_into(out);
+        left.encode_into(out);
+    }
+    // Active-set marks: restored, not rebuilt — a resumed sweep must skip
+    // exactly the vertices the uninterrupted one skips. Only movable
+    // vertices are ever swept.
+    for &stamp in &st.moved_at {
+        put_uvarint(out, stamp as u64);
+    }
+    for &li in &st.movable {
+        put_uvarint(out, st.swept_at[li as usize] as u64);
+    }
+}
+
+/// One round stamp of the active-set marks: a LEB128 varint (a single byte
+/// up to round 126), read with the bounds the wire codec's reader leaves
+/// to its callers.
+fn decode_stamp(buf: &mut &[u8]) -> Result<u32, WireDecodeError> {
+    let mut stamp = 0u32;
+    for shift in (0..32).step_by(7) {
+        let (&byte, rest) = buf.split_first().ok_or(corrupt("snapshot round stamp"))?;
+        *buf = rest;
+        if shift == 28 && byte > 0x0f {
+            break; // past 32 bits
+        }
+        stamp |= ((byte & 0x7f) as u32) << shift;
+        if byte < 0x80 {
+            return Ok(stamp);
+        }
+    }
+    Err(corrupt("snapshot round stamp"))
 }
 
 /// Append `v`'s delta section against `base` to `out`.
@@ -762,6 +809,18 @@ fn decode_sections(
         let m = u64::decode_from(&mut buf)?;
         owner_subs.insert(m, Vec::decode_from(&mut buf)?);
     }
+    let left: Vec<(u32, (u64, f64))> = Vec::decode_from(&mut buf)?;
+    let delegate_left: BTreeMap<u32, (u64, f64)> = left.into_iter().collect();
+    let mut moved_at = vec![0u32; verts.len()];
+    for stamp in &mut moved_at {
+        *stamp = decode_stamp(&mut buf)?;
+    }
+    let mut swept_at = vec![0u32; verts.len()];
+    for &li in &movable {
+        *swept_at
+            .get_mut(li as usize)
+            .ok_or(corrupt("snapshot vertex index"))? = decode_stamp(&mut buf)?;
+    }
     if !buf.is_empty() {
         return Err(corrupt("snapshot delta trailing bytes"));
     }
@@ -815,6 +874,9 @@ fn decode_sections(
             last_contrib_active,
             owner_sources,
             owner_subs,
+            delegate_left,
+            moved_at,
+            swept_at,
         },
         cursor: StageCursor {
             next_round,
@@ -1308,6 +1370,9 @@ mod tests {
         let gone = st.module_gid(3);
         st.remove_module(gone);
         st.last_announced[0] = gone;
+        st.delegate_left.insert(9, (8, 0.015625));
+        st.moved_at[1] = rounds as u32;
+        st.swept_at[0] = rounds as u32 + 1;
         let mut rng = StdRng::seed_from_u64(stage_rng_seed(TEST_SEED, st.rank));
         let mut scratch = st.movable.clone();
         for _ in 0..rounds {
@@ -1343,6 +1408,7 @@ mod tests {
                 inner_iterations: 7,
                 moves: 99,
                 mdl_series: vec![6.0, 5.25],
+                stop: StageStop::Stalled,
             }],
             prev_mdl: 6.0,
             level_vertices: 40,
@@ -1407,6 +1473,13 @@ mod tests {
             assert_eq!(triple_bits(c), triple_bits(&b.owner_sources[k]), "{k:?}");
         }
         assert_eq!(a.owner_subs, b.owner_subs);
+        assert_eq!(a.delegate_left.len(), b.delegate_left.len());
+        for (d, (m, gain)) in &a.delegate_left {
+            let back = b.delegate_left[d];
+            assert_eq!((*m, gain.to_bits()), (back.0, back.1.to_bits()), "{d}");
+        }
+        assert_eq!(a.moved_at, b.moved_at);
+        assert_eq!(a.swept_at, b.swept_at);
 
         let (c, d) = (view.cursor, &back.cursor);
         assert_eq!(
@@ -1457,6 +1530,22 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(back.cursor.rng.next_u64(), original.next_u64());
         }
+    }
+
+    #[test]
+    fn round_stamps_roundtrip_and_refuse_what_is_not_one() {
+        for stamp in [0u32, 1, 40, 127, 128, 300, 1 << 21, u32::MAX] {
+            let mut bytes = Vec::new();
+            put_uvarint(&mut bytes, stamp as u64);
+            let mut buf = &bytes[..];
+            assert_eq!(decode_stamp(&mut buf).ok(), Some(stamp));
+            assert!(buf.is_empty());
+        }
+        assert!(decode_stamp(&mut &[][..]).is_err());
+        assert!(decode_stamp(&mut &[0x80][..]).is_err(), "unterminated");
+        let mut wide = Vec::new();
+        put_uvarint(&mut wide, 1 << 32);
+        assert!(decode_stamp(&mut &wide[..]).is_err(), "33 bits");
     }
 
     #[test]

@@ -33,19 +33,6 @@ pub struct DistributedConfig {
     /// Disabling degrades to the "naive swap" the paper's §3.4 argues
     /// against — the `ablation_swap` experiment.
     pub full_module_swap: bool,
-    /// Partial-parallelism guard: per round only a hashed `1/k` subset of
-    /// vertices may move (k = this denominator; 1 = everyone). Bounds the
-    /// number of vertices that simultaneously join one module on stale
-    /// statistics, which otherwise over-merges relative to the sequential
-    /// algorithm.
-    pub move_fraction_denom: u32,
-    /// Exact owner reductions of module statistics (and exact global MDL)
-    /// run every this-many rounds instead of every round. Between syncs,
-    /// module information travels by the paper's gossip (Algorithm 3)
-    /// only. The reduction has an O(p) hotspot at the owners of popular
-    /// modules, so syncing every round caps scalability; the paper's own
-    /// "Other" phase shrinks with p because it is purely local.
-    pub sync_interval: usize,
     /// Intra-rank worker threads for the local sweep (DESIGN.md §6 note
     /// 16). Each rank's eligible vertices are statically cut into this
     /// many arc-balanced slices, evaluated slice-parallel against the
@@ -96,8 +83,6 @@ impl Default for DistributedConfig {
             seed: 0,
             min_label_tiebreak: true,
             full_module_swap: true,
-            move_fraction_denom: 2,
-            sync_interval: 1,
             threads: 1,
             recovery: RecoveryConfig::default(),
         }

@@ -17,7 +17,7 @@ use crate::checkpoint::{
 use crate::codec;
 use crate::config::DistributedConfig;
 use crate::messages::{MergedArc, MergedFlow};
-use crate::rounds::{cluster_stage_recoverable, StageCursor, StageOutcome};
+use crate::rounds::{cluster_stage_recoverable, StageCursor, StageOutcome, StageStop};
 use crate::state::{assemble, build_1d_state, build_stage1_states, LocalState, VertexKind};
 
 /// Trace entry for one clustering stage at one merge level.
@@ -40,6 +40,8 @@ pub struct StageTrace {
     pub moves: u64,
     /// MDL after every synchronized round (index 0 = before any move).
     pub mdl_series: Vec<f64>,
+    /// Why the stage's round loop ended.
+    pub stop: StageStop,
 }
 
 /// Everything a distributed run produces.
@@ -754,6 +756,7 @@ fn push_trace(
         inner_iterations: s.inner_iterations,
         moves: s.total_moves,
         mdl_series: s.mdl_series.clone(),
+        stop: s.stop,
     });
 }
 

@@ -72,5 +72,5 @@ pub use driver::{
 };
 pub use rounds::{
     apply_local_move, best_local_move, find_best_modules, LocalCandidate, NeighborhoodScratch,
-    RoundBuffers,
+    RoundBuffers, StageStop,
 };

@@ -3,9 +3,11 @@
 //!
 //! Each inner round runs four metered phases, named as in Figure 8:
 //!
-//! 1. **FindBestModule** — every rank sweeps its movable vertices in random
-//!    order; owned low-degree vertices move immediately, delegate copies
-//!    only produce proposals.
+//! 1. **FindBestModule** — every rank sweeps the *active* part of its
+//!    movable vertices in random order: candidates are evaluated against
+//!    the frozen round-start state and re-validated at the sequential
+//!    merge; owned low-degree vertices move there, delegate copies only
+//!    produce proposals.
 //! 2. **BroadcastDelegates** — delegate proposals travel to the delegate's
 //!    owner rank (`delegate mod p`), which elects the proposal with the
 //!    minimal δL (minimum-label tie-break); only the winners are gathered
@@ -77,6 +79,31 @@ pub struct StageOutcome {
     pub mdl_series: Vec<f64>,
     /// Number of non-empty modules after the stage.
     pub num_modules: u64,
+    /// Why the round loop ended.
+    pub stop: StageStop,
+}
+
+/// Why a clustering stage stopped iterating.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StageStop {
+    /// No vertex moved for one full period of the round schedule.
+    Quiesced = 0,
+    /// Two consecutive syncs without an MDL improvement of `theta`, or a
+    /// whole schedule period that improved it by less than 0.4 %.
+    Stalled = 1,
+    /// `max_inner_iterations` rounds ran out first.
+    Cap = 2,
+}
+
+impl StageStop {
+    /// The lower-case name reports and `result.json` print.
+    pub fn name(self) -> &'static str {
+        match self {
+            StageStop::Quiesced => "quiesced",
+            StageStop::Stalled => "stalled",
+            StageStop::Cap => "cap",
+        }
+    }
 }
 
 /// Tag base of the boundary packet (updates + infos, one message per
@@ -92,8 +119,6 @@ pub type NeighborhoodScratch = StampedSlotMap<(f64, bool)>;
 /// payloads handed to the communicator.
 #[derive(Debug)]
 pub struct RoundBuffers {
-    /// Stamped accumulator of [`best_local_move`].
-    pub neigh: NeighborhoodScratch,
     /// Shuffled sweep order.
     order: Vec<u32>,
     /// Delegate election: delegate id → index into the owner's received
@@ -134,6 +159,12 @@ pub struct RoundBuffers {
     cuts: Vec<usize>,
     /// Per-worker evaluation scratch, grown on demand to `cfg.threads`.
     slices: Vec<SliceScratch>,
+    /// Module slots a merged move of the current round has already changed
+    /// (its source and its target) — the re-validation trigger.
+    merged: StampedSlotMap<()>,
+    /// Candidates of the most recent sweep that were (re-evaluated at the
+    /// merge, dropped there).
+    revalidated: (u64, u64),
 }
 
 /// One worker thread's private evaluation scratch: its own stamped
@@ -156,7 +187,6 @@ pub struct SliceScratch {
 impl RoundBuffers {
     pub fn new(nranks: usize) -> Self {
         RoundBuffers {
-            neigh: NeighborhoodScratch::new(),
             order: Vec::new(),
             elected: BTreeMap::new(),
             winners: Vec::new(),
@@ -175,7 +205,17 @@ impl RoundBuffers {
             eligible: Vec::new(),
             cuts: Vec::new(),
             slices: Vec::new(),
+            merged: StampedSlotMap::new(),
+            revalidated: (0, 0),
         }
+    }
+
+    /// Vertices the most recent sweep evaluated (its hash class ∩ the
+    /// active set), and how many of their candidates the merge had to
+    /// re-evaluate and then dropped — convergence introspection for tests
+    /// and harnesses.
+    pub fn last_sweep(&self) -> (usize, u64, u64) {
+        (self.eligible.len(), self.revalidated.0, self.revalidated.1)
     }
 
     /// Arcs scanned by each slice of the most recent sweep, in slice
@@ -387,25 +427,92 @@ fn eval_slice(
         // call) is deterministic despite `sort_unstable`.
         walk.sort_unstable_by_key(|&(li, _)| li);
         for &(li, pos) in walk.iter() {
-            *arcs += st.adj_off[li as usize + 1] as u64 - st.adj_off[li as usize] as u64;
+            *arcs += arc_span(st, li);
             out[pos as usize] = best_local_move(st, li, cfg.min_gain, restrict_boundary, neigh);
         }
     }
 }
 
+/// The hashed eligibility throttle: per round only the vertices of one of
+/// this many hash classes may move, which bounds how many vertices join
+/// one module on the same stale statistics — without it the synchronous
+/// sweep over-merges relative to the sequential algorithm. A constant, not
+/// a knob, so the period of the round schedule below is a compile-time
+/// fact. Measured on top of that schedule and merge-time re-validation
+/// (ISSUE 19): `= 1` (everyone, every round) doubles the per-round work
+/// without saving a round — `flat_cluster` 1.7–2.0 s per graph against
+/// 1.1–1.2 s, hub stage 1 at the round cap on 5 of 6 graphs.
+pub const MOVE_FRACTION_DENOM: usize = 2;
+
+/// May vertex `v` move on `round`? Each of the [`MOVE_FRACTION_DENOM`]
+/// hash classes of vertex ids gets every `MOVE_FRACTION_DENOM`-th round.
+fn eligible_on(v: u32, round: usize) -> bool {
+    let hash = (v as u64).wrapping_mul(0x9e3779b97f4a7c15) >> 32;
+    hash.wrapping_add(round as u64)
+        .is_multiple_of(MOVE_FRACTION_DENOM as u64)
+}
+
+/// Do boundary moves obey the minimum-label rule (§3.4) on `round`?
+///
+/// Restricted toward smaller labels, at most one direction of a symmetric
+/// swap pair (u → M(v) while v → M(u)) is admissible, which breaks the
+/// bouncing cycle; unrestricted, a vertex separated from its community by
+/// a larger label can still rejoin it. The restriction flips only after
+/// every hash class has had its turn, so each class alternates restricted
+/// and unrestricted passes: four phases, one schedule. It must not flip
+/// every round — `round % 2` is also the parity of [`eligible_on`], so one
+/// class was then evaluated *only* restricted and the other *never*, and
+/// two never-restricted neighbors on different ranks swapped modules every
+/// time they were eligible, up to the round cap.
+fn restricts_boundary(cfg: &DistributedConfig, round: usize) -> bool {
+    cfg.min_label_tiebreak && (round / MOVE_FRACTION_DENOM).is_multiple_of(2)
+}
+
+/// Rounds after which the schedule repeats — the window without a move
+/// that means the stage has quiesced, never restricted rounds alone.
+fn schedule_period(cfg: &DistributedConfig) -> usize {
+    if cfg.min_label_tiebreak {
+        2 * MOVE_FRACTION_DENOM
+    } else {
+        MOVE_FRACTION_DENOM
+    }
+}
+
+/// A stage is stalled once a whole schedule period — every vertex has had
+/// its restricted and its unrestricted turn — improved the MDL by less than
+/// this fraction of it. `theta` is an absolute 1e-10 that the noise of
+/// one-round-stale boundary moves never gets under: without a relative bar
+/// the stage-1 tail trades a handful of vertices for 0.02–0.1 % per round
+/// until the round cap (measured on LFR n = 3 000, p = 4: 3 of 10 seeded
+/// runs at the cap without it; with it none of 20, 22–34 rounds, the same
+/// 0.3–1.2 % above sequential).
+const STALL_PERIOD_GAIN: f64 = 4e-3;
+
+/// Arcs stored for local vertex `li`.
+fn arc_span(st: &LocalState, li: u32) -> u64 {
+    (st.adj_off[li as usize + 1] - st.adj_off[li as usize]) as u64
+}
+
 /// Phase 1: the greedy sweep. Returns (owned moves, arcs scanned, delegate
 /// proposals).
 ///
-/// Two-phase, slice-parallel (DESIGN.md §6 note 16): the shuffled eligible
-/// order is cut into `cfg.threads` contiguous arc-balanced slices, every
-/// slice is *evaluated* against the frozen round-start state (pure reads,
-/// one worker per slice), and then the candidates are *merged* — applied
-/// or turned into proposals — sequentially in the one global shuffled
-/// order, which is exactly the concatenation of the slices. The shuffle,
-/// the eligibility gate, and the merge order are all independent of the
-/// thread count, and each eligible vertex appears exactly once per round,
-/// so MDL series, moves, and assignments are bit-identical for every
-/// `threads` value (including 1, which skips the thread scope entirely).
+/// Evaluate → re-validate at merge → sweep only the active set (DESIGN.md
+/// §6 note 16). The shuffled order is filtered down to the round's hash
+/// class ([`eligible_on`]) and, within it, to the vertices that can have a
+/// new answer ([`LocalState::is_active`]); that sequence is cut into
+/// `cfg.threads` contiguous arc-balanced slices and every slice is
+/// *evaluated* against the frozen round-start state (pure reads, one
+/// worker per slice). The candidates are then *merged* — applied or turned
+/// into proposals — sequentially in the one global shuffled order, which
+/// is exactly the concatenation of the slices. A candidate whose source or
+/// target module an earlier merged move of this round already changed was
+/// computed from statistics that no longer hold, so it is re-evaluated
+/// against the live state and dropped when nothing admissible remains:
+/// two same-rank neighbors that each chose the other's module are merged
+/// once, not swapped. The shuffle, both filters and the merge order are all
+/// independent of the thread count, so MDL series, moves and assignments
+/// are bit-identical for every `threads` value (including 1, which skips
+/// the thread scope entirely).
 ///
 /// Public (with the kernels) for the `perf_kernels` thread-sweep harness.
 pub fn find_best_modules(
@@ -415,36 +522,18 @@ pub fn find_best_modules(
     bufs: &mut RoundBuffers,
     round: usize,
 ) -> (u64, u64, Vec<DelegateProposal>) {
-    // Anti-bouncing (§3.4): on even rounds, boundary moves (targets
-    // discovered through ghost arcs) are restricted toward smaller labels,
-    // so of any symmetric swap pair (u -> M(v) while v -> M(u)) at most one
-    // direction is admissible and the bouncing cycle is broken every other
-    // round. Odd rounds are unrestricted so a vertex separated from its
-    // community by a larger label can still rejoin it. Combined with the
-    // hashed eligibility subset below, persistent oscillation cannot
-    // survive two consecutive rounds.
-    let restrict_boundary = cfg.min_label_tiebreak && round.is_multiple_of(2);
-    let subset = cfg.move_fraction_denom.max(1) as u64;
+    let restrict_boundary = restricts_boundary(cfg, round);
     bufs.order.clear();
     bufs.order.extend_from_slice(&st.movable);
     bufs.order.shuffle(rng);
 
-    // Eligibility prefilter, identical for every thread count. Partial
-    // parallelism: only a hashed 1/k subset of the vertices is eligible
-    // per round, which bounds how many simultaneous joiners a module can
-    // receive on stale statistics (over-merging guard).
+    // Eligibility prefilter, identical for every thread count: the round's
+    // hash class, then the active set.
     bufs.eligible.clear();
-    for idx in 0..bufs.order.len() {
-        let li = bufs.order[idx];
-        let v = st.verts[li as usize] as u64;
-        if subset > 1
-            && !(v.wrapping_mul(0x9e3779b97f4a7c15) >> 32)
-                .wrapping_add(round as u64)
-                .is_multiple_of(subset)
-        {
-            continue;
+    for &li in &bufs.order {
+        if eligible_on(st.verts[li as usize], round) && st.is_active(li) {
+            bufs.eligible.push(li);
         }
-        bufs.eligible.push(li);
     }
 
     // Arc-balanced contiguous cuts: slice s ends at the first prefix where
@@ -452,15 +541,14 @@ pub fn find_best_modules(
     // the other workers idle. Cut *placement* varies with t; results don't,
     // because evaluation is pure and the merge replays the concatenation.
     let t = cfg.threads.max(1);
-    let span = |li: u32| st.adj_off[li as usize + 1] as u64 - st.adj_off[li as usize] as u64;
-    let total_arcs: u64 = bufs.eligible.iter().map(|&li| span(li)).sum();
+    let total_arcs: u64 = bufs.eligible.iter().map(|&li| arc_span(st, li)).sum();
     bufs.cuts.clear();
     bufs.cuts.push(0);
     if total_arcs > 0 {
         let mut prefix = 0u64;
         let mut s = 1u64;
         for (i, &li) in bufs.eligible.iter().enumerate() {
-            prefix += span(li);
+            prefix += arc_span(st, li);
             while s < t as u64 && prefix * t as u64 >= s * total_arcs {
                 bufs.cuts.push(i + 1);
                 s += 1;
@@ -501,16 +589,35 @@ pub fn find_best_modules(
     // global shuffled order, so this sequential fold of moves (and of the
     // arc counters) is the same commutative-safe, rank-order walk for
     // every t.
+    let tick = round as u32 + 1;
     let mut owned_moves = 0u64;
     let mut arcs_scanned = 0u64;
     let mut proposals: Vec<DelegateProposal> = Vec::new();
+    bufs.merged.begin(st.num_module_slots());
+    bufs.revalidated = (0, 0);
     for s in 0..t {
         arcs_scanned += bufs.slices[s].arcs;
         for (i, idx) in (bufs.cuts[s]..bufs.cuts[s + 1]).enumerate() {
             let li = bufs.eligible[idx];
-            let Some(cand) = bufs.slices[s].out[i] else {
+            if !restrict_boundary {
+                st.swept_at[li as usize] = tick;
+            }
+            let Some(mut cand) = bufs.slices[s].out[i] else {
                 continue;
             };
+            let from_slot = st.module_of[li as usize];
+            if bufs.merged.is_touched(from_slot) || bufs.merged.is_touched(cand.to_slot) {
+                bufs.revalidated.0 += 1;
+                arcs_scanned += arc_span(st, li);
+                // Evaluation is over: slice 0's accumulator is free.
+                let neigh = &mut bufs.slices[0].neigh;
+                let Some(live) = best_local_move(st, li, cfg.min_gain, restrict_boundary, neigh)
+                else {
+                    bufs.revalidated.1 += 1;
+                    continue;
+                };
+                cand = live;
+            }
             if st.is_delegate(li) {
                 // Read the target's statistics at merge time (sequential,
                 // t-invariant), so proposals see earlier owned moves of
@@ -532,6 +639,9 @@ pub fn find_best_modules(
                 });
             } else {
                 apply_local_move(st, li, &cand);
+                st.moved_at[li as usize] = tick;
+                bufs.merged.update(from_slot, |_| {});
+                bufs.merged.update(cand.to_slot, |_| {});
                 owned_moves += 1;
             }
         }
@@ -571,6 +681,7 @@ fn apply_winner(
     st: &mut LocalState,
     p: &DelegateProposal,
     delegate_assign: &mut BTreeMap<u32, u64>,
+    tick: u32,
 ) {
     delegate_assign.insert(p.delegate, p.to_module);
     if let Some(&li) = st.index.get(&p.delegate) {
@@ -610,7 +721,7 @@ fn apply_winner(
         // One logical relaxation per stored arc (the flow recompute
         // above) — the degree comes from the CSR offsets; re-walking
         // the adjacency just to count it was the old code's bug.
-        comm.add_work(st.adj_off[li as usize + 1] as u64 - st.adj_off[li as usize] as u64);
+        comm.add_work(arc_span(st, li));
         let cand = LocalCandidate {
             to_slot,
             delta: p.delta,
@@ -618,7 +729,28 @@ fn apply_winner(
             flow_to_target,
         };
         apply_local_move(st, li, &cand);
+        st.moved_at[li as usize] = tick;
     }
+}
+
+/// Election hysteresis. Every winner speaks for its whole hub on the
+/// strength of one rank's share of it, and no rank sees a whole hub to
+/// check it against: two shares that disagree would send the hub back and
+/// forth on every turn, and its owned neighbors after it. So a winner that
+/// returns a hub to the module it last left must out-gain that departure,
+/// or it is dropped (the delegate is swept again on its next turn). An
+/// admitted winner records the module it leaves, `from`, and its gain in
+/// `left` ([`LocalState::delegate_left`], replicated — every rank admits
+/// the same winners).
+fn admit_winner(left: &mut BTreeMap<u32, (u64, f64)>, w: &DelegateProposal, from: u64) -> bool {
+    let gain = -w.delta;
+    let undoes =
+        |&(module, departure_gain): &(u64, f64)| module == w.to_module && gain <= departure_gain;
+    if left.get(&w.delegate).is_some_and(undoes) {
+        return false;
+    }
+    left.insert(w.delegate, (from, gain));
+    true
 }
 
 /// Phase 2: owner-reduced election. Proposals travel once, to the
@@ -644,6 +776,7 @@ fn broadcast_delegates(
     owned_moves: u64,
     delegate_assign: &mut BTreeMap<u32, u64>,
     bufs: &mut RoundBuffers,
+    tick: u32,
 ) -> (u64, u64) {
     let p = st.nranks;
     for bucket in bufs.prop_out.iter_mut() {
@@ -718,8 +851,10 @@ fn broadcast_delegates(
     winners.sort_by_key(|w| w.delegate);
     let mut moved = 0u64;
     for w in &winners {
-        moved += 1;
-        apply_winner(comm, st, w, delegate_assign);
+        if admit_winner(&mut st.delegate_left, w, delegate_assign[&w.delegate]) {
+            moved += 1;
+            apply_winner(comm, st, w, delegate_assign, tick);
+        }
     }
     (moved, global_moves)
 }
@@ -728,14 +863,16 @@ fn broadcast_delegates(
 /// static neighbor ranks (Algorithm 3).
 ///
 /// A destination's updates and infos fuse into one delta/varint-encoded
-/// packet: one message per neighbor per round.
+/// packet: one message per neighbor per round. `tick` (`round + 1`) tags
+/// the packets and stamps the ghosts an update actually changed.
 fn swap_boundary_info(
     comm: &mut Comm,
     st: &mut LocalState,
     full_swap: bool,
-    round: u64,
+    tick: u32,
     bufs: &mut RoundBuffers,
 ) {
+    let tag = TAG_BOUNDARY_PACKET + tick as u64 * 16;
     // Build per-destination updates into the persistent staging buckets.
     // `sent_to` marks modules already included for a destination this
     // round, so a module shared by several boundary vertices travels once
@@ -788,11 +925,11 @@ fn swap_boundary_info(
             }
             comm.add_codec_bytes(buf.len() as u64);
         }
-        comm.send(dest, TAG_BOUNDARY_PACKET + round * 16, buf);
+        comm.send(dest, tag, buf);
     }
     for i in 0..st.providers.len() {
         let src = st.providers[i];
-        let buf: Vec<u8> = comm.recv(src, TAG_BOUNDARY_PACKET + round * 16);
+        let buf: Vec<u8> = comm.recv(src, tag);
         let (ups, infos) = if buf.is_empty() {
             (Vec::new(), Vec::new())
         } else {
@@ -809,7 +946,12 @@ fn swap_boundary_info(
         for u in ups {
             if let Some(&li) = st.index.get(&u.vertex) {
                 let s = st.intern_module(u.module);
-                st.module_of[li as usize] = s;
+                // A first announcement repeats the singleton the ghost
+                // already holds; only a real change wakes its neighbors.
+                if st.module_of[li as usize] != s {
+                    st.module_of[li as usize] = s;
+                    st.moved_at[li as usize] = tick;
+                }
             }
             comm.add_work(1);
         }
@@ -1296,11 +1438,12 @@ pub fn cluster_stage_recoverable(
             start_round = 0;
         }
     }
-    let sync_interval = cfg.sync_interval.max(1);
-    let cycle = cfg.move_fraction_denom.max(1) as usize;
+    let cycle = schedule_period(cfg);
+    let mut stop = StageStop::Cap;
 
     for round in start_round..cfg.max_inner_iterations {
         inner += 1;
+        let tick = round as u32 + 1;
         let (owned_moves, proposals) = comm.phase(&ph("FindBestModule"), |c| {
             let (moves, arcs_scanned, proposals) =
                 find_best_modules(st, cfg, &mut rng, &mut bufs, round);
@@ -1310,7 +1453,15 @@ pub fn cluster_stage_recoverable(
 
         let (delegate_moves, global_owned) = comm.phase(&ph("BroadcastDelegates"), |c| {
             if has_delegates {
-                broadcast_delegates(c, st, proposals, owned_moves, delegate_assign, &mut bufs)
+                broadcast_delegates(
+                    c,
+                    st,
+                    proposals,
+                    owned_moves,
+                    delegate_assign,
+                    &mut bufs,
+                    tick,
+                )
             } else {
                 // No delegates anywhere: nothing to elect, nothing to send.
                 (0, 0)
@@ -1318,7 +1469,7 @@ pub fn cluster_stage_recoverable(
         });
 
         comm.phase(&ph("SwapBoundaryInfo"), |c| {
-            swap_boundary_info(c, st, cfg.full_module_swap, round as u64 + 1, &mut bufs)
+            swap_boundary_info(c, st, cfg.full_module_swap, tick, &mut bufs)
         });
 
         let round_moves = comm.phase(&ph("Other"), |c| {
@@ -1334,39 +1485,42 @@ pub fn cluster_stage_recoverable(
         });
         total_moves += round_moves;
 
-        // With partial parallelism a single quiet round can simply mean
-        // the eligible subset had nothing to do; only a full mask cycle of
+        // A quiet round can simply mean the round's hash class had nothing
+        // to do under the round's rule; only a full schedule period of
         // quiet rounds means the stage converged.
         if round_moves == 0 {
             quiet_rounds += 1;
         } else {
             quiet_rounds = 0;
         }
-        let quiesced = quiet_rounds >= cycle;
 
-        // Exact owner reduction (and exact global MDL) every
-        // `sync_interval` rounds and at convergence; between syncs, module
-        // information travels by the gossip of Algorithm 3 only, keeping
-        // the per-round "Other" cost local, as in the paper.
-        let due = (round + 1) % sync_interval == 0;
-        if due || quiesced || round + 1 == cfg.max_inner_iterations {
-            let (new_mdl, new_nmod) = comm.phase(&ph("Other"), |c| {
-                sync_modules(c, st, node_term, cfg.full_module_swap, &mut bufs)
-            });
-            mdl_series.push(new_mdl);
-            let improved = mdl - new_mdl;
-            mdl = new_mdl;
-            nmod = new_nmod;
-            if improved < cfg.theta {
-                stalled_syncs += 1;
-            } else {
-                stalled_syncs = 0;
-            }
-            // Anti-bouncing safety valve: two consecutive syncs without
-            // MDL improvement end the stage (the merge consolidates).
-            if quiesced || stalled_syncs >= 2 {
-                break;
-            }
+        // Exact owner reduction (and exact global MDL) every round.
+        let (new_mdl, new_nmod) = comm.phase(&ph("Other"), |c| {
+            sync_modules(c, st, node_term, cfg.full_module_swap, &mut bufs)
+        });
+        mdl_series.push(new_mdl);
+        let improved = mdl - new_mdl;
+        mdl = new_mdl;
+        nmod = new_nmod;
+        if improved < cfg.theta {
+            stalled_syncs += 1;
+        } else {
+            stalled_syncs = 0;
+        }
+        if quiet_rounds >= cycle {
+            stop = StageStop::Quiesced;
+            break;
+        }
+        // Two consecutive syncs without MDL improvement end the stage, and
+        // so does a whole schedule period that gained next to nothing (the
+        // merge consolidates either way).
+        let period_gain = mdl_series
+            .len()
+            .checked_sub(cycle + 1)
+            .map(|then| mdl_series[then] - mdl);
+        if stalled_syncs >= 2 || period_gain.is_some_and(|g| g < STALL_PERIOD_GAIN * mdl.abs()) {
+            stop = StageStop::Stalled;
+            break;
         }
 
         // Round-boundary checkpoint: only at boundaries the stage will
@@ -1404,6 +1558,7 @@ pub fn cluster_stage_recoverable(
         mdl,
         mdl_series,
         num_modules: nmod,
+        stop,
     }
 }
 
@@ -1527,6 +1682,228 @@ mod tests {
         let stray = delta_codelength(0.5, &from, &elsewhere, 0.1, 0.1, 0.0, 0.0);
         assert!(join < stray, "join {join} should beat stray {stray}");
         assert!(join < 0.0, "joining a connected module should gain: {join}");
+    }
+
+    /// The smallest `u < v` with `u % p == rank_u`, `v % p == rank_v` whose
+    /// hash classes both get `round`.
+    fn pair_eligible_on(round: usize, p: u32, rank_u: u32, rank_v: u32) -> (u32, u32) {
+        let mut found = (0u32..).filter(|&x| eligible_on(x, round));
+        let u = found.find(|x| x % p == rank_u).unwrap();
+        let v = found.find(|x| x % p == rank_v).unwrap();
+        (u, v)
+    }
+
+    /// What an owner reduction establishes while `u` and `v` sit in two
+    /// one-member modules: each carries half the flow, all of it exiting.
+    fn sync_two_singletons(st: &mut LocalState, u: u32, v: u32) {
+        for gid in [u as u64, v as u64] {
+            st.set_module(
+                gid,
+                ModuleEntry {
+                    flow: 0.5,
+                    exit: 0.5,
+                    members: 1,
+                },
+            );
+        }
+        st.sum_exit = 1.0;
+    }
+
+    /// The stage-1 states of a graph whose only edge is `u`–`v`, 1D over
+    /// two ranks, as the first sync leaves them.
+    fn lone_edge_states(u: u32, v: u32) -> (infomap_graph::Graph, Vec<LocalState>) {
+        let g = infomap_graph::Graph::from_edges(v as usize + 1, &[(u, v, 1.0)]);
+        let partition = Partition::delegate(&g, 2, DelegateThreshold::Fixed(1000), false);
+        let mut states = build_stage1_states(&g, &partition);
+        for st in &mut states {
+            sync_two_singletons(st, u, v);
+        }
+        (g, states)
+    }
+
+    #[test]
+    fn cross_rank_swap_pair_settles_within_one_schedule_period() {
+        // u on rank 0 and v on rank 1, adjacent, each a singleton that
+        // prefers the other's module, both in the hash class that gets the
+        // odd rounds — the class `round % 2` never restricted.
+        let (u, v) = pair_eligible_on(1, 2, 0, 1);
+        let (g, states) = lone_edge_states(u, v);
+        let cfg = DistributedConfig {
+            nranks: 2,
+            ..Default::default()
+        };
+        assert!(restricts_boundary(&cfg, 1) && !restricts_boundary(&cfg, 3));
+
+        // Unrestricted on both ranks at once, the pair is a period-2 cycle:
+        // each takes the other's module, and after both moved each prefers
+        // the module it just left — the state mirrors itself, for ever.
+        let mut cycle = states.clone();
+        let mut neigh = NeighborhoodScratch::new();
+        for _ in 0..2 {
+            let labels: Vec<u64> = [u, v]
+                .iter()
+                .zip(&cycle)
+                .map(|(&x, st)| st.module_id_of(st.local_of(x) as usize))
+                .collect();
+            assert_ne!(labels[0], labels[1]);
+            let picks: Vec<LocalCandidate> = [u, v]
+                .iter()
+                .zip(&cycle)
+                .map(|(&x, st)| {
+                    best_local_move(st, st.local_of(x), 1e-10, false, &mut neigh).unwrap()
+                })
+                .collect();
+            for ((&x, st), c) in [u, v].iter().zip(&mut cycle).zip(&picks) {
+                apply_local_move(st, st.local_of(x), c);
+            }
+            // What the boundary swap and the owner reduction deliver: the
+            // ghost's new module, and two one-member modules again.
+            for (i, (&ghost, st)) in [v, u].iter().zip(&mut cycle).enumerate() {
+                let li = st.local_of(ghost) as usize;
+                st.module_of[li] = st.module_slot[&labels[i]];
+                sync_two_singletons(st, u, v);
+            }
+            let after: Vec<u64> = [u, v]
+                .iter()
+                .zip(&cycle)
+                .map(|(&x, st)| st.module_id_of(st.local_of(x) as usize))
+                .collect();
+            assert_eq!(after, [labels[1], labels[0]], "the pair swapped modules");
+        }
+
+        // The four-phase schedule evaluates that class restricted first
+        // (round 1: only the move toward the smaller label is admissible),
+        // so exactly one of the two moves and the pair is settled before
+        // the class's unrestricted turn (round 3) comes.
+        let node_term: f64 = (0..g.num_vertices() as u32)
+            .map(|x| plogp(g.strength(x) / (2.0 * g.total_weight())))
+            .sum();
+        let report = World::new(2).run(|comm| {
+            let mut st = states[comm.rank()].clone();
+            let out = cluster_stage(comm, &mut st, &cfg, node_term, &mut BTreeMap::new(), "s1/");
+            let mine = [u, v][comm.rank()];
+            (out, st.module_id_of(st.local_of(mine) as usize))
+        });
+        let (out, _) = &report.results[0];
+        assert_eq!(out.total_moves, 1);
+        assert!(out.inner_iterations <= schedule_period(&cfg), "{out:?}");
+        assert_ne!(out.stop, StageStop::Cap);
+        assert_eq!(report.results[0].1, u as u64);
+        assert_eq!(report.results[1].1, u as u64, "v joined the smaller label");
+    }
+
+    #[test]
+    fn same_rank_swap_pair_is_merged_once_not_swapped() {
+        // Both on rank 0, both eligible on round 2 (unrestricted): each is
+        // evaluated against the frozen state and picks the other's module.
+        let (u, v) = pair_eligible_on(2, 2, 0, 0);
+        let (_, states) = lone_edge_states(u, v);
+        let mut st = states[0].clone();
+        let cfg = DistributedConfig {
+            nranks: 2,
+            ..Default::default()
+        };
+        let mut bufs = RoundBuffers::new(2);
+        let mut rng = StdRng::seed_from_u64(1);
+        let (owned, _, proposals) = find_best_modules(&mut st, &cfg, &mut rng, &mut bufs, 2);
+        // The first of the two in the shuffled order moves; the second's
+        // candidate names two modules that move just changed, is
+        // re-evaluated against the live state — where the pair already
+        // shares a module — and dropped.
+        assert_eq!((owned, proposals.len()), (1, 0));
+        assert_eq!(bufs.last_sweep(), (2, 1, 1));
+        assert_eq!(
+            st.module_of[st.local_of(u) as usize],
+            st.module_of[st.local_of(v) as usize]
+        );
+        // One more unrestricted pass (round 6; round 4 is a restricted one
+        // and clears no mark) finds both settled, and from then on neither
+        // is swept until a neighbor changes.
+        for round in [4, 6] {
+            let (owned, arcs, _) = find_best_modules(&mut st, &cfg, &mut rng, &mut bufs, round);
+            assert_eq!(
+                (owned, arcs, bufs.last_sweep().0),
+                (0, 2, 2),
+                "round {round}"
+            );
+        }
+        let (_, arcs, _) = find_best_modules(&mut st, &cfg, &mut rng, &mut bufs, 8);
+        assert_eq!((arcs, bufs.last_sweep().0), (0, 0));
+    }
+
+    #[test]
+    fn revalidation_is_thread_count_invariant_where_it_fires() {
+        let (g, _) = generators::lfr_like(
+            generators::LfrParams {
+                n: 600,
+                mu: 0.25,
+                ..Default::default()
+            },
+            3,
+        );
+        let partition = Partition::delegate(&g, 4, DelegateThreshold::Auto(4.0), true);
+        let states = build_stage1_states(&g, &partition);
+        let sweep = |threads: usize| {
+            let cfg = DistributedConfig {
+                nranks: 4,
+                threads,
+                ..Default::default()
+            };
+            let mut st = states[0].clone();
+            st.sum_exit = st.out_flow.iter().sum();
+            let mut bufs = RoundBuffers::new(4);
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut log = Vec::new();
+            for round in 0..6 {
+                let (owned, arcs, proposals) =
+                    find_best_modules(&mut st, &cfg, &mut rng, &mut bufs, round);
+                log.push((owned, arcs, proposals.len(), bufs.last_sweep()));
+            }
+            let bits: Vec<(u64, u64)> = (0..st.num_module_slots())
+                .map(|s| (st.mod_flow[s].to_bits(), st.mod_exit[s].to_bits()))
+                .collect();
+            (log, st.module_of, st.moved_at, st.swept_at, bits)
+        };
+        let one = sweep(1);
+        let (revalidated, dropped) = one
+            .0
+            .iter()
+            .fold((0, 0), |acc, (.., (_, r, d))| (acc.0 + r, acc.1 + d));
+        assert!(revalidated > dropped && dropped > 0, "{:?}", one.0);
+        assert!(one == sweep(4), "threads = 4 diverged from threads = 1");
+    }
+
+    #[test]
+    fn a_hub_returns_to_the_module_it_left_only_for_a_larger_gain() {
+        let winner = |to_module: u64, gain: f64| DelegateProposal {
+            delegate: 7,
+            to_module,
+            delta: -gain,
+            proposer: 0,
+            target_info: ModuleInfoMsg {
+                mod_id: to_module,
+                flow: 0.0,
+                exit: 0.0,
+                members: 0,
+                is_sent: false,
+            },
+        };
+        let mut left = BTreeMap::new();
+        // Rank 0's share takes the hub from module 1 to module 2 ...
+        assert!(admit_winner(&mut left, &winner(2, 0.3), 1));
+        // ... rank 1's share wants it back, for less than that move gained:
+        // dropped, and dropped again on the next turn.
+        assert!(!admit_winner(&mut left, &winner(1, 0.2), 2));
+        assert!(!admit_winner(&mut left, &winner(1, 0.3), 2));
+        assert_eq!(left[&7], (1, 0.3));
+        // A third module is no return; nor is a return worth more.
+        assert!(admit_winner(&mut left, &winner(3, 0.1), 2));
+        assert!(admit_winner(&mut left, &winner(2, 0.2), 3));
+        assert_eq!(left[&7], (3, 0.2));
+        // Another hub has its own record.
+        let mut other = winner(1, 0.01);
+        other.delegate = 8;
+        assert!(admit_winner(&mut left, &other, 2));
     }
 
     /// Reference oracle for [`best_local_move`]: the straightforward

@@ -107,6 +107,23 @@ pub struct LocalState {
     /// Owner side: current subscriber ranks per owned module (modules
     /// with none have no entry).
     pub owner_subs: BTreeMap<u64, Vec<usize>>,
+    /// Election hysteresis, replicated like the delegate assignment: for
+    /// every delegate that has moved this stage, the module it last left
+    /// and the gain (−δL) of the winning proposal that took it out. A
+    /// proposal is one rank's share of a hub speaking for all of it, so two
+    /// shares that disagree would otherwise send the hub back and forth on
+    /// every turn; a return has to out-gain the departure it undoes.
+    pub delegate_left: BTreeMap<u32, (u64, f64)>,
+    /// Active-set mark (DESIGN.md §6 note 16): `round + 1` of the last
+    /// round in which this local vertex changed module — a merged local
+    /// move, an applied delegate winner, or a ghost update off the boundary
+    /// swap; 0 = not since the stage began.
+    pub moved_at: Vec<u32>,
+    /// Active-set mark: `round + 1` of this vertex's last *unrestricted*
+    /// evaluation (0 = none yet; stays 0 for ghosts). The sweep skips an
+    /// owned vertex unless it or a neighbor has `moved_at >= swept_at`, so
+    /// two all-zero arrays start every stage "all active".
+    pub swept_at: Vec<u32>,
 }
 
 impl LocalState {
@@ -132,6 +149,20 @@ impl LocalState {
     /// Is local vertex `li` a delegate copy?
     pub fn is_delegate(&self, li: u32) -> bool {
         self.kind[li as usize] == VertexKind::DelegateCopy
+    }
+
+    /// Is movable vertex `li` in the sweep's active set? Delegate copies
+    /// always are (their statistics are shares, reconciled elsewhere); an
+    /// owned vertex is once it or a neighbor changed module since its last
+    /// unrestricted evaluation. The marks are pulled over the vertex's own
+    /// arcs, so no reverse adjacency is kept.
+    pub fn is_active(&self, li: u32) -> bool {
+        let since = self.swept_at[li as usize];
+        self.is_delegate(li)
+            || self.moved_at[li as usize] >= since
+            || self.adj_tgt[self.adj_off[li as usize]..self.adj_off[li as usize + 1]]
+                .iter()
+                .any(|&tgt| self.moved_at[tgt as usize] >= since)
     }
 
     // ------------------------------------------------------------------
@@ -417,6 +448,9 @@ pub fn assemble(
         last_contrib_active: vec![false; n],
         owner_sources: HashMap::new(),
         owner_subs: BTreeMap::new(),
+        delegate_left: BTreeMap::new(),
+        moved_at: vec![0; n],
+        swept_at: vec![0; n],
     }
 }
 

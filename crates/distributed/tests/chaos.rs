@@ -6,8 +6,8 @@
 //! one on the same seed.
 
 use infomap_distributed::{
-    DistributedConfig, DistributedInfomap, FileCheckpointStore, RankProgram, RecoveryConfig,
-    RecoveryReport,
+    CheckpointStore, DistributedConfig, DistributedInfomap, FileCheckpointStore, RankProgram,
+    RecoveryConfig, RecoveryReport, SnapshotStore,
 };
 use infomap_mpisim::{Comm, FaultPlan, RankStats, World};
 
@@ -296,4 +296,62 @@ fn crash_recovers_bit_identically_through_the_file_store() {
     assert_eq!(attempts, 2, "the crash must cost exactly one retry");
     assert_eq!(out.modules, clean.modules, "file-store recovery diverged");
     assert_eq!(out.codelength.to_bits(), clean.codelength.to_bits());
+}
+
+/// The sweep visits only the active set, and the marks that define it
+/// travel in the checkpoint: a crash late in stage 1 — where most vertices
+/// have settled and are skipped — must resume skipping exactly the same
+/// ones, through the in-memory store and through the file codec alike.
+#[test]
+fn crash_with_a_partial_active_set_recovers_bit_identically_through_both_stores() {
+    let g = lfr();
+    let cfg = chaos_cfg();
+    let p = cfg.nranks;
+    let clean = DistributedInfomap::new(cfg).run(&g);
+    let program = RankProgram::prepare(cfg, &g);
+
+    let dir = std::env::temp_dir().join(format!("dinf-active-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let memory = CheckpointStore::new(p);
+    let file = FileCheckpointStore::open(&dir, p, cfg.seed).expect("open store");
+    let stores: [&dyn SnapshotStore; 2] = [&memory, &file];
+    for store in stores {
+        // Comm event 130 on rank 1 lands in stage 1 past its round-8
+        // checkpoint (stage 1 spans ~190 events on this graph).
+        let world = World::new(p).fault_plan(FaultPlan::new(7).crash(1, 130));
+        let attempt = |comm: &mut Comm| program.run_rank(comm, store);
+        assert!(!world.run_with_outcomes(attempt).all_completed());
+
+        // What the retry restores: a stage-1 boundary at round >= 8 whose
+        // active set is a strict, non-empty subset of the movable vertices
+        // on every rank.
+        for rank in 0..p {
+            let snap = store.restore_agreed(rank).expect("a committed boundary");
+            assert_eq!(snap.pos.stage, 1);
+            assert!(snap.pos.round >= 8, "restored {:?}", snap.pos);
+            let active = snap
+                .st
+                .movable
+                .iter()
+                .filter(|&&li| snap.st.is_active(li))
+                .count();
+            assert!(
+                0 < active && active < snap.st.movable.len(),
+                "rank {rank}: {active} of {} active",
+                snap.st.movable.len()
+            );
+        }
+
+        let outcome = world.run_with_outcomes(attempt);
+        assert!(outcome.all_completed(), "the one-shot crash fired twice");
+        let (modules, trace, codelength) = outcome
+            .into_results()
+            .expect("all ranks completed")
+            .remove(0)
+            .expect("rank 0 result");
+        assert_eq!(modules, clean.modules);
+        assert_eq!(codelength.to_bits(), clean.codelength.to_bits());
+        assert_eq!(trace, clean.trace);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

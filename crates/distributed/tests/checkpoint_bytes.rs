@@ -110,8 +110,10 @@ fn deltas_track_the_modeled_bytes_and_bases_are_written_once() {
     assert!(opened.iter().any(|&(_, stage, _)| stage == 2));
 
     // Stage-1 deltas from round 6 on (the singleton module tables have
-    // thinned out by then): a fraction of the topology, and within 2× of
-    // the model (measured: 2–5 % above it).
+    // thinned out by then): a fraction of the topology, and within 5 % of
+    // the model (measured: 3.4 % above it at round 6, under 1 % from
+    // round 9 on) — the active-set marks included, which cost a byte per
+    // local vertex and one per movable vertex.
     let settled: Vec<&Commit> = log
         .iter()
         .filter(|c| c.pos.stage == 1 && c.pos.round >= 6)
@@ -134,7 +136,7 @@ fn deltas_track_the_modeled_bytes_and_bases_are_written_once() {
     for c in settled {
         let (measured, modeled) = (c.written.delta_bytes, c.modeled);
         assert!(
-            measured <= 2 * modeled && modeled <= 2 * measured,
+            20 * measured.abs_diff(modeled) <= modeled,
             "rank {} round {}: wrote {measured} bytes, modeled {modeled}",
             c.rank,
             c.pos.round

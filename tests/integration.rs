@@ -21,15 +21,8 @@ fn exact_algorithms_recover_clear_structure_and_gossip_lags() {
     let (g, truth) = generators::ring_of_cliques(6, 6, 0);
     let seq = Infomap::new(InfomapConfig::default()).run(&g);
     let relax = RelaxMap::new(RelaxMapConfig::default()).run(&g);
-    // seed: the default sweep-order seed (0) is one of the rare unlucky
-    // trajectories on this tiny graph — the 4-rank run settles one clique
-    // boundary wrong (NMI 0.971) and the strict > 0.999 bar fails. The
-    // miss is a tie-break artifact of the randomized sweep order, not an
-    // algorithmic defect: 21 of the 24 smallest seeds recover the planted
-    // cliques exactly. Pin one that does; the exactness bar stays strict.
     let dist = DistributedInfomap::new(DistributedConfig {
         nranks: 4,
-        seed: 1,
         ..Default::default()
     })
     .run(&g);
@@ -40,6 +33,17 @@ fn exact_algorithms_recover_clear_structure_and_gossip_lags() {
     ] {
         let q = quality(&truth, modules);
         assert!(q.nmi > 0.999, "{name} failed to recover the cliques: {q:?}");
+    }
+    // Exact recovery is a property of the algorithm, not of a sweep order.
+    for seed in 0..24 {
+        let out = DistributedInfomap::new(DistributedConfig {
+            nranks: 4,
+            seed,
+            ..Default::default()
+        })
+        .run(&g);
+        let q = quality(&truth, &out.modules);
+        assert!(q.nmi > 0.999, "seed {seed} missed the cliques: {q:?}");
     }
     // The naive-swap baseline must do measurably worse — that is the
     // paper's §3.4 argument for the full Module_Info exchange.
@@ -116,27 +120,25 @@ fn pipeline_from_edge_list_file() {
 #[test]
 fn partition_quality_flows_into_modeled_makespan() {
     // On a hubby graph, delegate partitioning must give the clustering
-    // phase a smaller *work* makespan per round than gossip's 1D layout:
-    // the hub's arcs pile onto one rank under 1D and bound the round. A
-    // work-only model isolates that effect from fixed latencies, which at
+    // phase a smaller and flatter *work* makespan than gossip's 1D layout:
+    // the hub's arcs pile onto one rank under 1D and bound every round. A
+    // work-only measure isolates that effect from fixed latencies, which at
     // stand-in scale would otherwise dominate (the paper's full-size runs
     // are work-dominated; see the representation-scaled model in
-    // infomap-bench).
+    // infomap-bench). Stage totals, not per-round means: the sweep visits
+    // only the active set, so a run's mean round is as heavy as its rounds
+    // are few.
     let profile = DatasetId::Uk2007.profile();
     let (g, _) = profile.generate_scaled(0.05, 2);
     let p = 16;
-    let per_round_work = |stats: &[infomap_mpisim::RankStats]| {
-        stats
+    // (max over ranks, max ÷ mean) of the stage-1 sweep work.
+    let stage_work = |stats: &[infomap_mpisim::RankStats]| {
+        let work: Vec<f64> = stats
             .iter()
-            .map(|s| {
-                let ph = s.phase("s1/FindBestModule");
-                if ph.entries == 0 {
-                    0.0
-                } else {
-                    ph.work_units as f64 / ph.entries as f64
-                }
-            })
-            .fold(0.0, f64::max)
+            .map(|s| s.phase("s1/FindBestModule").work_units as f64)
+            .collect();
+        let max = work.iter().copied().fold(0.0, f64::max);
+        (max, max * work.len() as f64 / work.iter().sum::<f64>())
     };
     let ours = DistributedInfomap::new(DistributedConfig {
         nranks: p,
@@ -150,11 +152,15 @@ fn partition_quality_flows_into_modeled_makespan() {
             ..Default::default()
         },
     );
-    let w_ours = per_round_work(&ours.rank_stats);
-    let w_gossip = per_round_work(&gossip.rank_stats);
+    let (w_ours, imbalance_ours) = stage_work(&ours.rank_stats);
+    let (w_gossip, imbalance_gossip) = stage_work(&gossip.rank_stats);
     assert!(
         w_ours < w_gossip,
-        "delegate per-round max work {w_ours} should beat 1D gossip {w_gossip}"
+        "delegate max stage work {w_ours} should beat 1D gossip {w_gossip}"
+    );
+    assert!(
+        imbalance_ours < 1.1 && imbalance_ours < imbalance_gossip,
+        "delegate work imbalance {imbalance_ours:.2} vs 1D gossip {imbalance_gossip:.2}"
     );
 }
 
