@@ -42,8 +42,8 @@ fn hub_state() -> LocalState {
 /// Fold all vertices into 64 modules (slots 0..64 already exist: slots
 /// are interned per local vertex at stage start).
 fn coarsen(st: &mut LocalState, k: u32) {
-    for li in 0..st.module_of.len() {
-        st.module_of[li] = li as u32 % k;
+    for li in 0..st.module_of().len() {
+        st.move_vertex(li, li as u32 % k, 1);
     }
 }
 

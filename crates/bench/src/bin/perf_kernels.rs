@@ -158,7 +158,7 @@ fn kernel_sweep(g: &Graph, part: &Partition) -> SweepMeasure {
                     if let Some(c) =
                         best_local_move(st, li, MIN_GAIN, restrict_boundary, &mut neigh)
                     {
-                        apply_local_move(st, li, &c);
+                        apply_local_move(st, li, &c, round as u32 + 1);
                         moves += 1;
                     }
                 }
@@ -257,7 +257,7 @@ fn thread_sweep(g: &Graph, part: &Partition, nranks: usize, seed: u64) -> Vec<Th
         let wall_s = t0.elapsed().as_secs_f64();
         for st in &states {
             let mut h: u64 = 0xcbf29ce484222325;
-            for &m in &st.module_of {
+            for &m in st.module_of() {
                 h = (h ^ m as u64).wrapping_mul(0x100000001b3);
             }
             fp.push(h);

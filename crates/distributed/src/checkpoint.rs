@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use crate::codec::put_uvarint;
 use crate::driver::StageTrace;
 use crate::rounds::{StageCursor, StageStop};
-use crate::state::{LocalState, ModuleEntry, VertexKind};
+use crate::state::{LocalState, ModuleEntry, OwnedModule, VertexKind};
 
 /// Global position of a snapshot: which stage, merge level and round the
 /// checkpointed boundary belongs to. Identical on every rank of a
@@ -103,29 +103,38 @@ impl SnapshotView<'_> {
     /// data a rank has a live view of. Used to meter checkpoint
     /// writes/reads for the cost model.
     ///
-    /// This prices, per record, what a round *delta* holds — assignments,
-    /// the module tables of present slots and owned modules, the live
-    /// delta-sync contributions, the delegate maps, the active-set marks,
-    /// the MDL series — plus
-    /// the carried `assign` pairs, which the file store writes once per
-    /// (stage, level) in the stage base. It does not count the rest of the
-    /// base (level topology, flows, boundary lists, trace), nor the
-    /// per-module subscriber lists, which the delta does hold. Stage-1
-    /// deltas measure within a few percent of it once the singleton
-    /// tables have thinned out (`tests/checkpoint_bytes.rs`); the file
-    /// store's measured counts are [`FileCheckpointStore::bytes_written`].
+    /// This prices, record by record, what a round *delta* writes — the
+    /// slot assignments, the announced boundary modules, the module tables
+    /// of present slots, the live delta-sync contributions, the owner
+    /// table, the delegate maps, the active-set marks, the MDL series —
+    /// plus the carried `assign` pairs, which the file store writes once
+    /// per (stage, level) in the stage base. It does not count the rest of
+    /// the base (level topology, flows, boundary lists, trace) nor the
+    /// module ids interned since the base. Stage-1 deltas measure within
+    /// 5 % of it once the singleton tables have thinned out
+    /// (`tests/checkpoint_bytes.rs`); the file store's measured counts are
+    /// [`FileCheckpointStore::bytes_written`].
     pub fn approx_wire_bytes(&self) -> u64 {
+        const SLOT_RECORD: u64 = 4 + ENTRY_BYTES as u64;
         let st = self.st;
-        let assignments = st.module_of.len() as u64 * 8;
-        // Module tables: id (8) + flow/exit (16) + members (4), for the
-        // modules this rank has a live view of.
-        let tables = (st.num_known_modules() + st.owned_modules.len()) as u64 * 28;
-        let delta_bookkeeping = (st.num_active_contribs() + st.owner_sources.len()) as u64 * 28;
+        let announced = st.last_announced.iter().filter(|&&g| g != u64::MAX);
+        let assignments = st.module_of.len() as u64 * 4 + announced.count() as u64 * 12;
+        // Slot (4) + flow/exit (16) + members (4), for the modules this
+        // rank has a live view of; the same for a shipped contribution.
+        let tables = st.num_known_modules() as u64 * SLOT_RECORD;
+        let delta_bookkeeping = st.num_active_contribs() as u64 * SLOT_RECORD;
+        // Index, flag, totals and a length prefix per live owned module,
+        // rank + contribution per source.
+        let live = st.owner.iter().filter(|m| m.is_live());
+        let owner: u64 = live
+            .map(|m| OWNED_MODULE_BYTES as u64 + m.sources.len() as u64 * SLOT_RECORD)
+            .sum();
         let delegate = self.delegate_assign.len() as u64 * 12 + st.delegate_left.len() as u64 * 20;
         let carry = self.assign.len() as u64 * 8 + self.cursor.mdl_series.len() as u64 * 8;
         // Active-set marks: one byte per stamp until round 127.
         let marks = (st.moved_at.len() + st.movable.len()) as u64;
-        assignments + tables + delta_bookkeeping + delegate + carry + marks + 64
+        // Position, base reference, cursor scalars and length prefixes.
+        assignments + tables + delta_bookkeeping + owner + delegate + carry + marks + 192
     }
 
     /// The owned form (one clone of everything viewed).
@@ -294,14 +303,17 @@ impl SnapshotStore for CheckpointStore {
 //   the driver carry (`assign`, `trace`, `prev_mdl`, `level_vertices`);
 // * the **round delta** holds the rest, and names its base by length and
 //   checksum: position, cursor, delegate map, `module_of`, the module ids
-//   interned since the base, `sum_exit`, the owner-side maps, and the
-//   per-slot and per-vertex tables **sparsely** — `(slot, entry)` only
-//   where `module_present`, `(slot, contribution)` only where
+//   interned since the base, `sum_exit`, and the per-slot, per-vertex and
+//   owner tables **sparsely** — `(slot, entry)` only where
+//   `module_present`, `(slot, contribution)` only where
 //   `last_contrib_active`, `(vertex, module)` only where something was
-//   ever announced. Absent slots hold `ModuleEntry::default()` and a zero
-//   contribution in the live state (`remove_module` and `sync_modules`
-//   keep that) and never-announced vertices hold `u64::MAX`, so decode
-//   rebuilds the dense tables exactly. Last come the election hysteresis
+//   ever announced, `(index, owned module)` only where the module has
+//   totals or sources. Absent slots hold `ModuleEntry::default()` and a
+//   zero contribution in the live state (`remove_module` and `sync_modules`
+//   keep that), never-announced vertices hold `u64::MAX` and the other
+//   owner entries are `OwnedModule::default()`, so decode rebuilds the
+//   dense tables exactly. A checkpoint is taken at a round boundary, where
+//   no module slot is dirty. Last come the election hysteresis
 //   records and the active-set marks: one LEB128 round stamp per local
 //   vertex (`moved_at`) and one per movable vertex (`swept_at`; a ghost is
 //   never swept, so its stamp stays 0).
@@ -311,9 +323,11 @@ impl SnapshotStore for CheckpointStore {
 //
 // Hash maps are serialized as **sorted** pair vectors (ordered maps in
 // their own order): byte-stable output for identical logical state, and
-// rebuilt verbatim on decode. Two maps are not serialized at all because
-// they are derived: `index` (position of each id in `verts`) and
-// `module_slot` (position in `module_ids`).
+// rebuilt verbatim on decode. Three tables are not serialized at all
+// because they are derived: `index` (position of each id in `verts`),
+// `module_slot` (position in `module_ids`) and `subscriber_li` (`index` of
+// each `subscribers` vertex). The length of the dense `owner` table is
+// written, so `assemble` alone decides it.
 //
 // The one non-serializable field is the cursor's `StdRng`. The sweep RNG
 // is consumed by exactly one `shuffle` of the (stage-static) movable list
@@ -325,7 +339,7 @@ impl SnapshotStore for CheckpointStore {
 
 /// Format version of the serialized snapshot. Bumped on layout changes so
 /// a stale file fails loudly instead of decoding garbage.
-const SNAPSHOT_VERSION: u32 = 3;
+const SNAPSHOT_VERSION: u32 = 4;
 
 const CKPT_MAGIC: &[u8; 8] = b"DINFCKPT";
 
@@ -485,6 +499,10 @@ fn decode_entry(buf: &mut &[u8]) -> Result<ModuleEntry, WireDecodeError> {
 /// Bytes of one encoded [`ModuleEntry`] / contribution triple.
 const ENTRY_BYTES: usize = 20;
 
+/// Least bytes of a live [`OwnedModule`] in a delta: index, `present`,
+/// totals and the length prefix of its sources.
+const OWNED_MODULE_BYTES: usize = 4 + 1 + ENTRY_BYTES + 8;
+
 fn encode_trace(t: &StageTrace, out: &mut Vec<u8>) {
     t.stage.encode_into(out);
     t.level.encode_into(out);
@@ -607,13 +625,6 @@ fn encode_delta(v: &SnapshotView<'_>, base: &BaseRef, out: &mut Vec<u8>) {
             st.mod_members[s].encode_into(out);
         }
     }
-    let mut owned: Vec<(&u64, &ModuleEntry)> = st.owned_modules.iter().collect();
-    owned.sort_by_key(|(&m, _)| m);
-    (owned.len() as u64).encode_into(out);
-    for (&m, e) in owned {
-        m.encode_into(out);
-        encode_entry(e, out);
-    }
     st.sum_exit.encode_into(out);
     // Only owned vertices with subscribers are ever announced.
     let announced = st.last_announced.iter().filter(|&&g| g != u64::MAX);
@@ -631,17 +642,20 @@ fn encode_delta(v: &SnapshotView<'_>, base: &BaseRef, out: &mut Vec<u8>) {
             st.last_contrib[s].encode_into(out);
         }
     }
-    let mut sources: Vec<_> = st.owner_sources.iter().collect();
-    sources.sort_by_key(|(&k, _)| k);
-    (sources.len() as u64).encode_into(out);
-    for (&k, &c) in sources {
-        k.encode_into(out);
-        c.encode_into(out);
-    }
-    (st.owner_subs.len() as u64).encode_into(out);
-    for (&m, ranks) in &st.owner_subs {
-        m.encode_into(out);
-        ranks.encode_into(out);
+    // A delta decodes to a state with nothing left to rescan.
+    assert!(
+        st.dirty_slots.is_empty() && !st.slot_dirty.contains(&true),
+        "checkpoint taken between a move and the owner reduction"
+    );
+    (st.owner.len() as u64).encode_into(out);
+    (st.owner.iter().filter(|m| m.is_live()).count() as u64).encode_into(out);
+    for (i, m) in st.owner.iter().enumerate() {
+        if m.is_live() {
+            (i as u32).encode_into(out);
+            m.present.encode_into(out);
+            encode_entry(&m.totals, out);
+            m.sources.encode_into(out);
+        }
     }
     (st.delegate_left.len() as u64).encode_into(out);
     for (&d, &left) in &st.delegate_left {
@@ -777,12 +791,6 @@ fn decode_sections(
         (mod_flow[s], mod_exit[s], mod_members[s]) = (e.flow, e.exit, e.members);
         module_present[s] = true;
     }
-    let nowned = decode_len(&mut buf, 8 + ENTRY_BYTES)?;
-    let mut owned_modules = HashMap::with_capacity(nowned);
-    for _ in 0..nowned {
-        let m = u64::decode_from(&mut buf)?;
-        owned_modules.insert(m, decode_entry(&mut buf)?);
-    }
     let sum_exit = f64::decode_from(&mut buf)?;
     let mut last_announced = vec![u64::MAX; verts.len()];
     for _ in 0..decode_len(&mut buf, 12)? {
@@ -798,16 +806,28 @@ fn decode_sections(
         last_contrib[s] = WirePayload::decode_from(&mut buf)?;
         last_contrib_active[s] = true;
     }
-    let nsources = decode_len(&mut buf, 12 + ENTRY_BYTES)?;
-    let mut owner_sources = HashMap::with_capacity(nsources);
-    for _ in 0..nsources {
-        let k: (u64, u32) = WirePayload::decode_from(&mut buf)?;
-        owner_sources.insert(k, WirePayload::decode_from(&mut buf)?);
+    // The table's length is `assemble`'s to decide; module ids are `u32`
+    // vertex ids, which bounds it.
+    let owner_len = u64::decode_from(&mut buf)?;
+    if owner_len > u32::MAX as u64 / nranks.max(1) as u64 + 1 {
+        return Err(corrupt("snapshot owner table length"));
     }
-    let mut owner_subs = BTreeMap::new();
-    for _ in 0..decode_len(&mut buf, 16)? {
-        let m = u64::decode_from(&mut buf)?;
-        owner_subs.insert(m, Vec::decode_from(&mut buf)?);
+    let mut owner = vec![OwnedModule::default(); owner_len as usize];
+    for _ in 0..decode_len(&mut buf, OWNED_MODULE_BYTES)? {
+        let i = u32::decode_from(&mut buf)? as usize;
+        let module = OwnedModule {
+            present: bool::decode_from(&mut buf)?,
+            totals: decode_entry(&mut buf)?,
+            sources: Vec::decode_from(&mut buf)?,
+        };
+        // The owner reduction binary-searches the sources by rank and
+        // answers each of them.
+        let sorted = module.sources.windows(2).all(|w| w[0].0 < w[1].0);
+        let top = module.sources.last().map(|&(r, _)| r as usize);
+        if !sorted || top >= Some(nranks) {
+            return Err(corrupt("snapshot owned module sources"));
+        }
+        *owner.get_mut(i).ok_or(corrupt("snapshot owned module"))? = module;
     }
     let left: Vec<(u32, (u64, f64))> = Vec::decode_from(&mut buf)?;
     let delegate_left: BTreeMap<u32, (u64, f64)> = left.into_iter().collect();
@@ -836,6 +856,10 @@ fn decode_sections(
         .enumerate()
         .map(|(s, &gid)| (gid, s as u32))
         .collect();
+    if subscribers.iter().any(|(v, _)| !index.contains_key(v)) {
+        return Err(corrupt("snapshot subscriber vertex"));
+    }
+    let subscriber_li = LocalState::subscriber_indices(&subscribers, &index);
     // The sweep RNG, by replay (see the section comment above).
     let mut rng = StdRng::seed_from_u64(stage_rng_seed(run_seed, rank));
     let mut scratch = movable.clone();
@@ -862,9 +886,10 @@ fn decode_sections(
             mod_exit,
             mod_members,
             module_present,
-            owned_modules,
+            owner,
             sum_exit,
             subscribers,
+            subscriber_li,
             providers,
             send_targets,
             inv_two_w,
@@ -872,8 +897,8 @@ fn decode_sections(
             last_announced,
             last_contrib,
             last_contrib_active,
-            owner_sources,
-            owner_subs,
+            dirty_slots: Vec::new(),
+            slot_dirty: vec![false; nslots],
             delegate_left,
             moved_at,
             swept_at,
@@ -1345,16 +1370,18 @@ mod tests {
         let part =
             Partition::delegate(&g, 3, infomap_partition::DelegateThreshold::Auto(4.0), true);
         let mut st = build_stage1_states(&g, &part).remove(stage as usize);
-        st.owned_modules.insert(
-            17,
-            ModuleEntry {
+        at_round_boundary(&mut st);
+        st.owner[5] = OwnedModule {
+            present: true,
+            totals: ModuleEntry {
                 flow: 0.25,
                 exit: 0.125,
                 members: 3,
             },
-        );
-        st.owner_sources.insert((17, 2), (0.1, 0.05, 1));
-        st.owner_subs.insert(17, vec![0, 2]);
+            sources: vec![(0, (0.15, 0.075, 2)), (2, (0.1, 0.05, 1))],
+        };
+        // A module that died while a rank still holds a ghost view of it.
+        st.owner[7].sources.push((1, (0.0, 0.0, 0)));
         // Slots interned after the stage began, one of them retired again.
         let grown = st.set_module(
             1 << 40,
@@ -1415,6 +1442,13 @@ mod tests {
         }
     }
 
+    /// What the first owner reduction leaves of a freshly assembled
+    /// state's dirty set: nothing.
+    fn at_round_boundary(st: &mut LocalState) {
+        st.dirty_slots.clear();
+        st.slot_dirty.fill(false);
+    }
+
     fn sample_snapshot(rounds: usize) -> RankSnapshot {
         sample_snapshot_at(1, 0, rounds)
     }
@@ -1452,12 +1486,25 @@ mod tests {
         assert_eq!(bits(&a.mod_exit), bits(&b.mod_exit));
         assert_eq!(a.mod_members, b.mod_members);
         assert_eq!(a.module_present, b.module_present);
-        assert_eq!(a.owned_modules.len(), b.owned_modules.len());
-        for (m, e) in &a.owned_modules {
-            assert_eq!(entry_bits(e), entry_bits(&b.owned_modules[m]), "module {m}");
+        assert_eq!(a.owner.len(), b.owner.len());
+        for (i, (m, n)) in a.owner.iter().zip(&b.owner).enumerate() {
+            assert_eq!(m.present, n.present, "owned module {i}");
+            assert_eq!(
+                entry_bits(&m.totals),
+                entry_bits(&n.totals),
+                "owned module {i}"
+            );
+            let sources = |o: &OwnedModule| -> Vec<_> {
+                o.sources
+                    .iter()
+                    .map(|(r, c)| (*r, triple_bits(c)))
+                    .collect()
+            };
+            assert_eq!(sources(m), sources(n), "owned module {i}");
         }
         assert_eq!(a.sum_exit.to_bits(), b.sum_exit.to_bits());
         assert_eq!(a.subscribers, b.subscribers);
+        assert_eq!(a.subscriber_li, b.subscriber_li);
         assert_eq!(a.providers, b.providers);
         assert_eq!(a.send_targets, b.send_targets);
         assert_eq!(a.inv_two_w.to_bits(), b.inv_two_w.to_bits());
@@ -1468,11 +1515,8 @@ mod tests {
             b.last_contrib.iter().map(triple_bits).collect::<Vec<_>>()
         );
         assert_eq!(a.last_contrib_active, b.last_contrib_active);
-        assert_eq!(a.owner_sources.len(), b.owner_sources.len());
-        for (k, c) in &a.owner_sources {
-            assert_eq!(triple_bits(c), triple_bits(&b.owner_sources[k]), "{k:?}");
-        }
-        assert_eq!(a.owner_subs, b.owner_subs);
+        assert!(b.dirty_slots.is_empty());
+        assert_eq!(a.slot_dirty, b.slot_dirty);
         assert_eq!(a.delegate_left.len(), b.delegate_left.len());
         for (d, (m, gain)) in &a.delegate_left {
             let back = b.delegate_left[d];
@@ -1561,6 +1605,24 @@ mod tests {
         assert!(RankSnapshot::decode(&wrong_version, TEST_SEED).is_err());
     }
 
+    /// The owner reduction binary-searches a module's sources by rank and
+    /// answers each at `info_out[rank]`: a well-framed snapshot whose
+    /// sources it could not index is an error, not a later panic.
+    #[test]
+    fn owner_sources_the_reduction_cannot_index_are_refused() {
+        let good = sample_snapshot(2);
+        assert_eq!(good.st.nranks, 3);
+        assert!(RankSnapshot::decode(&good.encode(), TEST_SEED).is_ok());
+        for sources in [
+            vec![(2, (0.1, 0.05, 1)), (0, (0.15, 0.075, 2))],
+            vec![(0, (0.15, 0.075, 2)), (3, (0.1, 0.05, 1))],
+        ] {
+            let mut snap = sample_snapshot(2);
+            snap.st.owner[5].sources = sources;
+            assert!(RankSnapshot::decode(&snap.encode(), TEST_SEED).is_err());
+        }
+    }
+
     /// Records every commit of a run: checks `decode(encode(view))`
     /// against the live state on the spot and keeps the bytes.
     struct Recorder {
@@ -1617,6 +1679,75 @@ mod tests {
         assert!(first.iter().any(|(_, pos, _)| pos.stage == 1));
         assert!(first.iter().any(|(_, pos, _)| pos.stage == 2));
         assert!(first == record(), "encode is not byte-stable across runs");
+    }
+
+    /// Commits every boundary to an in-memory and a file store of the
+    /// rank's own, restores it from each on the spot and holds what comes
+    /// back against the live state.
+    struct RestoresOnCommit {
+        mem: Vec<CheckpointStore>,
+        file: Vec<FileCheckpointStore>,
+        mid_stage: AtomicU64,
+    }
+
+    impl SnapshotStore for RestoresOnCommit {
+        fn commit_view(&self, rank: usize, view: &SnapshotView<'_>) {
+            let stores: [&dyn SnapshotStore; 2] = [&self.mem[rank], &self.file[rank]];
+            for store in stores {
+                store.commit_view(0, view);
+                let back = store
+                    .restore_agreed(0)
+                    .expect("the boundary just committed");
+                assert_eq!(back.pos, view.pos);
+                // Nothing left to rescan, and the derived tables (`index`,
+                // `module_slot`, `subscriber_li`) and the owner table
+                // rebuilt as the uninterrupted run holds them.
+                assert!(back.st.dirty_slots.is_empty());
+                assert!(back.st == *view.st, "rank {rank} at {:?}", view.pos);
+            }
+            if view.pos.round >= 2 {
+                self.mid_stage.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        fn agreed_pos(&self) -> Option<SnapshotPos> {
+            None
+        }
+
+        fn restore_agreed(&self, _rank: usize) -> Option<RankSnapshot> {
+            None
+        }
+
+        fn checkpoints_committed(&self) -> u64 {
+            self.mem.iter().map(|s| s.checkpoints_committed()).sum()
+        }
+    }
+
+    #[test]
+    fn a_mid_stage_restore_equals_the_uninterrupted_state_through_both_stores() {
+        let (g, _) = DatasetId::Uk2007.profile().generate_scaled(0.02, 77);
+        let cfg = DistributedConfig {
+            nranks: 4,
+            seed: 9,
+            recovery: RecoveryConfig {
+                checkpoint_every: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let dir = temp_store_dir("restore-eq");
+        let store = RestoresOnCommit {
+            mem: (0..cfg.nranks).map(|_| CheckpointStore::new(1)).collect(),
+            file: (0..cfg.nranks)
+                .map(|r| FileCheckpointStore::open(dir.join(r.to_string()), 1, cfg.seed).unwrap())
+                .collect(),
+            mid_stage: AtomicU64::new(0),
+        };
+        let program = RankProgram::prepare(cfg, &g);
+        World::new(cfg.nranks).run(|comm| program.run_rank(comm, &store));
+        assert!(store.mid_stage.load(Ordering::SeqCst) >= cfg.nranks as u64);
+        assert!(store.file.iter().all(|s| s.commit_failures() == 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn temp_store_dir(name: &str) -> std::path::PathBuf {
@@ -1848,7 +1979,8 @@ mod tests {
     fn small_snapshot() -> RankSnapshot {
         let (g, _) = generators::ring_of_cliques(3, 4, 0);
         let part = Partition::delegate(&g, 2, infomap_partition::DelegateThreshold::Fixed(4), true);
-        let st = build_stage1_states(&g, &part).remove(0);
+        let mut st = build_stage1_states(&g, &part).remove(0);
+        at_round_boundary(&mut st);
         RankSnapshot {
             st,
             ..sample_snapshot(2)
@@ -1943,6 +2075,17 @@ mod tests {
         std::fs::write(dir.join("rank-0.g0.ckpt"), &v1).unwrap();
         assert_eq!(store.agreed_pos(), None, "old format");
         std::fs::write(dir.join("rank-0.g0.ckpt"), &delta).unwrap();
+        assert_eq!(store.agreed_pos(), Some(snap.pos));
+        // So does a version-3 file (owner-side maps where the owner table
+        // now sits), whichever of the two sections still says 3.
+        for name in ["rank-0.base-s1-l0.ckpt", "rank-0.g0.ckpt"] {
+            let good = std::fs::read(dir.join(name)).unwrap();
+            let mut v3 = good.clone();
+            v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+            std::fs::write(dir.join(name), &v3).unwrap();
+            assert_eq!(store.agreed_pos(), None, "{name} at version 3");
+            std::fs::write(dir.join(name), &good).unwrap();
+        }
         assert_eq!(store.agreed_pos(), Some(snap.pos));
         // A base of the right name that is not the one the delta names.
         let other = FileCheckpointStore::open(temp_store_dir("damage2"), 1, TEST_SEED).unwrap();

@@ -766,13 +766,11 @@ fn distributed_merge(comm: &mut Comm, st: &LocalState, _cfg: &DistributedConfig)
     let p = st.nranks;
 
     // 1. Global dense relabeling of surviving modules.
-    let mut owned_ids: Vec<u64> = st
-        .owned_modules
-        .iter()
+    let owned_ids: Vec<u64> = st
+        .owned_modules()
         .filter(|(_, e)| e.members > 0 || e.flow > 1e-15)
-        .map(|(&m, _)| m)
+        .map(|(m, _)| m)
         .collect();
-    owned_ids.sort_unstable();
     let all_ids = comm.allgatherv(owned_ids);
     let mut sorted: Vec<u64> = (*all_ids).clone();
     sorted.sort_unstable();
@@ -813,7 +811,7 @@ fn distributed_merge(comm: &mut Comm, st: &LocalState, _cfg: &DistributedConfig)
 
     // 3. Route carried flows to the new owners.
     let mut flow_out: Vec<Vec<MergedFlow>> = vec![Vec::new(); p];
-    for (&m, e) in &st.owned_modules {
+    for (m, e) in st.owned_modules() {
         if let Some(&a) = dense.get(&m) {
             flow_out[(a as usize) % p].push(MergedFlow {
                 vertex: a,

@@ -46,12 +46,13 @@
 //!   order, and min-label / tie-break comparisons use global ids.
 //! * **Zero-alloc rounds** — all per-round scratch ([`RoundBuffers`])
 //!   persists across rounds: sweep order, election index, boundary-send
-//!   staging, contribution diff state and the sorted-ID vec of the MDL
-//!   reduction. Steady-state rounds allocate only the wire payloads the
-//!   fabric takes ownership of (as a real MPI transport would).
+//!   staging and contribution diff state. Steady-state rounds allocate
+//!   only the wire payloads the fabric takes ownership of (as a real MPI
+//!   transport would).
 //!
 //! `comm.add_work` keeps metering *logical* arc relaxations (arcs scanned
-//! by the sweep, per-record reduction work).
+//! by the sweep and by the dirty-module rescan, per-record reduction
+//! work).
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -149,8 +150,6 @@ pub struct RoundBuffers {
     forced: Vec<(u64, usize)>,
     /// Owner-side publish queue of (module, subscriber rank).
     queue: Vec<(u64, usize)>,
-    /// Sorted owned-module ids, reused by every MDL reduction.
-    sorted_ids: Vec<u64>,
     /// Round-eligible vertices in shuffled order (the subset-gate survivors
     /// of `order`) — the one sequence every thread count slices identically.
     eligible: Vec<u32>,
@@ -201,7 +200,6 @@ impl RoundBuffers {
             changed_modules: Vec::new(),
             forced: Vec::new(),
             queue: Vec::new(),
-            sorted_ids: Vec::new(),
             eligible: Vec::new(),
             cuts: Vec::new(),
             slices: Vec::new(),
@@ -357,12 +355,13 @@ pub fn best_local_move(
 }
 
 /// Apply a move to the rank's local view (module table + assignment +
-/// exit-sum estimate). For delegate copies this applies the local share;
-/// the next owner reduction restores exact statistics.
+/// exit-sum estimate) on round tick `tick`. For delegate copies this
+/// applies the local share; the next owner reduction restores exact
+/// statistics.
 ///
 /// Public (with the kernels) for the benchmark harnesses, which replay
 /// sweeps outside a communicator.
-pub fn apply_local_move(st: &mut LocalState, li: u32, c: &LocalCandidate) {
+pub fn apply_local_move(st: &mut LocalState, li: u32, c: &LocalCandidate, tick: u32) {
     let from_slot = st.module_of[li as usize] as usize;
     let to_slot = c.to_slot as usize;
     let p_u = st.node_flow[li as usize];
@@ -384,7 +383,7 @@ pub fn apply_local_move(st: &mut LocalState, li: u32, c: &LocalCandidate) {
     let dq_j = st.mod_exit[to_slot] - q_j_old;
 
     st.sum_exit = (st.sum_exit + dq_i + dq_j).max(0.0);
-    st.module_of[li as usize] = c.to_slot;
+    st.move_vertex(li as usize, c.to_slot, tick);
 }
 
 /// Cache-block size (vertices) for the slice walk: one block of CSR spans
@@ -638,8 +637,7 @@ pub fn find_best_modules(
                     },
                 });
             } else {
-                apply_local_move(st, li, &cand);
-                st.moved_at[li as usize] = tick;
+                apply_local_move(st, li, &cand, tick);
                 bufs.merged.update(from_slot, |_| {});
                 bufs.merged.update(cand.to_slot, |_| {});
                 owned_moves += 1;
@@ -728,8 +726,7 @@ fn apply_winner(
             flow_to_current,
             flow_to_target,
         };
-        apply_local_move(st, li, &cand);
-        st.moved_at[li as usize] = tick;
+        apply_local_move(st, li, &cand, tick);
     }
 }
 
@@ -883,8 +880,8 @@ fn swap_boundary_info(
     }
     bufs.sent_to.clear();
     bufs.announce.clear();
-    for (v, subs) in &st.subscribers {
-        let li = st.index[v] as usize;
+    for ((v, subs), &li) in st.subscribers.iter().zip(&st.subscriber_li) {
+        let li = li as usize;
         let m = st.module_of[li];
         let gid = st.module_ids[m as usize];
         // Only changed assignments travel; subscribers' ghost views stay
@@ -949,8 +946,7 @@ fn swap_boundary_info(
                 // A first announcement repeats the singleton the ghost
                 // already holds; only a real change wakes its neighbors.
                 if st.module_of[li as usize] != s {
-                    st.module_of[li as usize] = s;
-                    st.moved_at[li as usize] = tick;
+                    st.move_vertex(li as usize, s, tick);
                 }
             }
             comm.add_work(1);
@@ -984,16 +980,18 @@ fn contrib_changed(old: &(f64, f64, u32), new: &(f64, f64, u32)) -> bool {
 /// Phase 4 ("Other"): delta-based owner reduction of module statistics,
 /// exact global MDL, and change-driven redistribution.
 ///
-/// Every rank recomputes its exact local contribution to each module it
-/// touches (vertex flows and member counts of its owned vertices and
-/// delegate shares; exit flows of its arcs — each arc lives on exactly one
-/// rank), but only contributions that **changed** since the previous sync
-/// travel to the module owners (`modID mod p`). Owners maintain running
-/// totals plus per-source records and send refreshed `Module_Info` only
-/// for modules whose totals changed, and only to their current
-/// subscribers. The totals are therefore exact every round, while the
-/// traffic and the owner work shrink with the move rate instead of
-/// costing O(p) per popular module per round.
+/// A rank's exact contribution to a module (vertex flows and member counts
+/// of its owned vertices and delegate shares; exit flows of its arcs — each
+/// arc lives on exactly one rank) can only have changed if a local vertex
+/// entered or left the module since the previous sync, so only those
+/// **dirty** modules are rescanned — O(vertices + arcs of dirty modules),
+/// every module before a stage's first sync — and only contributions that
+/// did change travel to the module owners (`modID mod p`). Owners maintain
+/// running totals plus per-source records and send refreshed `Module_Info`
+/// only for modules whose totals changed, and only to their current
+/// subscribers. The totals are therefore exact every round, while the scan,
+/// the traffic and the owner work all shrink with the move rate (DESIGN.md
+/// §6 note 20).
 ///
 /// Both exchanges are delta/varint-encoded, and the MDL partials ride the
 /// publish collective via [`Comm::alltoallv_reduce`], whose rank-order
@@ -1008,99 +1006,80 @@ pub fn sync_modules(
     bufs: &mut RoundBuffers,
 ) -> (f64, u64) {
     let p = st.nranks;
-    // ---- 1. Fresh local contributions (exact, O(local arcs)), into the
-    //         stamped slot accumulator — no hashing per vertex or arc. ----
-    let nslots = st.num_module_slots();
-    bufs.contrib.begin(nslots);
-    for li in 0..st.verts.len() {
-        let m = st.module_of[li];
-        match st.kind[li] {
-            VertexKind::Owned => {
-                let f = st.node_flow[li];
-                bufs.contrib.update(m, |e| {
-                    e.0 += f;
-                    e.2 += 1;
-                });
-            }
-            VertexKind::DelegateCopy => {
-                let f = st.node_flow[li];
-                // The member is counted once, by the delegate's 1D owner.
-                let counted = (st.verts[li] as usize) % p == st.rank;
-                bufs.contrib.update(m, |e| {
-                    e.0 += f;
-                    if counted {
-                        e.2 += 1;
-                    }
-                });
-            }
-            // Ghost views still subscribe (zero contribution).
-            VertexKind::Ghost => bufs.contrib.update(m, |_| {}),
-        }
-    }
+    // ---- 1. Fresh local contributions of the dirty slots, into the
+    //         stamped slot accumulator. Every member of a dirty slot is
+    //         visited in local-index order and every arc in CSR order, so
+    //         the per-slot sums carry the bits a rescan of all slots would
+    //         give them. ----
+    bufs.contrib.begin(st.num_module_slots());
     let mut arcs_scanned = 0u64;
-    for li in 0..st.verts.len() as u32 {
-        if st.kind[li as usize] == VertexKind::Ghost {
-            continue;
-        }
-        let m_src = st.module_of[li as usize];
+    if !st.dirty_slots.is_empty() {
         let inv_two_w = st.inv_two_w;
-        for (tgt, w) in st.arcs_of(li) {
-            arcs_scanned += 1;
-            if tgt == li {
+        for li in 0..st.verts.len() {
+            let m = st.module_of[li];
+            if !st.slot_dirty[m as usize] {
                 continue;
             }
-            let m_dst = st.module_of[tgt as usize];
-            if m_src != m_dst {
-                bufs.contrib.update(m_src, |e| e.1 += w * inv_two_w);
-                // Subscribe to the neighbor module too (zero contribution).
-                bufs.contrib.update(m_dst, |_| {});
-            }
+            // A delegate's member is counted once, by its 1D owner; a ghost
+            // view subscribes with a zero contribution.
+            let member = match st.kind[li] {
+                VertexKind::Owned => 1,
+                VertexKind::DelegateCopy => ((st.verts[li] as usize) % p == st.rank) as u32,
+                VertexKind::Ghost => {
+                    bufs.contrib.update(m, |_| {});
+                    continue;
+                }
+            };
+            // Every arc adds to the slot's own sum, never to a per-vertex
+            // subtotal: the order of the additions is the rescan's.
+            bufs.contrib.update(m, |e| {
+                e.0 += st.node_flow[li];
+                e.2 += member;
+                for (tgt, w) in st.arcs_of(li as u32) {
+                    arcs_scanned += 1;
+                    if tgt as usize != li && st.module_of[tgt as usize] != m {
+                        e.1 += w * inv_two_w;
+                    }
+                }
+            });
         }
     }
     comm.add_work(arcs_scanned);
 
-    // ---- 2. Diff against what was last shipped; ship changes only. ----
+    // ---- 2. Diff the dirty slots against what was last shipped; ship
+    //         changes only. A dirty slot left without a local member is
+    //         retracted with a zero record. ----
     for bucket in bufs.contrib_out.iter_mut() {
         bucket.clear();
     }
-    for &s in bufs.contrib.touched() {
+    for i in 0..st.dirty_slots.len() {
+        let s = st.dirty_slots[i];
+        let si = s as usize;
+        st.slot_dirty[si] = false;
+        let touched = bufs.contrib.is_touched(s);
         let c = bufs.contrib.get(s);
-        let dirty = if st.last_contrib_active[s as usize] {
-            contrib_changed(&st.last_contrib[s as usize], &c)
+        let ship = if touched {
+            !st.last_contrib_active[si] || contrib_changed(&st.last_contrib[si], &c)
         } else {
-            true // new contribution
+            st.last_contrib_active[si]
         };
-        if dirty {
-            let gid = st.module_ids[s as usize];
+        if ship {
+            let gid = st.module_ids[si];
             bufs.contrib_out[(gid % p as u64) as usize].push(ModuleContribution {
                 mod_id: gid,
                 flow: c.0,
                 exit: c.1,
                 members: c.2,
-                retract: false,
+                retract: !touched,
             });
+            if !touched {
+                st.remove_module_slot(s);
+            }
         }
+        st.last_contrib[si] = c;
+        st.last_contrib_active[si] = touched;
     }
-    // Modules this rank no longer touches: retract with a zero record.
-    for s in 0..nslots as u32 {
-        if st.last_contrib_active[s as usize] && !bufs.contrib.is_touched(s) {
-            let gid = st.module_ids[s as usize];
-            bufs.contrib_out[(gid % p as u64) as usize].push(ModuleContribution {
-                mod_id: gid,
-                flow: 0.0,
-                exit: 0.0,
-                members: 0,
-                retract: true,
-            });
-            st.remove_module(gid);
-            st.last_contrib_active[s as usize] = false;
-            st.last_contrib[s as usize] = (0.0, 0.0, 0);
-        }
-    }
-    for &s in bufs.contrib.touched() {
-        st.last_contrib[s as usize] = bufs.contrib.get(s);
-        st.last_contrib_active[s as usize] = true;
-    }
+    st.dirty_slots.clear();
     for bucket in bufs.contrib_out.iter_mut() {
         bucket.sort_by_key(|c| c.mod_id);
     }
@@ -1142,71 +1121,55 @@ pub fn sync_modules(
     for (src, msgs) in incoming.iter().enumerate() {
         for c in msgs {
             comm.add_work(1);
-            let key = (c.mod_id, src as u32);
-            let old = st.owner_sources.get(&key).copied().unwrap_or((0.0, 0.0, 0));
-            let entry = st.owned_modules.entry(c.mod_id).or_default();
-            entry.flow += c.flow - old.0;
-            entry.exit += c.exit - old.1;
-            entry.members = (entry.members + c.members) - old.2;
-            let retraction = c.retract;
-            let subs = st.owner_subs.entry(c.mod_id).or_default();
-            if retraction {
-                st.owner_sources.remove(&key);
-                if let Ok(pos) = subs.binary_search(&src) {
-                    subs.remove(pos);
+            let module = st.owned_module_mut(c.mod_id);
+            let at = module
+                .sources
+                .binary_search_by_key(&(src as u32), |&(r, _)| r);
+            let old = at.map_or((0.0, 0.0, 0), |i| module.sources[i].1);
+            let new = (c.flow, c.exit, c.members);
+            module.present = true;
+            let totals = &mut module.totals;
+            totals.flow += c.flow - old.0;
+            totals.exit += c.exit - old.1;
+            totals.members = (totals.members + c.members) - old.2;
+            match at {
+                Ok(i) if c.retract => {
+                    module.sources.remove(i);
                 }
-            } else {
-                st.owner_sources.insert(key, (c.flow, c.exit, c.members));
-                if let Err(pos) = subs.binary_search(&src) {
-                    subs.insert(pos, src);
+                Ok(i) => module.sources[i].1 = new,
+                Err(_) if c.retract => {}
+                Err(i) => {
+                    module.sources.insert(i, (src as u32, new));
                     bufs.forced.push((c.mod_id, src));
                 }
             }
-            if contrib_changed(&old, &(c.flow, c.exit, c.members)) {
+            if contrib_changed(&old, &new) {
                 bufs.changed_modules.push(c.mod_id);
             }
         }
     }
     bufs.changed_modules.sort_unstable();
     bufs.changed_modules.dedup();
-    // A module nobody subscribes to any more needs no list (the publish
-    // step reads a missing one as empty), and thousands of empty ones
-    // would ride in every checkpoint delta.
-    st.owner_subs.retain(|_, subs| !subs.is_empty());
     // Drop empty modules.
-    for m in &bufs.changed_modules {
-        let dead = st
-            .owned_modules
-            .get(m)
-            .map(|t| t.members == 0 && t.flow <= 1e-15)
-            .unwrap_or(false);
-        if dead {
-            st.owned_modules.remove(m);
+    for &m in &bufs.changed_modules {
+        let module = st.owned_module_mut(m);
+        if module.totals.members == 0 && module.totals.flow <= 1e-15 {
+            module.present = false;
+            module.totals = ModuleEntry::default();
         }
     }
 
-    // ---- 4. Local MDL partials from the owners' totals. ----
-    let (q, s1, s2, k) = {
-        let mut q = 0.0;
-        let mut s1 = 0.0;
-        let mut s2 = 0.0;
-        let mut k = 0u64;
-        // Sorted iteration keeps the floating-point sums deterministic;
-        // the id vec is reused across syncs.
-        bufs.sorted_ids.clear();
-        bufs.sorted_ids.extend(st.owned_modules.keys().copied());
-        bufs.sorted_ids.sort_unstable();
-        for &m in &bufs.sorted_ids {
-            let t = &st.owned_modules[&m];
-            let exit = t.exit.max(0.0);
-            q += exit;
-            s1 += plogp(exit);
-            s2 += plogp(exit + t.flow.max(0.0));
-            k += 1;
-        }
-        comm.add_work(st.owned_modules.len() as u64);
-        (q, s1, s2, k)
-    };
+    // ---- 4. Local MDL partials from the owners' totals, in ascending
+    //         module id order (the floating-point sums depend on it). ----
+    let (mut q, mut s1, mut s2, mut k) = (0.0, 0.0, 0.0, 0u64);
+    for (_, t) in st.owned_modules() {
+        let exit = t.exit.max(0.0);
+        q += exit;
+        s1 += plogp(exit);
+        s2 += plogp(exit + t.flow.max(0.0));
+        k += 1;
+    }
+    comm.add_work(k);
 
     // ---- 5. Global reduction of the partials, and (under full swapping)
     //         publish refreshed stats for changed modules (plus current
@@ -1218,17 +1181,15 @@ pub fn sync_modules(
         }
         bufs.queue.clear();
         for &m in &bufs.changed_modules {
-            if let Some(subs) = st.owner_subs.get(&m) {
-                for &r in subs {
-                    bufs.queue.push((m, r));
-                }
-            }
+            let sources = &st.owned_module(m).sources;
+            bufs.queue
+                .extend(sources.iter().map(|&(r, _)| (m, r as usize)));
         }
         bufs.queue.extend(bufs.forced.iter().copied());
         bufs.queue.sort_unstable();
         bufs.queue.dedup();
         for &(m, r) in &bufs.queue {
-            let t = st.owned_modules.get(&m).copied().unwrap_or_default();
+            let t = st.owned_module(m).totals;
             bufs.info_out[r].push(ModuleInfoMsg {
                 mod_id: m,
                 flow: t.flow,
@@ -1566,11 +1527,17 @@ pub fn cluster_stage_recoverable(
 mod tests {
     use super::*;
     use crate::state::build_stage1_states;
+    use infomap_graph::datasets::DatasetId;
     use infomap_graph::generators;
     use infomap_mpisim::World;
     use infomap_partition::{DelegateThreshold, Partition};
+    use std::collections::HashMap;
 
-    fn run_sync_rounds(p: usize, rounds: usize, full_swap: bool) -> Vec<(f64, u64)> {
+    /// `rounds` owner reductions in a row on rank 0 of a fresh LFR state:
+    /// per sync `(mdl, modules, work, codec bytes)`, the work without the
+    /// one unit per owned module that the MDL partials always cost — what
+    /// is left is arcs scanned plus records reduced and published.
+    fn run_sync_rounds(p: usize, rounds: usize, full_swap: bool) -> Vec<(f64, u64, u64, u64)> {
         let (g, _) = generators::lfr_like(
             generators::LfrParams {
                 n: 200,
@@ -1599,13 +1566,13 @@ mod tests {
             let mut bufs = RoundBuffers::new(p);
             let mut out = Vec::new();
             for _ in 0..rounds {
-                out.push(sync_modules(
-                    comm,
-                    &mut st,
-                    node_term,
-                    cfg.full_module_swap,
-                    &mut bufs,
-                ));
+                let before = comm.stats().total.clone();
+                let (mdl, nmod) =
+                    sync_modules(comm, &mut st, node_term, cfg.full_module_swap, &mut bufs);
+                let after = &comm.stats().total;
+                let work = after.work_units - before.work_units;
+                let codec = after.codec_bytes - before.codec_bytes;
+                out.push((mdl, nmod, work - st.owned_modules().count() as u64, codec));
             }
             out
         });
@@ -1614,13 +1581,20 @@ mod tests {
 
     #[test]
     fn repeated_syncs_without_moves_are_stable() {
-        // With no moves between syncs, the delta reduction must ship
-        // nothing new and report the identical MDL and module count.
+        // With no moves between syncs, no module is dirty: the reduction
+        // scans no arc, ships no byte and reports the identical MDL and
+        // module count.
         let series = run_sync_rounds(3, 4, true);
-        let (mdl0, n0) = series[0];
-        for &(mdl, n) in &series[1..] {
+        let (mdl0, n0, work0, codec0) = series[0];
+        assert!(work0 > 0 && codec0 > 0, "the first sync reduces everything");
+        for &(mdl, n, work, codec) in &series[1..] {
             assert_eq!(n, n0);
-            assert!((mdl - mdl0).abs() < 1e-12, "MDL drifted: {mdl0} -> {mdl}");
+            assert_eq!(
+                mdl.to_bits(),
+                mdl0.to_bits(),
+                "MDL drifted: {mdl0} -> {mdl}"
+            );
+            assert_eq!((work, codec), (0, 0));
         }
     }
 
@@ -1754,13 +1728,13 @@ mod tests {
                 })
                 .collect();
             for ((&x, st), c) in [u, v].iter().zip(&mut cycle).zip(&picks) {
-                apply_local_move(st, st.local_of(x), c);
+                apply_local_move(st, st.local_of(x), c, 1);
             }
             // What the boundary swap and the owner reduction deliver: the
             // ghost's new module, and two one-member modules again.
             for (i, (&ghost, st)) in [v, u].iter().zip(&mut cycle).enumerate() {
                 let li = st.local_of(ghost) as usize;
-                st.module_of[li] = st.module_slot[&labels[i]];
+                st.move_vertex(li, st.module_slot[&labels[i]], 1);
                 sync_two_singletons(st, u, v);
             }
             let after: Vec<u64> = [u, v]
@@ -1906,6 +1880,338 @@ mod tests {
         assert!(admit_winner(&mut left, &other, 2));
     }
 
+    /// Reference oracle for [`sync_modules`]: the owner reduction as it was
+    /// before the dirty set and the owner table — every sync rescans every
+    /// local vertex and arc and diffs every slot, and the owner side lives
+    /// in three maps. It reads the rank's assignments and keeps its own
+    /// copy of everything a sync carries over to the next one.
+    #[derive(Default)]
+    struct FullRescanSync {
+        last_contrib: Vec<(f64, f64, u32)>,
+        last_contrib_active: Vec<bool>,
+        owned_totals: HashMap<u64, ModuleEntry>,
+        source_records: HashMap<(u64, u32), (f64, f64, u32)>,
+        subscriber_ranks: BTreeMap<u64, Vec<usize>>,
+    }
+
+    impl FullRescanSync {
+        fn sync(&mut self, comm: &mut Comm, st: &LocalState, node_term: f64) -> (f64, u64) {
+            let p = st.nranks;
+            let nslots = st.num_module_slots();
+            let mut contrib: StampedSlotMap<(f64, f64, u32)> = StampedSlotMap::new();
+            contrib.begin(nslots);
+            for li in 0..st.verts.len() {
+                let m = st.module_of[li];
+                match st.kind[li] {
+                    VertexKind::Owned => {
+                        let f = st.node_flow[li];
+                        contrib.update(m, |e| {
+                            e.0 += f;
+                            e.2 += 1;
+                        });
+                    }
+                    VertexKind::DelegateCopy => {
+                        let f = st.node_flow[li];
+                        let counted = (st.verts[li] as usize) % p == st.rank;
+                        contrib.update(m, |e| {
+                            e.0 += f;
+                            if counted {
+                                e.2 += 1;
+                            }
+                        });
+                    }
+                    VertexKind::Ghost => contrib.update(m, |_| {}),
+                }
+            }
+            for li in 0..st.verts.len() as u32 {
+                if st.kind[li as usize] == VertexKind::Ghost {
+                    continue;
+                }
+                let m_src = st.module_of[li as usize];
+                let inv_two_w = st.inv_two_w;
+                for (tgt, w) in st.arcs_of(li) {
+                    if tgt == li {
+                        continue;
+                    }
+                    let m_dst = st.module_of[tgt as usize];
+                    if m_src != m_dst {
+                        contrib.update(m_src, |e| e.1 += w * inv_two_w);
+                        contrib.update(m_dst, |_| {});
+                    }
+                }
+            }
+
+            self.last_contrib.resize(nslots, (0.0, 0.0, 0));
+            self.last_contrib_active.resize(nslots, false);
+            let mut out: Vec<Vec<ModuleContribution>> = vec![Vec::new(); p];
+            for &s in contrib.touched() {
+                let c = contrib.get(s);
+                let si = s as usize;
+                if !self.last_contrib_active[si] || contrib_changed(&self.last_contrib[si], &c) {
+                    let gid = st.module_ids[si];
+                    out[(gid % p as u64) as usize].push(ModuleContribution {
+                        mod_id: gid,
+                        flow: c.0,
+                        exit: c.1,
+                        members: c.2,
+                        retract: false,
+                    });
+                }
+            }
+            for s in 0..nslots {
+                if self.last_contrib_active[s] && !contrib.is_touched(s as u32) {
+                    let gid = st.module_ids[s];
+                    out[(gid % p as u64) as usize].push(ModuleContribution {
+                        mod_id: gid,
+                        flow: 0.0,
+                        exit: 0.0,
+                        members: 0,
+                        retract: true,
+                    });
+                    self.last_contrib_active[s] = false;
+                    self.last_contrib[s] = (0.0, 0.0, 0);
+                }
+            }
+            for &s in contrib.touched() {
+                self.last_contrib[s as usize] = contrib.get(s);
+                self.last_contrib_active[s as usize] = true;
+            }
+            let outgoing: Vec<Vec<u8>> = out
+                .iter_mut()
+                .map(|bucket| {
+                    bucket.sort_by_key(|c| c.mod_id);
+                    let mut buf = Vec::new();
+                    codec::encode_contribs(&mut buf, bucket);
+                    buf
+                })
+                .collect();
+            let packets = comm.alltoallv(outgoing);
+
+            let mut changed: Vec<u64> = Vec::new();
+            for (src, buf) in packets.iter().enumerate() {
+                for c in codec::decode_contribs(buf, &mut 0) {
+                    let key = (c.mod_id, src as u32);
+                    let old = self.source_records.get(&key).copied().unwrap_or_default();
+                    let entry = self.owned_totals.entry(c.mod_id).or_default();
+                    entry.flow += c.flow - old.0;
+                    entry.exit += c.exit - old.1;
+                    entry.members = (entry.members + c.members) - old.2;
+                    let subs = self.subscriber_ranks.entry(c.mod_id).or_default();
+                    if c.retract {
+                        self.source_records.remove(&key);
+                        subs.retain(|&r| r != src);
+                    } else {
+                        self.source_records.insert(key, (c.flow, c.exit, c.members));
+                        if let Err(at) = subs.binary_search(&src) {
+                            subs.insert(at, src);
+                        }
+                    }
+                    if contrib_changed(&old, &(c.flow, c.exit, c.members)) {
+                        changed.push(c.mod_id);
+                    }
+                }
+            }
+            self.subscriber_ranks.retain(|_, subs| !subs.is_empty());
+            for m in changed {
+                if (self.owned_totals.get(&m)).is_some_and(|t| t.members == 0 && t.flow <= 1e-15) {
+                    self.owned_totals.remove(&m);
+                }
+            }
+
+            let mut ids: Vec<u64> = self.owned_totals.keys().copied().collect();
+            ids.sort_unstable();
+            let (mut q, mut s1, mut s2) = (0.0, 0.0, 0.0);
+            for m in &ids {
+                let t = &self.owned_totals[m];
+                let exit = t.exit.max(0.0);
+                q += exit;
+                s1 += plogp(exit);
+                s2 += plogp(exit + t.flow.max(0.0));
+            }
+            let red = comm.allreduce_with((q, s1, s2, ids.len() as u64), |parts| {
+                parts.into_iter().fold((0.0, 0.0, 0.0, 0u64), |acc, x| {
+                    (acc.0 + x.0, acc.1 + x.1, acc.2 + x.2, acc.3 + x.3)
+                })
+            });
+            let (sum_exit, s_plogp_exit, s_plogp_both, nmod) = *red;
+            let mdl = plogp(sum_exit) - 2.0 * s_plogp_exit - node_term + s_plogp_both;
+            (mdl, nmod)
+        }
+
+        /// Everything `st` carries from one sync to the next equals this
+        /// oracle's copy, floats by bit pattern.
+        fn assert_matches(&self, st: &LocalState, when: &str) {
+            let bits = |c: &(f64, f64, u32)| (c.0.to_bits(), c.1.to_bits(), c.2);
+            assert!(st.dirty_slots.is_empty() && !st.slot_dirty.contains(&true));
+            for s in 0..st.num_module_slots() {
+                let want = (self.last_contrib.get(s)).map_or((0, 0, 0), bits);
+                let active = self.last_contrib_active.get(s).copied().unwrap_or(false);
+                assert_eq!(bits(&st.last_contrib[s]), want, "{when}: slot {s}");
+                assert_eq!(st.last_contrib_active[s], active, "{when}: slot {s}");
+            }
+            assert_eq!(st.owned_modules().count(), self.owned_totals.len());
+            for (m, t) in st.owned_modules() {
+                let want = self.owned_totals[&m];
+                assert_eq!(
+                    bits(&(t.flow, t.exit, t.members)),
+                    bits(&(want.flow, want.exit, want.members)),
+                    "{when}: module {m}"
+                );
+            }
+            let mut sources = 0;
+            for (i, module) in st.owner.iter().enumerate() {
+                let m = (i * st.nranks + st.rank) as u64;
+                for (r, c) in &module.sources {
+                    assert_eq!(bits(c), bits(&self.source_records[&(m, *r)]), "{when}: {m}");
+                }
+                // Subscribers ≡ live sources.
+                let ranks: Vec<usize> = module.sources.iter().map(|&(r, _)| r as usize).collect();
+                let subs = self.subscriber_ranks.get(&m).cloned().unwrap_or_default();
+                assert_eq!(ranks, subs, "{when}: module {m}");
+                sources += ranks.len();
+            }
+            assert_eq!(sources, self.source_records.len(), "{when}");
+        }
+    }
+
+    /// The stage-1 rank states of `g` on `p` ranks, with the delegate set
+    /// and the MDL node term.
+    fn stage1_world(g: &infomap_graph::Graph, p: usize) -> (Vec<LocalState>, Vec<u32>, f64) {
+        let partition = Partition::delegate(g, p, DelegateThreshold::Auto(4.0), true);
+        let states = build_stage1_states(g, &partition);
+        let inv_two_w = 1.0 / (2.0 * g.total_weight());
+        let node_term: f64 = (0..g.num_vertices() as u32)
+            .map(|v| plogp(g.strength(v) * inv_two_w))
+            .sum();
+        (states, partition.delegates, node_term)
+    }
+
+    /// One owner reduction, shadowed by the oracle: the same result and
+    /// the same carried state, to the bit.
+    fn shadowed_sync(
+        comm: &mut Comm,
+        st: &mut LocalState,
+        oracle: &mut FullRescanSync,
+        bufs: &mut RoundBuffers,
+        node_term: f64,
+        when: &str,
+    ) {
+        let want = oracle.sync(comm, st, node_term);
+        let got = sync_modules(comm, st, node_term, true, bufs);
+        oracle.assert_matches(st, when);
+        assert_eq!(
+            (got.0.to_bits(), got.1),
+            (want.0.to_bits(), want.1),
+            "{when}"
+        );
+    }
+
+    /// Run a whole stage-1 clustering of `g` on `p` ranks, every owner
+    /// reduction shadowed by the full-rescan oracle. Returns the rounds run.
+    fn stage_against_full_rescan(g: &infomap_graph::Graph, p: usize, seed: u64) -> usize {
+        let (states, delegates, node_term) = stage1_world(g, p);
+        let cfg = DistributedConfig {
+            nranks: p,
+            seed,
+            ..Default::default()
+        };
+        let report = World::new(p).run(|comm| {
+            let mut st = states[comm.rank()].clone();
+            let mut oracle = FullRescanSync::default();
+            let mut bufs = RoundBuffers::new(p);
+            let mut delegate_assign: BTreeMap<u32, u64> =
+                delegates.iter().map(|&d| (d, d as u64)).collect();
+            let mut rng = StdRng::seed_from_u64(seed ^ comm.rank() as u64);
+            shadowed_sync(comm, &mut st, &mut oracle, &mut bufs, node_term, "init");
+            let mut quiet = 0;
+            let mut rounds = 0;
+            while rounds < cfg.max_inner_iterations && quiet < schedule_period(&cfg) {
+                let tick = rounds as u32 + 1;
+                let (owned, _, proposals) =
+                    find_best_modules(&mut st, &cfg, &mut rng, &mut bufs, rounds);
+                let (delegates, owned) = broadcast_delegates(
+                    comm,
+                    &mut st,
+                    proposals,
+                    owned,
+                    &mut delegate_assign,
+                    &mut bufs,
+                    tick,
+                );
+                swap_boundary_info(comm, &mut st, true, tick, &mut bufs);
+                let when = format!("round {rounds}");
+                shadowed_sync(comm, &mut st, &mut oracle, &mut bufs, node_term, &when);
+                quiet = if owned + delegates == 0 { quiet + 1 } else { 0 };
+                rounds += 1;
+            }
+            rounds
+        });
+        report.results[0]
+    }
+
+    #[test]
+    fn dirty_sync_matches_full_rescan_bitwise() {
+        // LFR (no hubs) and the UK-2007 stand-in (delegates, elections).
+        for seed in [3, 7, 11] {
+            let (lfr, _) = generators::lfr_like(
+                generators::LfrParams {
+                    n: 600,
+                    mu: 0.25,
+                    ..Default::default()
+                },
+                seed,
+            );
+            let (hub, _) = DatasetId::Uk2007.profile().generate_scaled(0.02, seed);
+            for p in [2, 4] {
+                for g in [&lfr, &hub] {
+                    let rounds = stage_against_full_rescan(g, p, seed);
+                    assert!(rounds > 4, "seed {seed}, p = {p}: {rounds} rounds");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweeps_without_a_sync_keep_the_dirty_set_bounded_and_exact() {
+        // What a harness does that replays sweeps outside a communicator:
+        // six `find_best_modules` calls and no owner reduction in between.
+        let (g, _) = generators::lfr_like(
+            generators::LfrParams {
+                n: 600,
+                mu: 0.25,
+                ..Default::default()
+            },
+            5,
+        );
+        let p = 4;
+        let (states, _, node_term) = stage1_world(&g, p);
+        let cfg = DistributedConfig {
+            nranks: p,
+            ..Default::default()
+        };
+        let report = World::new(p).run(|comm| {
+            let mut st = states[comm.rank()].clone();
+            let mut oracle = FullRescanSync::default();
+            let mut bufs = RoundBuffers::new(p);
+            let mut rng = StdRng::seed_from_u64(comm.rank() as u64);
+            shadowed_sync(comm, &mut st, &mut oracle, &mut bufs, node_term, "init");
+            let mut moves = 0;
+            for round in 0..6 {
+                moves += find_best_modules(&mut st, &cfg, &mut rng, &mut bufs, round).0;
+                // Every slot at most once, however often it changed hands.
+                assert!(st.dirty_slots.len() <= st.num_module_slots());
+                let flagged = st.slot_dirty.iter().filter(|&&d| d).count();
+                assert_eq!(flagged, st.dirty_slots.len());
+            }
+            let dirty = st.dirty_slots.len();
+            shadowed_sync(comm, &mut st, &mut oracle, &mut bufs, node_term, "after");
+            (moves, dirty)
+        });
+        for &(moves, dirty) in &report.results {
+            assert!(moves > 0 && dirty > 0 && dirty as u64 <= 2 * moves);
+        }
+    }
+
     /// Reference oracle for [`best_local_move`]: the straightforward
     /// O(deg·k) kernel that accumulates neighbor-module flow by scanning a
     /// scratch vec.
@@ -2027,7 +2333,7 @@ mod tests {
                 // non-singleton statistics.
                 for &li in &st.movable.clone() {
                     if let Some(c) = best_local_move_scan(&st, li, 1e-10, restrict, &mut scan) {
-                        apply_local_move(&mut st, li, &c);
+                        apply_local_move(&mut st, li, &c, 1);
                     }
                 }
             }

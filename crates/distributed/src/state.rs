@@ -3,6 +3,7 @@
 //! and the rank's local view of module statistics.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::mem;
 
 use infomap_graph::{GraphStore, VertexId};
 use infomap_partition::{owner, Arc, Partition};
@@ -28,6 +29,33 @@ pub struct ModuleEntry {
     pub members: u32,
 }
 
+/// Owner side of the module reduction: one module this rank owns
+/// (`modID mod p == rank`), at index `modID / p` of
+/// [`LocalState::owner`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct OwnedModule {
+    /// Whether the module has authoritative totals. A module nobody has
+    /// contributed to yet, or one that died, has none and holds
+    /// `ModuleEntry::default()`.
+    pub present: bool,
+    /// Authoritative totals, refreshed by every owner reduction; consumed
+    /// by merging.
+    pub totals: ModuleEntry,
+    /// Last absolute contribution of every rank that touches the module,
+    /// sorted by rank. A rank is listed exactly while it has a local
+    /// vertex in the module, so this is also the module's subscriber list.
+    pub sources: Vec<(u32, (f64, f64, u32))>,
+}
+
+impl OwnedModule {
+    /// Whether the entry holds anything: totals, or a rank still listed.
+    /// The rest of the owner table is `OwnedModule::default()`.
+    #[inline]
+    pub fn is_live(&self) -> bool {
+        self.present || !self.sources.is_empty()
+    }
+}
+
 /// The complete local state of one rank for one clustering stage.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LocalState {
@@ -51,8 +79,10 @@ pub struct LocalState {
     /// Current module of each local vertex, as an interned **module slot**
     /// (index into `module_ids` / the `mod_*` stat arrays). Global ids
     /// appear only at communication boundaries; see
-    /// [`LocalState::module_gid`].
-    pub module_of: Vec<u32>,
+    /// [`LocalState::module_gid`]. Written only by
+    /// [`LocalState::move_vertex`], which keeps the dirty set below exact;
+    /// other crates read it through [`LocalState::module_of`].
+    pub(crate) module_of: Vec<u32>,
     /// Interned module table: slot → global module id. Append-only within
     /// a clustering stage, so slots stay stable across rounds.
     pub module_ids: Vec<u64>,
@@ -74,14 +104,19 @@ pub struct LocalState {
     /// Whether this rank currently has a view of the slot's module
     /// (mirrors key-existence in the pre-interning `HashMap`).
     pub module_present: Vec<bool>,
-    /// Authoritative totals of the modules this rank owns (`modID mod p ==
-    /// rank`), refreshed by every owner reduction; consumed by merging.
-    pub owned_modules: HashMap<u64, ModuleEntry>,
+    /// The modules this rank owns, indexed by `modID / p`. Module ids are
+    /// the level's vertex ids, so [`assemble`] sizes it once for the
+    /// largest id with `id mod p == rank` among the rank's owned vertices
+    /// and the delegates; it never grows.
+    pub owner: Vec<OwnedModule>,
     /// Local estimate of the total exit flow q (refreshed every sync).
     pub sum_exit: f64,
     /// Owned vertices that are ghosts on other ranks, with the ranks that
     /// track them.
     pub subscribers: Vec<(u32, Vec<usize>)>,
+    /// Local index of each `subscribers` entry's vertex (derived from
+    /// `index`, so the boundary swap hashes nothing per entry per round).
+    pub subscriber_li: Vec<u32>,
     /// Ranks that will send boundary updates to this rank each round.
     pub providers: Vec<usize>,
     /// Distinct ranks in `subscribers` (send targets each round).
@@ -101,12 +136,12 @@ pub struct LocalState {
     pub last_contrib: Vec<(f64, f64, u32)>,
     /// Which `last_contrib` slots hold a shipped contribution.
     pub last_contrib_active: Vec<bool>,
-    /// Owner side of the reduction: per (module, source rank) last
-    /// absolute contribution.
-    pub owner_sources: HashMap<(u64, u32), (f64, f64, u32)>,
-    /// Owner side: current subscriber ranks per owned module (modules
-    /// with none have no entry).
-    pub owner_subs: BTreeMap<u64, Vec<usize>>,
+    /// Module slots a local vertex entered or left since the last owner
+    /// reduction — the only slots whose contribution can have changed. All
+    /// of them before the first sync of a stage, none at a round boundary.
+    pub(crate) dirty_slots: Vec<u32>,
+    /// Membership flags of `dirty_slots`, slot-indexed.
+    pub(crate) slot_dirty: Vec<bool>,
     /// Election hysteresis, replicated like the delegate assignment: for
     /// every delegate that has moved this stage, the module it last left
     /// and the gain (−δL) of the winning proposal that took it out. A
@@ -165,6 +200,58 @@ impl LocalState {
                 .any(|&tgt| self.moved_at[tgt as usize] >= since)
     }
 
+    /// Current module slot of each local vertex.
+    #[inline]
+    pub fn module_of(&self) -> &[u32] {
+        &self.module_of
+    }
+
+    /// Move local vertex `li` to module slot `to` on round tick `tick`:
+    /// the one writer of `module_of`. Stamps the active-set mark and marks
+    /// the slot left and the slot entered dirty — a move can change this
+    /// rank's contribution to those two modules and to no other.
+    #[inline]
+    pub fn move_vertex(&mut self, li: usize, to: u32, tick: u32) {
+        let from = mem::replace(&mut self.module_of[li], to);
+        self.moved_at[li] = tick;
+        for s in [from, to] {
+            if !mem::replace(&mut self.slot_dirty[s as usize], true) {
+                self.dirty_slots.push(s);
+            }
+        }
+    }
+
+    /// The modules this rank owns that have totals, as `(module id,
+    /// totals)` in ascending id order.
+    pub fn owned_modules(&self) -> impl Iterator<Item = (u64, &ModuleEntry)> + '_ {
+        let (p, rank) = (self.nranks as u64, self.rank as u64);
+        self.owner
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.present)
+            .map(move |(i, m)| (i as u64 * p + rank, &m.totals))
+    }
+
+    /// The owner-table entry of module `gid`, which this rank owns.
+    #[inline]
+    pub fn owned_module(&self, gid: u64) -> &OwnedModule {
+        &self.owner[(gid / self.nranks as u64) as usize]
+    }
+
+    /// [`LocalState::owned_module`], mutably.
+    #[inline]
+    pub fn owned_module_mut(&mut self, gid: u64) -> &mut OwnedModule {
+        &mut self.owner[(gid / self.nranks as u64) as usize]
+    }
+
+    /// Local indices of the `subscribers` vertices.
+    pub(crate) fn subscriber_indices(
+        subscribers: &[(u32, Vec<usize>)],
+        index: &HashMap<u32, u32>,
+    ) -> Vec<u32> {
+        subscribers.iter().map(|(v, _)| index[v]).collect()
+    }
+
     // ------------------------------------------------------------------
     // Module-ID interning (slot ↔ global id)
     // ------------------------------------------------------------------
@@ -185,6 +272,7 @@ impl LocalState {
         self.module_present.push(false);
         self.last_contrib.push((0.0, 0.0, 0));
         self.last_contrib_active.push(false);
+        self.slot_dirty.push(false);
         s
     }
 
@@ -265,9 +353,15 @@ impl LocalState {
     /// (keeping the invariant that absent slots read as `default()`).
     pub fn remove_module(&mut self, gid: u64) {
         if let Some(&s) = self.module_slot.get(&gid) {
-            self.module_present[s as usize] = false;
-            self.set_module_entry(s, ModuleEntry::default());
+            self.remove_module_slot(s);
         }
+    }
+
+    /// [`LocalState::remove_module`] by slot.
+    #[inline]
+    pub fn remove_module_slot(&mut self, s: u32) {
+        self.module_present[s as usize] = false;
+        self.set_module_entry(s, ModuleEntry::default());
     }
 }
 
@@ -418,6 +512,15 @@ pub fn assemble(
     let module_present = vec![true; n];
     let sum_exit = 0.0; // refreshed by the first sync round
 
+    // One owner-table entry per `id / p`, up to the largest module id this
+    // rank owns: an owned vertex's or a delegate's.
+    let owner_len = (owned.iter().chain(delegate_set))
+        .filter(|&&v| owner(v, nranks) == rank)
+        .map(|&v| v as usize / nranks + 1)
+        .max()
+        .unwrap_or(0);
+    let subscriber_li = LocalState::subscriber_indices(&subscribers, &index);
+
     LocalState {
         rank,
         nranks,
@@ -436,9 +539,10 @@ pub fn assemble(
         mod_exit,
         mod_members,
         module_present,
-        owned_modules: HashMap::new(),
+        owner: vec![OwnedModule::default(); owner_len],
         sum_exit,
         subscribers,
+        subscriber_li,
         providers,
         send_targets,
         inv_two_w,
@@ -446,8 +550,9 @@ pub fn assemble(
         last_announced: vec![u64::MAX; n],
         last_contrib: vec![(0.0, 0.0, 0); n],
         last_contrib_active: vec![false; n],
-        owner_sources: HashMap::new(),
-        owner_subs: BTreeMap::new(),
+        // Nothing has been reduced yet: every slot's contribution is new.
+        dirty_slots: (0..n as u32).collect(),
+        slot_dirty: vec![true; n],
         delegate_left: BTreeMap::new(),
         moved_at: vec![0; n],
         swept_at: vec![0; n],

@@ -111,9 +111,10 @@ fn deltas_track_the_modeled_bytes_and_bases_are_written_once() {
 
     // Stage-1 deltas from round 6 on (the singleton module tables have
     // thinned out by then): a fraction of the topology, and within 5 % of
-    // the model (measured: 3.4 % above it at round 6, under 1 % from
-    // round 9 on) — the active-set marks included, which cost a byte per
-    // local vertex and one per movable vertex.
+    // the model, which prices every record the delta writes — the owner
+    // table and the active-set marks included (measured: 0.4–0.9 % above
+    // it in every round; what it leaves out is the module ids interned
+    // since the base and the section framing).
     let settled: Vec<&Commit> = log
         .iter()
         .filter(|c| c.pos.stage == 1 && c.pos.round >= 6)
