@@ -1,7 +1,8 @@
 //! Substrate microbenches: barrier, allreduce, allgatherv, alltoallv and
 //! point-to-point rounds at several world sizes. These measure the
-//! *simulator's* overhead (thread rendezvous), which bounds how large an
-//! experiment the harness can run — not modeled cluster time.
+//! *in-process world's* overhead (encode, p − 1 mailbox frames per rank,
+//! decode and fold on every rank), which bounds how large an experiment
+//! the harness can run — not modeled cluster time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use infomap_mpisim::{ReduceOp, World};

@@ -10,7 +10,7 @@
 //! own shard, connects a [`SocketTransport`] mesh in a shared rendezvous
 //! directory, rebuilds its state with [`RankProgram::prepare_shard`]
 //! (collectives stand in for every global fact), and runs the identical
-//! SPMD driver the thread world runs — the two backends produce
+//! SPMD driver the thread world runs — the two transports produce
 //! bit-identical MDL series, move counts, and assignments per seed (gated
 //! by `tests/comm_equivalence.rs`).
 //!

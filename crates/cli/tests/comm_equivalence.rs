@@ -1,9 +1,10 @@
-//! Backend-equivalence gate: the thread world and the socket transport
-//! must produce **bit-identical** results per seed — same per-round MDL
-//! series (as f64 bit patterns), same move counts, same final
-//! assignment. The byte backend lowers every collective onto blob
-//! exchanges with per-rank folds in rank order, so IEEE determinism
-//! carries across process/socket boundaries; this test is the contract.
+//! Transport-equivalence gate: the thread world (ranks over the in-memory
+//! transport) and the socket transport must produce **bit-identical**
+//! results per seed — same per-round MDL series (as f64 bit patterns),
+//! same move counts, same final assignment. One `Comm` lowers every
+//! collective onto blob exchanges with per-rank folds in rank order over
+//! either transport, so IEEE determinism carries across process/socket
+//! boundaries; this test is the contract.
 //!
 //! The matrix also crosses the transport axis with the intra-rank thread
 //! axis (DESIGN.md §6 note 16): a single-threaded thread-world run must

@@ -460,7 +460,7 @@ impl RankProgram {
 
     /// One rank's complete SPMD program: restore-or-initialize, stage 1
     /// with delegates, merge, stage-2 levels, final gather. Identical over
-    /// the thread backend and a socket transport — the communicator hides
+    /// the in-memory and the socket transport — the communicator hides
     /// the substrate, the snapshot store hides where checkpoints live.
     ///
     /// Returns `Some((modules, trace, codelength))` on rank 0, `None`

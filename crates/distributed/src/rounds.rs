@@ -1806,7 +1806,7 @@ mod tests {
     }
 
     #[test]
-    fn revalidation_is_thread_count_invariant_where_it_fires() {
+    fn revalidation_is_invariant_in_the_thread_count_where_it_fires() {
         let (g, _) = generators::lfr_like(
             generators::LfrParams {
                 n: 600,

@@ -1,33 +1,39 @@
 //! The per-rank communicator: point-to-point messaging, collectives,
 //! and phase-scoped metering.
 //!
-//! A [`Comm`] fronts one of two substrates. The default is the in-process
-//! *thread* backend: typed payloads move through shared memory (crossbeam
-//! mailboxes and a rendezvous cell) without serialization, and collective
-//! folds run once on the last-arriving rank. The alternative is a *byte*
-//! backend behind the [`Transport`] trait: payloads are encoded with
-//! [`WirePayload`], collectives lower onto a blob allgather (or a true
-//! personalized exchange), and every rank folds the decoded contributions
-//! locally **in rank order** — the same order the rendezvous presents them
-//! — so IEEE-deterministic reductions produce bit-identical results on
-//! both backends.
+//! A [`Comm`] runs over one [`Transport`] and lowers every operation one
+//! way: the typed payload is encoded with [`WirePayload`], the transport
+//! moves the bytes — a blob allgather for the symmetric collectives, a
+//! personalized exchange for `alltoallv` — and every rank decodes all p
+//! contributions and folds them locally **in rank order**. The fold is the
+//! same code on the same bits whichever transport carried them, so an
+//! in-process [`crate::World`] (ranks on threads, [`crate::MemTransport`])
+//! and a multi-process socket world give bit-identical results.
+//!
+//! Every collective frame leads with a [`Stamp`]: the sender's running
+//! hash of the collectives it has issued, compared on receipt. Ranks that
+//! disagree on the schedule fail at the first collective where they
+//! differ, with a per-rank `kind #seq at call-site` table built from the
+//! stamps (the dynamic counterpart of spmd-lint rule R1). A rank whose
+//! peer returned from its SPMD closure without issuing the collective is
+//! diagnosed the same way instead of waiting forever.
 //!
 //! Metering is computed from the *typed* payload sizes before any
-//! encoding, with identical formulas on both backends, so modeled
-//! makespans are backend-invariant; only wall-clock differs. That is what
-//! lets `BENCH_transport.json` compare modeled time against reality.
+//! encoding, so modeled makespans do not depend on the transport; only
+//! wall-clock does. That is what lets `BENCH_transport.json` compare
+//! modeled time against reality.
+//!
+//! Fault injection ([`crate::FaultPlan`]) acts here, on the boundary to
+//! the transport: the event counter and crashes at the head of every
+//! operation, message fates on the encoded frame of a `send`.
 
-use std::any::Any;
-use std::collections::VecDeque;
 use std::mem::size_of;
+use std::panic::Location;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{Receiver, Sender};
-
 use crate::fault::{FaultState, MessageFate};
-use crate::payload::WirePayload;
-use crate::rendezvous::{Rendezvous, ScheduleStamp};
+use crate::payload::{decode_str, encode_str, WireDecodeError, WirePayload};
 use crate::stats::RankStats;
 use crate::transport::{Transport, TransportError, TransportFault};
 use crate::wire::WireSized;
@@ -40,89 +46,35 @@ pub enum ReduceOp {
     Max,
 }
 
-pub(crate) struct Envelope {
-    pub src: usize,
-    pub tag: u64,
-    pub payload: Box<dyn Any + Send>,
-    pub bytes: u64,
-}
-
-/// Shared, immutable world plumbing every rank holds a handle to.
-pub(crate) struct Fabric {
-    pub nranks: usize,
-    pub mailboxes: Vec<Sender<Envelope>>,
-    pub rendezvous: Rendezvous,
-    /// Fault-injection bookkeeping; `None` on a healthy world, in which
-    /// case every fault hook is a no-op and the metered counters are
-    /// bit-identical to a build without fault support.
-    pub fault: Option<Arc<FaultState>>,
-    /// Verify the collective schedule at every rendezvous (the dynamic
-    /// counterpart of spmd-lint rule R1). Defaults to on in debug builds;
-    /// see [`crate::World::check_schedule`].
-    pub check_schedule: bool,
-}
-
-/// The in-process substrate: crossbeam mailboxes plus the rendezvous cell.
-struct ThreadBackend {
-    fabric: Arc<Fabric>,
-    inbox: Receiver<Envelope>,
-    /// Messages received but not yet matched by a selective `recv`.
-    stash: VecDeque<Envelope>,
-    /// Fault-delayed outgoing messages: `(release_event, dest, envelope)`,
-    /// flushed whenever this rank's event counter passes `release_event`
-    /// (and unconditionally when the rank finishes).
-    delayed: Vec<(u64, usize, Envelope)>,
-}
-
-impl ThreadBackend {
-    /// Push an envelope into `dest`'s mailbox. A send can only fail when
-    /// the destination's receiver is gone, i.e. the destination rank died;
-    /// in that case the world is (or is about to be) poisoned, so unwind
-    /// with the standard poisoned-world diagnostic instead of masking the
-    /// original failure with a send error.
-    fn deliver(&self, dest: usize, env: Envelope) {
-        if self.mailboxes_send(dest, env).is_err() {
-            panic!("world poisoned: another rank panicked");
-        }
-    }
-
-    fn mailboxes_send(&self, dest: usize, env: Envelope) -> Result<(), ()> {
-        self.fabric.mailboxes[dest].send(env).map_err(|_| ())
-    }
-}
-
-/// A byte-moving substrate behind the [`Transport`] trait.
-struct ByteBackend {
-    transport: Box<dyn Transport>,
-    /// Collective sequence number for matching exchange/alltoallv calls
-    /// across ranks (independent of the schedule checker's `sched_seq`,
-    /// which only advances when checking is on).
-    coll_seq: u64,
-}
-
 /// A rank's communicator. One instance per rank; not shareable across ranks.
 ///
 /// All operations are *metered*: bytes, message counts, collective calls and
 /// caller-declared work units accumulate into the currently active phase
 /// (see [`Comm::phase`]) and into the rank total. The final counters are
 /// returned to the caller of [`crate::World::run`] in the
-/// [`crate::WorldReport`], or taken with [`Comm::finish`] on a
-/// transport-backed communicator.
+/// [`crate::WorldReport`], or taken with [`Comm::finish`] on a communicator
+/// built with [`Comm::over_transport`].
 pub struct Comm {
     rank: usize,
     nranks: usize,
-    backend: Backend,
+    transport: Box<dyn Transport>,
     pub(crate) stats: RankStats,
     /// Stack of active phase names; metering charges the innermost.
     phase_stack: Vec<(String, Instant)>,
+    /// Fault-injection bookkeeping; `None` on a healthy world, in which
+    /// case every fault hook is a no-op and the metered counters are
+    /// bit-identical to a build without fault support.
+    fault: Option<Arc<FaultState>>,
+    /// Fault-delayed outgoing frames: `(release_event, dest, tag, frame)`,
+    /// sent once this rank's event counter passes `release_event` (and
+    /// unconditionally when the rank finishes).
+    delayed: Vec<(u64, usize, u64, Vec<u8>)>,
     /// Compute-inflation factor injected by a straggler fault (1 = none).
     work_scale: u64,
-    /// Collectives issued so far (the schedule checker's sequence number).
-    sched_seq: u64,
+    /// Collectives issued so far: the slot the next one's frames meet in.
+    seq: u64,
     /// Running hash of this rank's `(kind, seq)` collective schedule.
     sched_hash: u64,
-    /// Verify the collective schedule on every collective.
-    check_schedule: bool,
     /// When enabled, every stamped collective kind is appended — the
     /// observed word the static schedule automaton is checked against.
     sched_trace: Option<Vec<&'static str>>,
@@ -132,100 +84,79 @@ pub struct Comm {
     sched_matcher: Option<crate::schedule::Matcher>,
 }
 
-enum Backend {
-    Thread(ThreadBackend),
-    Byte(ByteBackend),
+/// What every collective frame leads with. `history` is compared on
+/// receipt; `kind` and the call site are read only to word the diagnostic
+/// when two ranks' histories differ.
+struct Stamp<'a> {
+    /// Order-sensitive hash of every `(kind, seq)` the sender has issued,
+    /// this collective included.
+    history: u64,
+    kind: &'a str,
+    file: &'a str,
+    line: u32,
+    column: u32,
 }
 
-/// Charge a metering closure to the rank total plus the innermost phase.
-/// Free function so backend match arms can charge while the backend is
-/// mutably borrowed.
-fn charge_into(
-    stats: &mut RankStats,
-    phase_stack: &[(String, Instant)],
-    f: impl Fn(&mut crate::PhaseStats),
-) {
-    f(&mut stats.total);
-    if let Some((name, _)) = phase_stack.last() {
-        let entry = stats.phases.entry(name.clone()).or_default();
-        f(entry);
+impl<'a> Stamp<'a> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.history.encode_into(out);
+        encode_str(self.kind, out);
+        encode_str(self.file, out);
+        self.line.encode_into(out);
+        self.column.encode_into(out);
+    }
+
+    fn decode_from(buf: &mut &'a [u8]) -> Result<Self, WireDecodeError> {
+        Ok(Stamp {
+            history: u64::decode_from(buf)?,
+            kind: decode_str(buf)?,
+            file: decode_str(buf)?,
+            line: u32::decode_from(buf)?,
+            column: u32::decode_from(buf)?,
+        })
     }
 }
 
 impl Comm {
-    pub(crate) fn new(rank: usize, fabric: Arc<Fabric>, inbox: Receiver<Envelope>) -> Self {
-        let work_scale = fabric
-            .fault
-            .as_ref()
-            .map(|f| f.straggler_factor(rank))
-            .unwrap_or(1);
-        let check_schedule = fabric.check_schedule;
-        Comm {
-            rank,
-            nranks: fabric.nranks,
-            backend: Backend::Thread(ThreadBackend {
-                fabric,
-                inbox,
-                stash: VecDeque::new(),
-                delayed: Vec::new(),
-            }),
-            stats: RankStats::new(rank),
-            phase_stack: Vec::new(),
-            work_scale,
-            sched_seq: 0,
-            sched_hash: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
-            check_schedule,
-            sched_trace: None,
-            sched_matcher: None,
-        }
-    }
-
-    /// A communicator running over a byte-level [`Transport`] — typically
-    /// one OS process per rank. Fault injection does not apply (failures
-    /// are real here); schedule checking defaults to on in debug builds,
-    /// like the thread world.
+    /// A communicator over `transport`: a [`crate::MemTransport`] for a
+    /// rank on a thread, a socket transport for a rank in its own process.
     pub fn over_transport(transport: Box<dyn Transport>) -> Self {
         let rank = transport.rank();
         let nranks = transport.size();
         Comm {
             rank,
             nranks,
-            backend: Backend::Byte(ByteBackend {
-                transport,
-                coll_seq: 0,
-            }),
+            transport,
             stats: RankStats::new(rank),
             phase_stack: Vec::new(),
+            fault: None,
+            delayed: Vec::new(),
             work_scale: 1,
-            sched_seq: 0,
-            sched_hash: 0xcbf2_9ce4_8422_2325,
-            check_schedule: cfg!(debug_assertions),
+            seq: 0,
+            sched_hash: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
             sched_trace: None,
             sched_matcher: None,
         }
     }
 
-    /// Measured-time counters from the underlying byte transport, if this
-    /// communicator runs over one that meters itself. `None` for the
-    /// thread world — it moves no bytes, so there is nothing to measure.
-    pub fn transport_metrics(&self) -> Option<crate::TransportMetrics> {
-        match &self.backend {
-            Backend::Byte(b) => b.transport.metrics(),
-            Backend::Thread(_) => None,
-        }
+    /// Put this rank under a fault plan ([`crate::World::fault_plan`]).
+    pub(crate) fn with_faults(mut self, fault: Option<Arc<FaultState>>) -> Self {
+        self.work_scale = fault.as_ref().map_or(1, |f| f.straggler_factor(self.rank));
+        self.fault = fault;
+        self
     }
 
-    /// Toggle collective-schedule verification (builder-style, for
-    /// transport-backed communicators).
-    pub fn with_schedule_check(mut self, on: bool) -> Self {
-        self.check_schedule = on;
-        self
+    /// Measured-time counters from the underlying transport, if it meters
+    /// itself. `None` for the in-memory transport — nothing crosses a
+    /// wire, so there is nothing to measure.
+    pub fn transport_metrics(&self) -> Option<crate::TransportMetrics> {
+        self.transport.metrics()
     }
 
     /// Start recording this rank's collective-kind trace — the observed
     /// word checked against the static schedule automaton
     /// ([`crate::schedule::Matcher::accepts`]). Callable from inside a
-    /// rank closure; recording is independent of `check_schedule`.
+    /// rank closure.
     pub fn enable_schedule_trace(&mut self) {
         if self.sched_trace.is_none() {
             self.sched_trace = Some(Vec::new());
@@ -251,9 +182,9 @@ impl Comm {
         self.sched_matcher.take()
     }
 
-    /// Tear down a transport-backed communicator and take its counters.
+    /// Tear down the communicator and take its counters.
     pub fn finish(mut self) -> RankStats {
-        std::mem::take(&mut self.stats)
+        self.take_stats()
     }
 
     /// Take the accumulated counters out (used once, at rank teardown).
@@ -268,27 +199,21 @@ impl Comm {
     /// Metered-operation boundary: every send / recv / collective passes
     /// through here before doing anything else. With no fault plan this is
     /// a single branch. With one, it advances this rank's deterministic
-    /// event counter, releases fault-delayed messages that have come due,
-    /// and fires any crash scheduled for this event. Transport backends
-    /// skip it entirely — their failures are real, not injected.
+    /// event counter, releases fault-delayed frames that have come due,
+    /// and fires any crash scheduled for this event.
     fn comm_event(&mut self) {
-        let Backend::Thread(t) = &mut self.backend else {
-            return;
-        };
-        let Some(fault) = t.fabric.fault.clone() else {
+        let Some(fault) = self.fault.clone() else {
             return;
         };
         let event = fault.next_event(self.rank);
-        if !t.delayed.is_empty() {
-            let mut keep = Vec::new();
-            for (release, dest, env) in std::mem::take(&mut t.delayed) {
-                if release <= event {
-                    t.deliver(dest, env);
-                } else {
-                    keep.push((release, dest, env));
-                }
+        if !self.delayed.is_empty() {
+            let (due, keep) = std::mem::take(&mut self.delayed)
+                .into_iter()
+                .partition(|(release, ..)| *release <= event);
+            self.delayed = keep;
+            for (_, dest, tag, frame) in due {
+                self.deliver(dest, tag, frame);
             }
-            t.delayed = keep;
         }
         if fault.crash_due(self.rank, event) {
             self.stats.faults.crashes += 1;
@@ -296,6 +221,13 @@ impl Comm {
                 "fault injected: rank {} crashed at comm event {}",
                 self.rank, event
             );
+        }
+    }
+
+    /// Hand one point-to-point frame to the transport.
+    fn deliver(&mut self, dest: usize, tag: u64, frame: Vec<u8>) {
+        if let Err(error) = self.transport.send(dest, tag, frame) {
+            transport_fail(self.rank, "send", error);
         }
     }
 
@@ -313,8 +245,12 @@ impl Comm {
     // Metering
     // ------------------------------------------------------------------
 
+    /// Charge a metering closure to the rank total plus the innermost phase.
     fn charge(&mut self, f: impl Fn(&mut crate::PhaseStats)) {
-        charge_into(&mut self.stats, &self.phase_stack, f);
+        f(&mut self.stats.total);
+        if let Some((name, _)) = self.phase_stack.last() {
+            f(self.stats.phases.entry(name.clone()).or_default());
+        }
     }
 
     /// Record `units` of abstract compute work. Callers meter **logical**
@@ -382,105 +318,56 @@ impl Comm {
         tag: u64,
         payload: Vec<T>,
     ) {
-        let bytes = (payload.len() * size_of::<T>()) as u64;
-        assert!(dest < self.size(), "send to rank {dest} out of range");
-        self.comm_event();
-        self.charge(|s| {
-            s.p2p_bytes_sent += bytes;
-            s.p2p_msgs_sent += 1;
-        });
-        let me = self.rank;
-        let Comm {
-            backend,
-            stats,
-            phase_stack,
-            ..
-        } = self;
-        match backend {
-            Backend::Thread(t) => {
-                let fate = match &t.fabric.fault {
-                    Some(f) => f.message_fate(me, dest),
-                    None => MessageFate::Deliver,
-                };
-                match fate {
-                    MessageFate::Deliver => {
-                        let env = Envelope {
-                            src: me,
-                            tag,
-                            payload: Box::new(payload),
-                            bytes,
-                        };
-                        t.deliver(dest, env);
-                    }
-                    MessageFate::Drop => {
-                        // Metered as sent (the sender cannot tell), never
-                        // delivered.
-                        stats.faults.msgs_dropped += 1;
-                    }
-                    MessageFate::Duplicate => {
-                        // The duplicate is real traffic: meter it too.
-                        stats.faults.msgs_duplicated += 1;
-                        charge_into(stats, phase_stack, |s| {
-                            s.p2p_bytes_sent += bytes;
-                            s.p2p_msgs_sent += 1;
-                        });
-                        let copy = Envelope {
-                            src: me,
-                            tag,
-                            payload: Box::new(payload.clone()),
-                            bytes,
-                        };
-                        let env = Envelope {
-                            src: me,
-                            tag,
-                            payload: Box::new(payload),
-                            bytes,
-                        };
-                        t.deliver(dest, env);
-                        t.deliver(dest, copy);
-                    }
-                    MessageFate::Delay { events } => {
-                        stats.faults.msgs_delayed += 1;
-                        let release = t
-                            .fabric
-                            .fault
-                            .as_ref()
-                            .map(|f| f.current_event(me) + events)
-                            .unwrap_or(0);
-                        let env = Envelope {
-                            src: me,
-                            tag,
-                            payload: Box::new(payload),
-                            bytes,
-                        };
-                        t.delayed.push((release, dest, env));
-                    }
-                }
-            }
-            Backend::Byte(b) => {
-                // Frame layout: metered size (so the receiver charges the
-                // identical amount) followed by the encoded payload.
-                let mut frame = Vec::with_capacity(8 + payload.len() * size_of::<T>());
-                bytes.encode_into(&mut frame);
-                payload.encode_into(&mut frame);
-                if let Err(error) = b.transport.send(dest, tag, frame) {
-                    transport_fail(me, "send", error);
-                }
-            }
-        }
+        self.send_slice(dest, tag, &payload);
     }
 
-    /// [`Comm::send`] from a borrowed staging buffer: the fabric takes
-    /// ownership of a copy (as MPI's internal buffering of a non-blocking
-    /// send would), while the caller's buffer keeps its capacity for
-    /// reuse. Metering is identical to `send`.
+    /// [`Comm::send`] from a borrowed staging buffer: the frame is encoded
+    /// straight from the slice (as MPI's internal buffering of a
+    /// non-blocking send would copy it), and the caller's buffer keeps its
+    /// capacity for reuse. Metering is identical to `send`.
     pub fn send_slice<T: Clone + Send + WirePayload + 'static>(
         &mut self,
         dest: usize,
         tag: u64,
         payload: &[T],
     ) {
-        self.send(dest, tag, payload.to_vec());
+        let bytes = std::mem::size_of_val(payload) as u64;
+        assert!(dest < self.size(), "send to rank {dest} out of range");
+        self.comm_event();
+        let sent = |s: &mut crate::PhaseStats| {
+            s.p2p_bytes_sent += bytes;
+            s.p2p_msgs_sent += 1;
+        };
+        self.charge(sent);
+        // Frame layout: metered size (so the receiver charges the
+        // identical amount), then the payload as a `Vec<T>` encodes.
+        let mut frame = Vec::with_capacity(16 + bytes as usize);
+        bytes.encode_into(&mut frame);
+        (payload.len() as u64).encode_into(&mut frame);
+        T::encode_slice(payload, &mut frame);
+        let (fate, now) = match &self.fault {
+            Some(f) => (f.message_fate(self.rank, dest), f.current_event(self.rank)),
+            None => (MessageFate::Deliver, 0),
+        };
+        match fate {
+            MessageFate::Deliver => self.deliver(dest, tag, frame),
+            MessageFate::Drop => {
+                // Metered as sent (the sender cannot tell), never
+                // delivered.
+                self.stats.faults.msgs_dropped += 1;
+            }
+            MessageFate::Duplicate => {
+                // The duplicate is real traffic: meter it too.
+                self.stats.faults.msgs_duplicated += 1;
+                self.charge(sent);
+                self.deliver(dest, tag, frame.clone());
+                self.deliver(dest, tag, frame);
+            }
+            MessageFate::Delay { events } => {
+                self.stats.faults.msgs_delayed += 1;
+                self.delayed.push((now + events, dest, tag, frame));
+            }
+        }
     }
 
     /// Blocking selective receive: the next message from `src` with `tag`.
@@ -491,93 +378,54 @@ impl Comm {
     pub fn recv<T: Send + WirePayload + 'static>(&mut self, src: usize, tag: u64) -> Vec<T> {
         self.comm_event();
         let me = self.rank;
-        let Comm {
-            backend,
-            stats,
-            phase_stack,
-            ..
-        } = self;
-        match backend {
-            Backend::Thread(t) => {
-                // First look in the stash.
-                if let Some(pos) = t.stash.iter().position(|e| e.src == src && e.tag == tag) {
-                    let env = t.stash.remove(pos).unwrap();
-                    return open::<T>(stats, phase_stack, env);
-                }
-                // With a fault plan, a dropped message must not hang the
-                // world: starve out and fail the rank so the driver can
-                // retry the round.
-                let starvation = t
-                    .fabric
-                    .fault
-                    .as_ref()
-                    .map(|f| std::time::Duration::from_millis(f.plan().hang_timeout_ms));
-                let started = Instant::now();
-                loop {
-                    match t.inbox.recv_timeout(std::time::Duration::from_millis(100)) {
-                        Ok(env) => {
-                            if env.src == src && env.tag == tag {
-                                return open::<T>(stats, phase_stack, env);
-                            }
-                            t.stash.push_back(env);
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            // A peer that died can never send; fail fast
-                            // instead of blocking the whole world.
-                            if t.fabric.rendezvous.is_poisoned() {
-                                panic!("world poisoned: another rank panicked");
-                            }
-                            if let Some(limit) = starvation {
-                                if started.elapsed() >= limit {
-                                    panic!(
-                                        "fault injected: rank {me} receive starved (src {src}, tag {tag:#x})",
-                                    );
-                                }
-                            }
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                            panic!("all senders dropped while a receive was pending");
-                        }
-                    }
-                }
+        let frame = match self.transport.recv(src, tag) {
+            Ok(f) => f,
+            // With a fault plan, a dropped message must not hang the
+            // world: the receive starves out — at the transport's deadline,
+            // or at once if the sender has already finished — and the rank
+            // fails, so the driver can retry the round.
+            Err(TransportError::Timeout { .. } | TransportError::PeerFinished { .. })
+                if self.fault.is_some() =>
+            {
+                panic!("fault injected: rank {me} receive starved (src {src}, tag {tag:#x})")
             }
-            Backend::Byte(b) => {
-                let frame = match b.transport.recv(src, tag) {
-                    Ok(f) => f,
-                    Err(error) => transport_fail(me, "recv", error),
-                };
-                let mut cursor = &frame[..];
-                let (bytes, payload) = match (|| {
-                    let bytes = u64::decode_from(&mut cursor)?;
-                    let payload = Vec::<T>::decode_from(&mut cursor)?;
-                    Ok::<_, crate::payload::WireDecodeError>((bytes, payload))
-                })() {
-                    Ok(v) if cursor.is_empty() => v,
-                    _ => transport_fail(
-                        me,
-                        "recv",
-                        TransportError::FrameCorrupt {
-                            peer: src,
-                            detail: format!("undecodable p2p payload (tag {tag:#x})"),
-                        },
-                    ),
-                };
-                charge_into(stats, phase_stack, |s| s.p2p_bytes_recv += bytes);
-                payload
-            }
-        }
+            Err(error) => transport_fail(me, "recv", error),
+        };
+        let mut cursor = &frame[..];
+        let decoded = u64::decode_from(&mut cursor)
+            .and_then(|bytes| Ok((bytes, Vec::<T>::decode_all(cursor)?)));
+        let Ok((bytes, payload)) = decoded else {
+            transport_fail(
+                me,
+                "recv",
+                TransportError::FrameCorrupt {
+                    peer: src,
+                    detail: format!("undecodable p2p payload (tag {tag:#x})"),
+                },
+            )
+        };
+        self.charge(|s| s.p2p_bytes_recv += bytes);
+        payload
     }
 
     // ------------------------------------------------------------------
     // Collectives
     // ------------------------------------------------------------------
 
-    /// Advance the schedule checker and produce this collective's stamp.
-    fn stamp(
+    /// Everything a collective does before its frames move: the fault
+    /// hook, the metering, the schedule trace and live matcher, and the
+    /// schedule hash. Returns the slot number and the head of the frame.
+    fn enter(
         &mut self,
         kind: &'static str,
-        site: &'static std::panic::Location<'static>,
-    ) -> Option<ScheduleStamp> {
+        bytes: u64,
+        site: &'static Location<'static>,
+    ) -> (u64, Vec<u8>) {
+        self.comm_event();
+        self.charge(|s| {
+            s.collective_calls += 1;
+            s.collective_bytes += bytes;
+        });
         if let Some(trace) = &mut self.sched_trace {
             trace.push(kind);
         }
@@ -592,20 +440,101 @@ impl Comm {
                 );
             }
         }
-        if !self.check_schedule {
-            return None;
-        }
-        let seq = self.sched_seq;
-        self.sched_seq += 1;
+        let seq = self.seq;
+        self.seq += 1;
         self.sched_hash = schedule_mix(self.sched_hash, kind, seq);
-        Some(ScheduleStamp {
-            kind,
-            seq,
+        let mut head = Vec::new();
+        Stamp {
             history: self.sched_hash,
-            site,
+            kind,
+            file: site.file(),
+            line: site.line(),
+            column: site.column(),
+        }
+        .encode_into(&mut head);
+        (seq, head)
+    }
+
+    /// A collective's transport call failed. A peer that *finished* without
+    /// issuing it is a schedule divergence, worded as one; anything else
+    /// unwinds as a [`TransportFault`].
+    fn collective_fail(
+        &self,
+        kind: &'static str,
+        seq: u64,
+        site: &'static Location<'static>,
+        error: TransportError,
+    ) -> ! {
+        if let TransportError::PeerFinished { peer } = error {
+            panic!(
+                "collective schedule divergence: rank {} entered {kind} #{seq} at {site}, but \
+                 rank(s) {peer} already finished their SPMD closure — this collective can \
+                 never complete\n",
+                self.rank
+            );
+        }
+        transport_fail(self.rank, kind, error)
+    }
+
+    /// Strip the [`Stamp`]s off one collective's frames (one per rank, own
+    /// included) and return the bodies, in rank order — after checking that
+    /// every rank's schedule history is this rank's. On a mismatch the
+    /// ranks disagree on *which* collective slot `seq` is, and decoding the
+    /// bodies would at best produce an opaque error (at worst, silently
+    /// combine same-typed contributions from different call sites).
+    fn open_frames<'a>(
+        &self,
+        kind: &'static str,
+        seq: u64,
+        frames: &'a [Vec<u8>],
+    ) -> Vec<&'a [u8]> {
+        let mut stamps = Vec::with_capacity(frames.len());
+        let mut bodies = Vec::with_capacity(frames.len());
+        for (src, frame) in frames.iter().enumerate() {
+            let mut cursor = &frame[..];
+            match Stamp::decode_from(&mut cursor) {
+                Ok(stamp) => stamps.push(stamp),
+                Err(_) => transport_fail(
+                    self.rank,
+                    kind,
+                    TransportError::FrameCorrupt {
+                        peer: src,
+                        detail: format!("truncated collective header (seq {seq})"),
+                    },
+                ),
+            }
+            bodies.push(cursor);
+        }
+        if stamps.iter().any(|s| s.history != self.sched_hash) {
+            let mut msg =
+                format!("collective schedule divergence: ranks disagree on collective #{seq}\n");
+            for (rank, s) in stamps.iter().enumerate() {
+                msg.push_str(&format!(
+                    "  rank {rank}: {} #{seq} (history {:#018x}) at {}:{}:{}\n",
+                    s.kind, s.history, s.file, s.line, s.column
+                ));
+            }
+            panic!("{msg}");
+        }
+        bodies
+    }
+
+    /// Decode one rank's part of a collective frame, which must end there.
+    fn decode_body<V: WirePayload>(&self, kind: &'static str, src: usize, body: &[u8]) -> V {
+        V::decode_all(body).unwrap_or_else(|e| {
+            transport_fail(
+                self.rank,
+                kind,
+                TransportError::FrameCorrupt {
+                    peer: src,
+                    detail: format!("{kind} payload: {e}"),
+                },
+            )
         })
     }
 
+    /// The symmetric collectives: allgather one encoded contribution per
+    /// rank, then fold all p of them, in rank order, on every rank.
     #[track_caller]
     fn collective<T, R, F>(
         &mut self,
@@ -621,70 +550,20 @@ impl Comm {
     {
         // Capture the user-facing call site before anything can panic
         // (`#[track_caller]` propagates through the public collectives).
-        let site = std::panic::Location::caller();
-        self.comm_event();
-        self.charge(|s| {
-            s.collective_calls += 1;
-            s.collective_bytes += bytes;
-        });
-        let stamp = self.stamp(kind, site);
-        let me = self.rank;
-        match &mut self.backend {
-            Backend::Thread(t) => t
-                .fabric
-                .rendezvous
-                .exchange(me, contribution, stamp, combine),
-            Backend::Byte(b) => {
-                let seq = b.coll_seq;
-                b.coll_seq += 1;
-                // The frame leads with the schedule history hash (0 when
-                // checking is off) so divergent schedules are caught at
-                // the first collective where they differ, naming both
-                // ranks — the byte-path counterpart of the rendezvous
-                // checker.
-                let history = stamp.as_ref().map(|s| s.history).unwrap_or(0);
-                let mut frame = Vec::new();
-                history.encode_into(&mut frame);
-                contribution.encode_into(&mut frame);
-                let parts = match b.transport.exchange(seq, frame) {
-                    Ok(p) => p,
-                    Err(error) => transport_fail(me, kind, error),
-                };
-                let mut values = Vec::with_capacity(parts.len());
-                for (src, part) in parts.into_iter().enumerate() {
-                    let mut cursor = &part[..];
-                    let theirs = match u64::decode_from(&mut cursor) {
-                        Ok(h) => h,
-                        Err(_) => transport_fail(
-                            me,
-                            kind,
-                            TransportError::FrameCorrupt {
-                                peer: src,
-                                detail: format!("truncated collective header (seq {seq})"),
-                            },
-                        ),
-                    };
-                    if theirs != history {
-                        panic!(
-                            "collective schedule mismatch: rank {me} issued {kind} #{} \
-                             (history {history:#018x}) but rank {src} sent history \
-                             {theirs:#018x} on the same slot — the SPMD ranks have \
-                             diverged (issued at {site})",
-                            seq
-                        );
-                    }
-                    match T::decode_from_exact_one(&mut cursor) {
-                        Ok(v) => values.push(v),
-                        Err(detail) => transport_fail(
-                            me,
-                            kind,
-                            TransportError::FrameCorrupt { peer: src, detail },
-                        ),
-                    }
-                }
-                Arc::new(combine(values))
-            }
-        }
+        let site = Location::caller();
+        let (seq, mut frame) = self.enter(kind, bytes, site);
+        contribution.encode_into(&mut frame);
+        let frames = match self.transport.exchange(seq, frame) {
+            Ok(frames) => frames,
+            Err(error) => self.collective_fail(kind, seq, site, error),
+        };
+        let values = self
+            .open_frames(kind, seq, &frames)
+            .into_iter()
+            .enumerate()
+            .map(|(src, body)| self.decode_body(kind, src, body))
+            .collect();
+        Arc::new(combine(values))
     }
 
     /// Block until every rank has reached the barrier.
@@ -796,28 +675,8 @@ impl Comm {
         &mut self,
         outgoing: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
-        assert_eq!(
-            outgoing.len(),
-            self.size(),
-            "alltoallv needs one bucket per rank"
-        );
-        let per = size_of::<T>() as u64;
-        let bytes: u64 = outgoing.iter().map(|b| b.len() as u64 * per).sum();
-        let me = self.rank;
-        let incoming: Vec<Vec<T>> = if self.is_thread() {
-            let matrix = self.collective("alltoallv", bytes, outgoing, |rows| rows);
-            matrix.iter().map(|row| row[me].clone()).collect()
-        } else {
-            self.byte_alltoallv("alltoallv", bytes, outgoing, None::<()>)
-                .0
-        };
-        let recv: u64 = incoming
-            .iter()
-            .enumerate()
-            .filter(|(src, _)| *src != me)
-            .map(|(_, b)| b.len() as u64 * per)
-            .sum();
-        self.charge(|s| s.collective_bytes_recv += recv);
+        let bytes = bucket_bytes(&outgoing);
+        let (incoming, _) = self.personalized("alltoallv", bytes, outgoing, None::<()>);
         incoming
     }
 
@@ -845,135 +704,58 @@ impl Comm {
         R: Clone + Send + Sync + 'static,
         F: FnOnce(Vec<U>) -> R + Send + 'static,
     {
-        assert_eq!(
-            outgoing.len(),
-            self.size(),
-            "alltoallv needs one bucket per rank"
-        );
-        let bytes: u64 = outgoing
-            .iter()
-            .map(|b| (b.len() * size_of::<T>()) as u64)
-            .sum::<u64>()
-            + size_of::<U>() as u64;
-        let me = self.rank;
-        let (incoming, folded): (Vec<Vec<T>>, R) = if self.is_thread() {
-            let shared = self.collective(
-                "alltoallv_reduce",
-                bytes,
-                (outgoing, partial),
-                move |rows| {
-                    let (mats, parts): (Vec<Vec<Vec<T>>>, Vec<U>) = rows.into_iter().unzip();
-                    (mats, fold(parts))
-                },
-            );
-            let incoming = shared.0.iter().map(|row| row[me].clone()).collect();
-            (incoming, shared.1.clone())
-        } else {
-            let (incoming, partials) =
-                self.byte_alltoallv("alltoallv_reduce", bytes, outgoing, Some(partial));
-            let parts = partials.expect("byte alltoallv with partial returns partials");
-            (incoming, fold(parts))
-        };
-        let recv: u64 = incoming
-            .iter()
-            .enumerate()
-            .filter(|(src, _)| *src != me)
-            .map(|(_, b)| (b.len() * size_of::<T>()) as u64)
-            .sum();
-        self.charge(|s| s.collective_bytes_recv += recv);
-        (incoming, folded)
+        let bytes = bucket_bytes(&outgoing) + size_of::<U>() as u64;
+        let (incoming, partials) =
+            self.personalized("alltoallv_reduce", bytes, outgoing, Some(partial));
+        (incoming, fold(partials))
     }
 
-    fn is_thread(&self) -> bool {
-        matches!(self.backend, Backend::Thread(_))
-    }
-
-    /// Byte-backend personalized exchange, optionally piggybacking one
-    /// reduce contribution to every destination (the fused
-    /// `alltoallv_reduce`: each rank then holds all p partials and folds
-    /// them locally in rank order). Charges the collective call + bytes;
-    /// the caller charges the receive side with its own formula.
+    /// The personalized exchange behind [`Comm::alltoallv`] and
+    /// [`Comm::alltoallv_reduce`]: bucket `d` travels to rank `d` only,
+    /// with this rank's reduce contribution (if any) riding on every
+    /// frame, so each rank ends up holding all p partials in rank order.
+    /// Charges the call, `bytes` sent and the incoming buckets from other
+    /// ranks.
     #[track_caller]
-    fn byte_alltoallv<T, U>(
+    fn personalized<T: WirePayload, U: WirePayload>(
         &mut self,
         kind: &'static str,
         bytes: u64,
         outgoing: Vec<Vec<T>>,
         partial: Option<U>,
-    ) -> (Vec<Vec<T>>, Option<Vec<U>>)
-    where
-        T: WirePayload,
-        U: WirePayload,
-    {
-        let site = std::panic::Location::caller();
-        self.comm_event();
-        self.charge(|s| {
-            s.collective_calls += 1;
-            s.collective_bytes += bytes;
-        });
-        let stamp = self.stamp(kind, site);
-        let history = stamp.as_ref().map(|s| s.history).unwrap_or(0);
-        let me = self.rank;
-        let Backend::Byte(b) = &mut self.backend else {
-            unreachable!("byte_alltoallv on a thread backend");
-        };
-        let seq = b.coll_seq;
-        b.coll_seq += 1;
+    ) -> (Vec<Vec<T>>, Vec<U>) {
+        assert_eq!(
+            outgoing.len(),
+            self.size(),
+            "alltoallv needs one bucket per rank"
+        );
+        let site = Location::caller();
+        let (seq, head) = self.enter(kind, bytes, site);
         let frames: Vec<Vec<u8>> = outgoing
             .iter()
             .map(|bucket| {
-                let mut frame = Vec::new();
-                history.encode_into(&mut frame);
+                let body = std::mem::size_of_val(&bucket[..]) + size_of::<U>() + 16;
+                let mut frame = Vec::with_capacity(head.len() + body);
+                frame.extend_from_slice(&head);
                 partial.encode_into(&mut frame);
                 bucket.encode_into(&mut frame);
                 frame
             })
             .collect();
-        let rows = match b.transport.alltoallv(seq, frames) {
-            Ok(r) => r,
-            Err(error) => transport_fail(me, kind, error),
+        let frames = match self.transport.alltoallv(seq, frames) {
+            Ok(frames) => frames,
+            Err(error) => self.collective_fail(kind, seq, site, error),
         };
-        let mut incoming = Vec::with_capacity(rows.len());
-        let mut partials = partial.as_ref().map(|_| Vec::with_capacity(rows.len()));
-        for (src, row) in rows.into_iter().enumerate() {
-            let mut cursor = &row[..];
-            let decoded = (|| {
-                let theirs = u64::decode_from(&mut cursor)
-                    .map_err(|_| format!("truncated alltoallv header (seq {seq})"))?;
-                if theirs != history {
-                    return Err(format!(
-                        "schedule mismatch: mine {history:#018x} theirs {theirs:#018x}"
-                    ));
-                }
-                let part = Option::<U>::decode_from(&mut cursor)
-                    .map_err(|e| format!("alltoallv partial: {e}"))?;
-                let bucket = Vec::<T>::decode_from(&mut cursor)
-                    .map_err(|e| format!("alltoallv bucket: {e}"))?;
-                if !cursor.is_empty() {
-                    return Err("trailing bytes in alltoallv frame".to_string());
-                }
-                Ok((part, bucket))
-            })();
-            match decoded {
-                Ok((part, bucket)) => {
-                    if let (Some(ps), Some(p)) = (&mut partials, part) {
-                        ps.push(p);
-                    }
-                    incoming.push(bucket);
-                }
-                Err(detail) => {
-                    transport_fail(me, kind, TransportError::FrameCorrupt { peer: src, detail })
-                }
-            }
-        }
-        if let Some(ps) = &partials {
-            assert_eq!(
-                ps.len(),
-                incoming.len(),
-                "fused {kind} lost a reduce contribution (issued at {site})"
-            );
-        }
-        (incoming, partials)
+        let (partials, incoming): (Vec<Option<U>>, Vec<Vec<T>>) = self
+            .open_frames(kind, seq, &frames)
+            .into_iter()
+            .enumerate()
+            .map(|(src, body)| self.decode_body(kind, src, body))
+            .unzip();
+        let me = self.rank;
+        let recv = bucket_bytes(&incoming) - bucket_bytes(&incoming[me..=me]);
+        self.charge(|s| s.collective_bytes_recv += recv);
+        (incoming, partials.into_iter().flatten().collect())
     }
 
     /// Broadcast `value` from `root` to every rank.
@@ -1008,45 +790,25 @@ impl Comm {
     }
 }
 
-/// Decode one message payload from the stash-side charge point.
-fn open<T: Send + 'static>(
-    stats: &mut RankStats,
-    phase_stack: &[(String, Instant)],
-    env: Envelope,
-) -> Vec<T> {
-    let bytes = env.bytes;
-    charge_into(stats, phase_stack, |s| s.p2p_bytes_recv += bytes);
-    *env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
-        panic!(
-            "message type mismatch on recv (src {}, tag {})",
-            env.src, env.tag
-        )
-    })
+/// Metered size of a run of per-rank buckets.
+fn bucket_bytes<T>(buckets: &[Vec<T>]) -> u64 {
+    buckets
+        .iter()
+        .map(|b| (b.len() * size_of::<T>()) as u64)
+        .sum()
 }
 
 /// Unwind with a structured transport failure. The payload is a
-/// [`TransportFault`] so a process-level rank runner can downcast it and
-/// write a diagnostic naming the blocked operation and the peer.
+/// [`TransportFault`] so whoever runs the rank — [`crate::World`], or a
+/// process-level rank runner — can downcast it: to tell a rank that fell
+/// with a dead peer from the rank that died, and to write a diagnostic
+/// naming the blocked operation and the peer.
 fn transport_fail(rank: usize, op: &str, error: TransportError) -> ! {
     std::panic::panic_any(TransportFault {
         rank,
         op: op.to_string(),
         error,
     });
-}
-
-trait DecodeExactOne: Sized {
-    fn decode_from_exact_one(cursor: &mut &[u8]) -> Result<Self, String>;
-}
-
-impl<T: WirePayload> DecodeExactOne for T {
-    fn decode_from_exact_one(cursor: &mut &[u8]) -> Result<Self, String> {
-        let v = T::decode_from(cursor).map_err(|e| format!("collective payload: {e}"))?;
-        if !cursor.is_empty() {
-            return Err("trailing bytes in collective frame".to_string());
-        }
-        Ok(v)
-    }
 }
 
 /// One FNV-1a-style step folding `(kind, seq)` into the schedule hash.
@@ -1066,10 +828,8 @@ impl Drop for Comm {
         // Flush fault-delayed messages whose release never came: delivery
         // was postponed, not cancelled. Peers may already be gone (rank
         // teardown, panics) — then the message is simply lost.
-        if let Backend::Thread(t) = &mut self.backend {
-            for (_, dest, env) in t.delayed.drain(..) {
-                let _ = t.fabric.mailboxes[dest].send(env);
-            }
+        for (_, dest, tag, frame) in self.delayed.drain(..) {
+            let _ = self.transport.send(dest, tag, frame);
         }
     }
 }

@@ -1,9 +1,9 @@
-//! # infomap-mpisim — an in-process message-passing substrate
+//! # infomap-mpisim — a metered message-passing substrate
 //!
-//! This crate simulates the MPI environment the ICPP'18 distributed Infomap
-//! paper runs on. A *world* of `p` ranks executes the same SPMD closure, one
-//! OS thread per rank, and communicates exclusively through a [`Comm`] handle
-//! that offers the MPI primitives the paper's algorithm uses:
+//! This crate stands in for the MPI environment the ICPP'18 distributed
+//! Infomap paper runs on. `p` ranks execute the same SPMD closure and
+//! communicate exclusively through a [`Comm`] handle that offers the MPI
+//! primitives the paper's algorithm uses:
 //!
 //! * point-to-point [`Comm::send`] / [`Comm::recv`] of typed vectors
 //!   (tagged, selective receive),
@@ -11,6 +11,13 @@
 //! * allreduce ([`Comm::allreduce_f64`], [`Comm::allreduce_u64`],
 //!   [`Comm::allreduce_with`]),
 //! * [`Comm::allgatherv`], [`Comm::alltoallv`], [`Comm::broadcast`].
+//!
+//! A [`Comm`] runs over a byte-moving [`Transport`] and lowers every
+//! operation one way — encode, move, decode, fold in rank order on every
+//! rank — so what carries the bytes cannot change a result. A [`World`]
+//! runs its ranks on threads of this process over [`MemTransport`];
+//! `infomap-transport-socket` puts the same [`Comm`] over sockets, one OS
+//! process per rank.
 //!
 //! Every operation is metered: bytes and message counts per rank, work units
 //! per named *phase* ([`Comm::phase`]). A [`CostModel`] converts the counters
@@ -30,7 +37,6 @@
 //! });
 //! assert_eq!(report.results, vec![0, 1, 2, 3]);
 //! ```
-
 //!
 //! For robustness experiments the substrate also injects faults: a seeded
 //! [`FaultPlan`] can crash a rank at its N-th communication event, drop,
@@ -45,8 +51,8 @@
 mod comm;
 mod cost;
 mod fault;
+mod mem;
 mod payload;
-mod rendezvous;
 pub mod schedule;
 mod stats;
 mod transport;
@@ -59,6 +65,7 @@ pub use cost::{
     ResidualReport,
 };
 pub use fault::{CrashSpec, FaultPlan, MessageFaultKind, MessageFaultSpec, StragglerSpec};
+pub use mem::MemTransport;
 pub use payload::{WireDecodeError, WirePayload};
 pub use schedule::{Matcher, ScheduleAutomaton, ScheduleSet};
 pub use stats::{FaultStats, PhaseStats, RankStats};

@@ -1,12 +1,11 @@
-//! Byte-level payload codec for transport backends.
+//! Byte-level payload codec: what [`crate::Comm`] hands a transport.
 //!
-//! The in-process thread world moves typed values through memory, so it
-//! never serializes anything. A real [`crate::Transport`] moves bytes, so
-//! every payload that crosses a [`crate::Comm`] boundary must be encodable.
-//! [`WirePayload`] is that contract: a fixed little-endian encoding with
-//! bit-exact round-trips (floats travel as their IEEE-754 bit patterns), so
-//! a value folded on the receiving rank is *the same bits* the sender held
-//! and cross-backend runs stay bit-identical.
+//! A [`crate::Transport`] moves bytes — between threads or between
+//! processes — so every payload that crosses a [`crate::Comm`] boundary
+//! must be encodable. [`WirePayload`] is that contract: a fixed
+//! little-endian encoding with bit-exact round-trips (floats travel as
+//! their IEEE-754 bit patterns), so a value folded on the receiving rank is
+//! *the same bits* the sender held, whichever transport carried it.
 //!
 //! The encoding is deliberately simple — this is the payload layer, not the
 //! compact application codec of `infomap_distributed::codec` (which rides
@@ -41,6 +40,29 @@ pub trait WirePayload: Sized {
 
     /// Decode one value from the front of `buf`, advancing it.
     fn decode_from(buf: &mut &[u8]) -> Result<Self, WireDecodeError>;
+
+    /// Encode `items` back to back — the body of a `Vec<Self>` after its
+    /// length. `u8` overrides this with one copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        // Exact for the fixed-size scalars and tuples most runs are made of.
+        out.reserve(std::mem::size_of_val(items));
+        for item in items {
+            item.encode_into(out);
+        }
+    }
+
+    /// Decode `len` values from the front of `buf`. `u8` overrides this
+    /// with one bounds-checked copy.
+    fn decode_run(buf: &mut &[u8], len: usize) -> Result<Vec<Self>, WireDecodeError> {
+        // Guard against a corrupt length claiming more items than the
+        // buffer could possibly hold (each item needs ≥ 1 byte unless
+        // zero-sized).
+        let mut items = Vec::with_capacity(len.min(buf.len().max(64)));
+        for _ in 0..len {
+            items.push(Self::decode_from(buf)?);
+        }
+        Ok(items)
+    }
 
     fn encode_to_vec(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -88,7 +110,27 @@ macro_rules! int_payload {
     )*};
 }
 
-int_payload!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+int_payload!(u16, u32, u64, u128, i8, i16, i32, i64, i128);
+
+/// Bytes travel as themselves, and a run of them as one copy: every
+/// pre-encoded codec bucket is a `Vec<u8>`.
+impl WirePayload for u8 {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn decode_from(buf: &mut &[u8]) -> Result<Self, WireDecodeError> {
+        Ok(take(buf, 1, "u8")?[0])
+    }
+
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+
+    fn decode_run(buf: &mut &[u8], len: usize) -> Result<Vec<Self>, WireDecodeError> {
+        Ok(take(buf, len, "u8 run")?.to_vec())
+    }
+}
 
 /// `usize` travels as a `u64` so 32- and 64-bit hosts interoperate.
 impl WirePayload for usize {
@@ -146,21 +188,12 @@ impl WirePayload for () {
 impl<T: WirePayload> WirePayload for Vec<T> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode_into(out);
-        for item in self {
-            item.encode_into(out);
-        }
+        T::encode_slice(self, out);
     }
 
     fn decode_from(buf: &mut &[u8]) -> Result<Self, WireDecodeError> {
         let len = u64::decode_from(buf)? as usize;
-        // Guard against a corrupt length claiming more items than the
-        // buffer could possibly hold (each item needs ≥ 1 byte unless
-        // zero-sized).
-        let mut items = Vec::with_capacity(len.min(buf.len().max(64)));
-        for _ in 0..len {
-            items.push(T::decode_from(buf)?);
-        }
-        Ok(items)
+        T::decode_run(buf, len)
     }
 }
 
@@ -186,32 +219,35 @@ impl<T: WirePayload> WirePayload for Option<T> {
 
 impl WirePayload for String {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode_into(out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
 
     fn decode_from(buf: &mut &[u8]) -> Result<Self, WireDecodeError> {
-        let len = u64::decode_from(buf)? as usize;
-        let raw = take(buf, len, "String")?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireDecodeError {
-            context: "String utf8",
-        })
+        decode_str(buf).map(str::to_owned)
     }
+}
+
+/// A string as `String` encodes it: length, then the UTF-8 bytes.
+pub(crate) fn encode_str(s: &str, out: &mut Vec<u8>) {
+    (s.len() as u64).encode_into(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// [`encode_str`]'s inverse, borrowing from the buffer.
+pub(crate) fn decode_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, WireDecodeError> {
+    let len = u64::decode_from(buf)? as usize;
+    std::str::from_utf8(take(buf, len, "String")?).map_err(|_| WireDecodeError {
+        context: "String utf8",
+    })
 }
 
 impl<T: WirePayload, const N: usize> WirePayload for [T; N] {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        for item in self {
-            item.encode_into(out);
-        }
+        T::encode_slice(self, out);
     }
 
     fn decode_from(buf: &mut &[u8]) -> Result<Self, WireDecodeError> {
-        let mut items = Vec::with_capacity(N);
-        for _ in 0..N {
-            items.push(T::decode_from(buf)?);
-        }
-        items
+        T::decode_run(buf, N)?
             .try_into()
             .map_err(|_| WireDecodeError { context: "array" })
     }
@@ -275,6 +311,31 @@ mod tests {
         roundtrip(None::<u32>);
         roundtrip("héllo".to_string());
         roundtrip((1_u32, 2.5_f64, vec![3_u64]));
+    }
+
+    #[test]
+    fn byte_runs_roundtrip_with_unchanged_wire_bytes() {
+        let blob: Vec<u8> = (0..=255).collect();
+        roundtrip(blob.clone());
+        roundtrip(Vec::<u8>::new());
+        roundtrip([7_u8; 5]);
+        // Same bytes the per-item loop produced: length, then the run.
+        let mut expect = (blob.len() as u64).to_le_bytes().to_vec();
+        expect.extend_from_slice(&blob);
+        assert_eq!(blob.encode_to_vec(), expect);
+    }
+
+    #[test]
+    fn byte_run_longer_than_the_buffer_is_an_error_not_an_allocation() {
+        // A claim of 2^60 bytes over a 3-byte body: an allocation sized by
+        // the claim would abort the process before the error came back.
+        let mut bytes = (1_u64 << 60).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(
+            Vec::<u8>::decode_all(&bytes),
+            Err(WireDecodeError { context: "u8 run" })
+        );
+        assert!(Vec::<u64>::decode_all(&bytes).is_err());
     }
 
     #[test]

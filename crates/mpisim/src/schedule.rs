@@ -1,7 +1,8 @@
 //! Static↔runtime schedule conformance: compile the schedule JSON that
-//! `spmd-lint --emit-schedule` produces into an NFA and check that an
-//! observed [`ScheduleStamp`](crate::rendezvous::ScheduleStamp) kind
-//! trace is a word of it.
+//! `spmd-lint --emit-schedule` produces into an NFA and check that the
+//! collective kinds a rank's [`Comm`](crate::Comm) stamped, in order
+//! ([`Comm::enable_schedule_trace`](crate::Comm::enable_schedule_trace)),
+//! are a word of it.
 //!
 //! The static side over-approximates control flow (every branch arm is
 //! possible, loops run any number of iterations, `break` may leave a

@@ -1,19 +1,20 @@
-//! The byte-level transport abstraction behind [`crate::Comm`].
+//! The byte-level transport abstraction under [`crate::Comm`].
 //!
-//! The default backend is the in-process thread world (typed values through
-//! shared memory, no serialization); a [`Transport`] implementation swaps
-//! in a real substrate — OS processes talking over sockets — underneath the
-//! *same* communicator API. The contract is deliberately small:
+//! A [`crate::Comm`] encodes, folds and meters; a [`Transport`] only moves
+//! the encoded frames. Two implementations exist: [`crate::MemTransport`]
+//! (the ranks of one process, one mailbox each — what [`crate::World`]
+//! runs on) and the socket transport of `infomap-transport-socket` (one OS
+//! process per rank). The contract is deliberately small:
 //!
 //! * tagged, selective point-to-point [`Transport::send`] / [`Transport::recv`],
 //! * [`Transport::exchange`] — an allgather of one blob per rank, the
 //!   primitive every symmetric collective (barrier, allreduce, allgatherv,
 //!   broadcast) lowers onto; folds run *locally* on every rank in rank
-//!   order, so IEEE-deterministic reductions stay bit-identical to the
-//!   thread backend,
+//!   order, so IEEE-deterministic reductions are bit-identical over every
+//!   transport,
 //! * [`Transport::alltoallv`] — the personalized exchange, kept separate so
-//!   a real backend moves only each pair's bucket instead of replicating
-//!   the full matrix.
+//!   a transport moves only each pair's bucket instead of replicating the
+//!   full matrix.
 //!
 //! Every operation is fallible: a peer process can die, a deadline can
 //! pass, a frame can arrive corrupt. [`TransportError`] carries enough
@@ -36,6 +37,10 @@ pub enum TransportError {
         /// `"heartbeat lapsed 1500ms"`, …).
         detail: String,
     },
+    /// A peer returned from its SPMD closure — cleanly, unlike
+    /// [`TransportError::PeerDead`] — without sending the frame this
+    /// operation waits for. The ranks' programs have diverged.
+    PeerFinished { peer: usize },
     /// A deadline passed while waiting on peers that are still alive as
     /// far as heartbeats can tell (e.g. a stalled rank).
     Timeout {
@@ -58,6 +63,9 @@ impl std::fmt::Display for TransportError {
         match self {
             TransportError::PeerDead { peer, detail } => {
                 write!(f, "peer rank {peer} dead: {detail}")
+            }
+            TransportError::PeerFinished { peer } => {
+                write!(f, "peer rank {peer} finished without sending this frame")
             }
             TransportError::Timeout {
                 op,
@@ -82,9 +90,9 @@ impl TransportError {
     /// The peer this error names, if it names one.
     pub fn peer(&self) -> Option<usize> {
         match self {
-            TransportError::PeerDead { peer, .. } | TransportError::FrameCorrupt { peer, .. } => {
-                Some(*peer)
-            }
+            TransportError::PeerDead { peer, .. }
+            | TransportError::PeerFinished { peer }
+            | TransportError::FrameCorrupt { peer, .. } => Some(*peer),
             TransportError::Timeout { waiting_on, .. } => waiting_on.first().copied(),
             TransportError::Setup { .. } => None,
         }
@@ -92,10 +100,11 @@ impl TransportError {
 }
 
 /// The panic payload a [`crate::Comm`] unwinds with when its transport
-/// fails. A process-level rank runner catches the unwind, downcasts to
-/// this, and writes a diagnostic naming the blocked operation (phase +
-/// collective kind) and the peer — the per-process counterpart of the
-/// thread world's poisoned-rendezvous diagnostic.
+/// fails. Whoever runs the rank catches the unwind and downcasts to this:
+/// [`crate::World`] to tell a rank that fell with a dead peer
+/// ([`TransportError::PeerDead`]) from the rank that died, a process-level
+/// rank runner to write a diagnostic naming the blocked operation (phase +
+/// collective kind) and the peer.
 #[derive(Clone, Debug)]
 pub struct TransportFault {
     /// The rank that observed the failure.
@@ -154,13 +163,13 @@ pub trait Transport: Send {
         outgoing: Vec<Vec<u8>>,
     ) -> Result<Vec<Vec<u8>>, TransportError>;
 
-    /// Human-readable backend name for diagnostics (`"uds"`, `"tcp"`).
+    /// Human-readable transport name for diagnostics (`"uds"`, `"tcp"`).
     fn describe(&self) -> String;
 
-    /// Measured-time counters accumulated so far, if this backend meters
-    /// its operations. The default (`None`) keeps trivial backends — and
-    /// the in-process thread world, which moves no bytes — honest instead
-    /// of reporting zeros that look like measurements.
+    /// Measured-time counters accumulated so far, if this transport meters
+    /// its operations. The default (`None`) keeps transports that do not —
+    /// the in-memory one, where nothing crosses a wire — honest instead of
+    /// reporting zeros that look like measurements.
     fn metrics(&self) -> Option<TransportMetrics> {
         None
     }

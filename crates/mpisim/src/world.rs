@@ -2,28 +2,26 @@
 
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
-use crossbeam::channel::unbounded;
-
-use crate::comm::{Comm, Fabric};
+use crate::comm::Comm;
 use crate::cost::{CostModel, PhaseBreakdown};
 use crate::fault::{FaultPlan, FaultState};
-use crate::rendezvous::Rendezvous;
+use crate::mem::MemTransport;
 use crate::stats::RankStats;
+use crate::transport::{TransportError, TransportFault};
 
 /// A simulated cluster of `p` ranks.
 ///
 /// [`World::run`] executes the same closure on every rank (SPMD), each on
-/// its own OS thread, and returns the per-rank results and counters.
+/// its own OS thread with a [`Comm`] over one end of a
+/// [`MemTransport::mesh`], and returns the per-rank results and counters.
 pub struct World {
     nranks: usize,
     stack_size: usize,
     /// Shared fault bookkeeping; persists across runs of the same world so
     /// one-shot crashes stay fired when a driver retries.
     fault: Option<Arc<FaultState>>,
-    /// Verify the collective schedule at every rendezvous (see
-    /// [`World::check_schedule`]). Defaults to on in debug builds.
-    check_schedule: bool,
 }
 
 /// How one rank ended a [`World::run_with_outcomes`] execution.
@@ -34,8 +32,8 @@ pub enum RankOutcome<R> {
     /// The rank's own code panicked (an injected fault or a genuine bug);
     /// carries the panic message.
     Failed(String),
-    /// The rank was healthy but unwound because the world was poisoned by
-    /// another rank's failure.
+    /// The rank was healthy but unwound because an operation needed a
+    /// frame from a rank that had died.
     Aborted,
 }
 
@@ -146,17 +144,15 @@ impl<R> WorldReport<R> {
 /// raised it.
 type RawOutcome<R> = (Result<R, Box<dyn std::any::Any + Send>>, RankStats);
 
-/// Does a panic payload carry the standard poisoned-world diagnostic?
+/// Did this rank unwind only because a peer it waited on had died?
 fn is_cascade_payload(payload: &Box<dyn std::any::Any + Send>) -> bool {
-    payload
-        .downcast_ref::<String>()
-        .map(|s| s.contains("world poisoned"))
-        .or_else(|| {
-            payload
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("world poisoned"))
+    matches!(
+        payload.downcast_ref::<TransportFault>(),
+        Some(TransportFault {
+            error: TransportError::PeerDead { .. },
+            ..
         })
-        .unwrap_or(false)
+    )
 }
 
 /// Render a panic payload as a message string.
@@ -165,8 +161,25 @@ fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
+    } else if let Some(fault) = payload.downcast_ref::<TransportFault>() {
+        fault.to_string()
     } else {
         "<non-string panic payload>".to_string()
+    }
+}
+
+/// Owns a rank's communicator while its closure runs, so that a panic
+/// drops it *during* the unwind — that is when the transport tells the
+/// peers this rank died rather than finished — and still hands the
+/// counters out.
+struct Salvage<'a> {
+    comm: Comm,
+    stats: &'a mut RankStats,
+}
+
+impl Drop for Salvage<'_> {
+    fn drop(&mut self) {
+        *self.stats = self.comm.take_stats();
     }
 }
 
@@ -179,21 +192,7 @@ impl World {
             nranks,
             stack_size: 2 << 20,
             fault: None,
-            check_schedule: cfg!(debug_assertions),
         }
-    }
-
-    /// Toggle the collective-schedule checker (the dynamic counterpart of
-    /// spmd-lint rule R1). When on, every collective carries a
-    /// `(kind, sequence, history-hash)` fingerprint plus its
-    /// `#[track_caller]` call site, and the rendezvous verifies all ranks
-    /// agree before combining — so a rank-divergent collective fails
-    /// immediately with a per-rank diagnostic instead of hanging or dying
-    /// on an opaque type mismatch. Defaults to on in debug builds and off
-    /// in release builds (the stamp costs one hash per collective).
-    pub fn check_schedule(mut self, on: bool) -> Self {
-        self.check_schedule = on;
-        self
     }
 
     /// Override the per-rank thread stack size (bytes).
@@ -226,65 +225,52 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
+        // With a fault plan, a dropped message must not hang the world:
+        // the starved receive fails the rank so the driver can retry.
+        let mut starvation = Duration::MAX;
         if let Some(fault) = &self.fault {
             fault.begin_attempt();
+            starvation = Duration::from_millis(fault.plan().hang_timeout_ms);
         }
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..self.nranks).map(|_| unbounded()).unzip();
-        let fabric = Arc::new(Fabric {
-            nranks: self.nranks,
-            mailboxes: senders,
-            rendezvous: Rendezvous::new(self.nranks),
-            fault: self.fault.clone(),
-            check_schedule: self.check_schedule,
-        });
 
-        let mut slots: Vec<Option<RawOutcome<R>>> = (0..self.nranks).map(|_| None).collect();
         thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.nranks);
-            for (rank, inbox) in receivers.into_iter().enumerate() {
-                let fabric = fabric.clone();
+            for (rank, mut transport) in MemTransport::mesh(self.nranks).into_iter().enumerate() {
+                transport.recv_timeout = starvation;
+                let fault = self.fault.clone();
                 let f = &f;
                 let builder = thread::Builder::new()
                     .name(format!("rank-{rank}"))
                     .stack_size(self.stack_size);
                 let handle = builder
                     .spawn_scoped(scope, move || {
-                        let mut comm = Comm::new(rank, fabric.clone(), inbox);
-                        // A panicking rank poisons the world so peers blocked
-                        // on collectives or receives unwind instead of
+                        // A panicking rank's peers, blocked on collectives
+                        // or receives it will never feed, unwind instead of
                         // deadlocking; counters survive the unwind so even a
                         // crashed rank's partial traffic can be priced.
+                        let mut stats = RankStats::new(rank);
                         let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                        if outcome.is_err() {
-                            fabric.rendezvous.poison();
-                        } else if fabric.check_schedule {
-                            // Schedule checker: a rank returning while peers
-                            // are blocked inside a collective is a count
-                            // divergence — diagnose it instead of letting
-                            // the world deadlock on a cell that never fills.
-                            fabric.rendezvous.mark_done(rank);
-                        }
-                        let stats = comm.take_stats();
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                let comm =
+                                    Comm::over_transport(Box::new(transport)).with_faults(fault);
+                                let mut guard = Salvage {
+                                    comm,
+                                    stats: &mut stats,
+                                };
+                                f(&mut guard.comm)
+                            }));
                         (outcome, stats)
                     })
                     .expect("failed to spawn rank thread");
                 handles.push(handle);
             }
-            for (rank, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(pair) => slots[rank] = Some(pair),
-                    // The closure is wrapped in catch_unwind, so a join error
-                    // means the runtime itself failed; give up loudly.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|s| s.expect("rank produced no outcome"))
-            .collect()
+            // The closure is wrapped in catch_unwind, so a join error means
+            // the runtime itself failed; give up loudly.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
     }
 
     /// Run `f` on every rank and collect results and counters in rank order.
@@ -292,8 +278,8 @@ impl World {
     /// Panics in any rank propagate (the whole run aborts), so test failures
     /// inside SPMD code surface normally. When several ranks panicked, the
     /// re-thrown payload is the first *original* panic in rank order; the
-    /// "world poisoned" cascade panics of ranks that merely unwound in
-    /// sympathy are only reported when no original panic was captured.
+    /// dead-peer faults of ranks that merely unwound in sympathy are only
+    /// reported when no original panic was captured.
     pub fn run<R, F>(&self, f: F) -> WorldReport<R>
     where
         R: Send,
@@ -329,7 +315,7 @@ impl World {
     /// [`RankOutcome`]s instead of propagating them. This is the entry point
     /// for fault-tolerant drivers: a crashed rank yields
     /// [`RankOutcome::Failed`] with its panic message, ranks that unwound on
-    /// the poisoned world yield [`RankOutcome::Aborted`], and every rank's
+    /// a dead peer yield [`RankOutcome::Aborted`], and every rank's
     /// counters — partial or not — are returned for costing.
     pub fn run_with_outcomes<R, F>(&self, f: F) -> WorldOutcome<R>
     where
@@ -360,43 +346,6 @@ mod tests {
     fn ranks_see_their_ids_and_world_size() {
         let report = World::new(5).run(|c| (c.rank(), c.size()));
         assert_eq!(report.results, (0..5).map(|r| (r, 5)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn point_to_point_ring() {
-        let p = 6;
-        let report = World::new(p).run(|c| {
-            let next = (c.rank() + 1) % c.size();
-            let prev = (c.rank() + c.size() - 1) % c.size();
-            c.send(next, 7, vec![c.rank() as u64]);
-            let got = c.recv::<u64>(prev, 7);
-            got[0]
-        });
-        for (rank, got) in report.results.iter().enumerate() {
-            assert_eq!(*got as usize, (rank + p - 1) % p);
-        }
-    }
-
-    #[test]
-    fn selective_recv_matches_by_source_and_tag() {
-        let report = World::new(3).run(|c| {
-            if c.rank() == 0 {
-                // Send tag 2 first, then tag 1, to the same destination.
-                c.send(2, 2, vec![222_u32]);
-                c.send(2, 1, vec![111_u32]);
-                0
-            } else if c.rank() == 1 {
-                c.send(2, 1, vec![11_u32]);
-                0
-            } else {
-                // Receive in an order different from arrival order.
-                let a = c.recv::<u32>(0, 1)[0];
-                let b = c.recv::<u32>(1, 1)[0];
-                let d = c.recv::<u32>(0, 2)[0];
-                (a as u64) * 1_000_000 + (b as u64) * 1000 + d as u64
-            }
-        });
-        assert_eq!(report.results[2], 111 * 1_000_000 + 11 * 1000 + 222);
     }
 
     #[test]
@@ -542,19 +491,5 @@ mod tests {
             (x, g)
         });
         assert_eq!(report.results[0], (2.5, vec![1, 2]));
-    }
-
-    #[test]
-    fn many_ranks_many_rounds_stress() {
-        let p = 16;
-        let report = World::new(p).run(|c| {
-            let mut acc = 0u64;
-            for round in 0..50 {
-                acc = acc.wrapping_add(c.allreduce_u64(round + c.rank() as u64, ReduceOp::Sum));
-            }
-            acc
-        });
-        let first = report.results[0];
-        assert!(report.results.iter().all(|&x| x == first));
     }
 }

@@ -2,6 +2,8 @@
 //! message drop/duplicate/delay, stragglers, and the receive-starvation
 //! timeout that turns dropped messages into recoverable rank failures.
 
+use std::sync::Mutex;
+
 use infomap_mpisim::{FaultPlan, RankOutcome, ReduceOp, World};
 
 #[test]
@@ -87,25 +89,38 @@ fn straggler_inflates_work_and_records_the_surplus() {
     assert_eq!(report.stats[1].faults.straggler_units, 0);
 }
 
+/// The receiver of a dropped message fails instead of hanging: at the
+/// plan's `hang` deadline while the sender lives on (it waits in the
+/// barrier), at once when the sender has already returned.
 #[test]
 fn dropped_message_starves_the_receiver_into_a_recoverable_failure() {
-    let plan = FaultPlan::parse("seed=5;drop=1.0@0->1;hang=300").unwrap();
-    let world = World::new(2).fault_plan(plan);
-    let out = world.run_with_outcomes(|c| {
-        if c.rank() == 0 {
-            c.send(1, 4, vec![9u32]);
-        } else {
-            let _ = c.recv::<u32>(0, 4);
+    for sender_lives_on in [true, false] {
+        let plan = FaultPlan::parse("seed=5;drop=1.0@0->1;hang=300").unwrap();
+        let world = World::new(2).fault_plan(plan);
+        let out = world.run_with_outcomes(|c| {
+            if c.rank() == 0 {
+                c.send(1, 4, vec![9u32]);
+                if sender_lives_on {
+                    c.barrier();
+                }
+            } else {
+                let _ = c.recv::<u32>(0, 4);
+            }
+        });
+        assert_eq!(out.stats[0].faults.msgs_dropped, 1);
+        // Metered as sent — the sender cannot tell the fabric ate it.
+        assert_eq!(out.stats[0].total.p2p_msgs_sent, 1);
+        match &out.outcomes[1] {
+            RankOutcome::Failed(msg) => {
+                assert!(msg.contains("receive starved"), "got `{msg}`")
+            }
+            other => panic!("starved receiver should fail, got {other:?}"),
         }
-    });
-    assert_eq!(out.stats[0].faults.msgs_dropped, 1);
-    // Metered as sent — the sender cannot tell the fabric ate it.
-    assert_eq!(out.stats[0].total.p2p_msgs_sent, 1);
-    match &out.outcomes[1] {
-        RankOutcome::Failed(msg) => {
-            assert!(msg.contains("receive starved"), "got `{msg}`")
-        }
-        other => panic!("starved receiver should fail, got {other:?}"),
+        assert_eq!(
+            matches!(out.outcomes[0], RankOutcome::Aborted),
+            sender_lives_on,
+            "a sender in the barrier falls with the receiver; one that returned is done"
+        );
     }
 }
 
@@ -197,4 +212,47 @@ fn empty_fault_plan_is_a_no_op() {
         assert!(!a.stats[rank].faults.any());
     }
     assert_eq!(a.results, b.results);
+}
+
+/// Collectives are all-or-nothing across a crash: whatever commits behind
+/// one is held by every rank or by none. The script commits a generation
+/// to a per-rank store after each of three collectives; rank 1 is crashed
+/// at every comm event of the script in turn (and, past its end, not at
+/// all). A survivor may read the crash before it has read the last
+/// contributions of a collective the dead rank completed — it must still
+/// complete that collective and commit.
+#[test]
+fn crash_at_any_event_leaves_every_generation_on_all_ranks_or_none() {
+    const P: usize = 4;
+    const ROUNDS: u64 = 3;
+    for crash_at in 1..=3 * ROUNDS + 1 {
+        let store: Vec<Mutex<Vec<u64>>> = (0..P).map(|_| Mutex::new(Vec::new())).collect();
+        let world = World::new(P).fault_plan(FaultPlan::new(0).crash(1, crash_at));
+        let out = world.run_with_outcomes(|c| {
+            let commit = |rank: usize, generation: u64| {
+                store[rank].lock().unwrap().push(generation);
+            };
+            for round in 0..ROUNDS {
+                c.barrier();
+                commit(c.rank(), 3 * round);
+                let agreed = *c.allreduce_with(round, |rounds| rounds[0]);
+                commit(c.rank(), 3 * agreed + 1);
+                let buckets = vec![vec![round as u8]; c.size()];
+                let (_, sum) = c.alltoallv_reduce(buckets, 1_u64, |ones| ones.iter().sum::<u64>());
+                assert_eq!(sum, P as u64);
+                commit(c.rank(), 3 * round + 2);
+            }
+        });
+        assert_eq!(out.all_completed(), crash_at > 3 * ROUNDS);
+        // The crash fires on entry to collective `crash_at`, before rank 1
+        // contributes: generations 0 .. crash_at - 1 happened, on everyone.
+        let expect: Vec<u64> = (0..crash_at - 1).collect();
+        for (rank, held) in store.iter().enumerate() {
+            assert_eq!(
+                *held.lock().unwrap(),
+                expect,
+                "crash at event {crash_at}: rank {rank} split a collective"
+            );
+        }
+    }
 }

@@ -1,16 +1,16 @@
-//! The collective-schedule checker: a deliberately rank-divergent
+//! The collective-schedule check: a deliberately rank-divergent
 //! collective must produce an immediate per-rank diagnostic — naming the
 //! diverging rank, the mismatched collective kinds, and the call sites —
-//! instead of a hang or an opaque downcast panic.
+//! instead of a hang or an opaque decode error.
 
-use infomap_mpisim::{RankOutcome, ReduceOp, World};
+use infomap_mpisim::{ReduceOp, World};
 
 /// One rank calls a different collective than everyone else (the exact bug
 /// spmd-lint rule R1 flags statically: a collective under a rank-keyed
 /// conditional). The checker must convert it into a diagnostic.
 #[test]
 fn divergent_collective_reports_ranks_and_call_sites() {
-    let outcome = World::new(4).check_schedule(true).run_with_outcomes(|c| {
+    let outcome = World::new(4).run_with_outcomes(|c| {
         c.barrier();
         if c.rank() == 1 {
             // Divergent: rank 1 issues an allreduce while the others
@@ -26,7 +26,7 @@ fn divergent_collective_reports_ranks_and_call_sites() {
         !outcome.all_completed(),
         "the divergent schedule must not complete"
     );
-    // The last arriver raises the diagnostic; sympathetic ranks abort.
+    // Every rank sees all four stamps and raises the same diagnostic.
     let failures = outcome.failures();
     assert!(
         !failures.is_empty(),
@@ -58,12 +58,13 @@ fn divergent_collective_reports_ranks_and_call_sites() {
 }
 
 /// A count divergence — one rank issues fewer collectives than its peers
-/// and returns early — leaves the peers blocked in a rendezvous that can
-/// never fill. Without the checker that is a permanent deadlock; with it,
-/// the early return is detected and the waiters unwind with a diagnostic.
+/// and returns early — leaves the peers waiting for a contribution that
+/// will never be posted. The finished rank's transport says so when it
+/// drops, behind everything that rank did send, so the waiters unwind
+/// with a diagnostic and no timer is involved.
 #[test]
 fn skipped_collective_is_diagnosed_not_deadlocked() {
-    let outcome = World::new(3).check_schedule(true).run_with_outcomes(|c| {
+    let outcome = World::new(3).run_with_outcomes(|c| {
         c.barrier();
         if c.rank() != 2 {
             c.barrier(); // rank 2 skips this one and finishes early
@@ -86,58 +87,39 @@ fn skipped_collective_is_diagnosed_not_deadlocked() {
     );
 }
 
-/// A healthy SPMD program passes with the checker forced on, and the
-/// stamps change nothing observable (same results, same counters).
+/// A healthy SPMD program is untouched by the stamps: results in rank
+/// order, counters from the typed sizes alone.
 #[test]
 fn healthy_schedule_is_transparent() {
-    let run = |check: bool| {
-        World::new(4).check_schedule(check).run(|c| {
-            c.barrier();
-            let s = c.allreduce_u64(c.rank() as u64, ReduceOp::Sum);
-            let g = (*c.allgatherv(vec![c.rank() as u32])).clone();
-            let m = c.allreduce_f64(c.rank() as f64, ReduceOp::Max);
-            (s, g, m)
-        })
-    };
-    let with = run(true);
-    let without = run(false);
-    assert_eq!(with.results, without.results);
-    for (a, b) in with.stats.iter().zip(&without.stats) {
-        assert_eq!(a.total.collective_calls, b.total.collective_calls);
-        assert_eq!(a.total.collective_bytes, b.total.collective_bytes);
+    let report = World::new(4).run(|c| {
+        c.barrier();
+        let s = c.allreduce_u64(c.rank() as u64, ReduceOp::Sum);
+        let g = (*c.allgatherv(vec![c.rank() as u32])).clone();
+        let m = c.allreduce_f64(c.rank() as f64, ReduceOp::Max);
+        (s, g, m)
+    });
+    for (result, stats) in report.results.iter().zip(&report.stats) {
+        assert_eq!(result, &(6, vec![0, 1, 2, 3], 3.0));
+        assert_eq!(stats.total.collective_calls, 4);
+        assert_eq!(stats.total.collective_bytes, 8 + 4 + 8);
     }
 }
 
-/// With the checker off, the legacy behavior is preserved: a divergent
-/// collective of the same contribution type completes (garbage in, garbage
-/// out — exactly why the checker defaults to on in debug builds); the
-/// harness still unwinds on type mismatches.
+/// Two collectives whose contributions have the same wire type are still
+/// told apart: the stamp carries the kind, not just the bytes.
 #[test]
-fn checker_off_restores_legacy_semantics_for_same_typed_divergence() {
-    let outcome = World::new(2).check_schedule(false).run_with_outcomes(|c| {
-        if c.rank() == 0 {
-            c.allreduce_u64(1, ReduceOp::Sum)
-        } else {
-            // Same wire type (u64), different collective intent: the
-            // rendezvous cannot tell without stamps.
-            c.allreduce_u64(10, ReduceOp::Sum)
-        }
-    });
-    assert!(
-        outcome.all_completed(),
-        "unstampped same-typed exchange completes silently"
-    );
-
-    let outcome = World::new(2).check_schedule(true).run_with_outcomes(|c| {
+fn same_sized_contributions_of_different_kinds_do_not_combine() {
+    let outcome = World::new(2).run_with_outcomes(|c| {
         if c.rank() == 0 {
             c.allreduce_u64(1, ReduceOp::Sum) as f64
         } else {
             c.allreduce_f64(1.0, ReduceOp::Sum)
         }
     });
-    assert!(!outcome.all_completed(), "stamped mismatch must fail");
-    assert!(matches!(
-        outcome.outcomes.iter().find(|o| !o.is_completed()),
-        Some(RankOutcome::Failed(_) | RankOutcome::Aborted)
-    ));
+    let failures = outcome.failures();
+    assert_eq!(failures.len(), 2, "both ranks read both stamps");
+    for (_, msg) in failures {
+        assert!(msg.contains("rank 0: allreduce_u64"), "got: {msg}");
+        assert!(msg.contains("rank 1: allreduce_f64"), "got: {msg}");
+    }
 }

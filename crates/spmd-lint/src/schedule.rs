@@ -15,9 +15,12 @@
 //!   targets the innermost enclosing frame's exit
 //! * `{"t":"ret"}`                — early return
 //!
-//! Calls that cannot reach a collective are pruned; recursion among
-//! collective-relevant functions truncates to an empty `seq` (none exists
-//! in this workspace; the conformance test would catch a miscompile).
+//! Calls that cannot reach a collective are pruned, and so are `alt` and
+//! `loop` nodes with no `coll` and no `ret` beneath them — nothing a trace
+//! can observe — so an `if` or `for` that touches no collective does not
+//! change the artifact. Recursion among collective-relevant functions
+//! truncates to an empty `seq` (none exists in this workspace; the
+//! conformance test would catch a miscompile).
 
 use std::fmt::Write as _;
 
@@ -98,6 +101,19 @@ fn seq(items: Vec<Json>) -> Json {
     ])
 }
 
+/// Is there a `coll` or a `ret` in this subtree — anything a runtime trace
+/// can tell apart from the empty schedule?
+fn observable(node: &Json) -> bool {
+    match node {
+        Json::Obj(members) => members.iter().any(|(key, v)| match v {
+            Json::Str(t) if *key == "t" => t == "coll" || t == "ret",
+            _ => observable(v),
+        }),
+        Json::Arr(items) => items.iter().any(observable),
+        _ => false,
+    }
+}
+
 fn node_of_effects(a: &mut Analysis, effects: &[Effect], stack: &mut Vec<usize>) -> Json {
     let mut items: Vec<Json> = Vec::new();
     for e in effects {
@@ -143,20 +159,24 @@ fn node_of_effects(a: &mut Analysis, effects: &[Effect], stack: &mut Vec<usize>)
                     .iter()
                     .map(|arm| node_of_effects(a, arm, stack))
                     .collect();
-                items.push(Json::Obj(vec![
-                    ("t", Json::Str("alt".into())),
-                    ("arms", Json::Arr(arm_nodes)),
-                ]));
+                if arm_nodes.iter().any(observable) {
+                    items.push(Json::Obj(vec![
+                        ("t", Json::Str("alt".into())),
+                        ("arms", Json::Arr(arm_nodes)),
+                    ]));
+                }
             }
             Effect::Loop {
                 body, has_continue, ..
             } => {
                 let body_node = node_of_effects(a, body, stack);
-                items.push(Json::Obj(vec![
-                    ("t", Json::Str("loop".into())),
-                    ("cont", Json::Bool(*has_continue)),
-                    ("body", body_node),
-                ]));
+                if observable(&body_node) {
+                    items.push(Json::Obj(vec![
+                        ("t", Json::Str("loop".into())),
+                        ("cont", Json::Bool(*has_continue)),
+                        ("body", body_node),
+                    ]));
+                }
             }
             Effect::Return { .. } => items.push(Json::Obj(vec![("t", Json::Str("ret".into()))])),
             Effect::Try { .. } => items.push(Json::Obj(vec![

@@ -312,9 +312,82 @@ mod tests {
     );
 }
 
+/// `if`s and `for`s that touch no collective are invisible to the emitted
+/// schedule: growing them into a program — beside its collectives, inside
+/// its collective loop, in a callee — changes no byte of the artifact.
+#[test]
+fn collective_free_control_flow_does_not_change_the_schedule() {
+    let emit = |src: &str| {
+        let files = vec![(Path::new("src/lib.rs").to_path_buf(), src.to_string())];
+        let mut analysis = spmd_lint::Analysis::build([("infomap-distributed", files.as_slice())]);
+        let entry = spmd_lint::EntrySpec {
+            fn_name: "run".into(),
+            crate_name: None,
+        };
+        spmd_lint::schedule::emit_schedule(&mut analysis, &[entry]).expect("schedule emits")
+    };
+    let plain = r#"
+fn settle(c: &mut Comm) -> bool {
+    c.allreduce_u64(1, ReduceOp::Min) == 0
+}
+fn run(c: &mut Comm, n: usize) {
+    c.barrier();
+    for round in 0..n {
+        let done = settle(c);
+        if done {
+            return;
+        }
+    }
+    c.allgatherv(vec![n]);
+}
+"#;
+    let grown = r#"
+fn settle(c: &mut Comm) -> bool {
+    for attempt in 0..3 {
+        tally(attempt);
+    }
+    c.allreduce_u64(1, ReduceOp::Min) == 0
+}
+fn run(c: &mut Comm, n: usize) {
+    if n > 3 {
+        log(n);
+    } else {
+        for i in 0..n {
+            tally(i);
+        }
+    }
+    c.barrier();
+    for round in 0..n {
+        if round % 2 == 0 {
+            tally(round);
+        }
+        let done = settle(c);
+        if done {
+            return;
+        }
+        while pending() {
+            drain();
+        }
+    }
+    c.allgatherv(vec![n]);
+}
+"#;
+    let schedule = emit(plain);
+    assert_eq!(schedule, emit(grown));
+    // Not vacuous: what can be observed is all still there.
+    for node in [
+        "\"t\":\"loop\"",
+        "\"t\":\"ret\"",
+        "\"kind\":\"allreduce_u64\"",
+    ] {
+        assert!(schedule.contains(node), "{node} missing from {schedule}");
+    }
+}
+
 /// The checked-in golden schedule is what `--emit-schedule` produces for
 /// the driver entry point today. A mismatch means the driver's collective
-/// structure (or the analyzer) changed — regenerate with
+/// structure changed — an `if` or `for` that reaches a collective or an
+/// early return — or the analyzer did. Regenerate with
 /// `cargo run -p spmd-lint -- --emit-schedule > crates/spmd-lint/tests/golden/driver_schedule.json`
 /// after reviewing the diff, and let the conformance test revalidate it
 /// against a real run.

@@ -11,7 +11,8 @@
 //! Every rank finishes with **all p blobs, indexed by source rank**, so
 //! the local rank-order folds in `Comm::over_transport` run on the same
 //! inputs in the same order whatever the routing — bit-identity with the
-//! thread world holds by construction.
+//! in-memory transport, which posts every blob directly, holds by
+//! construction.
 //!
 //! Blocks travel in *virtual* order: rank r's buffer position v holds the
 //! contribution of global rank (r + v) mod p, so its own blob sits at
