@@ -127,7 +127,7 @@ fn shard_socket_run(g: &Graph, p: usize, seed: u64) -> DistributedOutput {
             let mut comm = Comm::over_transport(Box::new(t));
             let path = shard_path(&shard_dir, rank);
             let header = read_header(&path).expect("shard header");
-            let paged = (rank % 2 == 1).then(|| PageCacheConfig {
+            let paged = (rank % 2 == 1).then_some(PageCacheConfig {
                 block_bytes: 128,
                 capacity_blocks: 8,
             });

@@ -76,12 +76,9 @@ pub struct Comm {
     /// Running hash of this rank's `(kind, seq)` collective schedule.
     sched_hash: u64,
     /// When enabled, every stamped collective kind is appended — the
-    /// observed word the static schedule automaton is checked against.
+    /// word of collectives this rank actually issued, for a caller to
+    /// inspect after the run.
     sched_trace: Option<Vec<&'static str>>,
-    /// Live conformance: a matcher over the `--emit-schedule` automaton,
-    /// stepped on every collective; a dead-end panics at the divergent
-    /// stamp instead of at trace-compare time.
-    sched_matcher: Option<crate::schedule::Matcher>,
 }
 
 /// What every collective frame leads with. `history` is compared on
@@ -135,7 +132,6 @@ impl Comm {
             seq: 0,
             sched_hash: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
             sched_trace: None,
-            sched_matcher: None,
         }
     }
 
@@ -153,10 +149,8 @@ impl Comm {
         self.transport.metrics()
     }
 
-    /// Start recording this rank's collective-kind trace — the observed
-    /// word checked against the static schedule automaton
-    /// ([`crate::schedule::Matcher::accepts`]). Callable from inside a
-    /// rank closure.
+    /// Start recording the kind of every collective this rank issues, in
+    /// order. Callable from inside a rank closure.
     pub fn enable_schedule_trace(&mut self) {
         if self.sched_trace.is_none() {
             self.sched_trace = Some(Vec::new());
@@ -166,20 +160,6 @@ impl Comm {
     /// Take the recorded trace (`None` if recording was never enabled).
     pub fn take_schedule_trace(&mut self) -> Option<Vec<&'static str>> {
         self.sched_trace.take()
-    }
-
-    /// Install a live static-schedule conformance matcher: every
-    /// subsequent collective steps the automaton, and a collective the
-    /// static schedule cannot explain panics at its call site rather
-    /// than at trace-compare time.
-    pub fn install_schedule_matcher(&mut self, m: crate::schedule::Matcher) {
-        self.sched_matcher = Some(m);
-    }
-
-    /// Remove the live matcher, returning it so the caller can check
-    /// end-of-schedule acceptance.
-    pub fn take_schedule_matcher(&mut self) -> Option<crate::schedule::Matcher> {
-        self.sched_matcher.take()
     }
 
     /// Tear down the communicator and take its counters.
@@ -413,7 +393,7 @@ impl Comm {
     // ------------------------------------------------------------------
 
     /// Everything a collective does before its frames move: the fault
-    /// hook, the metering, the schedule trace and live matcher, and the
+    /// hook, the metering, the schedule trace, and the
     /// schedule hash. Returns the slot number and the head of the frame.
     fn enter(
         &mut self,
@@ -428,17 +408,6 @@ impl Comm {
         });
         if let Some(trace) = &mut self.sched_trace {
             trace.push(kind);
-        }
-        if let Some(m) = &mut self.sched_matcher {
-            if !m.step(kind) {
-                panic!(
-                    "schedule conformance: rank {} issued {kind} as collective #{} \
-                     but no path of the static schedule automaton explains it \
-                     (issued at {site})",
-                    self.rank,
-                    m.consumed() - 1,
-                );
-            }
         }
         let seq = self.seq;
         self.seq += 1;

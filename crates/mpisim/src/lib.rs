@@ -53,7 +53,6 @@ mod cost;
 mod fault;
 mod mem;
 mod payload;
-pub mod schedule;
 mod stats;
 mod transport;
 mod wire;
@@ -67,7 +66,6 @@ pub use cost::{
 pub use fault::{CrashSpec, FaultPlan, MessageFaultKind, MessageFaultSpec, StragglerSpec};
 pub use mem::MemTransport;
 pub use payload::{WireDecodeError, WirePayload};
-pub use schedule::{Matcher, ScheduleAutomaton, ScheduleSet};
 pub use stats::{FaultStats, PhaseStats, RankStats};
 pub use transport::{OpMetrics, Transport, TransportError, TransportFault, TransportMetrics};
 pub use wire::WireSized;

@@ -80,10 +80,6 @@ enum Table {
 }
 
 impl Allowlist {
-    pub fn empty() -> Self {
-        Allowlist::default()
-    }
-
     /// Parse `spmd-lint.toml` content. Returns `Err` with a line-numbered
     /// message on malformed input or a missing justification.
     pub fn parse(src: &str) -> Result<Allowlist, String> {
@@ -360,19 +356,19 @@ mod tests {
         let toml = r#"
 # comment
 [[allow]]
-rule = "R3"
-path = "crates/mpisim/src/comm.rs"
-contains = "Instant::now"
-justification = "phase wall-clock is informational"
+rule = "R2"
+path = "crates/core/src/directed.rs"
+contains = "merged.into_iter()"
+justification = "drained into a Vec that is sorted on the next line"
 "#;
         let al = Allowlist::parse(toml).unwrap();
         assert_eq!(al.entries.len(), 1);
         let d = diag(
-            Rule::NondeterministicSource,
-            "crates/mpisim/src/comm.rs",
-            188,
-            Some("Comm::phase"),
-            "self.phase_stack.push((name.to_string(), Instant::now()));",
+            Rule::UnorderedIteration,
+            "crates/core/src/directed.rs",
+            82,
+            Some("DirectedNetwork::from_edges"),
+            "let mut arcs: Vec<_> = merged.into_iter().collect();",
         );
         assert!(al.covers(&d));
         assert!(al.unused().is_empty());

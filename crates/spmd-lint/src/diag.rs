@@ -3,7 +3,8 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// The seven SPMD determinism rule classes (see DESIGN.md notes 14, 19).
+/// The four SPMD determinism rule classes (see DESIGN.md notes 14, 19).
+/// The codes keep their historical numbers; R3–R5 were retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// R1: collective call reachable inside a conditional keyed on
@@ -12,18 +13,8 @@ pub enum Rule {
     /// every arm emits the same collective shape.
     DivergentCollective,
     /// R2: iteration over `HashMap`/`HashSet` where order can leak into
-    /// wire bytes, election order, or f64 accumulation.
+    /// wire bytes, election order, or an f64 fold in the loop body.
     UnorderedIteration,
-    /// R3: ambient nondeterminism (`Instant::now`, `SystemTime`,
-    /// `thread_rng`, `RandomState`) outside the cost model and benches.
-    NondeterministicSource,
-    /// R4: `send`/`send_slice` call site with no `WIRE_BYTES`-based
-    /// metering in the enclosing function — padded in-memory sizes leak
-    /// into the byte counters.
-    UnmeteredSend,
-    /// R5: `+=` f64 fold inside an unordered-container loop, bypassing
-    /// the canonical deterministic reductions.
-    FloatAccumulation,
     /// R6: a call under a rank-keyed branch/loop whose callee
     /// *transitively* performs a collective while the branch arms disagree
     /// on the collective shape — the interprocedural counterpart of R1
@@ -40,9 +31,6 @@ impl Rule {
         match self {
             Rule::DivergentCollective => "R1",
             Rule::UnorderedIteration => "R2",
-            Rule::NondeterministicSource => "R3",
-            Rule::UnmeteredSend => "R4",
-            Rule::FloatAccumulation => "R5",
             Rule::DivergentCollectiveTransitive => "R6",
             Rule::CheckpointCompleteness => "R7",
         }
@@ -52,20 +40,8 @@ impl Rule {
         match self {
             Rule::DivergentCollective => "divergent-collective",
             Rule::UnorderedIteration => "unordered-iteration",
-            Rule::NondeterministicSource => "nondeterministic-source",
-            Rule::UnmeteredSend => "unmetered-send",
-            Rule::FloatAccumulation => "float-accumulation",
             Rule::DivergentCollectiveTransitive => "divergent-collective-transitive",
             Rule::CheckpointCompleteness => "checkpoint-completeness",
-        }
-    }
-
-    pub fn severity(self) -> Severity {
-        match self {
-            // Warnings still fail the build under `--deny`; the split only
-            // affects the default (non-deny) exit code.
-            Rule::NondeterministicSource => Severity::Warning,
-            _ => Severity::Error,
         }
     }
 
@@ -73,22 +49,11 @@ impl Rule {
         match code {
             "R1" | "divergent-collective" => Some(Rule::DivergentCollective),
             "R2" | "unordered-iteration" => Some(Rule::UnorderedIteration),
-            "R3" | "nondeterministic-source" => Some(Rule::NondeterministicSource),
-            "R4" | "unmetered-send" => Some(Rule::UnmeteredSend),
-            "R5" | "float-accumulation" => Some(Rule::FloatAccumulation),
-            "R6" | "divergent-collective-transitive" => {
-                Some(Rule::DivergentCollectiveTransitive)
-            }
+            "R6" | "divergent-collective-transitive" => Some(Rule::DivergentCollectiveTransitive),
             "R7" | "checkpoint-completeness" => Some(Rule::CheckpointCompleteness),
             _ => None,
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Warning,
-    Error,
 }
 
 #[derive(Debug, Clone)]
@@ -111,13 +76,9 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sev = match self.rule.severity() {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        };
         writeln!(
             f,
-            "{sev}[{}] {}: {}",
+            "error[{}] {}: {}",
             self.rule.code(),
             self.rule.name(),
             self.message

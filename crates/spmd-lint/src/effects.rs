@@ -21,11 +21,11 @@
 //! empty effect.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::parse::{brace_match, find_body_brace, parse_file, ParsedFile};
+use crate::parse::{brace_match, find_body_brace, for_iterated_expr, parse_file, ParsedFile};
 
 /// Collective methods on `Comm`. Kept in sync with
 /// `crates/mpisim/src/comm.rs`.
@@ -44,16 +44,6 @@ pub const COLLECTIVES: &[&str] = &[
 /// Identifiers that mark a condition as rank-local.
 pub const RANK_MARKERS: &[&str] = &["rank", "my_rank", "myrank"];
 
-/// Map a static `Comm` method name to the kind string the runtime
-/// `ScheduleStamp` records: every collective stamps its own name.
-pub fn runtime_kind(method: &str) -> &'static str {
-    COLLECTIVES
-        .iter()
-        .find(|&&c| c == method)
-        .copied()
-        .unwrap_or("unknown")
-}
-
 /// Does this token slice mention rank-local state?
 pub fn head_is_rank_keyed(toks: &[Tok]) -> bool {
     toks.iter()
@@ -63,7 +53,8 @@ pub fn head_is_rank_keyed(toks: &[Tok]) -> bool {
 /// One abstract effect in a function summary.
 #[derive(Debug, Clone)]
 pub enum Effect {
-    /// A direct collective call, normalized to its runtime stamp kind.
+    /// A direct collective call; `kind` is the `Comm` method name, which
+    /// is also the kind the runtime frame stamp records.
     Collective { kind: &'static str, line: u32 },
     /// A call to be resolved through the workspace function table.
     Call {
@@ -234,11 +225,9 @@ impl<'a> Extractor<'a> {
         }
         let prev = i.checked_sub(1).map(|p| &self.toks[p]);
         let is_method = prev.map(|p| p.is(".")).unwrap_or(false);
-        if is_method && COLLECTIVES.contains(&t.text.as_str()) {
-            return Some(Effect::Collective {
-                kind: runtime_kind(&t.text),
-                line: t.line,
-            });
+        let collective = COLLECTIVES.iter().find(|&&c| c == t.text);
+        if let (true, Some(&kind)) = (is_method, collective) {
+            return Some(Effect::Collective { kind, line: t.line });
         }
         let qual = if prev.map(|p| p.is("::")).unwrap_or(false) {
             i.checked_sub(2)
@@ -369,23 +358,7 @@ impl<'a> Extractor<'a> {
         }
         let head = &self.toks[start + 1..b];
         let rank = match t.text.as_str() {
-            "for" => {
-                // Only the iterated expression (after the top-level `in`).
-                let mut depth = 0i32;
-                let mut in_pos = None;
-                for (k, h) in head.iter().enumerate() {
-                    match h.text.as_str() {
-                        "(" | "[" | "<" => depth += 1,
-                        ")" | "]" | ">" => depth -= 1,
-                        "in" if depth <= 0 && h.kind == TokKind::Ident => {
-                            in_pos = Some(k);
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                head_is_rank_keyed(in_pos.map(|p| &head[p + 1..]).unwrap_or(head))
-            }
+            "for" => head_is_rank_keyed(for_iterated_expr(head)),
             "while" => head_is_rank_keyed(head),
             _ => false,
         };
@@ -442,6 +415,16 @@ pub struct FileRec {
     /// Trimmed source lines for diagnostic snippets (allowlist `contains`
     /// entries match against these, so they must be the real text).
     pub lines: Vec<String>,
+}
+
+impl FileRec {
+    /// The trimmed source text of 1-based `line`.
+    pub fn snippet_at(&self, line: u32) -> String {
+        self.lines
+            .get(line.saturating_sub(1) as usize)
+            .cloned()
+            .unwrap_or_default()
+    }
 }
 
 /// One analyzed function.
@@ -545,12 +528,6 @@ impl Analysis {
 
     pub fn fn_crate(&self, idx: usize) -> &str {
         &self.files[self.fns[idx].file].crate_name
-    }
-
-    /// Qualified name of the innermost function covering `path:line`.
-    pub fn fn_name_at(&self, path: &Path, line: u32) -> Option<String> {
-        let f = self.files.iter().find(|f| f.path == path)?;
-        f.parsed.fn_at(&f.toks, line).map(|s| s.to_string())
     }
 
     /// Candidate callee indices for a call effect: impl-qualified name
@@ -898,7 +875,7 @@ impl Analysis {
         if !seen.insert((rule, file.path.clone(), line)) {
             return;
         }
-        let snippet = snippet_at(file, line);
+        let snippet = file.snippet_at(line);
         diags.push(Diagnostic {
             rule,
             path: file.path.clone(),
@@ -973,20 +950,13 @@ impl Analysis {
                              with the reconstruction argument",
                             spec.struct_name, spec.encoder
                         ),
-                        snippet: snippet_at(sfile, *line),
+                        snippet: sfile.snippet_at(*line),
                     });
                 }
             }
         }
         Ok(diags)
     }
-}
-
-fn snippet_at(file: &FileRec, line: u32) -> String {
-    file.lines
-        .get(line.saturating_sub(1) as usize)
-        .cloned()
-        .unwrap_or_default()
 }
 
 /// All call effects in a subtree, in textual order.
@@ -1112,12 +1082,5 @@ fn run(c: &mut Comm, rank: usize) {
         // Both arms' collectives are flagged (the shapes differ).
         assert!(d.iter().any(|x| x.rule == Rule::DivergentCollective));
         assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn runtime_kinds_are_the_collective_names() {
-        assert_eq!(runtime_kind("alltoallv_reduce"), "alltoallv_reduce");
-        assert_eq!(runtime_kind("barrier"), "barrier");
-        assert_eq!(runtime_kind("send"), "unknown");
     }
 }

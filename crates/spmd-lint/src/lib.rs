@@ -1,26 +1,26 @@
 //! spmd-lint: workspace static analysis enforcing the SPMD determinism
 //! invariants this reproduction's guarantees rest on (DESIGN.md note 14).
 //!
-//! Five rule classes, each with a runtime counterpart or test that
+//! Four rule classes, each with a runtime counterpart or test that
 //! validates what the static rule claims:
 //!
-//! * **R1 divergent-collective** — every rank must execute the same
-//!   collective schedule (the paper's synchronized `Module_Info` exchange
-//!   only converges under this); collectives inside rank-keyed
-//!   conditionals are flagged. mpisim's debug-mode schedule checker is the
-//!   dynamic counterpart.
+//! * **R1 divergent-collective** / **R6 divergent-collective-transitive**
+//!   — every rank must execute the same collective schedule (the paper's
+//!   synchronized `Module_Info` exchange only converges under this);
+//!   collectives reachable, directly (R1) or through calls (R6), inside
+//!   rank-keyed conditionals whose arms disagree are flagged. mpisim's
+//!   always-on frame stamp is the dynamic counterpart.
 //! * **R2 unordered-iteration** — `HashMap`/`HashSet` iteration order is
 //!   nondeterministic across processes; when it reaches wire bytes,
-//!   election order, or f64 folds, bit-identity dies.
-//! * **R3 nondeterministic-source** — wall clocks and ambient RNGs outside
-//!   the cost model and benches break seeded replay.
-//! * **R4 unmetered-send** — sends that bypass `WIRE_BYTES` metering make
-//!   the byte counters (and the modeled makespans built on them) lie.
-//! * **R5 float-accumulation** — `+=` f64 folds over unordered containers
-//!   reorder rounding; same MDL in a different order is a different MDL.
+//!   election order, or an f64 fold, bit-identity dies (same MDL summed in
+//!   a different order is a different MDL).
+//! * **R7 checkpoint-completeness** — a field of a checkpointed struct
+//!   its serializer never mentions is silently lost on recovery.
 //!
-//! Findings are suppressed only by `spmd-lint.toml` entries carrying a
-//! written justification.
+//! One path leads from source text to a diagnostic: `lexer` → `parse` →
+//! `effects` (R1/R6/R7) and `rules` (R2). Findings are suppressed only by
+//! `spmd-lint.toml` entries carrying a written justification; a finding
+//! that survives, or an entry that matches nothing, fails the run.
 
 #![forbid(unsafe_code)]
 
@@ -35,8 +35,9 @@ pub mod schedule;
 use std::path::{Path, PathBuf};
 
 pub use config::{Allowlist, CheckpointSpec, EntrySpec};
-pub use diag::{Diagnostic, Rule, Severity};
+pub use diag::{Diagnostic, Rule};
 pub use effects::Analysis;
+pub use schedule::{Matcher, Schedule};
 
 /// One crate's worth of sources, as discovered by [`workspace_crates`].
 #[derive(Debug)]
@@ -53,22 +54,6 @@ pub struct LintReport {
     pub findings: Vec<Diagnostic>,
     /// Findings suppressed by an allowlist entry.
     pub allowed: Vec<Diagnostic>,
-}
-
-impl LintReport {
-    pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|d| d.rule.severity() == Severity::Error)
-            .count()
-    }
-
-    pub fn warning_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|d| d.rule.severity() == Severity::Warning)
-            .count()
-    }
 }
 
 /// Discover workspace members: every `crates/*` directory with a
@@ -158,85 +143,52 @@ pub fn workspace_analysis(crates: &[CrateSources]) -> Analysis {
     Analysis::build(crates.iter().map(|c| (c.name.as_str(), c.files.as_slice())))
 }
 
-/// Lint every workspace crate under `root`, filtering through `allow`:
-/// the token-scan rules (R2–R5) plus the interprocedural R1/R6 divergence
-/// check and the R7 checkpoint-completeness check.
-pub fn lint_workspace(root: &Path, allow: &Allowlist) -> Result<LintReport, String> {
-    let crates = workspace_crates(root)?;
-    let mut diags = Vec::new();
-    for c in &crates {
-        let files: Vec<(&Path, &str)> = c
-            .files
-            .iter()
-            .map(|(p, s)| (p.as_path(), s.as_str()))
-            .collect();
-        diags.extend(rules::lint_crate(&c.name, &files));
-    }
-    let mut analysis = workspace_analysis(&crates);
+/// Every rule over one analysis, sorted by (path, line, rule): R2, the
+/// R1/R6 divergence check, and R7 for the configured `checkpoints`.
+fn run_rules(
+    analysis: &mut Analysis,
+    checkpoints: &[CheckpointSpec],
+) -> Result<Vec<Diagnostic>, String> {
+    let mut diags = rules::check_unordered_iteration(&analysis.files);
     diags.extend(analysis.check_divergence());
-    diags.extend(analysis.check_checkpoints(&allow.checkpoints)?);
-    // Attribute every diagnostic to its enclosing function so fn-anchored
-    // allowlist entries can match.
-    for d in &mut diags {
-        if d.fn_name.is_none() {
-            d.fn_name = analysis.fn_name_at(&d.path, d.line);
-        }
-    }
+    diags.extend(analysis.check_checkpoints(checkpoints)?);
+    diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    Ok(diags)
+}
 
+/// Lint every workspace crate under `root`, filtering through `allow`.
+pub fn lint_workspace(root: &Path, allow: &Allowlist) -> Result<LintReport, String> {
+    let mut analysis = workspace_analysis(&workspace_crates(root)?);
     let mut report = LintReport::default();
-    for d in diags {
+    for d in run_rules(&mut analysis, &allow.checkpoints)? {
         if allow.covers(&d) {
             report.allowed.push(d);
         } else {
             report.findings.push(d);
         }
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    report
-        .allowed
-        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(report)
 }
 
-/// Emit the static schedule JSON for `root`'s workspace. Entries come
-/// from the config's `[[entry]]` tables plus `extra_entries`.
-pub fn emit_workspace_schedule(
-    root: &Path,
-    allow: &Allowlist,
-    extra_entries: &[EntrySpec],
-) -> Result<String, String> {
-    let crates = workspace_crates(root)?;
-    let mut analysis = workspace_analysis(&crates);
-    let mut entries: Vec<EntrySpec> = allow.entry_points.clone();
-    entries.extend(extra_entries.iter().cloned());
-    schedule::emit_schedule(&mut analysis, &entries)
+/// Infer the static collective schedule of the config's `[[entry]]`
+/// points over `root`'s workspace.
+pub fn workspace_schedule(root: &Path, allow: &Allowlist) -> Result<Schedule, String> {
+    let mut analysis = workspace_analysis(&workspace_crates(root)?);
+    Schedule::infer(&mut analysis, &allow.entry_points)
 }
 
 /// Lint a single source text as if it belonged to `crate_name` with the
 /// full pipeline — the entry point the fixture tests use. Optional
-/// `checkpoints` drive R7.
+/// `checkpoints` drive R7; naming an item the source lacks is a panic.
 pub fn lint_source_with(
     crate_name: &str,
     path: &Path,
     source: &str,
     checkpoints: &[CheckpointSpec],
 ) -> Vec<Diagnostic> {
-    let mut diags = rules::lint_crate(crate_name, &[(path, source)]);
     let files = vec![(path.to_path_buf(), source.to_string())];
     let mut analysis = Analysis::build([(crate_name, files.as_slice())]);
-    diags.extend(analysis.check_divergence());
-    if let Ok(cp) = analysis.check_checkpoints(checkpoints) {
-        diags.extend(cp);
-    }
-    for d in &mut diags {
-        if d.fn_name.is_none() {
-            d.fn_name = analysis.fn_name_at(&d.path, d.line);
-        }
-    }
-    diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    diags
+    run_rules(&mut analysis, checkpoints).expect("checkpoint specs name items of the source")
 }
 
 /// Single-file lint with no R7 config.

@@ -1,81 +1,44 @@
-//! `spmd-lint` CLI: `cargo run -p spmd-lint -- --workspace [--deny]`.
+//! `spmd-lint` CLI: `cargo run -p spmd-lint`.
 //!
 //! Exit status: 0 when clean (allowlisted findings are clean); 1 when any
-//! error-severity finding survives the allowlist, or — under `--deny` —
-//! when *any* finding survives, or — under `--deny-unused` — when any
-//! allowlist entry is stale; 2 on usage/config errors.
+//! finding survives the allowlist or any allowlist entry is stale (never
+//! matched); 2 on usage/config errors.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use spmd_lint::schedule::Json;
-use spmd_lint::{
-    emit_workspace_schedule, find_workspace_root, lint_workspace, Allowlist, EntrySpec, Severity,
-};
+use spmd_lint::{find_workspace_root, lint_workspace, workspace_schedule, Allowlist};
 
-const USAGE: &str = "usage: spmd-lint [--workspace] [--deny] [--deny-unused] [--root DIR]
-                 [--allowlist FILE] [--format text|json] [--quiet]
-                 [--emit-schedule [--schedule-out FILE] [--entry FN]...]
+const USAGE: &str =
+    "usage: spmd-lint [--root DIR] [--quiet] [--emit-schedule [--schedule-out FILE]]
 
-  --workspace        lint every workspace crate (default; flag kept for clarity)
-  --deny             fail on warnings too, not just errors
-  --deny-unused      fail when any allowlist entry never matched (stale pin)
-  --root DIR         workspace root (default: walk up from cwd to [workspace])
-  --allowlist FILE   config path (default: <root>/spmd-lint.toml)
-  --format FMT       diagnostic output: text (default) or json
+  --root DIR         workspace root (default: walk up from cwd to [workspace]);
+                     the config is DIR/spmd-lint.toml
   --quiet            print only the summary line
   --emit-schedule    print the static collective-schedule JSON and exit
   --schedule-out F   write the schedule JSON to F instead of stdout
-  --entry FN         add a schedule entry point (bare or Type::fn name)
 ";
 
 fn main() -> ExitCode {
-    let mut deny = false;
-    let mut deny_unused = false;
     let mut quiet = false;
-    let mut json_format = false;
     let mut emit_schedule = false;
     let mut schedule_out: Option<PathBuf> = None;
-    let mut extra_entries: Vec<EntrySpec> = Vec::new();
     let mut root: Option<PathBuf> = None;
-    let mut allowlist_path: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workspace" => {}
-            "--deny" => deny = true,
-            "--deny-unused" => deny_unused = true,
             "--quiet" => quiet = true,
             "--emit-schedule" => emit_schedule = true,
-            "--format" => match args.next().as_deref() {
-                Some("text") => json_format = false,
-                Some("json") => json_format = true,
-                Some(other) => {
-                    return usage_error(&format!("unknown format `{other}` (text|json)"))
-                }
-                None => return usage_error("--format needs a value"),
-            },
             "--schedule-out" => match args.next() {
                 Some(v) => schedule_out = Some(PathBuf::from(v)),
                 None => return usage_error("--schedule-out needs a value"),
             },
-            "--entry" => match args.next() {
-                Some(v) => extra_entries.push(EntrySpec {
-                    fn_name: v,
-                    crate_name: None,
-                }),
-                None => return usage_error("--entry needs a value"),
-            },
             "--root" => match args.next() {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a value"),
-            },
-            "--allowlist" => match args.next() {
-                Some(v) => allowlist_path = Some(PathBuf::from(v)),
-                None => return usage_error("--allowlist needs a value"),
             },
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -94,96 +57,48 @@ fn main() -> ExitCode {
         None => return usage_error("no workspace root found (pass --root)"),
     };
 
-    let allowlist_path = allowlist_path.unwrap_or_else(|| root.join("spmd-lint.toml"));
-    let allow = if allowlist_path.is_file() {
-        match Allowlist::load(&allowlist_path) {
+    let config = root.join("spmd-lint.toml");
+    let allow = if config.is_file() {
+        match Allowlist::load(&config) {
             Ok(a) => a,
-            Err(e) => {
-                eprintln!("spmd-lint: bad allowlist: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return config_error(&format!("bad config: {e}")),
         }
     } else {
-        Allowlist::empty()
+        Allowlist::default()
     };
 
     if emit_schedule {
-        return match emit_workspace_schedule(&root, &allow, &extra_entries) {
-            Ok(json) => {
-                match schedule_out {
-                    Some(path) => {
-                        if let Err(e) = std::fs::write(&path, json + "\n") {
-                            eprintln!("spmd-lint: cannot write {}: {e}", path.display());
-                            return ExitCode::from(2);
-                        }
-                        if !quiet {
-                            eprintln!("spmd-lint: schedule written to {}", path.display());
-                        }
-                    }
-                    None => println!("{json}"),
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("spmd-lint: {e}");
-                ExitCode::from(2)
-            }
+        let json = match workspace_schedule(&root, &allow) {
+            Ok(schedule) => schedule.to_json(),
+            Err(e) => return config_error(&e),
         };
+        match schedule_out {
+            Some(path) => {
+                if let Err(e) = std::fs::write(&path, json + "\n") {
+                    return config_error(&format!("cannot write {}: {e}", path.display()));
+                }
+                if !quiet {
+                    eprintln!("spmd-lint: schedule written to {}", path.display());
+                }
+            }
+            None => println!("{json}"),
+        }
+        return ExitCode::SUCCESS;
     }
 
     let report = match lint_workspace(&root, &allow) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("spmd-lint: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return config_error(&e),
     };
+    let unused = allow.unused();
 
-    if json_format {
-        // Stable machine-readable schema: rule, severity, file, line, fn,
-        // message (sorted by file/line already).
-        let arr = Json::Arr(
-            report
-                .findings
-                .iter()
-                .map(|d| {
-                    Json::Obj(vec![
-                        ("rule", Json::Str(d.rule.code().to_string())),
-                        (
-                            "severity",
-                            Json::Str(
-                                match d.rule.severity() {
-                                    Severity::Error => "error",
-                                    Severity::Warning => "warning",
-                                }
-                                .to_string(),
-                            ),
-                        ),
-                        (
-                            "file",
-                            Json::Str(d.path.to_string_lossy().replace('\\', "/")),
-                        ),
-                        ("line", Json::Num(d.line as i64)),
-                        (
-                            "fn",
-                            d.fn_name
-                                .clone()
-                                .map(Json::Str)
-                                .unwrap_or(Json::Str(String::new())),
-                        ),
-                        ("message", Json::Str(d.message.clone())),
-                    ])
-                })
-                .collect(),
-        );
-        println!("{arr}");
-    } else if !quiet {
+    if !quiet {
         for d in &report.findings {
             println!("{d}\n");
         }
-        for e in allow.unused() {
+        for e in &unused {
             println!(
-                "warning[allowlist] unused entry: rule {} path `{}`{}{} — prune it or fix the pin",
+                "error[allowlist] unused entry: rule {} path `{}`{}{} — prune it or fix the pin",
                 e.rule.code(),
                 e.path,
                 e.contains
@@ -197,29 +112,27 @@ fn main() -> ExitCode {
             );
         }
     }
+    println!(
+        "spmd-lint: {} finding(s), {} allowlisted, {} unused allowlist entr{}",
+        report.findings.len(),
+        report.allowed.len(),
+        unused.len(),
+        if unused.len() == 1 { "y" } else { "ies" },
+    );
 
-    let errors = report.error_count();
-    let warnings = report.warning_count();
-    if !json_format {
-        println!(
-            "spmd-lint: {errors} error(s), {warnings} warning(s), {} allowlisted ({} allowlist entr{} unused)",
-            report.allowed.len(),
-            allow.unused().len(),
-            if allow.unused().len() == 1 { "y" } else { "ies" },
-        );
-    }
-
-    let fail = errors > 0
-        || (deny && !report.findings.is_empty())
-        || (deny_unused && !allow.unused().is_empty());
-    if fail {
-        ExitCode::FAILURE
-    } else {
+    if report.findings.is_empty() && unused.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("spmd-lint: {msg}\n{USAGE}");
+    ExitCode::from(2)
+}
+
+fn config_error(msg: &str) -> ExitCode {
+    eprintln!("spmd-lint: {msg}");
     ExitCode::from(2)
 }

@@ -49,7 +49,7 @@ pub struct ParsedFile {
 impl ParsedFile {
     /// Qualified name of the innermost function enclosing `line`, for
     /// diagnostic attribution and fn-anchored allowlist entries.
-    pub fn fn_at(&self, toks: &[Tok], line: u32) -> Option<&str> {
+    pub fn fn_at(&self, line: u32) -> Option<&str> {
         let mut best: Option<&FnItem> = None;
         for f in &self.fns {
             if f.line <= line && line <= f.end_line {
@@ -59,7 +59,6 @@ impl ParsedFile {
                 }
             }
         }
-        let _ = toks;
         best.map(|f| f.qual.as_str())
     }
 }
@@ -103,6 +102,22 @@ pub fn find_body_brace(toks: &[Tok], start: usize) -> Option<usize> {
         }
     }
     None
+}
+
+/// The iterated expression of a `for` head (the tokens between the keyword
+/// and the body brace): what follows the top-level `in`, or the whole head
+/// when there is none.
+pub fn for_iterated_expr(head: &[Tok]) -> &[Tok] {
+    let mut depth = 0i32;
+    for (k, h) in head.iter().enumerate() {
+        match h.text.as_str() {
+            "(" | "[" | "<" => depth += 1,
+            ")" | "]" | ">" => depth -= 1,
+            "in" if depth <= 0 && h.kind == TokKind::Ident => return &head[k + 1..],
+            _ => {}
+        }
+    }
+    head
 }
 
 /// Scan an attribute starting at `#` (index `i`); returns
@@ -396,16 +411,20 @@ mod tests {
     fn struct_fields_with_attrs_and_vis() {
         let src = "pub struct S {\n    pub a: u32,\n    #[allow(dead_code)]\n    b: Vec<(u32, f64)>,\n    pub(crate) c: HashMap<u32, u32>,\n}";
         let (_, p) = parsed(src);
-        let f: Vec<&str> = p.structs[0].fields.iter().map(|(n, _)| n.as_str()).collect();
+        let f: Vec<&str> = p.structs[0]
+            .fields
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect();
         assert_eq!(f, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn fn_at_finds_innermost() {
         let src = "fn outer() {\n    fn inner() {\n        x();\n    }\n}\n";
-        let (toks, p) = parsed(src);
-        assert_eq!(p.fn_at(&toks, 3), Some("inner"));
-        assert_eq!(p.fn_at(&toks, 1), Some("outer"));
-        assert_eq!(p.fn_at(&toks, 99), None);
+        let (_, p) = parsed(src);
+        assert_eq!(p.fn_at(3), Some("inner"));
+        assert_eq!(p.fn_at(1), Some("outer"));
+        assert_eq!(p.fn_at(99), None);
     }
 }

@@ -1,4 +1,4 @@
-// R5 fixture: a float accumulation folded in hash-iteration order.
+// R2 fixture (the retired R5's case): an f64 fold in hash-iteration order.
 // f64 addition is not associative, so the sum depends on the iteration
 // order and differs across processes.
 use std::collections::HashMap;

@@ -1,5 +1,5 @@
-// R5 fixture: the slice-merge mutant. The slice-parallel sweep's partial
-// MDL sums are folded in hash-map (worker-completion) order instead of
+// R2 fixture (the retired R5's case): the slice-merge mutant. The sweep's
+// partial MDL sums are folded in hash-map (worker-completion) order instead of
 // fixed slice order; f64 addition is not associative, so the merged MDL
 // depends on which worker landed where in the map — exactly the
 // determinism leak the fixed-slice-order merge in `find_best_modules`

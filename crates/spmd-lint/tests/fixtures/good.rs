@@ -2,8 +2,6 @@
 // fixture. None of these may produce a finding.
 use std::collections::BTreeMap;
 
-const ROW_WIRE_BYTES: u64 = 8;
-
 // R1 counterpart: the collective runs on every rank; only rank-local
 // bookkeeping sits under the rank conditional.
 pub fn settle(c: &mut Comm) {
@@ -23,15 +21,7 @@ pub fn serialize_adjacency(adj: &BTreeMap<u32, Vec<u32>>) -> Vec<u32> {
     wire
 }
 
-// R3 counterpart: time derives from the metered cost model, not a clock.
-
-// R4 counterpart: the send is metered through a *_WIRE_BYTES size.
-pub fn push_row(c: &mut Comm, dst: usize, row: Vec<u64>) {
-    c.add_work(row.len() as u64 * ROW_WIRE_BYTES);
-    c.send(dst, 7, row);
-}
-
-// R5 counterpart: the fold runs in key order, so it is associative-safe.
+// R2 f64-fold counterpart: the fold runs in key order on every rank.
 pub fn modular_cost(flows: &BTreeMap<u64, f64>) -> f64 {
     let mut total = 0.0;
     for f in flows.values() {
