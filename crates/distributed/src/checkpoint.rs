@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 
 use crate::codec::put_uvarint;
 use crate::driver::StageTrace;
+use crate::idhash::IdBuild;
 use crate::rounds::{StageCursor, StageStop};
 use crate::state::{LocalState, ModuleEntry, OwnedModule, VertexKind};
 
@@ -846,12 +847,12 @@ fn decode_sections(
     }
 
     // Derived maps.
-    let index: HashMap<u32, u32> = verts
+    let index: HashMap<u32, u32, IdBuild> = verts
         .iter()
         .enumerate()
         .map(|(i, &v)| (v, i as u32))
         .collect();
-    let module_slot: HashMap<u64, u32> = module_ids
+    let module_slot: HashMap<u64, u32, IdBuild> = module_ids
         .iter()
         .enumerate()
         .map(|(s, &gid)| (gid, s as u32))

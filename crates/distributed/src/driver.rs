@@ -3,9 +3,9 @@
 //! (§3.5), and repeated stage-2 clustering without delegates until the MDL
 //! stops improving.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-use infomap_core::plogp;
+use infomap_core::{plogp, StampedSlotMap};
 use infomap_graph::snapshot::{owned_row_count, SnapshotHeader, SnapshotKind};
 use infomap_graph::{GraphStore, VertexId};
 use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World};
@@ -16,9 +16,12 @@ use crate::checkpoint::{
 };
 use crate::codec;
 use crate::config::DistributedConfig;
+use crate::idhash::IdBuild;
 use crate::messages::{MergedArc, MergedFlow};
 use crate::rounds::{cluster_stage_recoverable, StageCursor, StageOutcome, StageStop};
-use crate::state::{assemble, build_1d_state, build_stage1_states, LocalState, VertexKind};
+use crate::state::{
+    assemble, build_1d_state, build_stage1_states, group_subscribers, LocalState, VertexKind,
+};
 
 /// Trace entry for one clustering stage at one merge level.
 #[derive(Clone, Debug, PartialEq)]
@@ -116,7 +119,7 @@ pub struct DistributedInfomap {
 struct MergeOutcome {
     state: LocalState,
     /// Old module id → dense new vertex id (identical on all ranks).
-    dense: HashMap<u64, u32>,
+    dense: HashMap<u64, u32, IdBuild>,
 }
 
 impl DistributedInfomap {
@@ -287,9 +290,10 @@ impl RankProgram {
     ///    the pure [`plan_rebalance`], ship surplus arcs with one
     ///    alltoallv, and append received buckets in source-rank order —
     ///    the global pool order the monolithic pass uses.
-    /// 4. **Ghosts** — alltoallv observed foreign low-degree endpoints to
-    ///    their owners; subscriber lists build rank-ascending, matching
-    ///    the monolithic presence map.
+    /// 4. **Ghosts** — alltoallv the foreign low-degree endpoints this
+    ///    rank's arcs touch (its ghost run, cut by owner) to their owners;
+    ///    the owners group what they receive into subscriber lists, as the
+    ///    monolithic build does from the finished states' ghost runs.
     /// 5. **Flows** — allgatherv owned strengths and fold the node term in
     ///    global vertex order, the exact summation order `prepare` uses.
     ///
@@ -363,33 +367,22 @@ impl RankProgram {
                 .filter(|&v| !is_delegate[v])
                 .map(|v| v as u32)
                 .collect();
-            let mut observed: Vec<HashSet<u32>> = vec![HashSet::new(); p];
+            let mut observed: Vec<Vec<u32>> = vec![Vec::new(); p];
             for a in &arcs {
                 for v in [a.src, a.dst] {
                     if !is_delegate[v as usize] && (v as usize) % p != rank {
-                        observed[(v as usize) % p].insert(v);
+                        observed[(v as usize) % p].push(v);
                     }
                 }
             }
-            let mut providers: Vec<usize> = (0..p).filter(|&r| !observed[r].is_empty()).collect();
-            providers.sort_unstable();
-            let notify: Vec<Vec<u32>> = observed
-                .into_iter()
-                .map(|s| {
-                    let mut v: Vec<u32> = s.into_iter().collect();
-                    v.sort_unstable();
-                    v
-                })
-                .collect();
-            let notified = c.alltoallv(notify);
-            let mut subs_of: HashMap<u32, Vec<usize>> = HashMap::new();
-            for (r, bucket) in notified.into_iter().enumerate() {
-                for v in bucket {
-                    subs_of.entry(v).or_default().push(r);
-                }
+            for run in &mut observed {
+                run.sort_unstable();
+                run.dedup();
             }
-            let mut subscribers: Vec<(u32, Vec<usize>)> = subs_of.into_iter().collect();
-            subscribers.sort_by_key(|(v, _)| *v);
+            let notified = c.alltoallv(observed);
+            let seen_by: Vec<(u32, usize)> = (notified.into_iter().enumerate())
+                .flat_map(|(r, run)| run.into_iter().map(move |v| (v, r)))
+                .collect();
 
             // 5. Flows and the MDL node term, folded in global vertex order.
             let my_strengths: Vec<f64> = (0..header.rows)
@@ -408,18 +401,16 @@ impl RankProgram {
             let inv_two_w = 1.0 / (2.0 * header.global_weight);
             let node_term = node_term(strengths.iter().copied(), header.global_weight);
 
-            let delegate_set: HashSet<u32> = delegates.iter().copied().collect();
-            let st = assemble(
+            let mut st = assemble(
                 rank,
                 p,
                 &arcs,
-                &delegate_set,
+                &delegates,
                 &owned,
                 &|v| strengths[v as usize] * inv_two_w,
                 inv_two_w,
-                subscribers,
-                providers,
             );
+            st.set_subscribers(group_subscribers(seen_by));
             RankProgram {
                 cfg,
                 delegates,
@@ -559,7 +550,7 @@ impl RankProgram {
                 };
 
                 // ---- First merge: original vertices → level-1 vertices ----
-                let merge = comm.phase("Merge", |c| distributed_merge(c, &st, &cfg));
+                let merge = comm.phase("Merge", |c| distributed_merge(c, &st));
 
                 // Original-vertex assignments this rank is responsible for.
                 assign.clear();
@@ -632,7 +623,7 @@ impl RankProgram {
                         },
                     )
                 };
-                let merge = comm.phase("Merge", |c| distributed_merge(c, &st, &cfg));
+                let merge = comm.phase("Merge", |c| distributed_merge(c, &st));
                 let new_vertices = merge.dense.len();
                 push_trace(&mut trace, 2, level, &s2, level_vertices, new_vertices);
 
@@ -760,9 +751,29 @@ fn push_trace(
     });
 }
 
+/// Sum the weights of equal `(src, dst)` keys: a **stable** sort, then one
+/// fold per run from 0.0 in the order the run's arcs entered — so a key's
+/// sum carries the bits of adding its weights in input order. Returns the
+/// folded arcs ascending by key. The receiver side of the merge: fed the
+/// ranks' buckets back to back, it adds a key's parts in source-rank order.
+fn fold_arcs(mut arcs: Vec<MergedArc>) -> Vec<MergedArc> {
+    arcs.sort_by_key(|a| (a.src, a.dst));
+    let mut folded: Vec<MergedArc> = Vec::new();
+    for a in arcs {
+        match folded.last_mut() {
+            Some(run) if (run.src, run.dst) == (a.src, a.dst) => run.weight += a.weight,
+            _ => folded.push(MergedArc {
+                weight: 0.0 + a.weight,
+                ..a
+            }),
+        }
+    }
+    folded
+}
+
 /// Distributed merging (paper §3.5): contract every module to a vertex of
 /// a new graph, 1D-partitioned by the dense module ids.
-fn distributed_merge(comm: &mut Comm, st: &LocalState, _cfg: &DistributedConfig) -> MergeOutcome {
+fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcome {
     let p = st.nranks;
 
     // 1. Global dense relabeling of surviving modules.
@@ -775,38 +786,56 @@ fn distributed_merge(comm: &mut Comm, st: &LocalState, _cfg: &DistributedConfig)
     let mut sorted: Vec<u64> = (*all_ids).clone();
     sorted.sort_unstable();
     sorted.dedup();
-    let dense: HashMap<u64, u32> = sorted
+    let dense: HashMap<u64, u32, IdBuild> = sorted
         .iter()
         .enumerate()
         .map(|(i, &m)| (m, i as u32))
         .collect();
 
-    // 2. Aggregate local arcs by (new src, new dst) and route to the new
-    //    source owner.
-    let mut agg: HashMap<(u32, u32), f64> = HashMap::new();
-    for li in 0..st.verts.len() as u32 {
-        if st.kind[li as usize] == VertexKind::Ghost {
-            continue;
+    // 2. Fold local arcs by (new src, new dst) and route each sum to the
+    //    new source owner. One lookup per module slot the arcs touch, an
+    //    array index per arc; a source module's members are walked in local
+    //    order and their arcs in CSR order, so every key's weights add in
+    //    arc order, from 0.0, into a dense accumulator over new ids —
+    //    nothing arc-proportional is allocated.
+    let mut slot_dense = vec![u32::MAX; st.num_module_slots()];
+    let mut dense_of_slot = |s: u32| {
+        let d = &mut slot_dense[s as usize];
+        if *d == u32::MAX {
+            *d = dense_of(&dense, st.module_gid(s));
         }
-        let a = dense_of(&dense, st.module_id_of(li as usize));
-        for (tgt, w) in st.arcs_of(li) {
-            let b = dense_of(&dense, st.module_id_of(tgt as usize));
-            *agg.entry((a, b)).or_insert(0.0) += w;
-            comm.add_work(1);
-        }
-    }
+        *d
+    };
+    let module_of = st.module_of();
+    let mut by_src: Vec<(u32, u32)> = (st.movable.iter())
+        .map(|&li| (dense_of_slot(module_of[li as usize]), li))
+        .collect();
+    by_src.sort_unstable(); // (src, li) pairs are unique
+    let mut sums: StampedSlotMap<f64> = StampedSlotMap::new();
+    let mut dsts: Vec<u32> = Vec::new();
     let mut arc_out: Vec<Vec<MergedArc>> = vec![Vec::new(); p];
-    for (&(a, b), &w) in &agg {
-        arc_out[(a as usize) % p].push(MergedArc {
-            src: a,
-            dst: b,
-            weight: w,
-        });
+    let mut arcs_folded = 0u64;
+    for members in by_src.chunk_by(|a, b| a.0 == b.0) {
+        let src = members[0].0;
+        sums.begin(dense.len());
+        for &(_, li) in members {
+            for (tgt, w) in st.arcs_of(li) {
+                sums.update(dense_of_slot(module_of[tgt as usize]), |sum| *sum += w);
+                arcs_folded += 1;
+            }
+        }
+        // Ascending by (src, dst) within each bucket: the receiver's stable
+        // sort then sees every key's parts in source-rank order.
+        dsts.clear();
+        dsts.extend_from_slice(sums.touched());
+        dsts.sort_unstable();
+        arc_out[src as usize % p].extend(dsts.iter().map(|&dst| MergedArc {
+            src,
+            dst,
+            weight: sums.get(dst),
+        }));
     }
-    // Deterministic accumulation order at the receiver.
-    for bucket in &mut arc_out {
-        bucket.sort_by_key(|a| (a.src, a.dst));
-    }
+    comm.add_work(arcs_folded);
     let arc_in = comm.alltoallv(arc_out);
 
     // 3. Route carried flows to the new owners.
@@ -824,34 +853,27 @@ fn distributed_merge(comm: &mut Comm, st: &LocalState, _cfg: &DistributedConfig)
     }
     let flow_in = comm.alltoallv(flow_out);
 
-    // 4. Assemble the rank's 1D level state.
-    let mut merged: HashMap<(u32, u32), f64> = HashMap::new();
-    for msgs in arc_in {
-        for a in msgs {
-            *merged.entry((a.src, a.dst)).or_insert(0.0) += a.weight;
-        }
-    }
-    let mut arcs: Vec<Arc> = merged
+    // 4. Assemble the rank's 1D level state. A level vertex is one module,
+    //    whose flow one owner carried.
+    let arcs: Vec<Arc> = fold_arcs(arc_in.into_iter().flatten().collect())
         .into_iter()
-        .map(|((a, b), w)| Arc {
-            src: a,
-            dst: b,
-            weight: w,
+        .map(|a| Arc {
+            src: a.src,
+            dst: a.dst,
+            weight: a.weight,
         })
         .collect();
-    arcs.sort_by_key(|a| (a.src, a.dst));
-    let mut flows: HashMap<u32, f64> = HashMap::new();
-    for msgs in flow_in {
-        for f in msgs {
-            *flows.entry(f.vertex).or_insert(0.0) += f.flow;
-        }
-    }
+    let mut flows: Vec<(u32, f64)> = (flow_in.into_iter().flatten())
+        .map(|f| (f.vertex, 0.0 + f.flow))
+        .collect();
+    flows.sort_by_key(|f| f.0);
+    debug_assert!(flows.windows(2).all(|w| w[0].0 < w[1].0));
 
-    let state = build_1d_state(st.rank, p, arcs, &flows, st.inv_two_w);
+    let state = build_1d_state(st.rank, p, &arcs, &flows, st.inv_two_w);
     MergeOutcome { state, dense }
 }
 
-fn dense_of(dense: &HashMap<u64, u32>, module: u64) -> u32 {
+fn dense_of(dense: &HashMap<u64, u32, IdBuild>, module: u64) -> u32 {
     *dense
         .get(&module)
         .unwrap_or_else(|| panic!("module {module} missing from dense relabeling"))
@@ -868,7 +890,7 @@ fn dense_of(dense: &HashMap<u64, u32>, module: u64) -> u32 {
 fn refresh_assignments(
     comm: &mut Comm,
     st: &LocalState,
-    dense: &HashMap<u64, u32>,
+    dense: &HashMap<u64, u32, IdBuild>,
     assign: &mut Vec<(u32, u32)>,
 ) {
     let p = st.nranks;
@@ -906,9 +928,9 @@ fn refresh_assignments(
             let li = st.local_of(current);
             let module = st.module_id_of(li as usize);
             assign.push((v, dense_of(dense, module)));
-            comm.add_work(1);
         }
     }
+    comm.add_work(assign.len() as u64);
     comm.add_codec_bytes(dec);
 }
 
@@ -916,6 +938,7 @@ fn refresh_assignments(
 mod tests {
     use super::*;
     use crate::rounds::cluster_stage;
+    use infomap_partition::DelegateThreshold;
     use std::sync::Mutex as StdMutex;
 
     /// Debug reproduction: after stage 1 and the first merge, check that
@@ -993,7 +1016,7 @@ mod tests {
             }
 
             // Go one level deeper: merge, then inspect the level-1 state.
-            let merge = distributed_merge(comm, &st, &cfg);
+            let merge = distributed_merge(comm, &st);
             let st1 = merge.state;
             // Global symmetry check of level-1 arcs.
             let my_arcs: Vec<(u32, u32)> = (0..st1.verts.len() as u32)
@@ -1060,6 +1083,156 @@ mod tests {
     }
     use infomap_core::sequential::{Infomap, InfomapConfig};
     use infomap_graph::generators;
+
+    #[test]
+    fn level1_states_after_one_merge_match_the_recording() {
+        use crate::state::tests::{construction_graphs, fingerprint, fold_words, recorded_rng};
+        // (graph, p) → FNV over the ranks' level-1 state fingerprints after
+        // stage 1 and the first merge, recorded at the parent commit.
+        const RECORDED: [[u64; 5]; 2] = [
+            [
+                0xfa615fa41a5798e9,
+                0x3d65cb684a960d2e,
+                0x11d17567c455c062,
+                0x7214e68883eff46b,
+                0xf8e0a590ac918f1a,
+            ],
+            [
+                0x38af399dde1ed662,
+                0xad70ba97b509ec73,
+                0x781e4925e751826e,
+                0x1ec84f8ed4ef34d1,
+                0xbe328f7bfd3162ce,
+            ],
+        ];
+        let check = recorded_rng();
+        for (gi, (name, g)) in construction_graphs().iter().enumerate() {
+            for (pi, p) in [1usize, 2, 3, 4, 7].into_iter().enumerate() {
+                let cfg = DistributedConfig {
+                    nranks: p,
+                    seed: 5,
+                    ..Default::default()
+                };
+                let program = RankProgram::prepare(cfg, g);
+                let report = World::new(p).run(|comm| {
+                    let mut st = program.states[comm.rank()].clone();
+                    let mut delegate_assign: BTreeMap<u32, u64> =
+                        program.delegates.iter().map(|&d| (d, d as u64)).collect();
+                    let node_term = program.node_term;
+                    cluster_stage(comm, &mut st, &cfg, node_term, &mut delegate_assign, "s1/");
+                    let merge = distributed_merge(comm, &st);
+                    assert!(
+                        merge.dense.len() < g.num_vertices(),
+                        "stage 1 merged nothing"
+                    );
+                    fingerprint(&merge.state)
+                });
+                let all = fold_words(report.results);
+                if check {
+                    assert_eq!(all, RECORDED[gi][pi], "{name} p={p}: {all:#018x}");
+                }
+            }
+        }
+    }
+
+    /// 48 vertices in 12 blocks of four, every weight one of {0.1, 0.2,
+    /// 0.3} (no two of which add exactly, so the order of a sum shows in
+    /// its bits), drawn by a fixed LCG — no `rand`, the recording holds
+    /// anywhere. Four hubs touch everyone and become delegates, so one
+    /// module pair's arcs sit on several ranks.
+    fn order_visible_graph() -> infomap_graph::Graph {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        let mut edges = Vec::new();
+        for u in 0..48u32 {
+            for v in u + 1..48 {
+                if u < 4 || draw(3) == 0 {
+                    edges.push((u, v, [0.1, 0.2, 0.3][draw(3) as usize]));
+                }
+            }
+        }
+        infomap_graph::Graph::from_edges(48, &edges)
+    }
+
+    #[test]
+    fn merge_sums_equal_keys_in_arc_order_then_rank_order() {
+        use crate::state::tests::{fingerprint, fold_words};
+        // (p) → FNV over the ranks' (adj_w, node_flow, out_flow) bits and
+        // whole-state fingerprints at level 1, recorded at the parent.
+        const RECORDED: [(usize, u64); 2] = [(2, 0xe0d74101b9c62071), (4, 0x5076738f5111d0b7)];
+        let g = order_visible_graph();
+        let node_term = node_term((0..48).map(|v| g.strength(v)), g.total_weight());
+        for (p, recorded) in RECORDED {
+            let partition = Partition::delegate(&g, p, DelegateThreshold::Fixed(32), true);
+            assert_eq!(partition.delegates, [0, 1, 2, 3]);
+            let states = build_stage1_states(&g, &partition);
+            let report = World::new(p).run(|comm| {
+                let mut st = states[comm.rank()].clone();
+                // Block b is module 4b, on every rank's view at once.
+                for li in 0..st.verts.len() {
+                    let slot = st.intern_module((st.verts[li] / 4 * 4) as u64);
+                    st.move_vertex(li, slot, 1);
+                }
+                let mut bufs = crate::rounds::RoundBuffers::new(p);
+                crate::rounds::sync_modules(comm, &mut st, node_term, true, &mut bufs);
+                let merge = distributed_merge(comm, &st);
+                assert_eq!(merge.dense.len(), 12);
+                let l1 = merge.state;
+                let multi = (0..l1.verts.len() as u32).any(|li| l1.arcs_of(li).count() > 1);
+                assert!(multi || l1.movable.is_empty());
+                let bits = (l1.adj_w.iter())
+                    .chain(&l1.node_flow)
+                    .chain(&l1.out_flow)
+                    .map(|f| f.to_bits());
+                fold_words(bits.chain([fingerprint(&l1)]))
+            });
+            let all = fold_words(report.results);
+            assert_eq!(all, recorded, "p={p}: {all:#018x}");
+        }
+    }
+
+    #[test]
+    fn fold_arcs_is_stable_so_a_sum_keeps_its_input_order() {
+        let arc = |src, dst, weight| MergedArc { src, dst, weight };
+        // Three keys, five parts each, in one interleaving...
+        let keys = [(0u32, 1u32), (0, 2), (5, 0)];
+        let w = [0.1, 0.2, 0.3, 0.3, 0.1, 0.2, 0.2];
+        let parts = |k: usize| (0..5).map(move |i| w[(2 * k + i) % 7]);
+        let round_robin: Vec<MergedArc> = (0..5)
+            .flat_map(|i| (0..3).rev().map(move |k| (k, i)))
+            .map(|(k, i)| arc(keys[k].0, keys[k].1, w[(2 * k + i) % 7]))
+            .collect();
+        // ...and key by key: equal keys enter in the same relative order.
+        let by_key: Vec<MergedArc> = (0..3)
+            .flat_map(|k| parts(k).map(move |x| arc(keys[k].0, keys[k].1, x)))
+            .collect();
+        let bits = |arcs: Vec<MergedArc>| -> Vec<(u32, u32, u64)> {
+            (fold_arcs(arcs).iter())
+                .map(|a| (a.src, a.dst, a.weight.to_bits()))
+                .collect()
+        };
+        let want: Vec<(u32, u32, u64)> = (0..3)
+            .map(|k| {
+                (
+                    keys[k].0,
+                    keys[k].1,
+                    parts(k).fold(0.0, |s, x| s + x).to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(bits(round_robin.clone()), want);
+        assert_eq!(bits(by_key), want);
+        // The order is visible: the same parts entering backwards give at
+        // least one key other bits, which an unstable sort would be free
+        // to produce above.
+        let backwards: Vec<MergedArc> = round_robin.into_iter().rev().collect();
+        assert_ne!(bits(backwards), want);
+    }
 
     #[test]
     fn recovers_ring_of_cliques_on_four_ranks() {

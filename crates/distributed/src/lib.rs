@@ -57,6 +57,7 @@ pub mod checkpoint;
 pub mod codec;
 pub mod config;
 pub mod driver;
+pub mod idhash;
 pub mod messages;
 pub mod rounds;
 pub mod state;

@@ -63,6 +63,7 @@ use rand::rngs::StdRng;
 
 use crate::codec;
 use crate::config::DistributedConfig;
+use crate::idhash::IdBuild;
 use crate::messages::{DelegateProposal, ModuleContribution, ModuleInfoMsg, VertexUpdate};
 use crate::state::{LocalState, ModuleEntry, VertexKind};
 
@@ -134,7 +135,7 @@ pub struct RoundBuffers {
     /// `Module_Info` staging, one bucket per destination rank.
     infos: Vec<Vec<ModuleInfoMsg>>,
     /// Per-destination duplicate suppression (`is_sent`), on module slots.
-    sent_to: HashSet<(usize, u32)>,
+    sent_to: HashSet<(usize, u32), IdBuild>,
     /// Deferred `last_announced` writes of the current swap.
     announce: Vec<(u32, u64)>,
     /// Stamped contribution accumulator of `sync_modules`:
@@ -192,7 +193,7 @@ impl RoundBuffers {
             prop_out: vec![Vec::new(); nranks],
             updates: vec![Vec::new(); nranks],
             infos: vec![Vec::new(); nranks],
-            sent_to: HashSet::new(),
+            sent_to: HashSet::default(),
             announce: Vec::new(),
             contrib: StampedSlotMap::new(),
             contrib_out: vec![Vec::new(); nranks],
@@ -234,7 +235,10 @@ impl RoundBuffers {
 /// δL of moving a vertex (share) with flow `p_u` and local out-flow
 /// `out_u` from `from` to `to`, given the current total exit flow.
 /// Mirrors `infomap_core::Partitioning::delta` over module statistics.
-#[inline]
+/// The formula as written down once; [`best_local_move`] evaluates the
+/// same expression with the source-side terms hoisted out of its candidate
+/// loop, and the kernel oracle holds it to these bits.
+#[cfg(test)]
 fn delta_codelength(
     sum_exit: f64,
     from: &ModuleEntry,
@@ -310,10 +314,20 @@ pub fn best_local_move(
     if scratch.is_empty() {
         return None;
     }
-    let from = st.module_entry(current);
     let current_gid = st.module_ids[current as usize];
     let p_u = st.node_flow[li as usize];
     let out_u = st.out_flow[li as usize];
+    // δL = `delta_codelength`, term for term and in its association
+    // order; what depends only on the vertex and the module it leaves is
+    // evaluated here, once, not once per candidate.
+    let (q_i, p_i) = (st.mod_exit[current as usize], st.mod_flow[current as usize]);
+    let q_i_new = (q_i - out_u + 2.0 * flow_to_current).max(0.0);
+    let p_i_new = (p_i - p_u).max(0.0);
+    let exit_without_u = st.sum_exit + (q_i_new - q_i);
+    let plogp_exit = plogp(st.sum_exit);
+    let dplogp_q_i = plogp(q_i_new) - plogp(q_i);
+    let plogp_i_new = plogp(q_i_new + p_i_new);
+    let plogp_i = plogp(q_i + p_i);
     let mut best: Option<LocalCandidate> = None;
     let mut best_gid = u64::MAX;
     for &m in scratch.touched() {
@@ -322,16 +336,15 @@ pub fn best_local_move(
         if min_label && via_ghost && gid >= current_gid {
             continue; // boundary community: minimum-label rule
         }
-        let to = st.module_entry(m);
-        let delta = delta_codelength(
-            st.sum_exit,
-            &from,
-            &to,
-            p_u,
-            out_u,
-            flow_to_current,
-            flow_to_target,
-        );
+        let (q_j, p_j) = (st.mod_exit[m as usize], st.mod_flow[m as usize]);
+        let q_j_new = (q_j + out_u - 2.0 * flow_to_target).max(0.0);
+        let p_j_new = p_j + p_u;
+        let q_new = (exit_without_u + (q_j_new - q_j)).max(0.0);
+        let delta = plogp(q_new) - plogp_exit - 2.0 * (dplogp_q_i + plogp(q_j_new) - plogp(q_j))
+            + plogp_i_new
+            - plogp_i
+            + plogp(q_j_new + p_j_new)
+            - plogp(q_j + p_j);
         if delta >= -min_gain {
             continue;
         }
@@ -940,6 +953,9 @@ fn swap_boundary_info(
             };
             (ups, infos)
         };
+        // One unit per update and per info record applied.
+        let fresh = infos.iter().filter(|m| !m.is_sent).count();
+        comm.add_work((ups.len() + fresh) as u64);
         for u in ups {
             if let Some(&li) = st.index.get(&u.vertex) {
                 let s = st.intern_module(u.module);
@@ -949,7 +965,6 @@ fn swap_boundary_info(
                     st.move_vertex(li as usize, s, tick);
                 }
             }
-            comm.add_work(1);
         }
         for m in infos {
             if m.is_sent {
@@ -966,7 +981,6 @@ fn swap_boundary_info(
                     members: m.members,
                 },
             );
-            comm.add_work(1);
         }
     }
 }
@@ -1119,8 +1133,8 @@ pub fn sync_modules(
     bufs.changed_modules.clear();
     bufs.forced.clear();
     for (src, msgs) in incoming.iter().enumerate() {
+        comm.add_work(msgs.len() as u64);
         for c in msgs {
-            comm.add_work(1);
             let module = st.owned_module_mut(c.mod_id);
             let at = module
                 .sources
@@ -1197,8 +1211,8 @@ pub fn sync_modules(
                 members: t.members,
                 is_sent: false,
             });
-            comm.add_work(1);
         }
+        comm.add_work(bufs.queue.len() as u64);
         // The publish exchange and the MDL allreduce fuse into one
         // `alltoallv_reduce`: the 32-byte (q, s1, s2, k) partial rides the
         // collective, folded in source-rank order — the exact order
@@ -1224,7 +1238,7 @@ pub fn sync_modules(
             })
         });
         // Apply each source's infos in ascending source order.
-        let mut dec = 0u64;
+        let (mut dec, mut applied) = (0u64, 0u64);
         for buf in &packets {
             if buf.is_empty() {
                 continue;
@@ -1232,9 +1246,11 @@ pub fn sync_modules(
             dec += buf.len() as u64;
             let mut pos = 0;
             for m in codec::decode_infos(buf, &mut pos) {
-                apply_published_info(comm, st, &m);
+                apply_published_info(st, &m);
+                applied += 1;
             }
         }
+        comm.add_work(applied);
         comm.add_codec_bytes(dec);
         (sum_exit, s_plogp_exit, s_plogp_both, nmod) = red;
     } else {
@@ -1256,7 +1272,7 @@ pub fn sync_modules(
 
 /// Receiver side of the publish exchange: one refreshed `Module_Info`
 /// record updates (or retires) the local view of a module.
-fn apply_published_info(comm: &mut Comm, st: &mut LocalState, m: &ModuleInfoMsg) {
+fn apply_published_info(st: &mut LocalState, m: &ModuleInfoMsg) {
     if m.members == 0 && m.flow <= 1e-15 {
         st.remove_module(m.mod_id);
     } else {
@@ -1269,7 +1285,6 @@ fn apply_published_info(comm: &mut Comm, st: &mut LocalState, m: &ModuleInfoMsg)
             },
         );
     }
-    comm.add_work(1);
 }
 
 /// Resumable position inside a clustering stage: everything
@@ -2290,54 +2305,84 @@ mod tests {
         best
     }
 
+    /// Every movable vertex of `st`, restricted and not: the kernel's
+    /// candidate equals the scan oracle's — which still evaluates the
+    /// un-hoisted [`delta_codelength`] — to the bit. Returns the candidates
+    /// compared.
+    fn assert_kernel_matches_scan(st: &LocalState, what: &str) -> usize {
+        let mut neigh = NeighborhoodScratch::new();
+        let mut scan: Vec<(u32, f64, bool)> = Vec::new();
+        let mut checked = 0;
+        for restrict in [false, true] {
+            for &li in &st.movable {
+                let a = best_local_move(st, li, 1e-10, restrict, &mut neigh);
+                let b = best_local_move_scan(st, li, 1e-10, restrict, &mut scan);
+                let bits = |c: Option<LocalCandidate>| {
+                    c.map(|c| {
+                        let flows = (c.flow_to_target.to_bits(), c.flow_to_current.to_bits());
+                        (c.to_slot, c.delta.to_bits(), flows)
+                    })
+                };
+                assert_eq!(bits(a), bits(b), "{what}: vertex {li}, restrict {restrict}");
+                checked += a.is_some() as usize;
+            }
+        }
+        checked
+    }
+
     #[test]
     fn stamped_kernel_matches_legacy_scan_bitwise() {
-        // The kernel and its oracle must agree to the bit on real stage-1 states —
-        // same target slot, same δL bits, same flow bits — including under
-        // the minimum-label restriction.
-        let degs = generators::power_law_degrees(300, 2.1, 2, 80, 5);
-        let g = generators::chung_lu(&degs, 6);
-        let partition = Partition::delegate(&g, 4, DelegateThreshold::Auto(4.0), true);
-        let states = build_stage1_states(&g, &partition);
-        let mut checked = 0usize;
-        for st in &states {
-            let mut st = st.clone();
-            st.sum_exit = st.out_flow.iter().sum();
-            let mut neigh = NeighborhoodScratch::new();
-            let mut scan: Vec<(u32, f64, bool)> = Vec::new();
-            for restrict in [false, true] {
-                for &li in &st.movable.clone() {
-                    let a = best_local_move(&st, li, 1e-10, restrict, &mut neigh);
-                    let b = best_local_move_scan(&st, li, 1e-10, restrict, &mut scan);
-                    match (a, b) {
-                        (None, None) => {}
-                        (Some(x), Some(y)) => {
-                            assert_eq!(x.to_slot, y.to_slot, "vertex {li}");
-                            assert_eq!(x.delta.to_bits(), y.delta.to_bits(), "vertex {li}");
-                            assert_eq!(
-                                x.flow_to_target.to_bits(),
-                                y.flow_to_target.to_bits(),
-                                "vertex {li}"
-                            );
-                            assert_eq!(
-                                x.flow_to_current.to_bits(),
-                                y.flow_to_current.to_bits(),
-                                "vertex {li}"
-                            );
-                            checked += 1;
-                        }
-                        (x, y) => panic!("vertex {li}: stamped {x:?} vs scan {y:?}"),
+        // The kernel and its oracle must agree to the bit on real stage-1
+        // states — same target slot, same δL bits, same flow bits —
+        // including under the minimum-label restriction, and in the states
+        // where a hoisted source-side term could go wrong.
+        for seed in [3, 7, 11] {
+            let degs = generators::power_law_degrees(300, 2.1, 2, 80, seed);
+            let g = generators::chung_lu(&degs, seed + 1);
+            let partition = Partition::delegate(&g, 4, DelegateThreshold::Auto(4.0), true);
+            assert!(!partition.delegates.is_empty(), "seed {seed} grew no hubs");
+            let mut checked = [0usize; 5];
+            for st in &build_stage1_states(&g, &partition) {
+                // Stage start as `assemble` leaves it: the exit sum still 0,
+                // so q_new sits on its clamp.
+                let mut st = st.clone();
+                assert_eq!(st.sum_exit, 0.0);
+                checked[0] += assert_kernel_matches_scan(&st, "stage start");
+                // ...and as the Init sync refreshes it.
+                st.sum_exit = st.out_flow.iter().sum();
+                checked[1] += assert_kernel_matches_scan(&st, "refreshed");
+
+                // A source module the move leaves empty *and* overdrawn: a
+                // view holding less than the vertex takes out of it, so
+                // both `max(0.0)` clamps of the source side engage.
+                let mut stale = st.clone();
+                for s in 0..stale.num_module_slots() {
+                    stale.mod_flow[s] *= 0.5;
+                    stale.mod_exit[s] *= 0.5;
+                }
+                checked[2] += assert_kernel_matches_scan(&stale, "overdrawn source");
+
+                // A delegate copy whose local share is zero.
+                let mut zero = st.clone();
+                for &li in &st.movable {
+                    if st.is_delegate(li) {
+                        zero.node_flow[li as usize] = 0.0;
+                        zero.out_flow[li as usize] = 0.0;
                     }
                 }
-                // Apply a few scan-kernel moves so the second pass sees
+                checked[3] += assert_kernel_matches_scan(&zero, "zero share");
+
+                // Apply a round of scan-kernel moves so the last pass sees
                 // non-singleton statistics.
+                let mut scan: Vec<(u32, f64, bool)> = Vec::new();
                 for &li in &st.movable.clone() {
-                    if let Some(c) = best_local_move_scan(&st, li, 1e-10, restrict, &mut scan) {
+                    if let Some(c) = best_local_move_scan(&st, li, 1e-10, false, &mut scan) {
                         apply_local_move(&mut st, li, &c, 1);
                     }
                 }
+                checked[4] += assert_kernel_matches_scan(&st, "after moves");
             }
+            assert!(checked.iter().all(|&c| c > 0), "seed {seed}: {checked:?}");
         }
-        assert!(checked > 0, "no candidate moves compared");
     }
 }

@@ -2,9 +2,10 @@
 //! the slice-parallel sweep (§6 note 16): a seeded 4-rank distributed run
 //! must be reproducible to the bit — across invocations, across every
 //! intra-rank thread count, and against recorded golden fingerprints. The
-//! fingerprint also carries the run's summed traffic counters, so a wire
-//! format or routing change that keeps the trajectory but moves a byte has
-//! to re-record the golden consciously.
+//! fingerprint also carries the run's summed traffic counters and the work
+//! units metered in every phase, so a wire format, routing or metering
+//! change that keeps the trajectory but moves a byte or a unit (and with
+//! it a modeled makespan) has to re-record the golden consciously.
 //!
 //! The golden files (`tests/golden_determinism_p4.txt`,
 //! `tests/golden_determinism_threads.txt`) are recorded by the first run
@@ -14,6 +15,8 @@
 //! the canonical toolchain has produced it, committing the file pins the
 //! trajectory for everyone (any silent tie-break or accumulation-order
 //! change then fails this test).
+
+use std::collections::BTreeMap;
 
 use infomap_distributed::{DistributedConfig, DistributedInfomap};
 use infomap_graph::generators::{chung_lu, power_law_degrees};
@@ -41,6 +44,8 @@ struct Fingerprint {
     /// p2p messages, p2p bytes, collective calls, collective bytes
     /// (sent + received), codec bytes.
     traffic: [u64; 5],
+    /// Work units per phase and in total, summed over ranks, in name order.
+    work_units: BTreeMap<String, u64>,
 }
 
 fn run_with(graph: &Graph, seed: u64, threads: usize) -> Fingerprint {
@@ -52,7 +57,13 @@ fn run_with(graph: &Graph, seed: u64, threads: usize) -> Fingerprint {
     };
     let out = DistributedInfomap::new(cfg).run(graph);
     let mut traffic = [0u64; 5];
+    let mut work_units: BTreeMap<String, u64> = BTreeMap::new();
     for s in &out.rank_stats {
+        // Un-phased work (the assignment refresh) shows only in the total.
+        *work_units.entry("total".into()).or_default() += s.total.work_units;
+        for (phase, stats) in &s.phases {
+            *work_units.entry(phase.clone()).or_default() += stats.work_units;
+        }
         let t = &s.total;
         traffic[0] += t.p2p_msgs_sent;
         traffic[1] += t.p2p_bytes_sent;
@@ -62,6 +73,7 @@ fn run_with(graph: &Graph, seed: u64, threads: usize) -> Fingerprint {
     }
     Fingerprint {
         traffic,
+        work_units,
         mdl_bits: out
             .trace
             .iter()
@@ -88,14 +100,18 @@ impl Fingerprint {
         let mdl_hex: Vec<String> = self.mdl_bits.iter().map(|b| format!("{b:016x}")).collect();
         let moves: Vec<String> = self.moves_log.iter().map(|m| m.to_string()).collect();
         let [p2p_msgs, p2p_bytes, coll_calls, coll_bytes, codec_bytes] = self.traffic;
+        let work: Vec<String> = (self.work_units.iter())
+            .map(|(phase, units)| format!("{phase}={units}"))
+            .collect();
         format!(
             "mdl_series_bits: {}\nmoves_log: {}\ncodelength_bits: {:016x}\nassignment_fnv: {:016x}\n\
              traffic: p2p_msgs={p2p_msgs} p2p_bytes={p2p_bytes} collective_calls={coll_calls} \
-             collective_bytes={coll_bytes} codec_bytes={codec_bytes}\n",
+             collective_bytes={coll_bytes} codec_bytes={codec_bytes}\nwork_units: {}\n",
             mdl_hex.join(","),
             moves.join(","),
             self.codelength_bits,
-            h
+            h,
+            work.join(" ")
         )
     }
 }

@@ -7,6 +7,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use infomap_distributed::{CheckpointStore, DistributedConfig, DistributedInfomap, RankProgram};
+use infomap_graph::datasets::DatasetId;
 use infomap_graph::generators;
 use infomap_graph::snapshot::{
     read_header, shard_path, write_shards, PageCacheConfig, SnapshotStore,
@@ -35,17 +36,40 @@ fn test_graph() -> infomap_graph::Graph {
     g
 }
 
+/// No hubs (LFR n = 600) and hubs that become delegates (the UK-2007
+/// stand-in): the graphs the construction tests in `state.rs` use.
+fn construction_graphs() -> [(&'static str, infomap_graph::Graph); 2] {
+    let (lfr, _) = generators::lfr_like(
+        generators::LfrParams {
+            n: 600,
+            mu: 0.25,
+            ..Default::default()
+        },
+        3,
+    );
+    let (hub, _) = DatasetId::Uk2007.profile().generate_scaled(0.02, 7);
+    [("lfr600", lfr), ("uk2007", hub)]
+}
+
 #[test]
 fn shard_prepare_matches_monolithic_prepare() {
-    let g = test_graph();
-    for p in [1usize, 2, 3, 5] {
+    for (name, g) in &construction_graphs() {
+        shard_states_equal_monolithic_states(name, g);
+    }
+}
+
+fn shard_states_equal_monolithic_states(name: &str, g: &infomap_graph::Graph) {
+    for p in [1usize, 2, 3, 4, 5, 7] {
         let cfg = DistributedConfig {
             nranks: p,
             ..Default::default()
         };
-        let mono = RankProgram::prepare(cfg, &g);
-        let dir = tmp_dir(&format!("states-{p}"));
-        write_shards(&g, p, &dir).unwrap();
+        let mono = RankProgram::prepare(cfg, g);
+        if name == "uk2007" {
+            assert!(!mono.delegates.is_empty(), "the stand-in grew no hubs");
+        }
+        let dir = tmp_dir(&format!("states-{name}-{p}"));
+        write_shards(g, p, &dir).unwrap();
 
         let collected: Mutex<Vec<RankProgram>> = Mutex::new(Vec::new());
         World::new(p).run(|comm| {
@@ -67,17 +91,17 @@ fn shard_prepare_matches_monolithic_prepare() {
         for (rank, shard) in programs.iter().enumerate() {
             assert_eq!(shard.states_from, rank);
             assert_eq!(shard.states.len(), 1);
-            assert_eq!(shard.delegates, mono.delegates, "p={p} rank={rank}");
+            assert_eq!(shard.delegates, mono.delegates, "{name} p={p} rank={rank}");
             assert_eq!(
                 shard.node_term.to_bits(),
                 mono.node_term.to_bits(),
-                "p={p} rank={rank} node term drifted"
+                "{name} p={p} rank={rank} node term drifted"
             );
             assert_eq!(shard.one_level.to_bits(), mono.one_level.to_bits());
             assert_eq!(shard.original_n, mono.original_n);
             assert_eq!(
                 shard.states[0], mono.states[rank],
-                "p={p} rank={rank} local state drifted"
+                "{name} p={p} rank={rank} local state drifted"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);

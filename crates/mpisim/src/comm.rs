@@ -225,11 +225,14 @@ impl Comm {
     // Metering
     // ------------------------------------------------------------------
 
-    /// Charge a metering closure to the rank total plus the innermost phase.
+    /// Charge a metering closure to the rank total plus the innermost
+    /// phase, whose record [`Comm::phase`] created on entry — so this
+    /// allocates nothing.
     fn charge(&mut self, f: impl Fn(&mut crate::PhaseStats)) {
         f(&mut self.stats.total);
         if let Some((name, _)) = self.phase_stack.last() {
-            f(self.stats.phases.entry(name.clone()).or_default());
+            let live = self.stats.phases.get_mut(name.as_str());
+            f(live.expect("an active phase has a record"));
         }
     }
 
@@ -266,16 +269,23 @@ impl Comm {
     /// innermost phase plus the rank total. Wall time of the phase is also
     /// recorded (informational on a single-core host).
     pub fn phase<R>(&mut self, name: &str, body: impl FnOnce(&mut Comm) -> R) -> R {
-        self.phase_stack.push((name.to_string(), Instant::now()));
-        {
-            let entry = self.stats.phases.entry(name.to_string()).or_default();
-            entry.entries += 1;
+        // The stack owns the one `String` an entry builds; the record is
+        // keyed by a second one only the first time the phase is seen.
+        if let Some(record) = self.stats.phases.get_mut(name) {
+            record.entries += 1;
+        } else {
+            let first = crate::PhaseStats {
+                entries: 1,
+                ..Default::default()
+            };
+            self.stats.phases.insert(name.to_string(), first);
         }
+        self.phase_stack.push((name.to_string(), Instant::now()));
         let out = body(self);
         let (name, started) = self.phase_stack.pop().expect("phase stack underflow");
         let elapsed = started.elapsed();
-        let entry = self.stats.phases.entry(name).or_default();
-        entry.wall += elapsed;
+        let entry = self.stats.phases.get_mut(name.as_str());
+        entry.expect("an active phase has a record").wall += elapsed;
         out
     }
 

@@ -461,6 +461,37 @@ mod tests {
     }
 
     #[test]
+    fn nested_phases_charge_the_innermost_phase_and_the_total() {
+        let report = World::new(1).run(|c| {
+            c.add_work(1); // un-phased: the total only
+            c.phase("outer", |c| {
+                c.add_work(10);
+                c.phase("inner", |c| {
+                    c.add_work(100);
+                    // Read mid-phase: the counts are already there.
+                    let live = c.stats();
+                    assert_eq!(live.phase("inner").work_units, 100);
+                    assert_eq!(live.phase("outer").work_units, 10);
+                    assert_eq!(live.total.work_units, 111);
+                    c.barrier();
+                });
+                c.add_codec_bytes(7); // back on the outer phase
+                c.phase("inner", |c| c.add_work(1000));
+            });
+        });
+        let s = &report.stats[0];
+        let (outer, inner) = (s.phase("outer"), s.phase("inner"));
+        assert_eq!(
+            (outer.work_units, outer.codec_bytes, outer.entries),
+            (10, 7, 1)
+        );
+        assert_eq!((inner.work_units, inner.collective_calls), (1100, 1));
+        assert_eq!((inner.entries, outer.collective_calls), (2, 0));
+        assert_eq!((s.total.work_units, s.total.codec_bytes), (1111, 7));
+        assert_eq!((s.total.collective_calls, s.total.entries), (1, 0));
+    }
+
+    #[test]
     fn allgather_parts_keeps_rank_structure() {
         let report = World::new(3).run(|c| {
             let local = vec![c.rank() as u8; c.rank() + 1];

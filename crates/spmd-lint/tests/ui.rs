@@ -51,6 +51,20 @@ fn r2_flags_hash_iteration() {
 }
 
 #[test]
+fn r2_sees_a_map_through_a_custom_hasher_parameter() {
+    // `HashMap<K, V, IdBuild>` — how infomap-distributed spells its
+    // id-keyed maps — must be tracked like `HashMap<K, V>`.
+    let diags = lint_fixture(
+        "bad_r2_custom_hasher.rs",
+        include_str!("fixtures/bad_r2_custom_hasher.rs"),
+    );
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    let r2 = hits(&diags, Rule::UnorderedIteration);
+    assert_eq!(r2[0].0, 12);
+    assert!(r2[0].1.contains("for (k, v) in &m"));
+}
+
+#[test]
 fn r2_flags_a_float_fold_in_hash_order_at_the_loop_head() {
     let diags = lint_fixture("bad_r5.rs", include_str!("fixtures/bad_r5.rs"));
     assert_eq!(diags.len(), 1, "{diags:#?}");
