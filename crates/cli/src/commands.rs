@@ -637,6 +637,33 @@ mod tests {
     }
 
     #[test]
+    fn bad_inputs_are_readable_errors_on_every_reading_command() {
+        // The corpus CI's `bad-input` step feeds the built binary: one good
+        // edge, then a line 2 the reader must refuse.
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/bad_inputs");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(corpus).expect("tests/bad_inputs") {
+            let path = entry.unwrap().path().to_string_lossy().into_owned();
+            let bad_bytes = path.ends_with("invalid_utf8.txt");
+            let want = if bad_bytes {
+                "io error"
+            } else {
+                "parse error on line 2"
+            };
+            for verb in ["info", "cluster", "launch"] {
+                let argv = [verb.to_string(), path.clone()];
+                let msg = run(crate::args::parse(&argv).unwrap()).unwrap_err();
+                assert!(
+                    msg.contains("cannot read") && msg.contains(want),
+                    "{verb}: {msg}"
+                );
+            }
+            seen += 1;
+        }
+        assert!(seen >= 7, "{seen} files under {corpus}");
+    }
+
+    #[test]
     fn missing_file_is_a_readable_error() {
         let err = run(Command::Info {
             path: "/nonexistent/graph.txt".into(),

@@ -198,6 +198,7 @@ enum WorkerFailure {
 }
 
 fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
+    let entered = Instant::now();
     let dir = PathBuf::from(&o.dir);
     // Checksummed on open: a missing, torn or bit-flipped shard ends the
     // worker here with the named error.
@@ -235,6 +236,7 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
         WorkerFailure::Transport
     })?;
     let mut comm = Comm::over_transport(Box::new(transport));
+    let connect = entered.elapsed();
 
     // Transport failures surface as TransportFault panics, which we
     // catch and report as diagnostics — keep the default hook's
@@ -276,7 +278,7 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
                 };
                 let out =
                     program.assemble_output(modules, trace, codelength, vec![stats], recovery);
-                write_result(&dir, o, &out, wall)
+                write_result(&dir, o, &out, connect, wall)
                     .map_err(|e| WorkerFailure::Other(format!("write result: {e}")))?;
             }
             Ok(())
@@ -313,6 +315,7 @@ fn write_result(
     dir: &Path,
     o: &WorkerOpts,
     out: &DistributedOutput,
+    connect: Duration,
     wall: Duration,
 ) -> std::io::Result<()> {
     let modeled = CostModel::default().makespan(&out.rank_stats).total;
@@ -375,6 +378,12 @@ fn write_result(
         "  \"checkpoint_bytes_written\": {{\"base_files\": {}, \"bases\": {}, \"deltas\": {}}},",
         written.base_files, written.base_bytes, written.delta_bytes
     );
+    // The prefix of the run: worker entry (shard open included) to mesh
+    // up, then the collective `Prepare` phase, which `wall_ms` contains.
+    let mine = out.rank_stats.first();
+    let prepare = mine.map_or(Duration::ZERO, |s| s.phase("Prepare").wall);
+    let _ = writeln!(j, "  \"connect_ms\": {:.3},", connect.as_secs_f64() * 1e3);
+    let _ = writeln!(j, "  \"prepare_ms\": {:.3},", prepare.as_secs_f64() * 1e3);
     let _ = writeln!(j, "  \"wall_ms\": {:.3},", wall.as_secs_f64() * 1e3);
     let _ = writeln!(j, "  \"modeled_ms\": {:.6},", modeled * 1e3);
     j.push_str("  \"modules\": [");
@@ -596,10 +605,12 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
             );
             println!(
                 "  launcher:   parse {:.1} ms, shard write {:.1} ms ({} bytes), \
-                 world {:.1} ms, other {:.1} ms",
+                 connect {:.1} ms, prepare {:.1} ms, world {:.1} ms, other {:.1} ms",
                 ms(source.parse),
                 ms(source.shard_write),
                 source.shard_bytes,
+                report.connect_ms,
+                report.prepare_ms,
                 ms(world),
                 ms(total.saturating_sub(source.parse + source.shard_write + world)),
             );
@@ -798,6 +809,8 @@ fn kill_and_reap(children: &mut [Option<Child>]) {
 struct ResultSummary {
     codelength: f64,
     num_modules: u64,
+    connect_ms: f64,
+    prepare_ms: f64,
     wall_ms: f64,
     modeled_ms: f64,
 }
@@ -822,6 +835,8 @@ fn result_summary(text: &str) -> Result<ResultSummary, String> {
     Ok(ResultSummary {
         codelength: f64::from_bits(bits),
         num_modules: field("num_modules")? as u64,
+        connect_ms: field("connect_ms")?,
+        prepare_ms: field("prepare_ms")?,
         wall_ms: field("wall_ms")?,
         modeled_ms: field("modeled_ms")?,
     })
@@ -871,7 +886,7 @@ mod tests {
 
     #[test]
     fn json_field_scanner_reads_machine_written_fields() {
-        let text = "{\n  \"schema\": \"x\",\n  \"codelength_bits\": \"4008000000000000\",\n  \"num_modules\": 7,\n  \"stages\": [{\"stage\": 1, \"level\": 0, \"rounds\": 40, \"moves\": 9, \"stop\": \"cap\"}, {\"stage\": 2, \"level\": 1, \"rounds\": 14, \"moves\": 3, \"stop\": \"stalled\"}, {\"stage\": 2, \"level\": 2, \"rounds\": 5, \"moves\": 0, \"stop\": \"quiesced\"}],\n  \"wall_ms\": 12.5,\n  \"modeled_ms\": 0.25,\n  \"modules\": [1,2]\n}\n";
+        let text = "{\n  \"schema\": \"x\",\n  \"codelength_bits\": \"4008000000000000\",\n  \"num_modules\": 7,\n  \"stages\": [{\"stage\": 1, \"level\": 0, \"rounds\": 40, \"moves\": 9, \"stop\": \"cap\"}, {\"stage\": 2, \"level\": 1, \"rounds\": 14, \"moves\": 3, \"stop\": \"stalled\"}, {\"stage\": 2, \"level\": 2, \"rounds\": 5, \"moves\": 0, \"stop\": \"quiesced\"}],\n  \"connect_ms\": 3.5,\n  \"prepare_ms\": 40.25,\n  \"wall_ms\": 12.5,\n  \"modeled_ms\": 0.25,\n  \"modules\": [1,2]\n}\n";
         assert_eq!(json_field(text, "num_modules"), Some("7"));
         assert_eq!(json_field(text, "wall_ms"), Some("12.5"));
         assert_eq!(
@@ -881,6 +896,7 @@ mod tests {
         let s = result_summary(text).unwrap();
         assert_eq!(s.codelength, 3.0);
         assert_eq!(s.num_modules, 7);
+        assert_eq!((s.connect_ms, s.prepare_ms, s.wall_ms), (3.5, 40.25, 12.5));
         assert_eq!(result_modules(text).unwrap(), [1, 2]);
         assert_eq!(
             stages_line(result_stages(text)),

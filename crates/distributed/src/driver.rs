@@ -9,7 +9,9 @@ use infomap_core::{plogp, StampedSlotMap};
 use infomap_graph::snapshot::{owned_row_count, SnapshotHeader, SnapshotKind};
 use infomap_graph::{GraphStore, VertexId};
 use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World};
-use infomap_partition::{delegates_from_degrees, plan_rebalance, shard_rank_arcs, Arc, Partition};
+use infomap_partition::{
+    delegates_from_degrees, plan_rebalance, shard_rank_arcs, take_surplus, Arc, Partition,
+};
 
 use crate::checkpoint::{
     CheckpointBytesWritten, CheckpointStore, RankSnapshot, SnapshotPos, SnapshotStore, SnapshotView,
@@ -345,12 +347,10 @@ impl RankProgram {
                 let loads: Vec<usize> = summaries.iter().map(|&(l, _)| l as usize).collect();
                 let counts: Vec<usize> = summaries.iter().map(|&(_, m)| m as usize).collect();
                 let plan = plan_rebalance(&loads, &counts, p);
-                let pool_base = plan.pool_base(rank);
+                let surplus = take_surplus(&mut arcs, &mut movable, plan.surplus[rank]);
                 let mut ship: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); p];
-                for k in 0..plan.surplus[rank] {
-                    let idx = movable.pop().expect("surplus is capped by movable count");
-                    let a = arcs.remove(idx);
-                    ship[plan.dest[pool_base + k]].push((a.src, a.dst, a.weight));
+                for (a, &dest) in surplus.iter().zip(&plan.dest[plan.pool_base(rank)..]) {
+                    ship[dest].push((a.src, a.dst, a.weight));
                 }
                 let received = c.alltoallv(ship);
                 for bucket in received {

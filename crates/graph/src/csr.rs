@@ -174,6 +174,57 @@ impl Graph {
         (b.build(), remap)
     }
 
+    /// CSR assembly from the distinct undirected edges `(u, v, w)`, `u <= v`,
+    /// sorted by `(u, v)`. Rows come out target-ascending, and `strengths`
+    /// and `total_weight` are summed in the given order — the one order
+    /// [`GraphBuilder::build`] and the edge-list reader both produce, so
+    /// the two construct the same `Graph` by `==`.
+    pub(crate) fn from_sorted_edges(n: usize, edges: &[(VertexId, VertexId, f64)]) -> Graph {
+        let mut deg = vec![0usize; n];
+        for &(u, v, _) in edges {
+            deg[u as usize] += 1;
+            if u != v {
+                deg[v as usize] += 1;
+            }
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for d in &deg {
+            offsets.push(offsets.last().unwrap() + d);
+        }
+        let num_arcs = *offsets.last().unwrap();
+        let mut targets = vec![0 as VertexId; num_arcs];
+        let mut weights = vec![0.0; num_arcs];
+        let mut cursor = offsets[..n].to_vec();
+        let mut total_weight = 0.0;
+        let mut strengths = vec![0.0; n];
+
+        for &(u, v, w) in edges {
+            total_weight += w;
+            targets[cursor[u as usize]] = v;
+            weights[cursor[u as usize]] = w;
+            cursor[u as usize] += 1;
+            if u != v {
+                targets[cursor[v as usize]] = u;
+                weights[cursor[v as usize]] = w;
+                cursor[v as usize] += 1;
+                strengths[u as usize] += w;
+                strengths[v as usize] += w;
+            } else {
+                strengths[u as usize] += 2.0 * w;
+            }
+        }
+
+        Graph {
+            offsets,
+            targets,
+            weights,
+            num_edges: edges.len(),
+            total_weight,
+            strengths,
+        }
+    }
+
     /// Reassemble a graph from raw CSR arrays, used by the snapshot
     /// loader. Callers guarantee the arrays came from a valid CSR (the
     /// snapshot codec checksums reject torn files before this runs);
@@ -253,68 +304,11 @@ impl GraphBuilder {
 
     /// Finalize into CSR form.
     pub fn build(self) -> Graph {
-        let n = self.num_vertices;
-        let mut deg = vec![0usize; n];
-        for &(u, v) in self.edges.keys() {
-            deg[u as usize] += 1;
-            if u != v {
-                deg[v as usize] += 1;
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for d in &deg {
-            offsets.push(offsets.last().unwrap() + d);
-        }
-        let num_arcs = *offsets.last().unwrap();
-        let mut targets = vec![0 as VertexId; num_arcs];
-        let mut weights = vec![0.0; num_arcs];
-        let mut cursor = offsets[..n].to_vec();
-        let mut total_weight = 0.0;
-        let mut strengths = vec![0.0; n];
-
         // Deterministic arc order: sort edges before placement.
-        let mut edges: Vec<((VertexId, VertexId), f64)> = self.edges.into_iter().collect();
-        edges.sort_by_key(|&((u, v), _)| (u, v));
-
-        for ((u, v), w) in edges {
-            total_weight += w;
-            targets[cursor[u as usize]] = v;
-            weights[cursor[u as usize]] = w;
-            cursor[u as usize] += 1;
-            if u != v {
-                targets[cursor[v as usize]] = u;
-                weights[cursor[v as usize]] = w;
-                cursor[v as usize] += 1;
-                strengths[u as usize] += w;
-                strengths[v as usize] += w;
-            } else {
-                strengths[u as usize] += 2.0 * w;
-            }
-        }
-        let num_edges = offsets.windows(2).map(|w| w[1] - w[0]).sum::<usize>();
-        // num_arcs counts self-loops once and other edges twice.
-        let self_loops = {
-            let mut c = 0usize;
-            for u in 0..n {
-                for &t in &targets[offsets[u]..offsets[u + 1]] {
-                    if t as usize == u {
-                        c += 1;
-                    }
-                }
-            }
-            c
-        };
-        let undirected = (num_edges - self_loops) / 2 + self_loops;
-
-        Graph {
-            offsets,
-            targets,
-            weights,
-            num_edges: undirected,
-            total_weight,
-            strengths,
-        }
+        let flat = |((u, v), w)| (u, v, w);
+        let mut edges: Vec<_> = self.edges.into_iter().map(flat).collect();
+        edges.sort_by_key(|&(u, v, _)| (u, v));
+        Graph::from_sorted_edges(self.num_vertices, &edges)
     }
 }
 

@@ -1,21 +1,28 @@
 //! Edge-list IO.
 //!
-//! Format: one edge per line, `u v [w]`, whitespace separated; `#` or `%`
-//! lines are comments (both SNAP and KONECT conventions). Vertex ids are
-//! arbitrary `u64`s on disk and are densely relabeled on read; the mapping
-//! is returned so results can be reported in original ids.
+//! Format: one edge per line, `u v [w]`, whitespace separated (further
+//! tokens are ignored); `#` or `%` lines are comments (both SNAP and KONECT
+//! conventions). Vertex ids are arbitrary `u64`s on disk and are densely
+//! relabeled on read; the mapping is returned so results can be reported
+//! in original ids. A weight must be finite and non-negative.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
-use crate::csr::{Graph, GraphBuilder, VertexId};
+use crate::csr::{Graph, VertexId};
 
 /// Errors the readers can produce.
 #[derive(Debug)]
 pub enum IoError {
     Io(std::io::Error),
-    Parse { line: usize, content: String },
+    Parse {
+        line: usize,
+        content: String,
+    },
+    /// The file names more distinct vertex ids than a [`VertexId`] can
+    /// number.
+    TooManyVertices,
 }
 
 impl std::fmt::Display for IoError {
@@ -25,6 +32,7 @@ impl std::fmt::Display for IoError {
             IoError::Parse { line, content } => {
                 write!(f, "parse error on line {line}: {content:?}")
             }
+            IoError::TooManyVertices => write!(f, "more than {MAX_VERTICES} distinct vertex ids"),
         }
     }
 }
@@ -45,63 +53,158 @@ pub struct LoadedGraph {
     pub original_ids: Vec<u64>,
 }
 
+/// Marks an id not yet numbered, so a graph numbers at most this many.
+const UNSEEN: VertexId = VertexId::MAX;
+const MAX_VERTICES: usize = UNSEEN as usize;
+
+/// Leading ASCII digits of `s` as a `u64`, and what follows them. `None`
+/// when there are none, or more than the 19 that cannot overflow.
+fn digits(s: &[u8]) -> Option<(u64, &[u8])> {
+    let len = s.iter().take_while(|b| b.is_ascii_digit()).count();
+    if len == 0 || len > 19 {
+        return None;
+    }
+    let value = |x: u64, b: &u8| x * 10 + u64::from(b - b'0');
+    Some((s[..len].iter().fold(0, value), &s[len..]))
+}
+
+/// The common line shape, `digits SP digits [SP digits]` up to the line
+/// feed or the end of input, without a UTF-8 pass; an integer weight
+/// converts with the round-to-nearest `str::parse` applies. Every other
+/// line (`None`) is [`parse_general`]'s.
+fn parse_plain(line: &[u8]) -> Option<(u64, u64, f64)> {
+    let (u, rest) = digits(line)?;
+    let (v, rest) = digits(rest.strip_prefix(b" ")?)?;
+    let (w, rest) = match rest.strip_prefix(b" ") {
+        Some(rest) => digits(rest).map(|(w, rest)| (w as f64, rest))?,
+        None => (1.0, rest),
+    };
+    matches!(rest, [] | [b'\n']).then_some((u, v, w))
+}
+
+/// The whole grammar, on one line: Unicode blanks, comments, signs,
+/// decimal and exponent weights. `Ok(None)` is a comment or an empty line.
+fn parse_general(bytes: &[u8], line_no: usize) -> Result<Option<(u64, u64, f64)>, IoError> {
+    let text = std::str::from_utf8(bytes).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })?;
+    let line = text.trim();
+    if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
+        return Ok(None);
+    }
+    let parse_err = || IoError::Parse {
+        line: line_no,
+        content: line.to_string(),
+    };
+    let mut parts = line.split_whitespace();
+    let mut id = || parts.next().and_then(|token| token.parse().ok());
+    let (u, v) = (id().ok_or_else(parse_err)?, id().ok_or_else(parse_err)?);
+    let w = parts.next().map_or(Ok(1.0), str::parse::<f64>);
+    match w {
+        Ok(w) if w >= 0.0 && w.is_finite() => Ok(Some((u, v, w))),
+        _ => Err(parse_err()),
+    }
+}
+
+/// Length of the direct id → dense number table, when the largest id is
+/// small enough that the table is no bigger than the parsed edges it
+/// serves (SNAP and KONECT files number their vertices near-densely).
+fn table_len(max_id: u64, edges: usize) -> Option<usize> {
+    let max = usize::try_from(max_id).ok()?;
+    (max / 6 < edges).then(|| max + 1)
+}
+
 /// Read a whitespace edge list from any reader.
 ///
-/// Edges stream straight into the [`GraphBuilder`] as they are parsed —
-/// the full edge list is never materialized, which roughly halves peak
-/// RSS on large inputs. Dense ids are still assigned by first appearance
-/// in file order, so the relabeling (and therefore every downstream
-/// trajectory) is bit-identical to the buffered reader this replaces.
+/// The file is streamed; the parsed edges are held (24 bytes each) until
+/// the last line is read, then beside their relabeled `(min, max, w)` copy
+/// (16 bytes each: the 40-byte peak), which outlives them to be sorted and
+/// laid out as the CSR. Dense ids go by first appearance in file order and
+/// a repeated edge's weights add in file order, so the `Graph` (and every
+/// downstream trajectory) is the one a [`crate::GraphBuilder`] fed line by
+/// line builds.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, IoError> {
-    let reader = BufReader::new(reader);
-    let mut remap: HashMap<u64, VertexId> = HashMap::new();
-    let mut original_ids: Vec<u64> = Vec::new();
-    let mut builder = GraphBuilder::new(0);
-    let mut line_buf = String::new();
+    read_edge_list_capped(reader, MAX_VERTICES)
+}
+
+fn read_edge_list_capped<R: Read>(reader: R, max_vertices: usize) -> Result<LoadedGraph, IoError> {
+    let mut reader = BufReader::with_capacity(1 << 16, reader);
+    let mut parsed: Vec<(u64, u64, f64)> = Vec::new();
+    let mut line = Vec::new();
     let mut line_no = 0usize;
-    let mut reader = reader;
     loop {
-        line_buf.clear();
+        line.clear();
         line_no += 1;
-        if reader.read_line(&mut line_buf)? == 0 {
+        if reader.read_until(b'\n', &mut line)? == 0 {
             break;
         }
-        let line = line_buf.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
+        match parse_plain(&line) {
+            Some(edge) => parsed.push(edge),
+            None => parsed.extend(parse_general(&line, line_no)?),
         }
-        let mut parts = line.split_whitespace();
-        let parse_err = || IoError::Parse {
-            line: line_no,
-            content: line.to_string(),
-        };
-        let u: u64 = parts
-            .next()
-            .ok_or_else(parse_err)?
-            .parse()
-            .map_err(|_| parse_err())?;
-        let v: u64 = parts
-            .next()
-            .ok_or_else(parse_err)?
-            .parse()
-            .map_err(|_| parse_err())?;
-        let w: f64 = match parts.next() {
-            Some(tok) => tok.parse().map_err(|_| parse_err())?,
-            None => 1.0,
-        };
-        let mut dense = |orig: u64| -> VertexId {
-            *remap.entry(orig).or_insert_with(|| {
-                original_ids.push(orig);
-                (original_ids.len() - 1) as VertexId
-            })
-        };
-        let du = dense(u);
-        let dv = dense(v);
-        builder.ensure_vertices(original_ids.len());
-        builder.add_edge(du, dv, w);
     }
+
+    // Relabel in file order, `u` before `v`; orient every edge (min, max).
+    // The ids are input, so without the table the map is std's SipHash one.
+    let max_id = parsed.iter().map(|e| e.0.max(e.1)).max().unwrap_or(0);
+    let mut table = vec![UNSEEN; table_len(max_id, parsed.len()).unwrap_or(0)];
+    let mut map: HashMap<u64, VertexId> = HashMap::new();
+    let mut original_ids: Vec<u64> = Vec::new();
+    let mut dense = |id: u64| -> Result<VertexId, IoError> {
+        let slot = if table.is_empty() {
+            map.entry(id).or_insert(UNSEEN)
+        } else {
+            &mut table[id as usize]
+        };
+        if *slot == UNSEEN {
+            if original_ids.len() == max_vertices {
+                return Err(IoError::TooManyVertices);
+            }
+            *slot = original_ids.len() as VertexId;
+            original_ids.push(id);
+        }
+        Ok(*slot)
+    };
+    let mut oriented: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(parsed.len());
+    for &(u, v, w) in &parsed {
+        let (u, v) = (dense(u)?, dense(v)?);
+        // `0.0 + w`: where a `GraphBuilder` entry starts (-0.0 becomes 0.0).
+        oriented.push((u.min(v), u.max(v), 0.0 + w));
+    }
+    drop((parsed, table, map));
+
+    // Stable counting sort on the smaller endpoint, then a stable sort of
+    // each row on the other: repeats of an edge end up adjacent, in file
+    // order, and fold in that order.
+    let n = original_ids.len();
+    let mut next = vec![0usize; n + 1];
+    for e in &oriented {
+        next[e.0 as usize + 1] += 1;
+    }
+    for row in 0..n {
+        next[row + 1] += next[row];
+    }
+    let mut edges = vec![(0, 0, 0.0); oriented.len()];
+    for &e in &oriented {
+        edges[next[e.0 as usize]] = e;
+        next[e.0 as usize] += 1;
+    }
+    drop(oriented);
+    // The scatter advanced every row's start to its end.
+    let mut start = 0;
+    for &end in &next[..n] {
+        edges[start..end].sort_by_key(|e| e.1);
+        start = end;
+    }
+    edges.dedup_by(|repeat, kept| {
+        let same = (repeat.0, repeat.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += repeat.2;
+        }
+        same
+    });
     Ok(LoadedGraph {
-        graph: builder.build(),
+        graph: Graph::from_sorted_edges(n, &edges),
         original_ids,
     })
 }
@@ -140,6 +243,191 @@ pub fn write_edge_list_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::GraphBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reader's specification: the line loop it replaced, feeding a
+    /// [`GraphBuilder`]. `Err` is the malformed line's number.
+    fn oracle(text: &[u8]) -> Result<LoadedGraph, usize> {
+        let mut remap: HashMap<u64, VertexId> = HashMap::new();
+        let mut original_ids: Vec<u64> = Vec::new();
+        let mut builder = GraphBuilder::new(0);
+        for (i, line) in text.split(|&b| b == b'\n').enumerate() {
+            let line = std::str::from_utf8(line).expect("generated text").trim();
+            if line.is_empty() || line.starts_with(['#', '%']) {
+                continue;
+            }
+            let mut parts = line.split_whitespace();
+            let mut id = || parts.next().and_then(|t| t.parse().ok()).ok_or(i + 1);
+            let (u, v): (u64, u64) = (id()?, id()?);
+            let w = parts.next().map_or(Ok(1.0), str::parse::<f64>);
+            let w = w.ok().filter(|w| *w >= 0.0 && w.is_finite()).ok_or(i + 1)?;
+            let mut dense = |id: u64| {
+                *remap.entry(id).or_insert_with(|| {
+                    original_ids.push(id);
+                    (original_ids.len() - 1) as VertexId
+                })
+            };
+            let (u, v) = (dense(u), dense(v));
+            builder.ensure_vertices(original_ids.len());
+            builder.add_edge(u, v, w);
+        }
+        Ok(LoadedGraph {
+            graph: builder.build(),
+            original_ids,
+        })
+    }
+
+    fn pick<'a>(rng: &mut StdRng, from: &[&'a str]) -> &'a str {
+        from[rng.gen_range(0..from.len())]
+    }
+
+    /// One edge list mixing every quirk the grammar allows; a quarter of
+    /// them carry one malformed line. Returns the text, the number of edge
+    /// lines and the largest id on them.
+    fn messy_edge_list(rng: &mut StdRng) -> (String, usize, u64) {
+        const BLANKS: [&str; 7] = [" ", " ", " ", "\t", "  ", " \t ", "\u{a0}"];
+        const ENDS: [&str; 6] = ["\n", "\n", "\n", "\r\n", " \n", "\t \r\n"];
+        const COMMENTS: [&str; 5] = ["# c 1 2", "% k", "", "   ", "#"];
+        let weights: Vec<&str> = "0.1 0.2 0.3 1 2 007 0 -0 +3 1e-3 2.5E2 .5 \
+            18446744073709551615 18446744073709551616"
+            .split(' ')
+            .collect();
+        let bad: Vec<&str> = "x y|7|1 2 nan|1 2 inf|1 2 -1|1 2 -1e-9|1 2 1e999|1 2 w|\
+            18446744073709551616 1|-1 2|1.5 2|1 é"
+            .split('|')
+            .collect();
+        // Dense ids keep the table; one far id, or all of them, force the map.
+        let universe: u64 = [12, 40, 40, 1 << 20, u64::MAX][rng.gen_range(0..5)];
+        let lines = rng.gen_range(0..60);
+        let bad_at = (rng.gen_range(0..4) == 0).then(|| rng.gen_range(0..lines + 1));
+        let (mut text, mut edges, mut max_id) = (String::new(), Vec::<(u64, u64)>::new(), 0);
+        for i in 0..lines + 1 {
+            if bad_at == Some(i) {
+                text += pick(rng, &bad);
+            } else if i == lines {
+                break;
+            } else if rng.gen_range(0..6) == 0 {
+                text += pick(rng, &COMMENTS);
+            } else {
+                let id = |rng: &mut StdRng| match rng.gen_range(0..20) {
+                    0 => universe,
+                    _ => rng.gen_range(0..universe.min(1 << 40)),
+                };
+                let (u, v) = match rng.gen_range(0..10) {
+                    0..=2 if !edges.is_empty() => edges[rng.gen_range(0..edges.len())],
+                    3 => [id(rng); 2].into(),
+                    _ => (id(rng), id(rng)),
+                };
+                let (u, v) = if rng.gen_range(0..2) == 0 {
+                    (u, v)
+                } else {
+                    (v, u)
+                };
+                edges.push((u, v));
+                max_id = max_id.max(u).max(v);
+                let quirky = rng.gen_range(0..4) == 0;
+                let sep = |rng: &mut StdRng| if quirky { pick(rng, &BLANKS) } else { " " };
+                if quirky && rng.gen_range(0..3) == 0 {
+                    text += pick(rng, &[" ", "\t", "+"]);
+                }
+                text += &format!("{u}{}{v}", sep(rng));
+                if rng.gen_range(0..3) > 0 {
+                    text += &format!("{}{}", sep(rng), pick(rng, &weights));
+                    if quirky && rng.gen_range(0..4) == 0 {
+                        text += " trailing tokens";
+                    }
+                }
+            }
+            text += pick(rng, &ENDS);
+        }
+        if rng.gen_range(0..3) == 0 {
+            text.truncate(text.trim_end_matches(['\n', '\r']).len());
+        }
+        (text, edges.len(), max_id)
+    }
+
+    #[test]
+    fn reader_matches_the_line_loop_over_a_graph_builder() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let (mut tables, mut maps, mut rejected) = (0, 0, 0);
+        for case in 0..400 {
+            let (text, edge_lines, max_id) = messy_edge_list(&mut rng);
+            match (read_edge_list(text.as_bytes()), oracle(text.as_bytes())) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.original_ids, want.original_ids, "case {case}: {text:?}");
+                    assert_eq!(got.graph, want.graph, "case {case}: {text:?}");
+                    // `==` takes -0.0 for 0.0; the bits must agree too.
+                    let bits = |g: &Graph| g.edges().map(|e| e.2.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.graph), bits(&want.graph), "case {case}: {text:?}");
+                    match table_len(max_id, edge_lines) {
+                        Some(_) => tables += 1,
+                        None => maps += 1,
+                    }
+                }
+                (Err(IoError::Parse { line, .. }), Err(want)) => {
+                    assert_eq!(line, want, "case {case}: {text:?}");
+                    rejected += 1;
+                }
+                (got, want) => panic!(
+                    "case {case}: reader {:?}, oracle {:?} on {text:?}",
+                    got.map(|l| l.original_ids),
+                    want.map(|l| l.original_ids)
+                ),
+            }
+        }
+        assert!(
+            tables >= 50 && maps >= 50 && rejected >= 50,
+            "{tables} {maps} {rejected}"
+        );
+    }
+
+    #[test]
+    fn bad_weights_and_bad_bytes_are_errors_not_panics() {
+        for bad in ["2 3 nan", "2 3 inf", "2 3 -1", "2 3 -inf", "2 3 1e999"] {
+            let text = format!("1 2\n# c\n{bad}\n");
+            match read_edge_list(text.as_bytes()) {
+                Err(IoError::Parse { line: 3, content }) => assert_eq!(content, bad),
+                other => panic!("{bad:?}: {:?}", other.err()),
+            }
+        }
+        // As `read_line` had it: bytes that are not UTF-8 are an io error,
+        // in a comment too.
+        for bad in [&b"1 2\n\xff 3\n"[..], b"1 2\n# caf\xe9\n"] {
+            match read_edge_list(bad) {
+                Err(IoError::Io(e)) => assert_eq!(e.kind(), ErrorKind::InvalidData),
+                other => panic!("{bad:?}: {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn one_vertex_too_many_is_a_named_error() {
+        let text = "5 6\n6 7 2\n7 5\n7 8\n";
+        assert_eq!(
+            read_edge_list_capped(text.as_bytes(), 4)
+                .unwrap()
+                .original_ids,
+            [5, 6, 7, 8]
+        );
+        let err = read_edge_list_capped(text.as_bytes(), 3).err();
+        assert!(matches!(err, Some(IoError::TooManyVertices)), "{err:?}");
+        assert!(IoError::TooManyVertices
+            .to_string()
+            .contains("4294967295 distinct"));
+    }
+
+    #[test]
+    fn the_table_is_for_near_dense_ids_only() {
+        // The hub benchmark graph; the same ids with one stray; tiny files.
+        assert_eq!(table_len(23_999, 266_373), Some(24_000));
+        assert_eq!(table_len(u64::MAX, 266_373), None);
+        assert_eq!(table_len(6 * 266_373, 266_373), None);
+        assert_eq!(table_len(30, 3), None);
+        assert_eq!(table_len(0, 1), Some(1));
+        assert_eq!(table_len(0, 0), None);
+    }
 
     #[test]
     fn read_basic_edge_list_with_comments() {

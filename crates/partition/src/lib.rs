@@ -418,6 +418,29 @@ pub fn plan_rebalance(loads: &[usize], movable_counts: &[usize], nranks: usize) 
     }
 }
 
+/// One rank's part of the rebalance: take the arcs at the `k` highest
+/// indices of `movable` (ascending positions in `arcs`) out of `arcs` and
+/// return them highest index first, the order [`RebalancePlan::dest`] deals
+/// them in. The arcs left keep their order and `movable`'s remaining
+/// indices stay valid: what `k` `Vec::remove` calls leave, in one pass.
+pub fn take_surplus(arcs: &mut Vec<Arc>, movable: &mut Vec<usize>, k: usize) -> Vec<Arc> {
+    let keep = movable
+        .len()
+        .checked_sub(k)
+        .expect("surplus within movable");
+    let taken = movable.split_off(keep);
+    debug_assert!(taken.windows(2).all(|w| w[0] < w[1]), "movable ascends");
+    let pool: Vec<Arc> = taken.iter().rev().map(|&i| arcs[i]).collect();
+    let (mut at, mut gaps) = (0, taken.iter().copied().peekable());
+    if k > 0 {
+        arcs.retain(|_| {
+            at += 1;
+            gaps.next_if_eq(&(at - 1)).is_none()
+        });
+    }
+    pool
+}
+
 /// Rebalance: move delegate-source arcs from ranks above the ideal
 /// per-rank load to ranks below it (paper §3.3 step 4). Delegate sources
 /// are replicated everywhere, so their arcs may live on any rank. The
@@ -426,9 +449,7 @@ pub fn plan_rebalance(loads: &[usize], movable_counts: &[usize], nranks: usize) 
 fn rebalance_delegate_arcs(arcs: &mut [Vec<Arc>], movable: Vec<(usize, usize)>, nranks: usize) {
     let loads: Vec<usize> = arcs.iter().map(Vec::len).collect();
 
-    // Movable arc indices per rank, ascending: popping then yields the
-    // highest remaining index, so each `remove` leaves all still-recorded
-    // (lower) indices valid.
+    // Movable arc indices per rank, ascending, as `take_surplus` wants.
     let mut movable_by_rank: Vec<Vec<usize>> = vec![Vec::new(); nranks];
     for (r, idx) in movable {
         movable_by_rank[r].push(idx);
@@ -441,10 +462,11 @@ fn rebalance_delegate_arcs(arcs: &mut [Vec<Arc>], movable: Vec<(usize, usize)>, 
 
     let mut pool: Vec<Arc> = Vec::new();
     for r in 0..nranks {
-        for _ in 0..plan.surplus[r] {
-            let idx = movable_by_rank[r].pop().expect("surplus within movable");
-            pool.push(arcs[r].remove(idx));
-        }
+        pool.extend(take_surplus(
+            &mut arcs[r],
+            &mut movable_by_rank[r],
+            plan.surplus[r],
+        ));
     }
     for (arc, &r) in pool.into_iter().zip(&plan.dest) {
         arcs[r].push(arc);
@@ -669,11 +691,9 @@ mod tests {
             let mut buckets: Vec<Vec<Vec<Arc>>> = vec![vec![Vec::new(); p]; p]; // [src][dst]
             for r in 0..p {
                 let mut movable = per_rank[r].1.clone();
-                let base = plan.pool_base(r);
-                for k in 0..plan.surplus[r] {
-                    let idx = movable.pop().expect("surplus within movable");
-                    let arc = shard_arcs[r].remove(idx);
-                    buckets[r][plan.dest[base + k]].push(arc);
+                let surplus = take_surplus(&mut shard_arcs[r], &mut movable, plan.surplus[r]);
+                for (arc, &dest) in surplus.into_iter().zip(&plan.dest[plan.pool_base(r)..]) {
+                    buckets[r][dest].push(arc);
                 }
             }
             for dst in 0..p {
@@ -688,6 +708,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// What `take_surplus` replaced, kept as its specification: pop the
+    /// highest movable index and `Vec::remove` it, `k` times.
+    fn remove_loop(arcs: &mut Vec<Arc>, movable: &mut Vec<usize>, k: usize) -> Vec<Arc> {
+        (0..k)
+            .map(|_| arcs.remove(movable.pop().expect("surplus within movable")))
+            .collect()
+    }
+
+    /// `len` distinguishable arcs.
+    fn numbered_arcs(len: usize) -> Vec<Arc> {
+        let arc = |i| Arc {
+            src: i as VertexId,
+            dst: (i / 3) as VertexId,
+            weight: i as f64,
+        };
+        (0..len).map(arc).collect()
+    }
+
+    #[test]
+    fn take_surplus_equals_the_remove_loop() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(24);
+        for case in 0..200 {
+            let len = rng.gen_range(0..40usize);
+            // Dense draws give adjacent indices; every eighth case marks
+            // the last element, every fifth all of them.
+            let density = [1, 2, 2, 5][case % 4];
+            let mut movable: Vec<usize> = (0..len)
+                .filter(|_| case % 5 == 0 || rng.gen_range(0..density) == 0)
+                .collect();
+            if case % 8 == 0 && len > 0 && movable.last() != Some(&(len - 1)) {
+                movable.push(len - 1);
+            }
+            let k = match case % 3 {
+                0 => 0,
+                1 => movable.len(),
+                _ => rng.gen_range(0..movable.len() + 1),
+            };
+            let (mut arcs, mut want_arcs) = (numbered_arcs(len), numbered_arcs(len));
+            let mut want_movable = movable.clone();
+            let pool = take_surplus(&mut arcs, &mut movable, k);
+            let want_pool = remove_loop(&mut want_arcs, &mut want_movable, k);
+            assert_eq!(pool, want_pool, "case {case}: pool order");
+            assert_eq!(arcs, want_arcs, "case {case}: arcs left");
+            assert_eq!(movable, want_movable, "case {case}: movable left");
+        }
+    }
+
+    #[test]
+    fn take_surplus_is_linear() {
+        // A million arcs, 400 k of them surplus: one `Vec::remove` each
+        // would shift ~10^11 elements.
+        let mut arcs = numbered_arcs(1_000_000);
+        let mut movable: Vec<usize> = (0..1_000_000).filter(|i| i % 2 == 1).collect();
+        let pool = take_surplus(&mut arcs, &mut movable, 400_000);
+        assert_eq!(
+            (pool.len(), arcs.len(), movable.len()),
+            (400_000, 600_000, 100_000)
+        );
+        assert_eq!((pool[0].src, pool[399_999].src), (999_999, 200_001));
+        assert_eq!(movable.last(), Some(&199_999));
+        assert!(arcs[200_000..].iter().all(|a| a.src % 2 == 0));
+        assert!(arcs[..200_000]
+            .iter()
+            .enumerate()
+            .all(|(i, a)| a.src as usize == i));
+    }
+
+    #[test]
+    #[should_panic(expected = "surplus within movable")]
+    fn take_surplus_rejects_more_than_movable() {
+        take_surplus(&mut numbered_arcs(4), &mut vec![1, 2], 3);
     }
 
     #[test]
