@@ -8,22 +8,7 @@
 use std::path::Path;
 use std::process::Command;
 
-const HARNESSES: &[&str] = &[
-    "table1_datasets",
-    "fig4_convergence",
-    "fig5_merge_rate",
-    "table2_quality",
-    "fig6_workload_balance",
-    "fig7_comm_balance",
-    "fig8_time_breakdown",
-    "fig9_scalability",
-    "fig10_efficiency",
-    "table3_speedup",
-    "ablation_dhigh",
-    "ablation_bouncing",
-    "ablation_swap",
-    "ablation_rebalance",
-];
+use infomap_bench::HARNESSES;
 
 fn main() {
     let out_dir = std::env::args()

@@ -2,9 +2,9 @@
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §3 for the
 //! index), plus the ablation studies. Shared
-//! plumbing lives here: experiment scaling, the cost model instance, and
-//! plain-text table printing that mirrors the rows/series the paper
-//! reports.
+//! plumbing lives here: the harness index, experiment scaling, the
+//! dataset-aware cost model, and plain-text table printing that mirrors
+//! the rows/series the paper reports.
 //!
 //! Run an experiment with e.g.
 //!
@@ -12,7 +12,10 @@
 //! cargo run --release -p infomap-bench --bin fig9_scalability
 //! ```
 //!
-//! Environment knobs:
+//! or all of them with `run_all`, which writes `results/<harness>.txt`.
+//!
+//! Environment knobs (a value that does not parse, or a scale that is not
+//! a finite number > 0, panics naming the variable):
 //!
 //! * `DINFOMAP_SCALE` — multiplies every dataset stand-in's vertex count
 //!   (default 0.15; the full-scale stand-ins are ~10× larger);
@@ -23,27 +26,65 @@
 use infomap_distributed::DistributedOutput;
 use infomap_graph::datasets::DatasetProfile;
 use infomap_graph::Graph;
-use infomap_mpisim::{CostModel, PhaseBreakdown};
+use infomap_mpisim::CostModel;
 
-/// Experiment scale factor from `DINFOMAP_SCALE` (default 0.15).
+/// Every table/figure harness and ablation, in `run_all`'s order. Each
+/// one is a bin of this crate and writes `results/<name>.txt`; the
+/// `harness_index_*` test keeps the bins, this list and `results/` equal.
+pub const HARNESSES: &[&str] = &[
+    "table1_datasets",
+    "fig4_convergence",
+    "fig5_merge_rate",
+    "table2_quality",
+    "fig6_workload_balance",
+    "fig7_comm_balance",
+    "fig8_time_breakdown",
+    "fig9_scalability",
+    "fig10_efficiency",
+    "table3_speedup",
+    "ablation_dhigh",
+    "ablation_bouncing",
+    "ablation_swap",
+    "ablation_rebalance",
+];
+
+/// A `DINFOMAP_SCALE` value: unset is 0.15, anything else must be a
+/// finite number > 0 (the CLI's `--scale` rule).
+pub fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else { return Ok(0.15) };
+    let scale: f64 = raw.parse().map_err(|e| format!("not a number ({e})"))?;
+    if !scale.is_finite() {
+        return Err("must be finite".into());
+    }
+    if scale <= 0.0 {
+        return Err("must be > 0".into());
+    }
+    Ok(scale)
+}
+
+/// A `DINFOMAP_SEED` value: unset is 42, anything else must be a `u64`.
+pub fn parse_seed(raw: Option<&str>) -> Result<u64, String> {
+    raw.map_or(Ok(42), |raw| {
+        raw.parse()
+            .map_err(|e| format!("not an unsigned 64-bit integer ({e})"))
+    })
+}
+
+/// Parse environment variable `name`, panicking with its name and value
+/// if `parse` refuses it.
+fn from_env<T>(name: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse(raw.as_deref()).unwrap_or_else(|e| panic!("{name}={:?}: {e}", raw.unwrap_or_default()))
+}
+
+/// Experiment scale factor from `DINFOMAP_SCALE` (see [`parse_scale`]).
 pub fn env_scale() -> f64 {
-    std::env::var("DINFOMAP_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.15)
+    from_env("DINFOMAP_SCALE", parse_scale)
 }
 
-/// Global seed from `DINFOMAP_SEED` (default 42).
+/// Global seed from `DINFOMAP_SEED` (see [`parse_seed`]).
 pub fn env_seed() -> u64 {
-    std::env::var("DINFOMAP_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-/// The cost model every experiment shares (see `infomap_mpisim::cost`).
-pub fn cost_model() -> CostModel {
-    CostModel::default()
+    from_env("DINFOMAP_SEED", parse_seed)
 }
 
 /// A dataset-aware cost model: each stand-in edge *represents*
@@ -56,7 +97,7 @@ pub fn cost_model() -> CostModel {
 /// work per rank are missing.
 pub fn scaled_model(profile: &DatasetProfile, graph: &Graph) -> CostModel {
     let rep = (profile.real_edges as f64 / graph.num_edges().max(1) as f64).max(1.0);
-    let base = cost_model();
+    let base = CostModel::default();
     CostModel {
         t_work: base.t_work * rep,
         t_byte: base.t_byte * rep,
@@ -64,20 +105,10 @@ pub fn scaled_model(profile: &DatasetProfile, graph: &Graph) -> CostModel {
     }
 }
 
-/// Modeled makespan of a distributed run under the shared cost model.
-pub fn modeled_time(out: &DistributedOutput) -> PhaseBreakdown {
-    modeled_time_with(out, &cost_model())
-}
-
-/// Modeled makespan under an explicit model.
-pub fn modeled_time_with(out: &DistributedOutput, model: &CostModel) -> PhaseBreakdown {
-    model.makespan(&out.rank_stats)
-}
-
 /// Modeled seconds split into stage 1 (`s1/*`), stage 2 (`s2/*`) and
 /// merging — the decomposition Figure 9 plots.
 pub fn stage_split(out: &DistributedOutput, model: &CostModel) -> (f64, f64, f64) {
-    let bd = modeled_time_with(out, model);
+    let bd = model.makespan(&out.rank_stats);
     let mut s1 = 0.0;
     let mut s2 = 0.0;
     let mut merge = 0.0;
@@ -96,7 +127,7 @@ pub fn stage_split(out: &DistributedOutput, model: &CostModel) -> (f64, f64, f64
 /// Per-inner-iteration modeled seconds of the four stage-1 phases the
 /// paper's Figure 8 breaks down.
 pub fn stage1_phase_breakdown(out: &DistributedOutput, model: &CostModel) -> [(String, f64); 4] {
-    let bd = modeled_time_with(out, model);
+    let bd = model.makespan(&out.rank_stats);
     let iters = out
         .trace
         .iter()
@@ -193,6 +224,9 @@ pub fn fmt_count(c: usize) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
     use super::*;
 
     #[test]
@@ -218,7 +252,7 @@ mod tests {
     fn scaled_model_amplifies_volume_terms_only() {
         let profile = infomap_graph::datasets::DatasetId::Uk2005.profile();
         let (g, _) = profile.generate_scaled(0.05, 1);
-        let base = cost_model();
+        let base = CostModel::default();
         let scaled = scaled_model(&profile, &g);
         let rep = profile.real_edges as f64 / g.num_edges() as f64;
         assert!((scaled.t_work / base.t_work - rep).abs() / rep < 1e-12);
@@ -236,12 +270,64 @@ mod tests {
             ..Default::default()
         })
         .run(&g);
-        let model = cost_model();
+        let model = CostModel::default();
         let (s1, s2, merge) = stage_split(&out, &model);
         assert!(s1 > 0.0 && merge > 0.0);
-        let bd = modeled_time_with(&out, &model);
+        let bd = model.makespan(&out.rank_stats);
         // The split plus any unphased residue reconstructs the total.
         assert!(s1 + s2 + merge <= bd.total + 1e-12);
+    }
+
+    #[test]
+    fn env_values_parse_or_are_refused_by_name() {
+        assert_eq!(parse_scale(None), Ok(0.15));
+        assert_eq!(parse_scale(Some("0.3")), Ok(0.3));
+        assert_eq!(parse_scale(Some("2")), Ok(2.0));
+        assert_eq!(parse_seed(None), Ok(42));
+        assert_eq!(parse_seed(Some("7")), Ok(7));
+        assert_eq!(parse_seed(Some("0")), Ok(0));
+        for bad in ["0,3", "", "x"] {
+            assert!(parse_scale(Some(bad))
+                .unwrap_err()
+                .starts_with("not a number"));
+        }
+        for bad in ["0", "-0", "-1"] {
+            assert_eq!(parse_scale(Some(bad)), Err("must be > 0".into()), "{bad}");
+        }
+        for bad in ["NaN", "inf", "-inf"] {
+            assert_eq!(
+                parse_scale(Some(bad)),
+                Err("must be finite".into()),
+                "{bad}"
+            );
+        }
+        for bad in ["4x", "", "-1", "NaN", "inf", "0.5"] {
+            assert!(parse_seed(Some(bad)).is_err(), "{bad}");
+        }
+    }
+
+    /// The stems of the files in `dir` that end in `.ext`.
+    fn stems(dir: &Path, ext: &str) -> BTreeSet<String> {
+        std::fs::read_dir(dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|x| x == ext))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect()
+    }
+
+    /// A harness that `run_all` does not run, or whose output is not in
+    /// `results/`, is a bin nobody reads.
+    #[test]
+    fn harness_index_names_every_bin_and_result_file() {
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut bins = stems(&crate_dir.join("src/bin"), "rs");
+        assert!(bins.remove("run_all"));
+        let index: BTreeSet<String> = HARNESSES.iter().map(|h| h.to_string()).collect();
+        assert_eq!(index.len(), HARNESSES.len(), "HARNESSES repeats a name");
+        let results = stems(&crate_dir.join("../../results"), "txt");
+        assert_eq!(bins, index, "src/bin/*.rs against HARNESSES");
+        assert_eq!(results, index, "results/*.txt against HARNESSES");
     }
 
     #[test]

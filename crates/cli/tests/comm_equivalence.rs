@@ -1,7 +1,10 @@
 //! Transport-equivalence gate: the thread world (ranks over the in-memory
 //! transport) and the socket transport must produce **bit-identical**
 //! results per seed — same per-round MDL series (as f64 bit patterns),
-//! same move counts, same final assignment. One `Comm` lowers every
+//! same move counts, same final assignment, and the same metered counters
+//! on every rank, per phase and in total (every `PhaseStats` field but
+//! the wall clock), so the modeled makespan cannot tell the transports
+//! apart either. One `Comm` lowers every
 //! collective onto blob exchanges with per-rank folds in rank order over
 //! either transport, so IEEE determinism carries across process/socket
 //! boundaries; this test is the contract.
@@ -23,7 +26,7 @@ use infomap_graph::snapshot::{
     read_header, shard_path, write_shards, PageCacheConfig, SnapshotStore as ShardStore,
 };
 use infomap_graph::Graph;
-use infomap_mpisim::Comm;
+use infomap_mpisim::{Comm, PhaseStats};
 use infomap_transport_socket::{SocketConfig, SocketTransport};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -166,6 +169,38 @@ fn assert_equivalent_matrix(g: &Graph, p: usize, seed: u64, t_thread: usize, t_s
         "{what}: final codelength bits"
     );
     assert_eq!(threaded.modules, socketed.modules, "{what}: assignment");
+    assert_same_counters(&threaded, &socketed, &what);
+}
+
+/// Every rank's metered counters, in total and per phase, are equal on
+/// every field but `wall` (the one a transport may change).
+fn assert_same_counters(a: &DistributedOutput, b: &DistributedOutput, what: &str) {
+    let unclocked = |s: &PhaseStats| PhaseStats {
+        wall: std::time::Duration::ZERO,
+        ..s.clone()
+    };
+    assert_eq!(a.rank_stats.len(), b.rank_stats.len(), "{what}: ranks");
+    for (ra, rb) in a.rank_stats.iter().zip(&b.rank_stats) {
+        let rank = ra.rank;
+        assert_eq!(rank, rb.rank, "{what}: rank order");
+        assert_eq!(
+            unclocked(&ra.total),
+            unclocked(&rb.total),
+            "{what}: rank {rank} total counters"
+        );
+        assert_eq!(
+            ra.phases.keys().collect::<Vec<_>>(),
+            rb.phases.keys().collect::<Vec<_>>(),
+            "{what}: rank {rank} phases"
+        );
+        for ((phase, pa), pb) in ra.phases.iter().zip(rb.phases.values()) {
+            assert_eq!(
+                unclocked(pa),
+                unclocked(pb),
+                "{what}: rank {rank} phase {phase} counters"
+            );
+        }
+    }
 }
 
 fn assert_equivalent(g: &Graph, p: usize, seed: u64) {

@@ -71,7 +71,4 @@ pub use driver::{
     degraded_output, node_term, DistributedInfomap, DistributedOutput, RankProgram, RecoveryReport,
     StageTrace,
 };
-pub use rounds::{
-    apply_local_move, best_local_move, find_best_modules, KernelScratch, LocalCandidate,
-    RoundBuffers, StageStop,
-};
+pub use rounds::{find_best_modules, RoundBuffers, StageStop};

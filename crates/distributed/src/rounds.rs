@@ -128,7 +128,7 @@ const TAG_BOUNDARY_PACKET: u64 = 0x12;
 /// [`best_local_move`]'s scratch: the neighborhood accumulator, module
 /// slot → (flow, seen via a ghost arc), epoch-stamped so starting the
 /// next vertex is O(1), and the chunked δL batch.
-pub type KernelScratch = MoveScratch<(f64, bool)>;
+pub(crate) type KernelScratch = MoveScratch<(f64, bool)>;
 
 /// All reusable per-round scratch of one rank, created once per clustering
 /// stage. The exchange staging holds indices into the rank's state, never
@@ -221,20 +221,6 @@ impl RoundBuffers {
     pub fn last_sweep(&self) -> (usize, u64, u64) {
         (self.eligible.len(), self.revalidated.0, self.revalidated.1)
     }
-
-    /// Arcs scanned by each slice of the most recent sweep, in slice
-    /// order. Perf-harness introspection: the per-round critical path of
-    /// the slice-parallel sweep is the max of these, the serial cost
-    /// their sum — the modeled thread speedup is their ratio.
-    pub fn slice_arcs(&self) -> impl Iterator<Item = u64> + '_ {
-        // `slices` grows on demand and never shrinks; `cuts` has exactly
-        // t+1 entries from the last sweep, so this never reads a stale
-        // tail from an earlier, wider sweep.
-        self.slices
-            .iter()
-            .take(self.cuts.len().saturating_sub(1))
-            .map(|s| s.arcs)
-    }
 }
 
 /// δL of moving a vertex (share) with flow `p_u` and local out-flow
@@ -273,7 +259,7 @@ fn delta_codelength(
 
 /// A locally evaluated candidate move (target as an interned module slot).
 #[derive(Clone, Copy, Debug)]
-pub struct LocalCandidate {
+pub(crate) struct LocalCandidate {
     pub to_slot: u32,
     pub delta: f64,
     pub flow_to_current: f64,
@@ -292,9 +278,7 @@ pub struct LocalCandidate {
 /// Gather → batch → select: the admissible candidates' `plogp` arguments
 /// are gathered in first-touch order, scored [`DELTA_CHUNK`] at a time by
 /// one [`infomap_core::plogp_slice`] call, and selected in the same order.
-///
-/// Exposed for the `perf_kernels` harness.
-pub fn best_local_move(
+pub(crate) fn best_local_move(
     st: &LocalState,
     li: u32,
     min_gain: f64,
@@ -378,10 +362,7 @@ pub fn best_local_move(
 /// exit-sum estimate) on round tick `tick`: the sweep's merge applies its
 /// owned moves this way, so later moves of the round see them. The next
 /// owner reduction restores exact statistics.
-///
-/// Public (with the kernels) for the benchmark harnesses, which replay
-/// sweeps outside a communicator.
-pub fn apply_local_move(st: &mut LocalState, li: u32, c: &LocalCandidate, tick: u32) {
+pub(crate) fn apply_local_move(st: &mut LocalState, li: u32, c: &LocalCandidate, tick: u32) {
     let from_slot = st.module_of[li as usize] as usize;
     let to_slot = c.to_slot as usize;
     let p_u = st.node_flow[li as usize];
@@ -458,7 +439,7 @@ fn eval_slice(
 /// (ISSUE 19): `= 1` (everyone, every round) doubles the per-round work
 /// without saving a round — `flat_cluster` 1.7–2.0 s per graph against
 /// 1.1–1.2 s, hub stage 1 at the round cap on 5 of 6 graphs.
-pub const MOVE_FRACTION_DENOM: usize = 2;
+const MOVE_FRACTION_DENOM: usize = 2;
 
 /// May vertex `v` move on `round`? Each of the [`MOVE_FRACTION_DENOM`]
 /// hash classes of vertex ids gets every `MOVE_FRACTION_DENOM`-th round.
@@ -530,7 +511,7 @@ fn arc_span(st: &LocalState, li: u32) -> u64 {
 /// are bit-identical for every `threads` value (including 1, which skips
 /// the thread scope entirely).
 ///
-/// Public (with the kernels) for the `perf_kernels` thread-sweep harness.
+/// Public for the `e2e_layers` benchmark's serial kernel replay.
 pub fn find_best_modules(
     st: &mut LocalState,
     cfg: &DistributedConfig,

@@ -19,9 +19,10 @@
 //! forever.
 //!
 //! Metering is computed from the *typed* payload sizes before any
-//! encoding, so modeled makespans do not depend on the transport; only
-//! wall-clock does. That is what lets `BENCH_transport.json` compare
-//! modeled time against reality.
+//! encoding, so the counters, and the modeled makespans priced from them,
+//! do not depend on the transport; only wall-clock does. The `cli` crate's
+//! `comm_equivalence` test holds every rank's per-phase counters equal
+//! across the in-memory and socket transports.
 //!
 //! Fault injection ([`crate::FaultPlan`]) acts here, on the boundary to
 //! the transport: the event counter and crashes at the head of every

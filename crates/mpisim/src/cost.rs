@@ -128,160 +128,6 @@ impl CostModel {
     }
 }
 
-/// One operation kind's aggregated measurement, the unit the calibration
-/// fit consumes. `frames` is the *send-side* frame count — for the
-/// log-round exchange that is exactly `calls × ⌈log₂ p⌉`, the same
-/// structure [`CostModel::phase_time`] prices as
-/// `collective_calls × t_coll × tree_depth` — and `bytes` counts both
-/// directions of wire traffic, matching the model's byte term.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CalibrationSample {
-    /// Operation kind (`"exchange_logp"`, `"alltoallv"`, …).
-    pub op: String,
-    /// Completed operations.
-    pub calls: u64,
-    /// Frames written (the latency-bearing events).
-    pub frames: u64,
-    /// Wire bytes moved, both directions.
-    pub bytes: u64,
-    /// Measured wall-clock seconds, summed over calls.
-    pub wall_secs: f64,
-}
-
-impl CalibrationSample {
-    /// Flatten a transport's measured counters into fit-ready samples,
-    /// skipping kinds that never ran.
-    pub fn from_metrics(m: &crate::TransportMetrics) -> Vec<CalibrationSample> {
-        m.ops
-            .iter()
-            .filter(|(_, op)| op.calls > 0)
-            .map(|(name, op)| CalibrationSample {
-                op: name.clone(),
-                calls: op.calls,
-                frames: op.frames_sent,
-                bytes: op.bytes_sent + op.bytes_recv,
-                wall_secs: op.wall.as_secs_f64(),
-            })
-            .collect()
-    }
-}
-
-/// How well the fitted model reproduces one operation kind's measurement.
-#[derive(Clone, Debug)]
-pub struct ResidualReport {
-    pub op: String,
-    pub measured_secs: f64,
-    pub modeled_secs: f64,
-    /// `|modeled − measured| / measured` (0 when both are ~zero).
-    pub rel_err: f64,
-}
-
-/// Result of [`fit_latency_bandwidth`]: a two-parameter latency/bandwidth
-/// model `wall ≈ t_frame·frames + t_byte·bytes` plus its per-kind fit
-/// quality.
-#[derive(Clone, Debug)]
-pub struct CalibrationFit {
-    /// Seconds per frame (latency term).
-    pub t_frame: f64,
-    /// Seconds per wire byte (bandwidth term).
-    pub t_byte: f64,
-    pub residuals: Vec<ResidualReport>,
-}
-
-/// Least-squares fit (through the origin) of measured wall time against
-/// frame and byte counts. Solves the 2×2 normal equations; if the system
-/// is degenerate or a coefficient comes out negative — possible when the
-/// sampled workloads don't separate latency from bandwidth — it falls back
-/// to the better-fitting single-parameter model with the other coefficient
-/// clamped to zero. Returns `None` when no sample carries any signal.
-pub fn fit_latency_bandwidth(samples: &[CalibrationSample]) -> Option<CalibrationFit> {
-    let (mut s_ff, mut s_fb, mut s_bb, mut s_fw, mut s_bw) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-    for s in samples {
-        let (f, b, w) = (s.frames as f64, s.bytes as f64, s.wall_secs);
-        s_ff += f * f;
-        s_fb += f * b;
-        s_bb += b * b;
-        s_fw += f * w;
-        s_bw += b * w;
-    }
-    if s_ff == 0.0 && s_bb == 0.0 {
-        return None;
-    }
-    let frames_only = || (if s_ff > 0.0 { s_fw / s_ff } else { 0.0 }, 0.0);
-    let bytes_only = || (0.0, if s_bb > 0.0 { s_bw / s_bb } else { 0.0 });
-    let det = s_ff * s_bb - s_fb * s_fb;
-    let (mut a, mut b) = if det.abs() > f64::EPSILON * s_ff.max(s_bb).powi(2) {
-        (
-            (s_fw * s_bb - s_bw * s_fb) / det,
-            (s_bw * s_ff - s_fw * s_fb) / det,
-        )
-    } else if s_ff > 0.0 {
-        frames_only()
-    } else {
-        bytes_only()
-    };
-    if a < 0.0 || b < 0.0 {
-        let sse = |a: f64, b: f64| {
-            samples
-                .iter()
-                .map(|s| {
-                    let r = s.wall_secs - a * s.frames as f64 - b * s.bytes as f64;
-                    r * r
-                })
-                .sum::<f64>()
-        };
-        let (fa, fb) = frames_only();
-        let (ba, bb) = bytes_only();
-        (a, b) = if sse(fa, fb) <= sse(ba, bb) {
-            (fa.max(0.0), fb)
-        } else {
-            (ba, bb.max(0.0))
-        };
-    }
-    let residuals = samples
-        .iter()
-        .map(|s| {
-            let modeled = a * s.frames as f64 + b * s.bytes as f64;
-            let rel_err = if s.wall_secs > 0.0 {
-                (modeled - s.wall_secs).abs() / s.wall_secs
-            } else {
-                0.0
-            };
-            ResidualReport {
-                op: s.op.clone(),
-                measured_secs: s.wall_secs,
-                modeled_secs: modeled,
-                rel_err,
-            }
-        })
-        .collect();
-    Some(CalibrationFit {
-        t_frame: a,
-        t_byte: b,
-        residuals,
-    })
-}
-
-impl CostModel {
-    /// A cost model whose communication terms come from measured wall
-    /// clocks instead of folklore defaults. `t_coll` takes the fitted
-    /// per-frame latency directly: the log-round exchange sends exactly
-    /// `⌈log₂ p⌉` frames per call, the same `calls × depth` structure
-    /// [`CostModel::phase_time`] already prices, so frame latency *is* the
-    /// per-level collective latency. `t_msg` gets the same value (a p2p
-    /// message is one frame); `t_byte` is the fitted wire-byte cost.
-    /// Compute-side terms keep their defaults — calibration here measures
-    /// the transport, not the CPU.
-    pub fn calibrated(fit: &CalibrationFit) -> CostModel {
-        CostModel {
-            t_byte: fit.t_byte,
-            t_msg: fit.t_frame,
-            t_coll: fit.t_frame,
-            ..CostModel::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,72 +185,5 @@ mod tests {
         let bd = m.makespan(&[r0]);
         assert_eq!(bd.phases["a"], 10.0);
         assert_eq!(bd.total, 25.0);
-    }
-
-    fn sample(op: &str, frames: u64, bytes: u64, wall_secs: f64) -> CalibrationSample {
-        CalibrationSample {
-            op: op.into(),
-            calls: 1,
-            frames,
-            bytes,
-            wall_secs,
-        }
-    }
-
-    #[test]
-    fn fit_recovers_a_known_latency_bandwidth_model() {
-        let (a, b) = (3e-6, 2e-9);
-        let samples: Vec<CalibrationSample> = [(10u64, 1_000u64), (50, 2_000_000), (200, 4_096)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(f, by))| sample(&format!("op{i}"), f, by, a * f as f64 + b * by as f64))
-            .collect();
-        let fit = fit_latency_bandwidth(&samples).unwrap();
-        assert!(
-            (fit.t_frame - a).abs() / a < 1e-9,
-            "t_frame={}",
-            fit.t_frame
-        );
-        assert!((fit.t_byte - b).abs() / b < 1e-9, "t_byte={}", fit.t_byte);
-        for r in &fit.residuals {
-            assert!(r.rel_err < 1e-9, "{}: rel_err={}", r.op, r.rel_err);
-        }
-    }
-
-    #[test]
-    fn fit_clamps_rather_than_going_negative() {
-        // Wall time pure in frames, with byte counts anti-correlated: an
-        // unconstrained solve would push t_byte below zero.
-        let samples = vec![
-            sample("x", 100, 1_000_000, 100.0 * 5e-6),
-            sample("y", 200, 500_000, 200.0 * 5e-6),
-        ];
-        let fit = fit_latency_bandwidth(&samples).unwrap();
-        assert!(fit.t_frame >= 0.0 && fit.t_byte >= 0.0);
-        assert!(
-            (fit.t_frame - 5e-6).abs() / 5e-6 < 0.2,
-            "t_frame={}",
-            fit.t_frame
-        );
-    }
-
-    #[test]
-    fn fit_refuses_signal_free_samples() {
-        assert!(fit_latency_bandwidth(&[]).is_none());
-        assert!(fit_latency_bandwidth(&[sample("z", 0, 0, 1.0)]).is_none());
-    }
-
-    #[test]
-    fn calibrated_model_adopts_fitted_communication_terms() {
-        let fit = CalibrationFit {
-            t_frame: 7e-6,
-            t_byte: 3e-9,
-            residuals: Vec::new(),
-        };
-        let m = CostModel::calibrated(&fit);
-        assert_eq!(m.t_coll, 7e-6);
-        assert_eq!(m.t_msg, 7e-6);
-        assert_eq!(m.t_byte, 3e-9);
-        assert_eq!(m.t_work, CostModel::default().t_work);
     }
 }

@@ -59,10 +59,7 @@ mod wire;
 mod world;
 
 pub use comm::{Comm, ReduceOp};
-pub use cost::{
-    fit_latency_bandwidth, CalibrationFit, CalibrationSample, CostModel, PhaseBreakdown,
-    ResidualReport,
-};
+pub use cost::{CostModel, PhaseBreakdown};
 pub use fault::{CrashSpec, FaultPlan, MessageFaultKind, MessageFaultSpec, StragglerSpec};
 pub use mem::MemTransport;
 pub use payload::{WireDecodeError, WirePayload};
