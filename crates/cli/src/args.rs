@@ -2,7 +2,8 @@
 //! explicit state machine over `--flag value` pairs.
 
 use crate::commands::dataset_id;
-use crate::launch::{LaunchOpts, WorkerOpts};
+use crate::launch::{page_cache, LaunchOpts, WorkerOpts};
+use infomap_graph::snapshot::UnusablePageCache;
 
 /// Printed on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -50,7 +51,8 @@ one OS process per rank, each reading only its own shard of <edges.txt>
   --graph-shard-dir D                 out-of-core: each rank reads its own
                                       `shard-R.snap` from D; no edge list needed
   --paged                             either input: workers demand-page their
-                                      shard over a block cache, not eagerly
+                                      shard over a bounded block cache instead
+                                      of holding all of it
   --block-bytes N                     paged: cache block size (default 65536)
   --cache-blocks N                    paged: cache capacity in blocks (default 64)
 
@@ -356,6 +358,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if o.threads == 0 {
                 return Err("launch: --threads must be >= 1".into());
             }
+            check_page_cache("launch", o.block_bytes, o.cache_blocks)?;
             Ok(Command::Launch(o))
         }
         "_rank" => {
@@ -397,10 +400,23 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "_rank: --rank, --procs, --dir and --graph-shard-dir are required".into(),
                 );
             }
+            check_page_cache("_rank", o.block_bytes, o.cache_blocks)?;
             Ok(Command::RankWorker(o))
         }
         other => Err(format!("unknown subcommand {other:?}")),
     }
+}
+
+/// `--block-bytes` and `--cache-blocks`: 0 keeps the library default, any
+/// other value must be a size the block cache can use.
+fn check_page_cache(cmd: &str, block_bytes: usize, cache_blocks: usize) -> Result<(), String> {
+    let cfg = page_cache(true, block_bytes, cache_blocks).expect("paged");
+    cfg.check().map_err(|e| match e {
+        UnusablePageCache::BlockBytes => {
+            format!("{cmd}: --block-bytes must be a positive multiple of 8")
+        }
+        UnusablePageCache::CapacityBlocks => format!("{cmd}: --cache-blocks must be >= 2"),
+    })
 }
 
 /// `--kill-rank R@MS`.
@@ -562,6 +578,33 @@ mod tests {
     }
 
     #[test]
+    fn rejects_page_cache_sizes_the_reader_cannot_use() {
+        let worker = "_rank --rank 0 --procs 2 --dir d --graph-shard-dir s";
+        for (cmd, prefix) in [("launch g.txt --procs 2", "launch"), (worker, "_rank")] {
+            for sizes in ["--paged --block-bytes 100", "--block-bytes 4"] {
+                let err = parse(&argv(&format!("{cmd} {sizes}"))).unwrap_err();
+                let want = format!("{prefix}: --block-bytes must be a positive multiple of 8");
+                assert_eq!(err, want, "{cmd} {sizes}");
+            }
+            let err = parse(&argv(&format!("{cmd} --paged --cache-blocks 1"))).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{prefix}: --cache-blocks must be >= 2"),
+                "{cmd}"
+            );
+            // 0 keeps the default; the smallest and largest usable sizes
+            // parse.
+            for sizes in [
+                "--block-bytes 0 --cache-blocks 0",
+                "--block-bytes 8 --cache-blocks 2",
+                "--block-bytes 18446744073709551608 --cache-blocks 18446744073709551615",
+            ] {
+                assert!(parse(&argv(&format!("{cmd} --paged {sizes}"))).is_ok());
+            }
+        }
+    }
+
+    #[test]
     fn rejects_a_mixing_parameter_outside_the_unit_interval() {
         for mu in ["2.5", "-1", "nan", "inf"] {
             let err = parse(&argv(&format!("generate lfr --mu {mu}"))).unwrap_err();
@@ -618,8 +661,9 @@ mod tests {
     /// each followed by a value of one class — negative, zero, small,
     /// fractional, huge, `nan`, `inf`, text, the other flag's shape — or
     /// by none. Every argv parses or is refused with a non-empty message;
-    /// none panics; and every `generate` that parses names a finite scale
-    /// and a vertex count within the u32 id space.
+    /// none panics; every `generate` that parses names a finite scale
+    /// and a vertex count within the u32 id space; and every `launch` or
+    /// `_rank` that parses names page-cache sizes the reader can use.
     #[test]
     fn parse_sweep_returns_a_command_or_a_named_error() {
         fn splitmix64(mut z: u64) -> u64 {
@@ -729,6 +773,19 @@ mod tests {
                         let scaled = id.profile().scaled_vertices(scale);
                         assert!(scaled <= u32::MAX as usize, "case {case}: {args:?}");
                     }
+                }
+                Ok(Command::Launch(LaunchOpts {
+                    block_bytes,
+                    cache_blocks,
+                    ..
+                }))
+                | Ok(Command::RankWorker(WorkerOpts {
+                    block_bytes,
+                    cache_blocks,
+                    ..
+                })) => {
+                    let cfg = page_cache(true, block_bytes, cache_blocks).unwrap();
+                    assert!(cfg.check().is_ok(), "case {case}: {args:?}");
                 }
                 Ok(_) => {}
                 Err(e) => assert!(!e.is_empty(), "case {case}: {args:?}"),

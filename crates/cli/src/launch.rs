@@ -87,8 +87,9 @@ pub struct LaunchOpts {
     /// Read ready-made per-rank shards `shard-R.snap` from this directory
     /// instead of parsing the `path` edge list and cutting them here.
     pub graph_shard_dir: Option<String>,
-    /// Workers open their shard demand-paged over a block cache instead
-    /// of loading it eagerly (bit-identical either way, for both inputs).
+    /// Workers demand-page their shard through a bounded block cache
+    /// instead of holding all of it (bit-identical either way, for both
+    /// inputs).
     pub paged: bool,
     /// Paged mode: cache block size in bytes (0 = library default).
     pub block_bytes: usize,
@@ -119,8 +120,12 @@ pub struct WorkerOpts {
 }
 
 /// The `--paged`/`--block-bytes`/`--cache-blocks` triple as a cache
-/// config (`None` = eager load).
-fn page_cache(paged: bool, block_bytes: usize, cache_blocks: usize) -> Option<PageCacheConfig> {
+/// config (`None` = the whole shard resident).
+pub(crate) fn page_cache(
+    paged: bool,
+    block_bytes: usize,
+    cache_blocks: usize,
+) -> Option<PageCacheConfig> {
     paged.then(|| {
         let mut c = PageCacheConfig::default();
         if block_bytes > 0 {
@@ -662,6 +667,42 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
     finish(Ok(()))
 }
 
+/// The `_rank` command of worker `rank`: every worker flag of `o`.
+fn worker_command(
+    exe: &Path,
+    o: &LaunchOpts,
+    rank: usize,
+    dir: &Path,
+    shard_dir: &Path,
+) -> std::process::Command {
+    let mut cmd = std::process::Command::new(exe);
+    cmd.arg("_rank")
+        .arg("--rank")
+        .arg(rank.to_string())
+        .arg("--procs")
+        .arg(o.procs.to_string())
+        .arg("--graph-shard-dir")
+        .arg(shard_dir);
+    if o.paged {
+        cmd.arg("--paged")
+            .arg("--block-bytes")
+            .arg(o.block_bytes.to_string())
+            .arg("--cache-blocks")
+            .arg(o.cache_blocks.to_string());
+    }
+    cmd.arg("--seed")
+        .arg(o.seed.to_string())
+        .arg("--dir")
+        .arg(dir.as_os_str())
+        .arg("--checkpoint-every")
+        .arg(o.checkpoint_every.to_string())
+        .arg("--timeout-ms")
+        .arg(o.timeout_ms.to_string())
+        .arg("--threads")
+        .arg(o.threads.to_string());
+    cmd
+}
+
 /// Spawn one world of `procs` workers and wait for it. `Ok` only when
 /// every worker exits 0 and rank 0 published `result.json`.
 fn run_world_once(
@@ -673,32 +714,7 @@ fn run_world_once(
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut children: Vec<Option<Child>> = Vec::with_capacity(o.procs);
     for rank in 0..o.procs {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("_rank")
-            .arg("--rank")
-            .arg(rank.to_string())
-            .arg("--procs")
-            .arg(o.procs.to_string())
-            .arg("--graph-shard-dir")
-            .arg(shard_dir);
-        if o.paged {
-            cmd.arg("--paged")
-                .arg("--block-bytes")
-                .arg(o.block_bytes.to_string())
-                .arg("--cache-blocks")
-                .arg(o.cache_blocks.to_string());
-        }
-        cmd.arg("--seed")
-            .arg(o.seed.to_string())
-            .arg("--dir")
-            .arg(dir.as_os_str())
-            .arg("--checkpoint-every")
-            .arg(o.checkpoint_every.to_string())
-            .arg("--timeout-ms")
-            .arg(o.timeout_ms.to_string())
-            .arg("--threads")
-            .arg(o.threads.to_string());
-        match cmd.spawn() {
+        match worker_command(&exe, o, rank, dir, shard_dir).spawn() {
             Ok(child) => children.push(Some(child)),
             Err(e) => {
                 // Left alone, the ranks already running would sit in the
@@ -940,6 +956,39 @@ mod tests {
         assert_eq!(n, g.num_vertices());
         assert_eq!(one_level.to_bits(), (-whole).to_bits());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn worker_command_forwards_every_worker_flag() {
+        use crate::args::{parse, Command};
+        let launch = "launch g.txt --procs 3 --seed 9 --checkpoint-every 2 --timeout-ms 700 \
+                      --threads 2 --paged --block-bytes 256 --cache-blocks 8";
+        let argv: Vec<String> = launch.split_whitespace().map(String::from).collect();
+        let Ok(Command::Launch(mut o)) = parse(&argv) else {
+            panic!("launch parse")
+        };
+        for paged in [true, false] {
+            o.paged = paged;
+            let cmd = worker_command(Path::new("w"), &o, 1, Path::new("d"), Path::new("s"));
+            let worker: Vec<String> = cmd
+                .get_args()
+                .map(|a| a.to_str().unwrap().to_string())
+                .collect();
+            let want = WorkerOpts {
+                rank: 1,
+                procs: 3,
+                seed: 9,
+                dir: "d".into(),
+                checkpoint_every: 2,
+                timeout_ms: 700,
+                threads: 2,
+                graph_shard_dir: "s".into(),
+                paged,
+                block_bytes: if paged { 256 } else { 0 },
+                cache_blocks: if paged { 8 } else { 0 },
+            };
+            assert_eq!(parse(&worker), Ok(Command::RankWorker(want)), "{worker:?}");
+        }
     }
 
     #[test]

@@ -86,9 +86,10 @@ fn socket_run(g: &Graph, p: usize, seed: u64, threads: usize) -> DistributedOutp
 /// Out-of-core variant of [`socket_run`]: the graph is split into
 /// per-rank binary shards first, and every rank rebuilds its state from
 /// its own shard with [`RankProgram::prepare_shard`] — so the prepare
-/// collectives themselves cross the byte transport. Even ranks load
-/// their shard eagerly, odd ranks demand-page it through a deliberately
-/// tiny block cache; the store must not be observable in the results.
+/// collectives themselves cross the byte transport. Even ranks hold
+/// their whole shard, odd ranks demand-page it through a deliberately
+/// tiny block cache; the cache shape must not be observable in the
+/// results.
 fn shard_socket_run(g: &Graph, p: usize, seed: u64) -> DistributedOutput {
     let dir = fresh_dir();
     let shard_dir = dir.join("shards");
@@ -247,7 +248,7 @@ fn transport_and_thread_axes_compose_bit_identically() {
 #[test]
 fn shard_mode_over_sockets_is_bit_identical_to_thread_world() {
     // The full out-of-core path: binary shards on disk, mixed
-    // eager/paged stores, shard-mode preparation over real sockets —
+    // whole/bounded caches, shard-mode preparation over real sockets —
     // against the in-memory thread world.
     let (g, _) = lfr_like(
         LfrParams {

@@ -72,15 +72,6 @@ pub struct OwnedModule {
     pub sources: Vec<SourceRecord>,
 }
 
-impl OwnedModule {
-    /// Whether the entry holds anything: totals, or a rank still listed.
-    /// The rest of the owner table is `OwnedModule::default()`.
-    #[inline]
-    pub fn is_live(&self) -> bool {
-        self.present || !self.sources.is_empty()
-    }
-}
-
 /// The send side of the boundary as one CSR: every owned vertex that other
 /// ranks hold as a ghost, with those ranks and the module last announced
 /// to them.

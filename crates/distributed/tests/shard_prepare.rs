@@ -1,5 +1,5 @@
 //! Store equivalence of the one stage-1 preparation:
-//! `RankProgram::prepare_rank` over the in-memory `Graph`, over eager
+//! `RankProgram::prepare_rank` over the in-memory `Graph`, over whole
 //! snapshot shards and over demand-paged shards gives every rank the same
 //! state, delegates and scalars — and a run prepared from shards the
 //! thread world's trajectory.
@@ -70,15 +70,15 @@ fn prepare_rank_is_the_same_over_every_store() {
             };
             let dir = tmp_dir(&format!("states-{name}-{p}"));
             write_shards(g, p, &dir).unwrap();
-            let over_shards = |paged: Option<PageCacheConfig>| {
+            let over_shards = |cache: Option<PageCacheConfig>| {
                 each_rank(p, |comm| {
                     let path = shard_path(&dir, comm.rank());
-                    let store = SnapshotStore::open(&path, paged).unwrap();
+                    let store = SnapshotStore::open(&path, cache).unwrap();
                     RankProgram::prepare_rank(cfg, &store, comm)
                 })
             };
             let in_memory = each_rank(p, |comm| RankProgram::prepare_rank(cfg, g, comm));
-            let eager = over_shards(None);
+            let whole = over_shards(None);
             let paged = over_shards(Some(PageCacheConfig {
                 block_bytes: 64,
                 capacity_blocks: 4,
@@ -89,7 +89,7 @@ fn prepare_rank_is_the_same_over_every_store() {
             if *name == "uk2007" {
                 assert!(!base.delegates.is_empty(), "the stand-in grew no hubs");
             }
-            for (store, programs) in [("graph", &in_memory), ("eager", &eager), ("paged", &paged)] {
+            for (store, programs) in [("graph", &in_memory), ("whole", &whole), ("paged", &paged)] {
                 assert_eq!(programs.len(), p);
                 for (rank, program) in programs.iter().enumerate() {
                     let at = format!("{name} p={p} rank={rank} {store}");

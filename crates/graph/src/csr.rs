@@ -224,37 +224,6 @@ impl Graph {
             strengths,
         }
     }
-
-    /// Reassemble a graph from raw CSR arrays, used by the snapshot
-    /// loader. Callers guarantee the arrays came from a valid CSR (the
-    /// snapshot codec checksums reject torn files before this runs);
-    /// structural invariants are still asserted.
-    pub(crate) fn from_csr_parts(
-        offsets: Vec<usize>,
-        targets: Vec<VertexId>,
-        weights: Vec<f64>,
-        num_edges: usize,
-        total_weight: f64,
-        strengths: Vec<f64>,
-    ) -> Self {
-        assert!(!offsets.is_empty(), "offsets must hold n+1 entries");
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            targets.len(),
-            "offsets must end at the arc count"
-        );
-        assert_eq!(targets.len(), weights.len());
-        assert_eq!(strengths.len(), offsets.len() - 1);
-        Graph {
-            offsets,
-            targets,
-            weights,
-            num_edges,
-            total_weight,
-            strengths,
-        }
-    }
 }
 
 /// Incremental builder that merges parallel edges.

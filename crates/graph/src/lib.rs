@@ -14,10 +14,10 @@
 //!   mixing (see DESIGN.md for the substitution argument);
 //! * [`io`]: whitespace edge-list reading and writing;
 //! * [`snapshot`]: a binary CSR snapshot format (versioned, checksummed)
-//!   with eager and demand-paged loaders plus per-rank shards for
-//!   out-of-core runs;
+//!   with one block-cached reader plus per-rank shards for out-of-core
+//!   runs;
 //! * [`store`]: the [`GraphStore`] trait the partitioner and driver use,
-//!   implemented by both the in-memory CSR and the paged snapshots.
+//!   implemented by both the in-memory CSR and the snapshot store.
 
 #![forbid(unsafe_code)]
 

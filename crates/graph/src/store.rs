@@ -3,12 +3,12 @@
 //! [`GraphStore`] abstracts the handful of accessors the partitioner and
 //! the distributed driver actually use — vertex/edge counts, total weight,
 //! per-vertex degree/strength, and the arc list of a vertex — so the same
-//! code paths run against the in-memory [`Graph`] CSR and against the
-//! demand-paged [`crate::snapshot::PagedGraph`] that reads fixed-size
-//! blocks from a binary snapshot on disk.
+//! code paths run against the in-memory [`Graph`] CSR and against
+//! [`crate::snapshot::SnapshotStore`], which reads a binary snapshot on
+//! disk through a cache of fixed-size blocks.
 //!
 //! `arcs_into` appends into a caller-provided buffer instead of returning
-//! an iterator: paged backends assemble arcs from cache blocks, so a
+//! an iterator: a snapshot store assembles arcs from cache blocks, so a
 //! borrowing iterator would either clone per call or fight the borrow
 //! checker; a reused buffer keeps the hot loop allocation-free either way.
 

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use infomap_graph::generators::{self, LfrParams};
 use infomap_graph::snapshot::{
-    shard_path, write_shards, write_snapshot, EagerSnapshot, PageCacheConfig, SnapshotStore,
+    shard_path, write_shards, write_snapshot, PageCacheConfig, SnapshotStore,
 };
 use infomap_graph::{io, Graph, GraphStore, VertexId};
 
@@ -176,8 +176,13 @@ fn generators_are_seed_deterministic() {
 #[test]
 fn snapshot_roundtrip_is_lossless() {
     for (case, g, _, path) in snapshots(20) {
-        let back = EagerSnapshot::read(&path).unwrap().into_graph().unwrap();
-        assert_eq!(back, g, "case {case}");
+        let back = SnapshotStore::open(&path, None).unwrap();
+        assert_eq!(back.num_vertices(), g.num_vertices(), "case {case}");
+        assert_eq!(back.num_edges(), g.num_edges(), "case {case}");
+        let weights = [back.total_weight(), g.total_weight()].map(f64::to_bits);
+        assert_eq!(weights[0], weights[1], "case {case}");
+        let all: Vec<VertexId> = (0..20).collect();
+        assert_same_rows(&case.to_string(), &back, &g, &all);
         remove_snapshot(&path);
     }
 }
@@ -207,6 +212,7 @@ fn shards_partition_the_graph_exactly() {
 fn paged_reads_are_bit_identical_to_eager() {
     for (case, _, mut rng, path) in snapshots(20) {
         let block_bytes = 8 * rng.gen_range(1..16);
+        // The whole file resident, read eagerly by `open`.
         let eager = SnapshotStore::open(&path, None).unwrap();
         // A deliberately tiny cache, so eviction happens even here.
         let cache = PageCacheConfig {
@@ -222,22 +228,18 @@ fn paged_reads_are_bit_identical_to_eager() {
 
 #[test]
 fn any_single_byte_corruption_is_rejected() {
-    for (case, g, mut rng, path) in snapshots(16) {
+    for (case, _, mut rng, path) in snapshots(16) {
         let mut bytes = std::fs::read(&path).unwrap();
         let at = rng.gen_range(0..bytes.len());
         bytes[at] ^= 1 << rng.gen_range(0..8);
         std::fs::write(&path, &bytes).unwrap();
         // Every flipped bit must surface as a *named* error — magic,
         // version, structural validation, or the checksum backstop —
-        // never as silently different data. The reader may only accept
-        // a flip that round-trips to the identical graph, which a single
-        // bit flip under a checksum cannot.
-        match EagerSnapshot::read(&path) {
+        // never as silently different data, which a single bit flip under
+        // a checksum cannot be.
+        match SnapshotStore::open(&path, None) {
             Err(e) => assert!(!e.to_string().is_empty(), "case {case}"),
-            Ok(snap) => {
-                assert_eq!(snap.into_graph().unwrap(), g, "case {case}");
-                panic!("case {case}: checksummed snapshot accepted a flip at byte {at}");
-            }
+            Ok(_) => panic!("case {case}: checksummed snapshot accepted a flip at byte {at}"),
         }
         remove_snapshot(&path);
     }
@@ -249,7 +251,8 @@ fn truncated_snapshots_are_rejected() {
         let bytes = std::fs::read(&path).unwrap();
         let keep = rng.gen_range(0..bytes.len());
         std::fs::write(&path, &bytes[..keep]).unwrap();
-        assert!(EagerSnapshot::read(&path).is_err(), "case {case}: {keep}");
+        let store = SnapshotStore::open(&path, None);
+        assert!(store.is_err(), "case {case}: {keep}");
         remove_snapshot(&path);
     }
 }

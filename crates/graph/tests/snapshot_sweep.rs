@@ -1,7 +1,7 @@
 //! Seeded sweep over the snapshot readers of `graph/src/snapshot.rs`:
-//! `read_header`, `EagerSnapshot::read` (and `into_graph`) and
-//! `PagedGraph::open` (through `SnapshotStore::open`): 34 602 cases from
-//! one seeded `StdRng` stream, a few seconds in a debug build.
+//! `read_header` and `SnapshotStore::open` with both cache shapes (the
+//! whole file resident, and a bounded LRU): 34 602 cases from one seeded
+//! `StdRng` stream, a few seconds in a debug build.
 //!
 //! * 3 000 arbitrary byte strings: random bytes, a valid magic and
 //!   version followed by noise, and valid files with bytes overwritten or
@@ -11,15 +11,14 @@
 //!   p = 2 and p = 3 — with the trailing FNV-1a checksum repaired, so that
 //!   the header and section checks are what a flip meets.
 //!
-//! Every input is refused by the eager and the paged reader with the
-//! same named `SnapshotError` (never `Io`; `read_header`, which checks no
-//! checksum, refuses it by name too or accepts it), or accepted by both,
-//! and by `read_header` with the same header. An accepted store reads
-//! the same rows eagerly and paged, re-encodes to exactly the input
-//! bytes, and a full one converts to a `Graph` that writes those bytes
-//! again. No reader panics, and none holds more than `4 × len + 128 KiB`
-//! of heap at once while it reads a `len`-byte file: nothing is sized by
-//! a count the bytes cannot back.
+//! Every input is refused by both cache shapes with the same named
+//! `SnapshotError` (never `Io`; `read_header`, which checks no checksum,
+//! refuses it by name too or accepts it), or accepted by both, and by
+//! `read_header` with the same header. An accepted store reads the same
+//! rows whole and paged, and re-encodes to exactly the input bytes. No
+//! open panics, and none holds more than `4 × len + 128 KiB` of heap at
+//! once while it reads a `len`-byte file: nothing is sized by a count
+//! the bytes cannot back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,9 +29,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use infomap_graph::snapshot::{
-    read_header, shard_path, write_shard_parts, write_shards, write_snapshot, EagerSnapshot,
-    PageCacheConfig, ShardSpec, SnapshotError, SnapshotHeader, SnapshotStore, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    read_header, shard_path, write_shard_parts, write_shards, write_snapshot, PageCacheConfig,
+    ShardSpec, SnapshotError, SnapshotHeader, SnapshotStore, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use infomap_graph::{generators, Graph, GraphStore};
 
@@ -135,22 +133,22 @@ fn same_rows(a: &impl GraphStore, b: &impl GraphStore, header: &SnapshotHeader) 
     })
 }
 
-/// Feed `bytes` to every reader as case number `cases + 1`; true if they
-/// accept it.
+/// Feed `bytes` to `read_header` and both cache shapes as case number
+/// `cases + 1`; true if they accept it.
 fn snapshot_case(bytes: &[u8], dir: &Path, cases: &mut usize) -> bool {
     *cases += 1;
     let case = *cases;
     let path = dir.join("case.snap");
     fresh_file(&path, bytes);
     let len = bytes.len();
-    let eager = bounded(format!("case {case}: eager"), len, || {
-        EagerSnapshot::read(&path)
+    let whole = bounded(format!("case {case}: whole"), len, || {
+        SnapshotStore::open(&path, None)
     });
     let paged = bounded(format!("case {case}: paged"), len, || {
         SnapshotStore::open(&path, Some(PAGED))
     });
     let header = read_header(&path);
-    let (eager, paged) = match (eager, paged) {
+    let (whole, paged) = match (whole, paged) {
         (Err(a), Err(b)) => {
             let named = |e: &SnapshotError| !matches!(e, SnapshotError::Io(_));
             assert!(named(&a) && named(&b), "case {case}: unnamed: {a} / {b}");
@@ -159,31 +157,25 @@ fn snapshot_case(bytes: &[u8], dir: &Path, cases: &mut usize) -> bool {
             assert_eq!(
                 a.to_string(),
                 b.to_string(),
-                "case {case}: the readers disagree"
+                "case {case}: the cache shapes disagree"
             );
             return false;
         }
-        (Ok(eager), Ok(paged)) => (eager, paged),
-        (a, b) => panic!("case {case}: eager {:?}, paged {:?}", a.err(), b.err()),
+        (Ok(whole), Ok(paged)) => (whole, paged),
+        (a, b) => panic!("case {case}: whole {:?}, paged {:?}", a.err(), b.err()),
     };
-    let h = *eager.header();
+    let h = *whole.header();
     assert_eq!(header.ok(), Some(h), "case {case}: read_header disagrees");
     assert_eq!(paged.header(), &h, "case {case}");
     assert!(
-        same_rows(&eager, &paged, &h),
+        same_rows(&whole, &paged, &h),
         "case {case}: paged rows differ"
     );
     let again = dir.join("again.snap");
     assert!(
-        reencode(&eager, &h, &again) == bytes,
+        reencode(&whole, &h, &again) == bytes,
         "case {case}: re-encoding {h:?}"
     );
-    if h.nranks == 1 {
-        let _ = std::fs::remove_file(&again);
-        write_snapshot(&eager.into_graph().unwrap(), &again).unwrap();
-        let graph_bytes = std::fs::read(&again).unwrap();
-        assert!(graph_bytes == bytes, "case {case}: the graph re-encodes");
-    }
     true
 }
 

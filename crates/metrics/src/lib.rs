@@ -50,11 +50,6 @@ impl Contingency {
         self.n
     }
 
-    /// Number of clusters in each labeling.
-    pub fn num_clusters(&self) -> (usize, usize) {
-        (self.a_sizes.len(), self.b_sizes.len())
-    }
-
     /// Σ over cells of C(n_ij, 2) etc. — the pair counts behind the
     /// pairwise indices: (pairs together in both, pairs together in A,
     /// pairs together in B, total pairs).

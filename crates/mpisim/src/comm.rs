@@ -37,7 +37,6 @@ use crate::fault::{FaultState, MessageFate};
 use crate::payload::{decode_str, encode_str, WireDecodeError, WirePayload};
 use crate::stats::RankStats;
 use crate::transport::{Transport, TransportError, TransportFault};
-use crate::wire::WireSized;
 
 /// Reduction operators for the numeric allreduce helpers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -291,20 +290,7 @@ impl Comm {
         tag: u64,
         payload: Vec<T>,
     ) {
-        self.send_slice(dest, tag, &payload);
-    }
-
-    /// [`Comm::send`] from a borrowed staging buffer: the frame is encoded
-    /// straight from the slice (as MPI's internal buffering of a
-    /// non-blocking send would copy it), and the caller's buffer keeps its
-    /// capacity for reuse. Metering is identical to `send`.
-    pub fn send_slice<T: Clone + Send + WirePayload + 'static>(
-        &mut self,
-        dest: usize,
-        tag: u64,
-        payload: &[T],
-    ) {
-        let bytes = std::mem::size_of_val(payload) as u64;
+        let bytes = (payload.len() * size_of::<T>()) as u64;
         assert!(dest < self.size(), "send to rank {dest} out of range");
         self.comm_event();
         let sent = |s: &mut crate::PhaseStats| {
@@ -317,7 +303,7 @@ impl Comm {
         let mut frame = Vec::with_capacity(16 + bytes as usize);
         bytes.encode_into(&mut frame);
         (payload.len() as u64).encode_into(&mut frame);
-        T::encode_slice(payload, &mut frame);
+        T::encode_slice(&payload, &mut frame);
         let (fate, now) = match &self.fault {
             Some(f) => (f.message_fate(self.rank, dest), f.current_event(self.rank)),
             None => (MessageFate::Deliver, 0),
@@ -715,37 +701,6 @@ impl Comm {
         let recv = bucket_bytes(&incoming) - bucket_bytes(&incoming[me..=me]);
         self.charge(|s| s.collective_bytes_recv += recv);
         (incoming, partials.into_iter().flatten().collect())
-    }
-
-    /// Broadcast `value` from `root` to every rank.
-    ///
-    /// The root's contribution is metered at its actual wire size
-    /// ([`WireSized`]), so nested payloads (`Vec`, tuples of `Vec`s, …)
-    /// count their contents — mirroring how [`Comm::allgatherv`] meters
-    /// element counts rather than container headers.
-    #[track_caller]
-    pub fn broadcast<T: Clone + Send + Sync + WireSized + WirePayload + 'static>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-    ) -> T {
-        assert!(root < self.size());
-        if self.rank == root {
-            assert!(value.is_some(), "broadcast root must supply a value");
-        }
-        let bytes = match (&value, self.rank == root) {
-            (Some(v), true) => v.wire_bytes(),
-            _ => 0,
-        };
-        let shared = self.collective("broadcast", bytes, value, move |mut vs| {
-            vs.swap_remove(root)
-                .expect("broadcast root supplied no value")
-        });
-        if self.rank != root {
-            let recv = shared.wire_bytes();
-            self.charge(|s| s.collective_bytes_recv += recv);
-        }
-        (*shared).clone()
     }
 }
 

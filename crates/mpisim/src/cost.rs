@@ -88,11 +88,6 @@ impl CostModel {
             + s.codec_bytes as f64 * self.t_encode
     }
 
-    /// Modeled total seconds for one rank across the whole run.
-    pub fn rank_time(&self, s: &RankStats, nranks: usize) -> f64 {
-        self.phase_time(&s.total, nranks)
-    }
-
     /// Modeled makespan per phase: for each phase, the maximum modeled time
     /// over all ranks (bulk-synchronous execution); `total` is the sum over
     /// phases plus the max over ranks of any un-phased residue.

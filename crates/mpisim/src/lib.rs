@@ -10,7 +10,7 @@
 //! * [`Comm::barrier`],
 //! * allreduce ([`Comm::allreduce_f64`], [`Comm::allreduce_u64`],
 //!   [`Comm::allreduce_with`]),
-//! * [`Comm::allgatherv`], [`Comm::alltoallv`], [`Comm::broadcast`].
+//! * [`Comm::allgatherv`], [`Comm::alltoallv`].
 //!
 //! A [`Comm`] runs over a byte-moving [`Transport`] and lowers every
 //! operation one way — encode, move, decode, fold in rank order on every
@@ -55,7 +55,6 @@ mod mem;
 mod payload;
 mod stats;
 mod transport;
-mod wire;
 mod world;
 
 pub use comm::{Comm, ReduceOp};
@@ -65,5 +64,4 @@ pub use mem::MemTransport;
 pub use payload::{WireDecodeError, WirePayload};
 pub use stats::{FaultStats, PhaseStats, RankStats};
 pub use transport::{OpMetrics, Transport, TransportError, TransportFault, TransportMetrics};
-pub use wire::WireSized;
 pub use world::{RankOutcome, World, WorldOutcome, WorldReport};

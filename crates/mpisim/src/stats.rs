@@ -28,8 +28,8 @@ pub struct PhaseStats {
     /// Bytes this rank contributed to collectives.
     pub collective_bytes: u64,
     /// Bytes this rank *received* from collectives beyond its own
-    /// contribution (the fan-in side of an allgather / alltoall /
-    /// broadcast). Metering both directions makes replication visible: an
+    /// contribution (the fan-in side of an allgather / alltoall).
+    /// Metering both directions makes replication visible: an
     /// allgatherv of N records costs every rank ~N records on the receive
     /// side, which is exactly the O(total × p) term the owner-reduced
     /// election removes (DESIGN.md §6.13).

@@ -8,8 +8,8 @@
 //!
 //! * tagged, selective point-to-point [`Transport::send`] / [`Transport::recv`],
 //! * [`Transport::exchange`] — an allgather of one blob per rank, the
-//!   primitive every symmetric collective (barrier, allreduce, allgatherv,
-//!   broadcast) lowers onto; folds run *locally* on every rank in rank
+//!   primitive every symmetric collective (barrier, allreduce, allgatherv)
+//!   lowers onto; folds run *locally* on every rank in rank
 //!   order, so IEEE-deterministic reductions are bit-identical over every
 //!   transport,
 //! * [`Transport::alltoallv`] — the personalized exchange, kept separate so

@@ -49,14 +49,6 @@ impl<R> RankOutcome<R> {
             _ => None,
         }
     }
-
-    /// Borrow the result, if the rank completed.
-    pub fn as_completed(&self) -> Option<&R> {
-        match self {
-            RankOutcome::Completed(r) => Some(r),
-            _ => None,
-        }
-    }
 }
 
 /// Everything a fault-tolerant run produced: one [`RankOutcome`] per rank,
@@ -118,25 +110,6 @@ impl<R> WorldReport<R> {
     /// Modeled makespan under `model` (see [`CostModel::makespan`]).
     pub fn makespan(&self, model: &CostModel) -> PhaseBreakdown {
         model.makespan(&self.stats)
-    }
-
-    /// Total bytes moved point-to-point across all ranks.
-    pub fn total_p2p_bytes(&self) -> u64 {
-        self.stats.iter().map(|s| s.total.p2p_bytes_sent).sum()
-    }
-
-    /// Total work units across all ranks.
-    pub fn total_work(&self) -> u64 {
-        self.stats.iter().map(|s| s.total.work_units).sum()
-    }
-
-    /// Maximum work units on any single rank (the makespan driver).
-    pub fn max_rank_work(&self) -> u64 {
-        self.stats
-            .iter()
-            .map(|s| s.total.work_units)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -419,21 +392,6 @@ mod tests {
             );
             // Receive side: the 3 non-self buckets only.
             assert_eq!(s.total.collective_bytes_recv, 3 * 8);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_nonzero_root() {
-        let report = World::new(5).run(|c| {
-            let v = if c.rank() == 3 {
-                Some(vec![9_u8, 8, 7])
-            } else {
-                None
-            };
-            c.broadcast(3, v)
-        });
-        for got in report.results {
-            assert_eq!(got, vec![9, 8, 7]);
         }
     }
 

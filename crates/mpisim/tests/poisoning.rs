@@ -164,25 +164,26 @@ fn run_prefers_original_panic_over_dead_destination_send() {
     assert!(panic_text(err).contains("the real bug"));
 }
 
-/// Regression for broadcast metering: the root's contribution counts the
-/// payload it ships, not the `size_of` of the container header.
+/// Collective metering counts the payload a rank ships, not the
+/// `size_of` of the container header: one rank's 100 `u64`s reach both.
 #[test]
-fn broadcast_meters_actual_payload_bytes() {
+fn allgatherv_meters_actual_payload_bytes() {
     let report = World::new(2).run(|c| {
         let v = if c.rank() == 0 {
-            Some(vec![0u64; 100])
+            vec![0u64; 100]
         } else {
-            None
+            vec![]
         };
-        c.broadcast(0, v).len()
+        c.allgatherv(v).len()
     });
     assert_eq!(report.results, vec![100, 100]);
     assert_eq!(
         report.stats[0].total.collective_bytes, 800,
-        "root must meter 100 * 8 payload bytes"
+        "the sender must meter 100 * 8 payload bytes"
     );
     assert_eq!(
         report.stats[1].total.collective_bytes, 0,
-        "non-roots contribute nothing"
+        "an empty contribution costs nothing"
     );
+    assert_eq!(report.stats[1].total.collective_bytes_recv, 800);
 }

@@ -84,19 +84,6 @@ fn alltoallv_is_a_transpose() {
 }
 
 #[test]
-fn broadcast_reaches_everyone() {
-    for (case, mut rng) in cases() {
-        let p = rng.gen_range(1..6);
-        let (root, payload) = (rng.gen_range(0..p), rng.gen_range(0..u64::MAX));
-        let report =
-            World::new(p).run(|c| c.broadcast(root, (c.rank() == root).then_some(payload)));
-        for got in report.results {
-            assert_eq!(got, payload, "case {case}: root {root} of {p}");
-        }
-    }
-}
-
-#[test]
 fn interleaved_p2p_and_collectives_agree() {
     for (case, mut rng) in cases() {
         let (p, rounds) = (rng.gen_range(2..6), rng.gen_range(1..8u64));
