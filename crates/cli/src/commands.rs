@@ -675,14 +675,16 @@ mod tests {
     #[test]
     fn bad_inputs_are_readable_errors_on_every_reading_command() {
         // The corpus CI's `bad-input` step feeds the built binary: one good
-        // edge, then a line 2 the reader must refuse.
+        // edge, then a line 2 the reader must refuse; or lines whose folded
+        // weights the map equation cannot price.
         let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/bad_inputs");
         let mut seen = 0;
         for entry in std::fs::read_dir(corpus).expect("tests/bad_inputs") {
             let path = entry.unwrap().path().to_string_lossy().into_owned();
-            let bad_bytes = path.ends_with("invalid_utf8.txt");
-            let want = if bad_bytes {
+            let want = if path.ends_with("invalid_utf8.txt") {
                 "io error"
+            } else if path.contains("/unpriceable_") {
+                "weights the map equation cannot price"
             } else {
                 "parse error on line 2"
             };
@@ -696,7 +698,7 @@ mod tests {
             }
             seen += 1;
         }
-        assert!(seen >= 7, "{seen} files under {corpus}");
+        assert!(seen >= 11, "{seen} files under {corpus}");
     }
 
     #[test]

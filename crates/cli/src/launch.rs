@@ -52,7 +52,8 @@ use infomap_distributed::{
     SnapshotStore,
 };
 use infomap_graph::snapshot::{
-    read_header, shard_path, write_shards, PageCacheConfig, SnapshotStore as GraphSnapshotStore,
+    read_header, shard_path, write_edge_shards, PageCacheConfig,
+    SnapshotStore as GraphSnapshotStore,
 };
 use infomap_graph::{io, GraphStore};
 use infomap_mpisim::{Comm, CostModel, TransportFault};
@@ -245,9 +246,12 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
 
     let started = Instant::now();
     // Shard preparation is itself collective (degrees, rebalance, ghost
-    // discovery), so it runs inside the fault boundary.
+    // discovery), so it runs inside the fault boundary. It takes the shard
+    // and closes it before the state is assembled: the rounds and
+    // `write_result` never read it.
+    let header = *graph.header();
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let program = RankProgram::prepare_shard(cfg, graph.header(), &graph, &mut comm);
+        let program = RankProgram::prepare_shard(cfg, &header, graph, &mut comm);
         let done = program.run_rank(&mut comm, store);
         (program, done)
     }));
@@ -446,16 +450,21 @@ fn resolve_source(o: &LaunchOpts, dir: &Path) -> Result<LaunchSource, String> {
     let shard_dir = match &o.graph_shard_dir {
         Some(d) => PathBuf::from(d),
         None => {
-            // The one parse of the launch. Shards left in a reused `--dir`
-            // are never trusted: every rank's file is rewritten.
+            // The one parse of the launch, into the sorted edge list the
+            // shards are cut from; no `Graph` is built. Shards left in a
+            // reused `--dir` are never trusted: every rank's file is
+            // rewritten.
             let begun = Instant::now();
-            let loaded = io::read_edge_list_file(&o.path)
-                .map_err(|e| format!("cannot read {}: {e}", o.path))?;
+            let loaded =
+                io::read_edges_file(&o.path).map_err(|e| format!("cannot read {}: {e}", o.path))?;
             source.parse = begun.elapsed();
             let begun = Instant::now();
             let shard_dir = dir.join("shards");
-            let written = write_shards(&loaded.graph, o.procs, &shard_dir)
-                .map_err(|e| format!("cannot write shards under {}: {e}", shard_dir.display()))?;
+            let written =
+                write_edge_shards(loaded.num_vertices, &loaded.edges, o.procs, &shard_dir)
+                    .map_err(|e| {
+                        format!("cannot write shards under {}: {e}", shard_dir.display())
+                    })?;
             source.shard_write = begun.elapsed();
             source.shard_bytes = written
                 .iter()
@@ -950,7 +959,7 @@ mod tests {
     fn one_level_of_shards_folds_in_global_vertex_order() {
         let (g, _) = infomap_graph::generators::ring_of_cliques(5, 7, 3);
         let dir = std::env::temp_dir().join(format!("dinf-launch-fold-{}", std::process::id()));
-        write_shards(&g, 3, &dir).unwrap();
+        infomap_graph::snapshot::write_shards(&g, 3, &dir).unwrap();
         let (one_level, n) = one_level_of_shards(&dir, 3).unwrap();
         let whole = node_term((0..n as u32).map(|v| g.strength(v)), g.total_weight());
         assert_eq!(n, g.num_vertices());

@@ -10,7 +10,9 @@ use infomap_core::{plogp, StampedSlotMap};
 use infomap_graph::snapshot::{SnapshotHeader, SnapshotKind};
 use infomap_graph::{GraphStore, VertexId};
 use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World};
-use infomap_partition::{delegates_from_degrees, owner, plan_rebalance, shard_rank_arcs, Arc};
+use infomap_partition::{
+    delegates_from_degrees, movable_len, owner, plan_rebalance, shard_rank_arcs, Arc,
+};
 
 use crate::checkpoint::{CheckpointStore, RankSnapshot, RunId, SnapshotStore};
 use crate::codec;
@@ -18,7 +20,7 @@ use crate::config::DistributedConfig;
 use crate::idhash::IdBuild;
 use crate::messages::{MergedArc, MergedFlow};
 use crate::rounds::{cluster_stage, StageOutcome, StageStop};
-use crate::state::{assemble, build_1d_state, LocalState};
+use crate::state::{assemble, build_1d_state, LocalState, VertexRuns};
 
 /// Trace entry for one clustering stage at one merge level.
 #[derive(Clone, Debug, PartialEq)]
@@ -253,18 +255,21 @@ fn in_vertex_order<T: Copy + Default>(gathered: &[T], n: usize, p: usize) -> Vec
 }
 
 /// The state half of [`RankProgram::prepare_rank`], on the calling rank's
-/// delegate-partition `arcs`; `store` is asked only about the rank's rows.
+/// delegate-partition `arcs`; `store` is asked only about the rank's rows,
+/// and dropped once their strengths are read.
 ///
-/// 4. **Ghosts** — alltoallv the foreign low-degree endpoints the arcs
-///    touch (the rank's ghost run, cut by owner) to their owners, which
-///    group what they receive into subscriber lists.
+/// 4. **Ghosts** — one pass over the arc endpoints notes each vertex once:
+///    the delegates the arcs touch, and the foreign low-degree vertices
+///    (the rank's ghost run, cut by owner). The runs go to their owners
+///    with one alltoallv, and the owners group what they receive into
+///    subscriber lists.
 /// 5. **Flows** — allgatherv the owned strengths and fold the MDL node
 ///    term in global vertex order.
 ///
 /// Then `assemble`. Returns the state and the node term.
-pub(crate) fn stage1_state<G: GraphStore + ?Sized>(
+pub(crate) fn stage1_state<G: GraphStore>(
     comm: &mut Comm,
-    store: &G,
+    store: G,
     arcs: &[Arc],
     delegates: &[u32],
     is_delegate: &[bool],
@@ -275,18 +280,27 @@ pub(crate) fn stage1_state<G: GraphStore + ?Sized>(
         .filter(|&v| !is_delegate[v])
         .map(|v| v as u32)
         .collect();
+    let mut noted = vec![false; n];
+    let mut touched: Vec<u32> = Vec::new();
     let mut observed: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for a in arcs {
-        for v in [a.src, a.dst] {
-            if !is_delegate[v as usize] && owner(v, p) != rank {
-                observed[owner(v, p)].push(v);
-            }
+    for v in arcs.iter().flat_map(|a| [a.src, a.dst]) {
+        if std::mem::replace(&mut noted[v as usize], true) {
+            continue;
+        }
+        match (is_delegate[v as usize], owner(v, p)) {
+            (true, _) => touched.push(v),
+            (false, r) if r != rank => observed[r].push(v),
+            _ => {}
         }
     }
+    drop(noted);
+    touched.sort_unstable();
     for run in &mut observed {
         run.sort_unstable();
-        run.dedup();
     }
+    // The ghost run is the union of the owner-keyed runs.
+    let mut ghosts = observed.concat();
+    ghosts.sort_unstable();
     let notified = comm.alltoallv(observed);
     let seen_by: Vec<(u32, usize)> = (notified.into_iter().enumerate())
         .flat_map(|(r, run)| run.into_iter().map(move |v| (v, r)))
@@ -296,13 +310,19 @@ pub(crate) fn stage1_state<G: GraphStore + ?Sized>(
         .step_by(p)
         .map(|v| store.strength(v as VertexId))
         .collect();
-    let strengths = in_vertex_order(&comm.allgatherv(my_strengths), n, p);
     let total_weight = store.total_weight();
+    drop(store);
+    let strengths = in_vertex_order(&comm.allgatherv(my_strengths), n, p);
     let inv_two_w = 1.0 / (2.0 * total_weight);
     let node_term = node_term(strengths.iter().copied(), total_weight);
 
     let flow = |v: u32| strengths[v as usize] * inv_two_w;
-    let mut st = assemble(rank, p, arcs, delegates, &owned, &flow, inv_two_w);
+    let runs = VertexRuns {
+        owned,
+        delegates: touched,
+        ghosts,
+    };
+    let mut st = assemble(rank, p, arcs, delegates, runs, &flow, inv_two_w);
     st.set_subscribers(seen_by);
     (st, node_term)
 }
@@ -362,10 +382,12 @@ impl RankProgram {
 
     /// Shard-mode preparation: [`RankProgram::prepare_rank`] over the
     /// calling rank's snapshot shard, after checking it is that rank's.
-    pub fn prepare_shard<G: GraphStore + ?Sized>(
+    /// Given the store itself rather than a reference, it closes the
+    /// shard once the last row is read, before the state is assembled.
+    pub fn prepare_shard<G: GraphStore>(
         cfg: DistributedConfig,
         header: &SnapshotHeader,
-        store: &G,
+        store: G,
         comm: &mut Comm,
     ) -> RankProgram {
         let (p, rank) = (cfg.nranks, comm.rank());
@@ -399,10 +421,11 @@ impl RankProgram {
     ///
     /// The store is asked only about this rank's rows, so a demand-paged
     /// shard never touches remote data; an in-memory `Graph` answers for
-    /// any rank.
-    pub fn prepare_rank<G: GraphStore + ?Sized>(
+    /// any rank. A store passed by value is dropped in step 5, once the
+    /// last row is read.
+    pub fn prepare_rank<G: GraphStore>(
         cfg: DistributedConfig,
-        store: &G,
+        store: G,
         comm: &mut Comm,
     ) -> RankProgram {
         let (p, rank, n) = (cfg.nranks, comm.rank(), store.num_vertices());
@@ -415,9 +438,11 @@ impl RankProgram {
             let (delegates, is_delegate) = delegates_from_degrees(&degrees, p, cfg.threshold);
             drop(degrees);
 
-            let (mut arcs, mut movable) = shard_rank_arcs(store, rank, p, &is_delegate);
+            let (mut arcs, mut movable) =
+                shard_rank_arcs(&store, rank, p, &delegates, &is_delegate);
             if cfg.rebalance {
-                let summaries = c.allgatherv(vec![(arcs.len() as u64, movable.len() as u64)]);
+                let movable_len = movable_len(&movable) as u64;
+                let summaries = c.allgatherv(vec![(arcs.len() as u64, movable_len)]);
                 let loads: Vec<usize> = summaries.iter().map(|&(l, _)| l as usize).collect();
                 let counts: Vec<usize> = summaries.iter().map(|&(_, m)| m as usize).collect();
                 let ship: Vec<Vec<(u32, u32, f64)>> = plan_rebalance(&loads, &counts, p)
@@ -425,7 +450,9 @@ impl RankProgram {
                     .into_iter()
                     .map(|bucket| bucket.iter().map(|a| (a.src, a.dst, a.weight)).collect())
                     .collect();
-                for (src, dst, weight) in c.alltoallv(ship).into_iter().flatten() {
+                let received = c.alltoallv(ship);
+                arcs.reserve_exact(received.iter().map(Vec::len).sum());
+                for (src, dst, weight) in received.into_iter().flatten() {
                     arcs.push(Arc { src, dst, weight });
                 }
             }

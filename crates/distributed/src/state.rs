@@ -476,12 +476,40 @@ impl LocalState {
     }
 }
 
+/// A rank's local vertices, in the three runs of [`assemble`]'s order
+/// contract, each ascending.
+pub struct VertexRuns {
+    /// The vertices this rank owns outright, disjoint from the delegates.
+    pub owned: Vec<u32>,
+    /// The delegates the arcs touch.
+    pub delegates: Vec<u32>,
+    /// Every other arc endpoint: the ghosts.
+    pub ghosts: Vec<u32>,
+}
+
+/// The slot of each arc's source, looked up once per run of equal
+/// sources (arc lists come grouped by source).
+fn source_slots<'a>(
+    arcs: &'a [Arc],
+    slot: &'a HashMap<u32, u32, IdBuild>,
+) -> impl Iterator<Item = u32> + 'a {
+    let mut last = None;
+    arcs.iter().map(move |a| match last {
+        Some((src, s)) if src == a.src => s,
+        _ => {
+            let s = slot[&a.src];
+            last = Some((a.src, s));
+            s
+        }
+    })
+}
+
 /// Assemble a [`LocalState`] from the arcs a rank was assigned.
 ///
 /// * `delegates` — the vertices replicated everywhere, ascending (empty in
 ///   stage 2);
-/// * `owned` — the vertices this rank owns outright, ascending and
-///   disjoint from `delegates`;
+/// * `runs` — the rank's vertices: `owned`, disjoint from `delegates`,
+///   then the delegates and the ghosts the arcs touch;
 /// * `full_flow(v)` — the full visit rate of an owned vertex.
 ///
 /// Every arc's source is an owned vertex or a delegate (the partitions
@@ -500,38 +528,27 @@ pub fn assemble(
     nranks: usize,
     arcs: &[Arc],
     delegates: &[u32],
-    owned: &[u32],
+    runs: VertexRuns,
     full_flow: &dyn Fn(u32) -> f64,
     inv_two_w: f64,
 ) -> LocalState {
     let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
-    assert!(ascending(owned) && ascending(delegates), "id lists ascend");
-    // The three runs, by one merge walk of the sorted endpoints against
-    // the two sorted id lists.
-    let mut seen: Vec<u32> = arcs.iter().flat_map(|a| [a.src, a.dst]).collect();
-    seen.sort_unstable();
-    seen.dedup();
-    let mut verts = owned.to_vec();
-    let mut ghosts: Vec<u32> = Vec::new();
-    let (mut oi, mut di) = (0, 0);
-    for &v in &seen {
-        while oi < owned.len() && owned[oi] < v {
-            oi += 1;
-        }
-        while di < delegates.len() && delegates[di] < v {
-            di += 1;
-        }
-        if delegates.get(di) == Some(&v) {
-            debug_assert_ne!(owned.get(oi), Some(&v), "vertex {v} owned and replicated");
-            verts.push(v);
-        } else if owned.get(oi) != Some(&v) {
-            ghosts.push(v);
-        }
+    let VertexRuns {
+        owned,
+        delegates: touched,
+        ghosts,
+    } = runs;
+    assert!(
+        [&owned, delegates, &touched, &ghosts]
+            .iter()
+            .all(|ids| ascending(ids)),
+        "id lists ascend"
+    );
+    let (delegates_from, ghosts_from) = (owned.len(), owned.len() + touched.len());
+    let mut verts = Vec::with_capacity(ghosts_from + ghosts.len());
+    for run in [owned, touched, ghosts] {
+        verts.extend(run);
     }
-    drop(seen);
-    let (delegates_from, ghosts_from) = (owned.len(), verts.len());
-    verts.append(&mut ghosts);
-    verts.shrink_to_fit();
     let n = verts.len();
     let fits = n < u32::MAX as usize && arcs.len() <= u32::MAX as usize;
     assert!(
@@ -543,21 +560,16 @@ pub fn assemble(
 
     // Singleton initialization: every vertex its own module, interned at
     // slot == local index, so while the state is built the module id →
-    // slot table is also the global → local index. Every endpoint is
-    // translated through it here, once; degrees, the CSR fill and the
-    // flows below read the local pairs.
+    // slot table is also the global → local index. The degrees and the
+    // CSR fill below translate every endpoint through it as they read it.
     let module_ids = verts.clone();
     let module_slot: HashMap<u32, u32, IdBuild> = module_ids
         .iter()
         .enumerate()
         .map(|(s, &gid)| (gid, s as u32))
         .collect();
-    let ends: Vec<(u32, u32)> = arcs
-        .iter()
-        .map(|a| (module_slot[&a.src], module_slot[&a.dst]))
-        .collect();
     let mut adj_off = vec![0u32; n + 1];
-    for &(s, _) in &ends {
+    for s in source_slots(arcs, &module_slot) {
         adj_off[s as usize + 1] += 1;
     }
     for li in 0..n {
@@ -568,14 +580,15 @@ pub fn assemble(
     // local share: Σ w/2W over local non-self arcs + 2·w/2W for local
     // self-arcs, so shares sum to the full p_v across ranks.
     let mut node_flow: Vec<f64> = Vec::with_capacity(ghosts_from);
-    node_flow.extend(owned.iter().map(|&v| full_flow(v)));
+    node_flow.extend(verts[..delegates_from].iter().map(|&v| full_flow(v)));
     node_flow.resize(ghosts_from, 0.0);
     let mut out_flow = vec![0.0; ghosts_from];
     let mut cursor = adj_off[..n].to_vec();
     let mut adj_tgt = vec![0u32; arcs.len()];
     let mut adj_w = vec![0.0; arcs.len()];
-    for (a, &(s, t)) in arcs.iter().zip(&ends) {
+    for (a, s) in arcs.iter().zip(source_slots(arcs, &module_slot)) {
         assert!(s < gfrom, "arc {}→{} has a ghost source", a.src, a.dst);
+        let t = module_slot[&a.dst];
         let s = s as usize;
         let at = cursor[s] as usize;
         adj_tgt[at] = t;
@@ -616,7 +629,7 @@ pub fn assemble(
 
     // One owner-table entry per `id / p`, up to the largest module id this
     // rank owns: an owned vertex's or a delegate's.
-    let owner_len = (owned.iter().chain(delegates))
+    let owner_len = (verts[..delegates_from].iter().chain(delegates))
         .filter(|&&v| owner(v, nranks) == rank)
         .map(|&v| v as usize / nranks + 1)
         .max()
@@ -692,6 +705,12 @@ pub fn build_1d_state(
         .collect();
     owned.sort_unstable();
     owned.dedup();
+    // Every endpoint that is not owned is a ghost.
+    let mut ghosts: Vec<u32> = (arcs.iter().flat_map(|a| [a.src, a.dst]))
+        .filter(|v| owned.binary_search(v).is_err())
+        .collect();
+    ghosts.sort_unstable();
+    ghosts.dedup();
     // For owned vertex v, every rank owning one of v's neighbors holds v
     // as a ghost.
     let seen_by: Vec<(u32, usize)> = arcs
@@ -703,7 +722,12 @@ pub fn build_1d_state(
         let at = flows.binary_search_by_key(&v, |f| f.0);
         at.map_or(0.0, |i| flows[i].1)
     };
-    let mut st = assemble(rank, nranks, arcs, &[], &owned, &flow_of, inv_two_w);
+    let runs = VertexRuns {
+        owned,
+        delegates: Vec::new(),
+        ghosts,
+    };
+    let mut st = assemble(rank, nranks, arcs, &[], runs, &flow_of, inv_two_w);
     st.set_subscribers(seen_by);
     st
 }

@@ -107,6 +107,21 @@ impl Graph {
         })
     }
 
+    /// [`Graph::edges`] as one list: the sorted list the graph was laid
+    /// out from. A row's targets ascend, so its edges `(u, v)`, `u <= v`,
+    /// are the row's tail.
+    pub(crate) fn edge_list(&self) -> Vec<(VertexId, VertexId, f64)> {
+        let mut edges = Vec::with_capacity(self.num_edges);
+        for u in 0..self.num_vertices() {
+            let row = self.offsets[u]..self.offsets[u + 1];
+            let (targets, weights) = (&self.targets[row.clone()], &self.weights[row]);
+            let tail = targets.partition_point(|&v| (v as usize) < u);
+            let arcs = targets[tail..].iter().zip(&weights[tail..]);
+            edges.extend(arcs.map(|(&v, &w)| (u as VertexId, v, w)));
+        }
+        edges
+    }
+
     /// Vertex ids sorted by decreasing degree (hubs first).
     pub fn by_degree_desc(&self) -> Vec<VertexId> {
         let mut ids: Vec<VertexId> = (0..self.num_vertices() as VertexId).collect();
@@ -178,7 +193,9 @@ impl Graph {
     /// sorted by `(u, v)`. Rows come out target-ascending, and `strengths`
     /// and `total_weight` are summed in the given order — the one order
     /// [`GraphBuilder::build`] and the edge-list reader both produce, so
-    /// the two construct the same `Graph` by `==`.
+    /// the two construct the same `Graph` by `==`. The shard cutter
+    /// (`crate::snapshot`) folds the rows and totals of the same list in
+    /// the same order.
     pub(crate) fn from_sorted_edges(n: usize, edges: &[(VertexId, VertexId, f64)]) -> Graph {
         let mut deg = vec![0usize; n];
         for &(u, v, _) in edges {
@@ -196,11 +213,7 @@ impl Graph {
         let mut targets = vec![0 as VertexId; num_arcs];
         let mut weights = vec![0.0; num_arcs];
         let mut cursor = offsets[..n].to_vec();
-        let mut total_weight = 0.0;
-        let mut strengths = vec![0.0; n];
-
         for &(u, v, w) in edges {
-            total_weight += w;
             targets[cursor[u as usize]] = v;
             weights[cursor[u as usize]] = w;
             cursor[u as usize] += 1;
@@ -208,10 +221,6 @@ impl Graph {
                 targets[cursor[v as usize]] = u;
                 weights[cursor[v as usize]] = w;
                 cursor[v as usize] += 1;
-                strengths[u as usize] += w;
-                strengths[v as usize] += w;
-            } else {
-                strengths[u as usize] += 2.0 * w;
             }
         }
 
@@ -220,10 +229,32 @@ impl Graph {
             targets,
             weights,
             num_edges: edges.len(),
-            total_weight,
-            strengths,
+            total_weight: total_weight_of(edges),
+            strengths: strengths_of(n, edges),
         }
     }
+}
+
+/// The strengths of a sorted edge list on `n` vertices: each vertex's
+/// weights summed in list order, a self-loop twice.
+pub(crate) fn strengths_of(n: usize, edges: &[(VertexId, VertexId, f64)]) -> Vec<f64> {
+    let mut strengths = vec![0.0; n];
+    for &(u, v, w) in edges {
+        if u != v {
+            strengths[u as usize] += w;
+            strengths[v as usize] += w;
+        } else {
+            strengths[u as usize] += 2.0 * w;
+        }
+    }
+    strengths
+}
+
+/// `W` of a sorted edge list: its weights summed in list order, the one
+/// fold [`Graph::from_sorted_edges`], the reader's domain check and the
+/// shard cutter share ([`strengths_of`] is the other).
+pub(crate) fn total_weight_of(edges: &[(VertexId, VertexId, f64)]) -> f64 {
+    edges.iter().fold(0.0, |total, e| total + e.2)
 }
 
 /// Incremental builder that merges parallel edges.

@@ -4,13 +4,15 @@
 //! tokens are ignored); `#` or `%` lines are comments (both SNAP and KONECT
 //! conventions). Vertex ids are arbitrary `u64`s on disk and are densely
 //! relabeled on read; the mapping is returned so results can be reported
-//! in original ids. A weight must be finite and non-negative.
+//! in original ids. A weight must be finite and non-negative, and the
+//! folded weights must be ones the map equation can price (see
+//! [`IoError::Unpriceable`]).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{total_weight_of, Graph, VertexId};
 
 /// Errors the readers can produce.
 #[derive(Debug)]
@@ -23,6 +25,11 @@ pub enum IoError {
     /// The file names more distinct vertex ids than a [`VertexId`] can
     /// number.
     TooManyVertices,
+    /// The folded weights leave the map equation's domain (paper §2.2):
+    /// a merged edge weight or the total `W` is not finite, `W` is 0, or
+    /// `1/(2W)` is not a finite, nonzero scale, so the flows `w/(2W)`
+    /// are no probability distribution.
+    Unpriceable(String),
 }
 
 impl std::fmt::Display for IoError {
@@ -33,6 +40,9 @@ impl std::fmt::Display for IoError {
                 write!(f, "parse error on line {line}: {content:?}")
             }
             IoError::TooManyVertices => write!(f, "more than {MAX_VERTICES} distinct vertex ids"),
+            IoError::Unpriceable(why) => {
+                write!(f, "weights the map equation cannot price: {why}")
+            }
         }
     }
 }
@@ -49,6 +59,18 @@ impl From<std::io::Error> for IoError {
 /// by the dense ids used in the graph.
 pub struct LoadedGraph {
     pub graph: Graph,
+    /// `original_ids[dense] = id as written in the file`.
+    pub original_ids: Vec<u64>,
+}
+
+/// An edge list as read, before any CSR is laid out: the distinct
+/// undirected edges `(u, v, w)`, `u <= v` in dense ids, sorted by
+/// `(u, v)`, each weight its repeats summed in file order. It is the list
+/// a [`Graph`] is laid out from, and the one the launcher cuts shards
+/// from ([`crate::snapshot::write_edge_shards`]) without building one.
+pub struct EdgeList {
+    pub num_vertices: usize,
+    pub edges: Vec<(VertexId, VertexId, f64)>,
     /// `original_ids[dense] = id as written in the file`.
     pub original_ids: Vec<u64>,
 }
@@ -114,22 +136,88 @@ fn table_len(max_id: u64, edges: usize) -> Option<usize> {
     (max / 6 < edges).then(|| max + 1)
 }
 
-/// Read a whitespace edge list from any reader.
-///
-/// The file is streamed; the parsed edges are held (24 bytes each) until
-/// the last line is read, then beside their relabeled `(min, max, w)` copy
-/// (16 bytes each: the 40-byte peak), which outlives them to be sorted and
-/// laid out as the CSR. Dense ids go by first appearance in file order and
-/// a repeated edge's weights add in file order, so the `Graph` (and every
-/// downstream trajectory) is the one a [`crate::GraphBuilder`] fed line by
-/// line builds.
+/// Dense ids by first appearance, through a direct table (`table`
+/// non-empty) or std's SipHash map (the ids are input).
+struct Numbering {
+    table: Vec<VertexId>,
+    map: HashMap<u64, VertexId>,
+    original_ids: Vec<u64>,
+    max_vertices: usize,
+}
+
+impl Numbering {
+    fn new(table_len: usize, max_vertices: usize) -> Self {
+        Numbering {
+            table: vec![UNSEEN; table_len],
+            map: HashMap::new(),
+            original_ids: Vec::new(),
+            max_vertices,
+        }
+    }
+
+    fn dense(&mut self, id: u64) -> Result<VertexId, IoError> {
+        let slot = if self.table.is_empty() {
+            self.map.entry(id).or_insert(UNSEEN)
+        } else {
+            &mut self.table[id as usize]
+        };
+        if *slot == UNSEEN {
+            if self.original_ids.len() == self.max_vertices {
+                return Err(IoError::TooManyVertices);
+            }
+            *slot = self.original_ids.len() as VertexId;
+            self.original_ids.push(id);
+        }
+        Ok(*slot)
+    }
+
+    /// The edge `u v` in dense ids, `u` numbered first, oriented
+    /// `(min, max)`.
+    fn edge(&mut self, u: u64, v: u64, w: f64) -> Result<(VertexId, VertexId, f64), IoError> {
+        let (u, v) = (self.dense(u)?, self.dense(v)?);
+        Ok((u.min(v), u.max(v), w))
+    }
+
+    /// Number the raw ids of `edges` in place, in list order.
+    fn number(&mut self, edges: &mut [(VertexId, VertexId, f64)]) -> Result<(), IoError> {
+        for e in edges {
+            *e = self.edge(u64::from(e.0), u64::from(e.1), e.2)?;
+        }
+        Ok(())
+    }
+}
+
+/// Read a whitespace edge list from any reader into a [`Graph`]: the
+/// [`read_edges`] list, laid out as the CSR. Dense ids go by first
+/// appearance in file order and a repeated edge's weights add in file
+/// order, so the `Graph` (and every downstream trajectory) is the one a
+/// [`crate::GraphBuilder`] fed line by line builds.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, IoError> {
+    let list = read_edges(reader)?;
+    Ok(LoadedGraph {
+        graph: Graph::from_sorted_edges(list.num_vertices, &list.edges),
+        original_ids: list.original_ids,
+    })
+}
+
+/// Read a whitespace edge list from any reader into its sorted, folded
+/// [`EdgeList`], 16 bytes per edge line.
+///
+/// The file is streamed into that one list. While every id fits a `u32`
+/// the list holds the raw ids, and at the end of input they are numbered
+/// in place through the table or the map [`table_len`] picks; from the
+/// first wider id on, every line is numbered as it is read, through the
+/// map. The list is then sorted in place (24 bytes per edge at the peak,
+/// [`sort_and_fold`]), its repeats folded, and the folded weights checked
+/// against the map equation's domain ([`IoError::Unpriceable`]).
+pub fn read_edges<R: Read>(reader: R) -> Result<EdgeList, IoError> {
     read_edge_list_capped(reader, MAX_VERTICES)
 }
 
-fn read_edge_list_capped<R: Read>(reader: R, max_vertices: usize) -> Result<LoadedGraph, IoError> {
+fn read_edge_list_capped<R: Read>(reader: R, max_vertices: usize) -> Result<EdgeList, IoError> {
     let mut reader = BufReader::with_capacity(1 << 16, reader);
-    let mut parsed: Vec<(u64, u64, f64)> = Vec::new();
+    let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
+    let (mut max_id, mut mapped) = (0u64, None::<Numbering>);
     let mut line = Vec::new();
     let mut line_no = 0usize;
     loop {
@@ -138,64 +226,104 @@ fn read_edge_list_capped<R: Read>(reader: R, max_vertices: usize) -> Result<Load
         if reader.read_until(b'\n', &mut line)? == 0 {
             break;
         }
-        match parse_plain(&line) {
-            Some(edge) => parsed.push(edge),
-            None => parsed.extend(parse_general(&line, line_no)?),
-        }
-    }
-
-    // Relabel in file order, `u` before `v`; orient every edge (min, max).
-    // The ids are input, so without the table the map is std's SipHash one.
-    let max_id = parsed.iter().map(|e| e.0.max(e.1)).max().unwrap_or(0);
-    let mut table = vec![UNSEEN; table_len(max_id, parsed.len()).unwrap_or(0)];
-    let mut map: HashMap<u64, VertexId> = HashMap::new();
-    let mut original_ids: Vec<u64> = Vec::new();
-    let mut dense = |id: u64| -> Result<VertexId, IoError> {
-        let slot = if table.is_empty() {
-            map.entry(id).or_insert(UNSEEN)
-        } else {
-            &mut table[id as usize]
+        let parsed = match parse_plain(&line) {
+            Some(edge) => Some(edge),
+            None => parse_general(&line, line_no)?,
         };
-        if *slot == UNSEEN {
-            if original_ids.len() == max_vertices {
-                return Err(IoError::TooManyVertices);
-            }
-            *slot = original_ids.len() as VertexId;
-            original_ids.push(id);
-        }
-        Ok(*slot)
-    };
-    let mut oriented: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(parsed.len());
-    for &(u, v, w) in &parsed {
-        let (u, v) = (dense(u)?, dense(v)?);
+        let Some((u, v, w)) = parsed else {
+            continue;
+        };
         // `0.0 + w`: where a `GraphBuilder` entry starts (-0.0 becomes 0.0).
-        oriented.push((u.min(v), u.max(v), 0.0 + w));
+        let w = 0.0 + w;
+        if mapped.is_none() && u.max(v) > u64::from(VertexId::MAX) {
+            let mut ids = Numbering::new(0, max_vertices);
+            ids.number(&mut edges)?;
+            mapped = Some(ids);
+        }
+        match &mut mapped {
+            Some(ids) => edges.push(ids.edge(u, v, w)?),
+            None => {
+                max_id = max_id.max(u).max(v);
+                edges.push((u as VertexId, v as VertexId, w));
+            }
+        }
     }
-    drop((parsed, table, map));
+    edges.shrink_to_fit();
+    let ids = match mapped {
+        Some(ids) => ids,
+        None => {
+            let table = table_len(max_id, edges.len()).unwrap_or(0);
+            let mut ids = Numbering::new(table, max_vertices);
+            ids.number(&mut edges)?;
+            ids
+        }
+    };
+    let Numbering { original_ids, .. } = ids;
+    if edges.len() >= u32::MAX as usize {
+        let more = format!("more than {} edges", u32::MAX - 1);
+        return Err(std::io::Error::new(ErrorKind::InvalidData, more).into());
+    }
+    sort_and_fold(&mut edges, original_ids.len());
+    check_domain(&edges, &original_ids)?;
+    Ok(EdgeList {
+        num_vertices: original_ids.len(),
+        edges,
+        original_ids,
+    })
+}
 
-    // Stable counting sort on the smaller endpoint, then a stable sort of
-    // each row on the other: repeats of an edge end up adjacent, in file
-    // order, and fold in that order.
-    let n = original_ids.len();
-    let mut next = vec![0usize; n + 1];
-    for e in &oriented {
-        next[e.0 as usize + 1] += 1;
+/// One stable counting-sort pass: the positions `from` yields, ordered by
+/// `key` (< `n`), ties in `from`'s order.
+fn counting_pass(
+    from: impl ExactSizeIterator<Item = u32> + Clone,
+    key: impl Fn(u32) -> VertexId,
+    n: usize,
+) -> Vec<u32> {
+    let mut next = vec![0u32; n + 1];
+    for i in from.clone() {
+        next[key(i) as usize + 1] += 1;
     }
-    for row in 0..n {
-        next[row + 1] += next[row];
+    for k in 0..n {
+        next[k + 1] += next[k];
     }
-    let mut edges = vec![(0, 0, 0.0); oriented.len()];
-    for &e in &oriented {
-        edges[next[e.0 as usize]] = e;
-        next[e.0 as usize] += 1;
+    let mut order = vec![0u32; from.len()];
+    for i in from {
+        let k = key(i) as usize;
+        order[next[k] as usize] = i;
+        next[k] += 1;
     }
-    drop(oriented);
-    // The scatter advanced every row's start to its end.
-    let mut start = 0;
-    for &end in &next[..n] {
-        edges[start..end].sort_by_key(|e| e.1);
-        start = end;
+    order
+}
+
+/// Sort `edges` (fewer than `u32::MAX`, ids below `n`) by `(u, v)` in
+/// place, stably, then fold every run of repeats into its first entry, in
+/// file order. Two counting passes over `u32` positions, on `v` and then
+/// on `u`, give the order, which is applied along its cycles: 24 bytes per
+/// edge at the peak, where a merge sort's buffer would double the list.
+fn sort_and_fold(edges: &mut Vec<(VertexId, VertexId, f64)>, n: usize) {
+    const DONE: u32 = u32::MAX;
+    let by_v = counting_pass(0..edges.len() as u32, |i| edges[i as usize].1, n);
+    let mut order = counting_pass(by_v.iter().copied(), |i| edges[i as usize].0, n);
+    drop(by_v);
+    // `edges[j] = old edges[order[j]]`, each cycle once.
+    for start in 0..edges.len() {
+        if order[start] == DONE {
+            continue;
+        }
+        let held = edges[start];
+        let mut at = start;
+        loop {
+            let from = order[at] as usize;
+            order[at] = DONE;
+            if from == start {
+                edges[at] = held;
+                break;
+            }
+            edges[at] = edges[from];
+            at = from;
+        }
     }
+    drop(order);
     edges.dedup_by(|repeat, kept| {
         let same = (repeat.0, repeat.1) == (kept.0, kept.1);
         if same {
@@ -203,15 +331,43 @@ fn read_edge_list_capped<R: Read>(reader: R, max_vertices: usize) -> Result<Load
         }
         same
     });
-    Ok(LoadedGraph {
-        graph: Graph::from_sorted_edges(n, &edges),
-        original_ids,
-    })
+    edges.shrink_to_fit();
+}
+
+/// The map equation's domain, on the folded list: every weight finite,
+/// `W` finite and > 0, and `1/(2W)` finite and nonzero, so every flow
+/// `w/(2W)` is finite and the flows sum to 1.
+fn check_domain(edges: &[(VertexId, VertexId, f64)], ids: &[u64]) -> Result<(), IoError> {
+    let refuse = |why: String| Err(IoError::Unpriceable(why));
+    if let Some(&(u, v, _)) = edges.iter().find(|e| !e.2.is_finite()) {
+        let (u, v) = (ids[u as usize], ids[v as usize]);
+        return refuse(format!(
+            "the weights of edge {u} {v} sum past the largest float"
+        ));
+    }
+    let total = total_weight_of(edges);
+    let scale = 1.0 / (2.0 * total);
+    if !total.is_finite() {
+        refuse("the total weight W sums past the largest float".into())
+    } else if total == 0.0 {
+        refuse("the total weight W is 0".into())
+    } else if !(scale.is_finite() && scale > 0.0) {
+        refuse(format!(
+            "1/(2W) is no finite, nonzero float (W = {total:e})"
+        ))
+    } else {
+        Ok(())
+    }
 }
 
 /// Read an edge list from a file path.
 pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<LoadedGraph, IoError> {
     read_edge_list(std::fs::File::open(path)?)
+}
+
+/// Read an edge list from a file path into its [`EdgeList`].
+pub fn read_edges_file<P: AsRef<Path>>(path: P) -> Result<EdgeList, IoError> {
+    read_edges(std::fs::File::open(path)?)
 }
 
 /// Write a graph as a whitespace edge list (each undirected edge once).
@@ -241,15 +397,24 @@ pub fn write_edge_list_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::csr::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Why the oracle refuses a text.
+    #[derive(Debug)]
+    pub(crate) enum Refused {
+        /// The malformed line's number.
+        Line(usize),
+        /// The folded weights leave the map equation's domain.
+        Domain,
+    }
+
     /// The reader's specification: the line loop it replaced, feeding a
-    /// [`GraphBuilder`]. `Err` is the malformed line's number.
-    fn oracle(text: &[u8]) -> Result<LoadedGraph, usize> {
+    /// [`GraphBuilder`], then the domain rule on the graph it built.
+    pub(crate) fn oracle(text: &[u8]) -> Result<LoadedGraph, Refused> {
         let mut remap: HashMap<u64, VertexId> = HashMap::new();
         let mut original_ids: Vec<u64> = Vec::new();
         let mut builder = GraphBuilder::new(0);
@@ -259,10 +424,13 @@ mod tests {
                 continue;
             }
             let mut parts = line.split_whitespace();
-            let mut id = || parts.next().and_then(|t| t.parse().ok()).ok_or(i + 1);
-            let (u, v): (u64, u64) = (id()?, id()?);
+            let bad = Refused::Line(i + 1);
+            let mut id = || parts.next().and_then(|t| t.parse().ok());
+            let (Some(u), Some(v)): (Option<u64>, Option<u64>) = (id(), id()) else {
+                return Err(bad);
+            };
             let w = parts.next().map_or(Ok(1.0), str::parse::<f64>);
-            let w = w.ok().filter(|w| *w >= 0.0 && w.is_finite()).ok_or(i + 1)?;
+            let w = w.ok().filter(|w| *w >= 0.0 && w.is_finite()).ok_or(bad)?;
             let mut dense = |id: u64| {
                 *remap.entry(id).or_insert_with(|| {
                     original_ids.push(id);
@@ -273,8 +441,19 @@ mod tests {
             builder.ensure_vertices(original_ids.len());
             builder.add_edge(u, v, w);
         }
+        let graph = builder.build();
+        let total = graph.total_weight();
+        let scale = 1.0 / (2.0 * total);
+        let priced = graph.edges().all(|e| e.2.is_finite())
+            && total.is_finite()
+            && total > 0.0
+            && scale.is_finite()
+            && scale > 0.0;
+        if !priced {
+            return Err(Refused::Domain);
+        }
         Ok(LoadedGraph {
-            graph: builder.build(),
+            graph,
             original_ids,
         })
     }
@@ -351,7 +530,7 @@ mod tests {
     #[test]
     fn reader_matches_the_line_loop_over_a_graph_builder() {
         let mut rng = StdRng::seed_from_u64(24);
-        let (mut tables, mut maps, mut rejected) = (0, 0, 0);
+        let (mut tables, mut maps, mut rejected, mut unpriced) = (0, 0, 0, 0);
         for case in 0..400 {
             let (text, edge_lines, max_id) = messy_edge_list(&mut rng);
             match (read_edge_list(text.as_bytes()), oracle(text.as_bytes())) {
@@ -366,10 +545,11 @@ mod tests {
                         None => maps += 1,
                     }
                 }
-                (Err(IoError::Parse { line, .. }), Err(want)) => {
+                (Err(IoError::Parse { line, .. }), Err(Refused::Line(want))) => {
                     assert_eq!(line, want, "case {case}: {text:?}");
                     rejected += 1;
                 }
+                (Err(IoError::Unpriceable(_)), Err(Refused::Domain)) => unpriced += 1,
                 (got, want) => panic!(
                     "case {case}: reader {:?}, oracle {:?} on {text:?}",
                     got.map(|l| l.original_ids),
@@ -378,8 +558,8 @@ mod tests {
             }
         }
         assert!(
-            tables >= 50 && maps >= 50 && rejected >= 50,
-            "{tables} {maps} {rejected}"
+            tables >= 50 && maps >= 50 && rejected >= 50 && unpriced >= 1,
+            "{tables} {maps} {rejected} {unpriced}"
         );
     }
 
@@ -399,6 +579,31 @@ mod tests {
                 Err(IoError::Io(e)) => assert_eq!(e.kind(), ErrorKind::InvalidData),
                 other => panic!("{bad:?}: {:?}", other.err()),
             }
+        }
+    }
+
+    #[test]
+    fn weights_the_map_equation_cannot_price_are_a_named_error() {
+        for (text, why) in [
+            ("0 1 1e308\n1 0 1e308\n", "edge 0 1 sum past"),
+            ("0 1 1e308\n2 3 1e308\n1 2 1\n", "W sums past"),
+            ("0 1 0\n1 2 0\n2 0 0\n", "W is 0"),
+            ("# nothing but a comment\n", "W is 0"),
+            ("0 1 1e-320\n1 2 1e-320\n2 0 1e-320\n", "1/(2W)"),
+            ("0 1 1e308\n", "1/(2W)"),
+        ] {
+            match read_edge_list(text.as_bytes()) {
+                Err(e @ IoError::Unpriceable(_)) => {
+                    let message = e.to_string();
+                    assert!(message.starts_with("weights the map equation cannot price"));
+                    assert!(message.contains(why), "{text:?}: {message}");
+                }
+                other => panic!("{text:?}: {:?}", other.map(|l| l.original_ids)),
+            }
+        }
+        // The largest and the smallest totals it can price.
+        for text in ["0 1 4e307\n1 2 4e307\n", "0 1 1e-307\n"] {
+            assert!(read_edge_list(text.as_bytes()).is_ok(), "{text:?}");
         }
     }
 

@@ -36,6 +36,13 @@
 //! over scalar summaries (degrees, strengths) — it never needs the global
 //! graph in memory.
 //!
+//! One cutter writes every shard and full snapshot of an edge set:
+//! [`write_edge_shards`] over a sorted, folded edge list (the launcher's,
+//! straight from [`crate::io::read_edges`], with no [`Graph`] built), and
+//! [`write_shards`] / [`write_snapshot`] over [`Graph::edges`]. The same
+//! list gives the same bytes either way. [`ShardSink`] streams a
+//! generator's edges through spill files instead.
+//!
 //! [`SnapshotStore`] is the one reader: `open` verifies the whole file in
 //! one streaming pass, and reads are served from a cache of file blocks —
 //! no mmap, so `#![forbid(unsafe_code)]` stays intact. The cache has two
@@ -51,7 +58,7 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{strengths_of, total_weight_of, Graph, VertexId};
 use crate::store::GraphStore;
 
 /// File magic: "DINF" + snapshot discriminator.
@@ -272,30 +279,43 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// `Write` adapter that folds everything written into an FNV-1a hash.
-struct HashingWriter<W: Write> {
-    inner: W,
+/// Buffered file writer that folds everything written into an FNV-1a
+/// hash, a buffer at a time: the sections go out as many 4- and 8-byte
+/// elements, each one copy into the buffer.
+struct HashingWriter {
+    file: File,
+    buf: Box<[u8; 1 << 16]>,
+    len: usize,
     hash: u64,
 }
 
-impl<W: Write> HashingWriter<W> {
-    fn new(inner: W) -> Self {
+impl HashingWriter {
+    fn new(file: File) -> Self {
         HashingWriter {
-            inner,
+            file,
+            buf: Box::new([0; 1 << 16]),
+            len: 0,
             hash: FNV_OFFSET,
         }
     }
-}
 
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hash = fnv1a(self.hash, &buf[..n]);
-        Ok(n)
+    /// Hash and write out the buffer.
+    fn drain(&mut self) -> std::io::Result<()> {
+        self.hash = fnv1a(self.hash, &self.buf[..self.len]);
+        self.file.write_all(&self.buf[..self.len])?;
+        self.len = 0;
+        Ok(())
     }
 
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
+    /// Append one element's bytes.
+    #[inline]
+    fn put<const N: usize>(&mut self, bytes: [u8; N]) -> std::io::Result<()> {
+        if self.len + N > self.buf.len() {
+            self.drain()?;
+        }
+        self.buf[self.len..self.len + N].copy_from_slice(&bytes);
+        self.len += N;
+        Ok(())
     }
 }
 
@@ -309,9 +329,55 @@ pub struct ShardSpec {
     pub global_weight: f64,
 }
 
+impl ShardSpec {
+    /// The header of this shard with `rows` rows and `arcs` arcs.
+    fn header(&self, rows: usize, arcs: usize) -> SnapshotHeader {
+        assert!(self.nranks > 0 && self.rank < self.nranks, "rank in world");
+        assert!(
+            self.global_vertices <= u32::MAX as usize,
+            "snapshot vertex ids are u32"
+        );
+        SnapshotHeader {
+            kind: if self.nranks == 1 {
+                SnapshotKind::Full
+            } else {
+                SnapshotKind::Shard
+            },
+            rank: self.rank,
+            nranks: self.nranks,
+            global_vertices: self.global_vertices,
+            rows,
+            arcs,
+            global_edges: self.global_edges,
+            global_weight: self.global_weight,
+        }
+    }
+}
+
 /// Conventional file name of rank `rank`'s shard inside a shard dir.
 pub fn shard_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("shard-{rank}.snap"))
+}
+
+/// Write `header`, the four sections `sections` writes in file order, and
+/// the checksum over both. Atomic: written to a tmp file and renamed into
+/// place.
+fn write_file(
+    path: &Path,
+    header: &SnapshotHeader,
+    sections: impl FnOnce(&mut HashingWriter) -> std::io::Result<()>,
+) -> Result<(), SnapshotError> {
+    let tmp = path.with_extension("snap.tmp");
+    {
+        let mut w = HashingWriter::new(File::create(&tmp)?);
+        w.put(header.encode())?;
+        sections(&mut w)?;
+        w.drain()?;
+        let checksum = w.hash;
+        w.file.write_all(&checksum.to_le_bytes())?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 /// Write one shard (or, with `nranks == 1`, a full snapshot) from raw row
@@ -326,132 +392,198 @@ pub fn write_shard_parts(
     weights: &[f64],
     strengths: &[f64],
 ) -> Result<(), SnapshotError> {
-    assert!(spec.nranks > 0 && spec.rank < spec.nranks, "rank in world");
-    assert!(
-        spec.global_vertices <= u32::MAX as usize,
-        "snapshot vertex ids are u32"
-    );
     let rows = strengths.len();
     assert_eq!(offsets.len(), rows + 1, "offsets hold rows+1 entries");
     assert_eq!(targets.len(), weights.len());
     assert_eq!(*offsets.last().unwrap_or(&0) as usize, targets.len());
-    let header = SnapshotHeader {
-        kind: if spec.nranks == 1 {
-            SnapshotKind::Full
-        } else {
-            SnapshotKind::Shard
-        },
-        rank: spec.rank,
-        nranks: spec.nranks,
-        global_vertices: spec.global_vertices,
-        rows,
-        arcs: targets.len(),
-        global_edges: spec.global_edges,
-        global_weight: spec.global_weight,
-    };
-
-    let tmp = path.with_extension("snap.tmp");
-    {
-        let file = File::create(&tmp)?;
-        let mut w = HashingWriter::new(BufWriter::new(file));
-        w.write_all(&header.encode())?;
+    write_file(path, &spec.header(rows, targets.len()), |w| {
         for &off in offsets {
-            w.write_all(&off.to_le_bytes())?;
+            w.put(off.to_le_bytes())?;
         }
         for &t in targets {
-            w.write_all(&t.to_le_bytes())?;
+            w.put(t.to_le_bytes())?;
         }
         for &wt in weights {
-            w.write_all(&wt.to_bits().to_le_bytes())?;
+            w.put(wt.to_bits().to_le_bytes())?;
         }
         for &s in strengths {
-            w.write_all(&s.to_bits().to_le_bytes())?;
+            w.put(s.to_bits().to_le_bytes())?;
         }
-        let checksum = w.hash;
-        w.write_all(&checksum.to_le_bytes())?;
-        w.flush()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+        Ok(())
+    })
 }
 
-/// The four CSR section arrays of one shard: row offsets, arc targets,
-/// arc weights, per-row strengths.
-type ShardRows = (Vec<u64>, Vec<VertexId>, Vec<f64>, Vec<f64>);
+/// The one shard cutter. It cuts the rows of any rank from `edges`: the
+/// distinct undirected edges `(u, v, w)`, `u <= v`, sorted by `(u, v)`,
+/// that a [`Graph`] on `n` vertices is laid out from — an edge list as
+/// read ([`crate::io::EdgeList`]), or [`Graph::edges`].
+///
+/// Row `v` holds what the `Graph`'s row holds, in its order: the edges
+/// `(x, v)`, `x < v`, ascending, then a self-loop, then the edges
+/// `(v, y)` ascending. The strengths and `W` are folded over the list in
+/// its order, as [`Graph::from_sorted_edges`] folds them. So a file cut from
+/// an edge list is byte for byte the one cut from its `Graph`.
+///
+/// Beside the list the cutter holds 8 bytes per non-loop edge (the
+/// `(x, v)` edges by `v`, as `x` and a position), the row starts and the
+/// strengths (O(n)): 24 bytes per edge in all, the reader's sort peak.
+/// Each rank's file is written as its rows are walked, so no shard is
+/// ever held in memory.
+struct ShardCutter<'a> {
+    edges: &'a [(VertexId, VertexId, f64)],
+    /// `edges[upper[v]..upper[v + 1]]` are the edges `(v, y)`, `y >= v`.
+    upper: Vec<usize>,
+    /// `lower[lower_at[v]..lower_at[v + 1]]` are the edges `(x, v)`,
+    /// `x < v`, ascending, as `x` and the edge's position in `edges`.
+    lower_at: Vec<usize>,
+    lower: Vec<(VertexId, u32)>,
+    /// The `Graph`'s strengths.
+    strengths: Vec<f64>,
+    global_weight: f64,
+}
 
-/// Row arrays of rank `rank`'s shard of an in-memory graph.
-fn shard_rows_of_graph(graph: &Graph, nranks: usize, rank: usize) -> ShardRows {
-    let n = graph.num_vertices();
-    let rows = owned_row_count(n, nranks, rank);
-    let mut offsets = Vec::with_capacity(rows + 1);
-    let mut targets = Vec::new();
-    let mut weights = Vec::new();
-    let mut strengths = Vec::with_capacity(rows);
-    offsets.push(0u64);
-    let mut v = rank;
-    while v < n {
-        let u = v as VertexId;
-        for (t, w) in graph.arcs(u) {
-            targets.push(t);
-            weights.push(w);
+impl<'a> ShardCutter<'a> {
+    fn new(n: usize, edges: &'a [(VertexId, VertexId, f64)]) -> Self {
+        assert!(edges.len() < u32::MAX as usize, "edge positions are u32");
+        debug_assert!(
+            (edges.windows(2)).all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1)),
+            "edges are distinct and sorted"
+        );
+        let (mut upper, mut lower_at) = (vec![0usize; n + 1], vec![0usize; n + 1]);
+        for &(u, v, _) in edges {
+            upper[u as usize + 1] += 1;
+            if u != v {
+                lower_at[v as usize + 1] += 1;
+            }
         }
-        offsets.push(targets.len() as u64);
-        strengths.push(graph.strength(u));
-        v += nranks;
+        for v in 0..n {
+            upper[v + 1] += upper[v];
+            lower_at[v + 1] += lower_at[v];
+        }
+        let mut next = lower_at[..n].to_vec();
+        let mut lower = vec![(0, 0); lower_at[n]];
+        for (at, &(u, v, _)) in edges.iter().enumerate() {
+            if u != v {
+                lower[next[v as usize]] = (u, at as u32);
+                next[v as usize] += 1;
+            }
+        }
+        ShardCutter {
+            edges,
+            upper,
+            lower_at,
+            lower,
+            strengths: strengths_of(n, edges),
+            global_weight: total_weight_of(edges),
+        }
     }
-    (offsets, targets, weights, strengths)
+
+    fn n(&self) -> usize {
+        self.upper.len() - 1
+    }
+
+    fn degree(&self, v: usize) -> usize {
+        (self.upper[v + 1] - self.upper[v]) + (self.lower_at[v + 1] - self.lower_at[v])
+    }
+
+    /// Row `v`'s lower edges `(x, v)`: `x` is the target. The `Graph`'s
+    /// row holds them first, then the upper ones.
+    fn lower(&self, v: usize) -> &[(VertexId, u32)] {
+        &self.lower[self.lower_at[v]..self.lower_at[v + 1]]
+    }
+
+    /// Row `v`'s upper edges `(v, y)`, a self-loop first: `y` is the
+    /// target.
+    fn upper(&self, v: usize) -> &[(VertexId, VertexId, f64)] {
+        &self.edges[self.upper[v]..self.upper[v + 1]]
+    }
+
+    /// Write rank `rank`'s shard of `nranks` (a full snapshot when
+    /// `nranks == 1`) to `path`.
+    fn write(&self, rank: usize, nranks: usize, path: &Path) -> Result<(), SnapshotError> {
+        let n = self.n();
+        let spec = ShardSpec {
+            rank,
+            nranks,
+            global_vertices: n,
+            global_edges: self.edges.len(),
+            global_weight: self.global_weight,
+        };
+        let rows = || (rank..n).step_by(nranks);
+        let arcs = rows().map(|v| self.degree(v)).sum();
+        let header = spec.header(owned_row_count(n, nranks, rank), arcs);
+        write_file(path, &header, |w| {
+            let mut offset = 0u64;
+            w.put(offset.to_le_bytes())?;
+            for v in rows() {
+                offset += self.degree(v) as u64;
+                w.put(offset.to_le_bytes())?;
+            }
+            for v in rows() {
+                for &(x, _) in self.lower(v) {
+                    w.put(x.to_le_bytes())?;
+                }
+                for &(_, y, _) in self.upper(v) {
+                    w.put(y.to_le_bytes())?;
+                }
+            }
+            for v in rows() {
+                for &(_, at) in self.lower(v) {
+                    w.put(self.edges[at as usize].2.to_bits().to_le_bytes())?;
+                }
+                for &(_, _, wt) in self.upper(v) {
+                    w.put(wt.to_bits().to_le_bytes())?;
+                }
+            }
+            for v in rows() {
+                w.put(self.strengths[v].to_bits().to_le_bytes())?;
+            }
+            Ok(())
+        })
+    }
 }
 
 /// Write the whole graph as one full snapshot file.
 pub fn write_snapshot(graph: &Graph, path: &Path) -> Result<(), SnapshotError> {
-    let (offsets, targets, weights, strengths) = shard_rows_of_graph(graph, 1, 0);
-    write_shard_parts(
-        path,
-        &ShardSpec {
-            rank: 0,
-            nranks: 1,
-            global_vertices: graph.num_vertices(),
-            global_edges: graph.num_edges(),
-            global_weight: graph.total_weight(),
-        },
-        &offsets,
-        &targets,
-        &weights,
-        &strengths,
-    )
+    ShardCutter::new(graph.num_vertices(), &graph.edge_list()).write(0, 1, path)
 }
 
 /// Shard an in-memory graph into `nranks` per-rank snapshot files under
-/// `dir` (created if missing). Returns the shard paths in rank order.
+/// `dir` (created if missing): the cutter of [`write_edge_shards`] over
+/// [`Graph::edges`]. Returns the shard paths in rank order.
 pub fn write_shards(
     graph: &Graph,
     nranks: usize,
     dir: &Path,
 ) -> Result<Vec<PathBuf>, SnapshotError> {
+    write_edge_shards(graph.num_vertices(), &graph.edge_list(), nranks, dir)
+}
+
+/// Cut a sorted, folded edge list on `n` vertices (a
+/// [`crate::io::EdgeList`]'s) into `nranks` per-rank snapshot files
+/// under `dir` (created if missing), one rank at a time, with no `Graph`
+/// built. Byte for byte what [`write_shards`] writes for the graph laid
+/// out from the same list. Returns the shard paths in rank order.
+pub fn write_edge_shards(
+    n: usize,
+    edges: &[(VertexId, VertexId, f64)],
+    nranks: usize,
+    dir: &Path,
+) -> Result<Vec<PathBuf>, SnapshotError> {
     assert!(nranks > 0, "need at least one shard");
     std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::with_capacity(nranks);
-    for rank in 0..nranks {
-        let (offsets, targets, weights, strengths) = shard_rows_of_graph(graph, nranks, rank);
-        let path = shard_path(dir, rank);
-        write_shard_parts(
-            &path,
-            &ShardSpec {
-                rank,
-                nranks,
-                global_vertices: graph.num_vertices(),
-                global_edges: graph.num_edges(),
-                global_weight: graph.total_weight(),
-            },
-            &offsets,
-            &targets,
-            &weights,
-            &strengths,
-        )?;
-        paths.push(path);
-    }
-    Ok(paths)
+    let cutter = ShardCutter::new(n, edges);
+    (0..nranks)
+        .map(|rank| {
+            let path = shard_path(dir, rank);
+            cutter.write(rank, nranks, &path).map(|()| path)
+        })
+        .collect()
 }
+
+/// The four CSR section arrays of one shard: row offsets, arc targets,
+/// arc weights, per-row strengths.
+type ShardRows = (Vec<u64>, Vec<VertexId>, Vec<f64>, Vec<f64>);
 
 /// A bounded-memory edge sink that turns a *stream* of undirected edges
 /// into per-rank snapshot shards without ever materializing the global
@@ -1112,6 +1244,30 @@ mod tests {
         dir
     }
 
+    /// Row arrays of rank `rank`'s shard of an in-memory graph, sliced from
+    /// its CSR rows: the cutter's oracle.
+    fn shard_rows_of_graph(graph: &Graph, nranks: usize, rank: usize) -> ShardRows {
+        let n = graph.num_vertices();
+        let rows = owned_row_count(n, nranks, rank);
+        let mut offsets = Vec::with_capacity(rows + 1);
+        let mut targets = Vec::new();
+        let mut weights = Vec::new();
+        let mut strengths = Vec::with_capacity(rows);
+        offsets.push(0u64);
+        let mut v = rank;
+        while v < n {
+            let u = v as VertexId;
+            for (t, w) in graph.arcs(u) {
+                targets.push(t);
+                weights.push(w);
+            }
+            offsets.push(targets.len() as u64);
+            strengths.push(graph.strength(u));
+            v += nranks;
+        }
+        (offsets, targets, weights, strengths)
+    }
+
     fn sample_graph() -> Graph {
         Graph::from_edges(
             6,
@@ -1246,6 +1402,80 @@ mod tests {
             assert_eq!(h.global_weight.to_bits(), g.total_weight().to_bits());
             assert_eq!(h.rows, owned_row_count(g.num_vertices(), p, rank));
             assert_same_rows(&shard, &g, (0..h.rows).map(|row| h.vertex_of_row(row)));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_cutter_writes_the_graph_row_slicing_byte_for_byte() {
+        use crate::io::{read_edges, tests::oracle};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Three repeats of one edge fold to other bits in the other order.
+        assert_ne!(
+            (0.1 + 0.2 + 0.3f64).to_bits(),
+            (0.3 + 0.2 + 0.1f64).to_bits()
+        );
+        let dir = tmp_dir("cutter");
+        let mut rng = StdRng::seed_from_u64(41);
+        // Dense ids (the table), sparse `u32` ids (the map, chosen at the
+        // end of input) and ids past `u32` (the map, from the first line).
+        let kinds: [fn(u64) -> u64; 3] = [|k| k, |k| k * 70_000_001, |k| (1 << 40) + k];
+        for (case, id) in kinds.iter().flat_map(|id| [id, id]).enumerate() {
+            let triple = if case % 2 == 0 {
+                [0.1, 0.2, 0.3]
+            } else {
+                [0.3, 0.2, 0.1]
+            };
+            let mut text = String::from("# vertices ? edges ?\r\n\n");
+            for line in 0..400 {
+                let (u, v) = match line % 100 {
+                    // The triple, both ways round, a third of the file apart.
+                    17 | 50 | 83 => (7, 9),
+                    _ if rng.gen_range(0..8) == 0 => [rng.gen_range(0..60); 2].into(),
+                    _ => (rng.gen_range(0..60), rng.gen_range(0..60)),
+                };
+                let (u, v) = if rng.gen_range(0..2) == 0 {
+                    (u, v)
+                } else {
+                    (v, u)
+                };
+                let w = match line % 100 {
+                    17 | 50 | 83 => triple[line % 100 / 33],
+                    _ => [0.1, 0.2, 0.3, 1.0, 2.5][rng.gen_range(0..5)],
+                };
+                text += &format!("{} {} {w}", id(u), id(v));
+                text += ["\n", "\r\n", "\n% comment\n", "\n\n"][rng.gen_range(0..4)];
+            }
+            let list = read_edges(text.as_bytes()).unwrap();
+            let graph = oracle(text.as_bytes()).unwrap().graph;
+            assert_eq!(list.num_vertices, graph.num_vertices(), "case {case}");
+            for p in [1, 2, 3, 5] {
+                let cut =
+                    write_edge_shards(list.num_vertices, &list.edges, p, &dir.join("cut")).unwrap();
+                let of_graph = write_shards(&graph, p, &dir.join("graph")).unwrap();
+                for rank in 0..p {
+                    let (offsets, targets, weights, strengths) =
+                        shard_rows_of_graph(&graph, p, rank);
+                    let spec = ShardSpec {
+                        rank,
+                        nranks: p,
+                        global_vertices: graph.num_vertices(),
+                        global_edges: graph.num_edges(),
+                        global_weight: graph.total_weight(),
+                    };
+                    let want = dir.join("want.snap");
+                    write_shard_parts(&want, &spec, &offsets, &targets, &weights, &strengths)
+                        .unwrap();
+                    let want = std::fs::read(&want).unwrap();
+                    for got in [&cut[rank], &of_graph[rank]] {
+                        let got = std::fs::read(got).unwrap();
+                        assert!(
+                            got == want,
+                            "case {case}, p {p}, rank {rank}: the files differ"
+                        );
+                    }
+                }
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

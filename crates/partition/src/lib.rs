@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 use infomap_graph::{GraphStore, VertexId};
 
@@ -171,12 +172,12 @@ impl Partition {
         let n = graph.num_vertices();
         let degrees: Vec<u32> = (0..n as VertexId).map(|u| graph.degree(u) as u32).collect();
         let (delegates, is_delegate) = delegates_from_degrees(&degrees, nranks, threshold);
-        let (mut arcs, mut movable): (Vec<Vec<Arc>>, Vec<Vec<usize>>) = (0..nranks)
-            .map(|r| shard_rank_arcs(graph, r, nranks, &is_delegate))
+        let (mut arcs, mut movable): (Vec<Vec<Arc>>, Vec<Vec<Range<usize>>>) = (0..nranks)
+            .map(|r| shard_rank_arcs(graph, r, nranks, &delegates, &is_delegate))
             .unzip();
         if rebalance {
             let loads: Vec<usize> = arcs.iter().map(Vec::len).collect();
-            let counts: Vec<usize> = movable.iter().map(Vec::len).collect();
+            let counts: Vec<usize> = movable.iter().map(|m| movable_len(m)).collect();
             let plan = plan_rebalance(&loads, &counts, nranks);
             let shipped: Vec<Vec<Vec<Arc>>> = (0..nranks)
                 .map(|r| plan.ship_surplus(r, &mut arcs[r], &mut movable[r]))
@@ -267,7 +268,7 @@ pub fn delegates_from_degrees(
 
 /// Rank `rank`'s pre-rebalance delegate-partition arc list, built from
 /// that rank's rows alone (the round-robin-owned rows plus the global
-/// delegate set).
+/// delegate set, `delegates` ascending).
 ///
 /// The rule (paper §3.3 step 2) assigns arc `u→v` to `owner(u)` when `u`
 /// is low-degree and to `owner(v)` when `u` is a delegate. Every arc rank
@@ -277,49 +278,84 @@ pub fn delegates_from_degrees(
 /// So owned rows suffice: owned low-degree rows contribute their arcs as
 /// stored, and every owned arc `u→v` with a delegate target synthesizes
 /// the reverse `v→u` (this covers delegate self-loops exactly once, since
-/// `u == v` fires the synthesis rule and not the direct one). The list is
-/// sorted by `(src, dst)`, unique keys in a merged CSR. Returns the arcs
-/// plus the (ascending) indices of delegate-source arcs, the movable set
-/// the rebalance draws from.
+/// `u == v` fires the synthesis rule and not the direct one).
+///
+/// The list is sorted by `(src, dst)`, with no sort: a store's rows come
+/// target-ascending, and a delegate's copies come in owned-row order, so
+/// one counting pass over the owned rows sizes every source's block and a
+/// second fills them in place. Returns the arcs plus the delegate rows'
+/// position ranges, ascending: the movable arcs the rebalance draws from.
 pub fn shard_rank_arcs<G: GraphStore + ?Sized>(
     store: &G,
     rank: usize,
     nranks: usize,
+    delegates: &[VertexId],
     is_delegate: &[bool],
-) -> (Vec<Arc>, Vec<usize>) {
+) -> (Vec<Arc>, Vec<Range<usize>>) {
     let n = store.num_vertices();
-    let mut arcs: Vec<Arc> = Vec::new();
+    let rows = || (rank..n).step_by(nranks).map(|u| u as VertexId);
+    let low_rows = || rows().filter(|&u| !is_delegate[u as usize]);
+    let slot = |d: VertexId| delegates.binary_search(&d).expect("a delegate");
     let mut adj = Vec::new();
-    let mut u = rank;
-    while u < n {
-        let uu = u as VertexId;
-        store.arcs_into(uu, &mut adj);
-        let u_low = !is_delegate[u];
-        for &(v, w) in &adj {
-            if u_low {
-                arcs.push(Arc {
-                    src: uu,
-                    dst: v,
-                    weight: w,
-                });
-            }
-            if is_delegate[v as usize] {
-                arcs.push(Arc {
-                    src: v,
-                    dst: uu,
-                    weight: w,
-                });
-            }
+    let mut copies = vec![0usize; delegates.len()];
+    for u in rows() {
+        store.arcs_into(u, &mut adj);
+        for &(v, _) in adj.iter().filter(|a| is_delegate[a.0 as usize]) {
+            copies[slot(v)] += 1;
         }
-        u += nranks;
     }
-    arcs.sort_unstable_by_key(|a| (a.src, a.dst));
-    let movable = arcs
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| is_delegate[a.src as usize])
-        .map(|(i, _)| i)
+    // Block starts: sources ascending, owned low-degree rows and delegate
+    // rows interleaved by id.
+    let mut starts = Vec::with_capacity(delegates.len());
+    let (mut at, mut low) = (0, low_rows().peekable());
+    for (&d, &count) in delegates.iter().zip(&copies) {
+        while let Some(u) = low.next_if(|&u| u < d) {
+            at += store.degree(u);
+        }
+        starts.push(at);
+        at += count;
+    }
+    let total = at + low.map(|u| store.degree(u)).sum::<usize>();
+    let movable: Vec<Range<usize>> = (starts.iter().zip(&copies))
+        .filter(|(_, &count)| count > 0)
+        .map(|(&start, &count)| start..start + count)
         .collect();
+
+    let blank = Arc {
+        src: 0,
+        dst: 0,
+        weight: 0.0,
+    };
+    let mut arcs = vec![blank; total];
+    let (mut next, mut copies_below, mut di) = (starts, 0, 0);
+    let mut direct_below = 0;
+    for u in rows() {
+        store.arcs_into(u, &mut adj);
+        if !is_delegate[u as usize] {
+            while di < delegates.len() && delegates[di] < u {
+                copies_below += copies[di];
+                di += 1;
+            }
+            let start = direct_below + copies_below;
+            for (arc, &(v, weight)) in arcs[start..start + adj.len()].iter_mut().zip(&adj) {
+                *arc = Arc {
+                    src: u,
+                    dst: v,
+                    weight,
+                };
+            }
+            direct_below += adj.len();
+        }
+        for &(v, weight) in adj.iter().filter(|a| is_delegate[a.0 as usize]) {
+            let at = &mut next[slot(v)];
+            arcs[*at] = Arc {
+                src: v,
+                dst: u,
+                weight,
+            };
+            *at += 1;
+        }
+    }
     (arcs, movable)
 }
 
@@ -348,7 +384,7 @@ impl RebalancePlan {
         &self,
         rank: usize,
         arcs: &mut Vec<Arc>,
-        movable: &mut Vec<usize>,
+        movable: &mut Vec<Range<usize>>,
     ) -> Vec<Vec<Arc>> {
         let mut buckets = vec![Vec::new(); self.surplus.len()];
         let pool_base: usize = self.surplus[..rank].iter().sum();
@@ -412,24 +448,41 @@ pub fn plan_rebalance(loads: &[usize], movable_counts: &[usize], nranks: usize) 
     }
 }
 
+/// How many arcs the position ranges `movable` cover.
+pub fn movable_len(movable: &[Range<usize>]) -> usize {
+    movable.iter().map(ExactSizeIterator::len).sum()
+}
+
 /// One rank's part of the rebalance: take the arcs at the `k` highest
-/// indices of `movable` (ascending positions in `arcs`) out of `arcs` and
-/// return them highest index first, the order [`RebalancePlan::dest`] deals
-/// them in. The arcs left keep their order and `movable`'s remaining
-/// indices stay valid: what `k` `Vec::remove` calls leave, in one pass.
-pub fn take_surplus(arcs: &mut Vec<Arc>, movable: &mut Vec<usize>, k: usize) -> Vec<Arc> {
-    let keep = movable
-        .len()
-        .checked_sub(k)
-        .expect("surplus within movable");
-    let taken = movable.split_off(keep);
-    debug_assert!(taken.windows(2).all(|w| w[0] < w[1]), "movable ascends");
-    let pool: Vec<Arc> = taken.iter().rev().map(|&i| arcs[i]).collect();
-    let (mut at, mut gaps) = (0, taken.iter().copied().peekable());
+/// positions `movable` covers (disjoint ranges, ascending, into `arcs`:
+/// the delegate rows) out of `arcs` and return them highest position
+/// first, the order [`RebalancePlan::dest`] deals them in. The arcs left
+/// keep their order, and `movable` keeps the ranges left below the taken
+/// tail, still valid: what `k` `Vec::remove` calls leave, in one pass.
+pub fn take_surplus(arcs: &mut Vec<Arc>, movable: &mut Vec<Range<usize>>, k: usize) -> Vec<Arc> {
+    // The taken tail, highest range first.
+    let mut taken: Vec<Range<usize>> = Vec::new();
+    let mut left = k;
+    while left > 0 {
+        let run = movable.last_mut().expect("surplus within movable");
+        let cut = run.len().min(left);
+        taken.push(run.end - cut..run.end);
+        run.end -= cut;
+        left -= cut;
+        if run.start == run.end {
+            movable.pop();
+        }
+    }
+    let pool: Vec<Arc> = (taken.iter())
+        .flat_map(|run| run.clone().rev())
+        .map(|i| arcs[i])
+        .collect();
     if k > 0 {
+        let (mut at, mut gaps) = (0, taken.iter().rev().peekable());
         arcs.retain(|_| {
             at += 1;
-            gaps.next_if_eq(&(at - 1)).is_none()
+            while gaps.next_if(|run| run.end < at).is_some() {}
+            !gaps.peek().is_some_and(|run| run.contains(&(at - 1)))
         });
     }
     pool
@@ -665,6 +718,19 @@ mod tests {
             .collect()
     }
 
+    /// Ascending `indices` as ranges: runs of adjacent indices, cut at
+    /// random as adjacent delegate rows are.
+    fn ranges(indices: &[usize], rng: &mut impl rand::Rng) -> Vec<Range<usize>> {
+        let mut out: Vec<Range<usize>> = Vec::new();
+        for &i in indices {
+            match out.last_mut() {
+                Some(run) if run.end == i && rng.gen_range(0..3) > 0 => run.end += 1,
+                _ => out.push(i..i + 1),
+            }
+        }
+        out
+    }
+
     /// `len` distinguishable arcs.
     fn numbered_arcs(len: usize) -> Vec<Arc> {
         let arc = |i| Arc {
@@ -696,12 +762,13 @@ mod tests {
                 _ => rng.gen_range(0..movable.len() + 1),
             };
             let (mut arcs, mut want_arcs) = (numbered_arcs(len), numbered_arcs(len));
-            let mut want_movable = movable.clone();
-            let pool = take_surplus(&mut arcs, &mut movable, k);
-            let want_pool = remove_loop(&mut want_arcs, &mut want_movable, k);
+            let mut runs = ranges(&movable, &mut StdRng::seed_from_u64(case as u64));
+            let pool = take_surplus(&mut arcs, &mut runs, k);
+            let want_pool = remove_loop(&mut want_arcs, &mut movable, k);
             assert_eq!(pool, want_pool, "case {case}: pool order");
             assert_eq!(arcs, want_arcs, "case {case}: arcs left");
-            assert_eq!(movable, want_movable, "case {case}: movable left");
+            let left: Vec<usize> = runs.into_iter().flatten().collect();
+            assert_eq!(left, movable, "case {case}: movable left");
         }
     }
 
@@ -710,14 +777,17 @@ mod tests {
         // A million arcs, 400 k of them surplus: one `Vec::remove` each
         // would shift ~10^11 elements.
         let mut arcs = numbered_arcs(1_000_000);
-        let mut movable: Vec<usize> = (0..1_000_000).filter(|i| i % 2 == 1).collect();
+        let mut movable: Vec<Range<usize>> = (0..1_000_000)
+            .filter(|i| i % 2 == 1)
+            .map(|i| i..i + 1)
+            .collect();
         let pool = take_surplus(&mut arcs, &mut movable, 400_000);
         assert_eq!(
-            (pool.len(), arcs.len(), movable.len()),
+            (pool.len(), arcs.len(), movable_len(&movable)),
             (400_000, 600_000, 100_000)
         );
         assert_eq!((pool[0].src, pool[399_999].src), (999_999, 200_001));
-        assert_eq!(movable.last(), Some(&199_999));
+        assert_eq!(movable.last(), Some(&(199_999..200_000)));
         assert!(arcs[200_000..].iter().all(|a| a.src % 2 == 0));
         assert!(arcs[..200_000]
             .iter()
@@ -728,7 +798,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "surplus within movable")]
     fn take_surplus_rejects_more_than_movable() {
-        take_surplus(&mut numbered_arcs(4), &mut vec![1, 2], 3);
+        take_surplus(&mut numbered_arcs(4), &mut vec![1..2, 2..3], 3);
     }
 
     #[test]
