@@ -1,22 +1,15 @@
-//! # infomap-baselines — prior-art comparators
+//! # infomap-baselines — the prior-art comparator
 //!
-//! The paper positions its contribution against Bae et al.'s line of work:
-//!
-//! * **RelaxMap** (Bae et al. 2013): shared-memory parallel Infomap where
-//!   worker threads sweep vertices concurrently against a shared module
-//!   table with *relaxed* consistency — no global coordination per move.
-//!   [`relaxmap`] reimplements that design with atomics and sharded locks.
-//! * **GossipMap** (Bae & Howe 2015): distributed Infomap on GraphLab that
-//!   moves vertices on local information and gossips boundary community
-//!   IDs — without the full `Module_Info` synchronization the paper's §3.4
-//!   argues is necessary. [`gossip`] provides that protocol on the same
-//!   simulated substrate the paper's algorithm runs on, so Table 3's
-//!   speedups compare like for like.
+//! The paper measures its contribution against one baseline, **GossipMap**
+//! (Bae & Howe 2015): distributed Infomap on GraphLab that moves vertices
+//! on local information and gossips boundary community IDs — without the
+//! full `Module_Info` synchronization the paper's §3.4 argues is
+//! necessary. [`gossip`] provides that protocol on the same simulated
+//! substrate the paper's algorithm runs on, so Table 3's speedups compare
+//! like for like.
 
 #![forbid(unsafe_code)]
 
 pub mod gossip;
-pub mod relaxmap;
 
 pub use gossip::{gossip_map, GossipConfig};
-pub use relaxmap::{RelaxMap, RelaxMapConfig, RelaxMapResult};

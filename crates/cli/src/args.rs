@@ -19,11 +19,10 @@ USAGE:
   dinfomap info <edges.txt>                print graph statistics
 
 CLUSTER OPTIONS:
-  --algorithm seq|relax|dist|gossip   algorithm (default: dist)
+  --algorithm seq|dist|gossip         algorithm (default: dist)
   --ranks N                           simulated ranks for dist/gossip (default 8)
-  --threads N                         worker threads: relax workers, or dist
-                                      intra-rank sweep slices (default 4; dist
-                                      results are bit-identical for every N)
+  --threads N                         dist only: intra-rank sweep slices
+                                      (default 1; bit-identical for every N)
   --seed S                            RNG seed (default 0)
   --output FILE                       write `vertex community` lines
   --quiet                             suppress the run report
@@ -129,7 +128,6 @@ pub enum Command {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Algorithm {
     Sequential,
-    RelaxMap,
     Distributed,
     Gossip,
 }
@@ -153,7 +151,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let path = it.next().ok_or("cluster: missing <edges.txt>")?.clone();
             let mut algorithm = Algorithm::Distributed;
             let mut ranks = 8usize;
-            let mut threads = 4usize;
+            let mut threads = 1usize;
             let mut seed = 0u64;
             let mut output = None;
             let mut quiet = false;
@@ -165,7 +163,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--algorithm" => {
                         algorithm = match next(&mut it, flag)?.as_str() {
                             "seq" | "sequential" => Algorithm::Sequential,
-                            "relax" | "relaxmap" => Algorithm::RelaxMap,
                             "dist" | "distributed" => Algorithm::Distributed,
                             "gossip" => Algorithm::Gossip,
                             other => return Err(format!("unknown algorithm {other:?}")),
@@ -262,6 +259,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }
             if scale.is_infinite() {
                 return Err("generate: --scale must be finite".into());
+            }
+            if n < 2 {
+                return Err("generate: --n must be >= 2".into());
             }
             // Vertex ids are u32: a graph has at most u32::MAX vertices.
             let most = u32::MAX as usize;
@@ -464,7 +464,7 @@ mod tests {
                 path: "g.txt".into(),
                 algorithm: Algorithm::Distributed,
                 ranks: 8,
-                threads: 4,
+                threads: 1,
                 seed: 0,
                 output: None,
                 quiet: false,
@@ -567,14 +567,17 @@ mod tests {
         for cmd in [
             "cluster g.txt --threads 0",
             "cluster g.txt --algorithm seq --threads 0",
-            "cluster g.txt --algorithm relax --threads 0",
             "cluster g.txt --algorithm gossip --threads 0",
             "launch g.txt --procs 2 --threads 0",
         ] {
             let err = parse(&argv(cmd)).unwrap_err();
             assert!(err.ends_with("--threads must be >= 1"), "{cmd}: {err}");
         }
-        assert!(parse(&argv("cluster g.txt --algorithm relax --threads 1")).is_ok());
+        assert!(parse(&argv("cluster g.txt --threads 1")).is_ok());
+        assert_eq!(
+            parse(&argv("cluster g.txt --algorithm relax --threads 1")).unwrap_err(),
+            "unknown algorithm \"relax\""
+        );
     }
 
     #[test]
@@ -613,6 +616,19 @@ mod tests {
         for mu in ["0", "1"] {
             assert!(parse(&argv(&format!("generate lfr --mu {mu}"))).is_ok());
         }
+    }
+
+    #[test]
+    fn rejects_fewer_than_two_vertices() {
+        for cmd in [
+            "generate lfr --n 0",
+            "generate lfr --n 1",
+            "generate lfr --n 1 --shards 2 --out-dir d",
+        ] {
+            let err = parse(&argv(cmd)).unwrap_err();
+            assert_eq!(err, "generate: --n must be >= 2", "{cmd}");
+        }
+        assert!(parse(&argv("generate lfr --n 2 --shards 2 --out-dir d")).is_ok());
     }
 
     #[test]
@@ -662,7 +678,7 @@ mod tests {
     /// fractional, huge, `nan`, `inf`, text, the other flag's shape — or
     /// by none. Every argv parses or is refused with a non-empty message;
     /// none panics; every `generate` that parses names a finite scale
-    /// and a vertex count within the u32 id space; and every `launch` or
+    /// and a vertex count in 2..=u32::MAX; and every `launch` or
     /// `_rank` that parses names page-cache sizes the reader can use.
     #[test]
     fn parse_sweep_returns_a_command_or_a_named_error() {
@@ -768,7 +784,10 @@ mod tests {
             match parse(&args) {
                 Ok(Command::Generate { what, n, scale, .. }) => {
                     assert!(scale.is_finite() && scale > 0.0, "case {case}: {args:?}");
-                    assert!(n <= u32::MAX as usize, "case {case}: {args:?}");
+                    assert!(
+                        (2..=u32::MAX as usize).contains(&n),
+                        "case {case}: {args:?}"
+                    );
                     if let Ok(id) = dataset_id(&what) {
                         let scaled = id.profile().scaled_vertices(scale);
                         assert!(scaled <= u32::MAX as usize, "case {case}: {args:?}");

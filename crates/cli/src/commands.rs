@@ -3,7 +3,7 @@
 use std::io::Write;
 use std::path::Path;
 
-use infomap_baselines::{gossip_map, GossipConfig, RelaxMap, RelaxMapConfig};
+use infomap_baselines::{gossip_map, GossipConfig};
 use infomap_core::sequential::{Infomap, InfomapConfig};
 use infomap_distributed::{DistributedConfig, DistributedInfomap, RecoveryConfig, StageTrace};
 use infomap_graph::datasets::DatasetId;
@@ -114,15 +114,6 @@ fn cluster(
             .run(g);
             ("sequential Infomap", r.modules, r.codelength)
         }
-        Algorithm::RelaxMap => {
-            let r = RelaxMap::new(RelaxMapConfig {
-                threads,
-                seed,
-                ..Default::default()
-            })
-            .run(g);
-            ("RelaxMap", r.modules, r.codelength)
-        }
         Algorithm::Distributed => {
             let plan = fault_plan.map(FaultPlan::parse).transpose()?;
             let r = DistributedInfomap::new(DistributedConfig {
@@ -215,7 +206,9 @@ pub(crate) fn trace_stages(trace: &[StageTrace]) -> impl Iterator<Item = (u8, us
 /// The `stages:` report line — how many rounds every clustering stage ran
 /// and why it stopped, merge levels of one stage comma-separated:
 /// `s1 40 (cap) | s2 14 (stalled), 5 (quiesced)`.
-pub(crate) fn stages_line<'a>(stages: impl Iterator<Item = (u8, usize, &'a str)>) -> String {
+pub(crate) fn stages_line<S: std::fmt::Display>(
+    stages: impl Iterator<Item = (u8, usize, S)>,
+) -> String {
     let mut line = String::new();
     let mut current = None;
     for (stage, rounds, stop) in stages {
@@ -499,7 +492,6 @@ mod tests {
         let path = write_test_graph(&dir);
         for algorithm in [
             Algorithm::Sequential,
-            Algorithm::RelaxMap,
             Algorithm::Distributed,
             Algorithm::Gossip,
         ] {

@@ -843,17 +843,40 @@ struct ResultSummary {
     modeled_ms: f64,
 }
 
-fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+/// The value of the first `"key":` in `text`. A quoted value runs to
+/// its first unescaped `"` and is unescaped as the exact inverse of
+/// [`json_string`]; any other value runs to the next `,`, newline or `}`.
+fn json_field(text: &str, key: &str) -> Option<String> {
     let needle = format!("\"{key}\":");
     let at = text.find(&needle)? + needle.len();
     let rest = text[at..].trim_start();
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
+    let Some(quoted) = rest.strip_prefix('"') else {
+        let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+        return Some(rest[..end].trim().to_string());
+    };
+    let mut value = String::new();
+    let mut chars = quoted.chars();
+    loop {
+        match chars.next()? {
+            '"' => return Some(value),
+            '\\' => match chars.next()? {
+                '"' => value.push('"'),
+                '\\' => value.push('\\'),
+                'n' => value.push('\n'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    value.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                _ => return None,
+            },
+            c => value.push(c),
+        }
+    }
 }
 
 fn result_summary(text: &str) -> Result<ResultSummary, String> {
     let bits = json_field(text, "codelength_bits")
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .and_then(|s| u64::from_str_radix(&s, 16).ok())
         .ok_or("result.json: missing codelength_bits")?;
     let field = |key: &str| -> Result<f64, String> {
         json_field(text, key)
@@ -873,7 +896,7 @@ fn result_summary(text: &str) -> Result<ResultSummary, String> {
 
 /// `(stage, rounds, stop)` of every entry of the `stages` array of
 /// `result.json` (one flat object per clustering stage).
-fn result_stages(text: &str) -> impl Iterator<Item = (u8, usize, &str)> {
+fn result_stages(text: &str) -> impl Iterator<Item = (u8, usize, String)> + '_ {
     let list = text
         .split_once("\"stages\": [")
         .and_then(|(_, rest)| rest.split_once(']'))
@@ -904,8 +927,8 @@ fn result_modules(text: &str) -> Result<Vec<u32>, String> {
 
 fn read_diag_summary(dir: &Path, rank: usize) -> Option<String> {
     let text = std::fs::read_to_string(diag_path(dir, rank)).ok()?;
-    let op = json_field(&text, "op")?.to_string();
-    let detail = json_field(&text, "detail")?.to_string();
+    let op = json_field(&text, "op")?;
+    let detail = json_field(&text, "detail")?;
     Some(format!("blocked in {op}: {detail}"))
 }
 
@@ -916,10 +939,10 @@ mod tests {
     #[test]
     fn json_field_scanner_reads_machine_written_fields() {
         let text = "{\n  \"schema\": \"x\",\n  \"codelength_bits\": \"4008000000000000\",\n  \"num_modules\": 7,\n  \"stages\": [{\"stage\": 1, \"level\": 0, \"rounds\": 40, \"moves\": 9, \"stop\": \"cap\"}, {\"stage\": 2, \"level\": 1, \"rounds\": 14, \"moves\": 3, \"stop\": \"stalled\"}, {\"stage\": 2, \"level\": 2, \"rounds\": 5, \"moves\": 0, \"stop\": \"quiesced\"}],\n  \"connect_ms\": 3.5,\n  \"prepare_ms\": 40.25,\n  \"peak_rss_kib\": 20480,\n  \"wall_ms\": 12.5,\n  \"modeled_ms\": 0.25,\n  \"modules\": [1,2]\n}\n";
-        assert_eq!(json_field(text, "num_modules"), Some("7"));
-        assert_eq!(json_field(text, "wall_ms"), Some("12.5"));
+        assert_eq!(json_field(text, "num_modules").as_deref(), Some("7"));
+        assert_eq!(json_field(text, "wall_ms").as_deref(), Some("12.5"));
         assert_eq!(
-            json_field(text, "codelength_bits"),
+            json_field(text, "codelength_bits").as_deref(),
             Some("4008000000000000")
         );
         let s = result_summary(text).unwrap();
@@ -1009,15 +1032,23 @@ mod tests {
     fn diag_files_roundtrip() {
         let dir = std::env::temp_dir().join(format!("dinf-launch-diag-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        write_diag(
-            &dir,
-            2,
-            "exchange seq=9",
-            "peer 1 dead: heartbeat lapsed 2000ms",
-        );
-        let s = read_diag_summary(&dir, 2).unwrap();
-        assert!(s.contains("exchange seq=9"), "{s}");
-        assert!(s.contains("peer 1 dead"), "{s}");
+        // A Timeout's detail has a comma before "waiting on ranks"; the
+        // other one carries every character `json_string` escapes.
+        for (op, detail) in [
+            ("exchange seq=9", "peer 1 dead: heartbeat lapsed 2000ms"),
+            (
+                "alltoallv seq=4",
+                "timeout after 2000ms in alltoallv, waiting on ranks [1, 3]",
+            ),
+            (
+                "recv \"tag\" 7",
+                "timeout after 5ms in recv, \"x\\y\"\nwaiting on ranks [0]\u{1}\t",
+            ),
+        ] {
+            write_diag(&dir, 2, op, detail);
+            let s = read_diag_summary(&dir, 2).unwrap();
+            assert_eq!(s, format!("blocked in {op}: {detail}"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

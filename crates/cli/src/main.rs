@@ -1,7 +1,7 @@
 //! `dinfomap` — command-line community detection.
 //!
 //! ```text
-//! dinfomap cluster <edges.txt> [--algorithm seq|relax|dist|gossip]
+//! dinfomap cluster <edges.txt> [--algorithm seq|dist|gossip]
 //!                              [--ranks N] [--threads N] [--seed S]
 //!                              [--output communities.txt] [--quiet]
 //! dinfomap partition <edges.txt> --ranks N [--strategy 1d|block|delegate]

@@ -1,12 +1,35 @@
-//! Edge lists whose folded weights the map equation cannot price (a
-//! merged weight or `W` past the largest float, `W = 0`, or a subnormal
-//! `W` whose `1/(2W)` overflows) are refused at read time by name, on
-//! every command that reads one: exit 1 and the message, never a
-//! codelength of 0 or −inf with exit 0, and never a panic.
+//! Inputs whose weights the map equation cannot price (a merged weight or
+//! `W` past the largest float, `W = 0`, or a subnormal `W` whose `1/(2W)`
+//! overflows) are refused by name, on every command that reads one: exit
+//! 1 and the message, never a codelength of 0 or −inf with exit 0, and
+//! never a panic. Edge lists are refused at read time; binary shards by
+//! their header's `W`, before the launcher spawns a worker.
 
 use std::process::Command;
 
+use infomap_graph::snapshot::{shard_path, write_shard_parts, ShardSpec};
+
 const BIN: &str = env!("CARGO_BIN_EXE_dinfomap");
+
+/// Run `dinfomap args` and assert it exits 1 with the refusal and prints
+/// no codelength.
+fn refused(args: &[&str]) {
+    let out = Command::new(BIN)
+        .args(args)
+        .env("RUST_BACKTRACE", "0")
+        .output()
+        .expect("run dinfomap");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stdout} {stderr}");
+    assert!(
+        stderr.contains("weights the map equation cannot price"),
+        "{args:?}: {stderr}"
+    );
+    assert!(!stdout.contains("codelength"), "{args:?}: {stdout}");
+}
 
 #[test]
 fn unpriceable_weights_exit_1_with_the_message_on_every_command() {
@@ -19,27 +42,38 @@ fn unpriceable_weights_exit_1_with_the_message_on_every_command() {
     files.sort();
     assert_eq!(files.len(), 4, "{files:?}");
     for file in &files {
-        for args in [
-            &["cluster", file, "--algorithm", "dist", "--ranks", "2"][..],
-            &["cluster", file, "--algorithm", "seq"],
-            &["launch", file, "--procs", "2"],
-            &["info", file],
-        ] {
-            let out = Command::new(BIN)
-                .args(args)
-                .env("RUST_BACKTRACE", "0")
-                .output()
-                .expect("run dinfomap");
-            let (stdout, stderr) = (
-                String::from_utf8_lossy(&out.stdout),
-                String::from_utf8_lossy(&out.stderr),
-            );
-            assert_eq!(out.status.code(), Some(1), "{args:?}: {stdout} {stderr}");
-            assert!(
-                stderr.contains("weights the map equation cannot price"),
-                "{args:?}: {stderr}"
-            );
-            assert!(!stdout.contains("codelength"), "{args:?}: {stdout}");
-        }
+        refused(&["cluster", file, "--algorithm", "dist", "--ranks", "2"]);
+        refused(&["cluster", file, "--algorithm", "seq"]);
+        refused(&["launch", file, "--procs", "2"]);
+        refused(&["info", file]);
     }
+}
+
+#[test]
+fn unpriceable_shard_headers_exit_1_with_the_message() {
+    let dir = std::env::temp_dir().join(format!("dinf-unpriceable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The path 0-1-2 with unit weights: rank 0 holds rows 0 and 2, rank 1
+    // row 1, two arcs each; only the header's `W` (2 for this graph) is
+    // wrong.
+    let offsets: [&[u64]; 2] = [&[0, 1, 2], &[0, 2]];
+    let targets: [&[u32]; 2] = [&[1, 1], &[0, 2]];
+    let strengths: [&[f64]; 2] = [&[1.0, 1.0], &[2.0]];
+    for w in [0.0, 1e-320, f64::NAN, f64::INFINITY] {
+        for rank in 0..2 {
+            let spec = ShardSpec {
+                rank,
+                nranks: 2,
+                global_vertices: 3,
+                global_edges: 2,
+                global_weight: w,
+            };
+            let path = shard_path(&dir, rank);
+            let (offsets, targets) = (offsets[rank], targets[rank]);
+            write_shard_parts(&path, &spec, offsets, targets, &[1.0; 2], strengths[rank]).unwrap();
+        }
+        let shards = dir.to_str().unwrap();
+        refused(&["launch", "--graph-shard-dir", shards, "--procs", "2"]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

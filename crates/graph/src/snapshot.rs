@@ -13,7 +13,8 @@
 //! rows             u64   local row count (== global_vertices when full)
 //! arcs             u64   stored arc count
 //! global_edges     u64   global undirected edge count
-//! global_weight    u64   IEEE-754 bits of the global total weight W
+//! global_weight    u64   IEEE-754 bits of the global total weight W (finite,
+//!                        > 0, with a finite, nonzero 1/(2W))
 //! offsets          (rows+1) × u64   CSR row offsets into the arc arrays
 //! targets          arcs × u32       global target vertex ids
 //! weights          arcs × u64       IEEE-754 bits per arc
@@ -206,6 +207,16 @@ impl SnapshotHeader {
         if header.rows != owned_row_count(header.global_vertices, header.nranks, header.rank) {
             return Err(SnapshotError::Malformed {
                 context: "row count disagrees with round-robin ownership",
+            });
+        }
+        // Every rank prices its flows as `w/(2W)` from this `W` alone, so
+        // it is held to the edge-list reader's domain (paper §2.2). A NaN,
+        // infinite, zero or negative `W` gives no finite `1/(2W)` > 0.
+        let scale = 1.0 / (2.0 * header.global_weight);
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(SnapshotError::Malformed {
+                context: "weights the map equation cannot price: the total weight W \
+                          is not finite and > 0 with a finite, nonzero 1/(2W)",
             });
         }
         Ok(header)

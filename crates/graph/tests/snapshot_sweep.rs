@@ -11,6 +11,8 @@
 //!   p = 2 and p = 3 — with the trailing FNV-1a checksum repaired, so that
 //!   the header and section checks are what a flip meets.
 //!
+//! The edgeless graph's files have `W = 0`, which no rank can price, so
+//! they are refused by name; every other valid file is accepted.
 //! Every input is refused by both cache shapes with the same named
 //! `SnapshotError` (never `Io`; `read_header`, which checks no checksum,
 //! refuses it by name too or accepts it), or accepted by both, and by
@@ -246,6 +248,8 @@ fn snapshot_readers_survive_the_sweep() {
     let dir = std::env::temp_dir().join(format!("dinf-snapshot-sweep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut valid: Vec<Vec<u8>> = Vec::new();
+    // Per valid file: its graph has edges, so its `W` can be priced.
+    let mut priced = Vec::new();
     for (i, g) in graphs(&mut rng).iter().enumerate() {
         let full = dir.join(format!("g{i}.snap"));
         write_snapshot(g, &full).unwrap();
@@ -255,6 +259,7 @@ fn snapshot_readers_survive_the_sweep() {
             write_shards(g, p, &shards).unwrap();
             valid.extend((0..p).map(|r| std::fs::read(shard_path(&shards, r)).unwrap()));
         }
+        priced.resize(valid.len(), g.num_edges() > 0);
     }
     let mut cases = 0;
 
@@ -264,11 +269,22 @@ fn snapshot_readers_survive_the_sweep() {
     }
 
     let mut accepted = 0;
-    for file in &valid {
-        assert!(
+    for (file, &priced) in valid.iter().zip(&priced) {
+        assert_eq!(
             snapshot_case(file, &dir, &mut cases),
-            "a valid file is refused"
+            priced,
+            "a file with edges is refused, or an edgeless one accepted"
         );
+        if !priced {
+            // `W = 0`: the header names why no rank could price a flow.
+            let path = dir.join("edgeless.snap");
+            fresh_file(&path, file);
+            let refusal = read_header(&path).unwrap_err().to_string();
+            assert!(
+                refusal.contains("weights the map equation cannot price"),
+                "{refusal}"
+            );
+        }
         let sum_at = file.len() - 8;
         for bit in 0..file.len() * 8 {
             let mut bytes = file.clone();
@@ -283,7 +299,10 @@ fn snapshot_readers_survive_the_sweep() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // A flip of a weight, a strength, a target or a global total is a
-    // different valid file, so close to half the flips are accepted.
-    assert_eq!(accepted, 14_323, "accepted flips");
+    // different valid file, so close to half the flips of the 12 files
+    // with edges are accepted; not the one that makes `W` negative. Of
+    // the edgeless graph's 6 files (`W = 0`) only the flips that give `W`
+    // a priceable value are: 11 exponent bits and 2 mantissa bits each.
+    assert_eq!(accepted, 12_787, "accepted flips");
     assert_eq!(cases, 34_602, "the case count the module doc states");
 }

@@ -22,10 +22,9 @@
 //! dead rank never sent.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::transport::{Transport, TransportError};
 
@@ -68,7 +67,7 @@ impl MemTransport {
     /// A fully connected world of `nranks` ranks; element `r` is rank `r`'s
     /// transport, to be moved to the thread that runs that rank.
     pub fn mesh(nranks: usize) -> Vec<MemTransport> {
-        let (mailboxes, inboxes): (Vec<_>, Vec<_>) = (0..nranks).map(|_| unbounded()).unzip();
+        let (mailboxes, inboxes): (Vec<_>, Vec<_>) = (0..nranks).map(|_| channel()).unzip();
         let mailboxes = Arc::new(mailboxes);
         inboxes
             .into_iter()

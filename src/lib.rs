@@ -4,8 +4,8 @@
 //! Algorithm for Scalable and High-Quality Community Detection" (ICPP
 //! 2018)**: the map equation, sequential Infomap, vertex-delegate graph
 //! partitioning, a metered MPI-like execution substrate, the paper's
-//! synchronized distributed algorithm, the RelaxMap/GossipMap prior-art
-//! baselines, clustering quality metrics, and a benchmark harness that
+//! synchronized distributed algorithm, the GossipMap prior-art baseline,
+//! clustering quality metrics, and a benchmark harness that
 //! regenerates every table and figure of the paper's evaluation.
 //!
 //! This crate re-exports the component crates under stable names and hosts
@@ -37,7 +37,7 @@ pub use infomap_partition as partition;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use infomap_baselines::{gossip_map, GossipConfig, RelaxMap, RelaxMapConfig};
+    pub use infomap_baselines::{gossip_map, GossipConfig};
     pub use infomap_core::sequential::{Infomap, InfomapConfig, InfomapResult};
     pub use infomap_core::FlowNetwork;
     pub use infomap_distributed::{DistributedConfig, DistributedInfomap, DistributedOutput};

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: the full pipeline from generation
-//! through partitioning, clustering (all four algorithms), metrics and the
+//! through partitioning, clustering (all three algorithms), metrics and the
 //! cost model.
 
 use distributed_infomap::prelude::*;
@@ -20,17 +20,12 @@ fn lfr(n: usize, mu: f64, seed: u64) -> (Graph, Vec<u32>) {
 fn exact_algorithms_recover_clear_structure_and_gossip_lags() {
     let (g, truth) = generators::ring_of_cliques(6, 6, 0);
     let seq = Infomap::new(InfomapConfig::default()).run(&g);
-    let relax = RelaxMap::new(RelaxMapConfig::default()).run(&g);
     let dist = DistributedInfomap::new(DistributedConfig {
         nranks: 4,
         ..Default::default()
     })
     .run(&g);
-    for (name, modules) in [
-        ("sequential", &seq.modules),
-        ("relaxmap", &relax.modules),
-        ("distributed", &dist.modules),
-    ] {
+    for (name, modules) in [("sequential", &seq.modules), ("distributed", &dist.modules)] {
         let q = quality(&truth, modules);
         assert!(q.nmi > 0.999, "{name} failed to recover the cliques: {q:?}");
     }
