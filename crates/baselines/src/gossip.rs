@@ -22,40 +22,18 @@ use infomap_distributed::{DistributedConfig, DistributedInfomap, DistributedOutp
 use infomap_graph::Graph;
 use infomap_partition::DelegateThreshold;
 
-/// Tunables for the gossip baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct GossipConfig {
-    pub nranks: usize,
-    pub max_outer_iterations: usize,
-    pub max_inner_iterations: usize,
-    pub seed: u64,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            nranks: 4,
-            max_outer_iterations: 30,
-            max_inner_iterations: 40,
-            seed: 0,
-        }
-    }
-}
-
-/// Run the GossipMap-like baseline. Returns the same output type as the
-/// paper's algorithm so harnesses can compare MDL, per-rank workload and
-/// modeled runtimes directly.
-pub fn gossip_map(graph: &Graph, cfg: GossipConfig) -> DistributedOutput {
+/// Run the GossipMap-like baseline on `nranks` ranks. Returns the same
+/// output type as the paper's algorithm so harnesses can compare MDL,
+/// per-rank workload and modeled runtimes directly.
+pub fn gossip_map(graph: &Graph, nranks: usize, seed: u64) -> DistributedOutput {
     let dcfg = DistributedConfig {
-        nranks: cfg.nranks,
+        nranks,
         // A threshold above the maximum degree disables delegation: the
         // partition degenerates to 1D, like GossipMap's vertex cuts don't —
         // which is exactly the hub-imbalance the paper fixes.
         threshold: DelegateThreshold::Fixed(usize::MAX),
         rebalance: false,
-        max_outer_iterations: cfg.max_outer_iterations,
-        max_inner_iterations: cfg.max_inner_iterations,
-        seed: cfg.seed,
+        seed,
         min_label_tiebreak: true,
         full_module_swap: false,
         ..Default::default()
@@ -79,13 +57,7 @@ mod tests {
             },
             8,
         );
-        let gossip = gossip_map(
-            &g,
-            GossipConfig {
-                nranks: 4,
-                ..Default::default()
-            },
-        );
+        let gossip = gossip_map(&g, 4, 0);
         let full = DistributedInfomap::new(DistributedConfig {
             nranks: 4,
             ..Default::default()
@@ -108,35 +80,15 @@ mod tests {
         // With one rank there is no remote information to miss, so both
         // protocols coincide.
         let (g, _) = generators::planted_partition(4, 12, 0.5, 0.02, 3);
-        let gossip = gossip_map(
-            &g,
-            GossipConfig {
-                nranks: 1,
-                ..Default::default()
-            },
-        );
+        let gossip = gossip_map(&g, 1, 0);
         assert!(gossip.codelength < gossip.one_level_codelength);
     }
 
     #[test]
     fn gossip_is_deterministic() {
         let (g, _) = generators::lfr_like(generators::LfrParams::default(), 5);
-        let a = gossip_map(
-            &g,
-            GossipConfig {
-                nranks: 3,
-                seed: 7,
-                ..Default::default()
-            },
-        );
-        let b = gossip_map(
-            &g,
-            GossipConfig {
-                nranks: 3,
-                seed: 7,
-                ..Default::default()
-            },
-        );
+        let a = gossip_map(&g, 3, 7);
+        let b = gossip_map(&g, 3, 7);
         assert_eq!(a.modules, b.modules);
     }
 }

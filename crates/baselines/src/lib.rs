@@ -12,4 +12,4 @@
 
 pub mod gossip;
 
-pub use gossip::{gossip_map, GossipConfig};
+pub use gossip::gossip_map;

@@ -28,11 +28,7 @@ fn main() {
     for id in [DatasetId::Dblp, DatasetId::YouTube] {
         let profile = id.profile();
         let (g, _) = profile.generate_scaled(scale, seed);
-        let seq = Infomap::new(InfomapConfig {
-            seed,
-            ..Default::default()
-        })
-        .run(&g);
+        let seq = Infomap::new(InfomapConfig { seed }).run(&g);
         for min_label in [true, false] {
             let out = DistributedInfomap::new(DistributedConfig {
                 nranks: p,

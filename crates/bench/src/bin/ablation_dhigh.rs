@@ -20,11 +20,7 @@ fn main() {
     let p = 32;
     let profile = DatasetId::Uk2005.profile();
     let (g, _) = profile.generate_scaled(scale, seed);
-    let seq = Infomap::new(InfomapConfig {
-        seed,
-        ..Default::default()
-    })
-    .run(&g);
+    let seq = Infomap::new(InfomapConfig { seed }).run(&g);
     println!(
         "Ablation d_high on {} (|V|={}, |E|={}, p={p}):\n",
         profile.name,

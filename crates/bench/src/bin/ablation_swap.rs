@@ -30,11 +30,7 @@ fn main() {
     for id in [DatasetId::Amazon, DatasetId::Dblp, DatasetId::NdWeb] {
         let profile = id.profile();
         let (g, _) = profile.generate_scaled(scale, seed);
-        let seq = Infomap::new(InfomapConfig {
-            seed,
-            ..Default::default()
-        })
-        .run(&g);
+        let seq = Infomap::new(InfomapConfig { seed }).run(&g);
         for full in [true, false] {
             let out = DistributedInfomap::new(DistributedConfig {
                 nranks: p,

@@ -20,11 +20,7 @@ fn main() {
     for id in DatasetId::SMALL {
         let profile = id.profile();
         let (g, _) = profile.generate_scaled(scale, seed);
-        let seq = Infomap::new(InfomapConfig {
-            seed,
-            ..Default::default()
-        })
-        .run(&g);
+        let seq = Infomap::new(InfomapConfig { seed }).run(&g);
         let dist = DistributedInfomap::new(DistributedConfig {
             nranks,
             seed,

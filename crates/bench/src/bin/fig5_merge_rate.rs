@@ -23,11 +23,7 @@ fn main() {
         let profile = id.profile();
         let (g, _) = profile.generate_scaled(scale, seed);
         let n0 = g.num_vertices() as f64;
-        let seq = Infomap::new(InfomapConfig {
-            seed,
-            ..Default::default()
-        })
-        .run(&g);
+        let seq = Infomap::new(InfomapConfig { seed }).run(&g);
         let dist = DistributedInfomap::new(DistributedConfig {
             nranks,
             seed,

@@ -37,11 +37,7 @@ fn main() {
     ] {
         let profile = id.profile();
         let (g, _) = profile.generate_scaled(scale, seed);
-        let seq = Infomap::new(InfomapConfig {
-            seed,
-            ..Default::default()
-        })
-        .run(&g);
+        let seq = Infomap::new(InfomapConfig { seed }).run(&g);
         let threshold = std::env::var("DINFOMAP_DHIGH")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -59,7 +55,6 @@ fn main() {
         // only in sweep order agree with each other on this graph?
         let seq_b = Infomap::new(InfomapConfig {
             seed: seed ^ 0xabcd,
-            ..Default::default()
         })
         .run(&g);
         let ceil = quality(&seq.modules, &seq_b.modules);

@@ -9,7 +9,7 @@
 //! size/hubbiness (the paper reports 1.08× on ND-Web up to 6.02× on
 //! UK-2007).
 
-use infomap_baselines::{gossip_map, GossipConfig};
+use infomap_baselines::gossip_map;
 use infomap_bench::{env_scale, env_seed, fmt_secs, scaled_model, stage_split, Table};
 use infomap_distributed::{DistributedConfig, DistributedInfomap};
 use infomap_graph::datasets::DatasetId;
@@ -42,14 +42,7 @@ fn main() {
             ..Default::default()
         })
         .run(&g);
-        let gossip = gossip_map(
-            &g,
-            GossipConfig {
-                nranks: p,
-                seed,
-                ..Default::default()
-            },
-        );
+        let gossip = gossip_map(&g, p, seed);
         let model = scaled_model(&profile, &g);
         let (a1, a2, am) = stage_split(&ours, &model);
         let (b1, b2, bm) = stage_split(&gossip, &model);

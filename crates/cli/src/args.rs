@@ -2,7 +2,7 @@
 //! explicit state machine over `--flag value` pairs.
 
 use crate::commands::dataset_id;
-use crate::launch::{page_cache, LaunchOpts, WorkerOpts};
+use crate::launch::{page_cache, LaunchOpts};
 use infomap_graph::snapshot::UnusablePageCache;
 
 /// Printed on parse errors and `--help`.
@@ -119,10 +119,14 @@ pub enum Command {
     Info {
         path: String,
     },
-    /// `launch`: the distributed pipeline over real OS processes.
-    Launch(LaunchOpts),
-    /// `_rank`: hidden worker subcommand, spawned by `launch`.
-    RankWorker(WorkerOpts),
+    /// `launch`: the distributed pipeline over real OS processes, and the
+    /// arguments it was given, which every worker parses again.
+    Launch(LaunchOpts, Vec<String>),
+    /// `_rank --rank R --dir D --graph-shard-dir S -- <launch arguments>`:
+    /// hidden worker subcommand, spawned by `launch`. Holds the rank and
+    /// the launch's options, with `dir` and `graph_shard_dir` set to the
+    /// directories the worker was handed.
+    RankWorker(usize, LaunchOpts),
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -309,113 +313,97 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Info { path })
         }
         "launch" => {
-            // The positional edge list is optional in shard mode, where
-            // `--graph-shard-dir` supplies the input instead.
-            let mut it = it.peekable();
-            let path = match it.peek() {
-                Some(first) if !first.starts_with('-') => it.next().unwrap().clone(),
-                _ => String::new(),
-            };
-            let mut o = LaunchOpts {
-                path,
-                procs: 4,
-                seed: 0,
-                output: None,
-                quiet: false,
-                checkpoint_every: 0,
-                max_retries: 3,
-                timeout_ms: 5000,
-                kill_rank: None,
-                dir: None,
-                threads: 1,
-                graph_shard_dir: None,
-                paged: false,
-                block_bytes: 0,
-                cache_blocks: 0,
-            };
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--procs" => o.procs = num(&mut it, flag)?,
-                    "--threads" => o.threads = num(&mut it, flag)?,
-                    "--seed" => o.seed = num(&mut it, flag)?,
-                    "--output" => o.output = Some(next(&mut it, flag)?),
-                    "--quiet" => o.quiet = true,
-                    "--checkpoint-every" => o.checkpoint_every = num(&mut it, flag)?,
-                    "--max-retries" => o.max_retries = num(&mut it, flag)?,
-                    "--timeout-ms" => o.timeout_ms = num(&mut it, flag)?,
-                    "--kill-rank" => o.kill_rank = Some(parse_kill(&next(&mut it, flag)?)?),
-                    "--dir" => o.dir = Some(next(&mut it, flag)?),
-                    "--graph-shard-dir" => o.graph_shard_dir = Some(next(&mut it, flag)?),
-                    "--paged" => o.paged = true,
-                    "--block-bytes" => o.block_bytes = num(&mut it, flag)?,
-                    "--cache-blocks" => o.cache_blocks = num(&mut it, flag)?,
-                    other => return Err(format!("launch: unknown flag {other:?}")),
-                }
-            }
-            if o.path.is_empty() == o.graph_shard_dir.is_none() {
-                return Err("launch: give exactly one of <edges.txt> or --graph-shard-dir".into());
-            }
-            if o.threads == 0 {
-                return Err("launch: --threads must be >= 1".into());
-            }
-            check_page_cache("launch", o.block_bytes, o.cache_blocks)?;
-            Ok(Command::Launch(o))
+            let args = it.as_slice().to_vec();
+            Ok(Command::Launch(parse_launch(&args)?, args))
         }
         "_rank" => {
-            let mut o = WorkerOpts {
-                rank: usize::MAX,
-                procs: 0,
-                seed: 0,
-                dir: String::new(),
-                checkpoint_every: 0,
-                timeout_ms: 5000,
-                threads: 1,
-                graph_shard_dir: String::new(),
-                paged: false,
-                block_bytes: 0,
-                cache_blocks: 0,
-            };
+            let (mut rank, mut dir, mut shard_dir) = (None, None, None);
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--rank" => o.rank = num(&mut it, flag)?,
-                    "--procs" => o.procs = num(&mut it, flag)?,
-                    "--threads" => o.threads = num(&mut it, flag)?,
-                    "--seed" => o.seed = num(&mut it, flag)?,
-                    "--dir" => o.dir = next(&mut it, flag)?,
-                    "--checkpoint-every" => o.checkpoint_every = num(&mut it, flag)?,
-                    "--timeout-ms" => o.timeout_ms = num(&mut it, flag)?,
-                    "--graph-shard-dir" => o.graph_shard_dir = next(&mut it, flag)?,
-                    "--paged" => o.paged = true,
-                    "--block-bytes" => o.block_bytes = num(&mut it, flag)?,
-                    "--cache-blocks" => o.cache_blocks = num(&mut it, flag)?,
+                    "--rank" => rank = Some(num(&mut it, flag)?),
+                    "--dir" => dir = Some(next(&mut it, flag)?),
+                    "--graph-shard-dir" => shard_dir = Some(next(&mut it, flag)?),
+                    "--" => break,
                     other => return Err(format!("_rank: unknown flag {other:?}")),
                 }
             }
-            if o.rank == usize::MAX
-                || o.procs == 0
-                || o.dir.is_empty()
-                || o.graph_shard_dir.is_empty()
-            {
-                return Err(
-                    "_rank: --rank, --procs, --dir and --graph-shard-dir are required".into(),
-                );
-            }
-            check_page_cache("_rank", o.block_bytes, o.cache_blocks)?;
-            Ok(Command::RankWorker(o))
+            let (Some(rank), Some(dir), Some(shard_dir)) = (rank, dir, shard_dir) else {
+                return Err("_rank: --rank, --dir and --graph-shard-dir are required".into());
+            };
+            let mut o = parse_launch(it.as_slice())?;
+            o.dir = Some(dir);
+            o.graph_shard_dir = Some(shard_dir);
+            Ok(Command::RankWorker(rank, o))
         }
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
 
+/// The arguments of `launch`, after the subcommand: the launcher's and,
+/// behind `_rank`'s own three flags, every worker's.
+fn parse_launch(args: &[String]) -> Result<LaunchOpts, String> {
+    // The positional edge list is optional in shard mode, where
+    // `--graph-shard-dir` supplies the input instead.
+    let mut it = args.iter().peekable();
+    let path = match it.peek() {
+        Some(first) if !first.starts_with('-') => it.next().unwrap().clone(),
+        _ => String::new(),
+    };
+    let mut o = LaunchOpts {
+        path,
+        procs: 4,
+        seed: 0,
+        output: None,
+        quiet: false,
+        checkpoint_every: 0,
+        max_retries: 3,
+        timeout_ms: 5000,
+        kill_rank: None,
+        dir: None,
+        threads: 1,
+        graph_shard_dir: None,
+        paged: false,
+        block_bytes: 0,
+        cache_blocks: 0,
+    };
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--procs" => o.procs = num(&mut it, flag)?,
+            "--threads" => o.threads = num(&mut it, flag)?,
+            "--seed" => o.seed = num(&mut it, flag)?,
+            "--output" => o.output = Some(next(&mut it, flag)?),
+            "--quiet" => o.quiet = true,
+            "--checkpoint-every" => o.checkpoint_every = num(&mut it, flag)?,
+            "--max-retries" => o.max_retries = num(&mut it, flag)?,
+            "--timeout-ms" => o.timeout_ms = num(&mut it, flag)?,
+            "--kill-rank" => o.kill_rank = Some(parse_kill(&next(&mut it, flag)?)?),
+            "--dir" => o.dir = Some(next(&mut it, flag)?),
+            "--graph-shard-dir" => o.graph_shard_dir = Some(next(&mut it, flag)?),
+            "--paged" => o.paged = true,
+            "--block-bytes" => o.block_bytes = num(&mut it, flag)?,
+            "--cache-blocks" => o.cache_blocks = num(&mut it, flag)?,
+            other => return Err(format!("launch: unknown flag {other:?}")),
+        }
+    }
+    if o.path.is_empty() == o.graph_shard_dir.is_none() {
+        return Err("launch: give exactly one of <edges.txt> or --graph-shard-dir".into());
+    }
+    if o.threads == 0 {
+        return Err("launch: --threads must be >= 1".into());
+    }
+    check_page_cache(o.block_bytes, o.cache_blocks)?;
+    Ok(o)
+}
+
 /// `--block-bytes` and `--cache-blocks`: 0 keeps the library default, any
 /// other value must be a size the block cache can use.
-fn check_page_cache(cmd: &str, block_bytes: usize, cache_blocks: usize) -> Result<(), String> {
+fn check_page_cache(block_bytes: usize, cache_blocks: usize) -> Result<(), String> {
     let cfg = page_cache(true, block_bytes, cache_blocks).expect("paged");
     cfg.check().map_err(|e| match e {
         UnusablePageCache::BlockBytes => {
-            format!("{cmd}: --block-bytes must be a positive multiple of 8")
+            "launch: --block-bytes must be a positive multiple of 8".into()
         }
-        UnusablePageCache::CapacityBlocks => format!("{cmd}: --cache-blocks must be >= 2"),
+        UnusablePageCache::CapacityBlocks => "launch: --cache-blocks must be >= 2".into(),
     })
 }
 
@@ -533,7 +521,7 @@ mod tests {
             format!("--{}", "transport"),
             format!("--{}-port", "base"),
         ];
-        let worker = "_rank --rank 0 --procs 2 --graph-shard-dir s --dir d";
+        let worker = "_rank --rank 0 --dir d --graph-shard-dir s -- g.txt --procs 2";
         for base in ["cluster g.txt", "launch g.txt", worker] {
             for flag in &removed {
                 let err = parse(&argv(&format!("{base} {flag} x"))).unwrap_err();
@@ -542,10 +530,11 @@ mod tests {
             }
             assert!(parse(&argv(base)).is_ok(), "{base}");
         }
-        // A worker holds one shard and writes no assignment file.
-        for gone in ["--graph", "--output"] {
-            let err = parse(&argv(&format!("{worker} {gone} x"))).unwrap_err();
-            assert!(err.contains("unknown flag"), "{gone}: {err}");
+        // A worker's own flags are the three values it is handed; every
+        // other one reaches it on the launch line.
+        for gone in ["--graph", "--output", "--procs", "--seed"] {
+            let err = parse(&argv(&format!("_rank {gone} x --rank 0 --dir d"))).unwrap_err();
+            assert_eq!(err, format!("_rank: unknown flag {gone:?}"));
         }
     }
 
@@ -582,19 +571,17 @@ mod tests {
 
     #[test]
     fn rejects_page_cache_sizes_the_reader_cannot_use() {
-        let worker = "_rank --rank 0 --procs 2 --dir d --graph-shard-dir s";
-        for (cmd, prefix) in [("launch g.txt --procs 2", "launch"), (worker, "_rank")] {
+        // A worker parses its launch line with the launcher's parser, so it
+        // refuses what the launcher refuses, in the same words.
+        let worker = "_rank --rank 0 --dir d --graph-shard-dir s -- g.txt --procs 2";
+        for cmd in ["launch g.txt --procs 2", worker] {
             for sizes in ["--paged --block-bytes 100", "--block-bytes 4"] {
                 let err = parse(&argv(&format!("{cmd} {sizes}"))).unwrap_err();
-                let want = format!("{prefix}: --block-bytes must be a positive multiple of 8");
+                let want = "launch: --block-bytes must be a positive multiple of 8";
                 assert_eq!(err, want, "{cmd} {sizes}");
             }
             let err = parse(&argv(&format!("{cmd} --paged --cache-blocks 1"))).unwrap_err();
-            assert_eq!(
-                err,
-                format!("{prefix}: --cache-blocks must be >= 2"),
-                "{cmd}"
-            );
+            assert_eq!(err, "launch: --cache-blocks must be >= 2", "{cmd}");
             // 0 keeps the default; the smallest and largest usable sizes
             // parse.
             for sizes in [
@@ -680,6 +667,8 @@ mod tests {
     /// none panics; every `generate` that parses names a finite scale
     /// and a vertex count in 2..=u32::MAX; and every `launch` or
     /// `_rank` that parses names page-cache sizes the reader can use.
+    /// A `_rank` argv is its three handed values and `--`, then a
+    /// launch line.
     #[test]
     fn parse_sweep_returns_a_command_or_a_named_error() {
         fn splitmix64(mut z: u64) -> u64 {
@@ -740,7 +729,11 @@ mod tests {
                 &["--output", "--quiet", "--max-retries", "--kill-rank"],
             ),
             ("launch", "g.txt", RUN),
-            ("_rank", "--rank", RUN),
+            (
+                "_rank",
+                "--rank 1 --dir d --graph-shard-dir s -- g.txt",
+                RUN,
+            ),
         ];
         const VALUES: &[&str] = &[
             "-1",
@@ -768,7 +761,7 @@ mod tests {
             let (sub, positional, flags) = subcommands[pick(subcommands.len())];
             let mut args = vec![sub.to_string()];
             if pick(8) != 0 {
-                args.push(positional.to_string());
+                args.extend(positional.split(' ').map(String::from));
             }
             for _ in 0..pick(7) {
                 let flag = match pick(flags.len() + 1) {
@@ -793,16 +786,22 @@ mod tests {
                         assert!(scaled <= u32::MAX as usize, "case {case}: {args:?}");
                     }
                 }
-                Ok(Command::Launch(LaunchOpts {
-                    block_bytes,
-                    cache_blocks,
-                    ..
-                }))
-                | Ok(Command::RankWorker(WorkerOpts {
-                    block_bytes,
-                    cache_blocks,
-                    ..
-                })) => {
+                Ok(Command::Launch(
+                    LaunchOpts {
+                        block_bytes,
+                        cache_blocks,
+                        ..
+                    },
+                    _,
+                ))
+                | Ok(Command::RankWorker(
+                    _,
+                    LaunchOpts {
+                        block_bytes,
+                        cache_blocks,
+                        ..
+                    },
+                )) => {
                     let cfg = page_cache(true, block_bytes, cache_blocks).unwrap();
                     assert!(cfg.check().is_ok(), "case {case}: {args:?}");
                 }
@@ -824,19 +823,19 @@ mod tests {
     fn parses_launch_threads() {
         let cmd = parse(&argv("launch g.txt --procs 2 --threads 4")).unwrap();
         match cmd {
-            Command::Launch(o) => {
+            Command::Launch(o, _) => {
                 assert_eq!(o.procs, 2);
                 assert_eq!(o.threads, 4);
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        // Workers default to 1 and accept the forwarded flag.
+        // A worker reads the flag from its launch line.
         let cmd = parse(&argv(
-            "_rank --rank 0 --procs 2 --graph-shard-dir s --dir d --threads 4",
+            "_rank --rank 0 --dir d --graph-shard-dir s -- g.txt --procs 2 --threads 4",
         ))
         .unwrap();
         match cmd {
-            Command::RankWorker(o) => assert_eq!(o.threads, 4),
+            Command::RankWorker(0, o) => assert_eq!(o.threads, 4),
             other => panic!("wrong parse: {other:?}"),
         }
     }
@@ -848,7 +847,7 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Launch(o) => {
+            Command::Launch(o, _) => {
                 assert!(o.path.is_empty());
                 assert_eq!(o.graph_shard_dir.as_deref(), Some("shards"));
                 assert_eq!(o.procs, 3);
@@ -861,19 +860,20 @@ mod tests {
         // Exactly one input: neither and both are errors.
         assert!(parse(&argv("launch --procs 2")).is_err());
         assert!(parse(&argv("launch g.txt --graph-shard-dir shards")).is_err());
-        // Workers accept the forwarded shard flags.
+        // A worker reads the shard flags from its launch line; the shard
+        // directory it is handed wins over the launch's.
         let cmd = parse(&argv(
-            "_rank --rank 1 --procs 2 --dir d --graph-shard-dir shards --paged",
+            "_rank --rank 1 --dir d --graph-shard-dir shards -- --graph-shard-dir x --paged",
         ))
         .unwrap();
         match cmd {
-            Command::RankWorker(o) => {
-                assert_eq!(o.graph_shard_dir, "shards");
+            Command::RankWorker(1, o) => {
+                assert_eq!(o.graph_shard_dir.as_deref(), Some("shards"));
                 assert!(o.paged);
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        assert!(parse(&argv("_rank --rank 1 --procs 2 --dir d")).is_err());
+        assert!(parse(&argv("_rank --rank 1 --dir d -- g.txt")).is_err());
     }
 
     #[test]

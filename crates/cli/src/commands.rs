@@ -3,7 +3,7 @@
 use std::io::Write;
 use std::path::Path;
 
-use infomap_baselines::{gossip_map, GossipConfig};
+use infomap_baselines::gossip_map;
 use infomap_core::sequential::{Infomap, InfomapConfig};
 use infomap_distributed::{DistributedConfig, DistributedInfomap, RecoveryConfig, StageTrace};
 use infomap_graph::datasets::DatasetId;
@@ -73,8 +73,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Snapshot { path, out, shards } => snapshot(&path, &out, shards),
         Command::Info { path } => info(&path),
-        Command::Launch(opts) => crate::launch::run_launch(opts),
-        Command::RankWorker(_) => unreachable!("handled in main for exit-code control"),
+        Command::Launch(opts, args) => crate::launch::run_launch(opts, &args),
+        Command::RankWorker(..) => unreachable!("handled in main for exit-code control"),
     }
 }
 
@@ -107,11 +107,7 @@ fn cluster(
     let mut stages = None;
     let (name, modules, codelength): (&str, Vec<u32>, f64) = match algorithm {
         Algorithm::Sequential => {
-            let r = Infomap::new(InfomapConfig {
-                seed,
-                ..Default::default()
-            })
-            .run(g);
+            let r = Infomap::new(InfomapConfig { seed }).run(g);
             ("sequential Infomap", r.modules, r.codelength)
         }
         Algorithm::Distributed => {
@@ -138,14 +134,7 @@ fn cluster(
             ("distributed Infomap", r.modules, r.codelength)
         }
         Algorithm::Gossip => {
-            let r = gossip_map(
-                g,
-                GossipConfig {
-                    nranks: ranks,
-                    seed,
-                    ..Default::default()
-                },
-            );
+            let r = gossip_map(g, ranks, seed);
             stages = Some(stages_line(trace_stages(&r.trace)));
             ("GossipMap-like baseline", r.modules, r.codelength)
         }

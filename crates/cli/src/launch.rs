@@ -6,7 +6,10 @@
 //! `<dir>/shards/shard-R.snap` (always rewritten at launch start) and
 //! keeps only the original vertex ids; `--graph-shard-dir` supplies
 //! ready-made shards instead. It then forks `--procs` copies of this
-//! binary with the hidden `_rank` subcommand. Every worker opens only its
+//! binary as `_rank --rank R --dir D --graph-shard-dir S -- <the launch
+//! arguments>`: a worker parses the launch line with the launcher's own
+//! parser and takes only its rank and the two directories from `_rank`,
+//! so every launch flag reaches every worker. Every worker opens only its
 //! own shard, connects a [`SocketTransport`] mesh in a shared rendezvous
 //! directory, rebuilds its state with [`RankProgram::prepare_shard`]
 //! (collectives stand in for every global fact), and runs the identical
@@ -98,28 +101,6 @@ pub struct LaunchOpts {
     pub cache_blocks: usize,
 }
 
-/// Parsed hidden `_rank` invocation (one worker process).
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkerOpts {
-    pub rank: usize,
-    pub procs: usize,
-    pub seed: u64,
-    pub dir: String,
-    pub checkpoint_every: usize,
-    pub timeout_ms: u64,
-    /// Intra-rank worker threads (forwarded from `launch --threads`).
-    pub threads: usize,
-    /// Directory holding this rank's `shard-R.snap`: the launcher's
-    /// `<dir>/shards`, or the user's `launch --graph-shard-dir`.
-    pub graph_shard_dir: String,
-    /// Forwarded from `launch --paged`.
-    pub paged: bool,
-    /// Forwarded from `launch --block-bytes`.
-    pub block_bytes: usize,
-    /// Forwarded from `launch --cache-blocks`.
-    pub cache_blocks: usize,
-}
-
 /// The `--paged`/`--block-bytes`/`--cache-blocks` triple as a cache
 /// config (`None` = the whole shard resident).
 pub(crate) fn page_cache(
@@ -175,13 +156,14 @@ fn setup_window(timeout_ms: u64) -> Duration {
 // Worker (`dinfomap _rank ...`)
 // ---------------------------------------------------------------------
 
-/// Run one rank. Returns the process exit code.
-pub fn run_worker(o: WorkerOpts) -> i32 {
-    match worker_inner(&o) {
+/// Run rank `rank` of the launch `o`, whose `dir` and `graph_shard_dir`
+/// the `_rank` parser set. Returns the process exit code.
+pub fn run_worker(rank: usize, o: LaunchOpts) -> i32 {
+    match worker_inner(rank, &o) {
         Ok(()) => 0,
         Err(WorkerFailure::Transport) => EXIT_TRANSPORT_FAULT,
         Err(WorkerFailure::Other(msg)) => {
-            eprintln!("rank {}: {msg}", o.rank);
+            eprintln!("rank {rank}: {msg}");
             1
         }
     }
@@ -193,19 +175,20 @@ enum WorkerFailure {
     Other(String),
 }
 
-fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
+fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
     let entered = Instant::now();
-    let dir = PathBuf::from(&o.dir);
+    let handed = |d: &Option<String>| PathBuf::from(d.as_deref().expect("set by `_rank`"));
+    let dir = handed(&o.dir);
     // Checksummed on open: a missing, torn or bit-flipped shard ends the
     // worker here with the named error.
-    let path = shard_path(Path::new(&o.graph_shard_dir), o.rank);
+    let path = shard_path(&handed(&o.graph_shard_dir), rank);
     let cache = page_cache(o.paged, o.block_bytes, o.cache_blocks);
     let graph = GraphSnapshotStore::open(&path, cache)
         .map_err(|e| WorkerFailure::Other(format!("cannot open {}: {e}", path.display())))?;
     let cfg = DistributedConfig {
         nranks: o.procs,
         seed: o.seed,
-        threads: o.threads.max(1),
+        threads: o.threads,
         recovery: RecoveryConfig {
             checkpoint_every: o.checkpoint_every,
             ..Default::default()
@@ -227,8 +210,8 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
     let restored = store.agreed_pos().is_some();
 
     let scfg = socket_config(&dir, o.timeout_ms);
-    let transport = SocketTransport::connect(o.rank, o.procs, scfg).map_err(|e| {
-        write_diag(&dir, o.rank, "connect", &format!("{e}"));
+    let transport = SocketTransport::connect(rank, o.procs, scfg).map_err(|e| {
+        write_diag(&dir, rank, "connect", &format!("{e}"));
         WorkerFailure::Transport
     })?;
     let mut comm = Comm::over_transport(Box::new(transport));
@@ -288,8 +271,8 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
                 Some(f) => (f.op.clone(), format!("{}", f.error)),
                 None => ("run".into(), panic_message(payload.as_ref())),
             };
-            write_diag(&dir, o.rank, &op, &detail);
-            eprintln!("rank {}: blocked in {op}: {detail}", o.rank);
+            write_diag(&dir, rank, &op, &detail);
+            eprintln!("rank {rank}: blocked in {op}: {detail}");
             Err(WorkerFailure::Transport)
         }
     }
@@ -313,7 +296,7 @@ fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 
 fn write_result(
     dir: &Path,
-    o: &WorkerOpts,
+    o: &LaunchOpts,
     out: &DistributedOutput,
     connect: Duration,
     wall: Duration,
@@ -518,7 +501,7 @@ fn one_level_of_shards(shard_dir: &Path, procs: usize) -> Result<(f64, usize), S
     Ok((one_level, strengths.len()))
 }
 
-pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
+pub fn run_launch(o: LaunchOpts, args: &[String]) -> Result<(), String> {
     let started = Instant::now();
     if o.procs == 0 {
         return Err("launch: --procs must be >= 1".into());
@@ -561,7 +544,7 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
             let _ = std::fs::remove_file(diag_path(&dir, r));
         }
         let kill = if attempt == 0 { o.kill_rank } else { None };
-        match run_world_once(&o, &dir, &source.shard_dir, kill) {
+        match run_world_once(&o, args, &dir, &source.shard_dir, kill) {
             Ok(()) => {
                 completed = true;
                 break;
@@ -676,10 +659,12 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
     finish(Ok(()))
 }
 
-/// The `_rank` command of worker `rank`: every worker flag of `o`.
+/// The `_rank` command of worker `rank`: the three values it is handed,
+/// then the launch's own arguments `args`, which it parses as the
+/// launcher did.
 fn worker_command(
     exe: &Path,
-    o: &LaunchOpts,
+    args: &[String],
     rank: usize,
     dir: &Path,
     shard_dir: &Path,
@@ -688,27 +673,12 @@ fn worker_command(
     cmd.arg("_rank")
         .arg("--rank")
         .arg(rank.to_string())
-        .arg("--procs")
-        .arg(o.procs.to_string())
-        .arg("--graph-shard-dir")
-        .arg(shard_dir);
-    if o.paged {
-        cmd.arg("--paged")
-            .arg("--block-bytes")
-            .arg(o.block_bytes.to_string())
-            .arg("--cache-blocks")
-            .arg(o.cache_blocks.to_string());
-    }
-    cmd.arg("--seed")
-        .arg(o.seed.to_string())
         .arg("--dir")
-        .arg(dir.as_os_str())
-        .arg("--checkpoint-every")
-        .arg(o.checkpoint_every.to_string())
-        .arg("--timeout-ms")
-        .arg(o.timeout_ms.to_string())
-        .arg("--threads")
-        .arg(o.threads.to_string());
+        .arg(dir)
+        .arg("--graph-shard-dir")
+        .arg(shard_dir)
+        .arg("--")
+        .args(args);
     cmd
 }
 
@@ -716,6 +686,7 @@ fn worker_command(
 /// every worker exits 0 and rank 0 published `result.json`.
 fn run_world_once(
     o: &LaunchOpts,
+    args: &[String],
     dir: &Path,
     shard_dir: &Path,
     kill: Option<(usize, u64)>,
@@ -723,7 +694,7 @@ fn run_world_once(
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut children: Vec<Option<Child>> = Vec::with_capacity(o.procs);
     for rank in 0..o.procs {
-        match worker_command(&exe, o, rank, dir, shard_dir).spawn() {
+        match worker_command(&exe, args, rank, dir, shard_dir).spawn() {
             Ok(child) => children.push(Some(child)),
             Err(e) => {
                 // Left alone, the ranks already running would sit in the
@@ -990,37 +961,60 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A sweep of launch lines — both inputs, four paging shapes, each
+    /// launch flag alone and all of them — through the worker command and
+    /// back through the parser: the worker's options are the launcher's
+    /// but for the rank, dir and shard dir it is handed.
     #[test]
     fn worker_command_forwards_every_worker_flag() {
         use crate::args::{parse, Command};
-        let launch = "launch g.txt --procs 3 --seed 9 --checkpoint-every 2 --timeout-ms 700 \
-                      --threads 2 --paged --block-bytes 256 --cache-blocks 8";
-        let argv: Vec<String> = launch.split_whitespace().map(String::from).collect();
-        let Ok(Command::Launch(mut o)) = parse(&argv) else {
-            panic!("launch parse")
-        };
-        for paged in [true, false] {
-            o.paged = paged;
-            let cmd = worker_command(Path::new("w"), &o, 1, Path::new("d"), Path::new("s"));
-            let worker: Vec<String> = cmd
-                .get_args()
-                .map(|a| a.to_str().unwrap().to_string())
-                .collect();
-            let want = WorkerOpts {
-                rank: 1,
-                procs: 3,
-                seed: 9,
-                dir: "d".into(),
-                checkpoint_every: 2,
-                timeout_ms: 700,
-                threads: 2,
-                graph_shard_dir: "s".into(),
-                paged,
-                block_bytes: if paged { 256 } else { 0 },
-                cache_blocks: if paged { 8 } else { 0 },
-            };
-            assert_eq!(parse(&worker), Ok(Command::RankWorker(want)), "{worker:?}");
+        let argv =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(String::from).collect() };
+        let flags = [
+            "--procs 3",
+            "--threads 2",
+            "--seed 9",
+            "--output out.txt",
+            "--quiet",
+            "--checkpoint-every 2",
+            "--max-retries 5",
+            "--timeout-ms 700",
+            "--kill-rank 1@40",
+            "--dir run",
+        ];
+        let paging = [
+            "",
+            "--paged",
+            "--paged --block-bytes 256 --cache-blocks 8",
+            "--block-bytes 256 --cache-blocks 8",
+        ];
+        let all = flags.join(" ");
+        let mut lines = 0;
+        for input in ["g.txt", "--graph-shard-dir shards"] {
+            for pages in paging {
+                for rest in flags.iter().copied().chain([all.as_str()]) {
+                    let line = format!("launch {input} {rest} {pages}");
+                    let Ok(Command::Launch(mut want, args)) = parse(&argv(&line)) else {
+                        panic!("{line}: launch parse")
+                    };
+                    let cmd =
+                        worker_command(Path::new("w"), &args, 1, Path::new("d"), Path::new("s"));
+                    let worker: Vec<String> = cmd
+                        .get_args()
+                        .map(|a| a.to_str().unwrap().to_string())
+                        .collect();
+                    want.dir = Some("d".into());
+                    want.graph_shard_dir = Some("s".into());
+                    assert_eq!(
+                        parse(&worker),
+                        Ok(Command::RankWorker(1, want)),
+                        "{worker:?}"
+                    );
+                    lines += 1;
+                }
+            }
         }
+        assert_eq!(lines, 2 * 4 * 11);
     }
 
     #[test]

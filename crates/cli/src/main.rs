@@ -26,7 +26,7 @@ fn main() -> ExitCode {
     match args::parse(&argv) {
         // Worker processes signal structured transport faults through
         // their exit code; bypass the Result-shaped path.
-        Ok(args::Command::RankWorker(o)) => ExitCode::from(launch::run_worker(o) as u8),
+        Ok(args::Command::RankWorker(rank, o)) => ExitCode::from(launch::run_worker(rank, o) as u8),
         Ok(cmd) => match commands::run(cmd) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {

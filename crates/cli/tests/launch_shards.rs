@@ -391,12 +391,14 @@ fn a_damaged_launcher_written_shard_stops_its_worker_by_name() {
             "_rank",
             "--rank",
             "1",
-            "--procs",
-            "3",
-            "--graph-shard-dir",
-            shards.to_str().unwrap(),
             "--dir",
             world.to_str().unwrap(),
+            "--graph-shard-dir",
+            shards.to_str().unwrap(),
+            "--",
+            &path,
+            "--procs",
+            "3",
         ]);
         assert!(!ok, "worker ran on a damaged shard ({named})");
         assert!(stderr.contains(named), "expected {named:?}:\n{stderr}");

@@ -38,4 +38,4 @@ pub mod sequential;
 pub use accumulate::{push_slot, StampedSlotMap};
 pub use flow::FlowNetwork;
 pub use map_equation::{plogp, plogp_slice, DeltaBatch, MoveScratch, Partitioning, DELTA_CHUNK};
-pub use sequential::{Infomap, InfomapConfig, InfomapResult, OuterIterationStats};
+pub use sequential::{Infomap, InfomapConfig, InfomapResult, OuterIterationStats, MIN_GAIN, THETA};

@@ -14,33 +14,26 @@ use rand::rngs::StdRng;
 use crate::flow::FlowNetwork;
 use crate::map_equation::{codelength_from_scratch, Partitioning};
 
-/// Tunables of the sequential algorithm (defaults follow the original
-/// Infomap implementation's spirit).
-#[derive(Clone, Copy, Debug)]
+/// The θ of Algorithms 1 and 2: a merge level that improves the
+/// codelength by less than this ends the outer loop. The distributed
+/// driver stops its rounds and its levels on the same value.
+pub const THETA: f64 = 1e-10;
+
+/// The least codelength gain δL a move must bring, sequential and
+/// distributed alike.
+pub const MIN_GAIN: f64 = 1e-10;
+
+/// Cap on outer iterations (merge levels).
+const MAX_LEVELS: usize = 30;
+
+/// Cap on greedy sweeps per outer iteration.
+const MAX_SWEEPS: usize = 50;
+
+/// Settings of the sequential algorithm.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct InfomapConfig {
-    /// Stop when an outer iteration improves `L` by less than this (the θ
-    /// of Algorithm 1).
-    pub theta: f64,
-    /// Maximum outer iterations.
-    pub max_outer_iterations: usize,
-    /// Maximum greedy sweeps per outer iteration.
-    pub max_inner_sweeps: usize,
-    /// Minimum δL a single move must gain.
-    pub min_gain: f64,
     /// RNG seed for vertex-order randomization.
     pub seed: u64,
-}
-
-impl Default for InfomapConfig {
-    fn default() -> Self {
-        InfomapConfig {
-            theta: 1e-10,
-            max_outer_iterations: 30,
-            max_inner_sweeps: 50,
-            min_gain: 1e-10,
-            seed: 0,
-        }
-    }
 }
 
 /// Trace entry for one outer iteration.
@@ -102,14 +95,7 @@ impl Infomap {
     /// Run on an undirected graph.
     pub fn run(&self, graph: &Graph) -> InfomapResult {
         let network = FlowNetwork::from_graph(graph.clone());
-        self.run_network(network)
-    }
-
-    /// Run on a pre-built flow network (used by tests and by the
-    /// distributed algorithm's verification path).
-    pub fn run_network(&self, network: FlowNetwork) -> InfomapResult {
-        let cfg = self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
         let original_n = network.num_vertices();
         let node_term: f64 = network
             .node_flows()
@@ -129,20 +115,14 @@ impl Infomap {
         let mut prev_codelength = f64::INFINITY;
         let mut codelength = f64::INFINITY;
 
-        for iteration in 0..cfg.max_outer_iterations {
+        for iteration in 0..MAX_LEVELS {
             let mut partitioning =
                 Partitioning::singletons_with_node_term(&level_network, node_term);
             if iteration == 0 {
                 prev_codelength = partitioning.codelength();
             }
 
-            let (sweeps, moves) = greedy_sweeps(
-                &level_network,
-                &mut partitioning,
-                cfg.max_inner_sweeps,
-                cfg.min_gain,
-                &mut rng,
-            );
+            let (sweeps, moves) = greedy_sweeps(&level_network, &mut partitioning, &mut rng);
             codelength = partitioning.codelength();
 
             // Contract modules into the next level's network.
@@ -164,7 +144,7 @@ impl Infomap {
             });
 
             let improved = prev_codelength - codelength;
-            if moves == 0 || vertices_after == vertices_before || improved < cfg.theta {
+            if moves == 0 || vertices_after == vertices_before || improved < THETA {
                 break;
             }
             prev_codelength = codelength;
@@ -194,8 +174,6 @@ impl Infomap {
 pub fn greedy_sweeps(
     network: &FlowNetwork,
     partitioning: &mut Partitioning,
-    max_sweeps: usize,
-    min_gain: f64,
     rng: &mut StdRng,
 ) -> (usize, usize) {
     let n = network.num_vertices();
@@ -206,13 +184,13 @@ pub fn greedy_sweeps(
     let mut scratch = crate::map_equation::MoveScratch::default();
     let mut total_moves = 0usize;
     let mut sweeps = 0usize;
-    for _ in 0..max_sweeps {
+    for _ in 0..MAX_SWEEPS {
         sweeps += 1;
         order.shuffle(rng);
         let mut moves = 0usize;
         for &u in &order {
             if let Some(c) =
-                partitioning.best_move_stamped(network, u, min_gain, 1e-12, &mut scratch)
+                partitioning.best_move_stamped(network, u, MIN_GAIN, 1e-12, &mut scratch)
             {
                 partitioning.apply_candidate(network, &c);
                 moves += 1;
@@ -367,7 +345,7 @@ mod tests {
             .sum();
         let mut part = Partitioning::singletons_with_node_term(&net, node_term);
         let mut rng = StdRng::seed_from_u64(1);
-        greedy_sweeps(&net, &mut part, 20, 1e-10, &mut rng);
+        greedy_sweeps(&net, &mut part, &mut rng);
         let l_before = part.codelength();
 
         let (agg, _) = aggregate(&net, &part);
@@ -382,16 +360,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let (g, _) = generators::lfr_like(generators::LfrParams::default(), 2);
-        let a = Infomap::new(InfomapConfig {
-            seed: 9,
-            ..Default::default()
-        })
-        .run(&g);
-        let b = Infomap::new(InfomapConfig {
-            seed: 9,
-            ..Default::default()
-        })
-        .run(&g);
+        let a = Infomap::new(InfomapConfig { seed: 9 }).run(&g);
+        let b = Infomap::new(InfomapConfig { seed: 9 }).run(&g);
         assert_eq!(a.modules, b.modules);
         assert_eq!(a.codelength, b.codelength);
     }

@@ -63,7 +63,7 @@ fn greedy_never_increases_codelength() {
         let net = connected_net(n, 30, &mut rng);
         let mut part = Partitioning::singletons(&net);
         let before = part.codelength();
-        greedy_sweeps(&net, &mut part, 30, 1e-10, &mut rng);
+        greedy_sweeps(&net, &mut part, &mut rng);
         assert!(part.codelength() <= before + 1e-9, "case {case}");
     }
 }
@@ -75,7 +75,7 @@ fn aggregation_preserves_codelength_of_any_greedy_partition() {
         let net = connected_net(n, 30, &mut rng);
         let node_term = Partitioning::singletons(&net).node_term();
         let mut part = Partitioning::singletons_with_node_term(&net, node_term);
-        greedy_sweeps(&net, &mut part, 20, 1e-10, &mut rng);
+        greedy_sweeps(&net, &mut part, &mut rng);
         let l = part.codelength();
         let (agg, _) = aggregate(&net, &part);
         let l_agg = Partitioning::singletons_with_node_term(&agg, node_term).codelength();
@@ -107,10 +107,7 @@ fn full_run_result_is_consistent() {
         if g.num_edges() == 0 {
             continue;
         }
-        let config = InfomapConfig {
-            seed,
-            ..Default::default()
-        };
+        let config = InfomapConfig { seed };
         let result = Infomap::new(config).run(&g);
         // Assignments are dense 0..k.
         let (modules, k) = (&result.modules, result.num_modules() as u32);

@@ -16,14 +16,6 @@ pub struct DistributedConfig {
     pub threshold: DelegateThreshold,
     /// Run the partition-imbalance correction pass of §3.3.
     pub rebalance: bool,
-    /// Outer-loop stop: improvement threshold θ on the global MDL.
-    pub theta: f64,
-    /// Cap on outer iterations (merge levels).
-    pub max_outer_iterations: usize,
-    /// Cap on synchronized inner rounds per clustering stage.
-    pub max_inner_iterations: usize,
-    /// Minimum δL a move must gain.
-    pub min_gain: f64,
     /// Seed for per-rank sweep-order randomization.
     pub seed: u64,
     /// Minimum-label tie-break against vertex bouncing (§3.4). Disabling
@@ -78,10 +70,6 @@ impl Default for DistributedConfig {
             nranks: 4,
             threshold: DelegateThreshold::Auto(4.0),
             rebalance: true,
-            theta: 1e-10,
-            max_outer_iterations: 30,
-            max_inner_iterations: 40,
-            min_gain: 1e-10,
             seed: 0,
             min_label_tiebreak: true,
             full_module_swap: true,

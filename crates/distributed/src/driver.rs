@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
-use infomap_core::{plogp, StampedSlotMap};
+use infomap_core::{plogp, StampedSlotMap, THETA};
 use infomap_graph::snapshot::{SnapshotHeader, SnapshotKind};
 use infomap_graph::{GraphStore, VertexId};
 use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World};
@@ -594,7 +594,9 @@ impl RankProgram {
         };
 
         // ---- Stage 2 loop: clustering without delegates ----
-        for level in at.level as usize..=cfg.max_outer_iterations {
+        // Cap on merge levels.
+        const MAX_LEVELS: usize = 30;
+        for level in at.level as usize..=MAX_LEVELS {
             if at.level_vertices <= 1 {
                 break;
             }
@@ -637,7 +639,7 @@ impl RankProgram {
             at.level = level as u32 + 1;
             let stalled = new_vertices == at.level_vertices;
             at.level_vertices = new_vertices;
-            if s2.total_moves == 0 || stalled || improved < cfg.theta {
+            if s2.total_moves == 0 || stalled || improved < THETA {
                 break;
             }
         }

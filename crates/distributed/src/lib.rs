@@ -71,4 +71,4 @@ pub use driver::{
     degraded_output, node_term, DistributedInfomap, DistributedOutput, RankProgram, RecoveryReport,
     StageTrace,
 };
-pub use rounds::{find_best_modules, RoundBuffers, StageStop};
+pub use rounds::{find_best_modules, RoundBuffers, StageStop, MAX_ROUNDS};

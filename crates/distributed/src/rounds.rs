@@ -70,7 +70,7 @@
 
 use std::collections::BTreeMap;
 
-use infomap_core::{plogp, plogp_slice, MoveScratch, StampedSlotMap, DELTA_CHUNK};
+use infomap_core::{plogp, plogp_slice, MoveScratch, StampedSlotMap, DELTA_CHUNK, MIN_GAIN, THETA};
 use infomap_mpisim::{Comm, ReduceOp};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -104,10 +104,10 @@ pub struct StageOutcome {
 pub enum StageStop {
     /// No vertex moved for one full period of the round schedule.
     Quiesced = 0,
-    /// Two consecutive syncs without an MDL improvement of `theta`, or a
-    /// whole schedule period that improved it by less than 0.4 %.
+    /// Two consecutive syncs without an MDL improvement of [`THETA`], or
+    /// a whole schedule period that improved it by less than 0.4 %.
     Stalled = 1,
-    /// `max_inner_iterations` rounds ran out first.
+    /// [`MAX_ROUNDS`] rounds ran out first.
     Cap = 2,
 }
 
@@ -281,7 +281,6 @@ pub(crate) struct LocalCandidate {
 pub(crate) fn best_local_move(
     st: &LocalState,
     li: u32,
-    min_gain: f64,
     min_label: bool,
     scratch: &mut KernelScratch,
 ) -> Option<LocalCandidate> {
@@ -335,7 +334,7 @@ pub(crate) fn best_local_move(
     batch.score(own, cands, |own, m, v| {
         let delta =
             v[0] - own[0] - 2.0 * (own[1] - own[2] + v[1] - v[2]) + own[3] - own[4] + v[3] - v[4];
-        if delta >= -min_gain {
+        if delta >= -MIN_GAIN {
             return;
         }
         let better = match &best {
@@ -394,13 +393,7 @@ const EVAL_BLOCK: usize = 512;
 /// round-start state. Pure reads of `st`; every result lands at the
 /// vertex's *position within the slice*, so the cache-blocked visit order
 /// below never leaks into the merge.
-fn eval_slice(
-    st: &LocalState,
-    cfg: &DistributedConfig,
-    restrict_boundary: bool,
-    slice: &[u32],
-    scratch: &mut SliceScratch,
-) {
+fn eval_slice(st: &LocalState, restrict_boundary: bool, slice: &[u32], scratch: &mut SliceScratch) {
     let SliceScratch {
         kernel,
         walk,
@@ -425,7 +418,7 @@ fn eval_slice(
         walk.sort_unstable_by_key(|&(li, _)| li);
         for &(li, pos) in walk.iter() {
             *arcs += arc_span(st, li);
-            out[pos as usize] = best_local_move(st, li, cfg.min_gain, restrict_boundary, kernel);
+            out[pos as usize] = best_local_move(st, li, restrict_boundary, kernel);
         }
     }
 }
@@ -477,7 +470,7 @@ fn schedule_period(cfg: &DistributedConfig) -> usize {
 
 /// A stage is stalled once a whole schedule period — every vertex has had
 /// its restricted and its unrestricted turn — improved the MDL by less than
-/// this fraction of it. `theta` is an absolute 1e-10 that the noise of
+/// this fraction of it. [`THETA`] is an absolute 1e-10 that the noise of
 /// one-round-stale boundary moves never gets under: without a relative bar
 /// the stage-1 tail trades a handful of vertices for 0.02–0.1 % per round
 /// until the round cap (measured on LFR n = 3 000, p = 4: 3 of 10 seeded
@@ -563,22 +556,16 @@ pub fn find_best_modules(
     let eligible = &bufs.eligible;
     let cuts = &bufs.cuts;
     if t == 1 {
-        eval_slice(st, cfg, restrict_boundary, eligible, &mut bufs.slices[0]);
+        eval_slice(st, restrict_boundary, eligible, &mut bufs.slices[0]);
     } else {
         let frozen: &LocalState = st;
         let (head, rest) = bufs.slices.split_first_mut().expect("slices sized above");
         std::thread::scope(|scope| {
             for (s, scratch) in rest.iter_mut().enumerate().take(t - 1) {
                 let slice = &eligible[cuts[s + 1]..cuts[s + 2]];
-                scope.spawn(move || eval_slice(frozen, cfg, restrict_boundary, slice, scratch));
+                scope.spawn(move || eval_slice(frozen, restrict_boundary, slice, scratch));
             }
-            eval_slice(
-                frozen,
-                cfg,
-                restrict_boundary,
-                &eligible[cuts[0]..cuts[1]],
-                head,
-            );
+            eval_slice(frozen, restrict_boundary, &eligible[cuts[0]..cuts[1]], head);
         });
     }
 
@@ -608,8 +595,7 @@ pub fn find_best_modules(
                 arcs_scanned += arc_span(st, li);
                 // Evaluation is over: slice 0's scratch is free.
                 let kernel = &mut bufs.slices[0].kernel;
-                let Some(live) = best_local_move(st, li, cfg.min_gain, restrict_boundary, kernel)
-                else {
+                let Some(live) = best_local_move(st, li, restrict_boundary, kernel) else {
                     bufs.revalidated.1 += 1;
                     continue;
                 };
@@ -1219,6 +1205,9 @@ fn entry_of(m: &ModuleInfoMsg) -> ModuleEntry {
     }
 }
 
+/// Cap on synchronized rounds per clustering stage.
+pub const MAX_ROUNDS: usize = 40;
+
 /// Run one clustering stage to convergence (Algorithm 2 lines 2–7 with
 /// delegates, lines 10–14 without — the state's delegate set decides).
 ///
@@ -1259,7 +1248,7 @@ pub fn cluster_stage(
     let cycle = schedule_period(cfg);
     let mut stop = StageStop::Cap;
 
-    for round in 0..cfg.max_inner_iterations {
+    for round in 0..MAX_ROUNDS {
         inner += 1;
         let tick = round as u32 + 1;
         let (owned_moves, proposals) = comm.phase(&ph("FindBestModule"), |c| {
@@ -1320,7 +1309,7 @@ pub fn cluster_stage(
         let improved = mdl - new_mdl;
         mdl = new_mdl;
         nmod = new_nmod;
-        if improved < cfg.theta {
+        if improved < THETA {
             stalled_syncs += 1;
         } else {
             stalled_syncs = 0;
@@ -1555,7 +1544,7 @@ mod tests {
                 .iter()
                 .zip(&cycle)
                 .map(|(&x, st)| {
-                    best_local_move(st, st.local_of(x).unwrap(), 1e-10, false, &mut neigh).unwrap()
+                    best_local_move(st, st.local_of(x).unwrap(), false, &mut neigh).unwrap()
                 })
                 .collect();
             for ((&x, st), c) in [u, v].iter().zip(&mut cycle).zip(&picks) {
@@ -1947,7 +1936,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ comm.rank() as u64);
         sync(comm, st, &mut bufs, &[], "init");
         let (mut quiet, mut rounds) = (0, 0);
-        while rounds < cfg.max_inner_iterations && quiet < schedule_period(cfg) {
+        while rounds < MAX_ROUNDS && quiet < schedule_period(cfg) {
             let tick = rounds as u32 + 1;
             let (owned, _, proposals) = find_best_modules(st, cfg, &mut rng, &mut bufs, rounds);
             let swept = st.module_of.clone();
@@ -2220,7 +2209,6 @@ mod tests {
     fn best_local_move_scan(
         st: &LocalState,
         li: u32,
-        min_gain: f64,
         min_label: bool,
         scratch: &mut Vec<(u32, f64, bool)>,
     ) -> Option<LocalCandidate> {
@@ -2270,7 +2258,7 @@ mod tests {
                 flow_to_current,
                 flow_to_target,
             );
-            if delta >= -min_gain {
+            if delta >= -MIN_GAIN {
                 continue;
             }
             let better = match &best {
@@ -2312,8 +2300,8 @@ mod tests {
         let mut checked = KernelCheck::default();
         for restrict in [false, true] {
             for li in st.movable() {
-                let a = best_local_move(st, li, 1e-10, restrict, &mut neigh);
-                let b = best_local_move_scan(st, li, 1e-10, restrict, &mut scan);
+                let a = best_local_move(st, li, restrict, &mut neigh);
+                let b = best_local_move_scan(st, li, restrict, &mut scan);
                 let out_u = st.out_flow[li as usize];
                 checked.widest = checked.widest.max(scan.len());
                 checked.clamped += (scan.iter())
@@ -2380,7 +2368,7 @@ mod tests {
                 // non-singleton statistics.
                 let mut scan: Vec<(u32, f64, bool)> = Vec::new();
                 for li in st.movable() {
-                    if let Some(c) = best_local_move_scan(&st, li, 1e-10, false, &mut scan) {
+                    if let Some(c) = best_local_move_scan(&st, li, false, &mut scan) {
                         apply_local_move(&mut st, li, &c, 1);
                     }
                 }

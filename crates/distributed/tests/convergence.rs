@@ -9,7 +9,7 @@
 //! all five landed 2.7–4.4 % above sequential.
 
 use infomap_core::sequential::{Infomap, InfomapConfig};
-use infomap_distributed::{DistributedConfig, DistributedInfomap, StageStop};
+use infomap_distributed::{DistributedConfig, DistributedInfomap, StageStop, MAX_ROUNDS};
 use infomap_graph::generators::{lfr_like, LfrParams};
 
 #[test]
@@ -39,7 +39,7 @@ fn every_stage_converges_before_the_cap_near_the_sequential_codelength() {
         for t in &dist.trace {
             let at = format!("graph {graph_seed} stage {} level {}", t.stage, t.level);
             assert!(
-                t.inner_iterations < cfg.max_inner_iterations && t.stop != StageStop::Cap,
+                t.inner_iterations < MAX_ROUNDS && t.stop != StageStop::Cap,
                 "{at}: {} rounds, stopped by {:?}",
                 t.inner_iterations,
                 t.stop

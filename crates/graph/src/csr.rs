@@ -122,13 +122,6 @@ impl Graph {
         edges
     }
 
-    /// Vertex ids sorted by decreasing degree (hubs first).
-    pub fn by_degree_desc(&self) -> Vec<VertexId> {
-        let mut ids: Vec<VertexId> = (0..self.num_vertices() as VertexId).collect();
-        ids.sort_by_key(|&u| std::cmp::Reverse(self.degree(u)));
-        ids
-    }
-
     /// Maximum vertex degree (arc count).
     pub fn max_degree(&self) -> usize {
         (0..self.num_vertices() as VertexId)
@@ -160,33 +153,6 @@ impl Graph {
             count += 1;
         }
         (comp, count as usize)
-    }
-
-    /// Induced subgraph on `keep` (ids relabeled to 0..keep.len() in the
-    /// order given). Returns the subgraph and the old→new id map as a
-    /// `Vec` sorted by old id, so callers that iterate the remap see a
-    /// canonical order (a `HashMap` return would hand them
-    /// nondeterministic iteration for free).
-    pub fn subgraph(&self, keep: &[VertexId]) -> (Graph, Vec<(VertexId, VertexId)>) {
-        let lookup: HashMap<VertexId, VertexId> = keep
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new as VertexId))
-            .collect();
-        let mut b = GraphBuilder::new(keep.len());
-        for &old_u in keep {
-            let new_u = lookup[&old_u];
-            for (old_v, w) in self.arcs(old_u) {
-                if let Some(&new_v) = lookup.get(&old_v) {
-                    if new_u <= new_v {
-                        b.add_edge(new_u, new_v, w);
-                    }
-                }
-            }
-        }
-        let mut remap: Vec<(VertexId, VertexId)> = lookup.into_iter().collect();
-        remap.sort_unstable_by_key(|&(old, _)| old);
-        (b.build(), remap)
     }
 
     /// CSR assembly from the distinct undirected edges `(u, v, w)`, `u <= v`,
@@ -375,19 +341,8 @@ mod tests {
     }
 
     #[test]
-    fn subgraph_relabels_and_keeps_internal_edges() {
-        let g = Graph::from_unweighted(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let (sub, remap) = g.subgraph(&[1, 2, 3]);
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 2); // 1-2, 2-3 survive
-                                        // Remap is sorted by old id.
-        assert_eq!(remap, vec![(1, 0), (2, 1), (3, 2)]);
-    }
-
-    #[test]
-    fn by_degree_desc_puts_hub_first() {
+    fn max_degree_is_the_hub_degree() {
         let g = Graph::from_unweighted(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]);
-        assert_eq!(g.by_degree_desc()[0], 0);
         assert_eq!(g.max_degree(), 4);
     }
 

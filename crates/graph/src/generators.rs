@@ -33,39 +33,6 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Graph {
     b.build()
 }
 
-/// Barabási–Albert preferential attachment: each new vertex attaches to
-/// `m_per_vertex` existing vertices with probability proportional to degree.
-pub fn barabasi_albert(n: usize, m_per_vertex: usize, seed: u64) -> Graph {
-    assert!(m_per_vertex >= 1 && n > m_per_vertex);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    // Repeated-endpoint list: sampling uniformly from it is degree-biased.
-    let mut endpoints: Vec<VertexId> = Vec::with_capacity(2 * n * m_per_vertex);
-    // Seed clique over the first m_per_vertex + 1 vertices.
-    for u in 0..=m_per_vertex as VertexId {
-        for v in 0..u {
-            b.add_edge(u, v, 1.0);
-            endpoints.push(u);
-            endpoints.push(v);
-        }
-    }
-    for u in (m_per_vertex + 1)..n {
-        let mut picked = Vec::with_capacity(m_per_vertex);
-        while picked.len() < m_per_vertex {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            if t != u as VertexId && !picked.contains(&t) {
-                picked.push(t);
-            }
-        }
-        for &t in &picked {
-            b.add_edge(u as VertexId, t, 1.0);
-            endpoints.push(u as VertexId);
-            endpoints.push(t);
-        }
-    }
-    b.build()
-}
-
 /// A power-law degree sequence: `P(k) ∝ k^(-gamma)` on `[k_min, k_max]`,
 /// sampled by inverse-transform from the continuous Pareto and rounded.
 pub fn power_law_degrees(
@@ -482,31 +449,6 @@ pub fn star(n: usize) -> Graph {
     Graph::from_unweighted(n, &edges)
 }
 
-/// A simple path 0–1–…–(n-1).
-pub fn path(n: usize) -> Graph {
-    assert!(n >= 2);
-    let edges: Vec<(VertexId, VertexId)> = (0..n as VertexId - 1).map(|v| (v, v + 1)).collect();
-    Graph::from_unweighted(n, &edges)
-}
-
-/// A `rows × cols` grid graph.
-pub fn grid(rows: usize, cols: usize) -> Graph {
-    assert!(rows >= 1 && cols >= 1 && rows * cols >= 2);
-    let idx = |r: usize, c: usize| (r * cols + c) as VertexId;
-    let mut edges = Vec::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                edges.push((idx(r, c), idx(r, c + 1)));
-            }
-            if r + 1 < rows {
-                edges.push((idx(r, c), idx(r + 1, c)));
-            }
-        }
-    }
-    Graph::from_unweighted(rows * cols, &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,18 +464,6 @@ mod tests {
     fn erdos_renyi_is_deterministic_per_seed() {
         assert_eq!(erdos_renyi(50, 100, 7), erdos_renyi(50, 100, 7));
         assert_ne!(erdos_renyi(50, 100, 7), erdos_renyi(50, 100, 8));
-    }
-
-    #[test]
-    fn barabasi_albert_grows_hubs() {
-        let g = barabasi_albert(500, 3, 42);
-        assert_eq!(g.num_vertices(), 500);
-        // Early vertices accumulate far more than the attachment count.
-        assert!(
-            g.max_degree() > 20,
-            "max degree {} too small",
-            g.max_degree()
-        );
     }
 
     #[test]
@@ -612,9 +542,5 @@ mod tests {
     #[test]
     fn small_structured_graphs() {
         assert_eq!(star(10).degree(0), 9);
-        assert_eq!(path(5).num_edges(), 4);
-        let g = grid(3, 4);
-        assert_eq!(g.num_vertices(), 12);
-        assert_eq!(g.num_edges(), 3 * 3 + 2 * 4);
     }
 }

@@ -17,8 +17,8 @@
 //!                        > 0, with a finite, nonzero 1/(2W))
 //! offsets          (rows+1) × u64   CSR row offsets into the arc arrays
 //! targets          arcs × u32       global target vertex ids
-//! weights          arcs × u64       IEEE-754 bits per arc
-//! strengths        rows × u64       IEEE-754 bits per row
+//! weights          arcs × u64       IEEE-754 bits per arc (finite, >= 0)
+//! strengths        rows × u64       IEEE-754 bits per row (finite, >= 0)
 //! checksum         u64   FNV-1a over every preceding byte
 //! ```
 //!
@@ -209,16 +209,7 @@ impl SnapshotHeader {
                 context: "row count disagrees with round-robin ownership",
             });
         }
-        // Every rank prices its flows as `w/(2W)` from this `W` alone, so
-        // it is held to the edge-list reader's domain (paper §2.2). A NaN,
-        // infinite, zero or negative `W` gives no finite `1/(2W)` > 0.
-        let scale = 1.0 / (2.0 * header.global_weight);
-        if !(scale.is_finite() && scale > 0.0) {
-            return Err(SnapshotError::Malformed {
-                context: "weights the map equation cannot price: the total weight W \
-                          is not finite and > 0 with a finite, nonzero 1/(2W)",
-            });
-        }
+        priceable(header.global_weight)?;
         Ok(header)
     }
 
@@ -237,6 +228,22 @@ impl SnapshotHeader {
     fn file_bytes(&self) -> u64 {
         HEADER_BYTES + self.section_bytes().iter().sum::<u64>() + CHECKSUM_BYTES
     }
+}
+
+/// The one rule on a header's `W`, which the writers check before they
+/// create a file and the decoder checks on every read. Every rank prices
+/// its flows as `w/(2W)` from this `W` alone, so it is held to the
+/// edge-list reader's domain (paper §2.2): a NaN, infinite, zero,
+/// negative or subnormal `W` gives no finite `1/(2W)` > 0.
+fn priceable(global_weight: f64) -> Result<(), SnapshotError> {
+    let scale = 1.0 / (2.0 * global_weight);
+    if scale.is_finite() && scale > 0.0 {
+        return Ok(());
+    }
+    Err(SnapshotError::Malformed {
+        context: "weights the map equation cannot price: the total weight W \
+                  is not finite and > 0 with a finite, nonzero 1/(2W)",
+    })
 }
 
 /// Number of round-robin-owned vertices of rank `r` in a world of `p`.
@@ -372,12 +379,13 @@ pub fn shard_path(dir: &Path, rank: usize) -> PathBuf {
 
 /// Write `header`, the four sections `sections` writes in file order, and
 /// the checksum over both. Atomic: written to a tmp file and renamed into
-/// place.
+/// place. A `W` no reader would accept is refused before any file exists.
 fn write_file(
     path: &Path,
     header: &SnapshotHeader,
     sections: impl FnOnce(&mut HashingWriter) -> std::io::Result<()>,
 ) -> Result<(), SnapshotError> {
+    priceable(header.global_weight)?;
     let tmp = path.with_extension("snap.tmp");
     {
         let mut w = HashingWriter::new(File::create(&tmp)?);
@@ -817,9 +825,9 @@ pub fn read_header(path: &Path) -> Result<SnapshotHeader, SnapshotError> {
 }
 
 /// The structural checks `open` runs once the checksum holds, fed
-/// the offsets and the targets section in pieces of whole elements:
-/// offsets run from 0 to the arc count without decreasing, and every
-/// target names a vertex.
+/// every section in pieces of whole elements: offsets run from 0 to the
+/// arc count without decreasing, every target names a vertex, and every
+/// arc weight and strength is one the map equation can price.
 struct CsrCheck {
     arcs: u64,
     vertices: u64,
@@ -827,6 +835,7 @@ struct CsrCheck {
     last: u64,
     decreasing: bool,
     target_out_of_range: bool,
+    unpriceable: bool,
 }
 
 impl CsrCheck {
@@ -838,6 +847,7 @@ impl CsrCheck {
             last: 0,
             decreasing: false,
             target_out_of_range: false,
+            unpriceable: false,
         }
     }
 
@@ -858,6 +868,14 @@ impl CsrCheck {
             .any(|c| u64::from(u32::from_le_bytes(c.try_into().unwrap())) >= self.vertices);
     }
 
+    /// A weights or strengths piece: each value finite and >= 0.
+    fn flows(&mut self, bytes: &[u8]) {
+        self.unpriceable |= bytes.chunks_exact(8).any(|c| {
+            let x = f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()));
+            !(x.is_finite() && x >= 0.0)
+        });
+    }
+
     fn finish(self) -> Result<(), SnapshotError> {
         let context = if self.first != Some(0) || self.last != self.arcs {
             "offsets must run 0..=arcs"
@@ -865,6 +883,9 @@ impl CsrCheck {
             "offsets must be non-decreasing"
         } else if self.target_out_of_range {
             "arc target out of range"
+        } else if self.unpriceable {
+            "weights the map equation cannot price: an arc weight or strength \
+             is not finite and >= 0"
         } else {
             return Ok(());
         };
@@ -1093,7 +1114,7 @@ impl SnapshotStore {
                 match sec {
                     Section::Offsets => check.offsets(piece),
                     Section::Targets => check.targets(piece),
-                    Section::Weights | Section::Strengths => {}
+                    Section::Weights | Section::Strengths => check.flows(piece),
                 }
                 at += n;
             }
@@ -1487,6 +1508,43 @@ mod tests {
                     }
                 }
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn writers_refuse_a_total_weight_no_reader_accepts() {
+        let refused = |r: Result<Vec<PathBuf>, SnapshotError>| {
+            let e = r.expect_err("an unpriceable W was written").to_string();
+            assert!(e.contains("weights the map equation cannot price"), "{e}");
+        };
+        let edgeless = Graph::from_edges(3, &[]);
+        let dir = tmp_dir("unpriceable-w");
+        refused(write_shards(&edgeless, 2, &dir));
+        refused(write_snapshot(&edgeless, &dir.join("g.snap")).map(|()| vec![]));
+        let spec = ShardSpec {
+            rank: 0,
+            nranks: 1,
+            global_vertices: 1,
+            global_edges: 1,
+            global_weight: f64::NAN,
+        };
+        let parts = write_shard_parts(&dir.join("p.snap"), &spec, &[0, 1], &[0], &[1.0], &[2.0]);
+        refused(parts.map(|()| vec![]));
+        refused(
+            ShardSink::create(&dir.join("sink"), 2, 3)
+                .unwrap()
+                .finalize(),
+        );
+        // No shard and no half-written file is left behind.
+        let snap = |p: &Path| p.extension().is_some_and(|x| x == "snap" || x == "tmp");
+        for d in [dir.clone(), dir.join("sink")] {
+            let left: Vec<PathBuf> = std::fs::read_dir(&d)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| snap(p))
+                .collect();
+            assert!(left.is_empty(), "{left:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

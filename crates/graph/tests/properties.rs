@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use infomap_graph::generators::{self, LfrParams};
 use infomap_graph::snapshot::{
-    shard_path, write_shards, write_snapshot, PageCacheConfig, SnapshotStore,
+    shard_path, write_shards, write_snapshot, PageCacheConfig, SnapshotError, SnapshotStore,
 };
 use infomap_graph::{io, Graph, GraphStore, VertexId};
 
@@ -46,12 +46,16 @@ fn graphs(n: usize) -> impl Iterator<Item = (u64, Graph, StdRng)> {
     cases().map(move |(c, mut rng)| (c, arbitrary_graph(n, &mut rng), rng))
 }
 
-/// Each case's graph on `n` vertices written as one snapshot file.
+/// Each case's graph on `n` vertices written as one snapshot file; an
+/// edgeless one has no file.
 fn snapshots(n: usize) -> impl Iterator<Item = (u64, Graph, StdRng, PathBuf)> {
-    graphs(n).map(|(c, g, rng)| {
+    graphs(n).filter_map(|(c, g, rng)| {
         let path = snap_dir().join("g.snap");
-        write_snapshot(&g, &path).unwrap();
-        (c, g, rng, path)
+        if priced(&g, write_snapshot(&g, &path)).is_none() {
+            remove_snapshot(&path);
+            return None;
+        }
+        Some((c, g, rng, path))
     })
 }
 
@@ -59,15 +63,15 @@ fn remove_snapshot(path: &Path) {
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
-/// `g`'s file at `path`, opened; `None` if `g` is edgeless (`W = 0`: no
-/// flows for the map equation to price) and the file is refused by name.
-fn open_priced(g: &Graph, path: &Path, cache: Option<PageCacheConfig>) -> Option<SnapshotStore> {
-    match SnapshotStore::open(path, cache) {
+/// What writing `g` gave; `None` if `g` is edgeless (`W = 0`: no flows
+/// for the map equation to price) and the writer refused it by name.
+fn priced<T>(g: &Graph, written: Result<T, SnapshotError>) -> Option<T> {
+    match written {
         Err(e) if g.num_edges() == 0 => {
             assert!(e.to_string().contains("cannot price"), "{e}");
             None
         }
-        store => Some(store.unwrap()),
+        written => Some(written.unwrap()),
     }
 }
 
@@ -195,10 +199,7 @@ fn generators_are_seed_deterministic() {
 #[test]
 fn snapshot_roundtrip_is_lossless() {
     for (case, g, _, path) in snapshots(20) {
-        let Some(back) = open_priced(&g, &path, None) else {
-            remove_snapshot(&path);
-            continue;
-        };
+        let back = SnapshotStore::open(&path, None).unwrap();
         assert_eq!(back.num_vertices(), g.num_vertices(), "case {case}");
         assert_eq!(back.num_edges(), g.num_edges(), "case {case}");
         let weights = [back.total_weight(), g.total_weight()].map(f64::to_bits);
@@ -214,12 +215,10 @@ fn shards_partition_the_graph_exactly() {
     for (case, g, mut rng) in graphs(24) {
         let p = rng.gen_range(1..5);
         let dir = snap_dir();
-        write_shards(&g, p, &dir).unwrap();
-        for rank in 0..p {
+        let written = priced(&g, write_shards(&g, p, &dir));
+        for rank in (0..p).filter(|_| written.is_some()) {
             let case = format!("{case} p={p} rank {rank}");
-            let Some(store) = open_priced(&g, &shard_path(&dir, rank), None) else {
-                continue;
-            };
+            let store = SnapshotStore::open(&shard_path(&dir, rank), None).unwrap();
             assert_eq!(store.num_vertices(), g.num_vertices(), "case {case}");
             assert_eq!(store.num_edges(), g.num_edges(), "case {case}");
             let weights = [store.total_weight(), g.total_weight()].map(f64::to_bits);
@@ -234,7 +233,7 @@ fn shards_partition_the_graph_exactly() {
 
 #[test]
 fn paged_reads_are_bit_identical_to_eager() {
-    for (case, g, mut rng, path) in snapshots(20) {
+    for (case, _, mut rng, path) in snapshots(20) {
         let block_bytes = 8 * rng.gen_range(1..16);
         // A deliberately tiny cache, so eviction happens even here.
         let cache = PageCacheConfig {
@@ -242,11 +241,7 @@ fn paged_reads_are_bit_identical_to_eager() {
             capacity_blocks: 2,
         };
         // The whole file resident, read eagerly by `open`, and paged.
-        let opened = [None, Some(cache)].map(|c| open_priced(&g, &path, c));
-        let [Some(eager), Some(paged)] = opened else {
-            remove_snapshot(&path);
-            continue;
-        };
+        let [eager, paged] = [None, Some(cache)].map(|c| SnapshotStore::open(&path, c).unwrap());
         let all: Vec<VertexId> = (0..20).collect();
         assert_same_rows(&case.to_string(), &paged, &eager, &all);
         remove_snapshot(&path);

@@ -11,6 +11,10 @@ use crate::mem::MemTransport;
 use crate::stats::RankStats;
 use crate::transport::{TransportError, TransportFault};
 
+/// Stack of every rank thread: modest, so that worlds of hundreds of
+/// ranks stay cheap.
+const RANK_STACK_BYTES: usize = 2 << 20;
+
 /// A simulated cluster of `p` ranks.
 ///
 /// [`World::run`] executes the same closure on every rank (SPMD), each on
@@ -18,7 +22,6 @@ use crate::transport::{TransportError, TransportFault};
 /// [`MemTransport::mesh`], and returns the per-rank results and counters.
 pub struct World {
     nranks: usize,
-    stack_size: usize,
     /// Shared fault bookkeeping; persists across runs of the same world so
     /// one-shot crashes stay fired when a driver retries.
     fault: Option<Arc<FaultState>>,
@@ -160,18 +163,10 @@ impl World {
     /// A world with `nranks` ranks. Panics if `nranks == 0`.
     pub fn new(nranks: usize) -> Self {
         assert!(nranks > 0, "a world needs at least one rank");
-        // Modest stacks so that worlds of hundreds of ranks stay cheap.
         World {
             nranks,
-            stack_size: 2 << 20,
             fault: None,
         }
-    }
-
-    /// Override the per-rank thread stack size (bytes).
-    pub fn stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
-        self
     }
 
     /// Install a [`FaultPlan`]. Fault state lives on the `World`, so a
@@ -214,7 +209,7 @@ impl World {
                 let f = &f;
                 let builder = thread::Builder::new()
                     .name(format!("rank-{rank}"))
-                    .stack_size(self.stack_size);
+                    .stack_size(RANK_STACK_BYTES);
                 let handle = builder
                     .spawn_scoped(scope, move || {
                         // A panicking rank's peers, blocked on collectives

@@ -63,12 +63,6 @@ pub struct SocketConfig {
     /// Heartbeat beacon interval; must be well under `timeout` (a quarter
     /// of it is a good ratio).
     pub heartbeat: Duration,
-    /// Bootstrap only: dial attempts per lower rank while it may still be
-    /// starting.
-    pub connect_retries: u32,
-    /// Bootstrap only: base of the exponential backoff between dials
-    /// (doubles per attempt).
-    pub connect_backoff: Duration,
     /// Extra allowance for the whole bootstrap handshake (process spawn +
     /// mesh dial + Ready/Go), on top of `timeout`.
     pub setup_timeout: Duration,
@@ -80,8 +74,6 @@ impl SocketConfig {
             dir: dir.into(),
             timeout: Duration::from_millis(2000),
             heartbeat: Duration::from_millis(250),
-            connect_retries: 6,
-            connect_backoff: Duration::from_millis(20),
             setup_timeout: Duration::from_millis(10_000),
         }
     }
@@ -188,22 +180,25 @@ fn write_frame_parts(
     Ok(())
 }
 
-fn dial_with_backoff(
-    dir: &Path,
-    dest: usize,
-    retries: u32,
-    backoff: Duration,
-) -> Result<UnixStream, TransportError> {
+/// Bootstrap only: dial attempts per lower rank, after the first, while
+/// it may still be starting.
+const CONNECT_RETRIES: u32 = 6;
+
+/// Bootstrap only: base of the exponential backoff between dials
+/// (doubles per attempt).
+const CONNECT_BACKOFF: Duration = Duration::from_millis(20);
+
+fn dial_with_backoff(dir: &Path, dest: usize) -> Result<UnixStream, TransportError> {
     let path = sock_path(dir, dest);
     let mut last_err = None;
-    for attempt in 0..=retries {
+    for attempt in 0..=CONNECT_RETRIES {
         match UnixStream::connect(&path) {
             Ok(s) => return Ok(s),
             Err(e) => {
                 last_err = Some(e);
-                if attempt < retries {
+                if attempt < CONNECT_RETRIES {
                     // Exponential backoff, capped so total wait stays sane.
-                    let exp = backoff.saturating_mul(1u32 << attempt.min(8));
+                    let exp = CONNECT_BACKOFF.saturating_mul(1u32 << attempt.min(8));
                     std::thread::sleep(exp.min(Duration::from_millis(500)));
                 }
             }
@@ -213,7 +208,7 @@ fn dial_with_backoff(
         detail: format!(
             "could not reach rank {dest} at {} after {} attempts: {}",
             path.display(),
-            retries + 1,
+            CONNECT_RETRIES + 1,
             last_err.map(|e| e.to_string()).unwrap_or_default()
         ),
     })
@@ -357,8 +352,7 @@ impl SocketTransport {
             payload: vec![],
         });
         for dest in 0..rank {
-            let mut stream =
-                dial_with_backoff(&cfg.dir, dest, cfg.connect_retries, cfg.connect_backoff)?;
+            let mut stream = dial_with_backoff(&cfg.dir, dest)?;
             stream
                 .write_all(&hello)
                 .map_err(|e| TransportError::Setup {

@@ -37,7 +37,7 @@ pub use infomap_partition as partition;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use infomap_baselines::{gossip_map, GossipConfig};
+    pub use infomap_baselines::gossip_map;
     pub use infomap_core::sequential::{Infomap, InfomapConfig, InfomapResult};
     pub use infomap_core::FlowNetwork;
     pub use infomap_distributed::{DistributedConfig, DistributedInfomap, DistributedOutput};

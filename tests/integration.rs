@@ -42,13 +42,7 @@ fn exact_algorithms_recover_clear_structure_and_gossip_lags() {
     }
     // The naive-swap baseline must do measurably worse — that is the
     // paper's §3.4 argument for the full Module_Info exchange.
-    let gossip = gossip_map(
-        &g,
-        GossipConfig {
-            nranks: 4,
-            ..Default::default()
-        },
-    );
+    let gossip = gossip_map(&g, 4, 0);
     let gq = quality(&truth, &gossip.modules);
     let dq = quality(&truth, &dist.modules);
     assert!(
@@ -82,13 +76,7 @@ fn full_swap_beats_gossip_and_both_beat_one_level() {
         ..Default::default()
     })
     .run(&g);
-    let gossip = gossip_map(
-        &g,
-        GossipConfig {
-            nranks: 4,
-            ..Default::default()
-        },
-    );
+    let gossip = gossip_map(&g, 4, 0);
     assert!(dist.codelength <= gossip.codelength + 1e-9);
     assert!(gossip.codelength < gossip.one_level_codelength);
 }
@@ -140,13 +128,7 @@ fn partition_quality_flows_into_modeled_makespan() {
         ..Default::default()
     })
     .run(&g);
-    let gossip = gossip_map(
-        &g,
-        GossipConfig {
-            nranks: p,
-            ..Default::default()
-        },
-    );
+    let gossip = gossip_map(&g, p, 0);
     let (w_ours, imbalance_ours) = stage_work(&ours.rank_stats);
     let (w_gossip, imbalance_gossip) = stage_work(&gossip.rank_stats);
     assert!(

@@ -37,11 +37,7 @@ fn figure5_first_iteration_merges_most_vertices() {
 fn table2_quality_measures_land_near_paper_band() {
     let (g, _) = DatasetId::Amazon.profile().generate_scaled(0.15, 42);
     for seed in [0, 1, 7, 42, 99] {
-        let seq = Infomap::new(InfomapConfig {
-            seed,
-            ..Default::default()
-        })
-        .run(&g);
+        let seq = Infomap::new(InfomapConfig { seed }).run(&g);
         let dist = DistributedInfomap::new(DistributedConfig {
             nranks: 8,
             seed,
@@ -168,14 +164,7 @@ fn table3_delegate_algorithm_beats_gossip_on_hubby_graphs() {
         ..Default::default()
     })
     .run(&g);
-    let gossip = gossip_map(
-        &g,
-        GossipConfig {
-            nranks: p,
-            seed: 42,
-            ..Default::default()
-        },
-    );
+    let gossip = gossip_map(&g, p, 42);
     // Representation-scaled model (each stand-in edge stands for
     // real/generated edges): the paper's full-size runs are volume-
     // dominated, and that is the regime where 1D's hub imbalance costs
