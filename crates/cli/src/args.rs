@@ -30,7 +30,10 @@ CLUSTER OPTIONS:
                                       \"seed=1;crash=1@200;drop=0.01;straggler=0x2\"
   --checkpoint-every N                dist only: N >= 1 checkpoints the start of every
                                       stage-2 level (default 0 = off)
-  --max-retries N                     dist only: retries from the last checkpoint (default 3)
+  --max-retries N                     dist only: retries after a failed attempt, each from
+                                      the last agreed checkpoint or from scratch; then
+                                      the best checkpointed clustering, marked degraded,
+                                      or an error if there is none (default 3)
 
 LAUNCH OPTIONS (distributed Infomap over the socket transport,
 one OS process per rank, each reading only its own shard of <edges.txt>
@@ -43,7 +46,10 @@ one OS process per rank, each reading only its own shard of <edges.txt>
   --quiet                             suppress the run report
   --checkpoint-every N                N >= 1: a durable checkpoint at the start of every
                                       stage-2 level (default 0 = off)
-  --max-retries N                     world relaunches after a failure (default 3)
+  --max-retries N                     world relaunches after a failure (default 3); a
+                                      worker refusing its input is not relaunched; then
+                                      the best checkpointed clustering, marked degraded,
+                                      or an error if there is none
   --timeout-ms MS                     per-collective deadline (default 5000)
   --kill-rank R@MS                    chaos: SIGKILL rank R after MS (first attempt)
   --dir D                             rendezvous directory (default: temp dir)
@@ -73,24 +79,46 @@ GENERATE <what>:
   --shards N --out-dir D              stream straight into N snapshot shards
                                       under D (bounded memory; no edge list)";
 
+/// Parsed `cluster` invocation.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ClusterOpts {
+    pub path: String,
+    pub algorithm: Algorithm,
+    pub ranks: usize,
+    pub threads: usize,
+    pub seed: u64,
+    pub output: Option<String>,
+    pub quiet: bool,
+    /// Fault-injection spec for the simulated fabric (dist only).
+    pub fault_plan: Option<String>,
+    /// Checkpoint every stage-2 level start when > 0 (dist only, 0 = off).
+    pub checkpoint_every: usize,
+    /// Retry budget when a fault plan is active (dist only).
+    pub max_retries: usize,
+}
+
+impl ClusterOpts {
+    /// `cluster path` with every flag at its default.
+    pub fn new(path: String) -> Self {
+        ClusterOpts {
+            path,
+            algorithm: Algorithm::Distributed,
+            ranks: 8,
+            threads: 1,
+            seed: 0,
+            output: None,
+            quiet: false,
+            fault_plan: None,
+            checkpoint_every: 0,
+            max_retries: 3,
+        }
+    }
+}
+
 /// A parsed invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    Cluster {
-        path: String,
-        algorithm: Algorithm,
-        ranks: usize,
-        threads: usize,
-        seed: u64,
-        output: Option<String>,
-        quiet: bool,
-        /// Fault-injection spec for the simulated fabric (dist only).
-        fault_plan: Option<String>,
-        /// Checkpoint every stage-2 level start when > 0 (dist only, 0 = off).
-        checkpoint_every: usize,
-        /// Retry budget when a fault plan is active (dist only).
-        max_retries: usize,
-    },
+    Cluster(ClusterOpts),
     Partition {
         path: String,
         ranks: usize,
@@ -153,54 +181,35 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     match sub.as_str() {
         "cluster" => {
             let path = it.next().ok_or("cluster: missing <edges.txt>")?.clone();
-            let mut algorithm = Algorithm::Distributed;
-            let mut ranks = 8usize;
-            let mut threads = 1usize;
-            let mut seed = 0u64;
-            let mut output = None;
-            let mut quiet = false;
-            let mut fault_plan = None;
-            let mut checkpoint_every = 0usize;
-            let mut max_retries = 3usize;
+            let mut o = ClusterOpts::new(path);
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--algorithm" => {
-                        algorithm = match next(&mut it, flag)?.as_str() {
+                        o.algorithm = match next(&mut it, flag)?.as_str() {
                             "seq" | "sequential" => Algorithm::Sequential,
                             "dist" | "distributed" => Algorithm::Distributed,
                             "gossip" => Algorithm::Gossip,
                             other => return Err(format!("unknown algorithm {other:?}")),
                         }
                     }
-                    "--ranks" => ranks = num(&mut it, flag)?,
-                    "--threads" => threads = num(&mut it, flag)?,
-                    "--seed" => seed = num(&mut it, flag)?,
-                    "--output" => output = Some(next(&mut it, flag)?),
-                    "--quiet" => quiet = true,
-                    "--fault-plan" => fault_plan = Some(next(&mut it, flag)?),
-                    "--checkpoint-every" => checkpoint_every = num(&mut it, flag)?,
-                    "--max-retries" => max_retries = num(&mut it, flag)?,
+                    "--ranks" => o.ranks = num(&mut it, flag)?,
+                    "--threads" => o.threads = num(&mut it, flag)?,
+                    "--seed" => o.seed = num(&mut it, flag)?,
+                    "--output" => o.output = Some(next(&mut it, flag)?),
+                    "--quiet" => o.quiet = true,
+                    "--fault-plan" => o.fault_plan = Some(next(&mut it, flag)?),
+                    "--checkpoint-every" => o.checkpoint_every = num(&mut it, flag)?,
+                    "--max-retries" => o.max_retries = num(&mut it, flag)?,
                     other => return Err(format!("cluster: unknown flag {other:?}")),
                 }
             }
-            if ranks == 0 {
+            if o.ranks == 0 {
                 return Err("cluster: --ranks must be >= 1".into());
             }
-            if threads == 0 {
+            if o.threads == 0 {
                 return Err("cluster: --threads must be >= 1".into());
             }
-            Ok(Command::Cluster {
-                path,
-                algorithm,
-                ranks,
-                threads,
-                seed,
-                output,
-                quiet,
-                fault_plan,
-                checkpoint_every,
-                max_retries,
-            })
+            Ok(Command::Cluster(o))
         }
         "partition" => {
             let path = it.next().ok_or("partition: missing <edges.txt>")?.clone();
@@ -448,7 +457,7 @@ mod tests {
         let cmd = parse(&argv("cluster g.txt")).unwrap();
         assert_eq!(
             cmd,
-            Command::Cluster {
+            Command::Cluster(ClusterOpts {
                 path: "g.txt".into(),
                 algorithm: Algorithm::Distributed,
                 ranks: 8,
@@ -459,7 +468,7 @@ mod tests {
                 fault_plan: None,
                 checkpoint_every: 0,
                 max_retries: 3,
-            }
+            })
         );
     }
 
@@ -470,14 +479,14 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Cluster {
+            Command::Cluster(ClusterOpts {
                 algorithm,
                 ranks,
                 seed,
                 output,
                 quiet,
                 ..
-            } => {
+            }) => {
                 assert_eq!(algorithm, Algorithm::Sequential);
                 assert_eq!(ranks, 16);
                 assert_eq!(seed, 7);
@@ -495,12 +504,12 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Cluster {
+            Command::Cluster(ClusterOpts {
                 fault_plan,
                 checkpoint_every,
                 max_retries,
                 ..
-            } => {
+            }) => {
                 assert_eq!(fault_plan.as_deref(), Some("seed=1;crash=1@200"));
                 assert_eq!(checkpoint_every, 2);
                 assert_eq!(max_retries, 5);

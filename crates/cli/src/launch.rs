@@ -24,17 +24,22 @@
 //!   rank exits with code [`EXIT_TRANSPORT_FAULT`] and writes a
 //!   `rank-N.diag.json` naming the dead peer or the blocked collective
 //!   and the ranks it was waiting on.
-//! - The launcher relaunches the world up to `--max-retries` times,
+//! - The launcher runs its worlds through the thread world's recovery
+//!   loop, [`recover`], over one [`FileCheckpointStore`] it holds for the
+//!   whole launch. It relaunches the world up to `--max-retries` times,
 //!   reusing the shards (the input has not changed); with
 //!   `--checkpoint-every N` (any N >= 1) every stage-2 level starts with a
 //!   durable checkpoint, and the workers resume from the start of the
-//!   newest level **all** ranks hold on disk ([`FileCheckpointStore`]). A
-//!   crash inside stage 1 finds no checkpoint and re-runs from scratch.
-//!   Checkpoints of another seed are ignored; ones of another graph or
-//!   world size fail the launch by name.
-//! - When retries are exhausted, the launcher degrades gracefully: it
-//!   reads the agreed checkpoint in-process and reports the best
-//!   checkpointed clustering, clearly marked degraded.
+//!   newest level **all** ranks hold on disk. A crash inside stage 1
+//!   finds no checkpoint and re-runs from scratch. Checkpoints of another
+//!   seed are ignored; ones of another graph or world size fail the
+//!   launch by name.
+//! - A world in which a worker exited with code 1 (it refused its own
+//!   shard or checkpoint directory) is not relaunched: every relaunch
+//!   would meet the same refusal.
+//! - When no attempt completed, the launch ends as a thread run does: the
+//!   best checkpointed clustering, marked degraded, if every rank holds a
+//!   level on disk, and otherwise the error naming every failed rank.
 //!
 //! Rank 0 writes `result.json` into the rendezvous directory with the
 //! codelength and per-round MDL series as exact f64 bit patterns, the
@@ -42,7 +47,6 @@
 //! counters the thread world uses, and every vertex's module, from which
 //! the launcher writes `--output` in the edge list's original ids.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -50,9 +54,8 @@ use std::process::Child;
 use std::time::{Duration, Instant};
 
 use infomap_distributed::{
-    checkpoint_files_present, degraded_output, node_term, CheckpointStore, DistributedConfig,
-    DistributedOutput, FileCheckpointStore, RankProgram, RecoveryConfig, RecoveryReport,
-    SnapshotStore,
+    node_term, recover, AttemptFailure, CheckpointStore, DistributedConfig, DistributedOutput,
+    FileCheckpointStore, RankProgram, Recovered, RecoveryConfig, RecoveryReport, SnapshotStore,
 };
 use infomap_graph::snapshot::{
     read_header, shard_path, write_edge_shards, PageCacheConfig,
@@ -65,7 +68,9 @@ use infomap_transport_socket::{SocketConfig, SocketTransport};
 use crate::commands::{peak_rss_kib, stages_line, write_assignments};
 
 /// Worker exit code for a structured transport failure (diagnostic JSON
-/// written). Anything else nonzero is an ordinary error.
+/// written). Code 1 is the worker's refusal of its own input (its shard,
+/// its checkpoint directory or its launch line), which the launcher does
+/// not relaunch; any other nonzero code is retried like this one.
 pub const EXIT_TRANSPORT_FAULT: i32 = 21;
 
 /// Parsed `launch` invocation.
@@ -152,6 +157,15 @@ fn setup_window(timeout_ms: u64) -> Duration {
     Duration::from_millis(timeout_ms.saturating_mul(4).max(4_000))
 }
 
+/// The launch's durable checkpoints under `dir`, or `None` with checkpoints
+/// off, where an empty in-memory store stands in (the fast path).
+fn checkpoint_files(o: &LaunchOpts, dir: &Path) -> Result<Option<FileCheckpointStore>, String> {
+    (o.checkpoint_every > 0)
+        .then(|| FileCheckpointStore::open(ckpt_dir(dir), o.procs, o.seed))
+        .transpose()
+        .map_err(|e| format!("checkpoint store: {e}"))
+}
+
 // ---------------------------------------------------------------------
 // Worker (`dinfomap _rank ...`)
 // ---------------------------------------------------------------------
@@ -196,17 +210,9 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
         ..Default::default()
     };
 
-    // Durable checkpoints when enabled, so a relaunched world resumes;
-    // the in-memory store otherwise (no files, bit-identical fast path).
-    let files = (o.checkpoint_every > 0)
-        .then(|| FileCheckpointStore::open(ckpt_dir(&dir), o.procs, o.seed))
-        .transpose()
-        .map_err(|e| WorkerFailure::Other(format!("checkpoint store: {e}")))?;
+    let files = checkpoint_files(o, &dir).map_err(WorkerFailure::Other)?;
     let memory = CheckpointStore::new(o.procs);
-    let store: &dyn SnapshotStore = match &files {
-        Some(files) => files,
-        None => &memory,
-    };
+    let store = files.as_ref().map_or(&memory as &dyn SnapshotStore, |f| f);
     let restored = store.agreed_pos().is_some();
 
     let scfg = socket_config(&dir, o.timeout_ms);
@@ -243,18 +249,15 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
             let wall = started.elapsed();
             let stats = comm.finish();
             if let Some((modules, trace, codelength)) = done {
+                // This process's store: rank 0's commits.
+                let (commit_failures, bytes_written) =
+                    (files.as_ref()).map_or((0, 0), |f| (f.commit_failures(), f.bytes_written()));
                 let recovery = RecoveryReport {
                     attempts: 1,
                     restores: usize::from(restored),
                     checkpoints_committed: store.checkpoints_committed(),
-                    // This process's store: rank 0's commits, like the
-                    // count above.
-                    checkpoint_commit_failures: files
-                        .as_ref()
-                        .map_or(0, FileCheckpointStore::commit_failures),
-                    checkpoint_bytes_written: files
-                        .as_ref()
-                        .map_or(0, FileCheckpointStore::bytes_written),
+                    checkpoint_commit_failures: commit_failures,
+                    checkpoint_bytes_written: bytes_written,
                     ..Default::default()
                 };
                 let out =
@@ -522,141 +525,101 @@ pub fn run_launch(o: LaunchOpts, args: &[String]) -> Result<(), String> {
     let source = resolve_source(&o, &dir)?;
     std::fs::create_dir_all(sock_dir(&dir)).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
 
-    let world_started = Instant::now();
-    let mut failures: Vec<String> = Vec::new();
-    let mut restores = 0usize;
-    let mut completed = false;
+    // The workers' checkpoint files, opened once for the whole launch.
+    let files = checkpoint_files(&o, &dir)?;
+    let memory = CheckpointStore::new(o.procs);
+    let store = files.as_ref().map_or(&memory as &dyn SnapshotStore, |f| f);
 
-    for attempt in 0..=o.max_retries {
-        // A relaunch restores only from a level every rank holds — the
-        // same question each worker asks its store on entry. Files alone
-        // (a rank killed before its first commit, a torn generation)
-        // restore nothing.
-        if attempt > 0
-            && o.checkpoint_every > 0
-            && FileCheckpointStore::open(ckpt_dir(&dir), o.procs, o.seed)
-                .is_ok_and(|store| store.agreed_pos().is_some())
-        {
-            restores += 1;
-        }
+    let world_started = Instant::now();
+    let attempt = |number| {
         let _ = std::fs::remove_file(result_path(&dir));
         for r in 0..o.procs {
             let _ = std::fs::remove_file(diag_path(&dir, r));
         }
-        let kill = if attempt == 0 { o.kill_rank } else { None };
-        match run_world_once(&o, args, &dir, &source.shard_dir, kill) {
-            Ok(()) => {
-                completed = true;
-                break;
+        let kill = o.kill_rank.filter(|_| number == 1);
+        run_world_once(&o, args, &dir, &source.shard_dir, kill).inspect_err(|failure| {
+            if !o.quiet {
+                eprintln!("attempt {number}: {}", failure.causes.join("; "));
             }
-            Err(msg) => {
-                if !o.quiet {
-                    eprintln!("attempt {}: {msg}", attempt + 1);
-                }
-                failures.push(msg);
-            }
-        }
-    }
-
+        })
+    };
+    let recovered = recover(store, o.procs, o.max_retries, attempt, || {
+        one_level_of_shards(&source.shard_dir, o.procs)
+    });
     let world = world_started.elapsed();
-    let attempts = failures.len() + usize::from(completed);
-    let finish = |res: Result<(), String>| {
-        if ephemeral && res.is_ok() {
+    // A launch that ends well removes its temporary rendezvous directory.
+    let finish = || {
+        if ephemeral {
             let _ = std::fs::remove_dir_all(&dir);
         }
-        res
+        Ok(())
     };
 
-    if completed {
-        let path = result_path(&dir);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-        if let Some(out_path) = &o.output {
-            let modules = result_modules(&text)?;
-            write_assignments(out_path, &modules, source.original_ids.as_deref())?;
-        }
-        if !o.quiet {
-            let report = result_summary(&text)?;
-            println!(
-                "distributed Infomap over {} OS processes (unix sockets): {} vertices, {} edges",
-                o.procs, source.vertices, source.edges,
-            );
-            println!("  modules:    {}", report.num_modules);
-            println!("  codelength: {:.6} bits", report.codelength);
-            println!("  stages:     {}", stages_line(result_stages(&text)));
-            let ms = |d: Duration| d.as_secs_f64() * 1e3;
-            let total = started.elapsed();
-            println!(
-                "  wall time:  {:.1} ms total, {:.1} ms in the world (modeled {:.3} ms)",
-                ms(total),
-                report.wall_ms,
-                report.modeled_ms
-            );
-            let mib = |kib: f64| kib / 1024.0;
-            println!(
-                "  launcher:   parse {:.1} ms, shard write {:.1} ms ({} bytes), \
-                 connect {:.1} ms, prepare {:.1} ms, world {:.1} ms, other {:.1} ms; \
-                 peak memory: launcher {:.1} MiB, rank 0 {:.1} MiB",
-                ms(source.parse),
-                ms(source.shard_write),
-                source.shard_bytes,
-                report.connect_ms,
-                report.prepare_ms,
-                ms(world),
-                ms(total.saturating_sub(source.parse + source.shard_write + world)),
-                mib(peak_rss_kib().unwrap_or(0) as f64),
-                mib(report.peak_rss_kib),
-            );
-            if attempts > 1 {
-                println!("  recovery:   {attempts} attempt(s), {restores} restore(s)");
+    let recovery = match recovered? {
+        Recovered::Completed((), recovery) => recovery,
+        Recovered::Degraded(out) => {
+            if !o.quiet {
+                println!(
+                    "degraded result after {} attempt(s): {} modules, {:.6} bits (best checkpointed clustering)",
+                    out.recovery.attempts,
+                    out.num_modules(),
+                    out.codelength
+                );
+                let last = out.recovery.failures.last();
+                println!("  last failure: {}", last.expect("every attempt failed"));
             }
+            if let Some(out_path) = &o.output {
+                write_assignments(out_path, &out.modules, source.original_ids.as_deref())?;
+            }
+            return finish();
         }
-        return finish(Ok(()));
-    }
-
-    // Retries exhausted. Degrade gracefully when checkpoints exist:
-    // assemble the best agreed clustering in-process.
-    let last = failures.last().expect("every attempt failed").clone();
-    let ckpt = ckpt_dir(&dir);
-    if o.checkpoint_every == 0 || !checkpoint_files_present(&ckpt) {
-        return finish(Err(format!(
-            "launch failed after {attempts} attempt(s): {last}"
-        )));
-    }
-    let (one_level, original_n) = one_level_of_shards(&source.shard_dir, o.procs)?;
-    let store = FileCheckpointStore::open(&ckpt, o.procs, o.seed)
-        .map_err(|e| format!("checkpoint store: {e}"))?;
-    let recovery = RecoveryReport {
-        attempts,
-        restores,
-        checkpoints_committed: store.checkpoints_committed(),
-        degraded: true,
-        failures,
-        ..Default::default()
     };
-    // `degraded_output` refuses, by panicking, checkpoints another run
-    // left in `--dir`: a named launch failure, not a crash.
-    let out = catch_unwind(AssertUnwindSafe(|| {
-        degraded_output(&store, o.procs, one_level, original_n, Vec::new(), recovery)
-    }))
-    .map_err(|payload| {
-        format!(
-            "launch failed after {attempts} attempt(s): {}",
-            panic_message(payload.as_ref())
-        )
-    })?;
-    if !o.quiet {
-        println!(
-            "degraded result after {attempts} attempt(s): {} modules, {:.6} bits (best checkpointed clustering)",
-            out.num_modules(),
-            out.codelength
-        );
-        println!("  last failure: {last}");
-    }
+    let path = result_path(&dir);
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     if let Some(out_path) = &o.output {
-        write_assignments(out_path, &out.modules, source.original_ids.as_deref())?;
+        let modules = result_modules(&text)?;
+        write_assignments(out_path, &modules, source.original_ids.as_deref())?;
     }
-    finish(Ok(()))
+    if !o.quiet {
+        let report = result_summary(&text)?;
+        println!(
+            "distributed Infomap over {} OS processes (unix sockets): {} vertices, {} edges",
+            o.procs, source.vertices, source.edges,
+        );
+        println!("  modules:    {}", report.num_modules);
+        println!("  codelength: {:.6} bits", report.codelength);
+        println!("  stages:     {}", stages_line(result_stages(&text)));
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let total = started.elapsed();
+        println!(
+            "  wall time:  {:.1} ms total, {:.1} ms in the world (modeled {:.3} ms)",
+            ms(total),
+            report.wall_ms,
+            report.modeled_ms
+        );
+        let mib = |kib: f64| kib / 1024.0;
+        println!(
+            "  launcher:   parse {:.1} ms, shard write {:.1} ms ({} bytes), \
+             connect {:.1} ms, prepare {:.1} ms, world {:.1} ms, other {:.1} ms; \
+             peak memory: launcher {:.1} MiB, rank 0 {:.1} MiB",
+            ms(source.parse),
+            ms(source.shard_write),
+            source.shard_bytes,
+            report.connect_ms,
+            report.prepare_ms,
+            ms(world),
+            ms(total.saturating_sub(source.parse + source.shard_write + world)),
+            mib(peak_rss_kib().unwrap_or(0) as f64),
+            mib(report.peak_rss_kib),
+        );
+        if recovery.attempts > 1 {
+            println!(
+                "  recovery:   {} attempt(s), {} restore(s)",
+                recovery.attempts, recovery.restores
+            );
+        }
+    }
+    finish()
 }
 
 /// The `_rank` command of worker `rank`: the three values it is handed,
@@ -682,6 +645,14 @@ fn worker_command(
     cmd
 }
 
+/// A failure of the launcher's own, which a relaunch may not meet.
+fn retry(cause: impl Into<String>) -> AttemptFailure {
+    AttemptFailure {
+        causes: vec![cause.into()],
+        retryable: true,
+    }
+}
+
 /// Spawn one world of `procs` workers and wait for it. `Ok` only when
 /// every worker exits 0 and rank 0 published `result.json`.
 fn run_world_once(
@@ -690,8 +661,8 @@ fn run_world_once(
     dir: &Path,
     shard_dir: &Path,
     kill: Option<(usize, u64)>,
-) -> Result<(), String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+) -> Result<(), AttemptFailure> {
+    let exe = std::env::current_exe().map_err(|e| retry(format!("current_exe: {e}")))?;
     let mut children: Vec<Option<Child>> = Vec::with_capacity(o.procs);
     for rank in 0..o.procs {
         match worker_command(&exe, args, rank, dir, shard_dir).spawn() {
@@ -700,7 +671,7 @@ fn run_world_once(
                 // Left alone, the ranks already running would sit in the
                 // socket directory the retry reuses until setup times out.
                 kill_and_reap(&mut children);
-                return Err(format!("spawn rank {rank}: {e}"));
+                return Err(retry(format!("spawn rank {rank}: {e}")));
             }
         }
     }
@@ -733,7 +704,7 @@ fn run_world_once(
                     *slot = None;
                 }
                 Ok(None) => live += 1,
-                Err(e) => return Err(format!("wait rank {rank}: {e}")),
+                Err(e) => return Err(retry(format!("wait rank {rank}: {e}"))),
             }
         }
         if live == 0 {
@@ -752,16 +723,15 @@ fn run_world_once(
             // Reaped statuses stay readable: the next sweep collects them.
             kill_and_reap(&mut children);
             if begun.elapsed() > watchdog {
-                return Err(format!(
-                    "watchdog: world still running after {:?}; killed",
-                    watchdog
-                ));
+                return Err(retry(format!(
+                    "watchdog: world still running after {watchdog:?}; killed"
+                )));
             }
         }
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let mut failed: BTreeMap<usize, String> = BTreeMap::new();
+    let (mut causes, mut retryable) = (Vec::new(), true);
     for (rank, status) in statuses.iter().enumerate() {
         let status = status.expect("all children reaped");
         if !status.success() {
@@ -771,24 +741,16 @@ fn run_world_once(
                 Some(c) => format!("exit code {c}"),
                 None => "killed by signal".into(),
             };
-            failed.insert(rank, why);
+            retryable &= status.code() != Some(1);
+            causes.push(format!("rank {rank}: {why}"));
         }
     }
-    if failed.is_empty() {
-        if result_path(dir).exists() {
-            Ok(())
-        } else {
-            Err("all workers exited 0 but rank 0 published no result".into())
-        }
+    if !causes.is_empty() {
+        Err(AttemptFailure { causes, retryable })
+    } else if result_path(dir).exists() {
+        Ok(())
     } else {
-        let mut msg = String::from("failed ranks: ");
-        for (i, (rank, why)) in failed.iter().enumerate() {
-            if i > 0 {
-                msg.push_str("; ");
-            }
-            let _ = write!(msg, "rank {rank}: {why}");
-        }
-        Err(msg)
+        Err(retry("all workers exited 0 but rank 0 published no result"))
     }
 }
 

@@ -15,8 +15,8 @@ use infomap_graph::snapshot::{shard_path, write_shard_parts, ShardSpec};
 const BIN: &str = env!("CARGO_BIN_EXE_dinfomap");
 
 /// Run `dinfomap args` and assert it exits 1 with the refusal and prints
-/// no codelength.
-fn refused(args: &[&str]) {
+/// no codelength. Returns its stderr.
+fn refused(args: &[&str]) -> String {
     let out = Command::new(BIN)
         .args(args)
         .env("RUST_BACKTRACE", "0")
@@ -32,6 +32,7 @@ fn refused(args: &[&str]) {
         "{args:?}: {stderr}"
     );
     assert!(!stdout.contains("codelength"), "{args:?}: {stdout}");
+    stderr.into_owned()
 }
 
 #[test]
@@ -115,15 +116,15 @@ fn unpriceable_arc_weights_and_strengths_exit_1_with_the_message() {
     std::fs::create_dir_all(&dir).unwrap();
     // Rank 0's first arc weight or first strength is wrong; the header
     // is sound, so the launcher spawns the world and rank 0 refuses its
-    // shard on open. A relaunch meets the same refusal, so one attempt
-    // shows it.
+    // shard on open. A relaunch would meet the same refusal, so the
+    // launcher stops after one attempt at the default `--max-retries`.
     for at in [WEIGHT_AT, STRENGTH_AT] {
         for value in [f64::NAN, f64::INFINITY, -1.0] {
             write_path_shards(&dir);
             patch(&shard_path(&dir, 0), at, value);
             let shards = dir.to_str().unwrap();
-            let launch = ["launch", "--graph-shard-dir", shards, "--procs", "2"];
-            refused(&[&launch[..], &["--max-retries", "0"]].concat());
+            let stderr = refused(&["launch", "--graph-shard-dir", shards, "--procs", "2"]);
+            assert!(stderr.contains("after 1 attempt(s)"), "{stderr}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

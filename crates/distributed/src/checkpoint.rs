@@ -20,7 +20,7 @@
 //!
 //! A record names the run that wrote it ([`RunId`]). Decoding refuses a
 //! record of another seed, so a store reads it as absent;
-//! [`RankSnapshot::assert_same_run`] refuses, by name, one of another
+//! [`RankSnapshot::check_same_run`] refuses, by name, one of another
 //! world size or input graph.
 
 use std::path::{Path, PathBuf};
@@ -93,23 +93,30 @@ impl RankSnapshot {
         decode_record(bytes, Some(run_seed))
     }
 
-    /// Panics, naming both, unless this record was written by a run of
+    /// An error naming both unless this record was written by a run of
     /// `nranks` ranks on an input of `original_n` vertices with node term
     /// `node_term` — the run about to use it. (Its seed was checked by
     /// [`RankSnapshot::decode`].)
-    pub fn assert_same_run(&self, nranks: usize, original_n: usize, node_term: f64) {
+    pub fn check_same_run(
+        &self,
+        nranks: usize,
+        original_n: usize,
+        node_term: f64,
+    ) -> Result<(), String> {
         let (p, n, bits) = (
             self.run.nranks,
             self.run.original_n,
             self.run.node_term_bits,
         );
         let term = node_term.to_bits();
-        assert!(
-            (p, n, bits) == (nranks, original_n, term),
+        if (p, n, bits) == (nranks, original_n, term) {
+            return Ok(());
+        }
+        Err(format!(
             "checkpoint belongs to another run: it was written for {p} ranks, {n} vertices, \
              node term {bits:#018x}; this run has {nranks} ranks, {original_n} vertices, \
              node term {term:#018x}"
-        );
+        ))
     }
 }
 
@@ -123,8 +130,8 @@ pub fn stage_rng_seed(seed: u64, rank: usize) -> u64 {
 ///
 /// The thread world uses the in-memory [`CheckpointStore`]; a
 /// multi-process run uses the [`FileCheckpointStore`], whose records
-/// survive a SIGKILLed rank. The driver's retry loop and the process
-/// launcher both speak only this trait.
+/// survive a SIGKILLed rank. The one recovery loop,
+/// [`crate::driver::recover`], speaks only this trait.
 pub trait SnapshotStore: Sync {
     /// Commit `rank`'s record. Returns the bytes it took — what the cost
     /// model meters — or 0 when the commit failed.
@@ -503,7 +510,8 @@ impl FileCheckpointStore {
     /// readable record, so a relaunch keeps overwriting the older one.
     /// Leftover `.tmp` files are removed, so a store is opened before the
     /// world it serves commits, not beside one that is committing (every
-    /// worker opens its store before the bootstrap).
+    /// worker opens its store before the bootstrap, the launcher its own
+    /// before the first world).
     pub fn open(
         dir: impl Into<PathBuf>,
         nranks: usize,
@@ -631,20 +639,6 @@ impl SnapshotStore for FileCheckpointStore {
     fn checkpoints_committed(&self) -> u64 {
         self.commits.load(Ordering::SeqCst)
     }
-}
-
-/// Generation files present under `dir` (any rank) — whether a relaunch
-/// could possibly restore.
-pub fn checkpoint_files_present(dir: &Path) -> bool {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries.flatten().any(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("rank-") && name.ends_with(".ckpt")
-            })
-        })
-        .unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -949,13 +943,10 @@ mod tests {
     #[test]
     fn a_record_of_another_world_or_graph_is_refused_naming_both() {
         let snap = sample(1);
-        snap.assert_same_run(2, 10, -3.5);
+        snap.check_same_run(2, 10, -3.5).unwrap();
         for (p, n, term) in [(3, 10, -3.5), (2, 11, -3.5), (2, 10, -3.25)] {
-            let caught = std::panic::catch_unwind(|| snap.assert_same_run(p, n, term));
-            let payload = caught.expect_err("another run's record was accepted");
-            let msg = payload
-                .downcast_ref::<String>()
-                .expect("a formatted message");
+            let msg =
+                (snap.check_same_run(p, n, term)).expect_err("another run's record was accepted");
             assert!(msg.contains("checkpoint belongs to another run"), "{msg}");
             assert!(msg.contains("written for 2 ranks, 10 vertices"), "{msg}");
             assert!(
@@ -974,7 +965,6 @@ mod tests {
             assert!(store.restore_agreed(1).is_none());
             assert_eq!(store.checkpoints_committed(), 0);
         }
-        assert!(!checkpoint_files_present(&dir));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1036,7 +1026,6 @@ mod tests {
         store.commit(0, &sample(3));
         let levels: Vec<u32> = store.positions_of(0).into_iter().map(|(l, _)| l).collect();
         assert_eq!(levels, [3, 2]);
-        assert!(checkpoint_files_present(&dir));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

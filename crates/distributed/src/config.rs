@@ -47,11 +47,9 @@ pub struct RecoveryConfig {
     /// without it.
     pub checkpoint_every: usize,
     /// How many times a failed attempt may be retried from the last
-    /// checkpoint (or from scratch when none was committed yet).
+    /// checkpoint (or from scratch when none was committed yet); see
+    /// [`crate::driver::recover`] for what follows when they run out.
     pub max_retries: usize,
-    /// When retries are exhausted, return the best checkpointed clustering
-    /// (degraded result) instead of an error.
-    pub degrade_gracefully: bool,
 }
 
 impl Default for RecoveryConfig {
@@ -59,7 +57,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             checkpoint_every: 0,
             max_retries: 3,
-            degrade_gracefully: false,
         }
     }
 }
@@ -98,6 +95,5 @@ mod tests {
         let r = DistributedConfig::default().recovery;
         assert_eq!(r.checkpoint_every, 0, "fault-free runs must not checkpoint");
         assert_eq!(r.max_retries, 3);
-        assert!(!r.degrade_gracefully);
     }
 }

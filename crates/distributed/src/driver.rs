@@ -9,7 +9,7 @@ use std::sync::Mutex;
 use infomap_core::{plogp, StampedSlotMap, THETA};
 use infomap_graph::snapshot::{SnapshotHeader, SnapshotKind};
 use infomap_graph::{GraphStore, VertexId};
-use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World};
+use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World, WorldOutcome};
 use infomap_partition::{
     delegates_from_degrees, movable_len, owner, plan_rebalance, shard_rank_arcs, Arc,
 };
@@ -132,21 +132,23 @@ impl DistributedInfomap {
     /// in-memory CSR. A (paged) shard runs through
     /// [`RankProgram::prepare_shard`] instead, to the same bits.
     pub fn run<G: GraphStore + Sync + ?Sized>(&self, graph: &G) -> DistributedOutput {
-        self.run_with_plan(graph, None)
-            .expect("a fault-free distributed run cannot fail")
+        // A degraded result is a failed one too: retries run out at once.
+        match self.run_with_plan(graph, None) {
+            Ok(out) if !out.recovery.degraded => out,
+            out => panic!(
+                "a fault-free distributed run cannot fail: {:?}",
+                out.map(|o| o.recovery.failures)
+            ),
+        }
     }
 
-    /// Run the full algorithm under an optional [`FaultPlan`].
-    ///
-    /// With a plan, the driver becomes a retry loop: each world execution
-    /// that ends with failed ranks is re-run (up to
-    /// `cfg.recovery.max_retries` times), restoring the last committed
-    /// checkpoint when one exists — and, because the fault state lives on
-    /// the [`World`], one-shot crashes stay fired across attempts. When
-    /// retries are exhausted, the result is either the best checkpointed
-    /// clustering (`cfg.recovery.degrade_gracefully`) or an error listing
-    /// every root-cause failure. A plan that names a rank the world does
-    /// not have is refused before anything runs.
+    /// Run the full algorithm under an optional [`FaultPlan`], through
+    /// [`recover`]: a failed world execution is retried (up to
+    /// `cfg.recovery.max_retries` times) only under a non-empty plan, from
+    /// the last committed checkpoint or from a fresh prepare. Because the
+    /// fault state lives on the [`World`], one-shot crashes stay fired
+    /// across attempts. A plan that names a rank the world does not have
+    /// is refused before anything runs.
     pub fn run_with_plan<G: GraphStore + Sync + ?Sized>(
         &self,
         graph: &G,
@@ -160,18 +162,16 @@ impl DistributedInfomap {
             ));
         }
         let mut program = RankProgram::prepare(cfg, graph);
+        let (one_level, original_n) = (program.one_level, program.original_n);
         let store = CheckpointStore::new(p);
 
-        let with_faults = plan.as_ref().is_some_and(|pl| !pl.is_empty());
+        // Without injected faults a failure is a bug, which a rerun meets
+        // again.
+        let retryable = plan.as_ref().is_some_and(|pl| !pl.is_empty());
         let mut world = World::new(p);
         if let Some(plan) = plan {
             world = world.fault_plan(plan);
         }
-        let max_attempts = if with_faults {
-            1 + cfg.recovery.max_retries
-        } else {
-            1
-        };
 
         let mut stats: Vec<RankStats> = (0..p)
             .map(|rank| RankStats {
@@ -179,55 +179,114 @@ impl DistributedInfomap {
                 ..Default::default()
             })
             .collect();
-        let mut recovery = RecoveryReport::default();
-        loop {
-            recovery.attempts += 1;
-            if recovery.attempts > 1 {
-                if store.agreed_pos().is_some() {
-                    recovery.restores += 1;
-                } else {
-                    // The failed attempt's ranks took their prepared states
-                    // and no checkpoint replaces them: start from scratch.
-                    program = RankProgram::prepare(cfg, graph);
-                }
+        let attempt = |number| {
+            if number > 1 && store.agreed_pos().is_none() {
+                // The failed attempt's ranks took their prepared states
+                // and no checkpoint replaces them: start from scratch.
+                program = RankProgram::prepare(cfg, graph);
             }
             let outcome = world.run_with_outcomes(|comm| program.run_rank(comm, &store));
             for (rank, s) in outcome.stats.iter().enumerate() {
                 stats[rank].absorb(s);
             }
-            if outcome.all_completed() {
-                recovery.checkpoints_committed = SnapshotStore::checkpoints_committed(&store);
-                let mut results = outcome.into_results().expect("all ranks completed");
-                let (modules, trace, codelength) =
-                    results.remove(0).expect("rank 0 must report results");
-                return Ok(program.assemble_output(modules, trace, codelength, stats, recovery));
+            rank0_result(outcome, retryable)
+        };
+        let recovered = recover(&store, p, cfg.recovery.max_retries, attempt, || {
+            Ok((one_level, original_n))
+        })?;
+        Ok(match recovered {
+            Recovered::Completed((modules, trace, codelength), recovery) => {
+                program.assemble_output(modules, trace, codelength, stats, recovery)
             }
-            for (rank, msg) in outcome.failures() {
-                recovery
+            Recovered::Degraded(out) => DistributedOutput {
+                rank_stats: stats,
+                ..out
+            },
+        })
+    }
+}
+
+/// Rank 0's result of a thread-world attempt in which every rank
+/// completed, or the cause of every rank that failed.
+pub fn rank0_result<R>(
+    outcome: WorldOutcome<Option<R>>,
+    retryable: bool,
+) -> Result<R, AttemptFailure> {
+    let causes = (outcome.failures().into_iter())
+        .map(|(rank, why)| format!("rank {rank}: {why}"))
+        .collect();
+    match outcome.into_results() {
+        Some(mut results) => Ok(results.remove(0).expect("rank 0 must report results")),
+        None => Err(AttemptFailure { causes, retryable }),
+    }
+}
+
+/// Why one attempt of a world did not complete.
+#[derive(Clone, Debug)]
+pub struct AttemptFailure {
+    /// One root cause per failed rank, `rank R: why`.
+    pub causes: Vec<String>,
+    /// False when a rerun would meet the same failure: [`recover`] stops.
+    pub retryable: bool,
+}
+
+/// How [`recover`] ended when it did not fail.
+#[derive(Debug)]
+pub enum Recovered<T> {
+    /// An attempt completed: its result, and what the loop did.
+    Completed(T, RecoveryReport),
+    /// No attempt completed: the best checkpointed clustering.
+    Degraded(DistributedOutput),
+}
+
+/// The one recovery loop of the thread world, the process launcher and
+/// the file-store chaos test: each passes how to run attempt number `n`
+/// (from 1) and the `store` its ranks checkpoint to. Attempts run until
+/// one completes, one fails in a way a rerun would repeat, or
+/// `max_retries` retries failed; a retry with a level agreed in `store`
+/// counts as a restore. When no attempt completed, a store in which every
+/// rank holds a level gives [`degraded_output`], marked degraded, and any
+/// other store the error listing every `attempt N: rank R: why`.
+/// `baseline` gives the one-module codelength and the vertex count of the
+/// input, asked only when the run degrades.
+pub fn recover<T>(
+    store: &dyn SnapshotStore,
+    nranks: usize,
+    max_retries: usize,
+    mut attempt: impl FnMut(usize) -> Result<T, AttemptFailure>,
+    baseline: impl FnOnce() -> Result<(f64, usize), String>,
+) -> Result<Recovered<T>, String> {
+    let mut report = RecoveryReport::default();
+    let ended = loop {
+        report.attempts += 1;
+        let n = report.attempts;
+        report.restores += usize::from(n > 1 && store.agreed_pos().is_some());
+        match attempt(n) {
+            Ok(done) => break Ok(done),
+            Err(failure) => {
+                let causes = failure.causes.iter();
+                report
                     .failures
-                    .push(format!("attempt {}: rank {rank}: {msg}", recovery.attempts));
-            }
-            if recovery.attempts >= max_attempts {
-                recovery.checkpoints_committed = SnapshotStore::checkpoints_committed(&store);
-                if cfg.recovery.degrade_gracefully {
-                    recovery.degraded = true;
-                    return Ok(degraded_output(
-                        &store,
-                        p,
-                        program.one_level,
-                        program.original_n,
-                        stats,
-                        recovery,
-                    ));
+                    .extend(causes.map(|c| format!("attempt {n}: {c}")));
+                if !failure.retryable || n > max_retries {
+                    break Err(format!("distributed run failed after {n} attempt(s)"));
                 }
-                return Err(format!(
-                    "distributed run failed after {} attempts: {}",
-                    recovery.attempts,
-                    recovery.failures.join("; ")
-                ));
             }
         }
+    };
+    report.checkpoints_committed = store.checkpoints_committed();
+    let failure = match ended {
+        Ok(done) => return Ok(Recovered::Completed(done, report)),
+        Err(failed) => format!("{failed}: {}", report.failures.join("; ")),
+    };
+    if store.agreed_pos().is_none() {
+        return Err(failure);
     }
+    let (one_level, original_n) = baseline()?;
+    report.degraded = true;
+    degraded_output(store, nranks, one_level, original_n, report)
+        .map(Recovered::Degraded)
+        .map_err(|e| format!("{failure}; {e}"))
 }
 
 /// Σ plogp(p_v) over all vertices — the MDL's constant node term, whose
@@ -536,7 +595,7 @@ impl RankProgram {
         let restored = store.restore_agreed(rank);
         let prepared = prepared.filter(|_| restored.is_none());
         if let Some(snap) = &restored {
-            snap.assert_same_run(p, original_n, node_term);
+            (snap.check_same_run(p, original_n, node_term)).unwrap_or_else(|e| panic!("{e}"));
             // Every rank must resume the same level; the commit protocol
             // guarantees it, the collective verifies it (and doubles as
             // the attempt's entry barrier). The restore read is metered as
@@ -658,47 +717,43 @@ impl RankProgram {
     }
 }
 
-/// Assemble the best checkpointed clustering after retries were exhausted:
-/// the original-vertex assignments the agreed level's records carry, and
-/// the codelength of the stage that produced them. With no checkpoint at
-/// all, the result degrades to the one-module partition. Shared by the
-/// in-process retry loop and the process launcher; panics, naming both,
-/// on a record another run wrote.
-pub fn degraded_output(
+/// The best checkpointed clustering, for [`recover`] once no attempt
+/// completed: the original-vertex assignments the agreed level's records
+/// carry, and the codelength of the stage that produced them (or the
+/// one-module partition, when that is shorter). A record another run
+/// wrote is an error naming both.
+fn degraded_output(
     store: &dyn SnapshotStore,
     p: usize,
     one_level: f64,
     original_n: usize,
-    rank_stats: Vec<RankStats>,
     recovery: RecoveryReport,
-) -> DistributedOutput {
+) -> Result<DistributedOutput, String> {
     let mut modules = vec![0u32; original_n];
     let (mut codelength, mut trace) = (one_level, Vec::new());
-    if store.agreed_pos().is_some() {
-        for r in 0..p {
-            let snap = store.restore_agreed(r).expect("store is consistent");
-            snap.assert_same_run(p, original_n, -one_level);
-            for &(v, m) in &snap.assign {
-                modules[v as usize] = m;
-            }
-            if r == 0 {
-                (codelength, trace) = (snap.prev_mdl, snap.trace);
-            }
+    for r in 0..p {
+        let snap = (store.restore_agreed(r)).ok_or("a checkpoint vanished during the restore")?;
+        snap.check_same_run(p, original_n, -one_level)?;
+        for &(v, m) in &snap.assign {
+            modules[v as usize] = m;
+        }
+        if r == 0 {
+            (codelength, trace) = (snap.prev_mdl, snap.trace);
         }
     }
     if codelength > one_level {
         modules = vec![0; original_n];
         codelength = one_level;
     }
-    DistributedOutput {
+    Ok(DistributedOutput {
         modules,
         codelength,
         one_level_codelength: one_level,
         trace,
-        rank_stats,
+        rank_stats: Vec::new(),
         nranks: p,
         recovery,
-    }
+    })
 }
 
 fn push_trace(

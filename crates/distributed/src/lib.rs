@@ -62,13 +62,10 @@ pub mod messages;
 pub mod rounds;
 pub mod state;
 
-pub use checkpoint::{
-    checkpoint_files_present, CheckpointStore, FileCheckpointStore, RankSnapshot, RunId,
-    SnapshotStore,
-};
+pub use checkpoint::{CheckpointStore, FileCheckpointStore, RankSnapshot, RunId, SnapshotStore};
 pub use config::{DistributedConfig, RecoveryConfig};
 pub use driver::{
-    degraded_output, node_term, DistributedInfomap, DistributedOutput, RankProgram, RecoveryReport,
-    StageTrace,
+    node_term, rank0_result, recover, AttemptFailure, DistributedInfomap, DistributedOutput,
+    RankProgram, Recovered, RecoveryReport, StageTrace,
 };
 pub use rounds::{find_best_modules, RoundBuffers, StageStop, MAX_ROUNDS};

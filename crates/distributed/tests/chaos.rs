@@ -7,10 +7,10 @@
 //! the fault-free one on the same seed.
 
 use infomap_distributed::{
-    DistributedConfig, DistributedInfomap, FileCheckpointStore, RankProgram, RecoveryConfig,
-    RecoveryReport, SnapshotStore,
+    rank0_result, recover, DistributedConfig, DistributedInfomap, FileCheckpointStore, RankProgram,
+    Recovered, RecoveryConfig,
 };
-use infomap_mpisim::{Comm, FaultPlan, RankStats, World};
+use infomap_mpisim::{FaultPlan, World};
 
 use infomap_graph::generators::{self, LfrParams};
 
@@ -25,13 +25,13 @@ fn lfr() -> infomap_graph::Graph {
     .0
 }
 
-fn chaos_cfg() -> DistributedConfig {
+/// Three ranks, checkpointing and retrying as given.
+fn recovery_cfg(checkpoint_every: usize, max_retries: usize) -> DistributedConfig {
     DistributedConfig {
         nranks: 3,
         recovery: RecoveryConfig {
-            checkpoint_every: 2,
-            max_retries: 3,
-            degrade_gracefully: false,
+            checkpoint_every,
+            max_retries,
         },
         ..Default::default()
     }
@@ -78,7 +78,7 @@ fn checkpointing_without_faults_is_invisible_to_the_result() {
         ..Default::default()
     })
     .run(&g);
-    let ckpt = DistributedInfomap::new(chaos_cfg()).run(&g);
+    let ckpt = DistributedInfomap::new(recovery_cfg(2, 3)).run(&g);
 
     // The checkpoint collective sits outside the algorithm's RNG and
     // message streams, so the clustering is bit-identical.
@@ -101,10 +101,10 @@ fn checkpointing_without_faults_is_invisible_to_the_result() {
 #[test]
 fn crash_mid_stage_one_recovers_bit_identically() {
     let g = lfr();
-    let clean = DistributedInfomap::new(chaos_cfg()).run(&g);
+    let clean = DistributedInfomap::new(recovery_cfg(2, 3)).run(&g);
     // Comm event 80 on rank 1 lands mid-stage-1, before any checkpoint.
     let plan = FaultPlan::new(7).crash(1, 80);
-    let out = DistributedInfomap::new(chaos_cfg())
+    let out = DistributedInfomap::new(recovery_cfg(2, 3))
         .run_with_plan(&g, Some(plan))
         .expect("the retry loop must absorb a single crash");
 
@@ -126,10 +126,10 @@ fn crash_mid_stage_one_recovers_bit_identically() {
 #[test]
 fn crash_during_stage_two_resumes_the_outer_loop() {
     let g = lfr();
-    let clean = DistributedInfomap::new(chaos_cfg()).run(&g);
+    let clean = DistributedInfomap::new(recovery_cfg(2, 3)).run(&g);
     // Comm event 280 on rank 1 lands in the stage-2 levels.
     let plan = FaultPlan::new(7).crash(1, 280);
-    let out = DistributedInfomap::new(chaos_cfg())
+    let out = DistributedInfomap::new(recovery_cfg(2, 3))
         .run_with_plan(&g, Some(plan))
         .expect("stage-2 crashes are recoverable too");
 
@@ -151,14 +151,7 @@ fn crash_during_stage_two_resumes_the_outer_loop() {
 #[test]
 fn graceful_degradation_returns_the_best_checkpoint() {
     let g = lfr();
-    let cfg = DistributedConfig {
-        recovery: RecoveryConfig {
-            checkpoint_every: 2,
-            max_retries: 0,
-            degrade_gracefully: true,
-        },
-        ..chaos_cfg()
-    };
+    let cfg = recovery_cfg(2, 0);
     // A repeating crash past the first merge and the level-1 commit, with
     // no retry left: the run can never finish. (A restored attempt's
     // event stream is shorter than event 200, so a retry would.)
@@ -182,19 +175,14 @@ fn graceful_degradation_returns_the_best_checkpoint() {
 #[test]
 fn retry_exhaustion_surfaces_every_failure() {
     let g = lfr();
-    let cfg = DistributedConfig {
-        recovery: RecoveryConfig {
-            checkpoint_every: 2,
-            max_retries: 1,
-            degrade_gracefully: false,
-        },
-        ..chaos_cfg()
-    };
+    let cfg = recovery_cfg(2, 1);
+    // Event 100 is inside stage 1, before the level-1 commit: no level is
+    // agreed, so exhaustion is the error, not a degraded result.
     let plan = FaultPlan::new(7).crash_repeating(1, 100);
     let err = DistributedInfomap::new(cfg)
         .run_with_plan(&g, Some(plan))
-        .expect_err("without degradation, exhaustion is an error");
-    assert!(err.contains("failed after 2 attempts"), "got `{err}`");
+        .expect_err("with no agreed level, exhaustion is an error");
+    assert!(err.contains("failed after 2 attempt(s)"), "got `{err}`");
     assert!(err.contains("fault injected"), "got `{err}`");
 }
 
@@ -205,14 +193,7 @@ fn retry_exhaustion_surfaces_every_failure() {
 #[test]
 fn dropped_messages_recover_bit_identically() {
     let g = lfr();
-    let cfg = DistributedConfig {
-        recovery: RecoveryConfig {
-            checkpoint_every: 2,
-            max_retries: 6,
-            degrade_gracefully: false,
-        },
-        ..chaos_cfg()
-    };
+    let cfg = recovery_cfg(2, 6);
     let clean = DistributedInfomap::new(cfg).run(&g);
     let plan = FaultPlan::new(9)
         .drop_messages(None, None, 0.004)
@@ -233,9 +214,9 @@ fn dropped_messages_recover_bit_identically() {
 #[test]
 fn stragglers_slow_but_never_diverge() {
     let g = lfr();
-    let clean = DistributedInfomap::new(chaos_cfg()).run(&g);
+    let clean = DistributedInfomap::new(recovery_cfg(2, 3)).run(&g);
     let plan = FaultPlan::new(3).straggler(1, 4);
-    let out = DistributedInfomap::new(chaos_cfg())
+    let out = DistributedInfomap::new(recovery_cfg(2, 3))
         .run_with_plan(&g, Some(plan))
         .expect("a slow rank is not a failed rank");
     assert_eq!(out.recovery.restores, 0);
@@ -251,14 +232,7 @@ fn stragglers_slow_but_never_diverge() {
 #[test]
 fn crash_before_any_checkpoint_reruns_from_a_fresh_prepare() {
     let g = lfr();
-    let cfg = DistributedConfig {
-        recovery: RecoveryConfig {
-            checkpoint_every: 0,
-            max_retries: 1,
-            degrade_gracefully: false,
-        },
-        ..chaos_cfg()
-    };
+    let cfg = recovery_cfg(0, 1);
     let clean = DistributedInfomap::new(cfg).run(&g);
     // Comm event 5 on rank 1: inside the Init sync of stage 1.
     let plan = FaultPlan::new(7).crash(1, 5);
@@ -274,16 +248,16 @@ fn crash_before_any_checkpoint_reruns_from_a_fresh_prepare() {
     assert_eq!(out.trace, clean.trace);
 }
 
-/// The launcher's durable path in miniature: the same retry loop as
-/// `run_with_plan`, but records flow through the on-disk
-/// [`FileCheckpointStore`] — binary codec, checked framing, two
+/// The launcher's durable path in miniature: the one recovery loop
+/// `run_with_plan` and the launcher run, with records flowing through the
+/// on-disk [`FileCheckpointStore`] — binary codec, checked framing, two
 /// generations. A stage-2 crash must restore a level start and still be
 /// bit-identical; a divergence here isolates the durable codec path from
 /// the process-management machinery around it.
 #[test]
 fn crash_recovers_bit_identically_through_the_file_store() {
     let g = lfr();
-    let cfg = chaos_cfg();
+    let cfg = recovery_cfg(2, 3);
     let clean = DistributedInfomap::new(cfg).run(&g);
 
     let dir = std::env::temp_dir().join(format!("dinf-filestore-{}", std::process::id()));
@@ -293,36 +267,18 @@ fn crash_recovers_bit_identically_through_the_file_store() {
     let store = FileCheckpointStore::open(&dir, p, cfg.seed).expect("open store");
     // Comm event 240 on rank 1 lands in the stage-2 levels.
     let world = World::new(p).fault_plan(FaultPlan::new(7).crash(1, 240));
-    let attempt = |comm: &mut Comm| program.run_rank(comm, &store);
-
-    let mut attempts = 0;
-    let out = loop {
-        attempts += 1;
-        assert!(attempts <= 3, "retry loop failed to converge");
-        let outcome = world.run_with_outcomes(attempt);
-        if !outcome.all_completed() {
-            assert!(store.agreed_pos().is_some(), "no level to restore");
-            continue;
-        }
-        let mut results = outcome.into_results().expect("all ranks completed");
-        let (modules, trace, codelength) = results.remove(0).expect("rank 0 result");
-        let stats: Vec<RankStats> = (0..p)
-            .map(|rank| RankStats {
-                rank,
-                ..Default::default()
-            })
-            .collect();
-        break program.assemble_output(
-            modules,
-            trace,
-            codelength,
-            stats,
-            RecoveryReport::default(),
-        );
+    let attempt = |_| {
+        let outcome = world.run_with_outcomes(|comm| program.run_rank(comm, &store));
+        rank0_result(outcome, true)
     };
+    let recovered = recover(&store, p, 2, attempt, || unreachable!("the run completes"));
     let _ = std::fs::remove_dir_all(&dir);
 
-    assert_eq!(attempts, 2, "the crash must cost exactly one retry");
-    assert_eq!(out.modules, clean.modules, "file-store recovery diverged");
-    assert_eq!(out.codelength.to_bits(), clean.codelength.to_bits());
+    let Ok(Recovered::Completed((modules, _, codelength), report)) = recovered else {
+        panic!("file-store recovery did not complete: {recovered:?}")
+    };
+    assert_eq!(report.attempts, 2, "the crash must cost exactly one retry");
+    assert_eq!(report.restores, 1, "the retry must restore a level");
+    assert_eq!(modules, clean.modules, "file-store recovery diverged");
+    assert_eq!(codelength.to_bits(), clean.codelength.to_bits());
 }

@@ -246,6 +246,19 @@ fn priceable(global_weight: f64) -> Result<(), SnapshotError> {
     })
 }
 
+const UNPRICEABLE_FLOW: &str =
+    "weights the map equation cannot price: an arc weight or strength is not finite and >= 0";
+
+/// The one rule on arc weights and strengths, which the writers check
+/// before they create a file and `open`'s verifying pass checks on every
+/// read: each finite and >= 0, so every flow `w/(2W)` is too.
+fn priceable_flows(mut values: impl Iterator<Item = f64>) -> Result<(), SnapshotError> {
+    let priced = values.all(|x| x.is_finite() && x >= 0.0);
+    priced.then_some(()).ok_or(SnapshotError::Malformed {
+        context: UNPRICEABLE_FLOW,
+    })
+}
+
 /// Number of round-robin-owned vertices of rank `r` in a world of `p`.
 pub fn owned_row_count(global_vertices: usize, nranks: usize, rank: usize) -> usize {
     if rank >= global_vertices {
@@ -403,6 +416,8 @@ fn write_file(
 /// arrays. `offsets` has `rows + 1` entries; `targets`/`weights` hold the
 /// arcs of row `i` at `offsets[i]..offsets[i+1]` in CSR order; targets
 /// are global ids. Atomic: written to a tmp file and renamed into place.
+/// An arc weight or strength no reader would accept is refused before
+/// any file exists.
 pub fn write_shard_parts(
     path: &Path,
     spec: &ShardSpec,
@@ -415,6 +430,7 @@ pub fn write_shard_parts(
     assert_eq!(offsets.len(), rows + 1, "offsets hold rows+1 entries");
     assert_eq!(targets.len(), weights.len());
     assert_eq!(*offsets.last().unwrap_or(&0) as usize, targets.len());
+    priceable_flows(weights.iter().chain(strengths).copied())?;
     write_file(path, &spec.header(rows, targets.len()), |w| {
         for &off in offsets {
             w.put(off.to_le_bytes())?;
@@ -462,7 +478,8 @@ struct ShardCutter<'a> {
 }
 
 impl<'a> ShardCutter<'a> {
-    fn new(n: usize, edges: &'a [(VertexId, VertexId, f64)]) -> Self {
+    /// The cutter of `edges`, unless [`priceable_flows`] refuses them.
+    fn new(n: usize, edges: &'a [(VertexId, VertexId, f64)]) -> Result<Self, SnapshotError> {
         assert!(edges.len() < u32::MAX as usize, "edge positions are u32");
         debug_assert!(
             (edges.windows(2)).all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1)),
@@ -487,14 +504,16 @@ impl<'a> ShardCutter<'a> {
                 next[v as usize] += 1;
             }
         }
-        ShardCutter {
+        let strengths = strengths_of(n, edges);
+        priceable_flows(edges.iter().map(|e| e.2).chain(strengths.iter().copied()))?;
+        Ok(ShardCutter {
             edges,
             upper,
             lower_at,
             lower,
-            strengths: strengths_of(n, edges),
+            strengths,
             global_weight: total_weight_of(edges),
-        }
+        })
     }
 
     fn n(&self) -> usize {
@@ -564,7 +583,7 @@ impl<'a> ShardCutter<'a> {
 
 /// Write the whole graph as one full snapshot file.
 pub fn write_snapshot(graph: &Graph, path: &Path) -> Result<(), SnapshotError> {
-    ShardCutter::new(graph.num_vertices(), &graph.edge_list()).write(0, 1, path)
+    ShardCutter::new(graph.num_vertices(), &graph.edge_list())?.write(0, 1, path)
 }
 
 /// Shard an in-memory graph into `nranks` per-rank snapshot files under
@@ -590,8 +609,8 @@ pub fn write_edge_shards(
     dir: &Path,
 ) -> Result<Vec<PathBuf>, SnapshotError> {
     assert!(nranks > 0, "need at least one shard");
+    let cutter = ShardCutter::new(n, edges)?;
     std::fs::create_dir_all(dir)?;
-    let cutter = ShardCutter::new(n, edges);
     (0..nranks)
         .map(|rank| {
             let path = shard_path(dir, rank);
@@ -741,8 +760,18 @@ impl ShardSink {
     }
 
     /// Merge every spill file and write the shard set. Returns the shard
-    /// paths in rank order.
+    /// paths in rank order. An arc weight or strength no reader would
+    /// accept is refused before any shard file exists. The spill files
+    /// are deleted either way.
     pub fn finalize(mut self) -> Result<Vec<PathBuf>, SnapshotError> {
+        let written = self.write_shard_set();
+        for rank in 0..self.nranks {
+            let _ = std::fs::remove_file(Self::spill_path(&self.dir, rank));
+        }
+        written
+    }
+
+    fn write_shard_set(&mut self) -> Result<Vec<PathBuf>, SnapshotError> {
         for spill in &mut self.spills {
             spill.flush()?;
         }
@@ -754,7 +783,8 @@ impl ShardSink {
         let mut counted_arcs = 0usize;
         let mut counted_self = 0usize;
         for rank in 0..self.nranks {
-            let (offsets, targets, _, strengths) = self.merged_shard(rank)?;
+            let (offsets, targets, weights, strengths) = self.merged_shard(rank)?;
+            priceable_flows(weights.iter().chain(&strengths).copied())?;
             counted_arcs += targets.len();
             for row in 0..strengths.len() {
                 let v = (rank + row * self.nranks) as VertexId;
@@ -786,9 +816,6 @@ impl ShardSink {
                 &strengths,
             )?;
             paths.push(path);
-        }
-        for rank in 0..self.nranks {
-            let _ = std::fs::remove_file(Self::spill_path(&self.dir, rank));
         }
         Ok(paths)
     }
@@ -868,12 +895,11 @@ impl CsrCheck {
             .any(|c| u64::from(u32::from_le_bytes(c.try_into().unwrap())) >= self.vertices);
     }
 
-    /// A weights or strengths piece: each value finite and >= 0.
+    /// A weights or strengths piece: [`priceable_flows`].
     fn flows(&mut self, bytes: &[u8]) {
-        self.unpriceable |= bytes.chunks_exact(8).any(|c| {
-            let x = f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()));
-            !(x.is_finite() && x >= 0.0)
-        });
+        let values = bytes.chunks_exact(8);
+        let values = values.map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())));
+        self.unpriceable |= priceable_flows(values).is_err();
     }
 
     fn finish(self) -> Result<(), SnapshotError> {
@@ -884,8 +910,7 @@ impl CsrCheck {
         } else if self.target_out_of_range {
             "arc target out of range"
         } else if self.unpriceable {
-            "weights the map equation cannot price: an arc weight or strength \
-             is not finite and >= 0"
+            UNPRICEABLE_FLOW
         } else {
             return Ok(());
         };
@@ -1536,16 +1561,48 @@ mod tests {
                 .unwrap()
                 .finalize(),
         );
-        // No shard and no half-written file is left behind.
-        let snap = |p: &Path| p.extension().is_some_and(|x| x == "snap" || x == "tmp");
-        for d in [dir.clone(), dir.join("sink")] {
-            let left: Vec<PathBuf> = std::fs::read_dir(&d)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .filter(|p| snap(p))
-                .collect();
-            assert!(left.is_empty(), "{left:?}");
+        // An arc weight or strength `open` refuses is refused by every
+        // writer with `open`'s phrase: NaN, ∞ and −1 as a weight or a
+        // strength, and a strength past the largest float summed from two
+        // finite weights.
+        let arc_refused = |r: Result<Vec<PathBuf>, SnapshotError>| {
+            let e = r.expect_err("an unpriceable arc was written").to_string();
+            assert!(e.contains(UNPRICEABLE_FLOW), "{e}");
+        };
+        let sink = |edges: &[(VertexId, VertexId, f64)]| {
+            let mut sink = ShardSink::create(&dir.join("sink"), 2, 3).unwrap();
+            for &(u, v, w) in edges {
+                sink.edge(u, v, w).unwrap();
+            }
+            sink.finalize()
+        };
+        let spec = ShardSpec {
+            global_weight: 1.0,
+            ..spec
+        };
+        let parts = |weight: f64, strength: f64| {
+            let path = dir.join("p.snap");
+            write_shard_parts(&path, &spec, &[0, 1], &[0], &[weight], &[strength]).map(|()| vec![])
+        };
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            arc_refused(parts(bad, 2.0));
+            arc_refused(parts(1.0, bad));
+            let edges = [(0, 1, bad), (1, 2, 3.0)];
+            arc_refused(write_edge_shards(3, &edges, 2, &dir));
+            arc_refused(sink(&edges));
         }
+        let edges = [(0, 1, f64::MAX), (0, 2, f64::MAX)];
+        arc_refused(write_edge_shards(3, &edges, 2, &dir));
+        arc_refused(sink(&edges));
+        // No shard and no half-written file is left behind, and a sink
+        // leaves no spill file either.
+        let snap = |p: &Path| p.extension().is_some_and(|x| x == "snap" || x == "tmp");
+        let left = |d: PathBuf| std::fs::read_dir(d).unwrap().map(|e| e.unwrap().path());
+        let left: Vec<PathBuf> = left(dir.clone())
+            .filter(|p| snap(p))
+            .chain(left(dir.join("sink")))
+            .collect();
+        assert!(left.is_empty(), "{left:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
