@@ -34,9 +34,14 @@
 //!   finds no checkpoint and re-runs from scratch. Checkpoints of another
 //!   seed are ignored; ones of another graph or world size fail the
 //!   launch by name.
-//! - A world in which a worker exited with code 1 (it refused its own
-//!   shard or checkpoint directory) is not relaunched: every relaunch
-//!   would meet the same refusal.
+//! - A worker that refuses its own input (its shard, its checkpoint
+//!   directory, checkpoints of another graph or world size, its launch
+//!   line) writes its reason to `rank-N.diag.json` and exits with code 1.
+//!   The launcher then kills the rest of the world at once and does not
+//!   relaunch it — every relaunch would meet the same refusal — and the
+//!   launch's error carries the refusing worker's own message.
+//! - Without `--dir` the rendezvous directory is a temporary one, removed
+//!   when the launch ends, however it ends; `--dir` keeps it.
 //! - When no attempt completed, the launch ends as a thread run does: the
 //!   best checkpointed clustering, marked degraded, if every rank holds a
 //!   level on disk, and otherwise the error naming every failed rank.
@@ -68,10 +73,36 @@ use infomap_transport_socket::{SocketConfig, SocketTransport};
 use crate::commands::{peak_rss_kib, stages_line, write_assignments};
 
 /// Worker exit code for a structured transport failure (diagnostic JSON
-/// written). Code 1 is the worker's refusal of its own input (its shard,
-/// its checkpoint directory or its launch line), which the launcher does
-/// not relaunch; any other nonzero code is retried like this one.
+/// written). See [`WorkerExit`] for every code.
 pub const EXIT_TRANSPORT_FAULT: i32 = 21;
+
+/// What a worker's exit status says about its attempt: the one table the
+/// launcher reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum WorkerExit {
+    /// Code 0: the worker finished its part of the run.
+    Done,
+    /// Code 1: it refused its own input (its shard, its checkpoint
+    /// directory or records, its launch line) and wrote why to its
+    /// diagnostic. A relaunch meets the same refusal: final.
+    Refused,
+    /// [`EXIT_TRANSPORT_FAULT`] (diagnostic written), or any other code:
+    /// a fault a relaunch may clear.
+    Fault(i32),
+    /// No code: a signal ended it (a crash, `--kill-rank`, the launcher).
+    Killed,
+}
+
+impl WorkerExit {
+    fn of(status: std::process::ExitStatus) -> Self {
+        match status.code() {
+            Some(0) => WorkerExit::Done,
+            Some(1) => WorkerExit::Refused,
+            Some(code) => WorkerExit::Fault(code),
+            None => WorkerExit::Killed,
+        }
+    }
+}
 
 /// Parsed `launch` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -176,8 +207,11 @@ pub fn run_worker(rank: usize, o: LaunchOpts) -> i32 {
     match worker_inner(rank, &o) {
         Ok(()) => 0,
         Err(WorkerFailure::Transport) => EXIT_TRANSPORT_FAULT,
-        Err(WorkerFailure::Other(msg)) => {
+        Err(WorkerFailure::Refused(msg)) => {
             eprintln!("rank {rank}: {msg}");
+            if let Some(dir) = &o.dir {
+                write_diag(Path::new(dir), rank, "refused", &msg);
+            }
             1
         }
     }
@@ -186,7 +220,8 @@ pub fn run_worker(rank: usize, o: LaunchOpts) -> i32 {
 enum WorkerFailure {
     /// Structured transport fault; diagnostic JSON already written.
     Transport,
-    Other(String),
+    /// The worker refuses its own input, for this reason.
+    Refused(String),
 }
 
 fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
@@ -198,7 +233,7 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
     let path = shard_path(&handed(&o.graph_shard_dir), rank);
     let cache = page_cache(o.paged, o.block_bytes, o.cache_blocks);
     let graph = GraphSnapshotStore::open(&path, cache)
-        .map_err(|e| WorkerFailure::Other(format!("cannot open {}: {e}", path.display())))?;
+        .map_err(|e| WorkerFailure::Refused(format!("cannot open {}: {e}", path.display())))?;
     let cfg = DistributedConfig {
         nranks: o.procs,
         seed: o.seed,
@@ -210,7 +245,7 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
         ..Default::default()
     };
 
-    let files = checkpoint_files(o, &dir).map_err(WorkerFailure::Other)?;
+    let files = checkpoint_files(o, &dir).map_err(WorkerFailure::Refused)?;
     let memory = CheckpointStore::new(o.procs);
     let store = files.as_ref().map_or(&memory as &dyn SnapshotStore, |f| f);
     let restored = store.agreed_pos().is_some();
@@ -241,11 +276,18 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
     let header = *graph.header();
     let run = catch_unwind(AssertUnwindSafe(|| {
         let program = RankProgram::prepare_shard(cfg, &header, graph, &mut comm);
+        // Records of another graph or world size are refused on every
+        // attempt: the worker's refusal, not a fault a relaunch clears.
+        if let Some(snap) = store.restore_agreed(rank) {
+            (snap.check_same_run(o.procs, program.original_n, program.node_term))
+                .map_err(WorkerFailure::Refused)?;
+        }
         let done = program.run_rank(&mut comm, store);
-        (program, done)
+        Ok((program, done))
     }));
     match run {
-        Ok((program, done)) => {
+        Ok(Err(refusal)) => Err(refusal),
+        Ok(Ok((program, done))) => {
             let wall = started.elapsed();
             let stats = comm.finish();
             if let Some((modules, trace, codelength)) = done {
@@ -263,7 +305,7 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
                 let out =
                     program.assemble_output(modules, trace, codelength, vec![stats], recovery);
                 write_result(&dir, o, &out, connect, wall)
-                    .map_err(|e| WorkerFailure::Other(format!("write result: {e}")))?;
+                    .map_err(|e| WorkerFailure::Refused(format!("write result: {e}")))?;
             }
             Ok(())
         }
@@ -515,29 +557,33 @@ pub fn run_launch(o: LaunchOpts, args: &[String]) -> Result<(), String> {
             o.procs
         ));
     }
-    let (dir, ephemeral) = match &o.dir {
-        Some(d) => (PathBuf::from(d), false),
-        None => (
-            std::env::temp_dir().join(format!("dinfomap-launch-{}", std::process::id())),
-            true,
-        ),
+    let rendezvous = match &o.dir {
+        Some(d) => Rendezvous {
+            path: PathBuf::from(d),
+            temporary: false,
+        },
+        None => Rendezvous {
+            path: std::env::temp_dir().join(format!("dinfomap-launch-{}", std::process::id())),
+            temporary: true,
+        },
     };
-    let source = resolve_source(&o, &dir)?;
-    std::fs::create_dir_all(sock_dir(&dir)).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
+    let dir = &rendezvous.path;
+    let source = resolve_source(&o, dir)?;
+    std::fs::create_dir_all(sock_dir(dir)).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
 
     // The workers' checkpoint files, opened once for the whole launch.
-    let files = checkpoint_files(&o, &dir)?;
+    let files = checkpoint_files(&o, dir)?;
     let memory = CheckpointStore::new(o.procs);
     let store = files.as_ref().map_or(&memory as &dyn SnapshotStore, |f| f);
 
     let world_started = Instant::now();
     let attempt = |number| {
-        let _ = std::fs::remove_file(result_path(&dir));
+        let _ = std::fs::remove_file(result_path(dir));
         for r in 0..o.procs {
-            let _ = std::fs::remove_file(diag_path(&dir, r));
+            let _ = std::fs::remove_file(diag_path(dir, r));
         }
         let kill = o.kill_rank.filter(|_| number == 1);
-        run_world_once(&o, args, &dir, &source.shard_dir, kill).inspect_err(|failure| {
+        run_world_once(&o, args, dir, &source.shard_dir, kill).inspect_err(|failure| {
             if !o.quiet {
                 eprintln!("attempt {number}: {}", failure.causes.join("; "));
             }
@@ -547,13 +593,6 @@ pub fn run_launch(o: LaunchOpts, args: &[String]) -> Result<(), String> {
         one_level_of_shards(&source.shard_dir, o.procs)
     });
     let world = world_started.elapsed();
-    // A launch that ends well removes its temporary rendezvous directory.
-    let finish = || {
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        Ok(())
-    };
 
     let recovery = match recovered? {
         Recovered::Completed((), recovery) => recovery,
@@ -571,10 +610,10 @@ pub fn run_launch(o: LaunchOpts, args: &[String]) -> Result<(), String> {
             if let Some(out_path) = &o.output {
                 write_assignments(out_path, &out.modules, source.original_ids.as_deref())?;
             }
-            return finish();
+            return Ok(());
         }
     };
-    let path = result_path(&dir);
+    let path = result_path(dir);
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     if let Some(out_path) = &o.output {
         let modules = result_modules(&text)?;
@@ -619,7 +658,23 @@ pub fn run_launch(o: LaunchOpts, args: &[String]) -> Result<(), String> {
             );
         }
     }
-    finish()
+    Ok(())
+}
+
+/// The launch's rendezvous directory. A temporary one (no `--dir`) is
+/// removed when the launch ends, however it ends — success, refusal,
+/// error or panic; a `--dir` is kept.
+struct Rendezvous {
+    path: PathBuf,
+    temporary: bool,
+}
+
+impl Drop for Rendezvous {
+    fn drop(&mut self) {
+        if self.temporary {
+            let _ = std::fs::remove_dir_all(&self.path);
+        }
+    }
 }
 
 /// The `_rank` command of worker `rank`: the three values it is handed,
@@ -654,7 +709,9 @@ fn retry(cause: impl Into<String>) -> AttemptFailure {
 }
 
 /// Spawn one world of `procs` workers and wait for it. `Ok` only when
-/// every worker exits 0 and rank 0 published `result.json`.
+/// every worker exits 0 and rank 0 published `result.json`. The first
+/// refusal ends the world at once: the survivors are killed, and the
+/// refusing ranks' own reasons are the attempt's causes.
 fn run_world_once(
     o: &LaunchOpts,
     args: &[String],
@@ -688,7 +745,7 @@ fn run_world_once(
     let grace = setup_window(o.timeout_ms)
         + Duration::from_millis(o.timeout_ms.saturating_mul(2).saturating_add(2_000));
     let mut first_failure: Option<Instant> = None;
-    let mut statuses: Vec<Option<std::process::ExitStatus>> = vec![None; o.procs];
+    let mut exits: Vec<Option<WorkerExit>> = vec![None; o.procs];
     let mut killed = false;
 
     loop {
@@ -697,7 +754,7 @@ fn run_world_once(
             let Some(child) = slot else { continue };
             match child.try_wait() {
                 Ok(Some(status)) => {
-                    statuses[rank] = Some(status);
+                    exits[rank] = Some(WorkerExit::of(status));
                     if !status.success() && first_failure.is_none() {
                         first_failure = Some(Instant::now());
                     }
@@ -706,6 +763,12 @@ fn run_world_once(
                 Ok(None) => live += 1,
                 Err(e) => return Err(retry(format!("wait rank {rank}: {e}"))),
             }
+        }
+        if exits.contains(&Some(WorkerExit::Refused)) {
+            // A final refusal: nothing the survivors do can change the
+            // outcome, and they would only wait out their deadlines.
+            kill_and_reap(&mut children);
+            break;
         }
         if live == 0 {
             break;
@@ -731,22 +794,31 @@ fn run_world_once(
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let (mut causes, mut retryable) = (Vec::new(), true);
-    for (rank, status) in statuses.iter().enumerate() {
-        let status = status.expect("all children reaped");
-        if !status.success() {
-            let why = match status.code() {
-                Some(EXIT_TRANSPORT_FAULT) => read_diag_summary(dir, rank)
-                    .unwrap_or_else(|| "transport fault (no diagnostic)".into()),
-                Some(c) => format!("exit code {c}"),
-                None => "killed by signal".into(),
-            };
-            retryable &= status.code() != Some(1);
-            causes.push(format!("rank {rank}: {why}"));
-        }
+    // A refusal is the root cause of everything else that failed: the
+    // causes are the refusing ranks' own messages.
+    let refused = exits.contains(&Some(WorkerExit::Refused));
+    let mut causes = Vec::new();
+    for (rank, exit) in exits.iter().enumerate() {
+        let why = match exit {
+            Some(WorkerExit::Done) => continue,
+            Some(WorkerExit::Refused) => read_diag(dir, rank)
+                .map_or_else(|| "refused its input (no diagnostic)".into(), |(_, d)| d),
+            _ if refused => continue,
+            Some(WorkerExit::Fault(EXIT_TRANSPORT_FAULT)) => read_diag(dir, rank).map_or_else(
+                || "transport fault (no diagnostic)".into(),
+                |(op, detail)| format!("blocked in {op}: {detail}"),
+            ),
+            Some(WorkerExit::Fault(code)) => format!("exit code {code}"),
+            Some(WorkerExit::Killed) => "killed by signal".into(),
+            None => unreachable!("every child is reaped before the causes are read"),
+        };
+        causes.push(format!("rank {rank}: {why}"));
     }
     if !causes.is_empty() {
-        Err(AttemptFailure { causes, retryable })
+        Err(AttemptFailure {
+            causes,
+            retryable: !refused,
+        })
     } else if result_path(dir).exists() {
         Ok(())
     } else {
@@ -858,11 +930,10 @@ fn result_modules(text: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-fn read_diag_summary(dir: &Path, rank: usize) -> Option<String> {
+/// The `(op, detail)` of rank `rank`'s diagnostic.
+fn read_diag(dir: &Path, rank: usize) -> Option<(String, String)> {
     let text = std::fs::read_to_string(diag_path(dir, rank)).ok()?;
-    let op = json_field(&text, "op")?;
-    let detail = json_field(&text, "detail")?;
-    Some(format!("blocked in {op}: {detail}"))
+    Some((json_field(&text, "op")?, json_field(&text, "detail")?))
 }
 
 #[cfg(test)]
@@ -1002,8 +1073,8 @@ mod tests {
             ),
         ] {
             write_diag(&dir, 2, op, detail);
-            let s = read_diag_summary(&dir, 2).unwrap();
-            assert_eq!(s, format!("blocked in {op}: {detail}"));
+            let read = read_diag(&dir, 2).unwrap();
+            assert_eq!(read, (op.to_string(), detail.to_string()));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

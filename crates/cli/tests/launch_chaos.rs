@@ -401,8 +401,9 @@ fn checkpoints_of_another_graph_fail_the_launch_by_name() {
     let shared = dir.join("shared");
     let (ok, _, stderr) = launch_checkpointed(&graph_path, "4", &shared, &dir.join("a.txt"), &[]);
     assert!(ok, "first launch failed:\n{stderr}");
-    // Same seed and world, another graph: every attempt's ranks refuse the
-    // agreed records by name, and so does the degraded assembly.
+    // Same seed and world, another graph: the ranks refuse the agreed
+    // records by name, which ends the launch after its first attempt, and
+    // the degraded assembly refuses them too.
     let out = dir.join("b.txt");
     let (ok, stdout, stderr) = launch_checkpointed(
         other_path.to_str().unwrap(),
@@ -415,6 +416,10 @@ fn checkpoints_of_another_graph_fail_the_launch_by_name() {
     assert!(
         stderr.contains("checkpoint belongs to another run"),
         "the refusal is not named:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("after 1 attempt(s)"),
+        "a refusal was relaunched:\n{stderr}"
     );
     assert!(!stdout.contains("degraded"), "{stdout}");
     assert!(!out.exists(), "an assignment was written");

@@ -7,19 +7,34 @@
 //! weight or strength that is not finite and >= 0, when the worker opens
 //! its shard.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use infomap_graph::snapshot::{shard_path, write_shard_parts, ShardSpec};
 
 const BIN: &str = env!("CARGO_BIN_EXE_dinfomap");
 
-/// Run `dinfomap args` and assert it exits 1 with the refusal and prints
-/// no codelength. Returns its stderr.
+/// A fresh, empty directory for one command's `TMPDIR`.
+fn fresh_tmpdir() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dinf-unpriceable-tmp-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Run `dinfomap args` under a `TMPDIR` of its own and assert it exits 1
+/// with the refusal on its last line, prints no codelength and leaves
+/// nothing in that `TMPDIR` (a launch's temporary rendezvous directory
+/// included). Returns its stderr.
 fn refused(args: &[&str]) -> String {
+    let tmp = fresh_tmpdir();
     let out = Command::new(BIN)
         .args(args)
         .env("RUST_BACKTRACE", "0")
+        .env("TMPDIR", &tmp)
         .output()
         .expect("run dinfomap");
     let (stdout, stderr) = (
@@ -27,11 +42,15 @@ fn refused(args: &[&str]) -> String {
         String::from_utf8_lossy(&out.stderr),
     );
     assert_eq!(out.status.code(), Some(1), "{args:?}: {stdout} {stderr}");
+    let last = stderr.lines().last().unwrap_or("");
     assert!(
-        stderr.contains("weights the map equation cannot price"),
-        "{args:?}: {stderr}"
+        last.contains("weights the map equation cannot price"),
+        "{args:?}: the last line does not name the refusal: {stderr}"
     );
     assert!(!stdout.contains("codelength"), "{args:?}: {stdout}");
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().collect();
+    assert!(left.is_empty(), "{args:?} left {left:?} in its TMPDIR");
+    std::fs::remove_dir(&tmp).unwrap();
     stderr.into_owned()
 }
 
@@ -117,14 +136,21 @@ fn unpriceable_arc_weights_and_strengths_exit_1_with_the_message() {
     // Rank 0's first arc weight or first strength is wrong; the header
     // is sound, so the launcher spawns the world and rank 0 refuses its
     // shard on open. A relaunch would meet the same refusal, so the
-    // launcher stops after one attempt at the default `--max-retries`.
+    // launcher kills rank 1 at once and stops after one attempt at the
+    // default `--max-retries`, with rank 0's own message as the cause.
     for at in [WEIGHT_AT, STRENGTH_AT] {
         for value in [f64::NAN, f64::INFINITY, -1.0] {
             write_path_shards(&dir);
             patch(&shard_path(&dir, 0), at, value);
             let shards = dir.to_str().unwrap();
             let stderr = refused(&["launch", "--graph-shard-dir", shards, "--procs", "2"]);
-            assert!(stderr.contains("after 1 attempt(s)"), "{stderr}");
+            let last = stderr.lines().last().unwrap_or("");
+            assert!(last.contains("after 1 attempt(s)"), "{stderr}");
+            assert!(last.contains("rank 0: cannot open"), "{stderr}");
+            assert!(
+                !last.contains("rank 1"),
+                "a killed survivor is a cause: {stderr}"
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

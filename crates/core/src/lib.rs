@@ -4,9 +4,9 @@
 //! Rosvall et al. (the paper's Algorithm 1), which the distributed
 //! algorithm both builds on and is evaluated against:
 //!
-//! * [`accumulate`]: the epoch-stamped dense accumulator shared by the
-//!   sequential and distributed best-move kernels (O(deg) neighborhood
-//!   aggregation without clearing);
+//! * [`accumulate`]: the neighborhood-sized, epoch-stamped accumulator
+//!   shared by the sequential and distributed best-move kernels (O(deg)
+//!   neighborhood aggregation without clearing, in O(deg) bytes);
 //! * [`flow`]: per-vertex visit rates and normalized arc flows of the
 //!   undirected random walk (`p_α = strength(α) / 2W`);
 //! * [`map_equation`]: the codelength `L(M)` of Equation 3, maintained
@@ -35,7 +35,7 @@ pub mod flow;
 pub mod map_equation;
 pub mod sequential;
 
-pub use accumulate::{push_slot, StampedSlotMap};
+pub use accumulate::{push_slot, NeighborMap};
 pub use flow::FlowNetwork;
 pub use map_equation::{plogp, plogp_slice, DeltaBatch, MoveScratch, Partitioning, DELTA_CHUNK};
 pub use sequential::{Infomap, InfomapConfig, InfomapResult, OuterIterationStats, MIN_GAIN, THETA};

@@ -19,7 +19,7 @@
 
 use infomap_graph::VertexId;
 
-use crate::accumulate::StampedSlotMap;
+use crate::accumulate::NeighborMap;
 use crate::flow::FlowNetwork;
 
 /// `x·log₂(x)`, with `plogp(0) = 0`.
@@ -365,11 +365,12 @@ pub const DELTA_CHUNK: usize = 64;
 
 /// The gather → batch → select buffers of the δL kernels. A chunk holds
 /// the moving vertex's own five `plogp` arguments (group 0) and up to
-/// [`DELTA_CHUNK`] candidates' five, each tagged with its module slot;
-/// one [`plogp_slice`] call scores them all.
+/// [`DELTA_CHUNK`] candidates' five, each tagged with a `u32` of the
+/// caller's (the kernels pass the candidate's first-touch position in
+/// their neighborhood map); one [`plogp_slice`] call scores them all.
 #[derive(Clone, Debug)]
 pub struct DeltaBatch {
-    slots: [u32; DELTA_CHUNK],
+    tags: [u32; DELTA_CHUNK],
     args: [[f64; 5]; DELTA_CHUNK + 1],
     vals: [[f64; 5]; DELTA_CHUNK + 1],
 }
@@ -377,7 +378,7 @@ pub struct DeltaBatch {
 impl Default for DeltaBatch {
     fn default() -> Self {
         DeltaBatch {
-            slots: [0; DELTA_CHUNK],
+            tags: [0; DELTA_CHUNK],
             args: [[0.0; 5]; DELTA_CHUNK + 1],
             vals: [[0.0; 5]; DELTA_CHUNK + 1],
         }
@@ -386,9 +387,9 @@ impl Default for DeltaBatch {
 
 impl DeltaBatch {
     /// Score a vertex's candidates: `own` is the vertex's five `plogp`
-    /// arguments, `cands` yields each admissible candidate's slot and five
+    /// arguments, `cands` yields each admissible candidate's tag and five
     /// arguments. `select` sees, in `cands` order, the vertex's five
-    /// `plogp` values and each candidate's slot and five values — the
+    /// `plogp` values and each candidate's tag and five values — the
     /// bits five scalar [`plogp`] calls would give.
     pub fn score(
         &mut self,
@@ -399,8 +400,8 @@ impl DeltaBatch {
         self.args[0] = own;
         loop {
             let mut n = 0;
-            for (slot, args) in cands.by_ref() {
-                self.slots[n] = slot;
+            for (tag, args) in cands.by_ref() {
+                self.tags[n] = tag;
                 self.args[n + 1] = args;
                 n += 1;
                 if n == DELTA_CHUNK {
@@ -414,8 +415,8 @@ impl DeltaBatch {
                 self.args[..=n].as_flattened(),
                 self.vals[..=n].as_flattened_mut(),
             );
-            for (&slot, vals) in self.slots[..n].iter().zip(&self.vals[1..=n]) {
-                select(&self.vals[0], slot, vals);
+            for (&tag, vals) in self.tags[..n].iter().zip(&self.vals[1..=n]) {
+                select(&self.vals[0], tag, vals);
             }
             if n < DELTA_CHUNK {
                 return;
@@ -425,10 +426,11 @@ impl DeltaBatch {
 }
 
 /// The reusable scratch of a best-move kernel: the neighborhood
-/// accumulator (module slot → `V`) and the chunked δL batch.
+/// accumulator (module slot → `V`, sized by the vertex's arc count) and
+/// the chunked δL batch.
 #[derive(Clone, Debug, Default)]
 pub struct MoveScratch<V> {
-    pub neigh: StampedSlotMap<V>,
+    pub neigh: NeighborMap<V>,
     pub batch: DeltaBatch,
 }
 
@@ -580,18 +582,18 @@ impl Partitioning {
     /// — the minimum-label heuristic the paper uses against vertex
     /// bouncing. Returns `None` if no move improves by more than `min_gain`.
     ///
-    /// An epoch-stamped dense accumulator makes this O(deg) per vertex
+    /// An epoch-stamped neighborhood map makes this O(deg) per vertex
     /// instead of a scratch-vec scan's O(deg·k), with bit-identical results
-    /// (the stamped map yields candidate modules in the scan's first-touch
-    /// order, so the floating-point sums and tie-breaks are unchanged). The
+    /// (the map yields candidate modules in the scan's first-touch order,
+    /// so the floating-point sums and tie-breaks are unchanged). The
     /// δL of moving `u` to module j, `plogp(q') − plogp(q) − 2(plogp(q_i')
     /// − plogp(q_i) + plogp(q_j') − plogp(q_j)) + (plogp(q_i' + p_i') −
     /// plogp(q_i + p_i)) + (plogp(q_j' + p_j') − plogp(q_j + p_j))`, is
     /// evaluated in that association order, with every `plogp` scored
     /// through [`DeltaBatch`].
     ///
-    /// `scratch` persists across calls; slots are module ids, so it sizes
-    /// to the level's vertex count once and is epoch-reset per vertex.
+    /// `scratch` persists across calls, sized by the largest degree seen
+    /// and epoch-reset per vertex.
     pub fn best_move_stamped(
         &self,
         network: &FlowNetwork,
@@ -601,7 +603,7 @@ impl Partitioning {
         scratch: &mut MoveScratch<f64>,
     ) -> Option<MoveCandidate> {
         let MoveScratch { neigh, batch } = scratch;
-        neigh.begin(self.module_of.len());
+        neigh.begin(network.graph().degree(u));
         let current = self.module_of[u as usize];
         let mut flow_to_current = 0.0;
         for (v, f) in network.out_arcs(u) {
@@ -612,7 +614,6 @@ impl Partitioning {
                 neigh.update(m, |acc| *acc += f);
             }
         }
-        let neigh = &*neigh;
         let node_flow = network.node_flow(u);
         let out_flow = network.out_flow(u);
         let i = current as usize;
@@ -621,16 +622,23 @@ impl Partitioning {
         let p_i_new = p_i - node_flow;
         let exit_without_u = self.sum_exit + (q_i_new - q_i);
         let own = [self.sum_exit, q_i_new, q_i, q_i_new + p_i_new, q_i + p_i];
-        let cands = neigh.touched().iter().map(|&m| {
+        // A candidate travels through the batch as its first-touch
+        // position, so the selection reads its module and flow in place.
+        let touched = neigh.touched();
+        let cands = touched.iter().enumerate().map(|(i, &(m, flow_to_target))| {
             let j = m as usize;
             let (q_j, p_j) = (self.module_exit[j], self.module_flow[j]);
-            let q_j_new = q_j + out_flow - 2.0 * neigh.get(m);
+            let q_j_new = q_j + out_flow - 2.0 * flow_to_target;
             let p_j_new = p_j + node_flow;
             let q_new = exit_without_u + (q_j_new - q_j);
-            (m, [q_new, q_j_new, q_j, q_j_new + p_j_new, q_j + p_j])
+            (
+                i as u32,
+                [q_new, q_j_new, q_j, q_j_new + p_j_new, q_j + p_j],
+            )
         });
         let mut best: Option<MoveCandidate> = None;
-        batch.score(own, cands, |own, m, v| {
+        batch.score(own, cands, |own, i, v| {
+            let (m, flow_to_target) = touched[i as usize];
             let delta = v[0] - own[0] - 2.0 * (own[1] - own[2] + v[1] - v[2])
                 + (own[3] - own[4])
                 + (v[3] - v[4]);
@@ -647,7 +655,7 @@ impl Partitioning {
                     to_module: m,
                     delta,
                     flow_to_current,
-                    flow_to_target: neigh.get(m),
+                    flow_to_target,
                 });
             }
         });

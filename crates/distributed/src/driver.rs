@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
-use infomap_core::{plogp, StampedSlotMap, THETA};
+use infomap_core::{plogp, NeighborMap, THETA};
 use infomap_graph::snapshot::{SnapshotHeader, SnapshotKind};
 use infomap_graph::{GraphStore, VertexId};
 use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World, WorldOutcome};
@@ -823,8 +823,9 @@ pub(crate) fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcom
     //    new source owner. One lookup per module slot the arcs touch, an
     //    array index per arc; a source module's members are walked in local
     //    order and their arcs in CSR order, so every key's weights add in
-    //    arc order, from 0.0, into a dense accumulator over new ids —
-    //    nothing arc-proportional is allocated.
+    //    arc order, from 0.0, into a neighborhood map sized by the source
+    //    module's arcs (or the new ids, if fewer) — nothing
+    //    arc-proportional is allocated beyond the largest module's arcs.
     let mut slot_dense = vec![u32::MAX; st.num_module_slots()];
     let mut dense_of_slot = |s: u32| {
         let d = &mut slot_dense[s as usize];
@@ -838,13 +839,15 @@ pub(crate) fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcom
         .map(|li| (dense_of_slot(module_of[li as usize]), li))
         .collect();
     by_src.sort_unstable(); // (src, li) pairs are unique
-    let mut sums: StampedSlotMap<f64> = StampedSlotMap::new();
-    let mut dsts: Vec<u32> = Vec::new();
+    let mut sums: NeighborMap<f64> = NeighborMap::new();
+    let mut dsts: Vec<(u32, f64)> = Vec::new();
     let mut arc_out: Vec<Vec<MergedArc>> = vec![Vec::new(); p];
     let mut arcs_folded = 0u64;
     for members in by_src.chunk_by(|a, b| a.0 == b.0) {
         let src = members[0].0;
-        sums.begin(dense.len());
+        // Distinct targets: at most the module's arcs, and at most the ids.
+        let arcs: usize = members.iter().map(|&(_, li)| st.row(li).len()).sum();
+        sums.begin(arcs.min(dense.len()));
         for &(_, li) in members {
             for (tgt, w) in st.arcs_of(li) {
                 sums.update(dense_of_slot(module_of[tgt as usize]), |sum| *sum += w);
@@ -855,11 +858,11 @@ pub(crate) fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcom
         // sort then sees every key's parts in source-rank order.
         dsts.clear();
         dsts.extend_from_slice(sums.touched());
-        dsts.sort_unstable();
-        arc_out[src as usize % p].extend(dsts.iter().map(|&dst| MergedArc {
+        dsts.sort_unstable_by_key(|&(dst, _)| dst); // keys are unique
+        arc_out[src as usize % p].extend(dsts.iter().map(|&(dst, weight)| MergedArc {
             src,
             dst,
-            weight: sums.get(dst),
+            weight,
         }));
     }
     comm.add_work(arcs_folded);

@@ -41,12 +41,16 @@
 //!   in the sweep is array indexing; global module ids are `u32` inside a
 //!   rank and widen to `u64` only on the wire. A target's role is a compare
 //!   against the ghost run's start, not a load.
-//! * **Epoch-stamped dense accumulators** — [`best_local_move`] aggregates
-//!   neighbor-module flow in its [`KernelScratch`] (an
-//!   [`infomap_core::StampedSlotMap`] inside) in O(deg) per vertex;
-//!   `sync_modules` builds its contribution table the same way instead of
-//!   hashing per arc. The stamped map yields candidates in first-touch
-//!   order, and min-label / tie-break comparisons use global ids.
+//! * **Scratch sized by the arcs scanned, not by the slots interned** —
+//!   [`best_local_move`] aggregates neighbor-module flow in its
+//!   [`KernelScratch`] (an [`infomap_core::NeighborMap`] inside: open
+//!   addressing with epoch stamps, as many buckets as twice the vertex's
+//!   arc count rounded up to a power of two) in O(deg) time and bytes; it
+//!   yields candidates in first-touch order, and min-label / tie-break
+//!   comparisons use global ids. `sync_modules` sums a dirty slot's fresh
+//!   contribution in place into `last_contrib`, keeping only the dirty
+//!   slots' previous values aside, and the merge's re-validation trigger
+//!   is one bit per slot.
 //! * **Batched δL: gather → batch → select** — the kernel gathers each
 //!   admissible candidate's five `plogp` arguments (the min-label filter
 //!   first) beside the vertex's own five, scores them with one
@@ -70,7 +74,7 @@
 
 use std::collections::BTreeMap;
 
-use infomap_core::{plogp, plogp_slice, MoveScratch, StampedSlotMap, DELTA_CHUNK, MIN_GAIN, THETA};
+use infomap_core::{plogp, plogp_slice, MoveScratch, DELTA_CHUNK, MIN_GAIN, THETA};
 use infomap_mpisim::{Comm, ReduceOp};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -127,7 +131,8 @@ const TAG_BOUNDARY_PACKET: u64 = 0x12;
 
 /// [`best_local_move`]'s scratch: the neighborhood accumulator, module
 /// slot → (flow, seen via a ghost arc), epoch-stamped so starting the
-/// next vertex is O(1), and the chunked δL batch.
+/// next vertex is O(1) and sized by the largest arc span evaluated, and
+/// the chunked δL batch.
 pub(crate) type KernelScratch = MoveScratch<(f64, bool)>;
 
 /// All reusable per-round scratch of one rank, created once per clustering
@@ -148,9 +153,10 @@ pub struct RoundBuffers {
     /// of every subscribed vertex whose module changed, in `subscribers`
     /// order. Its update is encoded at send time.
     boundary: Vec<Vec<u32>>,
-    /// Stamped contribution accumulator of `sync_modules`:
-    /// slot → (flow, exit, members).
-    contrib: StampedSlotMap<(f64, f64, u32)>,
+    /// `sync_modules`' previous contributions of the dirty slots that had
+    /// one, in dirty order: step 1 sums the fresh ones in place into
+    /// `last_contrib`, and step 2 diffs against these.
+    previous: Vec<PreviousContrib>,
     /// Contribution staging for the owner alltoallv, per destination: the
     /// module slots to ship, by global id. A record is encoded from
     /// `last_contrib` / `last_contrib_active`, which the diff just wrote.
@@ -171,7 +177,7 @@ pub struct RoundBuffers {
     slices: Vec<SliceScratch>,
     /// Module slots a merged move of the current round has already changed
     /// (its source and its target) — the re-validation trigger.
-    merged: StampedSlotMap<()>,
+    merged: SlotMarks,
     /// Candidates of the most recent sweep that were (re-evaluated at the
     /// merge, dropped there).
     revalidated: (u64, u64),
@@ -202,14 +208,14 @@ impl RoundBuffers {
             winners: Vec::new(),
             prop_out: vec![Vec::new(); nranks],
             boundary: vec![Vec::new(); nranks],
-            contrib: StampedSlotMap::new(),
+            previous: Vec::new(),
             contrib_out: vec![Vec::new(); nranks],
             changed_modules: Vec::new(),
             publish: vec![Vec::new(); nranks],
             eligible: Vec::new(),
             cuts: Vec::new(),
             slices: Vec::new(),
-            merged: StampedSlotMap::new(),
+            merged: SlotMarks::default(),
             revalidated: (0, 0),
         }
     }
@@ -221,6 +227,51 @@ impl RoundBuffers {
     pub fn last_sweep(&self) -> (usize, u64, u64) {
         (self.eligible.len(), self.revalidated.0, self.revalidated.1)
     }
+}
+
+/// A set of module slots, one bit per slot, emptied through its own list
+/// of members: emptying costs what was marked, not the slot space.
+#[derive(Debug, Default)]
+struct SlotMarks {
+    bits: Vec<u64>,
+    marked: Vec<u32>,
+}
+
+impl SlotMarks {
+    /// Empty the set and make room for a slot space of `slots` slots.
+    fn clear(&mut self, slots: usize) {
+        for &s in &self.marked {
+            self.bits[s as usize / 64] = 0;
+        }
+        self.marked.clear();
+        if self.bits.len() < slots.div_ceil(64) {
+            self.bits.resize(slots.div_ceil(64), 0);
+        }
+    }
+
+    fn insert(&mut self, s: u32) {
+        let word = &mut self.bits[s as usize / 64];
+        let bit = 1u64 << (s % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.marked.push(s);
+        }
+    }
+
+    fn contains(&self, s: u32) -> bool {
+        self.bits[s as usize / 64] & (1u64 << (s % 64)) != 0
+    }
+}
+
+/// The contribution a dirty slot last shipped, set aside before the
+/// owner reduction sums the fresh one into its place.
+/// Flat, so an entry takes 24 bytes, not a padded tuple's 32.
+#[derive(Clone, Copy, Debug)]
+struct PreviousContrib {
+    flow: f64,
+    exit: f64,
+    members: u32,
+    slot: u32,
 }
 
 /// δL of moving a vertex (share) with flow `p_u` and local out-flow
@@ -285,7 +336,7 @@ pub(crate) fn best_local_move(
     scratch: &mut KernelScratch,
 ) -> Option<LocalCandidate> {
     let MoveScratch { neigh, batch } = scratch;
-    neigh.begin(st.num_module_slots());
+    neigh.begin(arc_span(st, li) as usize);
     let current = st.module_of[li as usize];
     let mut flow_to_current = 0.0;
     for (tgt, w) in st.arcs_of(li) {
@@ -307,7 +358,6 @@ pub(crate) fn best_local_move(
     if neigh.is_empty() {
         return None;
     }
-    let neigh = &*neigh;
     let current_gid = st.module_ids[current as usize];
     let p_u = st.node_flow[li as usize];
     let out_u = st.out_flow[li as usize];
@@ -319,8 +369,11 @@ pub(crate) fn best_local_move(
     let p_i_new = (p_i - p_u).max(0.0);
     let exit_without_u = st.sum_exit + (q_i_new - q_i);
     let own = [st.sum_exit, q_i_new, q_i, q_i_new + p_i_new, q_i + p_i];
-    let cands = neigh.touched().iter().filter_map(|&m| {
-        let (flow_to_target, via_ghost) = neigh.get(m);
+    // A candidate travels through the batch as its first-touch position,
+    // so the selection reads its module and flow in place.
+    let touched = neigh.touched();
+    let cands = touched.iter().enumerate().filter_map(|(i, &(m, e))| {
+        let (flow_to_target, via_ghost) = e;
         if min_label && via_ghost && st.module_ids[m as usize] >= current_gid {
             return None; // boundary community: minimum-label rule
         }
@@ -328,10 +381,14 @@ pub(crate) fn best_local_move(
         let q_j_new = (q_j + out_u - 2.0 * flow_to_target).max(0.0);
         let p_j_new = p_j + p_u;
         let q_new = (exit_without_u + (q_j_new - q_j)).max(0.0);
-        Some((m, [q_new, q_j_new, q_j, q_j_new + p_j_new, q_j + p_j]))
+        Some((
+            i as u32,
+            [q_new, q_j_new, q_j, q_j_new + p_j_new, q_j + p_j],
+        ))
     });
     let mut best: Option<LocalCandidate> = None;
-    batch.score(own, cands, |own, m, v| {
+    batch.score(own, cands, |own, i, v| {
+        let (m, (flow_to_target, _)) = touched[i as usize];
         let delta =
             v[0] - own[0] - 2.0 * (own[1] - own[2] + v[1] - v[2]) + own[3] - own[4] + v[3] - v[4];
         if delta >= -MIN_GAIN {
@@ -350,7 +407,7 @@ pub(crate) fn best_local_move(
                 to_slot: m,
                 delta,
                 flow_to_current,
-                flow_to_target: neigh.get(m).0,
+                flow_to_target,
             });
         }
     });
@@ -577,7 +634,7 @@ pub fn find_best_modules(
     let mut owned_moves = 0u64;
     let mut arcs_scanned = 0u64;
     let mut proposals: Vec<DelegateProposal> = Vec::new();
-    bufs.merged.begin(st.num_module_slots());
+    bufs.merged.clear(st.num_module_slots());
     bufs.revalidated = (0, 0);
     for s in 0..t {
         arcs_scanned += bufs.slices[s].arcs;
@@ -590,7 +647,7 @@ pub fn find_best_modules(
                 continue;
             };
             let from_slot = st.module_of[li as usize];
-            if bufs.merged.is_touched(from_slot) || bufs.merged.is_touched(cand.to_slot) {
+            if bufs.merged.contains(from_slot) || bufs.merged.contains(cand.to_slot) {
                 bufs.revalidated.0 += 1;
                 arcs_scanned += arc_span(st, li);
                 // Evaluation is over: slice 0's scratch is free.
@@ -610,8 +667,8 @@ pub fn find_best_modules(
                 });
             } else {
                 apply_local_move(st, li, &cand, tick);
-                bufs.merged.update(from_slot, |_| {});
-                bufs.merged.update(cand.to_slot, |_| {});
+                bufs.merged.insert(from_slot);
+                bufs.merged.insert(cand.to_slot);
                 owned_moves += 1;
             }
         }
@@ -892,71 +949,83 @@ pub fn sync_modules(
     bufs: &mut RoundBuffers,
 ) -> (f64, u64) {
     let p = st.nranks;
-    // ---- 1. Fresh local contributions of the dirty slots, into the
-    //         stamped slot accumulator. Every member of a dirty slot is
-    //         visited in local-index order and every arc in CSR order, so
-    //         the per-slot sums carry the bits a rescan of all slots would
-    //         give them. ----
-    bufs.contrib.begin(st.num_module_slots());
+    // ---- 0. Set aside what each dirty slot last shipped, in dirty order,
+    //         and zero the slot: step 1 sums into `last_contrib` in place,
+    //         with `last_contrib_active` as its touched flag. ----
+    bufs.previous.clear();
+    for &s in &st.dirty_slots {
+        let si = s as usize;
+        if std::mem::take(&mut st.last_contrib_active[si]) {
+            let (flow, exit, members) = std::mem::take(&mut st.last_contrib[si]);
+            bufs.previous.push(PreviousContrib {
+                flow,
+                exit,
+                members,
+                slot: s,
+            });
+        }
+    }
+
+    // ---- 1. Fresh local contributions of the dirty slots. Every member
+    //         of a dirty slot is visited in local-index order and every arc
+    //         in CSR order, each sum starting from 0.0, so the per-slot sums
+    //         carry the bits a rescan of all slots would give them. ----
     let mut arcs_scanned = 0u64;
     if !st.dirty_slots.is_empty() {
         let inv_two_w = st.inv_two_w;
         for li in 0..st.verts.len() {
-            let m = st.module_of[li];
-            if !st.slot_dirty[m as usize] {
+            let m = st.module_of[li] as usize;
+            if !st.slot_dirty[m] {
                 continue;
             }
+            st.last_contrib_active[m] = true;
             // A delegate's member is counted once, by its 1D owner; a ghost
             // view subscribes with a zero contribution.
             let member = match st.kind(li as u32) {
                 VertexKind::Owned => 1,
                 VertexKind::DelegateCopy => ((st.verts[li] as usize) % p == st.rank) as u32,
-                VertexKind::Ghost => {
-                    bufs.contrib.update(m, |_| {});
-                    continue;
-                }
+                VertexKind::Ghost => continue,
             };
             // Every arc adds to the slot's own sum, never to a per-vertex
             // subtotal: the order of the additions is the rescan's.
-            bufs.contrib.update(m, |e| {
-                e.0 += st.node_flow[li];
-                e.2 += member;
-                for (tgt, w) in st.arcs_of(li as u32) {
-                    arcs_scanned += 1;
-                    if tgt as usize != li && st.module_of[tgt as usize] != m {
-                        e.1 += w * inv_two_w;
-                    }
+            let mut e = st.last_contrib[m];
+            e.0 += st.node_flow[li];
+            e.2 += member;
+            for (tgt, w) in st.arcs_of(li as u32) {
+                arcs_scanned += 1;
+                if tgt as usize != li && st.module_of[tgt as usize] as usize != m {
+                    e.1 += w * inv_two_w;
                 }
-            });
+            }
+            st.last_contrib[m] = e;
         }
     }
     comm.add_work(arcs_scanned);
 
-    // ---- 2. Diff the dirty slots against what was last shipped; ship
+    // ---- 2. Diff the dirty slots against what they last shipped; ship
     //         changes only. A dirty slot left without a local member is
     //         retracted with a zero record. ----
     for bucket in bufs.contrib_out.iter_mut() {
         bucket.clear();
     }
+    let mut previous = bufs.previous.iter().peekable();
     for i in 0..st.dirty_slots.len() {
         let s = st.dirty_slots[i];
         let si = s as usize;
         st.slot_dirty[si] = false;
-        let touched = bufs.contrib.is_touched(s);
-        let c = bufs.contrib.get(s);
-        let ship = if touched {
-            !st.last_contrib_active[si] || contrib_changed(&st.last_contrib[si], &c)
-        } else {
-            st.last_contrib_active[si]
+        let old = previous
+            .next_if(|o| o.slot == s)
+            .map(|o| (o.flow, o.exit, o.members));
+        let ship = match (st.last_contrib_active[si], old) {
+            (true, Some(old)) => contrib_changed(&old, &st.last_contrib[si]),
+            (touched, old) => touched || old.is_some(),
         };
         if ship {
             bufs.contrib_out[st.module_ids[si] as usize % p].push(s);
-            if !touched {
+            if !st.last_contrib_active[si] {
                 st.remove_module_slot(s);
             }
         }
-        st.last_contrib[si] = c;
-        st.last_contrib_active[si] = touched;
     }
     st.dirty_slots.clear();
     // A shipped slot's record is what the diff just wrote: `last_contrib`
@@ -1711,29 +1780,38 @@ mod tests {
         fn sync(&mut self, comm: &mut Comm, st: &LocalState, node_term: f64) -> (f64, u64) {
             let p = st.nranks;
             let nslots = st.num_module_slots();
-            let mut contrib: StampedSlotMap<(f64, f64, u32)> = StampedSlotMap::new();
-            contrib.begin(nslots);
+            // Per slot: the rescan's sum, `None` until its first touch;
+            // `order` lists the touched slots in first-touch order.
+            let mut contrib: Vec<Option<(f64, f64, u32)>> = vec![None; nslots];
+            let mut order: Vec<u32> = Vec::new();
+            fn touch<'a>(
+                contrib: &'a mut [Option<(f64, f64, u32)>],
+                order: &mut Vec<u32>,
+                m: u32,
+            ) -> &'a mut (f64, f64, u32) {
+                contrib[m as usize].get_or_insert_with(|| {
+                    order.push(m);
+                    (0.0, 0.0, 0)
+                })
+            }
             for li in 0..st.verts.len() {
                 let m = st.module_of[li];
                 match st.kind(li as u32) {
                     VertexKind::Owned => {
-                        let f = st.node_flow[li];
-                        contrib.update(m, |e| {
-                            e.0 += f;
-                            e.2 += 1;
-                        });
+                        let e = touch(&mut contrib, &mut order, m);
+                        e.0 += st.node_flow[li];
+                        e.2 += 1;
                     }
                     VertexKind::DelegateCopy => {
-                        let f = st.node_flow[li];
-                        let counted = (st.verts[li] as usize) % p == st.rank;
-                        contrib.update(m, |e| {
-                            e.0 += f;
-                            if counted {
-                                e.2 += 1;
-                            }
-                        });
+                        let e = touch(&mut contrib, &mut order, m);
+                        e.0 += st.node_flow[li];
+                        if (st.verts[li] as usize) % p == st.rank {
+                            e.2 += 1;
+                        }
                     }
-                    VertexKind::Ghost => contrib.update(m, |_| {}),
+                    VertexKind::Ghost => {
+                        touch(&mut contrib, &mut order, m);
+                    }
                 }
             }
             for li in 0..st.verts.len() as u32 {
@@ -1748,8 +1826,8 @@ mod tests {
                     }
                     let m_dst = st.module_of[tgt as usize];
                     if m_src != m_dst {
-                        contrib.update(m_src, |e| e.1 += w * inv_two_w);
-                        contrib.update(m_dst, |_| {});
+                        touch(&mut contrib, &mut order, m_src).1 += w * inv_two_w;
+                        touch(&mut contrib, &mut order, m_dst);
                     }
                 }
             }
@@ -1757,9 +1835,9 @@ mod tests {
             self.last_contrib.resize(nslots, (0.0, 0.0, 0));
             self.last_contrib_active.resize(nslots, false);
             let mut out: Vec<Vec<ModuleContribution>> = vec![Vec::new(); p];
-            for &s in contrib.touched() {
-                let c = contrib.get(s);
+            for &s in &order {
                 let si = s as usize;
+                let c = contrib[si].expect("touched");
                 if !self.last_contrib_active[si] || contrib_changed(&self.last_contrib[si], &c) {
                     let gid = st.module_gid(si as u32);
                     out[(gid % p as u64) as usize].push(ModuleContribution {
@@ -1771,8 +1849,8 @@ mod tests {
                     });
                 }
             }
-            for s in 0..nslots {
-                if self.last_contrib_active[s] && !contrib.is_touched(s as u32) {
+            for (s, fresh) in contrib.iter().enumerate() {
+                if self.last_contrib_active[s] && fresh.is_none() {
                     let gid = st.module_gid(s as u32);
                     out[(gid % p as u64) as usize].push(ModuleContribution {
                         mod_id: gid,
@@ -1785,8 +1863,8 @@ mod tests {
                     self.last_contrib[s] = (0.0, 0.0, 0);
                 }
             }
-            for &s in contrib.touched() {
-                self.last_contrib[s as usize] = contrib.get(s);
+            for &s in &order {
+                self.last_contrib[s as usize] = contrib[s as usize].expect("touched");
                 self.last_contrib_active[s as usize] = true;
             }
             let outgoing: Vec<Vec<u8>> = out
@@ -2092,51 +2170,66 @@ mod tests {
     fn slot_arrays_and_round_maps_grow_by_an_eighth_not_by_doubling() {
         // A stage interns a few percent more slots than it starts with;
         // doubling on the first of them would leave ~half of every slot
-        // array, and of every stamped map sized to the slot space, unused.
+        // array unused. The round scratch does not grow with the slots at
+        // all: a kernel map is sized by the largest arc span it scanned.
         let fits = |cap: usize, slots: usize| cap <= slots + slots / SLOT_HEADROOM + 8;
         for (name, g) in construction_graphs() {
             let p = 4;
             let (states, delegates, node_term) = stage1_world(&g, p);
-            let cfg = stage_config(p, 5);
-            let report = World::new(p).run(|comm| {
-                let mut st = states[comm.rank()].clone();
-                let start = st.num_module_slots();
-                let mut delegate_assign: BTreeMap<u32, u64> =
-                    delegates.iter().map(|&d| (d, d as u64)).collect();
-                let sync = |comm: &mut Comm,
-                            st: &mut LocalState,
-                            bufs: &mut RoundBuffers,
-                            _: &[u32],
-                            _: &str| {
-                    sync_modules(comm, st, node_term, true, bufs);
+            for threads in [1, 2] {
+                let cfg = DistributedConfig {
+                    threads,
+                    ..stage_config(p, 5)
                 };
-                let (_, bufs) = drive_stage(comm, &mut st, &cfg, &mut delegate_assign, sync);
-                let slots = st.num_module_slots();
-                let arrays = [
-                    st.module_ids.capacity(),
-                    st.mod_flow.capacity(),
-                    st.mod_exit.capacity(),
-                    st.mod_members.capacity(),
-                    st.last_contrib.capacity(),
-                    st.last_contrib_active.capacity(),
-                    st.slot_dirty.capacity(),
-                ];
-                let maps = [bufs.contrib.capacity(), bufs.merged.capacity()]
-                    .into_iter()
-                    .chain(bufs.slices.iter().map(|s| s.kernel.neigh.capacity()));
-                for cap in arrays.into_iter().chain(maps) {
-                    assert!(
-                        fits(cap, slots),
-                        "{name} rank {}: {cap} for {slots} slots",
-                        st.rank
-                    );
-                }
-                (start, slots)
-            });
-            assert!(
-                report.results.iter().any(|&(start, slots)| slots > start),
-                "{name}: stage 1 interned nothing, so nothing grew"
-            );
+                let report = World::new(p).run(|comm| {
+                    let mut st = states[comm.rank()].clone();
+                    let start = st.num_module_slots();
+                    let mut delegate_assign: BTreeMap<u32, u64> =
+                        delegates.iter().map(|&d| (d, d as u64)).collect();
+                    let sync = |comm: &mut Comm,
+                                st: &mut LocalState,
+                                bufs: &mut RoundBuffers,
+                                _: &[u32],
+                                _: &str| {
+                        sync_modules(comm, st, node_term, true, bufs);
+                    };
+                    let (_, bufs) = drive_stage(comm, &mut st, &cfg, &mut delegate_assign, sync);
+                    let slots = st.num_module_slots();
+                    let arrays = [
+                        st.module_ids.capacity(),
+                        st.mod_flow.capacity(),
+                        st.mod_exit.capacity(),
+                        st.mod_members.capacity(),
+                        st.last_contrib.capacity(),
+                        st.last_contrib_active.capacity(),
+                        st.slot_dirty.capacity(),
+                    ];
+                    for cap in arrays {
+                        assert!(
+                            fits(cap, slots),
+                            "{name} t={threads} rank {}: {cap} for {slots} slots",
+                            st.rank
+                        );
+                    }
+                    let span = (st.movable()).map(|li| arc_span(&st, li)).max();
+                    let bound = 2 * (span.unwrap_or(0) as usize).next_power_of_two();
+                    assert!(!bufs.slices.is_empty(), "{name} t={threads}: no sweep ran");
+                    for (i, slice) in bufs.slices.iter().enumerate() {
+                        let cap = slice.kernel.neigh.capacity();
+                        assert!(
+                            cap <= bound,
+                            "{name} t={threads} rank {} slice {i}: {cap} buckets, \
+                             largest arc span {span:?}",
+                            st.rank
+                        );
+                    }
+                    (start, slots)
+                });
+                assert!(
+                    report.results.iter().any(|&(start, slots)| slots > start),
+                    "{name}: stage 1 interned nothing, so nothing grew"
+                );
+            }
         }
     }
 
