@@ -63,11 +63,11 @@ use infomap_distributed::{
     FileCheckpointStore, RankProgram, Recovered, RecoveryConfig, RecoveryReport, SnapshotStore,
 };
 use infomap_graph::snapshot::{
-    read_header, shard_path, write_edge_shards, PageCacheConfig,
+    read_header, shard_path, write_edge_shards, PageCacheConfig, SnapshotHeader,
     SnapshotStore as GraphSnapshotStore,
 };
 use infomap_graph::{io, GraphStore};
-use infomap_mpisim::{Comm, CostModel, TransportFault};
+use infomap_mpisim::{Comm, CostModel, Refusal, TransportFault};
 use infomap_transport_socket::{SocketConfig, SocketTransport};
 
 use crate::commands::{peak_rss_kib, stages_line, write_assignments};
@@ -228,11 +228,12 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
     let entered = Instant::now();
     let handed = |d: &Option<String>| PathBuf::from(d.as_deref().expect("set by `_rank`"));
     let dir = handed(&o.dir);
-    // Checksummed on open: a missing, torn or bit-flipped shard ends the
-    // worker here with the named error.
+    // Checksummed on open: a missing, torn or bit-flipped shard, or a
+    // checkpoint in its place, ends the worker here with the named error.
     let path = shard_path(&handed(&o.graph_shard_dir), rank);
     let cache = page_cache(o.paged, o.block_bytes, o.cache_blocks);
     let graph = GraphSnapshotStore::open(&path, cache)
+        .and_then(|g| g.header().graph().map(|_| g))
         .map_err(|e| WorkerFailure::Refused(format!("cannot open {}: {e}", path.display())))?;
     let cfg = DistributedConfig {
         nranks: o.procs,
@@ -258,12 +259,13 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
     let mut comm = Comm::over_transport(Box::new(transport));
     let connect = entered.elapsed();
 
-    // Transport failures surface as TransportFault panics, which we
-    // catch and report as diagnostics — keep the default hook's
-    // backtrace for genuine bugs only.
+    // Transport failures and refusals surface as TransportFault and
+    // Refusal panics, which we catch and report as diagnostics — keep the
+    // default hook's backtrace for genuine bugs only.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        if info.payload().downcast_ref::<TransportFault>().is_none() {
+        let payload = info.payload();
+        if !(payload.is::<TransportFault>() || payload.is::<Refusal>()) {
             default_hook(info);
         }
     }));
@@ -276,18 +278,11 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
     let header = *graph.header();
     let run = catch_unwind(AssertUnwindSafe(|| {
         let program = RankProgram::prepare_shard(cfg, &header, graph, &mut comm);
-        // Records of another graph or world size are refused on every
-        // attempt: the worker's refusal, not a fault a relaunch clears.
-        if let Some(snap) = store.restore_agreed(rank) {
-            (snap.check_same_run(o.procs, program.original_n, program.node_term))
-                .map_err(WorkerFailure::Refused)?;
-        }
         let done = program.run_rank(&mut comm, store);
-        Ok((program, done))
+        (program, done)
     }));
     match run {
-        Ok(Err(refusal)) => Err(refusal),
-        Ok(Ok((program, done))) => {
+        Ok((program, done)) => {
             let wall = started.elapsed();
             let stats = comm.finish();
             if let Some((modules, trace, codelength)) = done {
@@ -308,6 +303,12 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
                     .map_err(|e| WorkerFailure::Refused(format!("write result: {e}")))?;
             }
             Ok(())
+        }
+        // Records of another graph or world size are refused on every
+        // attempt: the worker's refusal, not a fault a relaunch clears.
+        Err(payload) if payload.is::<Refusal>() => {
+            let Refusal(why) = *payload.downcast().expect("checked above");
+            Err(WorkerFailure::Refused(why))
         }
         Err(payload) => {
             // A transport failure surfaces as a TransportFault panic from
@@ -509,7 +510,9 @@ fn resolve_source(o: &LaunchOpts, dir: &Path) -> Result<LaunchSource, String> {
     // any process is forked.
     for rank in 0..o.procs {
         let path = shard_path(&source.shard_dir, rank);
-        let h = read_header(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let h = read_header(&path)
+            .and_then(SnapshotHeader::graph)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         if h.nranks != o.procs || h.rank != rank {
             return Err(format!(
                 "{}: sharded for rank {}/{} but launching {} procs",

@@ -295,7 +295,7 @@ fn a_relaunch_that_starts_from_scratch_is_not_counted_as_a_restore() {
     // A checkpoint file no level can be agreed from: a torn generation.
     let ckpt = rendezvous.join("ckpt");
     std::fs::create_dir_all(&ckpt).unwrap();
-    std::fs::write(ckpt.join("rank-0.g0.ckpt"), b"DINFCKPT").unwrap();
+    std::fs::write(ckpt.join("rank-0.g0.ckpt"), b"DINFSNAP").unwrap();
     let (ok, stdout, stderr) = run_guarded(&[
         "launch",
         &graph_path,

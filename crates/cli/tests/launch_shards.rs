@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use infomap_distributed::{DistributedConfig, DistributedInfomap};
 use infomap_graph::generators::{lfr_like, LfrParams};
 use infomap_graph::io;
-use infomap_graph::snapshot::{read_header, shard_path, write_shards};
+use infomap_graph::snapshot::{read_header, shard_path, write_parts, write_shards, ShardSpec};
 
 const BIN: &str = env!("CARGO_BIN_EXE_dinfomap");
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -21,6 +21,21 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A checkpoint level record of rank `rank` of `nranks`: one edgeless
+/// row per owned vertex of a `nranks`-vertex level, and a short carry.
+fn level_record(rank: usize, nranks: usize) -> Vec<u8> {
+    let spec = ShardSpec {
+        rank,
+        nranks,
+        global_vertices: nranks,
+        global_edges: 0,
+        global_weight: 1.0,
+    };
+    let mut out = Vec::new();
+    write_parts(&mut out, &spec, &[0, 0], &[], &[], &[0.5], Some(b"carry")).unwrap();
+    out
 }
 
 fn run_guarded(args: &[&str]) -> (bool, String, String) {
@@ -163,6 +178,24 @@ fn shard_launch_rejects_a_mismatched_world_size() {
     assert!(
         stderr.contains("sharded for rank") || stderr.contains("cannot read"),
         "error should explain the mismatch:\n{stderr}"
+    );
+    // A checkpoint in a 1-rank shard directory is shaped like a full
+    // snapshot of a 1-rank world: the launcher refuses its kind by name.
+    let records = dir.join("records");
+    std::fs::create_dir_all(&records).unwrap();
+    std::fs::write(shard_path(&records, 0), level_record(0, 1)).unwrap();
+    let (ok, _stdout, stderr) = run_guarded(&[
+        "launch",
+        "--graph-shard-dir",
+        records.to_str().unwrap(),
+        "--procs",
+        "1",
+        "--quiet",
+    ]);
+    assert!(!ok, "a level record was launched as a graph");
+    assert!(
+        stderr.contains("a checkpoint level record, not a graph"),
+        "{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -375,9 +408,11 @@ fn a_damaged_launcher_written_shard_stops_its_worker_by_name() {
     let intact = std::fs::read(&victim).unwrap();
     let mut flipped = intact.clone();
     flipped[intact.len() / 2] ^= 0x10;
-    let cases: [(&str, Option<&[u8]>); 3] = [
+    let record = level_record(1, 3);
+    let cases: [(&str, Option<&[u8]>); 4] = [
         ("checksum mismatch", Some(&flipped)),
         ("truncated", Some(&intact[..intact.len() - 9])),
+        ("a checkpoint level record, not a graph", Some(&record)),
         ("io error", None),
     ];
     for (named, bytes) in cases {

@@ -18,16 +18,26 @@
 //! store keeps two generations per rank, and [`SnapshotStore::agreed_pos`]
 //! picks the newest level every rank holds.
 //!
+//! A record is a level record of the one snapshot format
+//! ([`infomap_graph::snapshot`]): written by its writer, and restored
+//! through its reader's one verifying pass — checksum, CSR structure and
+//! the map equation's domain rule — before any state is built from it.
+//!
 //! A record names the run that wrote it ([`RunId`]). Decoding refuses a
 //! record of another seed, so a store reads it as absent;
 //! [`RankSnapshot::check_same_run`] refuses, by name, one of another
 //! world size or input graph.
 
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use infomap_graph::snapshot::owned_row_count;
+use infomap_graph::snapshot::{
+    write_atomic, write_parts, ShardSpec, SnapshotError, SnapshotHeader, SnapshotKind,
+    SnapshotStore as Record,
+};
+use infomap_graph::GraphStore;
 use infomap_mpisim::{WireDecodeError, WirePayload};
 use infomap_partition::Arc;
 
@@ -47,6 +57,9 @@ pub struct RunId {
     /// Bits of the MDL's node term Σ plogp(p_v): a fingerprint of the
     /// input graph.
     pub node_term_bits: u64,
+    /// Bits of the input graph's total weight `W`: every level prices its
+    /// flows by `1/(2W)`.
+    pub total_weight_bits: u64,
 }
 
 /// One rank's checkpoint: the start of stage-2 level `level`.
@@ -71,25 +84,43 @@ pub struct RankSnapshot {
 }
 
 impl RankSnapshot {
-    /// Serialize to the portable binary format: one framed, checksummed
-    /// section (see "Record format" below).
+    /// Serialize as a level record (see "Record format" below).
     pub fn encode(&self) -> Vec<u8> {
+        let st = &self.st;
+        // A level state's movable vertices are the ones it owns, at local
+        // indices 0.., ascending; each one's CSR row holds its arcs in the
+        // ascending order the merge delivered them, and ghosts have no rows.
+        let owned = st.movable().len();
+        let arcs = st.adj_off[owned] as usize;
+        let offsets: Vec<u64> = st.adj_off[..=owned].iter().map(|&o| o as u64).collect();
+        let targets: Vec<u32> = (st.adj_tgt[..arcs].iter())
+            .map(|&t| st.verts[t as usize])
+            .collect();
+        let spec = ShardSpec {
+            rank: st.rank,
+            nranks: st.nranks,
+            global_vertices: self.level_vertices,
+            global_edges: 0,
+            global_weight: f64::from_bits(self.run.total_weight_bits),
+        };
+        let (weights, flows, carry) = (&st.adj_w[..arcs], &st.node_flow[..owned], self.carry());
         let mut out = Vec::new();
-        self.encode_into(&mut out);
+        write_parts(
+            &mut out,
+            &spec,
+            &offsets,
+            &targets,
+            weights,
+            flows,
+            Some(&carry),
+        )
+        .expect("a level of a priced input is priceable");
         out
-    }
-
-    /// [`RankSnapshot::encode`] into `out`, replacing what it held.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.resize(SECTION_HEADER, 0);
-        encode_record(self, out);
-        seal(out);
     }
 
     /// Decode a record of the run seeded `run_seed`. A record written
     /// with another seed is refused like a damaged one.
-    pub fn decode(bytes: &[u8], run_seed: u64) -> Result<RankSnapshot, WireDecodeError> {
+    pub fn decode(bytes: &[u8], run_seed: u64) -> Result<RankSnapshot, SnapshotError> {
         decode_record(bytes, Some(run_seed))
     }
 
@@ -198,12 +229,15 @@ impl SnapshotStore for CheckpointStore {
         levels.first().copied().flatten()
     }
 
+    /// The store lives inside one run, so a record of another seed cannot
+    /// be in it; one it encoded and now refuses is a fault of this
+    /// process, named.
     fn restore_agreed(&self, rank: usize) -> Option<RankSnapshot> {
         self.agreed_pos()?;
         let slot = self.slot(rank);
         let (_, bytes) = slot.as_ref()?;
-        // The store lives inside one run: no record of another seed.
-        Some(decode_record(bytes, None).expect("a record this store encoded decodes"))
+        let snap = decode_record(bytes, None);
+        Some(snap.unwrap_or_else(|e| panic!("rank {rank}: checkpoint record refused: {e}")))
     }
 
     fn checkpoints_committed(&self) -> u64 {
@@ -215,32 +249,24 @@ impl SnapshotStore for CheckpointStore {
 // Record format
 // ---------------------------------------------------------------------
 //
-// A record is one framed section, `magic | version | payload length |
-// checksum | payload`, the payload encoded with the deterministic
-// little-endian [`WirePayload`] primitives (floats as IEEE bit patterns),
-// so a record written by one process decodes bit-identically in another:
+// A record is a level record of the snapshot format (its module doc has
+// the layout). The header holds the rank, the world size, the level's
+// vertex count and the input graph's `W`, from which decode recomputes
+// `inv_two_w` as `1/(2W)`, as `stage1_state` computes it. The rows are
+// `build_1d_state`'s arcs, read back off the level state, their targets
+// ascending within each row; the per-row section holds the owned
+// vertices' flows, the committed bits. The carry is encoded with the
+// deterministic little-endian [`WirePayload`] primitives (floats as IEEE
+// bit patterns):
 //
-// * the run identity: world size, seed, original vertex count, node-term
-//   bits;
-// * rank, level, level vertex count, previous MDL, `inv_two_w`;
-// * `build_1d_state`'s inputs, read back off the level state: the rank's
-//   arcs `(src, dst, weight)`, ascending by `(src, dst)`, and the
-//   `(vertex, flow)` of every level vertex it owns, ascending;
-// * the carried assignments `(original vertex, level vertex)` and the
-//   stage trace.
+// * the run identity: seed, original vertex count, node-term bits;
+// * level, previous MDL;
+// * the carried assignments `(original vertex, level vertex)`;
+// * the stage trace.
 //
-// No `LocalState` field is serialized: decode checks the structure of the
-// inputs and calls `build_1d_state`, the function that built the live
-// state, so a new state field never changes the format.
-
-/// Format version of the record. Bumped on layout changes so a stale file
-/// fails loudly instead of decoding garbage.
-const SNAPSHOT_VERSION: u32 = 5;
-
-const CKPT_MAGIC: &[u8; 8] = b"DINFCKPT";
-
-/// `magic (8) | version (4) | payload length (8) | checksum (8)`.
-const SECTION_HEADER: usize = 28;
+// No `LocalState` field is serialized: decode walks the verified rows
+// into `build_1d_state`, the function that built the live state, so a new
+// state field never changes the format.
 
 /// Least encoded bytes of a [`StageTrace`]: the scalars, the length of its
 /// MDL series and the stop byte.
@@ -248,52 +274,6 @@ const TRACE_BYTES: usize = 1 + 7 * 8 + 8 + 1;
 
 fn corrupt(context: &'static str) -> WireDecodeError {
     WireDecodeError { context }
-}
-
-/// FNV-1a folded over little-endian 8-byte words (then the tail bytes).
-/// Every step is a bijection of the running hash, so any change confined
-/// to one word — a flipped bit in particular — changes the result.
-fn checksum(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
-    }
-    for &b in words.remainder() {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// Fill in the header at the front of `out`, whose payload is everything
-/// behind it.
-fn seal(out: &mut [u8]) {
-    let (header, payload) = out.split_at_mut(SECTION_HEADER);
-    header[..8].copy_from_slice(CKPT_MAGIC);
-    header[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[20..28].copy_from_slice(&checksum(payload).to_le_bytes());
-}
-
-/// The payload of the section that is all of `bytes`, once its framing and
-/// checksum hold. Nothing of the payload is interpreted before that.
-fn read_section(bytes: &[u8]) -> Result<&[u8], WireDecodeError> {
-    if bytes.len() < SECTION_HEADER || &bytes[..8] != CKPT_MAGIC {
-        return Err(corrupt("snapshot section header"));
-    }
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    if bytes[8..12] != SNAPSHOT_VERSION.to_le_bytes() {
-        return Err(corrupt("snapshot version"));
-    }
-    let payload = &bytes[SECTION_HEADER..];
-    if word(12) != payload.len() as u64 {
-        return Err(corrupt("snapshot section length"));
-    }
-    if checksum(payload) != word(20) {
-        return Err(corrupt("snapshot section checksum"));
-    }
-    Ok(payload)
 }
 
 /// Decode a length prefix of items at least `min_item` bytes each, refusing
@@ -345,106 +325,121 @@ fn decode_trace(buf: &mut &[u8]) -> Result<StageTrace, WireDecodeError> {
     })
 }
 
-/// The record payload of `s` (see "Record format").
-fn encode_record(s: &RankSnapshot, out: &mut Vec<u8>) {
-    let (run, st) = (&s.run, &s.st);
-    run.nranks.encode_into(out);
-    run.seed.encode_into(out);
-    run.original_n.encode_into(out);
-    run.node_term_bits.encode_into(out);
-    st.rank.encode_into(out);
-    s.level.encode_into(out);
-    s.level_vertices.encode_into(out);
-    s.prev_mdl.encode_into(out);
-    st.inv_two_w.encode_into(out);
-    // A level state's movable vertices are the ones it owns, at local
-    // indices 0.., ascending; each one's CSR row holds its arcs in the
-    // ascending order the merge delivered them, and ghosts have no rows.
-    let owned = st.movable().len();
-    (st.adj_off[owned] as u64).encode_into(out);
-    for li in 0..owned as u32 {
-        let src = st.verts[li as usize];
-        for (t, w) in st.arcs_of(li) {
-            (src, st.verts[t as usize], w).encode_into(out);
+/// Everything of a [`RankSnapshot`] but its state.
+struct Carry {
+    run: RunId,
+    level: u32,
+    prev_mdl: f64,
+    assign: Vec<(u32, u32)>,
+    trace: Vec<StageTrace>,
+}
+
+impl RankSnapshot {
+    /// The carry section of this record (see "Record format").
+    fn carry(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let run = &self.run;
+        (run.seed, run.original_n, run.node_term_bits).encode_into(&mut out);
+        (self.level, self.prev_mdl).encode_into(&mut out);
+        self.assign.encode_into(&mut out);
+        (self.trace.len() as u64).encode_into(&mut out);
+        for t in &self.trace {
+            encode_trace(t, &mut out);
         }
-    }
-    (owned as u64).encode_into(out);
-    for li in 0..owned {
-        (st.verts[li], st.node_flow[li]).encode_into(out);
-    }
-    s.assign.encode_into(out);
-    (s.trace.len() as u64).encode_into(out);
-    for t in &s.trace {
-        encode_trace(t, out);
+        out
     }
 }
 
-/// Decode a record, refusing one whose seed is not `seed` (if given) and
-/// one whose inputs `build_1d_state` could not have been called with:
-///
-/// * `rank < nranks`;
-/// * arcs strictly ascend by `(src, dst)`, every `src` is the rank's own
-///   and every endpoint is a level vertex;
-/// * flows ascend and are exactly the rank's share of the level's vertices
-///   (every level vertex has a flow at its owner);
-/// * every assignment maps an original vertex to a level vertex.
-fn decode_record(bytes: &[u8], seed: Option<u64>) -> Result<RankSnapshot, WireDecodeError> {
-    let buf = &mut read_section(bytes)?;
-    let run = RunId {
-        nranks: usize::decode_from(buf)?,
-        seed: u64::decode_from(buf)?,
-        original_n: usize::decode_from(buf)?,
-        node_term_bits: u64::decode_from(buf)?,
-    };
-    if seed.is_some_and(|s| s != run.seed) {
-        return Err(corrupt("snapshot written with another seed"));
-    }
-    let rank = usize::decode_from(buf)?;
-    if rank >= run.nranks {
-        return Err(corrupt("snapshot rank"));
-    }
-    let level = u32::decode_from(buf)?;
-    let level_vertices = usize::decode_from(buf)?;
-    let prev_mdl = f64::decode_from(buf)?;
-    let inv_two_w = f64::decode_from(buf)?;
-    let p = run.nranks;
-    let below = |v: u32| (v as usize) < level_vertices;
-    let own = |v: u32| below(v) && v as usize % p == rank;
-
-    let arcs: Vec<Arc> = (decode_vec(buf, 16)?.into_iter())
-        .map(|(src, dst, weight)| Arc { src, dst, weight })
-        .collect();
-    let in_order = (arcs.windows(2)).all(|w| (w[0].src, w[0].dst) < (w[1].src, w[1].dst));
-    if !in_order || arcs.iter().any(|a| !own(a.src) || !below(a.dst)) {
-        return Err(corrupt("snapshot level arcs"));
-    }
-    let flows: Vec<(u32, f64)> = decode_vec(buf, 12)?;
-    let in_order = flows.windows(2).all(|w| w[0].0 < w[1].0);
-    let share = owned_row_count(level_vertices, p, rank);
-    if !in_order || flows.len() != share || flows.iter().any(|&(v, _)| !own(v)) {
-        return Err(corrupt("snapshot level flows"));
-    }
+/// The carry of a record under `h`, refusing an assignment that maps no
+/// original vertex to a level vertex and a codelength that is not finite.
+fn decode_carry(mut buf: &[u8], h: &SnapshotHeader) -> Result<Carry, WireDecodeError> {
+    let buf = &mut buf;
+    let (seed, original_n, node_term_bits) = WirePayload::decode_from(buf)?;
+    let total_weight_bits = h.global_weight.to_bits();
+    let (nranks, level_vertices) = (h.nranks, h.global_vertices);
+    let (level, prev_mdl) = WirePayload::decode_from(buf)?;
     let assign: Vec<(u32, u32)> = decode_vec(buf, 8)?;
-    if (assign.iter()).any(|&(v, m)| v as usize >= run.original_n || !below(m)) {
+    if (assign.iter()).any(|&(v, m)| v as usize >= original_n || m as usize >= level_vertices) {
         return Err(corrupt("snapshot assignments"));
     }
-    let n = decode_len(buf, TRACE_BYTES)?;
-    let mut trace = Vec::with_capacity(n);
-    for _ in 0..n {
-        trace.push(decode_trace(buf)?);
-    }
+    let trace = (0..decode_len(buf, TRACE_BYTES)?)
+        .map(|_| decode_trace(buf))
+        .collect::<Result<Vec<_>, _>>()?;
     if !buf.is_empty() {
         return Err(corrupt("snapshot trailing bytes"));
     }
-    Ok(RankSnapshot {
-        run,
+    let mdls = (trace.iter()).flat_map(|t| t.mdl_series.iter().chain([&t.codelength]));
+    if !(f64::is_finite(prev_mdl) && mdls.copied().all(f64::is_finite)) {
+        return Err(corrupt("snapshot codelength is not finite"));
+    }
+    Ok(Carry {
+        run: RunId {
+            nranks,
+            seed,
+            original_n,
+            node_term_bits,
+            total_weight_bits,
+        },
         level,
-        st: build_1d_state(rank, p, &arcs, &flows, inv_two_w),
+        prev_mdl,
         assign,
         trace,
-        prev_mdl,
-        level_vertices,
     })
+}
+
+/// The level record `bytes` hold, through the snapshot reader's one
+/// verifying pass, and its carry; one of a seed other than `seed` (if
+/// given) is refused. No state is built.
+fn open_record(bytes: &[u8], seed: Option<u64>) -> Result<(Record, Carry), SnapshotError> {
+    let malformed = |context| SnapshotError::Malformed { context };
+    let record = Record::from_bytes(bytes)?;
+    if record.header().kind != SnapshotKind::LevelRecord {
+        return Err(malformed("not a level record"));
+    }
+    let carry = decode_carry(record.carry(), record.header()).map_err(|e| malformed(e.context))?;
+    if seed.is_some_and(|s| s != carry.run.seed) {
+        return Err(malformed("snapshot written with another seed"));
+    }
+    Ok((record, carry))
+}
+
+/// The one state a restore builds: `build_1d_state` over a verified
+/// record's rows and flows, once the one thing it relies on that the
+/// reader does not check holds: targets strictly ascend within a row.
+fn restore(record: &Record, carry: Carry) -> Result<RankSnapshot, SnapshotError> {
+    let h = *record.header();
+    let (mut arcs, mut flows, mut row) = (Vec::with_capacity(h.arcs), Vec::new(), Vec::new());
+    for src in (0..h.rows).map(|i| h.vertex_of_row(i)) {
+        record.arcs_into(src, &mut row);
+        if row.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(SnapshotError::Malformed {
+                context: "level arc targets must ascend within a row",
+            });
+        }
+        arcs.extend((row.iter()).map(|&(dst, weight)| Arc { src, dst, weight }));
+        flows.push((src, record.strength(src)));
+    }
+    Ok(RankSnapshot {
+        st: build_1d_state(
+            h.rank,
+            h.nranks,
+            &arcs,
+            &flows,
+            1.0 / (2.0 * h.global_weight),
+        ),
+        run: carry.run,
+        level: carry.level,
+        assign: carry.assign,
+        trace: carry.trace,
+        prev_mdl: carry.prev_mdl,
+        level_vertices: h.global_vertices,
+    })
+}
+
+/// [`open_record`], then [`restore`].
+fn decode_record(bytes: &[u8], seed: Option<u64>) -> Result<RankSnapshot, SnapshotError> {
+    let (record, carry) = open_record(bytes, seed)?;
+    restore(&record, carry)
 }
 
 // ---------------------------------------------------------------------
@@ -455,15 +450,16 @@ fn decode_record(bytes: &[u8], seed: Option<u64>) -> Result<RankSnapshot, WireDe
 /// per rank under a shared directory, `rank-R.g0.ckpt` and
 /// `rank-R.g1.ckpt`, surviving SIGKILLed ranks.
 ///
-/// Every record is encoded into one buffer, written to `<name>.tmp` and
-/// `rename`d into place — readers never observe a torn file. A rank
-/// alternates between its generations, so the previous level survives
-/// until the next-but-one commit. That redundancy is what makes restore
-/// after a *real* crash sound: a process killed between the consensus
-/// collective and its own commit leaves the world split across two levels,
-/// and [`SnapshotStore::agreed_pos`] picks the newest level every rank
-/// still holds. A generation that is missing, torn, damaged or of another
-/// seed reads as absent; the other generation still stands.
+/// Every record is encoded into one buffer and written with the snapshot
+/// writer's [`write_atomic`] (`<name>.tmp` + `rename`) — readers never
+/// observe a torn file. A rank alternates between its generations, so the
+/// previous level survives until the next-but-one commit. That redundancy
+/// is what makes restore after a *real* crash sound: a process killed
+/// between the consensus collective and its own commit leaves the world
+/// split across two levels, and [`SnapshotStore::agreed_pos`] picks the
+/// newest level every rank still holds. A generation that is missing,
+/// torn, damaged, refused or of another seed reads as absent; the other
+/// generation still stands.
 ///
 /// Durability is against process death (the files reach the page cache
 /// before `commit` returns), not against loss of the machine.
@@ -483,24 +479,8 @@ pub struct FileCheckpointStore {
 struct RankFiles {
     /// The generation the next record goes to.
     next_gen: u8,
-    /// Encode buffer, reused across commits.
-    buf: Vec<u8>,
     /// A failed commit was already reported for this rank.
     failure_reported: bool,
-}
-
-/// Write `bytes` to `path` through `<path>.tmp` + `rename`, so a failed or
-/// interrupted write never damages what `path` held.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), (PathBuf, std::io::Error)> {
-    let tmp = path.with_extension("ckpt.tmp");
-    if let Err(e) = std::fs::write(&tmp, bytes) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err((tmp, e));
-    }
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        (path.to_path_buf(), e)
-    })
 }
 
 impl FileCheckpointStore {
@@ -554,18 +534,18 @@ impl FileCheckpointStore {
         self.dir.join(format!("rank-{rank}.g{gen}.ckpt"))
     }
 
-    /// Read one generation; `None` for a missing, unreadable, torn,
-    /// damaged or foreign-seed record.
-    fn read_slot(&self, rank: usize, gen: u8) -> Option<RankSnapshot> {
+    /// One generation, verified, with its carry; `None` for a missing,
+    /// unreadable, torn, damaged, refused or foreign-seed record.
+    fn read_slot(&self, rank: usize, gen: u8) -> Option<(Record, Carry)> {
         let bytes = std::fs::read(self.slot_path(rank, gen)).ok()?;
-        RankSnapshot::decode(&bytes, self.run_seed).ok()
+        open_record(&bytes, Some(self.run_seed)).ok()
     }
 
     /// The level and generation of every readable record of `rank`, newest
-    /// first.
+    /// first, read off the verified carries: no state is built.
     fn positions_of(&self, rank: usize) -> Vec<(u32, u8)> {
         let mut found: Vec<(u32, u8)> = (0..2u8)
-            .filter_map(|gen| Some((self.read_slot(rank, gen)?.level, gen)))
+            .filter_map(|gen| Some((self.read_slot(rank, gen)?.1.level, gen)))
             .collect();
         found.sort_by_key(|&(level, _)| std::cmp::Reverse(level));
         found
@@ -586,21 +566,21 @@ impl FileCheckpointStore {
 
 impl SnapshotStore for FileCheckpointStore {
     fn commit(&self, rank: usize, snap: &RankSnapshot) -> u64 {
+        let bytes = snap.encode();
         let mut files = self.files(rank);
         let RankFiles {
             next_gen,
-            buf,
             failure_reported,
         } = &mut *files;
-        snap.encode_into(buf);
-        match write_atomic(&self.slot_path(rank, *next_gen), buf) {
+        let path = self.slot_path(rank, *next_gen);
+        match write_atomic(&path, |file| Ok(file.write_all(&bytes)?)) {
             Ok(()) => {
                 *next_gen = 1 - *next_gen;
                 self.commits.fetch_add(1, Ordering::SeqCst);
-                self.bytes.fetch_add(buf.len() as u64, Ordering::SeqCst);
-                buf.len() as u64
+                self.bytes.fetch_add(bytes.len() as u64, Ordering::SeqCst);
+                bytes.len() as u64
             }
-            Err((path, e)) => {
+            Err(e) => {
                 self.failures.fetch_add(1, Ordering::SeqCst);
                 if !std::mem::replace(failure_reported, true) {
                     eprintln!(
@@ -624,11 +604,11 @@ impl SnapshotStore for FileCheckpointStore {
 
     fn restore_agreed(&self, rank: usize) -> Option<RankSnapshot> {
         let level = self.agreed_pos()?;
-        let (_, gen) = self
-            .positions_of(rank)
-            .into_iter()
-            .find(|&(l, _)| l == level)?;
-        let snap = self.read_slot(rank, gen)?;
+        let (gen, (record, carry)) = (0..2u8).find_map(|gen| {
+            let slot = self.read_slot(rank, gen)?;
+            (slot.1.level == level).then_some((gen, slot))
+        })?;
+        let snap = restore(&record, carry).ok()?;
         // The run continues from this generation, which must outlive the
         // next commit (the other one holds an older level, or a newer one
         // that not every rank reached and that the replay commits again).
@@ -649,6 +629,7 @@ mod tests {
     use crate::state::tests::fingerprint;
     use infomap_graph::datasets::DatasetId;
     use infomap_graph::generators::{self, LfrParams};
+    use infomap_graph::snapshot::owned_row_count;
     use infomap_graph::Graph;
     use infomap_mpisim::World;
     use infomap_partition::DelegateThreshold;
@@ -673,6 +654,7 @@ mod tests {
                 seed: TEST_SEED,
                 original_n: 10,
                 node_term_bits: (-3.5f64).to_bits(),
+                total_weight_bits: 8f64.to_bits(),
             },
             level,
             st: build_1d_state(0, 2, &arcs, &flows, 0.0625),
@@ -820,13 +802,24 @@ mod tests {
         }
     }
 
-    /// Recompute the section checksum over whatever the payload now holds.
+    /// Recompute the trailing FNV-1a checksum over whatever the record
+    /// now holds.
     fn reseal_checksum(bytes: &mut [u8]) {
-        let sum = checksum(&bytes[SECTION_HEADER..]);
-        bytes[20..28].copy_from_slice(&sum.to_le_bytes());
+        let at = bytes.len() - 8;
+        let sum = bytes[..at].iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        bytes[at..].copy_from_slice(&sum.to_le_bytes());
     }
 
-    /// The structure decode promises, read back off a decoded record.
+    /// A refusal that names its cause: any error but an I/O one.
+    fn named(e: &SnapshotError) -> bool {
+        !matches!(e, SnapshotError::Io(_)) && !e.to_string().is_empty()
+    }
+
+    /// What decode promises, read back off a decoded record: the
+    /// structure `build_1d_state` was called with, and values the map
+    /// equation can price.
     fn assert_sound(s: &RankSnapshot) {
         let (st, p) = (&s.st, s.run.nranks);
         assert!(st.rank < p);
@@ -835,9 +828,12 @@ mod tests {
         for li in st.movable() {
             let src = st.verts[li as usize];
             assert!(below(src) && src as usize % p == st.rank, "vertex {src}");
-            for (t, _) in st.arcs_of(li) {
+            let flow = st.node_flow[li as usize];
+            assert!(flow.is_finite() && flow >= 0.0, "flow {flow}");
+            for (t, w) in st.arcs_of(li) {
                 let key = Some((src, st.verts[t as usize]));
                 assert!(below(st.verts[t as usize]) && last < key, "arc {key:?}");
+                assert!(w.is_finite() && w >= 0.0, "arc {key:?} weight {w}");
                 last = key;
             }
         }
@@ -845,29 +841,32 @@ mod tests {
             st.movable().len(),
             owned_row_count(s.level_vertices, p, st.rank)
         );
+        assert!(st.inv_two_w.is_finite() && st.inv_two_w > 0.0);
         assert!((s.assign.iter()).all(|&(v, m)| (v as usize) < s.run.original_n && below(m)));
+        let mut mdls = (s.trace.iter()).flat_map(|t| t.mdl_series.iter().chain([&t.codelength]));
+        assert!(s.prev_mdl.is_finite() && mdls.all(|m| m.is_finite()));
     }
 
     /// Every truncation and every single-bit flip of a record is a named
     /// error; with the checksum recomputed, a flip is a named error or a
-    /// record that passes decode's structural checks — never a panic.
+    /// record that passes decode's checks — never a panic.
     fn sweep(bytes: &[u8]) {
         let decode = |b: &[u8]| RankSnapshot::decode(b, TEST_SEED);
         assert_sound(&decode(bytes).expect("the record decodes"));
         for len in 0..bytes.len() {
             let e = decode(&bytes[..len]).expect_err("a truncated record decoded");
-            assert!(!e.context.is_empty());
+            assert!(named(&e), "{e}");
         }
         let mut damaged = bytes.to_vec();
         for at in 0..bytes.len() {
             for bit in 0..8 {
                 damaged[at] ^= 1 << bit;
                 let e = decode(&damaged).expect_err("a flipped bit went unnoticed");
-                assert!(!e.context.is_empty());
+                assert!(named(&e), "{e}");
                 reseal_checksum(&mut damaged);
                 match decode(&damaged) {
                     Ok(back) => assert_sound(&back),
-                    Err(e) => assert!(!e.context.is_empty()),
+                    Err(e) => assert!(named(&e), "{e}"),
                 }
                 damaged.copy_from_slice(bytes);
             }
@@ -913,23 +912,28 @@ mod tests {
             decode_len(&mut &[3, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9][..], 1).ok(),
             Some(3)
         );
-        // A well-framed record whose arc count claims 2^64 - 1 arcs: an
-        // error, not an allocation. The count follows the identity (32),
-        // rank (8), level (4), level size, MDL and `inv_two_w` (24).
-        let mut bytes = sample(1).encode();
-        let at = SECTION_HEADER + 32 + 8 + 4 + 24;
-        assert_eq!(bytes[at..at + 8], 5u64.to_le_bytes());
+        // A well-framed record whose carry claims 2^64 - 1 assignments: an
+        // error, not an allocation. The count follows the seed, original
+        // vertex count and node term (24), level (4) and MDL (8).
+        let snap = sample(1);
+        let mut bytes = snap.encode();
+        let at = bytes.len() - 8 - snap.carry().len() + 24 + 4 + 8;
+        assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes());
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         reseal_checksum(&mut bytes);
         let e = RankSnapshot::decode(&bytes, TEST_SEED).unwrap_err();
-        assert_eq!(e.context, "snapshot length prefix");
+        assert!(e.to_string().ends_with("snapshot length prefix"), "{e}");
     }
 
     #[test]
     fn a_record_of_another_seed_is_refused_and_reads_as_absent() {
         let bytes = sample(1).encode();
         let e = RankSnapshot::decode(&bytes, TEST_SEED + 1).unwrap_err();
-        assert_eq!(e.context, "snapshot written with another seed");
+        assert!(
+            e.to_string()
+                .ends_with("snapshot written with another seed"),
+            "{e}"
+        );
         let dir = temp_store_dir("seed");
         let store = FileCheckpointStore::open(&dir, 1, TEST_SEED).unwrap();
         store.commit(0, &sample(1));
@@ -937,6 +941,50 @@ mod tests {
         let other = FileCheckpointStore::open(&dir, 1, TEST_SEED + 1).unwrap();
         assert_eq!(other.agreed_pos(), None);
         assert!(other.restore_agreed(0).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record resealed with a value the map equation cannot price is
+    /// refused by name: by decode, by the file store (which reads it as
+    /// absent) and by the in-memory store (which names it in a panic).
+    #[test]
+    fn a_resealed_record_with_an_unpriceable_weight_flow_or_mdl_is_refused_by_name() {
+        let snap = sample(1);
+        let good = snap.encode();
+        // Sample rank 0 holds 3 rows and 5 arcs: the weights follow the
+        // header, 4 offsets and 5 targets; the flows follow the weights;
+        // the MDL follows the carry's identity and level.
+        let weight_at = 72 + 4 * 8 + 5 * 4;
+        let flow_at = weight_at + 5 * 8;
+        let mdl_at = good.len() - 8 - snap.carry().len() + 24 + 4;
+        let dir = temp_store_dir("unpriceable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let unpriceable = "weights the map equation cannot price";
+        for (at, was, phrase) in [
+            (weight_at, 1.0, unpriceable),
+            (flow_at, 0.25, unpriceable),
+            (mdl_at, snap.prev_mdl, "codelength is not finite"),
+        ] {
+            assert_eq!(good[at..at + 8], f64::to_le_bytes(was), "the layout moved");
+            // A codelength may be negative; only NaN and ∞ are refused.
+            let bads = if at == mdl_at { 2 } else { 3 };
+            for bad in [f64::NAN, f64::INFINITY, -1.0].into_iter().take(bads) {
+                let mut bytes = good.clone();
+                bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                reseal_checksum(&mut bytes);
+                let e = RankSnapshot::decode(&bytes, TEST_SEED).unwrap_err();
+                assert!(e.to_string().contains(phrase), "{bad} at {at}: {e}");
+                std::fs::write(dir.join("rank-0.g0.ckpt"), &bytes).unwrap();
+                let file = FileCheckpointStore::open(&dir, 1, TEST_SEED).unwrap();
+                assert_eq!(file.agreed_pos(), None, "{bad} at {at}");
+                assert!(file.restore_agreed(0).is_none());
+                let memory = CheckpointStore::new(1);
+                *memory.slot(0) = Some((1, bytes));
+                let why = std::panic::catch_unwind(|| memory.restore_agreed(0)).unwrap_err();
+                let why = why.downcast_ref::<String>().unwrap();
+                assert!(why.contains(phrase), "{bad} at {at}: {why}");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,7 +9,7 @@ use std::sync::Mutex;
 use infomap_core::{plogp, NeighborMap, THETA};
 use infomap_graph::snapshot::{SnapshotHeader, SnapshotKind};
 use infomap_graph::{GraphStore, VertexId};
-use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, World, WorldOutcome};
+use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, Refusal, World, WorldOutcome};
 use infomap_partition::{
     delegates_from_degrees, movable_len, owner, plan_rebalance, shard_rank_arcs, Arc,
 };
@@ -409,6 +409,9 @@ pub struct RankProgram {
     pub one_level: f64,
     /// Vertices of the original graph.
     pub original_n: usize,
+    /// The input's total weight `W`: every level prices its flows by
+    /// `1/(2W)`, which a restored level recomputes from it.
+    pub total_weight: f64,
 }
 
 impl RankProgram {
@@ -440,7 +443,8 @@ impl RankProgram {
     }
 
     /// Shard-mode preparation: [`RankProgram::prepare_rank`] over the
-    /// calling rank's snapshot shard, after checking it is that rank's.
+    /// calling rank's snapshot shard, after checking it is that rank's
+    /// share of a graph (a level record is refused by name).
     /// Given the store itself rather than a reference, it closes the
     /// shard once the last row is read, before the state is assembled.
     pub fn prepare_shard<G: GraphStore>(
@@ -455,6 +459,7 @@ impl RankProgram {
             "shard written for {} ranks, run configured for {p}",
             header.nranks
         );
+        let header = header.graph().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             header.kind == SnapshotKind::Shard || p == 1,
             "full snapshots shard only a 1-rank world"
@@ -516,6 +521,7 @@ impl RankProgram {
                 }
             }
 
+            let total_weight = store.total_weight();
             let (st, node_term) = stage1_state(c, store, &arcs, &delegates, &is_delegate);
             RankProgram {
                 cfg,
@@ -525,6 +531,7 @@ impl RankProgram {
                 node_term,
                 one_level: -node_term,
                 original_n: n,
+                total_weight,
             }
         })
     }
@@ -595,7 +602,10 @@ impl RankProgram {
         let restored = store.restore_agreed(rank);
         let prepared = prepared.filter(|_| restored.is_none());
         if let Some(snap) = &restored {
-            (snap.check_same_run(p, original_n, node_term)).unwrap_or_else(|e| panic!("{e}"));
+            // Another run's records are refused on every attempt.
+            if let Err(why) = snap.check_same_run(p, original_n, node_term) {
+                std::panic::panic_any(Refusal(why));
+            }
             // Every rank must resume the same level; the commit protocol
             // guarantees it, the collective verifies it (and doubles as
             // the attempt's entry barrier). The restore read is metered as
@@ -640,6 +650,7 @@ impl RankProgram {
                         seed: cfg.seed,
                         original_n,
                         node_term_bits: node_term.to_bits(),
+                        total_weight_bits: self.total_weight.to_bits(),
                     },
                     level: 1,
                     level_vertices: merge.dense.len(),

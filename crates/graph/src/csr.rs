@@ -32,7 +32,13 @@ pub struct Graph {
 impl Graph {
     /// Build from a list of undirected edges. Parallel edges are merged
     /// (weights summed); both `(u,v)` and `(v,u)` occurrences merge into the
-    /// same edge. Panics if an endpoint is `>= num_vertices`.
+    /// same edge.
+    ///
+    /// # Panics
+    ///
+    /// As [`GraphBuilder::add_edge`]: an endpoint `>= num_vertices`, or a
+    /// weight that is not finite and >= 0 (the edge-list reader refuses
+    /// such input by name before it builds a graph).
     pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId, f64)]) -> Self {
         let mut b = GraphBuilder::new(num_vertices);
         for &(u, v, w) in edges {
@@ -249,6 +255,11 @@ impl GraphBuilder {
     }
 
     /// Add (or merge into) the undirected edge `{u, v}` with weight `w`.
+    ///
+    /// # Panics
+    ///
+    /// If `u` or `v` is not a vertex, or `w` is not finite and >= 0: no
+    /// flow `w/(2W)` could be priced.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: f64) {
         assert!(
             (u as usize) < self.num_vertices && (v as usize) < self.num_vertices,

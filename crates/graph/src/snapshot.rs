@@ -1,33 +1,36 @@
 //! Binary CSR snapshots: an on-disk graph format with one block-cached
-//! reader, plus per-rank shards for out-of-core runs.
+//! reader, plus per-rank shards for out-of-core runs and level records
+//! for checkpoints.
 //!
 //! ## Format (version 1, all integers little-endian)
 //!
 //! ```text
 //! magic            b"DINFSNAP"                      8 bytes
 //! version          u32                              = 1
-//! kind             u32                              0 = full, 1 = shard
+//! kind             u32                   0 = full, 1 = shard, 2 = level record
 //! rank             u64                              owning rank (0 for full)
 //! nranks           u64                              world size (1 for full)
 //! global_vertices  u64
 //! rows             u64   local row count (== global_vertices when full)
 //! arcs             u64   stored arc count
-//! global_edges     u64   global undirected edge count
+//! global_edges     u64   global undirected edge count (0 in a level record)
 //! global_weight    u64   IEEE-754 bits of the global total weight W (finite,
 //!                        > 0, with a finite, nonzero 1/(2W))
 //! offsets          (rows+1) × u64   CSR row offsets into the arc arrays
 //! targets          arcs × u32       global target vertex ids
 //! weights          arcs × u64       IEEE-754 bits per arc (finite, >= 0)
 //! strengths        rows × u64       IEEE-754 bits per row (finite, >= 0)
+//! carry            level record only: opaque bytes, up to the checksum
 //! checksum         u64   FNV-1a over every preceding byte
 //! ```
 //!
-//! The framing discipline mirrors the checkpoint store (DESIGN.md §6.11):
-//! magic + version gate, length-exact sections, a trailing checksum that
-//! rejects torn or bit-flipped files with named errors, and atomic
-//! tmp+rename writes. Floats travel as bit patterns so a loaded graph is
-//! *the same bits* the writer held, whatever the cache shape, which the
-//! clustering equivalence gates then assert end to end.
+//! A level record's carry is whatever lies between its per-row section and
+//! the checksum; a graph file has none. The framing discipline: magic +
+//! version gate, length-exact sections, a trailing checksum that rejects
+//! torn or bit-flipped files with named errors, and atomic tmp+rename
+//! writes ([`write_atomic`]). Floats travel as bit patterns so a loaded
+//! graph is *the same bits* the writer held, whatever the cache shape,
+//! which the clustering equivalence gates then assert end to end.
 //!
 //! A *shard* for rank `r` of `p` holds the adjacency rows of the
 //! round-robin-owned vertices `{v : v mod p == r}` in ascending order
@@ -37,6 +40,13 @@
 //! over scalar summaries (degrees, strengths) — it never needs the global
 //! graph in memory.
 //!
+//! A *level record* is a checkpoint (DESIGN.md §6): rank `r`'s share of a
+//! stage-2 level graph in the shard layout, its owned vertices' flows in
+//! the per-row section, the input's `W` in the header and the caller's
+//! carry behind the rows. [`write_parts`] writes one into any [`Write`];
+//! [`SnapshotStore::from_bytes`] verifies it as `open` verifies a file.
+//! Where a graph is expected, [`SnapshotHeader::graph`] refuses it.
+//!
 //! One cutter writes every shard and full snapshot of an edge set:
 //! [`write_edge_shards`] over a sorted, folded edge list (the launcher's,
 //! straight from [`crate::io::read_edges`], with no [`Graph`] built), and
@@ -44,14 +54,14 @@
 //! list gives the same bytes either way. [`ShardSink`] streams a
 //! generator's edges through spill files instead.
 //!
-//! [`SnapshotStore`] is the one reader: `open` verifies the whole file in
-//! one streaming pass, and reads are served from a cache of file blocks —
-//! no mmap, so `#![forbid(unsafe_code)]` stays intact. The cache has two
-//! shapes: the whole file, each section one block kept from that pass,
-//! or a bounded LRU ([`PageCacheConfig`]) that faults fixed-size blocks
-//! in by seek+read. Blocks are addressed per section and the block size
-//! must be a multiple of 8, so a typed element never straddles two
-//! blocks.
+//! [`SnapshotStore`] is the one reader: `open` and `from_bytes` verify the
+//! whole input in one streaming pass, and reads are served from a cache of
+//! file blocks — no mmap, so `#![forbid(unsafe_code)]` stays intact. The
+//! cache has two shapes: the whole file, each section one block kept from
+//! that pass, or a bounded LRU ([`PageCacheConfig`]) that faults
+//! fixed-size blocks in by seek+read. Blocks are addressed per section and
+//! the block size must be a multiple of 8, so a typed element never
+//! straddles two blocks.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -93,6 +103,9 @@ pub enum SnapshotKind {
     Full,
     /// One rank's rows of a sharded graph.
     Shard,
+    /// One rank's share of a stage-2 level: its rows, its owned vertices'
+    /// flows and a carry (see the module doc). Not a graph.
+    LevelRecord,
 }
 
 /// Decoded snapshot header.
@@ -134,6 +147,16 @@ impl SnapshotHeader {
         (v - self.rank) / self.nranks
     }
 
+    /// This header, unless it is a level record's: a checkpoint is no graph.
+    pub fn graph(self) -> Result<Self, SnapshotError> {
+        if self.kind == SnapshotKind::LevelRecord {
+            return Err(SnapshotError::Malformed {
+                context: "a checkpoint level record, not a graph",
+            });
+        }
+        Ok(self)
+    }
+
     fn encode(&self) -> [u8; HEADER_BYTES as usize] {
         let mut out = [0u8; HEADER_BYTES as usize];
         out[0..8].copy_from_slice(&SNAPSHOT_MAGIC);
@@ -141,6 +164,7 @@ impl SnapshotHeader {
         let kind: u32 = match self.kind {
             SnapshotKind::Full => 0,
             SnapshotKind::Shard => 1,
+            SnapshotKind::LevelRecord => 2,
         };
         out[12..16].copy_from_slice(&kind.to_le_bytes());
         out[16..24].copy_from_slice(&(self.rank as u64).to_le_bytes());
@@ -169,6 +193,7 @@ impl SnapshotHeader {
         let kind = match u32_at(12) {
             0 => SnapshotKind::Full,
             1 => SnapshotKind::Shard,
+            2 => SnapshotKind::LevelRecord,
             _ => {
                 return Err(SnapshotError::Malformed {
                     context: "unknown snapshot kind",
@@ -190,9 +215,10 @@ impl SnapshotHeader {
                 context: "rank outside world",
             });
         }
-        // The writers pick the kind from the world size, so any other
-        // pairing would read back as a file no writer produces.
-        if (header.kind == SnapshotKind::Full) != (header.nranks == 1) {
+        // The graph writers pick the kind from the world size, so any
+        // other pairing would read back as a file no writer produces.
+        let graph = header.kind != SnapshotKind::LevelRecord;
+        if graph && (header.kind == SnapshotKind::Full) != (header.nranks == 1) {
             return Err(SnapshotError::Malformed {
                 context: "a full snapshot is a world of one rank, a shard of several",
             });
@@ -224,14 +250,26 @@ impl SnapshotHeader {
         ]
     }
 
-    /// Total file length implied by the header.
-    fn file_bytes(&self) -> u64 {
-        HEADER_BYTES + self.section_bytes().iter().sum::<u64>() + CHECKSUM_BYTES
+    /// The carry's length in a file of `len` bytes under this header: what
+    /// a level record holds beyond its sections; a graph file has none.
+    fn carry_bytes(&self, len: u64) -> Result<u64, SnapshotError> {
+        let sections = self.section_bytes().iter().sum::<u64>();
+        match len.checked_sub(HEADER_BYTES + sections + CHECKSUM_BYTES) {
+            None => Err(SnapshotError::Truncated {
+                context: "sections",
+            }),
+            Some(carry) if carry > 0 && self.kind != SnapshotKind::LevelRecord => {
+                Err(SnapshotError::Malformed {
+                    context: "trailing bytes after checksum",
+                })
+            }
+            Some(carry) => Ok(carry),
+        }
     }
 }
 
 /// The one rule on a header's `W`, which the writers check before they
-/// create a file and the decoder checks on every read. Every rank prices
+/// write a byte and the decoder checks on every read. Every rank prices
 /// its flows as `w/(2W)` from this `W` alone, so it is held to the
 /// edge-list reader's domain (paper §2.2): a NaN, infinite, zero,
 /// negative or subnormal `W` gives no finite `1/(2W)` > 0.
@@ -249,9 +287,10 @@ fn priceable(global_weight: f64) -> Result<(), SnapshotError> {
 const UNPRICEABLE_FLOW: &str =
     "weights the map equation cannot price: an arc weight or strength is not finite and >= 0";
 
-/// The one rule on arc weights and strengths, which the writers check
-/// before they create a file and `open`'s verifying pass checks on every
-/// read: each finite and >= 0, so every flow `w/(2W)` is too.
+/// The one rule on arc weights and strengths (a level record's flows),
+/// which the writers check before they write a byte and the verifying
+/// pass checks on every read: each finite and >= 0, so every flow
+/// `w/(2W)` is too.
 fn priceable_flows(mut values: impl Iterator<Item = f64>) -> Result<(), SnapshotError> {
     let priced = values.all(|x| x.is_finite() && x >= 0.0);
     priced.then_some(()).ok_or(SnapshotError::Malformed {
@@ -310,20 +349,20 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Buffered file writer that folds everything written into an FNV-1a
-/// hash, a buffer at a time: the sections go out as many 4- and 8-byte
+/// Buffered writer that folds everything written into an FNV-1a hash,
+/// a buffer at a time: the sections go out as many 4- and 8-byte
 /// elements, each one copy into the buffer.
-struct HashingWriter {
-    file: File,
+struct HashingWriter<'a> {
+    out: &'a mut dyn Write,
     buf: Box<[u8; 1 << 16]>,
     len: usize,
     hash: u64,
 }
 
-impl HashingWriter {
-    fn new(file: File) -> Self {
+impl<'a> HashingWriter<'a> {
+    fn new(out: &'a mut dyn Write) -> Self {
         HashingWriter {
-            file,
+            out,
             buf: Box::new([0; 1 << 16]),
             len: 0,
             hash: FNV_OFFSET,
@@ -333,7 +372,7 @@ impl HashingWriter {
     /// Hash and write out the buffer.
     fn drain(&mut self) -> std::io::Result<()> {
         self.hash = fnv1a(self.hash, &self.buf[..self.len]);
-        self.file.write_all(&self.buf[..self.len])?;
+        self.out.write_all(&self.buf[..self.len])?;
         self.len = 0;
         Ok(())
     }
@@ -390,34 +429,46 @@ pub fn shard_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("shard-{rank}.snap"))
 }
 
-/// Write `header`, the four sections `sections` writes in file order, and
-/// the checksum over both. Atomic: written to a tmp file and renamed into
-/// place. A `W` no reader would accept is refused before any file exists.
-fn write_file(
+/// Write `path` through `<path>.tmp` + `rename`, so a failed or
+/// interrupted write never damages what `path` held; a failed write
+/// removes its tmp file.
+pub fn write_atomic(
     path: &Path,
+    write: impl FnOnce(&mut File) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = (File::create(&tmp).map_err(SnapshotError::from))
+        .and_then(|mut file| write(&mut file))
+        .and_then(|()| Ok(std::fs::rename(&tmp, path)?));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Write `header`, what `sections` writes behind it in file order, and
+/// the checksum over both into `out`. A `W` no reader would accept is
+/// refused before a byte is written.
+fn write_into(
+    out: &mut dyn Write,
     header: &SnapshotHeader,
     sections: impl FnOnce(&mut HashingWriter) -> std::io::Result<()>,
 ) -> Result<(), SnapshotError> {
     priceable(header.global_weight)?;
-    let tmp = path.with_extension("snap.tmp");
-    {
-        let mut w = HashingWriter::new(File::create(&tmp)?);
-        w.put(header.encode())?;
-        sections(&mut w)?;
-        w.drain()?;
-        let checksum = w.hash;
-        w.file.write_all(&checksum.to_le_bytes())?;
-    }
-    std::fs::rename(&tmp, path)?;
+    let mut w = HashingWriter::new(out);
+    w.put(header.encode())?;
+    sections(&mut w)?;
+    w.drain()?;
+    let checksum = w.hash;
+    w.out.write_all(&checksum.to_le_bytes())?;
     Ok(())
 }
 
 /// Write one shard (or, with `nranks == 1`, a full snapshot) from raw row
-/// arrays. `offsets` has `rows + 1` entries; `targets`/`weights` hold the
-/// arcs of row `i` at `offsets[i]..offsets[i+1]` in CSR order; targets
-/// are global ids. Atomic: written to a tmp file and renamed into place.
-/// An arc weight or strength no reader would accept is refused before
-/// any file exists.
+/// arrays: [`write_parts`] into `path`, atomically. An arc weight or
+/// strength no reader would accept is refused, and no file is left.
 pub fn write_shard_parts(
     path: &Path,
     spec: &ShardSpec,
@@ -426,25 +477,50 @@ pub fn write_shard_parts(
     weights: &[f64],
     strengths: &[f64],
 ) -> Result<(), SnapshotError> {
+    write_atomic(path, |file| {
+        write_parts(file, spec, offsets, targets, weights, strengths, None)
+    })
+}
+
+/// Write `spec`'s rows into `out`. `offsets` has `rows + 1` entries;
+/// `targets`/`weights` hold the arcs of row `i` at
+/// `offsets[i]..offsets[i+1]` in CSR order; targets are global ids. With a
+/// `carry` the file is a level record: `strengths` are its owned
+/// vertices' flows, and the reader hands `carry` back as it is
+/// ([`SnapshotStore::carry`]). A `W`, arc weight or per-row value no
+/// reader would accept is refused before a byte is written.
+pub fn write_parts(
+    out: &mut dyn Write,
+    spec: &ShardSpec,
+    offsets: &[u64],
+    targets: &[VertexId],
+    weights: &[f64],
+    strengths: &[f64],
+    carry: Option<&[u8]>,
+) -> Result<(), SnapshotError> {
     let rows = strengths.len();
     assert_eq!(offsets.len(), rows + 1, "offsets hold rows+1 entries");
     assert_eq!(targets.len(), weights.len());
     assert_eq!(*offsets.last().unwrap_or(&0) as usize, targets.len());
     priceable_flows(weights.iter().chain(strengths).copied())?;
-    write_file(path, &spec.header(rows, targets.len()), |w| {
+    let mut header = spec.header(rows, targets.len());
+    if carry.is_some() {
+        header.kind = SnapshotKind::LevelRecord;
+    }
+    write_into(out, &header, |w| {
         for &off in offsets {
             w.put(off.to_le_bytes())?;
         }
         for &t in targets {
             w.put(t.to_le_bytes())?;
         }
-        for &wt in weights {
+        for &wt in weights.iter().chain(strengths) {
             w.put(wt.to_bits().to_le_bytes())?;
         }
-        for &s in strengths {
-            w.put(s.to_bits().to_le_bytes())?;
-        }
-        Ok(())
+        carry
+            .unwrap_or_default()
+            .iter()
+            .try_for_each(|&b| w.put([b]))
     })
 }
 
@@ -550,33 +626,35 @@ impl<'a> ShardCutter<'a> {
         let rows = || (rank..n).step_by(nranks);
         let arcs = rows().map(|v| self.degree(v)).sum();
         let header = spec.header(owned_row_count(n, nranks, rank), arcs);
-        write_file(path, &header, |w| {
-            let mut offset = 0u64;
-            w.put(offset.to_le_bytes())?;
-            for v in rows() {
-                offset += self.degree(v) as u64;
+        write_atomic(path, |file| {
+            write_into(file, &header, |w| {
+                let mut offset = 0u64;
                 w.put(offset.to_le_bytes())?;
-            }
-            for v in rows() {
-                for &(x, _) in self.lower(v) {
-                    w.put(x.to_le_bytes())?;
+                for v in rows() {
+                    offset += self.degree(v) as u64;
+                    w.put(offset.to_le_bytes())?;
                 }
-                for &(_, y, _) in self.upper(v) {
-                    w.put(y.to_le_bytes())?;
+                for v in rows() {
+                    for &(x, _) in self.lower(v) {
+                        w.put(x.to_le_bytes())?;
+                    }
+                    for &(_, y, _) in self.upper(v) {
+                        w.put(y.to_le_bytes())?;
+                    }
                 }
-            }
-            for v in rows() {
-                for &(_, at) in self.lower(v) {
-                    w.put(self.edges[at as usize].2.to_bits().to_le_bytes())?;
+                for v in rows() {
+                    for &(_, at) in self.lower(v) {
+                        w.put(self.edges[at as usize].2.to_bits().to_le_bytes())?;
+                    }
+                    for &(_, _, wt) in self.upper(v) {
+                        w.put(wt.to_bits().to_le_bytes())?;
+                    }
                 }
-                for &(_, _, wt) in self.upper(v) {
-                    w.put(wt.to_bits().to_le_bytes())?;
+                for v in rows() {
+                    w.put(self.strengths[v].to_bits().to_le_bytes())?;
                 }
-            }
-            for v in rows() {
-                w.put(self.strengths[v].to_bits().to_le_bytes())?;
-            }
-            Ok(())
+                Ok(())
+            })
         })
     }
 }
@@ -837,17 +915,7 @@ pub fn read_header(path: &Path) -> Result<SnapshotHeader, SnapshotError> {
         got += n;
     }
     let header = SnapshotHeader::decode(&buf)?;
-    let len = file.metadata()?.len();
-    if len < header.file_bytes() {
-        return Err(SnapshotError::Truncated {
-            context: "sections",
-        });
-    }
-    if len > header.file_bytes() {
-        return Err(SnapshotError::Malformed {
-            context: "trailing bytes after checksum",
-        });
-    }
+    header.carry_bytes(file.metadata()?.len())?;
     Ok(header)
 }
 
@@ -1063,78 +1131,104 @@ enum Blocks {
     Bounded(RefCell<BlockCache>),
 }
 
-/// A snapshot (full or shard) read through a cache of file blocks, no
-/// mmap. The cache either holds the whole file, kept from the verifying
-/// pass of [`SnapshotStore::open`], or a bounded LRU of blocks read with
+/// A snapshot (full, shard or level record) read through a cache of file
+/// blocks, no mmap. The cache either holds the whole file, kept from the
+/// verifying pass of [`SnapshotStore::open`] or
+/// [`SnapshotStore::from_bytes`], or a bounded LRU of blocks read with
 /// `File::seek` + `read_exact` on miss. Interior mutability makes the
 /// [`GraphStore`] reads `&self`; the type is `!Sync` (one store per rank).
 pub struct SnapshotStore {
     header: SnapshotHeader,
     blocks: Blocks,
+    carry: Vec<u8>,
 }
 
-/// Read size of `open`'s verifying pass: a multiple of every element
-/// size, so a piece holds whole elements.
+/// Read size of the verifying pass: a multiple of every element size, so
+/// a piece holds whole elements.
 const PIECE_BYTES: u64 = 64 * 1024;
 
 impl SnapshotStore {
-    /// Open a snapshot or shard file. The whole file is streamed once, in
-    /// 64 KiB pieces, to verify the trailing checksum and the CSR
-    /// structure: bit flips and malformed sections are refused here with
-    /// named errors. With `cache: None` the verified sections stay
-    /// resident, so the store never reads the file again and serves
-    /// exactly the bytes it checked. With `Some(cfg)` the pieces are
-    /// dropped and reads fault blocks in through a bounded LRU.
+    /// Open a snapshot file through the one verifying pass. With `cache:
+    /// None` the verified sections stay resident, so the store never reads
+    /// the file again and serves exactly the bytes it checked. With
+    /// `Some(cfg)` the pieces are dropped and reads fault blocks in
+    /// through a bounded LRU.
     pub fn open(path: &Path, cache: Option<PageCacheConfig>) -> Result<Self, SnapshotError> {
         if let Some(cfg) = cache {
             cfg.check().expect("a usable page cache");
         }
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
+        let mut store = Self::verify(&mut file, len, cache.is_none())?;
+        if let Some(cfg) = cache {
+            let section_len = store.header.section_bytes();
+            let mut section_base = [0u64; 4];
+            let mut at = HEADER_BYTES;
+            for (base, len) in section_base.iter_mut().zip(section_len.iter()) {
+                *base = at;
+                at += len;
+            }
+            store.blocks = Blocks::Bounded(RefCell::new(BlockCache {
+                cfg,
+                file,
+                section_base,
+                section_len,
+                // Grows to at most the file's block count, whatever the
+                // capacity.
+                slots: Vec::new(),
+                index: HashMap::new(),
+                tick: 0,
+                stats: CacheStats::default(),
+            }));
+        }
+        Ok(store)
+    }
+
+    /// The snapshot `bytes` hold, whole, through the one verifying pass.
+    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let len = bytes.len() as u64;
+        Self::verify(&mut bytes, len, true)
+    }
+
+    /// The one verifying pass over the `len` bytes of `src`, streamed once
+    /// in 64 KiB pieces to check the trailing checksum and the CSR
+    /// structure: bit flips and malformed sections are refused here with
+    /// named errors. The sections are kept if `keep`.
+    fn verify(src: &mut impl Read, len: u64, keep: bool) -> Result<Self, SnapshotError> {
         if len < HEADER_BYTES + CHECKSUM_BYTES {
             return Err(SnapshotError::Truncated { context: "header" });
         }
         let mut head = [0u8; HEADER_BYTES as usize];
-        file.read_exact(&mut head)?;
+        src.read_exact(&mut head)?;
         let header = SnapshotHeader::decode(&head)?;
-        if len < header.file_bytes() {
-            return Err(SnapshotError::Truncated {
-                context: "sections",
-            });
-        }
-        if len > header.file_bytes() {
-            return Err(SnapshotError::Malformed {
-                context: "trailing bytes after checksum",
-            });
-        }
+        let carry_len = header.carry_bytes(len)?;
 
-        // Single streaming pass over the sections: hash every byte and run
-        // the structural checks, reading straight into the resident
-        // sections when they are kept. The lengths were just checked
-        // against the file's, so no count sizes an allocation on its own.
+        // Hash every byte and run the structural checks, reading straight
+        // into the kept sections. The lengths were just checked against
+        // the input's, so no count sizes an allocation on its own.
         let mut hash = fnv1a(FNV_OFFSET, &head);
         let mut check = CsrCheck::new(&header);
-        let section_len = header.section_bytes();
         let mut sections: [Vec<u8>; 4] = Default::default();
-        let mut buf = vec![0u8; PIECE_BYTES as usize];
+        let mut buf = vec![0u8; if keep { 0 } else { PIECE_BYTES as usize }];
         let order = [
             Section::Offsets,
             Section::Targets,
             Section::Weights,
             Section::Strengths,
         ];
+        let section_len = header.section_bytes();
         for ((sec, kept), &bytes) in order.into_iter().zip(&mut sections).zip(&section_len) {
-            if cache.is_none() {
+            if keep {
                 kept.resize(bytes as usize, 0);
             }
             let mut at = 0;
             while at < bytes {
                 let n = (bytes - at).min(PIECE_BYTES);
-                let piece = match cache {
-                    None => &mut kept[at as usize..(at + n) as usize],
-                    Some(_) => &mut buf[..n as usize],
+                let piece = match keep {
+                    true => &mut kept[at as usize..(at + n) as usize],
+                    false => &mut buf[..n as usize],
                 };
-                file.read_exact(piece)?;
+                src.read_exact(piece)?;
                 hash = fnv1a(hash, piece);
                 match sec {
                     Section::Offsets => check.offsets(piece),
@@ -1144,37 +1238,26 @@ impl SnapshotStore {
                 at += n;
             }
         }
+        let mut carry = vec![0u8; carry_len as usize];
+        src.read_exact(&mut carry)?;
+        hash = fnv1a(hash, &carry);
         let mut trailer = [0u8; CHECKSUM_BYTES as usize];
-        file.read_exact(&mut trailer)?;
+        src.read_exact(&mut trailer)?;
         if hash != u64::from_le_bytes(trailer) {
             return Err(SnapshotError::ChecksumMismatch);
         }
         check.finish()?;
+        let blocks = Blocks::Whole(sections);
+        Ok(SnapshotStore {
+            header,
+            blocks,
+            carry,
+        })
+    }
 
-        let blocks = match cache {
-            None => Blocks::Whole(sections),
-            Some(cfg) => {
-                let mut section_base = [0u64; 4];
-                let mut at = HEADER_BYTES;
-                for (base, len) in section_base.iter_mut().zip(section_len.iter()) {
-                    *base = at;
-                    at += len;
-                }
-                Blocks::Bounded(RefCell::new(BlockCache {
-                    cfg,
-                    file,
-                    section_base,
-                    section_len,
-                    // Grows to at most the file's block count, whatever the
-                    // capacity.
-                    slots: Vec::new(),
-                    index: HashMap::new(),
-                    tick: 0,
-                    stats: CacheStats::default(),
-                }))
-            }
-        };
-        Ok(SnapshotStore { header, blocks })
+    /// A level record's carry, as its writer passed it; empty for a graph.
+    pub fn carry(&self) -> &[u8] {
+        &self.carry
     }
 
     pub fn header(&self) -> &SnapshotHeader {

@@ -1,27 +1,30 @@
 //! Seeded sweep over the snapshot readers of `graph/src/snapshot.rs`:
-//! `read_header` and `SnapshotStore::open` with both cache shapes (the
-//! whole file resident, and a bounded LRU): 34 602 cases from one seeded
-//! `StdRng` stream, a few seconds in a debug build.
+//! `read_header`, `SnapshotStore::open` with both cache shapes (the
+//! whole file resident, and a bounded LRU) and `SnapshotStore::from_bytes`:
+//! 46 608 cases from one seeded `StdRng` stream, a few seconds in a debug
+//! build.
 //!
 //! * 3 000 arbitrary byte strings: random bytes, a valid magic and
 //!   version followed by noise, and valid files with bytes overwritten or
 //!   cut short;
-//! * every single-bit flip of 18 small valid files — the full snapshots
-//!   of three graphs (one with no edges) and each of their shards at
-//!   p = 2 and p = 3 — with the trailing FNV-1a checksum repaired, so that
-//!   the header and section checks are what a flip meets.
+//! * every single-bit flip of 24 small valid files — the full snapshots
+//!   of three graphs (one with no edges), each of their shards at p = 2
+//!   and p = 3, and the weighted graph's level records at p = 1, 2 and 3,
+//!   each with a 40-byte carry — with the trailing FNV-1a checksum
+//!   repaired, so that the header and section checks are what a flip
+//!   meets.
 //!
 //! The edgeless graph's files have `W = 0`, which no rank can price, so
 //! they are refused by name (no writer makes them any more: the sweep
 //! patches them in); every other valid file is accepted.
-//! Every input is refused by both cache shapes with the same named
-//! `SnapshotError` (never `Io`; `read_header`, which checks no checksum,
-//! refuses it by name too or accepts it), or accepted by both, and by
-//! `read_header` with the same header. An accepted store reads the same
-//! rows whole and paged, and re-encodes to exactly the input bytes. No
-//! open panics, and none holds more than `4 × len + 128 KiB` of heap at
-//! once while it reads a `len`-byte file: nothing is sized by a count
-//! the bytes cannot back.
+//! Every input is refused by both cache shapes and the byte-slice reader
+//! with the same named `SnapshotError` (never `Io`; `read_header`, which
+//! checks no checksum, refuses it by name too or accepts it), or accepted
+//! by all three, and by `read_header` with the same header. An accepted
+//! store reads the same rows and carry whole, paged and from the slice,
+//! and re-encodes to exactly the input bytes. No open panics, and none
+//! holds more than `4 × len + 128 KiB` of heap at once while it reads a
+//! `len`-byte file: nothing is sized by a count the bytes cannot back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,9 +35,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use infomap_graph::snapshot::{
-    owned_row_count, read_header, shard_path, write_shard_parts, write_shards, write_snapshot,
-    PageCacheConfig, ShardSpec, SnapshotError, SnapshotHeader, SnapshotStore, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    owned_row_count, read_header, shard_path, write_parts, write_shard_parts, write_shards,
+    write_snapshot, PageCacheConfig, ShardSpec, SnapshotError, SnapshotHeader, SnapshotKind,
+    SnapshotStore, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use infomap_graph::{generators, Graph, GraphStore};
 
@@ -100,8 +103,10 @@ fn fresh_file(path: &Path, bytes: &[u8]) {
     std::fs::write(path, bytes).unwrap();
 }
 
-/// A store's rows re-encoded under `header`, as the bytes of a file.
-fn reencode(store: &impl GraphStore, header: &SnapshotHeader, path: &Path) -> Vec<u8> {
+/// A store's rows re-encoded under its header, as the bytes of a file;
+/// with a `carry`, as a level record.
+fn reencode(store: &SnapshotStore, carry: Option<&[u8]>) -> Vec<u8> {
+    let header = store.header();
     let (mut offsets, mut targets, mut weights, mut strengths) = (vec![0], vec![], vec![], vec![]);
     let mut arcs = Vec::new();
     for row in 0..header.rows {
@@ -119,9 +124,12 @@ fn reencode(store: &impl GraphStore, header: &SnapshotHeader, path: &Path) -> Ve
         global_edges: header.global_edges,
         global_weight: header.global_weight,
     };
-    let _ = std::fs::remove_file(path);
-    write_shard_parts(path, &spec, &offsets, &targets, &weights, &strengths).unwrap();
-    std::fs::read(path).unwrap()
+    let mut out = Vec::new();
+    write_parts(
+        &mut out, &spec, &offsets, &targets, &weights, &strengths, carry,
+    )
+    .unwrap();
+    out
 }
 
 /// Every row of `header` reads the same from `a` and `b`, to the bit.
@@ -137,8 +145,8 @@ fn same_rows(a: &impl GraphStore, b: &impl GraphStore, header: &SnapshotHeader) 
     })
 }
 
-/// Feed `bytes` to `read_header` and both cache shapes as case number
-/// `cases + 1`; true if they accept it.
+/// Feed `bytes` to `read_header`, both cache shapes and the byte-slice
+/// reader as case number `cases + 1`; true if they accept it.
 fn snapshot_case(bytes: &[u8], dir: &Path, cases: &mut usize) -> bool {
     *cases += 1;
     let case = *cases;
@@ -151,7 +159,18 @@ fn snapshot_case(bytes: &[u8], dir: &Path, cases: &mut usize) -> bool {
     let paged = bounded(format!("case {case}: paged"), len, || {
         SnapshotStore::open(&path, Some(PAGED))
     });
+    let slice = bounded(format!("case {case}: bytes"), len, || {
+        SnapshotStore::from_bytes(bytes)
+    });
     let header = read_header(&path);
+    match (&whole, &slice) {
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "case {case}"),
+        (Ok(a), Ok(b)) => assert!(
+            a.header() == b.header() && same_rows(a, b, a.header()) && a.carry() == b.carry(),
+            "case {case}: the file and byte-slice readers read different stores"
+        ),
+        _ => panic!("case {case}: the file and byte-slice readers disagree"),
+    }
     let (whole, paged) = match (whole, paged) {
         (Err(a), Err(b)) => {
             let named = |e: &SnapshotError| !matches!(e, SnapshotError::Io(_));
@@ -175,9 +194,10 @@ fn snapshot_case(bytes: &[u8], dir: &Path, cases: &mut usize) -> bool {
         same_rows(&whole, &paged, &h),
         "case {case}: paged rows differ"
     );
-    let again = dir.join("again.snap");
+    assert_eq!(whole.carry(), paged.carry(), "case {case}: carries differ");
+    let carry = (h.kind == SnapshotKind::LevelRecord).then_some(whole.carry());
     assert!(
-        reencode(&whole, &h, &again) == bytes,
+        reencode(&whole, carry) == bytes,
         "case {case}: re-encoding {h:?}"
     );
     true
@@ -299,6 +319,14 @@ fn snapshot_readers_survive_the_sweep() {
             write_shards(g, p, &shards).unwrap();
             valid.extend((0..p).map(|r| std::fs::read(shard_path(&shards, r)).unwrap()));
         }
+        if i == 0 {
+            // Its rows at p = 1, 2 and 3 as level records, each with an
+            // opaque 40-byte carry.
+            let carry: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(37)).collect();
+            let stores = valid.iter().map(|f| SnapshotStore::from_bytes(f).unwrap());
+            let records: Vec<_> = stores.map(|s| reencode(&s, Some(&carry))).collect();
+            valid.extend(records);
+        }
         priced.resize(valid.len(), true);
     }
     let mut cases = 0;
@@ -339,13 +367,17 @@ fn snapshot_readers_survive_the_sweep() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // A flip of a weight, a strength, a target or a global total is a
-    // different valid file, so close to half the flips of the 12 files
-    // with edges are accepted; not the one that makes `W` negative, and
-    // not the 258 that make one of their 168 weights and strengths
+    // different valid file, so close to half the flips of the 12 graph
+    // files with edges are accepted; not the one that makes `W` negative,
+    // and not the 258 that make one of their 168 weights and strengths
     // unpriceable: each one's sign bit, and the top exponent bit of the
-    // 90 in [1, 2), which gives ∞ or NaN. Of the edgeless graph's 6 files
+    // 90 in [1, 2), which gives ∞ or NaN. The 2 full files also accept the
+    // flip of their kind from full (0) to level record (2): a level record
+    // with an empty carry. 12 531 in all. Of the edgeless graph's 6 files
     // (`W = 0`) only the flips that give `W` a priceable value are: 11
-    // exponent bits and 2 mantissa bits each.
-    assert_eq!(accepted, 12_529, "accepted flips");
-    assert_eq!(cases, 34_602, "the case count the module doc states");
+    // exponent bits and 2 mantissa bits each. Of the 6 level records'
+    // flips, 6 179 are accepted: every flip of a carry byte (6 × 320),
+    // which the reader hands back as it is, and close to half the rest.
+    assert_eq!(accepted, 18_710, "accepted flips");
+    assert_eq!(cases, 46_608, "the case count the module doc states");
 }

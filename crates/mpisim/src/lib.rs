@@ -64,4 +64,4 @@ pub use mem::MemTransport;
 pub use payload::{WireDecodeError, WirePayload};
 pub use stats::{FaultStats, PhaseStats, RankStats};
 pub use transport::{OpMetrics, Transport, TransportError, TransportFault, TransportMetrics};
-pub use world::{RankOutcome, World, WorldOutcome, WorldReport};
+pub use world::{RankOutcome, Refusal, World, WorldOutcome, WorldReport};

@@ -131,10 +131,19 @@ fn is_cascade_payload(payload: &Box<dyn std::any::Any + Send>) -> bool {
     )
 }
 
+/// A rank's refusal of its own input, raised with `std::panic::panic_any`
+/// where the rank program has no error to return: a rerun meets the same
+/// refusal. A process runner exits on it as refused; [`World`] reports its
+/// message.
+#[derive(Clone, Debug)]
+pub struct Refusal(pub String);
+
 /// Render a panic payload as a message string.
 fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
+    } else if let Some(Refusal(why)) = payload.downcast_ref::<Refusal>() {
+        why.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(fault) = payload.downcast_ref::<TransportFault>() {

@@ -8,7 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::sleep;
 use std::time::{Duration, Instant};
 
-use infomap_mpisim::{RankOutcome, ReduceOp, World};
+use infomap_mpisim::{RankOutcome, ReduceOp, Refusal, World};
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
@@ -82,7 +82,8 @@ fn rank_blocked_in_recv_unwinds_promptly() {
     let out = world.run_with_outcomes(|c| {
         if c.rank() == 1 {
             sleep(Duration::from_millis(30));
-            panic!("recv peer died");
+            // A typed refusal payload is rendered by its message.
+            std::panic::panic_any(Refusal("recv peer died".into()));
         }
         // Blocks forever on a healthy world: rank 1 never sends.
         let _ = c.recv::<u64>(1, 42);
