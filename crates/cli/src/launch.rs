@@ -32,11 +32,10 @@
 //!   durable checkpoint, and the workers resume from the start of the
 //!   newest level **all** ranks hold on disk. A crash inside stage 1
 //!   finds no checkpoint and re-runs from scratch. Checkpoints of another
-//!   seed are ignored; ones of another graph or world size fail the
+//!   seed or world size are ignored; ones of another graph fail the
 //!   launch by name.
 //! - A worker that refuses its own input (its shard, its checkpoint
-//!   directory, checkpoints of another graph or world size, its launch
-//!   line) writes its reason to `rank-N.diag.json` and exits with code 1.
+//!   directory, checkpoints of another graph, its launch line) writes its reason to `rank-N.diag.json` and exits with code 1.
 //!   The launcher then kills the rest of the world at once and does not
 //!   relaunch it — every relaunch would meet the same refusal — and the
 //!   launch's error carries the refusing worker's own message.
@@ -304,8 +303,8 @@ fn worker_inner(rank: usize, o: &LaunchOpts) -> Result<(), WorkerFailure> {
             }
             Ok(())
         }
-        // Records of another graph or world size are refused on every
-        // attempt: the worker's refusal, not a fault a relaunch clears.
+        // Records of another graph are refused on every attempt: the
+        // worker's refusal, not a fault a relaunch clears.
         Err(payload) if payload.is::<Refusal>() => {
             let Refusal(why) = *payload.downcast().expect("checked above");
             Err(WorkerFailure::Refused(why))

@@ -28,19 +28,28 @@
 //! clustering stage, so `Vec`'s doubling would leave about half of every
 //! slot-indexed array unused. [`push_slot`] grows to the slots needed plus
 //! an eighth of them ([`SLOT_HEADROOM`]) instead — still geometric, so a
-//! push stays amortized O(1).
+//! push stays amortized O(1). A slot array starts at that capacity too
+//! ([`slot_capacity`]), so a stage that interns under an eighth more slots
+//! never reallocates it.
 
 /// A slot-indexed array that must grow takes `slots / SLOT_HEADROOM`
 /// entries of headroom past the `slots` it needs.
 pub const SLOT_HEADROOM: usize = 8;
 
+/// The capacity a slot array of `slots` entries takes: the slots plus an
+/// eighth of them.
+#[inline]
+pub fn slot_capacity(slots: usize) -> usize {
+    slots + slots / SLOT_HEADROOM
+}
+
 /// Append one slot's entry: when `v` is full it grows to
-/// `len + 1 + (len + 1) / SLOT_HEADROOM`.
+/// `slot_capacity(len + 1)`.
 #[inline]
 pub fn push_slot<T>(v: &mut Vec<T>, x: T) {
     let slots = v.len() + 1;
     if v.capacity() < slots {
-        v.reserve_exact(slots + slots / SLOT_HEADROOM - v.len());
+        v.reserve_exact(slot_capacity(slots) - v.len());
     }
     v.push(x);
 }

@@ -35,7 +35,7 @@ pub mod flow;
 pub mod map_equation;
 pub mod sequential;
 
-pub use accumulate::{push_slot, NeighborMap};
+pub use accumulate::{push_slot, slot_capacity, NeighborMap};
 pub use flow::FlowNetwork;
 pub use map_equation::{plogp, plogp_slice, DeltaBatch, MoveScratch, Partitioning, DELTA_CHUNK};
 pub use sequential::{Infomap, InfomapConfig, InfomapResult, OuterIterationStats, MIN_GAIN, THETA};

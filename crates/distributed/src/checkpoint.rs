@@ -24,9 +24,10 @@
 //! the map equation's domain rule — before any state is built from it.
 //!
 //! A record names the run that wrote it ([`RunId`]). Decoding refuses a
-//! record of another seed, so a store reads it as absent;
-//! [`RankSnapshot::check_same_run`] refuses, by name, one of another
-//! world size or input graph.
+//! record of another seed, so a store reads it as absent, and the file
+//! store reads a generation whose header names another rank or world size
+//! than its file as absent too; [`RankSnapshot::check_same_run`] refuses,
+//! by name, one of another world size or input graph.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -134,11 +135,19 @@ impl RankSnapshot {
         original_n: usize,
         node_term: f64,
     ) -> Result<(), String> {
-        let (p, n, bits) = (
-            self.run.nranks,
-            self.run.original_n,
-            self.run.node_term_bits,
-        );
+        self.run.check_same_run(nranks, original_n, node_term)
+    }
+}
+
+impl RunId {
+    /// [`RankSnapshot::check_same_run`] for the record this run wrote.
+    pub fn check_same_run(
+        &self,
+        nranks: usize,
+        original_n: usize,
+        node_term: f64,
+    ) -> Result<(), String> {
+        let (p, n, bits) = (self.nranks, self.original_n, self.node_term_bits);
         let term = node_term.to_bits();
         if (p, n, bits) == (nranks, original_n, term) {
             return Ok(());
@@ -173,6 +182,11 @@ pub trait SnapshotStore: Sync {
 
     /// `rank`'s record at the agreed level.
     fn restore_agreed(&self, rank: usize) -> Option<RankSnapshot>;
+
+    /// Every rank's carry at the agreed level, in rank order, read off the
+    /// verified records with no state built: what a degraded result is
+    /// assembled from. `None` when no level is agreed or a record is gone.
+    fn agreed_carries(&self) -> Option<Vec<Carry>>;
 
     /// Total rank commits over the store's lifetime.
     fn checkpoints_committed(&self) -> u64;
@@ -240,6 +254,20 @@ impl SnapshotStore for CheckpointStore {
         Some(snap.unwrap_or_else(|e| panic!("rank {rank}: checkpoint record refused: {e}")))
     }
 
+    fn agreed_carries(&self) -> Option<Vec<Carry>> {
+        self.agreed_pos()?;
+        (0..self.slots.len())
+            .map(|rank| {
+                let slot = self.slot(rank);
+                let (_, bytes) = slot.as_ref()?;
+                let carry = open_record(bytes, None).map(|(_, carry)| carry);
+                Some(
+                    carry.unwrap_or_else(|e| panic!("rank {rank}: checkpoint record refused: {e}")),
+                )
+            })
+            .collect()
+    }
+
     fn checkpoints_committed(&self) -> u64 {
         self.commits.load(Ordering::SeqCst)
     }
@@ -270,7 +298,7 @@ impl SnapshotStore for CheckpointStore {
 
 /// Least encoded bytes of a [`StageTrace`]: the scalars, the length of its
 /// MDL series and the stop byte.
-const TRACE_BYTES: usize = 1 + 7 * 8 + 8 + 1;
+const TRACE_BYTES: usize = 1 + 8 * 8 + 8 + 1;
 
 fn corrupt(context: &'static str) -> WireDecodeError {
     WireDecodeError { context }
@@ -296,6 +324,7 @@ fn encode_trace(t: &StageTrace, out: &mut Vec<u8>) {
     t.stage.encode_into(out);
     t.level.encode_into(out);
     t.codelength.encode_into(out);
+    t.exit_flow.encode_into(out);
     t.num_modules.encode_into(out);
     t.vertices_before.encode_into(out);
     t.vertices_after.encode_into(out);
@@ -310,6 +339,7 @@ fn decode_trace(buf: &mut &[u8]) -> Result<StageTrace, WireDecodeError> {
         stage: u8::decode_from(buf)?,
         level: usize::decode_from(buf)?,
         codelength: f64::decode_from(buf)?,
+        exit_flow: f64::decode_from(buf)?,
         num_modules: usize::decode_from(buf)?,
         vertices_before: usize::decode_from(buf)?,
         vertices_after: usize::decode_from(buf)?,
@@ -325,13 +355,15 @@ fn decode_trace(buf: &mut &[u8]) -> Result<StageTrace, WireDecodeError> {
     })
 }
 
-/// Everything of a [`RankSnapshot`] but its state.
-struct Carry {
-    run: RunId,
-    level: u32,
-    prev_mdl: f64,
-    assign: Vec<(u32, u32)>,
-    trace: Vec<StageTrace>,
+/// Everything of a [`RankSnapshot`] but its state: the carry section of
+/// its level record.
+#[derive(Clone, Debug)]
+pub struct Carry {
+    pub run: RunId,
+    pub level: u32,
+    pub prev_mdl: f64,
+    pub assign: Vec<(u32, u32)>,
+    pub trace: Vec<StageTrace>,
 }
 
 impl RankSnapshot {
@@ -371,6 +403,9 @@ fn decode_carry(mut buf: &[u8], h: &SnapshotHeader) -> Result<Carry, WireDecodeE
     let mdls = (trace.iter()).flat_map(|t| t.mdl_series.iter().chain([&t.codelength]));
     if !(f64::is_finite(prev_mdl) && mdls.copied().all(f64::is_finite)) {
         return Err(corrupt("snapshot codelength is not finite"));
+    }
+    if !trace.iter().all(|t| t.exit_flow.is_finite()) {
+        return Err(corrupt("snapshot exit flow is not finite"));
     }
     Ok(Carry {
         run: RunId {
@@ -458,8 +493,9 @@ fn decode_record(bytes: &[u8], seed: Option<u64>) -> Result<RankSnapshot, Snapsh
 /// between the consensus collective and its own commit leaves the world
 /// split across two levels, and [`SnapshotStore::agreed_pos`] picks the
 /// newest level every rank still holds. A generation that is missing,
-/// torn, damaged, refused or of another seed reads as absent; the other
-/// generation still stands.
+/// torn, damaged, refused, of another seed, or whose header names another
+/// rank or world size than its slot reads as absent; the other generation
+/// still stands.
 ///
 /// Durability is against process death (the files reach the page cache
 /// before `commit` returns), not against loss of the machine.
@@ -535,10 +571,15 @@ impl FileCheckpointStore {
     }
 
     /// One generation, verified, with its carry; `None` for a missing,
-    /// unreadable, torn, damaged, refused or foreign-seed record.
+    /// unreadable, torn, damaged, refused or foreign-seed record, and for
+    /// one whose header names another rank or world size than its slot:
+    /// it must not count toward [`SnapshotStore::agreed_pos`], nor run as
+    /// this slot's rank.
     fn read_slot(&self, rank: usize, gen: u8) -> Option<(Record, Carry)> {
         let bytes = std::fs::read(self.slot_path(rank, gen)).ok()?;
-        open_record(&bytes, Some(self.run_seed)).ok()
+        let (record, carry) = open_record(&bytes, Some(self.run_seed)).ok()?;
+        let h = record.header();
+        (h.rank == rank && h.nranks == self.nranks).then_some((record, carry))
     }
 
     /// The level and generation of every readable record of `rank`, newest
@@ -616,6 +657,18 @@ impl SnapshotStore for FileCheckpointStore {
         Some(snap)
     }
 
+    fn agreed_carries(&self) -> Option<Vec<Carry>> {
+        let level = self.agreed_pos()?;
+        (0..self.nranks)
+            .map(|rank| {
+                (0..2u8)
+                    .filter_map(|gen| self.read_slot(rank, gen))
+                    .map(|(_, carry)| carry)
+                    .find(|carry| carry.level == level)
+            })
+            .collect()
+    }
+
     fn checkpoints_committed(&self) -> u64 {
         self.commits.load(Ordering::SeqCst)
     }
@@ -639,6 +692,13 @@ mod tests {
     /// Rank 0's record of `level` at a 6-vertex level of a 2-rank world
     /// (vertices 0, 2 and 4 are its own); the carry depends on `level`.
     fn sample(level: u32) -> RankSnapshot {
+        sample_of(0, level)
+    }
+
+    /// Rank `rank`'s record of `level` at the 6-vertex level of
+    /// [`sample`], every vertex id XORed with `rank`: vertices `rank`,
+    /// `rank + 2` and `rank + 4` are its own.
+    fn sample_of(rank: u32, level: u32) -> RankSnapshot {
         let arcs = [
             (0, 1, 1.0),
             (0, 2, 0.5),
@@ -646,8 +706,12 @@ mod tests {
             (4, 0, 0.5),
             (4, 5, 2.0),
         ]
-        .map(|(src, dst, weight)| Arc { src, dst, weight });
-        let flows = [(0, 0.25), (2, 0.125), (4, 0.375)];
+        .map(|(src, dst, weight)| Arc {
+            src: src ^ rank,
+            dst: dst ^ rank,
+            weight,
+        });
+        let flows = [(0, 0.25), (2, 0.125), (4, 0.375)].map(|(v, f)| (v ^ rank, f));
         RankSnapshot {
             run: RunId {
                 nranks: 2,
@@ -657,12 +721,13 @@ mod tests {
                 total_weight_bits: 8f64.to_bits(),
             },
             level,
-            st: build_1d_state(0, 2, &arcs, &flows, 0.0625),
-            assign: vec![(0, 0), (7, level % 6)],
+            st: build_1d_state(rank as usize, 2, &arcs, &flows, 0.0625),
+            assign: vec![(rank, rank), (7 + rank, level % 6)],
             trace: vec![StageTrace {
                 stage: 1,
                 level: 0,
                 codelength: 5.25,
+                exit_flow: 0.375,
                 num_modules: 6,
                 vertices_before: 10,
                 vertices_after: 6,
@@ -691,6 +756,10 @@ mod tests {
         }
 
         fn restore_agreed(&self, _rank: usize) -> Option<RankSnapshot> {
+            None
+        }
+
+        fn agreed_carries(&self) -> Option<Vec<Carry>> {
             None
         }
 
@@ -747,16 +816,18 @@ mod tests {
 
     /// A trace with its MDLs taken out and kept as bits: equal iff every
     /// field is, floats bit for bit.
-    fn trace_bits(trace: &[StageTrace]) -> Vec<(StageTrace, u64, Vec<u64>)> {
+    fn trace_bits(trace: &[StageTrace]) -> Vec<(StageTrace, [u64; 2], Vec<u64>)> {
         (trace.iter())
             .map(|t| {
                 let series = t.mdl_series.iter().map(|m| m.to_bits()).collect();
                 let rest = StageTrace {
                     codelength: 0.0,
+                    exit_flow: 0.0,
                     mdl_series: Vec::new(),
                     ..t.clone()
                 };
-                (rest, t.codelength.to_bits(), series)
+                let mdl = [t.codelength, t.exit_flow].map(f64::to_bits);
+                (rest, mdl, series)
             })
             .collect()
     }
@@ -935,10 +1006,11 @@ mod tests {
             "{e}"
         );
         let dir = temp_store_dir("seed");
-        let store = FileCheckpointStore::open(&dir, 1, TEST_SEED).unwrap();
-        store.commit(0, &sample(1));
+        let store = FileCheckpointStore::open(&dir, 2, TEST_SEED).unwrap();
+        store.commit(0, &sample_of(0, 1));
+        store.commit(1, &sample_of(1, 1));
         assert_eq!(store.agreed_pos(), Some(1));
-        let other = FileCheckpointStore::open(&dir, 1, TEST_SEED + 1).unwrap();
+        let other = FileCheckpointStore::open(&dir, 2, TEST_SEED + 1).unwrap();
         assert_eq!(other.agreed_pos(), None);
         assert!(other.restore_agreed(0).is_none());
         let _ = std::fs::remove_dir_all(&dir);
@@ -957,17 +1029,26 @@ mod tests {
         let weight_at = 72 + 4 * 8 + 5 * 4;
         let flow_at = weight_at + 5 * 8;
         let mdl_at = good.len() - 8 - snap.carry().len() + 24 + 4;
+        // Then two assignments behind their length, the trace's length,
+        // and the first entry's stage, level and codelength.
+        let exit_at = mdl_at + 8 + 8 + 2 * 8 + 8 + 1 + 8 + 8;
         let dir = temp_store_dir("unpriceable");
         std::fs::create_dir_all(&dir).unwrap();
+        // The record is rank 0's of a 2-rank world: the store reads its
+        // slot as a level while it is intact.
+        std::fs::write(dir.join("rank-0.g0.ckpt"), &good).unwrap();
+        let file = FileCheckpointStore::open(&dir, 2, TEST_SEED).unwrap();
+        assert_eq!(file.positions_of(0), [(1, 0)]);
         let unpriceable = "weights the map equation cannot price";
         for (at, was, phrase) in [
             (weight_at, 1.0, unpriceable),
             (flow_at, 0.25, unpriceable),
             (mdl_at, snap.prev_mdl, "codelength is not finite"),
+            (exit_at, 0.375, "exit flow is not finite"),
         ] {
             assert_eq!(good[at..at + 8], f64::to_le_bytes(was), "the layout moved");
             // A codelength may be negative; only NaN and ∞ are refused.
-            let bads = if at == mdl_at { 2 } else { 3 };
+            let bads = if at >= mdl_at { 2 } else { 3 };
             for bad in [f64::NAN, f64::INFINITY, -1.0].into_iter().take(bads) {
                 let mut bytes = good.clone();
                 bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
@@ -975,8 +1056,8 @@ mod tests {
                 let e = RankSnapshot::decode(&bytes, TEST_SEED).unwrap_err();
                 assert!(e.to_string().contains(phrase), "{bad} at {at}: {e}");
                 std::fs::write(dir.join("rank-0.g0.ckpt"), &bytes).unwrap();
-                let file = FileCheckpointStore::open(&dir, 1, TEST_SEED).unwrap();
-                assert_eq!(file.agreed_pos(), None, "{bad} at {at}");
+                let file = FileCheckpointStore::open(&dir, 2, TEST_SEED).unwrap();
+                assert!(file.positions_of(0).is_empty(), "{bad} at {at}");
                 assert!(file.restore_agreed(0).is_none());
                 let memory = CheckpointStore::new(1);
                 *memory.slot(0) = Some((1, bytes));
@@ -1034,24 +1115,47 @@ mod tests {
     fn split_commit_falls_back_to_previous_generation() {
         let dir = temp_store_dir("split");
         let store = FileCheckpointStore::open(&dir, 2, TEST_SEED).unwrap();
-        let (older, newer) = (sample(1), sample(2));
+        let [older, newer] = [1, 2].map(|level| [0, 1].map(|rank| sample_of(rank, level)));
         // Both ranks commit level 1; only rank 0 reaches level 2 before
         // the (simulated) crash.
-        store.commit(0, &older);
-        store.commit(1, &older);
-        store.commit(0, &newer);
+        store.commit(0, &older[0]);
+        store.commit(1, &older[1]);
+        store.commit(0, &newer[0]);
         // The agreed level is the older one — the only one both hold.
         assert_eq!(store.agreed_pos(), Some(1));
-        let r0 = store.restore_agreed(0).expect("rank 0 fallback");
-        assert_eq!(r0.encode(), older.encode());
+        for (rank, older) in older.iter().enumerate() {
+            let back = store.restore_agreed(rank).expect("fallback");
+            assert_eq!(back.encode(), older.encode(), "rank {rank}");
+        }
         // The replay commits level 1 and then 2 again; the restored level
         // must outlive the first of those commits.
-        store.commit(0, &older);
+        store.commit(0, &older[0]);
         assert_eq!(store.agreed_pos(), Some(1));
-        store.commit(0, &newer);
+        store.commit(0, &newer[0]);
         assert_eq!(store.agreed_pos(), Some(1));
-        store.commit(1, &newer);
+        store.commit(1, &newer[1]);
         assert_eq!(store.agreed_pos(), Some(2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_copied_into_another_ranks_slot_is_not_restored() {
+        let dir = temp_store_dir("foreign-slot");
+        let store = FileCheckpointStore::open(&dir, 2, TEST_SEED).unwrap();
+        store.commit(0, &sample_of(0, 1));
+        store.commit(1, &sample_of(1, 1));
+        assert_eq!(store.agreed_pos(), Some(1));
+        // Rank 0's record, intact and sealed, over rank 1's only one: rank
+        // 1 holds no level, so none is agreed, and nothing runs rank 0's
+        // level as rank 1.
+        std::fs::copy(dir.join("rank-0.g0.ckpt"), dir.join("rank-1.g0.ckpt")).unwrap();
+        assert!(store.positions_of(1).is_empty());
+        assert_eq!(store.agreed_pos(), None);
+        assert!(store.restore_agreed(1).is_none());
+        assert!(store.agreed_carries().is_none());
+        // A 1-rank store reads rank 0's record of a 2-rank world as absent.
+        let one = FileCheckpointStore::open(&dir, 1, TEST_SEED).unwrap();
+        assert!(one.positions_of(0).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1059,16 +1163,18 @@ mod tests {
     fn reopened_store_resumes_and_overwrites_oldest() {
         let dir = temp_store_dir("reopen");
         {
-            let store = FileCheckpointStore::open(&dir, 1, TEST_SEED).unwrap();
-            store.commit(0, &sample(1));
-            store.commit(0, &sample(2));
+            let store = FileCheckpointStore::open(&dir, 2, TEST_SEED).unwrap();
+            for level in [1, 2] {
+                store.commit(0, &sample_of(0, level));
+                store.commit(1, &sample_of(1, level));
+            }
         }
         // A writer killed between `write` and `rename`.
         std::fs::write(dir.join("rank-0.g0.ckpt.tmp"), b"half a record").unwrap();
         // A fresh process (relaunch) opens the same directory: it must see
         // the newest level, drop the `.tmp`, and its next commit must
         // overwrite the oldest generation, preserving level 2.
-        let store = FileCheckpointStore::open(&dir, 1, TEST_SEED).unwrap();
+        let store = FileCheckpointStore::open(&dir, 2, TEST_SEED).unwrap();
         assert!(!dir.join("rank-0.g0.ckpt.tmp").exists());
         assert_eq!(store.agreed_pos(), Some(2));
         store.commit(0, &sample(3));
@@ -1080,8 +1186,10 @@ mod tests {
     #[test]
     fn torn_file_reads_as_absent() {
         let dir = temp_store_dir("torn");
-        let store = FileCheckpointStore::open(&dir, 1, TEST_SEED).unwrap();
-        store.commit(0, &sample(2));
+        let store = FileCheckpointStore::open(&dir, 2, TEST_SEED).unwrap();
+        store.commit(0, &sample_of(0, 2));
+        store.commit(1, &sample_of(1, 2));
+        assert_eq!(store.agreed_pos(), Some(2));
         // Truncate the committed file, as a crash mid-write (without the
         // atomic rename) would.
         let path = dir.join("rank-0.g0.ckpt");

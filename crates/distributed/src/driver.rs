@@ -4,7 +4,7 @@
 //! stops improving.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::sync::{Arc as Shared, Mutex};
 
 use infomap_core::{plogp, NeighborMap, THETA};
 use infomap_graph::snapshot::{SnapshotHeader, SnapshotKind};
@@ -31,6 +31,11 @@ pub struct StageTrace {
     pub level: usize,
     /// Exact global MDL after the stage.
     pub codelength: f64,
+    /// Total exit flow q of the stage's partition: the last sync's
+    /// `sum_exit`, reduced on every rank. With the vertex strengths it
+    /// prices the partition's modularity without the graph
+    /// (`infomap_metrics::modularity_from_exit`).
+    pub exit_flow: f64,
     /// Non-empty modules after the stage.
     pub num_modules: usize,
     /// Vertices of the level graph before/after merging.
@@ -98,6 +103,15 @@ impl DistributedOutput {
             .unwrap_or(0)
     }
 
+    /// Total exit flow q of `modules`: the last stage's, whose partition
+    /// the output is, or 0 for the one-module fallback (the output's
+    /// codelength is then not the last stage's).
+    pub fn exit_flow(&self) -> f64 {
+        let last = self.trace.last();
+        let produced = last.filter(|t| t.codelength.to_bits() == self.codelength.to_bits());
+        produced.map_or(0.0, |t| t.exit_flow)
+    }
+
     /// The concatenated MDL series across all stages (Figure 4's y-axis).
     pub fn mdl_series(&self) -> Vec<f64> {
         self.trace
@@ -118,6 +132,41 @@ pub(crate) struct MergeOutcome {
     pub(crate) state: LocalState,
     /// Old module id → dense new vertex id (identical on all ranks).
     dense: HashMap<u64, u32, IdBuild>,
+    /// What the assignment step reads of the level the merge consumed.
+    contracted: ContractedLevel,
+}
+
+/// All a merge keeps of the level it contracts: the vertices this rank
+/// owned, ascending, and each one's module id — what the assignment step
+/// reads. Everything else of the level is dropped before the contracted
+/// level is built.
+pub(crate) struct ContractedLevel {
+    owned: Vec<u32>,
+    modules: Vec<u32>,
+}
+
+impl ContractedLevel {
+    fn of(st: LocalState) -> Self {
+        let owned_len = st.delegates_from as usize;
+        let modules = (0..owned_len)
+            .map(|li| st.module_ids[st.module_of()[li] as usize])
+            .collect();
+        let mut owned = st.verts;
+        owned.truncate(owned_len);
+        owned.shrink_to_fit();
+        ContractedLevel { owned, modules }
+    }
+
+    /// `(vertex, module id)` of every owned vertex, ascending by vertex.
+    fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (self.owned.iter().copied()).zip(self.modules.iter().map(|&m| m as u64))
+    }
+
+    /// Module id of owned level vertex `v`.
+    fn module_of(&self, v: u32) -> Option<u64> {
+        let at = self.owned.binary_search(&v).ok()?;
+        Some(self.modules[at] as u64)
+    }
 }
 
 impl DistributedInfomap {
@@ -129,9 +178,10 @@ impl DistributedInfomap {
     /// Run the full algorithm on `graph` over the simulated cluster. The
     /// input is any [`GraphStore`] that answers every row and that the
     /// prepare world's rank threads can share (`Sync`): in practice the
-    /// in-memory CSR. A (paged) shard runs through
+    /// in-memory CSR, given by value (released once the ranks are
+    /// prepared) or by reference. A (paged) shard runs through
     /// [`RankProgram::prepare_shard`] instead, to the same bits.
-    pub fn run<G: GraphStore + Sync + ?Sized>(&self, graph: &G) -> DistributedOutput {
+    pub fn run<G: GraphStore + Sync>(&self, graph: G) -> DistributedOutput {
         // A degraded result is a failed one too: retries run out at once.
         match self.run_with_plan(graph, None) {
             Ok(out) if !out.recovery.degraded => out,
@@ -148,10 +198,12 @@ impl DistributedInfomap {
     /// the last committed checkpoint or from a fresh prepare. Because the
     /// fault state lives on the [`World`], one-shot crashes stay fired
     /// across attempts. A plan that names a rank the world does not have
-    /// is refused before anything runs.
-    pub fn run_with_plan<G: GraphStore + Sync + ?Sized>(
+    /// is refused before anything runs. The input is dropped once every
+    /// rank is prepared, unless a retry could re-prepare from it (the
+    /// plan is non-empty).
+    pub fn run_with_plan<G: GraphStore + Sync>(
         &self,
-        graph: &G,
+        graph: G,
         plan: Option<FaultPlan>,
     ) -> Result<DistributedOutput, String> {
         let cfg = self.cfg;
@@ -161,13 +213,14 @@ impl DistributedInfomap {
                 "fault plan names rank {r}, but the world has {p} ranks"
             ));
         }
-        let mut program = RankProgram::prepare(cfg, graph);
+        let mut program = RankProgram::prepare(cfg, &graph);
         let (one_level, original_n) = (program.one_level, program.original_n);
         let store = CheckpointStore::new(p);
 
         // Without injected faults a failure is a bug, which a rerun meets
-        // again.
+        // again: nothing re-prepares, so the input goes now.
         let retryable = plan.as_ref().is_some_and(|pl| !pl.is_empty());
+        let graph = retryable.then_some(graph);
         let mut world = World::new(p);
         if let Some(plan) = plan {
             world = world.fault_plan(plan);
@@ -183,6 +236,7 @@ impl DistributedInfomap {
             if number > 1 && store.agreed_pos().is_none() {
                 // The failed attempt's ranks took their prepared states
                 // and no checkpoint replaces them: start from scratch.
+                let graph = graph.as_ref().expect("a retried run keeps its input");
                 program = RankProgram::prepare(cfg, graph);
             }
             let outcome = world.run_with_outcomes(|comm| program.run_rank(comm, &store));
@@ -630,12 +684,12 @@ impl RankProgram {
                 let s1 = cluster_stage(comm, &mut st, &cfg, node_term, &mut delegate_assign, "s1/");
 
                 // ---- First merge: original vertices → level-1 vertices ----
-                let merge = comm.phase("Merge", |c| distributed_merge(c, &st));
+                let merge = comm.phase("Merge", |c| distributed_merge(c, st));
 
                 // Original-vertex assignments this rank is responsible for.
                 let mut assign = Vec::new();
-                for li in 0..st.delegates_from as usize {
-                    assign.push((st.verts[li], merge.dense[&st.module_id_of(li)]));
+                for (v, module) in merge.contracted.iter() {
+                    assign.push((v, merge.dense[&module]));
                 }
                 for &d in &self.delegates {
                     if (d as usize) % p == rank {
@@ -689,7 +743,9 @@ impl RankProgram {
                 &mut BTreeMap::new(),
                 "s2/",
             );
-            let merge = comm.phase("Merge", |c| distributed_merge(c, &at.st));
+            // The merge consumes the level; `at.st` is the next one's below.
+            let level_st = std::mem::take(&mut at.st);
+            let merge = comm.phase("Merge", |c| distributed_merge(c, level_st));
             let new_vertices = merge.dense.len();
             push_trace(
                 &mut at.trace,
@@ -701,7 +757,7 @@ impl RankProgram {
             );
 
             // Re-point original assignments through this level.
-            refresh_assignments(comm, &at.st, &merge.dense, &mut at.assign);
+            refresh_assignments(comm, &merge.contracted, &merge.dense, &mut at.assign);
 
             let improved = at.prev_mdl - s2.mdl;
             at.prev_mdl = s2.mdl;
@@ -731,8 +787,9 @@ impl RankProgram {
 /// The best checkpointed clustering, for [`recover`] once no attempt
 /// completed: the original-vertex assignments the agreed level's records
 /// carry, and the codelength of the stage that produced them (or the
-/// one-module partition, when that is shorter). A record another run
-/// wrote is an error naming both.
+/// one-module partition, when that is shorter). Only the records' carries
+/// are read, and no state is built. A record another run wrote is an
+/// error naming both.
 fn degraded_output(
     store: &dyn SnapshotStore,
     p: usize,
@@ -742,14 +799,16 @@ fn degraded_output(
 ) -> Result<DistributedOutput, String> {
     let mut modules = vec![0u32; original_n];
     let (mut codelength, mut trace) = (one_level, Vec::new());
-    for r in 0..p {
-        let snap = (store.restore_agreed(r)).ok_or("a checkpoint vanished during the restore")?;
-        snap.check_same_run(p, original_n, -one_level)?;
-        for &(v, m) in &snap.assign {
+    let carries = store
+        .agreed_carries()
+        .ok_or("a checkpoint vanished during the restore")?;
+    for (r, carry) in carries.into_iter().enumerate() {
+        carry.run.check_same_run(p, original_n, -one_level)?;
+        for &(v, m) in &carry.assign {
             modules[v as usize] = m;
         }
         if r == 0 {
-            (codelength, trace) = (snap.prev_mdl, snap.trace);
+            (codelength, trace) = (carry.prev_mdl, carry.trace);
         }
     }
     if codelength > one_level {
@@ -779,6 +838,7 @@ fn push_trace(
         stage,
         level,
         codelength: s.mdl,
+        exit_flow: s.exit_flow,
         num_modules: s.num_modules as usize,
         vertices_before: before,
         vertices_after: after,
@@ -810,8 +870,12 @@ fn fold_arcs(mut arcs: Vec<MergedArc>) -> Vec<MergedArc> {
 }
 
 /// Distributed merging (paper §3.5): contract every module to a vertex of
-/// a new graph, 1D-partitioned by the dense module ids.
-pub(crate) fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcome {
+/// a new graph, 1D-partitioned by the dense module ids. The merge consumes
+/// the level: once its arcs are folded into owner buckets and its module
+/// flows staged (local work, done before the exchanges, whose order is
+/// unchanged), all of it but the [`ContractedLevel`] is dropped, and the
+/// contracted level is built in the memory the old one held.
+pub(crate) fn distributed_merge(comm: &mut Comm, st: LocalState) -> MergeOutcome {
     let p = st.nranks;
 
     // 1. Global dense relabeling of surviving modules.
@@ -821,7 +885,7 @@ pub(crate) fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcom
         .map(|(m, _)| m)
         .collect();
     let all_ids = comm.allgatherv(owned_ids);
-    let mut sorted: Vec<u64> = (*all_ids).clone();
+    let mut sorted: Vec<u64> = Shared::try_unwrap(all_ids).unwrap_or_else(|ids| (*ids).clone());
     sorted.sort_unstable();
     sorted.dedup();
     let dense: HashMap<u64, u32, IdBuild> = sorted
@@ -829,57 +893,59 @@ pub(crate) fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcom
         .enumerate()
         .map(|(i, &m)| (m, i as u32))
         .collect();
+    drop(sorted);
 
-    // 2. Fold local arcs by (new src, new dst) and route each sum to the
-    //    new source owner. One lookup per module slot the arcs touch, an
+    // 2. Fold local arcs by (new src, new dst) into the bucket of the new
+    //    source owner. One lookup per module slot the arcs touch, an
     //    array index per arc; a source module's members are walked in local
     //    order and their arcs in CSR order, so every key's weights add in
     //    arc order, from 0.0, into a neighborhood map sized by the source
     //    module's arcs (or the new ids, if fewer) — nothing
     //    arc-proportional is allocated beyond the largest module's arcs.
-    let mut slot_dense = vec![u32::MAX; st.num_module_slots()];
-    let mut dense_of_slot = |s: u32| {
-        let d = &mut slot_dense[s as usize];
-        if *d == u32::MAX {
-            *d = dense_of(&dense, st.module_gid(s));
-        }
-        *d
-    };
-    let module_of = st.module_of();
-    let mut by_src: Vec<(u32, u32)> = (st.movable())
-        .map(|li| (dense_of_slot(module_of[li as usize]), li))
-        .collect();
-    by_src.sort_unstable(); // (src, li) pairs are unique
-    let mut sums: NeighborMap<f64> = NeighborMap::new();
-    let mut dsts: Vec<(u32, f64)> = Vec::new();
     let mut arc_out: Vec<Vec<MergedArc>> = vec![Vec::new(); p];
-    let mut arcs_folded = 0u64;
-    for members in by_src.chunk_by(|a, b| a.0 == b.0) {
-        let src = members[0].0;
-        // Distinct targets: at most the module's arcs, and at most the ids.
-        let arcs: usize = members.iter().map(|&(_, li)| st.row(li).len()).sum();
-        sums.begin(arcs.min(dense.len()));
-        for &(_, li) in members {
-            for (tgt, w) in st.arcs_of(li) {
-                sums.update(dense_of_slot(module_of[tgt as usize]), |sum| *sum += w);
-                arcs_folded += 1;
+    {
+        let mut slot_dense = vec![u32::MAX; st.num_module_slots()];
+        let mut dense_of_slot = |s: u32| {
+            let d = &mut slot_dense[s as usize];
+            if *d == u32::MAX {
+                *d = dense_of(&dense, st.module_gid(s));
             }
+            *d
+        };
+        let module_of = st.module_of();
+        let mut by_src: Vec<(u32, u32)> = (st.movable())
+            .map(|li| (dense_of_slot(module_of[li as usize]), li))
+            .collect();
+        by_src.sort_unstable(); // (src, li) pairs are unique
+        let mut sums: NeighborMap<f64> = NeighborMap::new();
+        let mut dsts: Vec<(u32, f64)> = Vec::new();
+        let mut arcs_folded = 0u64;
+        for members in by_src.chunk_by(|a, b| a.0 == b.0) {
+            let src = members[0].0;
+            // Distinct targets: at most the module's arcs, and at most the ids.
+            let arcs: usize = members.iter().map(|&(_, li)| st.row(li).len()).sum();
+            sums.begin(arcs.min(dense.len()));
+            for &(_, li) in members {
+                for (tgt, w) in st.arcs_of(li) {
+                    sums.update(dense_of_slot(module_of[tgt as usize]), |sum| *sum += w);
+                    arcs_folded += 1;
+                }
+            }
+            // Ascending by (src, dst) within each bucket: the receiver's stable
+            // sort then sees every key's parts in source-rank order.
+            dsts.clear();
+            dsts.extend_from_slice(sums.touched());
+            dsts.sort_unstable_by_key(|&(dst, _)| dst); // keys are unique
+            arc_out[src as usize % p].extend(dsts.iter().map(|&(dst, weight)| MergedArc {
+                src,
+                dst,
+                weight,
+            }));
         }
-        // Ascending by (src, dst) within each bucket: the receiver's stable
-        // sort then sees every key's parts in source-rank order.
-        dsts.clear();
-        dsts.extend_from_slice(sums.touched());
-        dsts.sort_unstable_by_key(|&(dst, _)| dst); // keys are unique
-        arc_out[src as usize % p].extend(dsts.iter().map(|&(dst, weight)| MergedArc {
-            src,
-            dst,
-            weight,
-        }));
+        comm.add_work(arcs_folded);
     }
-    comm.add_work(arcs_folded);
-    let arc_in = comm.alltoallv(arc_out);
 
-    // 3. Route carried flows to the new owners.
+    // 3. Stage the carried flows for the new owners.
     let mut flow_out: Vec<Vec<MergedFlow>> = vec![Vec::new(); p];
     for (m, e) in st.owned_modules() {
         if let Some(&a) = dense.get(&m) {
@@ -892,9 +958,15 @@ pub(crate) fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcom
     for bucket in &mut flow_out {
         bucket.sort_by_key(|f| f.vertex);
     }
+
+    // 4. The old level goes, but for what the assignment step reads; then
+    //    the arcs, and after them the flows, travel to their owners.
+    let (rank, inv_two_w) = (st.rank, st.inv_two_w);
+    let contracted = ContractedLevel::of(st);
+    let arc_in = comm.alltoallv(arc_out);
     let flow_in = comm.alltoallv(flow_out);
 
-    // 4. Assemble the rank's 1D level state. A level vertex is one module,
+    // 5. Assemble the rank's 1D level state. A level vertex is one module,
     //    whose flow one owner carried.
     let arcs: Vec<Arc> = fold_arcs(arc_in.into_iter().flatten().collect())
         .into_iter()
@@ -910,8 +982,12 @@ pub(crate) fn distributed_merge(comm: &mut Comm, st: &LocalState) -> MergeOutcom
     flows.sort_by_key(|f| f.0);
     debug_assert!(flows.windows(2).all(|w| w[0].0 < w[1].0));
 
-    let state = build_1d_state(st.rank, p, &arcs, &flows, st.inv_two_w);
-    MergeOutcome { state, dense }
+    let state = build_1d_state(rank, p, &arcs, &flows, inv_two_w);
+    MergeOutcome {
+        state,
+        dense,
+        contracted,
+    }
 }
 
 fn dense_of(dense: &HashMap<u64, u32, IdBuild>, module: u64) -> u32 {
@@ -921,7 +997,8 @@ fn dense_of(dense: &HashMap<u64, u32, IdBuild>, module: u64) -> u32 {
 }
 
 /// Re-point original-vertex assignments through one merge level: each
-/// current value is a level vertex owned by `value % p`.
+/// current value is a level vertex owned by `value % p`, whose module the
+/// merge kept in `level`.
 ///
 /// One *migration* alltoallv: the `(vertex, current)` pairs travel to the
 /// owner, which rewrites and **keeps** them. Assignments thereby change
@@ -930,11 +1007,11 @@ fn dense_of(dense: &HashMap<u64, u32, IdBuild>, module: u64) -> u32 {
 /// agnostic to where a pair lives.
 fn refresh_assignments(
     comm: &mut Comm,
-    st: &LocalState,
+    level: &ContractedLevel,
     dense: &HashMap<u64, u32, IdBuild>,
     assign: &mut Vec<(u32, u32)>,
 ) {
-    let p = st.nranks;
+    let p = comm.size();
     let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
     for &(v, current) in assign.iter() {
         buckets[(current as usize) % p].push((v, current));
@@ -965,10 +1042,8 @@ fn refresh_assignments(
         }
         dec += buf.len() as u64;
         codec::for_each_pair(buf, &mut 0, |(v, current)| {
-            let li = st
-                .local_of(current)
-                .expect("an assignment names a level vertex owned here");
-            let module = st.module_id_of(li as usize);
+            let module =
+                (level.module_of(current)).expect("an assignment names a level vertex owned here");
             assign.push((v, dense_of(dense, module)));
         })
         .unwrap_or_else(|e| panic!("assignment migration: pairs from rank {src}: {e}"));
@@ -1059,7 +1134,7 @@ mod tests {
             }
 
             // Go one level deeper: merge, then inspect the level-1 state.
-            let merge = distributed_merge(comm, &st);
+            let merge = distributed_merge(comm, st);
             let st1 = merge.state;
             // Global symmetry check of level-1 arcs.
             let my_arcs: Vec<(u32, u32)> = (0..st1.verts.len() as u32)
@@ -1162,7 +1237,7 @@ mod tests {
                         program.delegates.iter().map(|&d| (d, d as u64)).collect();
                     let node_term = program.node_term;
                     cluster_stage(comm, &mut st, &cfg, node_term, &mut delegate_assign, "s1/");
-                    let merge = distributed_merge(comm, &st);
+                    let merge = distributed_merge(comm, st);
                     assert!(
                         merge.dense.len() < g.num_vertices(),
                         "stage 1 merged nothing"
@@ -1220,7 +1295,7 @@ mod tests {
                 }
                 let mut bufs = crate::rounds::RoundBuffers::new(p);
                 crate::rounds::sync_modules(comm, &mut st, node_term, true, &mut bufs);
-                let merge = distributed_merge(comm, &st);
+                let merge = distributed_merge(comm, st);
                 assert_eq!(merge.dense.len(), 12);
                 let l1 = merge.state;
                 let multi = (0..l1.verts.len() as u32).any(|li| l1.arcs_of(li).count() > 1);
@@ -1323,6 +1398,56 @@ mod tests {
         let plan = FaultPlan::parse("straggler=3x2;drop=0@*->3").unwrap();
         let out = dist.run_with_plan(&g, Some(plan)).unwrap();
         assert_eq!(out.recovery.attempts, 1);
+    }
+
+    #[test]
+    fn the_output_exit_flow_prices_its_modularity() {
+        use crate::state::tests::construction_graphs;
+        use infomap_metrics::{modularity, modularity_from_exit, StrengthProfile};
+        // Weighted, self-loops on every third vertex.
+        let looped = {
+            let (g, _) = generators::ring_of_cliques(5, 6, 0);
+            let mut edges: Vec<(u32, u32, f64)> = (g.edges())
+                .map(|(u, v, w)| (u, v, w * (1.0 + (u % 3) as f64 / 4.0)))
+                .collect();
+            edges.extend((0..30).step_by(3).map(|v| (v, v, 0.5 + v as f64 / 8.0)));
+            infomap_graph::Graph::from_edges(30, &edges)
+        };
+        // A complete graph has no modules: the one-module fallback, q = 0.
+        let complete = {
+            let edges: Vec<(u32, u32, f64)> = (0..12u32)
+                .flat_map(|u| (u + 1..12).map(move |v| (u, v, 1.0)))
+                .collect();
+            infomap_graph::Graph::from_edges(12, &edges)
+        };
+        let [(_, lfr), (_, uk)] = construction_graphs();
+        let mut fallbacks = 0;
+        for (name, g) in [
+            ("lfr", lfr),
+            ("uk2007", uk),
+            ("looped", looped),
+            ("k12", complete),
+        ] {
+            for p in 1..=4 {
+                let out = DistributedInfomap::new(DistributedConfig {
+                    nranks: p,
+                    ..Default::default()
+                })
+                .run(&g);
+                let direct = modularity(&g, &out.modules);
+                let from_exit =
+                    modularity_from_exit(&StrengthProfile::of(&g), &out.modules, out.exit_flow());
+                assert!(
+                    (direct - from_exit).abs() <= 1e-12,
+                    "{name} p={p}: {direct} by the edges, {from_exit} by the exit flow"
+                );
+                if out.codelength == out.one_level_codelength {
+                    assert_eq!(out.exit_flow(), 0.0, "{name} p={p}");
+                    fallbacks += 1;
+                }
+            }
+        }
+        assert!(fallbacks > 0, "no run fell back to one module");
     }
 
     #[test]

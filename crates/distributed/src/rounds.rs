@@ -97,6 +97,8 @@ pub struct StageOutcome {
     pub mdl: f64,
     /// Exact global MDL after every sync (index 0 = singleton/initial).
     pub mdl_series: Vec<f64>,
+    /// Total exit flow q after the stage: the last sync's `sum_exit`.
+    pub exit_flow: f64,
     /// Number of non-empty modules after the stage.
     pub num_modules: u64,
     /// Why the round loop ended.
@@ -1405,6 +1407,7 @@ pub fn cluster_stage(
         total_moves,
         mdl,
         mdl_series,
+        exit_flow: st.sum_exit,
         num_modules: nmod,
         stop,
     }
@@ -2145,7 +2148,7 @@ mod tests {
                         };
                         drive_stage(comm, &mut st, &cfg, assign, check);
                         if stage == 0 {
-                            st = crate::driver::distributed_merge(comm, &st).state;
+                            st = crate::driver::distributed_merge(comm, st).state;
                         }
                     }
                     seen
@@ -2173,17 +2176,43 @@ mod tests {
         // array unused. The round scratch does not grow with the slots at
         // all: a kernel map is sized by the largest arc span it scanned.
         let fits = |cap: usize, slots: usize| cap <= slots + slots / SLOT_HEADROOM + 8;
+        let slot_capacities = |st: &LocalState| {
+            [
+                st.module_ids.capacity(),
+                st.mod_flow.capacity(),
+                st.mod_exit.capacity(),
+                st.mod_members.capacity(),
+                st.last_contrib.capacity(),
+                st.last_contrib_active.capacity(),
+                st.slot_dirty.capacity(),
+            ]
+        };
         for (name, g) in construction_graphs() {
             let p = 4;
-            let (states, delegates, node_term) = stage1_world(&g, p);
             for threads in [1, 2] {
                 let cfg = DistributedConfig {
                     threads,
                     ..stage_config(p, 5)
                 };
+                // Moved into the ranks, not cloned: a clone's capacities
+                // are its lengths.
+                let (states, delegates, node_term) = stage1_world(&g, p);
+                let states: Vec<std::sync::Mutex<Option<LocalState>>> = states
+                    .into_iter()
+                    .map(|st| std::sync::Mutex::new(Some(st)))
+                    .collect();
                 let report = World::new(p).run(|comm| {
-                    let mut st = states[comm.rank()].clone();
+                    let mut st = states[comm.rank()].lock().unwrap().take().unwrap();
                     let start = st.num_module_slots();
+                    // Straight from `assemble`: `push_slot`'s headroom.
+                    for cap in slot_capacities(&st) {
+                        assert!(
+                            cap >= start + start / SLOT_HEADROOM
+                                && cap <= start + start / SLOT_HEADROOM + 1,
+                            "{name} rank {}: {cap} for {start} slots at the stage start",
+                            st.rank
+                        );
+                    }
                     let mut delegate_assign: BTreeMap<u32, u64> =
                         delegates.iter().map(|&d| (d, d as u64)).collect();
                     let sync = |comm: &mut Comm,
@@ -2195,16 +2224,7 @@ mod tests {
                     };
                     let (_, bufs) = drive_stage(comm, &mut st, &cfg, &mut delegate_assign, sync);
                     let slots = st.num_module_slots();
-                    let arrays = [
-                        st.module_ids.capacity(),
-                        st.mod_flow.capacity(),
-                        st.mod_exit.capacity(),
-                        st.mod_members.capacity(),
-                        st.last_contrib.capacity(),
-                        st.last_contrib_active.capacity(),
-                        st.slot_dirty.capacity(),
-                    ];
-                    for cap in arrays {
+                    for cap in slot_capacities(&st) {
                         assert!(
                             fits(cap, slots),
                             "{name} t={threads} rank {}: {cap} for {slots} slots",

@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::mem;
 
-use infomap_core::push_slot;
+use infomap_core::{push_slot, slot_capacity};
 use infomap_graph::GraphStore;
 use infomap_mpisim::World;
 use infomap_partition::{owner, Arc, Partition};
@@ -121,7 +121,7 @@ pub(crate) fn module_u32(gid: u64) -> u32 {
 /// (`node_flow`, `out_flow`, `swept_at`) cover the movable vertices
 /// `..ghosts_from` only. Module ids are `u32` inside a rank and `u64` only
 /// on the wire ([`LocalState::module_gid`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LocalState {
     pub rank: usize,
     pub nranks: usize,
@@ -504,6 +504,17 @@ fn source_slots<'a>(
     })
 }
 
+/// One of the seven slot-indexed arrays of `n` slots: `head`, then `fill`
+/// up to `n`, at [`push_slot`]'s capacity ([`slot_capacity`]), so a stage
+/// that interns under an eighth more modules never reallocates it and
+/// leaves no old copy behind.
+fn slot_array<T: Clone>(head: &[T], n: usize, fill: T) -> Vec<T> {
+    let mut v = Vec::with_capacity(slot_capacity(n));
+    v.extend_from_slice(head);
+    v.resize(n, fill);
+    v
+}
+
 /// Assemble a [`LocalState`] from the arcs a rank was assigned.
 ///
 /// * `delegates` — the vertices replicated everywhere, ascending (empty in
@@ -562,7 +573,7 @@ pub fn assemble(
     // slot == local index, so while the state is built the module id →
     // slot table is also the global → local index. The degrees and the
     // CSR fill below translate every endpoint through it as they read it.
-    let module_ids = verts.clone();
+    let module_ids = slot_array(&verts, n, 0);
     let module_slot: HashMap<u32, u32, IdBuild> = module_ids
         .iter()
         .enumerate()
@@ -620,13 +631,6 @@ pub fn assemble(
     // The singletons' stats are local approximations; the first owner
     // reduction replaces them with exact values before any move decision
     // is made. A ghost's slot starts at zero.
-    let slot_stats = |movable: &[f64]| {
-        let mut stats = Vec::with_capacity(n);
-        stats.extend_from_slice(movable);
-        stats.resize(n, 0.0);
-        stats
-    };
-
     // One owner-table entry per `id / p`, up to the largest module id this
     // rank owns: an owned vertex's or a delegate's.
     let owner_len = (verts[..delegates_from].iter().chain(delegates))
@@ -644,25 +648,25 @@ pub fn assemble(
         adj_off,
         adj_tgt,
         adj_w,
-        mod_flow: slot_stats(&node_flow),
-        mod_exit: slot_stats(&out_flow),
+        mod_flow: slot_array(&node_flow, n, 0.0),
+        mod_exit: slot_array(&out_flow, n, 0.0),
         node_flow,
         out_flow,
         module_of: (0..n as u32).collect(),
         module_ids,
         module_slot,
-        mod_members: vec![1u32; n],
+        mod_members: slot_array(&[], n, 1u32),
         owner: vec![OwnedModule::default(); owner_len],
         sum_exit: 0.0, // refreshed by the first sync round
         subscribers: Subscribers::default(),
         providers,
         send_targets: Vec::new(),
         inv_two_w,
-        last_contrib: vec![(0.0, 0.0, 0); n],
-        last_contrib_active: vec![false; n],
+        last_contrib: slot_array(&[], n, (0.0, 0.0, 0)),
+        last_contrib_active: slot_array(&[], n, false),
         // Nothing has been reduced yet: every slot's contribution is new.
         dirty_slots: (0..n as u32).collect(),
-        slot_dirty: vec![true; n],
+        slot_dirty: slot_array(&[], n, true),
         delegate_left: BTreeMap::new(),
         moved_at: vec![0; n],
         swept_at: vec![0; ghosts_from],
@@ -1085,8 +1089,10 @@ pub(crate) mod tests {
                     // mark; a subscribed one 12: local index, offset, last
                     // announcement, and 4 per subscribing rank. 12 B per
                     // arc. Per module slot (one per local vertex at a stage
-                    // start) 54 B of arrays, and the id → slot table at
-                    // most half full. An owner-table entry 56 B, a source
+                    // start) 54 B of arrays, 7 more for the eighth of
+                    // headroom the seven slot arrays (50 B) start with, and
+                    // the id → slot table at most half full. An
+                    // owner-table entry 56 B, a source
                     // record 24 B with room for at most twice the records.
                     let budget = [
                         16 * n
@@ -1095,7 +1101,7 @@ pub(crate) mod tests {
                             + 4 * subs.ranks.len()
                             + 8 * ranks,
                         12 * st.num_arcs(),
-                        74 * st.num_module_slots(),
+                        81 * st.num_module_slots(),
                         56 * st.owner.len(),
                         48 * sources,
                     ];

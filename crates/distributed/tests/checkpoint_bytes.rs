@@ -5,6 +5,7 @@
 
 use std::sync::Mutex;
 
+use infomap_distributed::checkpoint::Carry;
 use infomap_distributed::{
     DistributedConfig, FileCheckpointStore, RankProgram, RankSnapshot, RecoveryConfig,
     SnapshotStore,
@@ -32,6 +33,10 @@ impl SnapshotStore for Metered {
 
     fn restore_agreed(&self, rank: usize) -> Option<RankSnapshot> {
         self.stores[rank].restore_agreed(rank)
+    }
+
+    fn agreed_carries(&self) -> Option<Vec<Carry>> {
+        self.stores[0].agreed_carries()
     }
 
     fn checkpoints_committed(&self) -> u64 {

@@ -154,6 +154,50 @@ pub fn modularity(graph: &Graph, modules: &[u32]) -> f64 {
     intra / two_w - expected
 }
 
+/// What [`modularity_from_exit`] needs of a graph once the graph itself is
+/// gone: every vertex's strength (n × 8 B), the total weight `W` and the
+/// total self-loop weight `L` (each loop once, as `W` counts it).
+#[derive(Clone, Debug, PartialEq)]
+pub struct StrengthProfile {
+    pub strengths: Vec<f64>,
+    pub total_weight: f64,
+    pub self_loops: f64,
+}
+
+impl StrengthProfile {
+    pub fn of(graph: &Graph) -> Self {
+        let n = graph.num_vertices() as u32;
+        StrengthProfile {
+            strengths: (0..n).map(|u| graph.strength(u)).collect(),
+            total_weight: graph.total_weight(),
+            self_loops: (0..n).map(|u| graph.self_loop(u)).sum(),
+        }
+    }
+}
+
+/// Newman modularity of `modules` from the partition's total exit flow
+/// `exit_flow` (the map equation's q, in flow units `w / 2W`) instead of
+/// the edges: `Q = 1 − q − Σ_c p_c² − L/2W`, with `p_c` the module's
+/// strength over `2W`. Exact for any undirected weighted graph, self-loops
+/// included: the edges inside modules are all of `2W` but the cut (`q`)
+/// and the second copy of every loop that `strength` counts (`L`). Equal
+/// to [`modularity`] up to rounding, and the same per-cluster cut and
+/// volume sums Hamann et al. price both objectives from.
+pub fn modularity_from_exit(profile: &StrengthProfile, modules: &[u32], exit_flow: f64) -> f64 {
+    assert_eq!(modules.len(), profile.strengths.len());
+    let two_w = 2.0 * profile.total_weight;
+    if two_w == 0.0 {
+        return 0.0;
+    }
+    let k = modules.iter().map(|&m| m as usize + 1).max().unwrap_or(0);
+    let mut volume = vec![0.0; k];
+    for (&m, &s) in modules.iter().zip(&profile.strengths) {
+        volume[m as usize] += s;
+    }
+    let expected: f64 = volume.iter().map(|&s| (s / two_w) * (s / two_w)).sum();
+    1.0 - exit_flow - expected - profile.self_loops / two_w
+}
+
 /// Convenience bundle: all of Table 2's measures at once.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QualityReport {
@@ -174,6 +218,7 @@ pub fn quality(reference: &[u32], detected: &[u32]) -> QualityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use infomap_graph::datasets::DatasetId;
     use infomap_graph::generators;
 
     #[test]
@@ -237,6 +282,68 @@ mod tests {
         let (g, truth) = generators::planted_partition(5, 20, 0.4, 0.02, 3);
         let random: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 5).collect();
         assert!(modularity(&g, &truth) > modularity(&g, &random) + 0.2);
+    }
+
+    /// The total exit flow of `modules`, straight off the edges: every
+    /// edge between two modules, both directions, in flow units `w / 2W`.
+    fn exit_flow(g: &Graph, modules: &[u32]) -> f64 {
+        let two_w = 2.0 * g.total_weight();
+        let cut = g
+            .edges()
+            .filter(|&(u, v, _)| modules[u as usize] != modules[v as usize]);
+        cut.map(|(_, _, w)| 2.0 * w / two_w).sum()
+    }
+
+    /// Weighted, with self-loops of its own weights: two triangles joined
+    /// by one edge, a loop on four vertices.
+    fn looped_graph() -> Graph {
+        let edges = [
+            (0, 1, 1.5),
+            (1, 2, 0.25),
+            (0, 2, 2.0),
+            (3, 4, 1.0),
+            (4, 5, 3.0),
+            (3, 5, 0.5),
+            (2, 3, 0.75),
+            (0, 0, 2.5),
+            (2, 2, 0.125),
+            (4, 4, 1.0),
+            (5, 5, 4.0),
+        ];
+        Graph::from_edges(6, &edges)
+    }
+
+    #[test]
+    fn modularity_from_the_exit_flow_is_the_edge_sum() {
+        let (lfr, lfr_truth) = generators::lfr_like(generators::LfrParams::default(), 3);
+        let (hub, hub_truth) = DatasetId::Uk2007.profile().generate_scaled(0.01, 77);
+        let looped = looped_graph();
+        let cases = [
+            ("lfr", &lfr, lfr_truth.clone()),
+            (
+                "lfr by tens",
+                &lfr,
+                (0..lfr.num_vertices() as u32).map(|v| v / 10).collect(),
+            ),
+            ("uk2007", &hub, hub_truth),
+            ("looped", &looped, vec![0, 0, 0, 1, 1, 1]),
+            ("looped singletons", &looped, (0..6).collect()),
+        ];
+        assert!(looped.self_loop(5) > 0.0);
+        for (name, g, modules) in cases {
+            let one = vec![0; g.num_vertices()];
+            for (part, modules, q) in [
+                ("", &modules, exit_flow(g, &modules)),
+                (" as one module", &one, 0.0),
+            ] {
+                let direct = modularity(g, modules);
+                let from_exit = modularity_from_exit(&StrengthProfile::of(g), modules, q);
+                assert!(
+                    (direct - from_exit).abs() <= 1e-12,
+                    "{name}{part}: {direct} by the edges, {from_exit} by the exit flow"
+                );
+            }
+        }
     }
 
     #[test]

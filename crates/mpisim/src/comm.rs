@@ -10,13 +10,22 @@
 //! in-process [`crate::World`] (ranks on threads, [`crate::MemTransport`])
 //! and a multi-process socket world give bit-identical results.
 //!
-//! Every collective frame leads with a [`Stamp`]: the sender's running
-//! hash of the collectives it has issued, compared on receipt. Ranks that
-//! disagree on the schedule fail at the first collective where they
-//! differ, with a per-rank `kind #seq at call-site` table built from the
-//! stamps. A rank whose peer returned from its SPMD closure without
-//! issuing the collective is diagnosed the same way instead of waiting
-//! forever.
+//! Every collective frame ends with a [`Stamp`]: the sender's running
+//! hash of the collectives it has issued, compared on receipt before any
+//! body is read. Ranks that disagree on the schedule fail at the first
+//! collective where they differ, with a per-rank `kind #seq at call-site`
+//! table built from the stamps. A rank whose peer returned from its SPMD
+//! closure without issuing the collective is diagnosed the same way
+//! instead of waiting forever.
+//!
+//! **One frame layout.** A collective frame is `body ‖ partial ‖ body
+//! length ‖ stamp`: the body is a bucket's items ([`WirePayload::encode_body`]),
+//! the partial a reduce contribution (an `Option` on the personalized
+//! exchange), and the length a `u64`; a collective with no bucket (the
+//! scalar reductions and the barrier) sends `partial ‖ stamp`. Everything
+//! after the body is a trailer, so a pre-encoded `Vec<u8>` bucket is framed
+//! in place and handed back, truncated to its body, as the received bucket:
+//! a collective's bytes stay in the buffer they were encoded into.
 //!
 //! Metering is computed from the *typed* payload sizes before any
 //! encoding, so the counters, and the modeled makespans priced from them,
@@ -34,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::fault::{FaultState, MessageFate};
-use crate::payload::{decode_str, encode_str, WireDecodeError, WirePayload};
+use crate::payload::{WireDecodeError, WirePayload};
 use crate::stats::RankStats;
 use crate::transport::{Transport, TransportError, TransportFault};
 
@@ -77,7 +86,7 @@ pub struct Comm {
     sched_hash: u64,
 }
 
-/// What every collective frame leads with. `history` is compared on
+/// What every collective frame ends with. `history` is compared on
 /// receipt; `kind` and the call site are read only to word the diagnostic
 /// when two ranks' histories differ.
 struct Stamp<'a> {
@@ -90,24 +99,56 @@ struct Stamp<'a> {
     column: u32,
 }
 
+/// The fixed tail of a stamp: line, column, history and the two string
+/// lengths.
+const STAMP_FIXED: usize = 4 + 4 + 8 + 8 + 8;
+
 impl<'a> Stamp<'a> {
+    /// Append the stamp as a trailer, read from the end: `kind ‖ file ‖
+    /// line ‖ column ‖ history ‖ kind length ‖ file length`.
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.history.encode_into(out);
-        encode_str(self.kind, out);
-        encode_str(self.file, out);
+        out.extend_from_slice(self.kind.as_bytes());
+        out.extend_from_slice(self.file.as_bytes());
         self.line.encode_into(out);
         self.column.encode_into(out);
+        self.history.encode_into(out);
+        (self.kind.len() as u64).encode_into(out);
+        (self.file.len() as u64).encode_into(out);
     }
 
-    fn decode_from(buf: &mut &'a [u8]) -> Result<Self, WireDecodeError> {
-        Ok(Stamp {
-            history: u64::decode_from(buf)?,
-            kind: decode_str(buf)?,
-            file: decode_str(buf)?,
-            line: u32::decode_from(buf)?,
-            column: u32::decode_from(buf)?,
-        })
+    /// The stamp `frame` ends with, and where it starts.
+    fn decode_trailer(frame: &'a [u8]) -> Result<(Self, usize), WireDecodeError> {
+        let short = WireDecodeError {
+            context: "collective stamp",
+        };
+        let fixed_at = frame.len().checked_sub(STAMP_FIXED).ok_or(short.clone())?;
+        let mut fixed = &frame[fixed_at..];
+        let (line, column, history, kind_len, file_len) =
+            <(u32, u32, u64, u64, u64)>::decode_from(&mut fixed)?;
+        let strings = kind_len.checked_add(file_len).ok_or(short.clone())?;
+        let start = (fixed_at as u64).checked_sub(strings).ok_or(short)? as usize;
+        let text = |from: usize, len: u64| {
+            std::str::from_utf8(&frame[from..from + len as usize]).map_err(|_| WireDecodeError {
+                context: "collective stamp utf8",
+            })
+        };
+        let stamp = Stamp {
+            history,
+            kind: text(start, kind_len)?,
+            file: text(start + kind_len as usize, file_len)?,
+            line,
+            column,
+        };
+        Ok((stamp, start))
     }
+}
+
+/// Where a received collective frame's parts lie: its body is
+/// `..body`, its reduce partial `body..partial_end`.
+#[derive(Clone, Copy)]
+struct FrameParts {
+    body: usize,
+    partial_end: usize,
 }
 
 impl Comm {
@@ -373,7 +414,7 @@ impl Comm {
 
     /// Everything a collective does before its frames move: the fault
     /// hook, the metering and the schedule hash. Returns the slot number
-    /// and the head of the frame.
+    /// and the encoded stamp every frame of it ends with.
     fn enter(
         &mut self,
         kind: &'static str,
@@ -388,7 +429,7 @@ impl Comm {
         let seq = self.seq;
         self.seq += 1;
         self.sched_hash = schedule_mix(self.sched_hash, kind, seq);
-        let mut head = Vec::new();
+        let mut stamp = Vec::new();
         Stamp {
             history: self.sched_hash,
             kind,
@@ -396,8 +437,8 @@ impl Comm {
             line: site.line(),
             column: site.column(),
         }
-        .encode_into(&mut head);
-        (seq, head)
+        .encode_into(&mut stamp);
+        (seq, stamp)
     }
 
     /// A collective's transport call failed. A peer that *finished* without
@@ -421,39 +462,42 @@ impl Comm {
         transport_fail(self.rank, kind, error)
     }
 
-    /// Strip the [`Stamp`]s off one collective's frames (one per rank, own
-    /// included) and return the bodies, in rank order — after checking that
-    /// every rank's schedule history is this rank's. On a mismatch the
-    /// ranks disagree on *which* collective slot `seq` is, and decoding the
-    /// bodies would at best produce an opaque error (at worst, silently
-    /// combine same-typed contributions from different call sites).
-    fn open_frames<'a>(
+    /// Unwind with a [`TransportError::FrameCorrupt`] naming `src`.
+    fn corrupt(&self, kind: &'static str, src: usize, detail: String) -> ! {
+        let error = TransportError::FrameCorrupt { peer: src, detail };
+        transport_fail(self.rank, kind, error)
+    }
+
+    /// Read the trailers of one collective's frames (one per rank, own
+    /// included) and say where each one's parts lie — after checking that
+    /// every rank's schedule history is this rank's, before any body or
+    /// partial is read. On a mismatch the ranks disagree on *which*
+    /// collective slot `seq` is, and decoding the bodies would at best
+    /// produce an opaque error (at worst, silently combine same-typed
+    /// contributions from different call sites). `with_body` says whether
+    /// the frames carry a bucket and its length.
+    fn open_frames(
         &self,
         kind: &'static str,
         seq: u64,
-        frames: &'a [Vec<u8>],
-    ) -> Vec<&'a [u8]> {
-        let mut stamps = Vec::with_capacity(frames.len());
-        let mut bodies = Vec::with_capacity(frames.len());
-        for (src, frame) in frames.iter().enumerate() {
-            let mut cursor = &frame[..];
-            match Stamp::decode_from(&mut cursor) {
-                Ok(stamp) => stamps.push(stamp),
-                Err(_) => transport_fail(
-                    self.rank,
-                    kind,
-                    TransportError::FrameCorrupt {
-                        peer: src,
-                        detail: format!("truncated collective header (seq {seq})"),
-                    },
-                ),
-            }
-            bodies.push(cursor);
-        }
-        if stamps.iter().any(|s| s.history != self.sched_hash) {
+        frames: &[Vec<u8>],
+        with_body: bool,
+    ) -> Vec<FrameParts> {
+        let stamps: Vec<(Stamp, usize)> = (frames.iter().enumerate())
+            .map(|(src, frame)| {
+                Stamp::decode_trailer(frame).unwrap_or_else(|_| {
+                    self.corrupt(
+                        kind,
+                        src,
+                        format!("truncated collective trailer (seq {seq})"),
+                    )
+                })
+            })
+            .collect();
+        if stamps.iter().any(|(s, _)| s.history != self.sched_hash) {
             let mut msg =
                 format!("collective schedule divergence: ranks disagree on collective #{seq}\n");
-            for (rank, s) in stamps.iter().enumerate() {
+            for (rank, (s, _)) in stamps.iter().enumerate() {
                 msg.push_str(&format!(
                     "  rank {rank}: {} #{seq} (history {:#018x}) at {}:{}:{}\n",
                     s.kind, s.history, s.file, s.line, s.column
@@ -461,25 +505,65 @@ impl Comm {
             }
             panic!("{msg}");
         }
-        bodies
-    }
-
-    /// Decode one rank's part of a collective frame, which must end there.
-    fn decode_body<V: WirePayload>(&self, kind: &'static str, src: usize, body: &[u8]) -> V {
-        V::decode_all(body).unwrap_or_else(|e| {
-            transport_fail(
-                self.rank,
-                kind,
-                TransportError::FrameCorrupt {
-                    peer: src,
-                    detail: format!("{kind} payload: {e}"),
+        let split = |(src, (frame, (_, at))): (usize, (&Vec<u8>, (Stamp, usize)))| {
+            if !with_body {
+                return FrameParts {
+                    body: 0,
+                    partial_end: at,
+                };
+            }
+            let mut len = frame[..at].get(at.wrapping_sub(8)..).unwrap_or_default();
+            match u64::decode_from(&mut len) {
+                Ok(body) if body <= at as u64 - 8 => FrameParts {
+                    body: body as usize,
+                    partial_end: at - 8,
                 },
-            )
-        })
+                _ => self.corrupt(kind, src, format!("bad body length (seq {seq})")),
+            }
+        };
+        frames.iter().zip(stamps).enumerate().map(split).collect()
     }
 
-    /// The symmetric collectives: allgather one encoded contribution per
-    /// rank, then fold all p of them, in rank order, on every rank.
+    /// Decode one rank's reduce partial, which must fill its part.
+    fn decode_partial<V: WirePayload>(
+        &self,
+        kind: &'static str,
+        src: usize,
+        frame: &[u8],
+        parts: FrameParts,
+    ) -> V {
+        let bytes = &frame[parts.body..parts.partial_end];
+        V::decode_all(bytes)
+            .unwrap_or_else(|e| self.corrupt(kind, src, format!("{kind} payload: {e}")))
+    }
+
+    /// One rank's bucket: its frame, cut to the body and decoded in place.
+    fn decode_bucket<T: WirePayload>(
+        &self,
+        kind: &'static str,
+        src: usize,
+        mut frame: Vec<u8>,
+        parts: FrameParts,
+    ) -> Vec<T> {
+        frame.truncate(parts.body);
+        T::decode_body(frame)
+            .unwrap_or_else(|e| self.corrupt(kind, src, format!("{kind} payload: {e}")))
+    }
+
+    /// Frame a bucket in place: append `partial`, the body's length and
+    /// the stamp to the encoded `body`.
+    fn seal(mut body: Vec<u8>, partial: &[u8], stamp: &[u8]) -> Vec<u8> {
+        let len = body.len() as u64;
+        body.reserve_exact(partial.len() + 8 + stamp.len());
+        body.extend_from_slice(partial);
+        len.encode_into(&mut body);
+        body.extend_from_slice(stamp);
+        body
+    }
+
+    /// The symmetric reductions: allgather one encoded contribution per
+    /// rank, as a frame's partial, then fold all p of them, in rank order,
+    /// on every rank.
     #[track_caller]
     fn collective<T, R, F>(
         &mut self,
@@ -496,19 +580,43 @@ impl Comm {
         // Capture the user-facing call site before anything can panic
         // (`#[track_caller]` propagates through the public collectives).
         let site = Location::caller();
-        let (seq, mut frame) = self.enter(kind, bytes, site);
-        contribution.encode_into(&mut frame);
+        let (seq, stamp) = self.enter(kind, bytes, site);
+        let mut frame = contribution.encode_to_vec();
+        frame.extend_from_slice(&stamp);
         let frames = match self.transport.exchange(seq, frame) {
             Ok(frames) => frames,
             Err(error) => self.collective_fail(kind, seq, site, error),
         };
-        let values = self
-            .open_frames(kind, seq, &frames)
-            .into_iter()
-            .enumerate()
-            .map(|(src, body)| self.decode_body(kind, src, body))
+        let parts = self.open_frames(kind, seq, &frames, false);
+        let values = (frames.iter().zip(parts).enumerate())
+            .map(|(src, (frame, at))| self.decode_partial(kind, src, frame, at))
             .collect();
         Arc::new(combine(values))
+    }
+
+    /// The gathers: allgather one bucket per rank and hand back every
+    /// rank's, in rank order.
+    #[track_caller]
+    fn gather<T: WirePayload>(
+        &mut self,
+        kind: &'static str,
+        bytes: u64,
+        local: Vec<T>,
+    ) -> Vec<Vec<T>> {
+        let site = Location::caller();
+        let (seq, stamp) = self.enter(kind, bytes, site);
+        let frame = Self::seal(T::encode_body(local), &[], &stamp);
+        let frames = match self.transport.exchange(seq, frame) {
+            Ok(frames) => frames,
+            Err(error) => self.collective_fail(kind, seq, site, error),
+        };
+        let parts = self.open_frames(kind, seq, &frames, true);
+        (frames.into_iter().zip(parts).enumerate())
+            .map(|(src, (frame, at))| {
+                let () = self.decode_partial(kind, src, &frame, at);
+                self.decode_bucket(kind, src, frame, at)
+            })
+            .collect()
     }
 
     /// Block until every rank has reached the barrier.
@@ -574,14 +682,12 @@ impl Comm {
     ) -> Arc<Vec<T>> {
         let per = size_of::<T>() as u64;
         let bytes = local.len() as u64 * per;
-        let out = self.collective("allgatherv", bytes, local, |parts| {
-            let total = parts.iter().map(Vec::len).sum();
-            let mut all = Vec::with_capacity(total);
-            for part in parts {
-                all.extend(part);
-            }
-            all
-        });
+        let parts = self.gather("allgatherv", bytes, local);
+        let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for part in parts {
+            out.extend(part);
+        }
+        let out = Arc::new(out);
         let recv = (out.len() as u64 * per).saturating_sub(bytes);
         self.charge(|s| s.collective_bytes_recv += recv);
         out
@@ -597,7 +703,7 @@ impl Comm {
         let per = size_of::<T>() as u64;
         let bytes = local.len() as u64 * per;
         let me = self.rank;
-        let out = self.collective("allgather_parts", bytes, local, |parts| parts);
+        let out = Arc::new(self.gather("allgather_parts", bytes, local));
         let recv: u64 = out
             .iter()
             .enumerate()
@@ -675,27 +781,23 @@ impl Comm {
             "alltoallv needs one bucket per rank"
         );
         let site = Location::caller();
-        let (seq, head) = self.enter(kind, bytes, site);
-        let frames: Vec<Vec<u8>> = outgoing
-            .iter()
-            .map(|bucket| {
-                let body = std::mem::size_of_val(&bucket[..]) + size_of::<U>() + 16;
-                let mut frame = Vec::with_capacity(head.len() + body);
-                frame.extend_from_slice(&head);
-                partial.encode_into(&mut frame);
-                bucket.encode_into(&mut frame);
-                frame
-            })
+        let (seq, stamp) = self.enter(kind, bytes, site);
+        let partial = partial.encode_to_vec();
+        let frames: Vec<Vec<u8>> = (outgoing.into_iter())
+            .map(|bucket| Self::seal(T::encode_body(bucket), &partial, &stamp))
             .collect();
         let frames = match self.transport.alltoallv(seq, frames) {
             Ok(frames) => frames,
             Err(error) => self.collective_fail(kind, seq, site, error),
         };
-        let (partials, incoming): (Vec<Option<U>>, Vec<Vec<T>>) = self
-            .open_frames(kind, seq, &frames)
-            .into_iter()
+        let parts = self.open_frames(kind, seq, &frames, true);
+        let (partials, incoming): (Vec<Option<U>>, Vec<Vec<T>>) = (frames.into_iter())
+            .zip(parts)
             .enumerate()
-            .map(|(src, body)| self.decode_body(kind, src, body))
+            .map(|(src, (frame, at))| {
+                let partial = self.decode_partial(kind, src, &frame, at);
+                (partial, self.decode_bucket(kind, src, frame, at))
+            })
             .unzip();
         let me = self.rank;
         let recv = bucket_bytes(&incoming) - bucket_bytes(&incoming[me..=me]);
@@ -744,6 +846,137 @@ impl Drop for Comm {
         // teardown, panics) — then the message is simply lost.
         for (_, dest, tag, frame) in self.delayed.drain(..) {
             let _ = self.transport.send(dest, tag, frame);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MemTransport;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A rank-0 transport that damages every collective frame rank 1 sent.
+    struct Damaging {
+        inner: MemTransport,
+        damage: fn(&mut Vec<u8>),
+    }
+
+    impl Damaging {
+        fn hurt(&self, mut frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+            (self.damage)(&mut frames[1]);
+            frames
+        }
+    }
+
+    impl Transport for Damaging {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn send(&mut self, dest: usize, tag: u64, frame: Vec<u8>) -> Result<(), TransportError> {
+            self.inner.send(dest, tag, frame)
+        }
+        fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, TransportError> {
+            self.inner.recv(src, tag)
+        }
+        fn exchange(&mut self, seq: u64, mine: Vec<u8>) -> Result<Vec<Vec<u8>>, TransportError> {
+            self.inner.exchange(seq, mine).map(|f| self.hurt(f))
+        }
+        fn alltoallv(
+            &mut self,
+            seq: u64,
+            out: Vec<Vec<u8>>,
+        ) -> Result<Vec<Vec<u8>>, TransportError> {
+            self.inner.alltoallv(seq, out).map(|f| self.hurt(f))
+        }
+        fn describe(&self) -> String {
+            "damaging".into()
+        }
+    }
+
+    /// A collective to run, and a way to damage a frame, by name.
+    type Op = (&'static str, fn(&mut Comm));
+    type Damage = (&'static str, fn(&mut Vec<u8>));
+
+    /// Run `op` on a 2-rank world whose rank 0 receives rank 1's frames
+    /// through `damage`; rank 0's failure, if any.
+    fn rank0_failure(damage: fn(&mut Vec<u8>), op: fn(&mut Comm)) -> Option<TransportFault> {
+        let mut mesh = MemTransport::mesh(2).into_iter();
+        let zero = Damaging {
+            inner: mesh.next().unwrap(),
+            damage,
+        };
+        let one = mesh.next().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut comm = Comm::over_transport(Box::new(one));
+            let _ = catch_unwind(AssertUnwindSafe(|| op(&mut comm)));
+        });
+        let mut comm = Comm::over_transport(Box::new(zero));
+        let failed = catch_unwind(AssertUnwindSafe(|| op(&mut comm))).err();
+        drop(comm);
+        peer.join().unwrap();
+        failed.map(|payload| {
+            *payload
+                .downcast::<TransportFault>()
+                .expect("a transport fault")
+        })
+    }
+
+    #[test]
+    fn a_short_or_damaged_trailer_is_a_corrupt_frame_naming_the_peer() {
+        let ops: [Op; 3] = [
+            ("alltoallv", |c| {
+                c.alltoallv(vec![vec![1u8, 2, 3], vec![4, 5]]);
+            }),
+            ("allgatherv", |c| {
+                c.allgatherv(vec![7u64; 3]);
+            }),
+            ("allreduce_u64", |c| {
+                c.allreduce_u64(5, ReduceOp::Sum);
+            }),
+        ];
+        let damages: [Damage; 4] = [
+            ("intact", |_| {}),
+            ("cut to 20 bytes", |f| f.truncate(20)),
+            ("last byte gone", |f| {
+                f.pop();
+            }),
+            // The file length of the stamp, the last word, claims more.
+            ("stamp string past the frame", |f| {
+                let at = f.len() - 8;
+                f[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+            }),
+        ];
+        for (kind, op) in ops {
+            for (what, damage) in damages {
+                let failure = rank0_failure(damage, op);
+                if what == "intact" {
+                    assert!(failure.is_none(), "{kind}: {failure:?}");
+                    continue;
+                }
+                let failure = failure.unwrap_or_else(|| panic!("{kind} {what}: accepted"));
+                match failure.error {
+                    TransportError::FrameCorrupt { peer: 1, .. } => {}
+                    other => panic!("{kind} {what}: {other:?}"),
+                }
+            }
+        }
+        // A body length past its frame, on the collectives that carry one.
+        let long_body = |f: &mut Vec<u8>| {
+            let (_, at) = Stamp::decode_trailer(f).unwrap();
+            f[at - 8..at].copy_from_slice(&(at as u64).to_le_bytes());
+        };
+        for (kind, op) in &ops[..2] {
+            let failure = rank0_failure(long_body, *op).expect("a body past its frame");
+            assert!(
+                matches!(&failure.error, TransportError::FrameCorrupt { peer: 1, detail }
+                    if detail.contains("body length")),
+                "{kind}: {:?}",
+                failure.error
+            );
         }
     }
 }

@@ -64,6 +64,43 @@ pub trait WirePayload: Sized {
         Ok(items)
     }
 
+    /// A bucket's `items` encoded back to back, as the body of a collective
+    /// frame that grows in place. `u8` overrides this: the bucket is the
+    /// body, no copy. Items must encode to at least one byte each, or the
+    /// body could not tell how many there were.
+    fn encode_body(items: Vec<Self>) -> Vec<u8> {
+        let mut out = Vec::new();
+        Self::encode_slice(&items, &mut out);
+        assert!(
+            items.is_empty() || !out.is_empty(),
+            "a bucket of zero-byte items cannot travel"
+        );
+        out
+    }
+
+    /// [`WirePayload::encode_body`]'s inverse over a frame cut to its
+    /// body: every item up to the end. `u8` overrides this: the body is the
+    /// bucket, no copy. The first item sizes the rest, exactly for the
+    /// fixed-size items buckets are made of.
+    fn decode_body(body: Vec<u8>) -> Result<Vec<Self>, WireDecodeError> {
+        let mut cursor = &body[..];
+        let mut items = Vec::new();
+        while !cursor.is_empty() {
+            let before = cursor.len();
+            items.push(Self::decode_from(&mut cursor)?);
+            let used = before - cursor.len();
+            if used == 0 {
+                return Err(WireDecodeError {
+                    context: "zero-byte item in a body",
+                });
+            }
+            if items.len() == 1 {
+                items.reserve_exact(body.len() / used - 1);
+            }
+        }
+        Ok(items)
+    }
+
     fn encode_to_vec(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -129,6 +166,14 @@ impl WirePayload for u8 {
 
     fn decode_run(buf: &mut &[u8], len: usize) -> Result<Vec<Self>, WireDecodeError> {
         Ok(take(buf, len, "u8 run")?.to_vec())
+    }
+
+    fn encode_body(items: Vec<Self>) -> Vec<u8> {
+        items
+    }
+
+    fn decode_body(body: Vec<u8>) -> Result<Vec<Self>, WireDecodeError> {
+        Ok(body)
     }
 }
 
@@ -336,6 +381,21 @@ mod tests {
             Err(WireDecodeError { context: "u8 run" })
         );
         assert!(Vec::<u64>::decode_all(&bytes).is_err());
+    }
+
+    #[test]
+    fn bodies_roundtrip_and_bytes_are_their_own_body() {
+        let arcs = vec![(1_u32, 2_u32, 0.5_f64), (3, 4, 1.25)];
+        let body = <(u32, u32, f64)>::encode_body(arcs.clone());
+        assert_eq!(body.len(), 2 * 16);
+        assert_eq!(<(u32, u32, f64)>::decode_body(body).unwrap(), arcs);
+        let bucket: Vec<u8> = vec![9, 8, 7];
+        let at = bucket.as_ptr();
+        let body = u8::encode_body(bucket);
+        assert_eq!(body.as_ptr(), at, "a byte bucket is copied");
+        assert_eq!(u8::decode_body(body).unwrap(), [9, 8, 7]);
+        assert!(u64::decode_body(vec![1, 2, 3]).is_err());
+        assert_eq!(<()>::decode_body(vec![]).unwrap(), []);
     }
 
     #[test]
