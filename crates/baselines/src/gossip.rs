@@ -49,14 +49,7 @@ mod tests {
 
     #[test]
     fn gossip_converges_but_underperforms_full_swap() {
-        let (g, _) = generators::lfr_like(
-            generators::LfrParams {
-                n: 500,
-                mu: 0.3,
-                ..Default::default()
-            },
-            8,
-        );
+        let (g, _) = generators::lfr_like(generators::LfrParams::with(500, 0.3), 8);
         let gossip = gossip_map(&g, 4, 0);
         let full = DistributedInfomap::new(DistributedConfig {
             nranks: 4,

@@ -264,14 +264,7 @@ fn generate(
     truth_path: Option<&str>,
 ) -> Result<(), String> {
     let (g, truth): (Graph, Vec<u32>) = match what {
-        "lfr" => lfr_like(
-            LfrParams {
-                n,
-                mu,
-                ..Default::default()
-            },
-            seed,
-        ),
+        "lfr" => lfr_like(LfrParams::with(n, mu), seed),
         name => dataset_id(name)?.profile().generate_scaled(scale, seed),
     };
     println!(
@@ -324,11 +317,7 @@ fn generate_shards(
     let dir = Path::new(out_dir);
     let paths = match what {
         "lfr" => {
-            let params = LfrParams {
-                n,
-                mu,
-                ..Default::default()
-            };
+            let params = LfrParams::with(n, mu);
             let mut sink = ShardSink::create(dir, shards, params.n).map_err(|e| e.to_string())?;
             streaming_lfr_edges(params, seed, |u, v, w| sink.edge(u, v, w))
                 .map_err(|e| e.to_string())?;
@@ -402,14 +391,7 @@ mod tests {
     }
 
     fn write_test_graph(dir: &std::path::Path) -> String {
-        let (g, _) = lfr_like(
-            LfrParams {
-                n: 120,
-                mu: 0.2,
-                ..Default::default()
-            },
-            5,
-        );
+        let (g, _) = lfr_like(LfrParams::with(120, 0.2), 5);
         let path = dir.join("g.txt");
         io::write_edge_list_file(&g, &path).unwrap();
         path.to_string_lossy().into_owned()

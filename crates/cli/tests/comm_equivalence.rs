@@ -210,14 +210,7 @@ fn assert_equivalent(g: &Graph, p: usize, seed: u64) {
 
 #[test]
 fn socket_backend_is_bit_identical_to_thread_world() {
-    let (g, _) = lfr_like(
-        LfrParams {
-            n: 300,
-            mu: 0.25,
-            ..Default::default()
-        },
-        11,
-    );
+    let (g, _) = lfr_like(LfrParams::with(300, 0.25), 11);
     for p in [2usize, 4] {
         for seed in [0u64, 7] {
             assert_equivalent(&g, p, seed);
@@ -232,14 +225,7 @@ fn transport_and_thread_axes_compose_bit_identically() {
     // slice-parallel sweep cannot be telling the transports apart (and
     // vice versa). Runs under the same per-collective watchdogs as the
     // rest of this file (SocketConfig.timeout above).
-    let (g, _) = lfr_like(
-        LfrParams {
-            n: 300,
-            mu: 0.25,
-            ..Default::default()
-        },
-        11,
-    );
+    let (g, _) = lfr_like(LfrParams::with(300, 0.25), 11);
     for seed in [0u64, 7] {
         assert_equivalent_matrix(&g, 4, seed, 1, 4);
     }
@@ -250,14 +236,7 @@ fn shard_mode_over_sockets_is_bit_identical_to_thread_world() {
     // The full out-of-core path: binary shards on disk, mixed
     // whole/bounded caches, shard-mode preparation over real sockets —
     // against the in-memory thread world.
-    let (g, _) = lfr_like(
-        LfrParams {
-            n: 300,
-            mu: 0.25,
-            ..Default::default()
-        },
-        11,
-    );
+    let (g, _) = lfr_like(LfrParams::with(300, 0.25), 11);
     for seed in [0u64, 7] {
         let threaded = thread_run(&g, 4, seed, 1);
         let sharded = shard_socket_run(&g, 4, seed);
@@ -278,14 +257,7 @@ fn endpoint_matrix_is_bit_identical() {
     // at p=3 (the Bruck remainder round). Routing must be invisible: the
     // log-round relays have to hand every rank the same blobs in the same
     // slots.
-    let (g, _) = lfr_like(
-        LfrParams {
-            n: 300,
-            mu: 0.25,
-            ..Default::default()
-        },
-        11,
-    );
+    let (g, _) = lfr_like(LfrParams::with(300, 0.25), 11);
     for p in [3usize, 4] {
         let reference = thread_run(&g, p, 0, 1);
         let socketed = socket_run(&g, p, 0, 1);

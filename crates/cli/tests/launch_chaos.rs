@@ -24,14 +24,7 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 }
 
 fn write_graph(dir: &std::path::Path) -> (infomap_graph::Graph, String) {
-    let (g, _) = lfr_like(
-        LfrParams {
-            n: 300,
-            mu: 0.25,
-            ..Default::default()
-        },
-        9,
-    );
+    let (g, _) = lfr_like(LfrParams::with(300, 0.25), 9);
     let path = dir.join("g.txt");
     io::write_edge_list_file(&g, &path).unwrap();
     (g, path.to_string_lossy().into_owned())

@@ -90,14 +90,7 @@ fn result_bits(dir: &std::path::Path) -> (u64, Vec<u64>) {
 #[test]
 fn paged_shard_launch_is_bit_identical_to_thread_world() {
     let dir = tmpdir("paged");
-    let (g, _) = lfr_like(
-        LfrParams {
-            n: 300,
-            mu: 0.25,
-            ..Default::default()
-        },
-        9,
-    );
+    let (g, _) = lfr_like(LfrParams::with(300, 0.25), 9);
     let procs = 3usize;
     let seed = 5u64;
     let shard_dir = dir.join("shards");
@@ -219,14 +212,7 @@ fn read_assignments(path: &std::path::Path) -> Vec<(u64, u32)> {
 /// order, edges shuffled, comment lines in both styles. Returns its path
 /// and the graph as the reader relabels it.
 fn write_messy_edge_list(dir: &std::path::Path, n: usize, seed: u64) -> (String, io::LoadedGraph) {
-    let (g, _) = lfr_like(
-        LfrParams {
-            n,
-            mu: 0.25,
-            ..Default::default()
-        },
-        seed,
-    );
+    let (g, _) = lfr_like(LfrParams::with(n, 0.25), seed);
     // 100003 is prime, so the affine map is injective on dense ids.
     let id = |v: u32| (v as u64 * 7919 + 13) % 100_003 * 3 + 5;
     let mut edges: Vec<(u64, u64, f64)> = g.edges().map(|(u, v, w)| (id(u), id(v), w)).collect();

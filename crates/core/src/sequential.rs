@@ -314,14 +314,7 @@ mod tests {
 
     #[test]
     fn trace_codelengths_are_monotone_nonincreasing() {
-        let (g, _) = generators::lfr_like(
-            generators::LfrParams {
-                n: 600,
-                mu: 0.35,
-                ..Default::default()
-            },
-            7,
-        );
+        let (g, _) = generators::lfr_like(generators::LfrParams::with(600, 0.35), 7);
         let result = Infomap::new(InfomapConfig::default()).run(&g);
         for w in result.trace.windows(2) {
             assert!(
@@ -368,14 +361,7 @@ mod tests {
 
     #[test]
     fn merge_rate_is_large_on_community_graphs() {
-        let (g, _) = generators::lfr_like(
-            generators::LfrParams {
-                n: 1000,
-                mu: 0.2,
-                ..Default::default()
-            },
-            4,
-        );
+        let (g, _) = generators::lfr_like(generators::LfrParams::with(1000, 0.2), 4);
         let result = Infomap::new(InfomapConfig::default()).run(&g);
         let first = &result.trace[0];
         assert!(

@@ -267,10 +267,13 @@ pub fn decode_infos(buf: &[u8], pos: &mut usize) -> Vec<ModuleInfoMsg> {
     collect(|f| for_each_info(buf, pos, f))
 }
 
-/// Owner-reduction contributions: count, `retract` bitmap, zero-payload
-/// bitmap, then per record a zigzag-delta module ID and — unless the
-/// payload is exactly (+0.0, +0.0, 0), the shape of every retract and
-/// pure-subscription record — the raw doubles and varint member count.
+/// Owner-reduction contribution deltas: count, `retract` bitmap,
+/// zero-payload bitmap, exit-only bitmap, then per record a zigzag-delta
+/// module ID and its payload: none if the deltas are exactly (+0.0, +0.0,
+/// 0), the shape of a pure subscription; the raw exit double alone if only
+/// the flow delta is +0.0 and the member delta 0, the shape of a module
+/// whose members stayed and whose boundary moved; else the raw flow and
+/// exit doubles and the zigzag member delta.
 pub fn encode_contribs_with(
     buf: &mut Vec<u8>,
     n: usize,
@@ -279,18 +282,23 @@ pub fn encode_contribs_with(
     put_uvarint(buf, n as u64);
     let retract = put_bitmap(buf, n);
     let zero = put_bitmap(buf, n);
+    let exit_only = put_bitmap(buf, n);
     let mut pm = 0u64;
     for i in 0..n {
         let r = record(i);
-        let z = r.flow.to_bits() == 0 && r.exit.to_bits() == 0 && r.members == 0;
+        let stays = r.flow.to_bits() == 0 && r.members == 0;
+        let z = stays && r.exit.to_bits() == 0;
         set_bit(buf, retract, i, r.retract);
         set_bit(buf, zero, i, z);
+        set_bit(buf, exit_only, i, stays && !z);
         put_delta(buf, pm, r.mod_id);
         pm = r.mod_id;
-        if !z {
+        if !stays {
             put_f64(buf, r.flow);
             put_f64(buf, r.exit);
-            put_uvarint(buf, r.members as u64);
+            put_uvarint(buf, zigzag(r.members as i64));
+        } else if !z {
+            put_f64(buf, r.exit);
         }
     }
 }
@@ -306,16 +314,19 @@ pub fn for_each_contrib(
     pos: &mut usize,
     mut f: impl FnMut(ModuleContribution),
 ) -> Decoded {
-    let (n, retract) = get_count(buf, pos, 2, 1)?;
+    let (n, retract) = get_count(buf, pos, 3, 1)?;
     let zero = retract + n.div_ceil(8);
+    let exit_only = zero + n.div_ceil(8);
     let mut pm = 0u64;
     for i in 0..n {
         pm = get_delta(buf, pos, pm)?;
         let (flow, exit, members) = if bit(buf, zero, i) {
             (0.0, 0.0, 0)
+        } else if bit(buf, exit_only, i) {
+            (0.0, get_f64(buf, pos)?, 0)
         } else {
             let (flow, exit) = (get_f64(buf, pos)?, get_f64(buf, pos)?);
-            (flow, exit, get_uvarint(buf, pos)? as u32)
+            (flow, exit, unzigzag(get_uvarint(buf, pos)?) as i32)
         };
         f(ModuleContribution {
             mod_id: pm,
@@ -497,41 +508,6 @@ mod tests {
         assert!(buf.len() < infos.len() * 29);
         let mut pos = 0;
         assert_eq!(decode_infos(&buf, &mut pos), infos);
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn contribs_omit_retract_payloads() {
-        let recs = vec![
-            ModuleContribution {
-                mod_id: 9,
-                flow: 0.5,
-                exit: 0.1,
-                members: 3,
-                retract: false,
-            },
-            ModuleContribution {
-                mod_id: 11,
-                flow: 0.0,
-                exit: 0.0,
-                members: 0,
-                retract: true,
-            },
-            ModuleContribution {
-                mod_id: 12,
-                flow: -0.0,
-                exit: 0.0,
-                members: 0,
-                retract: false,
-            },
-        ];
-        let mut buf = Vec::new();
-        encode_contribs(&mut buf, &recs);
-        let mut pos = 0;
-        let back = decode_contribs(&buf, &mut pos);
-        assert_eq!(back, recs);
-        // The -0.0 record must keep its payload (sign bit is information).
-        assert_eq!(back[2].flow.to_bits(), (-0.0f64).to_bits());
         assert_eq!(pos, buf.len());
     }
 

@@ -1493,14 +1493,7 @@ mod tests {
 
     #[test]
     fn distributed_mdl_close_to_sequential_on_lfr() {
-        let (g, _) = generators::lfr_like(
-            generators::LfrParams {
-                n: 600,
-                mu: 0.25,
-                ..Default::default()
-            },
-            3,
-        );
+        let g = crate::state::tests::lfr_graph(600, 3);
         let seq = Infomap::new(InfomapConfig::default()).run(&g);
         let dist = DistributedInfomap::new(DistributedConfig {
             nranks: 4,

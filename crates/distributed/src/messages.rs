@@ -47,17 +47,20 @@ pub struct DelegateProposal {
     pub proposer: u32,
 }
 
-/// A rank's local contribution to (or subscription of) a module's
-/// statistics, reduced at the module's owner rank. A record with zero
-/// contributions and `retract == false` is a pure subscription; a record
-/// with `retract == true` withdraws the sender's contribution and
+/// The change of a rank's local contribution to a module's statistics
+/// since the contribution it last shipped (zero before the first), added
+/// at the module's owner rank. The owner adds exactly the operands it
+/// would subtract from a stored copy, so its totals carry the same bits.
+/// A first record subscribes the rank; a record with `retract == true`
+/// withdraws its whole contribution (the deltas are its negation) and its
 /// subscription (the rank no longer touches the module).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModuleContribution {
     pub mod_id: u64,
     pub flow: f64,
     pub exit: f64,
-    pub members: u32,
+    /// Wrapping difference of the member counts.
+    pub members: i32,
     pub retract: bool,
 }
 

@@ -35,25 +35,6 @@ pub struct ModuleEntry {
     pub members: u32,
 }
 
-/// The last absolute contribution one source rank shipped to a module's
-/// owner: 24 bytes, the rank in the tail padding of the statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SourceRecord {
-    pub flow: f64,
-    pub exit: f64,
-    pub members: u32,
-    pub rank: u32,
-}
-
-impl SourceRecord {
-    /// The contribution as the `(flow, exit, members)` triple the delta
-    /// reduction compares.
-    #[inline]
-    pub fn contribution(&self) -> (f64, f64, u32) {
-        (self.flow, self.exit, self.members)
-    }
-}
-
 /// Owner side of the module reduction: one module this rank owns
 /// (`modID mod p == rank`), at index `modID / p` of
 /// [`LocalState::owner`].
@@ -66,10 +47,11 @@ pub struct OwnedModule {
     /// Authoritative totals, refreshed by every owner reduction; consumed
     /// by merging.
     pub totals: ModuleEntry,
-    /// Last absolute contribution of every rank that touches the module,
-    /// sorted by rank. A rank is listed exactly while it has a local
-    /// vertex in the module, so this is also the module's subscriber list.
-    pub sources: Vec<SourceRecord>,
+    /// The ranks that touch the module, ascending: its subscriber list. A
+    /// rank is listed exactly while it has a local vertex in the module.
+    /// What each contributes is kept by the rank itself, which ships
+    /// changes to it ([`LocalState::last_contrib`]).
+    pub sources: Vec<u32>,
 }
 
 /// The send side of the boundary as one CSR: every owned vertex that other
@@ -186,9 +168,10 @@ pub struct LocalState {
     pub send_targets: Vec<usize>,
     /// `1 / 2W` of the original level-0 graph.
     pub inv_two_w: f64,
-    /// Contribution last shipped to each module's owner, slot-indexed
-    /// (delta-based reduction: only changed contributions travel). Entries
-    /// are live only where `last_contrib_active` is set.
+    /// Contribution last shipped to each module's owner, slot-indexed:
+    /// what the owner's totals hold for this rank. Only changes travel, as
+    /// deltas from it. Entries are live only where `last_contrib_active`
+    /// is set.
     pub last_contrib: Vec<(f64, f64, u32)>,
     /// Which `last_contrib` slots hold a shipped contribution.
     pub last_contrib_active: Vec<bool>,
@@ -812,11 +795,7 @@ pub(crate) mod tests {
             h.word(m.totals.flow.to_bits());
             h.word(m.totals.exit.to_bits());
             h.word(m.totals.members as u64);
-            h.word(m.sources.len() as u64);
-            for s in &m.sources {
-                let (flow, exit) = (s.flow.to_bits(), s.exit.to_bits());
-                h.words([s.rank as u64, flow, exit, s.members as u64].into_iter());
-            }
+            h.words(m.sources.iter().map(|&r| r as u64));
         }
         h.word(st.sum_exit.to_bits());
         let subscribers = subscriber_lists(st);
@@ -860,16 +839,15 @@ pub(crate) mod tests {
         })
     }
 
+    /// The LFR stand-in with `n` vertices and μ = 0.25 (no hubs).
+    pub(crate) fn lfr_graph(n: usize, seed: u64) -> Graph {
+        let params = generators::LfrParams::with(n, 0.25);
+        generators::lfr_like(params, seed).0
+    }
+
     /// LFR n = 600 (no hubs) and the UK-2007 stand-in (hubs → delegates).
     pub(crate) fn construction_graphs() -> [(&'static str, Graph); 2] {
-        let (lfr, _) = generators::lfr_like(
-            generators::LfrParams {
-                n: 600,
-                mu: 0.25,
-                ..Default::default()
-            },
-            3,
-        );
+        let lfr = lfr_graph(600, 3);
         let (hub, _) = DatasetId::Uk2007.profile().generate_scaled(0.02, 7);
         [("lfr600", lfr), ("uk2007", hub)]
     }
@@ -1024,7 +1002,7 @@ pub(crate) mod tests {
     /// A rank's state bytes: every `Vec` by capacity × element size, a
     /// hash table by its bucket count. Returned as the totals of what
     /// scales with the local vertices, the local arcs, the interned module
-    /// slots, the owner-table entries and the owner's source records.
+    /// slots, the owner-table entries and the owner's source ranks.
     pub(crate) fn state_bytes(st: &LocalState) -> [usize; 5] {
         fn vec<T>(v: &Vec<T>) -> usize {
             v.capacity() * mem::size_of::<T>()
@@ -1092,8 +1070,8 @@ pub(crate) mod tests {
                     // start) 54 B of arrays, 7 more for the eighth of
                     // headroom the seven slot arrays (50 B) start with, and
                     // the id → slot table at most half full. An
-                    // owner-table entry 56 B, a source
-                    // record 24 B with room for at most twice the records.
+                    // owner-table entry 56 B, a source rank 4 B with room
+                    // for at most twice the ranks.
                     let budget = [
                         16 * n
                             + 20 * movable
@@ -1103,7 +1081,7 @@ pub(crate) mod tests {
                         12 * st.num_arcs(),
                         81 * st.num_module_slots(),
                         56 * st.owner.len(),
-                        48 * sources,
+                        8 * sources,
                     ];
                     (state_bytes(&st), budget)
                 });

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use infomap_distributed::codec;
+use infomap_distributed::codec::{self, CodecError};
 use infomap_distributed::messages::{
     DelegateProposal, ModuleContribution, ModuleInfoMsg, VertexUpdate,
 };
@@ -104,26 +104,96 @@ fn infos_roundtrip_exactly() {
     roundtrips(200, 5, info_from, enc, dec, info_eq);
 }
 
+fn contrib_eq(a: &ModuleContribution, b: &ModuleContribution) -> bool {
+    a.mod_id == b.mod_id
+        && bits_eq(a.flow, b.flow)
+        && bits_eq(a.exit, b.exit)
+        && a.members == b.members
+        && a.retract == b.retract
+}
+
 #[test]
 fn contribs_roundtrip_exactly() {
-    // Mix arbitrary bit patterns with exact zeros so the
-    // zero-payload-elision bitmap path is exercised.
+    // Mix arbitrary bit patterns with exact zeros so the zero and
+    // exit-only elision paths are exercised; member deltas of either sign.
     let record = |w: &[u64]| ModuleContribution {
         mod_id: w[0],
         flow: f64::from_bits(zero_for_a_third(w[1])),
         exit: f64::from_bits(zero_for_a_third(w[2])),
-        members: zero_for_a_third(w[3]) as u32,
+        members: zero_for_a_third(w[3]) as i32,
         retract: w[4] & 1 == 1,
     };
-    let same = |a: &ModuleContribution, b: &ModuleContribution| {
-        a.mod_id == b.mod_id
-            && bits_eq(a.flow, b.flow)
-            && bits_eq(a.exit, b.exit)
-            && a.members == b.members
-            && a.retract == b.retract
-    };
     let (enc, dec) = (codec::encode_contribs, codec::decode_contribs);
-    roundtrips(200, 5, record, enc, dec, same);
+    roundtrips(200, 5, record, enc, dec, contrib_eq);
+}
+
+/// A contribution delta record of module `mod_id`.
+fn delta(mod_id: u64, flow: f64, exit: f64, members: i32, retract: bool) -> ModuleContribution {
+    ModuleContribution {
+        mod_id,
+        flow,
+        exit,
+        members,
+        retract,
+    }
+}
+
+#[test]
+fn contrib_deltas_keep_every_shape_in_its_fewest_bytes() {
+    // (record, payload bytes after its one-byte module-id delta).
+    let shapes = [
+        (delta(1, 0.0, 0.0, 0, false), 0),         // a subscription
+        (delta(2, 0.0, 0.25, 0, false), 8),        // exit only
+        (delta(3, 0.0, -0.125, 0, true), 8),       // retract, exit only
+        (delta(4, -0.5, -0.25, -3, true), 17),     // retract of 3 members
+        (delta(5, 0.5, 0.0, i32::MIN, false), 21), // zigzag 2^32 - 1
+        (delta(6, 0.0, 0.0, i32::MAX, false), 21),
+        (delta(7, 0.0, 0.0, -1, false), 17),
+        (delta(8, -0.0, 0.0, 0, false), 17), // the sign bit is a payload
+        (delta(9, 0.0, -0.0, 0, false), 8),
+        (delta(10, f64::NAN, 1e-300, 1, false), 17),
+    ];
+    let recs: Vec<ModuleContribution> = shapes.iter().map(|s| s.0).collect();
+    let mut buf = Vec::new();
+    codec::encode_contribs(&mut buf, &recs);
+    // Count byte, three one-byte bitmaps per 8 records, one id byte each.
+    let head = 1 + 3 * recs.len().div_ceil(8) + recs.len();
+    let payload: usize = shapes.iter().map(|s| s.1).sum();
+    assert_eq!(buf.len(), head + payload);
+    let mut pos = 0;
+    let back = codec::decode_contribs(&buf, &mut pos);
+    assert_eq!(pos, buf.len());
+    for (a, b) in back.iter().zip(&recs) {
+        assert!(contrib_eq(a, b), "{a:?} != {b:?}");
+    }
+    assert_eq!(back.len(), recs.len());
+}
+
+#[test]
+fn a_short_contrib_batch_or_a_cut_exit_only_record_is_refused_by_name() {
+    // Nine records need three two-byte bitmaps and nine id bytes after
+    // the count: a batch one byte short cannot hold them.
+    let recs: Vec<ModuleContribution> = (0..9).map(|m| delta(m, 0.0, 0.0, 0, false)).collect();
+    let mut buf = Vec::new();
+    codec::encode_contribs(&mut buf, &recs);
+    assert_eq!(buf.len(), 1 + 6 + 9);
+    let short = &buf[..buf.len() - 1];
+    assert_eq!(
+        codec::for_each_contrib(short, &mut 0, |_| {}),
+        Err(CodecError::CountExceedsRemaining {
+            count: 9,
+            remaining: 14
+        })
+    );
+    // An exit-only record that lost the last byte of its exit.
+    let mut buf = Vec::new();
+    codec::encode_contribs(&mut buf, &[delta(3, 0.0, 0.5, 0, false)]);
+    assert_eq!(buf.len(), 1 + 3 + 1 + 8);
+    let cut = &buf[..buf.len() - 1];
+    assert_eq!(
+        codec::for_each_contrib(cut, &mut 0, |_| {}),
+        Err(CodecError::Truncated { at: 5 })
+    );
 }
 
 #[test]

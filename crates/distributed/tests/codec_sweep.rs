@@ -320,19 +320,28 @@ fn infos_sweep() {
 
 #[test]
 fn contribs_sweep() {
+    let stays = |c: &ModuleContribution| c.flow.to_bits() == 0 && c.members == 0;
     let zero =
-        |c: &ModuleContribution| c.flow.to_bits() == 0 && c.exit.to_bits() == 0 && c.members == 0;
+        |c: &ModuleContribution| c.flow.to_bits() == 0 && c.members == 0 && c.exit.to_bits() == 0;
+    let exit_only =
+        |c: &ModuleContribution| c.flow.to_bits() == 0 && c.members == 0 && c.exit.to_bits() != 0;
     let mut rng = StdRng::seed_from_u64(0x5eed_0003);
     for batch in 0..BATCHES {
         let s = shape(batch, &mut rng);
         let recs: Vec<ModuleContribution> = (0..s.n)
             .map(|i| {
-                // Zero payloads (retracts and subscriptions), payloads one
-                // bit away from zero, and arbitrary ones.
-                let (flow, exit, members) = match (s.flag(i, 1, &mut rng), rng.gen_range(0..3)) {
+                // Zero deltas (subscriptions), exit-only deltas, deltas one
+                // bit away from either, and arbitrary ones, with member
+                // deltas of either sign up to the ends of `i32`. Retract
+                // flags are drawn apart from the deltas: a retract carries
+                // the negated contribution.
+                let members = [0, 1, -1, 300, -300, i32::MAX, i32::MIN][rng.gen_range(0..7)];
+                let (flow, exit, members) = match (s.flag(i, 1, &mut rng), rng.gen_range(0..4)) {
                     (true, _) => (0.0, 0.0, 0),
                     (false, 0) => [(-0.0, 0.0, 0), (0.0, -0.0, 0), (0.0, 0.0, 1)][i % 3],
-                    _ => (float(&mut rng), float(&mut rng), rng.gen_range(0..5)),
+                    (false, 1) => (0.0, float(&mut rng), 0),
+                    (false, 2) => [(-0.0, float(&mut rng), 0), (0.0, float(&mut rng), -1)][i % 2],
+                    _ => (float(&mut rng), float(&mut rng), members),
                 };
                 ModuleContribution {
                     mod_id: s.id(i, &mut rng),
@@ -347,13 +356,15 @@ fn contribs_sweep() {
         codec::encode_contribs(&mut slice, &recs);
         codec::encode_contribs_with(&mut fed, recs.len(), in_order(&recs));
         let mut pm = 0;
-        let refb = reference(&recs, &[|c| c.retract, zero], |buf, c| {
+        let refb = reference(&recs, &[|c| c.retract, zero, exit_only], |buf, c| {
             put_delta(buf, pm, c.mod_id);
             pm = c.mod_id;
-            if !zero(c) {
+            if !stays(c) {
                 codec::put_f64(buf, c.flow);
                 codec::put_f64(buf, c.exit);
-                codec::put_uvarint(buf, c.members as u64);
+                codec::put_uvarint(buf, codec::zigzag(c.members as i64));
+            } else if exit_only(c) {
+                codec::put_f64(buf, c.exit);
             }
         });
         let mut back = 0;

@@ -20,14 +20,7 @@ fn every_stage_converges_before_the_cap_near_the_sequential_codelength() {
         ..Default::default()
     };
     for graph_seed in 1..=5 {
-        let (g, _) = lfr_like(
-            LfrParams {
-                n: 3000,
-                mu: 0.3,
-                ..Default::default()
-            },
-            graph_seed,
-        );
+        let (g, _) = lfr_like(LfrParams::with(3000, 0.3), graph_seed);
         let seq = Infomap::new(InfomapConfig::default()).run(&g);
         let dist = DistributedInfomap::new(cfg).run(&g);
         assert!(

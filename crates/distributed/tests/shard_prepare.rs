@@ -40,14 +40,7 @@ fn test_graph() -> infomap_graph::Graph {
 /// No hubs (LFR n = 600) and hubs that become delegates (the UK-2007
 /// stand-in): the graphs the construction tests in `state.rs` use.
 fn construction_graphs() -> [(&'static str, infomap_graph::Graph); 2] {
-    let (lfr, _) = generators::lfr_like(
-        generators::LfrParams {
-            n: 600,
-            mu: 0.25,
-            ..Default::default()
-        },
-        3,
-    );
+    let (lfr, _) = generators::lfr_like(generators::LfrParams::with(600, 0.25), 3);
     let (hub, _) = DatasetId::Uk2007.profile().generate_scaled(0.02, 7);
     [("lfr600", lfr), ("uk2007", hub)]
 }

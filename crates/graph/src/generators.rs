@@ -155,6 +155,18 @@ impl Default for LfrParams {
     }
 }
 
+impl LfrParams {
+    /// `n` vertices at mixing parameter `mu`, every other parameter at its
+    /// default.
+    pub fn with(n: usize, mu: f64) -> Self {
+        LfrParams {
+            n,
+            mu,
+            ..Default::default()
+        }
+    }
+}
+
 /// LFR-like community benchmark: power-law degrees, power-law community
 /// sizes, mixing parameter μ. Returns the graph and planted community ids.
 ///
@@ -505,14 +517,7 @@ mod tests {
 
     #[test]
     fn lfr_like_mixing_close_to_mu() {
-        let (g, truth) = lfr_like(
-            LfrParams {
-                n: 3000,
-                mu: 0.25,
-                ..Default::default()
-            },
-            9,
-        );
+        let (g, truth) = lfr_like(LfrParams::with(3000, 0.25), 9);
         let mut cut = 0usize;
         let mut total = 0usize;
         for (u, v, _) in g.edges() {

@@ -172,11 +172,7 @@ fn power_law_degrees_in_bounds() {
 fn lfr_truth_covers_all_vertices() {
     for (case, mut rng) in cases() {
         let (n, mu) = (rng.gen_range(100..400), rng.gen_range(0.05..0.5));
-        let params = LfrParams {
-            n,
-            mu,
-            ..Default::default()
-        };
+        let params = LfrParams::with(n, mu);
         let (g, truth) = generators::lfr_like(params, 3);
         assert_eq!(truth.len(), g.num_vertices(), "case {case}");
         // Community ids are dense from 0.

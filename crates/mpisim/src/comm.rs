@@ -25,7 +25,9 @@
 //! scalar reductions and the barrier) sends `partial ‖ stamp`. Everything
 //! after the body is a trailer, so a pre-encoded `Vec<u8>` bucket is framed
 //! in place and handed back, truncated to its body, as the received bucket:
-//! a collective's bytes stay in the buffer they were encoded into.
+//! a collective's bytes stay in the buffer they were encoded into. A
+//! point-to-point frame is framed the same way: `body ‖ metered bytes ‖
+//! item count`, with no stamp.
 //!
 //! Metering is computed from the *typed* payload sizes before any
 //! encoding, so the counters, and the modeled makespans priced from them,
@@ -141,6 +143,20 @@ impl<'a> Stamp<'a> {
         };
         Ok((stamp, start))
     }
+}
+
+/// A point-to-point frame's trailer: the metered size and the item count.
+const P2P_TRAILER: usize = 16;
+
+/// Split a point-to-point frame: its metered size, and its body, cut off
+/// in place and decoded, which must hold exactly the counted items.
+fn open_p2p<T: WirePayload>(mut frame: Vec<u8>) -> Option<(u64, Vec<T>)> {
+    let body = frame.len().checked_sub(P2P_TRAILER)?;
+    let mut trailer = &frame[body..];
+    let (bytes, count) = <(u64, u64)>::decode_from(&mut trailer).ok()?;
+    frame.truncate(body);
+    let payload = T::decode_body(frame).ok()?;
+    (payload.len() as u64 == count).then_some((bytes, payload))
 }
 
 /// Where a received collective frame's parts lie: its body is
@@ -339,12 +355,14 @@ impl Comm {
             s.p2p_msgs_sent += 1;
         };
         self.charge(sent);
-        // Frame layout: metered size (so the receiver charges the
-        // identical amount), then the payload as a `Vec<T>` encodes.
-        let mut frame = Vec::with_capacity(16 + bytes as usize);
+        // Frame layout: the payload's body in place, then the metered size
+        // (so the receiver charges the identical amount) and the item
+        // count as a trailer.
+        let count = payload.len() as u64;
+        let mut frame = T::encode_body(payload);
+        frame.reserve_exact(P2P_TRAILER);
         bytes.encode_into(&mut frame);
-        (payload.len() as u64).encode_into(&mut frame);
-        T::encode_slice(&payload, &mut frame);
+        count.encode_into(&mut frame);
         let (fate, now) = match &self.fault {
             Some(f) => (f.message_fate(self.rank, dest), f.current_event(self.rank)),
             None => (MessageFate::Deliver, 0),
@@ -391,17 +409,11 @@ impl Comm {
             }
             Err(error) => transport_fail(me, "recv", error),
         };
-        let mut cursor = &frame[..];
-        let decoded = u64::decode_from(&mut cursor)
-            .and_then(|bytes| Ok((bytes, Vec::<T>::decode_all(cursor)?)));
-        let Ok((bytes, payload)) = decoded else {
-            transport_fail(
-                me,
+        let Some((bytes, payload)) = open_p2p::<T>(frame) else {
+            self.corrupt(
                 "recv",
-                TransportError::FrameCorrupt {
-                    peer: src,
-                    detail: format!("undecodable p2p payload (tag {tag:#x})"),
-                },
+                src,
+                format!("undecodable p2p payload (tag {tag:#x})"),
             )
         };
         self.charge(|s| s.p2p_bytes_recv += bytes);
@@ -880,7 +892,11 @@ mod tests {
             self.inner.send(dest, tag, frame)
         }
         fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, TransportError> {
-            self.inner.recv(src, tag)
+            let mut frame = self.inner.recv(src, tag)?;
+            if src == 1 {
+                (self.damage)(&mut frame);
+            }
+            Ok(frame)
         }
         fn exchange(&mut self, seq: u64, mine: Vec<u8>) -> Result<Vec<Vec<u8>>, TransportError> {
             self.inner.exchange(seq, mine).map(|f| self.hurt(f))
@@ -897,12 +913,13 @@ mod tests {
         }
     }
 
-    /// A collective to run, and a way to damage a frame, by name.
+    /// An operation to run, and a way to damage a frame, by name.
     type Op = (&'static str, fn(&mut Comm));
     type Damage = (&'static str, fn(&mut Vec<u8>));
 
-    /// Run `op` on a 2-rank world whose rank 0 receives rank 1's frames
-    /// through `damage`; rank 0's failure, if any.
+    /// Run `op` on a 2-rank world whose rank 0 receives rank 1's frames,
+    /// collective and point-to-point, through `damage`; rank 0's failure,
+    /// if any.
     fn rank0_failure(damage: fn(&mut Vec<u8>), op: fn(&mut Comm)) -> Option<TransportFault> {
         let mut mesh = MemTransport::mesh(2).into_iter();
         let zero = Damaging {
@@ -927,7 +944,7 @@ mod tests {
 
     #[test]
     fn a_short_or_damaged_trailer_is_a_corrupt_frame_naming_the_peer() {
-        let ops: [Op; 3] = [
+        let ops: [Op; 5] = [
             ("alltoallv", |c| {
                 c.alltoallv(vec![vec![1u8, 2, 3], vec![4, 5]]);
             }),
@@ -936,6 +953,18 @@ mod tests {
             }),
             ("allreduce_u64", |c| {
                 c.allreduce_u64(5, ReduceOp::Sum);
+            }),
+            // Point-to-point frames end in a trailer too: a metered size
+            // and an item count the body must hold.
+            ("p2p bytes", |c| {
+                let peer = 1 - c.rank();
+                c.send(peer, 3, vec![7u8; 40]);
+                assert_eq!(c.recv::<u8>(peer, 3), vec![7u8; 40]);
+            }),
+            ("p2p words", |c| {
+                let peer = 1 - c.rank();
+                c.send(peer, 4, vec![9u64; 5]);
+                assert_eq!(c.recv::<u64>(peer, 4), vec![9u64; 5]);
             }),
         ];
         let damages: [Damage; 4] = [
