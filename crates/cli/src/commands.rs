@@ -165,7 +165,11 @@ fn cluster(o: &ClusterOpts) -> Result<String, String> {
 }
 
 /// This process's peak resident set, KiB: `VmHWM` of `/proc/self/status`,
-/// `None` where there is no `/proc`.
+/// `None` where there is no `/proc`. The kernel updates that high-water
+/// mark lazily, not at every page fault, so it can read a few hundred KiB
+/// below the highest `VmRSS` the process reached; the `memory:` and `peak
+/// memory:` lines print it as it is, and a gate on them keeps ≥ 4 %
+/// headroom.
 pub(crate) fn peak_rss_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

@@ -11,7 +11,7 @@ use infomap_graph::snapshot::{SnapshotHeader, SnapshotKind};
 use infomap_graph::{GraphStore, VertexId};
 use infomap_mpisim::{Comm, FaultPlan, RankStats, ReduceOp, Refusal, World, WorldOutcome};
 use infomap_partition::{
-    delegates_from_degrees, movable_len, owner, plan_rebalance, shard_rank_arcs, Arc,
+    delegates_from_degrees, owner, plan_rebalance, shard_rank_rows, Arc, ArcRows,
 };
 
 use crate::checkpoint::{CheckpointStore, RankSnapshot, RunId, SnapshotStore};
@@ -20,7 +20,7 @@ use crate::config::DistributedConfig;
 use crate::idhash::IdBuild;
 use crate::messages::{MergedArc, MergedFlow};
 use crate::rounds::{cluster_stage, StageOutcome, StageStop};
-use crate::state::{assemble, build_1d_state, LocalState, VertexRuns};
+use crate::state::{assemble, build_1d_state, LocalState};
 
 /// Trace entry for one clustering stage at one merge level.
 #[derive(Clone, Debug, PartialEq)]
@@ -368,14 +368,16 @@ fn in_vertex_order<T: Copy + Default>(gathered: &[T], n: usize, p: usize) -> Vec
 }
 
 /// The state half of [`RankProgram::prepare_rank`], on the calling rank's
-/// delegate-partition `arcs`; `store` is asked only about the rank's rows,
-/// and dropped once their strengths are read.
+/// delegate-partition `rows` (every delegate may have a row); `store` is
+/// asked only about the rank's rows, and dropped once their strengths are
+/// read.
 ///
-/// 4. **Ghosts** — one pass over the arc endpoints notes each vertex once:
-///    the delegates the arcs touch, and the foreign low-degree vertices
-///    (the rank's ghost run, cut by owner). The runs go to their owners
-///    with one alltoallv, and the owners group what they receive into
-///    subscriber lists.
+/// 4. **Ghosts** — one pass over the targets notes each vertex once: the
+///    delegates the arcs touch (as a target, or by a row with arcs), and
+///    the foreign low-degree vertices (the rank's ghost run, cut by
+///    owner). The delegate rows of untouched delegates go. The runs go to
+///    their owners with one alltoallv, and the owners group what they
+///    receive into subscriber lists.
 /// 5. **Flows** — allgatherv the owned strengths and fold the MDL node
 ///    term in global vertex order.
 ///
@@ -383,31 +385,24 @@ fn in_vertex_order<T: Copy + Default>(gathered: &[T], n: usize, p: usize) -> Vec
 pub(crate) fn stage1_state<G: GraphStore>(
     comm: &mut Comm,
     store: G,
-    arcs: &[Arc],
+    mut rows: ArcRows,
     delegates: &[u32],
     is_delegate: &[bool],
 ) -> (LocalState, f64) {
     let (rank, p, n) = (comm.rank(), comm.size(), store.num_vertices());
-    let owned: Vec<u32> = (rank..n)
-        .step_by(p)
-        .filter(|&v| !is_delegate[v])
-        .map(|v| v as u32)
-        .collect();
     let mut noted = vec![false; n];
-    let mut touched: Vec<u32> = Vec::new();
     let mut observed: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for v in arcs.iter().flat_map(|a| [a.src, a.dst]) {
+    for &v in &rows.tgt {
         if std::mem::replace(&mut noted[v as usize], true) {
             continue;
         }
         match (is_delegate[v as usize], owner(v, p)) {
-            (true, _) => touched.push(v),
             (false, r) if r != rank => observed[r].push(v),
             _ => {}
         }
     }
+    rows.retain_delegates(|d| noted[d as usize]);
     drop(noted);
-    touched.sort_unstable();
     for run in &mut observed {
         run.sort_unstable();
     }
@@ -430,12 +425,7 @@ pub(crate) fn stage1_state<G: GraphStore>(
     let node_term = node_term(strengths.iter().copied(), total_weight);
 
     let flow = |v: u32| strengths[v as usize] * inv_two_w;
-    let runs = VertexRuns {
-        owned,
-        delegates: touched,
-        ghosts,
-    };
-    let mut st = assemble(rank, p, arcs, delegates, runs, &flow, inv_two_w);
+    let mut st = assemble(rank, p, rows, ghosts, delegates, &flow, inv_two_w);
     st.set_subscribers(seen_by);
     (st, node_term)
 }
@@ -529,12 +519,16 @@ impl RankProgram {
     /// 1. **Delegates** — allgatherv the owned degrees, scatter them to
     ///    vertex order, and run the [`delegates_from_degrees`] rule every
     ///    rank now agrees on.
-    /// 2. **Arcs** — [`shard_rank_arcs`] builds this rank's
-    ///    delegate-partition arc list (and movable set) from owned rows.
-    /// 3. **Rebalance** — allgatherv `(load, movable)` summaries, replay
-    ///    the pure [`plan_rebalance`], ship this rank's surplus buckets
-    ///    with one alltoallv, and append the received ones in source-rank
-    ///    order.
+    /// 2. **Rows** — [`shard_rank_rows`] counts this rank's
+    ///    delegate-partition rows from owned rows, in the local order of
+    ///    its state (owned rows, then delegate rows).
+    /// 3. **Rebalance** — allgatherv `(load, movable)` summaries and
+    ///    replay the pure [`plan_rebalance`]; fill the rows with room for
+    ///    what the plan sends here, cut this rank's surplus off the tails
+    ///    of the highest delegate rows, ship it with one alltoallv, and
+    ///    append the received arcs to their delegates' rows in
+    ///    source-rank order. The rows are the CSR the state is built in:
+    ///    no arc list stands beside them.
     /// 4. **Ghosts** and 5. **flows** — the state half, [`stage1_state`].
     ///
     /// The store is asked only about this rank's rows, so a demand-paged
@@ -556,27 +550,25 @@ impl RankProgram {
             let (delegates, is_delegate) = delegates_from_degrees(&degrees, p, cfg.threshold);
             drop(degrees);
 
-            let (mut arcs, mut movable) =
-                shard_rank_arcs(&store, rank, p, &delegates, &is_delegate);
-            if cfg.rebalance {
-                let movable_len = movable_len(&movable) as u64;
-                let summaries = c.allgatherv(vec![(arcs.len() as u64, movable_len)]);
+            let shape = shard_rank_rows(&store, rank, p, &delegates, &is_delegate);
+            let plan = cfg.rebalance.then(|| {
+                let summary = (shape.arcs() as u64, shape.movable() as u64);
+                let summaries = c.allgatherv(vec![summary]);
                 let loads: Vec<usize> = summaries.iter().map(|&(l, _)| l as usize).collect();
                 let counts: Vec<usize> = summaries.iter().map(|&(_, m)| m as usize).collect();
-                let ship: Vec<Vec<(u32, u32, f64)>> = plan_rebalance(&loads, &counts, p)
-                    .ship_surplus(rank, &mut arcs, &mut movable)
-                    .into_iter()
-                    .map(|bucket| bucket.iter().map(|a| (a.src, a.dst, a.weight)).collect())
-                    .collect();
-                let received = c.alltoallv(ship);
-                arcs.reserve_exact(received.iter().map(Vec::len).sum());
-                for (src, dst, weight) in received.into_iter().flatten() {
-                    arcs.push(Arc { src, dst, weight });
-                }
+                plan_rebalance(&loads, &counts, p)
+            });
+            let room = plan
+                .as_ref()
+                .map_or(shape.arcs(), |plan| plan.room(rank, shape.arcs()));
+            let mut rows = shape.fill(&store, rank, p, &is_delegate, room);
+            if let Some(plan) = plan {
+                let received = c.alltoallv(plan.ship_surplus(rank, &mut rows));
+                rows.receive(&received);
             }
 
             let total_weight = store.total_weight();
-            let (st, node_term) = stage1_state(c, store, &arcs, &delegates, &is_delegate);
+            let (st, node_term) = stage1_state(c, store, rows, &delegates, &is_delegate);
             RankProgram {
                 cfg,
                 delegates,
@@ -1352,6 +1344,75 @@ mod tests {
         // to produce above.
         let backwards: Vec<MergedArc> = round_robin.into_iter().rev().collect();
         assert_ne!(bits(backwards), want);
+    }
+
+    #[test]
+    fn received_arcs_end_their_delegate_rows_and_target_only_delegates_have_none() {
+        // A delegate row of a prepared state is its pre-rebalance row's
+        // prefix (the arcs not shipped), then the arcs received for it in
+        // source-rank order, each source's in its pop order: its row's
+        // tail, last first. A delegate the rank's arcs touch only as a
+        // target keeps an empty row.
+        use infomap_graph::datasets::DatasetId;
+        let (g, _) = DatasetId::Uk2007.profile().generate_scaled(0.02, 7);
+        let (mut extended, mut target_only) = (0, 0);
+        for p in [2usize, 3, 4, 7] {
+            let threshold = DistributedConfig::default().threshold;
+            let pre = Partition::delegate(&g, p, threshold, false);
+            let pre_row = |r: usize, d: u32| -> Vec<(u32, u64)> {
+                (pre.arcs[r].iter().filter(|a| a.src == d))
+                    .map(|a| (a.dst, a.weight.to_bits()))
+                    .collect()
+            };
+            for rebalance in [false, true] {
+                let cfg = DistributedConfig {
+                    nranks: p,
+                    rebalance,
+                    ..Default::default()
+                };
+                let program = RankProgram::prepare(cfg, &g);
+                for r in 0..p {
+                    let st = program.prepared_state(r).expect("a prepared state");
+                    let targets: Vec<u32> = st.adj_tgt.clone();
+                    for li in st.delegates_from..st.ghosts_from {
+                        let d = st.verts[li as usize];
+                        let row: Vec<(u32, u64)> = (st.arcs_of(li))
+                            .map(|(t, w)| (st.verts[t as usize], w.to_bits()))
+                            .collect();
+                        if row.is_empty() {
+                            assert!(targets.contains(&li), "p={p} rank {r}: {d} untouched");
+                            target_only += 1;
+                            continue;
+                        }
+                        let mine = pre_row(r, d);
+                        let local = row.iter().zip(&mine).take_while(|(a, b)| a == b).count();
+                        let received = &row[local..];
+                        assert!(
+                            rebalance || local == mine.len() && received.is_empty(),
+                            "p={p} rank {r} delegate {d}: a row other than its own"
+                        );
+                        let by_source = received.chunk_by(|a, b| owner(a.0, p) == owner(b.0, p));
+                        let mut last_source = None;
+                        for part in by_source {
+                            let q = owner(part[0].0, p);
+                            assert!(last_source < Some(q), "p={p} rank {r} {d}: source order");
+                            last_source = Some(q);
+                            let theirs = pre_row(q, d);
+                            let at: Vec<usize> = (part.iter())
+                                .map(|a| theirs.iter().position(|b| b == a).expect("a row arc"))
+                                .collect();
+                            let popped = at.windows(2).all(|w| w[0] > w[1]);
+                            assert!(popped, "p={p} rank {r} {d}: pop order from {q}");
+                        }
+                        if local > 0 && received.iter().any(|a| owner(a.0, p) != r) {
+                            extended += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(extended > 0, "no rank received arcs for a row it held");
+        assert!(target_only > 0, "no delegate was touched only as a target");
     }
 
     #[test]

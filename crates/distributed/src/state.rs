@@ -8,7 +8,7 @@ use std::mem;
 use infomap_core::{push_slot, slot_capacity};
 use infomap_graph::GraphStore;
 use infomap_mpisim::World;
-use infomap_partition::{owner, Arc, Partition};
+use infomap_partition::{owner, Arc, ArcRows, Partition};
 
 use crate::driver::stage1_state;
 use crate::idhash::IdBuild;
@@ -459,34 +459,6 @@ impl LocalState {
     }
 }
 
-/// A rank's local vertices, in the three runs of [`assemble`]'s order
-/// contract, each ascending.
-pub struct VertexRuns {
-    /// The vertices this rank owns outright, disjoint from the delegates.
-    pub owned: Vec<u32>,
-    /// The delegates the arcs touch.
-    pub delegates: Vec<u32>,
-    /// Every other arc endpoint: the ghosts.
-    pub ghosts: Vec<u32>,
-}
-
-/// The slot of each arc's source, looked up once per run of equal
-/// sources (arc lists come grouped by source).
-fn source_slots<'a>(
-    arcs: &'a [Arc],
-    slot: &'a HashMap<u32, u32, IdBuild>,
-) -> impl Iterator<Item = u32> + 'a {
-    let mut last = None;
-    arcs.iter().map(move |a| match last {
-        Some((src, s)) if src == a.src => s,
-        _ => {
-            let s = slot[&a.src];
-            last = Some((a.src, s));
-            s
-        }
-    })
-}
-
 /// One of the seven slot-indexed arrays of `n` slots: `head`, then `fill`
 /// up to `n`, at [`push_slot`]'s capacity ([`slot_capacity`]), so a stage
 /// that interns under an eighth more modules never reallocates it and
@@ -498,106 +470,97 @@ fn slot_array<T: Clone>(head: &[T], n: usize, fill: T) -> Vec<T> {
     v
 }
 
-/// Assemble a [`LocalState`] from the arcs a rank was assigned.
+/// Assemble a [`LocalState`] from the rows a rank was assigned.
 ///
+/// * `rows` — the rank's arcs as rows ([`ArcRows`]): its owned vertices
+///   ascending, then the delegates the arcs touch ascending (a delegate
+///   row may be empty when the delegate is only a target here), targets
+///   global;
+/// * `ghosts` — every other target, ascending;
 /// * `delegates` — the vertices replicated everywhere, ascending (empty in
 ///   stage 2);
-/// * `runs` — the rank's vertices: `owned`, disjoint from `delegates`,
-///   then the delegates and the ghosts the arcs touch;
 /// * `full_flow(v)` — the full visit rate of an owned vertex.
-///
-/// Every arc's source is an owned vertex or a delegate (the partitions
-/// place an arc at its low-degree source's owner), so ghosts have no rows.
 ///
 /// **Order contract** (part of the trajectory: slot = local index, and the
 /// sweep, the sync and the checkpoint all walk local indices): `verts` is
-/// `owned` in its order, then the delegates the arcs touch ascending, then
-/// every other arc endpoint — the ghosts — ascending; every CSR row holds
-/// the arcs with that source in arc-list order. `providers` are the owners
-/// of the ghosts. The send side of the boundary (`subscribers`) needs the
-/// other ranks' ghost runs and is installed afterwards with
-/// [`LocalState::set_subscribers`].
+/// the row sources in row order, then the ghosts; the rows *are* the CSR,
+/// each in its order, with ghosts' rows empty and targets renumbered to
+/// local indices in place. `providers` are the owners of the ghosts. The
+/// send side of the boundary (`subscribers`) needs the other ranks' ghost
+/// runs and is installed afterwards with [`LocalState::set_subscribers`].
 pub fn assemble(
     rank: usize,
     nranks: usize,
-    arcs: &[Arc],
+    rows: ArcRows,
+    ghosts: Vec<u32>,
     delegates: &[u32],
-    runs: VertexRuns,
     full_flow: &dyn Fn(u32) -> f64,
     inv_two_w: f64,
 ) -> LocalState {
     let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
-    let VertexRuns {
-        owned,
-        delegates: touched,
-        ghosts,
-    } = runs;
+    let ArcRows {
+        src: mut verts,
+        delegates_from,
+        off: mut adj_off,
+        tgt: mut adj_tgt,
+        w: adj_w,
+    } = rows;
+    let (owned, touched) = verts.split_at(delegates_from);
     assert!(
-        [&owned, delegates, &touched, &ghosts]
+        [owned, touched, delegates, &ghosts]
             .iter()
             .all(|ids| ascending(ids)),
         "id lists ascend"
     );
-    let (delegates_from, ghosts_from) = (owned.len(), owned.len() + touched.len());
-    let mut verts = Vec::with_capacity(ghosts_from + ghosts.len());
-    for run in [owned, touched, ghosts] {
-        verts.extend(run);
-    }
+    // The row sources may keep room for delegate rows that were dropped.
+    let ghosts_from = verts.len();
+    verts.reserve_exact(ghosts.len());
+    verts.extend(ghosts);
+    verts.shrink_to_fit();
     let n = verts.len();
-    let fits = n < u32::MAX as usize && arcs.len() <= u32::MAX as usize;
     assert!(
-        fits,
-        "rank {rank}: {n} vertices, {} arcs: past u32 indices",
-        arcs.len()
+        n < u32::MAX as usize,
+        "rank {rank}: {n} vertices: past u32 indices"
     );
     let (dfrom, gfrom) = (delegates_from as u32, ghosts_from as u32);
 
     // Singleton initialization: every vertex its own module, interned at
     // slot == local index, so while the state is built the module id →
-    // slot table is also the global → local index. The degrees and the
-    // CSR fill below translate every endpoint through it as they read it.
+    // slot table is also the global → local index. The renumbering below
+    // translates every target through it.
     let module_ids = slot_array(&verts, n, 0);
     let module_slot: HashMap<u32, u32, IdBuild> = module_ids
         .iter()
         .enumerate()
         .map(|(s, &gid)| (gid, s as u32))
         .collect();
-    let mut adj_off = vec![0u32; n + 1];
-    for s in source_slots(arcs, &module_slot) {
-        adj_off[s as usize + 1] += 1;
-    }
-    for li in 0..n {
-        adj_off[li + 1] += adj_off[li];
-    }
+    // Ghosts' rows are empty.
+    adj_off.reserve_exact(n + 1 - adj_off.len());
+    adj_off.resize(n + 1, adj_tgt.len() as u32);
+    adj_off.shrink_to_fit();
 
-    // CSR fill and flows, in arc-list order. Delegate copies carry their
-    // local share: Σ w/2W over local non-self arcs + 2·w/2W for local
-    // self-arcs, so shares sum to the full p_v across ranks.
+    // Targets to local indices, and flows, row by row. Delegate copies
+    // carry their local share: Σ w/2W over local non-self arcs + 2·w/2W
+    // for local self-arcs, so shares sum to the full p_v across ranks.
     let mut node_flow: Vec<f64> = Vec::with_capacity(ghosts_from);
     node_flow.extend(verts[..delegates_from].iter().map(|&v| full_flow(v)));
     node_flow.resize(ghosts_from, 0.0);
     let mut out_flow = vec![0.0; ghosts_from];
-    let mut cursor = adj_off[..n].to_vec();
-    let mut adj_tgt = vec![0u32; arcs.len()];
-    let mut adj_w = vec![0.0; arcs.len()];
-    for (a, s) in arcs.iter().zip(source_slots(arcs, &module_slot)) {
-        assert!(s < gfrom, "arc {}→{} has a ghost source", a.src, a.dst);
-        let t = module_slot[&a.dst];
-        let s = s as usize;
-        let at = cursor[s] as usize;
-        adj_tgt[at] = t;
-        adj_w[at] = a.weight;
-        cursor[s] += 1;
-        let f = a.weight * inv_two_w;
+    for s in 0..ghosts_from {
         let share = s >= delegates_from;
-        if s as u32 == t {
-            if share {
-                node_flow[s] += 2.0 * f;
-            }
-        } else {
-            out_flow[s] += f;
-            if share {
-                node_flow[s] += f;
+        let row = adj_off[s] as usize..adj_off[s + 1] as usize;
+        for (t, &w) in adj_tgt[row.clone()].iter_mut().zip(&adj_w[row]) {
+            *t = module_slot[t];
+            let f = w * inv_two_w;
+            if s as u32 == *t {
+                if share {
+                    node_flow[s] += 2.0 * f;
+                }
+            } else {
+                out_flow[s] += f;
+                if share {
+                    node_flow[s] += f;
+                }
             }
         }
     }
@@ -657,27 +620,32 @@ pub fn assemble(
 }
 
 /// The per-rank states for stage 1 from a delegate partition of the
-/// original graph: the state half of the collective prepare
-/// (`driver::stage1_state`) on `partition.arcs[rank]`, on every rank of
-/// an in-memory world.
+/// original graph: `partition.arcs[rank]` laid out as rows
+/// ([`ArcRows::from_arcs`]), then the state half of the collective prepare
+/// (`driver::stage1_state`), on every rank of an in-memory world.
 pub fn build_stage1_states<G: GraphStore + Sync + ?Sized>(
     graph: &G,
     partition: &Partition,
 ) -> Vec<LocalState> {
     let (delegates, is_delegate) = (&partition.delegates, &partition.is_delegate);
-    World::new(partition.nranks)
+    let (n, p) = (graph.num_vertices(), partition.nranks);
+    World::new(p)
         .run(|comm| {
-            let arcs = &partition.arcs[comm.rank()];
-            stage1_state(comm, graph, arcs, delegates, is_delegate).0
+            let rank = comm.rank();
+            let owned = (rank..n).step_by(p).filter(|&v| !is_delegate[v]);
+            let owned = owned.map(|v| v as u32).collect();
+            let rows = ArcRows::from_arcs(owned, delegates, &partition.arcs[rank]);
+            stage1_state(comm, graph, rows, delegates, is_delegate).0
         })
         .results
 }
 
 /// Build one rank's state for a 1D-partitioned (delegate-free) level: the
-/// rank holds all arcs sourced at its owned vertices, `flows` carries the
-/// visit rate of every level vertex it owns (ascending by vertex), and the
-/// boundary topology is derived locally from arc targets (1D adjacency is
-/// symmetric: if I see your vertex, you see mine).
+/// rank holds all arcs sourced at its owned vertices, laid out as rows
+/// ([`ArcRows::from_arcs`]); `flows` carries the visit rate of every level
+/// vertex it owns (ascending by vertex), and the boundary topology is
+/// derived locally from arc targets (1D adjacency is symmetric: if I see
+/// your vertex, you see mine).
 pub fn build_1d_state(
     rank: usize,
     nranks: usize,
@@ -692,8 +660,8 @@ pub fn build_1d_state(
         .collect();
     owned.sort_unstable();
     owned.dedup();
-    // Every endpoint that is not owned is a ghost.
-    let mut ghosts: Vec<u32> = (arcs.iter().flat_map(|a| [a.src, a.dst]))
+    // Every target that is not owned is a ghost (every source is owned).
+    let mut ghosts: Vec<u32> = (arcs.iter().map(|a| a.dst))
         .filter(|v| owned.binary_search(v).is_err())
         .collect();
     ghosts.sort_unstable();
@@ -709,12 +677,8 @@ pub fn build_1d_state(
         let at = flows.binary_search_by_key(&v, |f| f.0);
         at.map_or(0.0, |i| flows[i].1)
     };
-    let runs = VertexRuns {
-        owned,
-        delegates: Vec::new(),
-        ghosts,
-    };
-    let mut st = assemble(rank, nranks, arcs, &[], runs, &flow_of, inv_two_w);
+    let rows = ArcRows::from_arcs(owned, &[], arcs);
+    let mut st = assemble(rank, nranks, rows, ghosts, &[], &flow_of, inv_two_w);
     st.set_subscribers(seen_by);
     st
 }

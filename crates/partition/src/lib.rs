@@ -159,9 +159,10 @@ impl Partition {
     ///    legal because the delegate source lives everywhere.
     ///
     /// Composed from the per-rank pieces the collective prepare runs on
-    /// each rank ([`delegates_from_degrees`], [`shard_rank_arcs`],
-    /// [`RebalancePlan::ship_surplus`]), so both give every rank the same
-    /// list in the same order.
+    /// each rank ([`delegates_from_degrees`], [`shard_rank_rows`],
+    /// [`RebalancePlan::ship_surplus`], [`ArcRows::receive`]), so both give
+    /// every rank the same rows; each rank's list is its rows ascending by
+    /// source ([`ArcRows::to_arcs`]).
     pub fn delegate<G: GraphStore + ?Sized>(
         graph: &G,
         nranks: usize,
@@ -172,22 +173,35 @@ impl Partition {
         let n = graph.num_vertices();
         let degrees: Vec<u32> = (0..n as VertexId).map(|u| graph.degree(u) as u32).collect();
         let (delegates, is_delegate) = delegates_from_degrees(&degrees, nranks, threshold);
-        let (mut arcs, mut movable): (Vec<Vec<Arc>>, Vec<Vec<Range<usize>>>) = (0..nranks)
-            .map(|r| shard_rank_arcs(graph, r, nranks, &delegates, &is_delegate))
-            .unzip();
-        if rebalance {
-            let loads: Vec<usize> = arcs.iter().map(Vec::len).collect();
-            let counts: Vec<usize> = movable.iter().map(|m| movable_len(m)).collect();
-            let plan = plan_rebalance(&loads, &counts, nranks);
-            let shipped: Vec<Vec<Vec<Arc>>> = (0..nranks)
-                .map(|r| plan.ship_surplus(r, &mut arcs[r], &mut movable[r]))
+        let shapes: Vec<RowShape> = (0..nranks)
+            .map(|r| shard_rank_rows(graph, r, nranks, &delegates, &is_delegate))
+            .collect();
+        let plan = rebalance.then(|| {
+            let loads: Vec<usize> = shapes.iter().map(RowShape::arcs).collect();
+            let counts: Vec<usize> = shapes.iter().map(RowShape::movable).collect();
+            plan_rebalance(&loads, &counts, nranks)
+        });
+        let mut rows: Vec<ArcRows> = (shapes.into_iter().enumerate())
+            .map(|(r, shape)| {
+                let room = plan
+                    .as_ref()
+                    .map_or(shape.arcs(), |plan| plan.room(r, shape.arcs()));
+                shape.fill(graph, r, nranks, &is_delegate, room)
+            })
+            .collect();
+        if let Some(plan) = plan {
+            let mut shipped: Vec<Vec<Vec<WireArc>>> = (rows.iter_mut().enumerate())
+                .map(|(r, rows)| plan.ship_surplus(r, rows))
                 .collect();
-            for (r, list) in arcs.iter_mut().enumerate() {
-                for from in &shipped {
-                    list.extend_from_slice(&from[r]);
-                }
+            for (r, rows) in rows.iter_mut().enumerate() {
+                let received: Vec<Vec<WireArc>> = shipped
+                    .iter_mut()
+                    .map(|from| std::mem::take(&mut from[r]))
+                    .collect();
+                rows.receive(&received);
             }
         }
+        let arcs = rows.iter().map(ArcRows::to_arcs).collect();
 
         Partition {
             nranks,
@@ -266,9 +280,173 @@ pub fn delegates_from_degrees(
     (delegates, is_delegate)
 }
 
-/// Rank `rank`'s pre-rebalance delegate-partition arc list, built from
-/// that rank's rows alone (the round-robin-owned rows plus the global
-/// delegate set, `delegates` ascending).
+/// One rank's arcs as rows over their sources, in the local order a rank
+/// state numbers its vertices: the rank's owned low-degree vertices
+/// ascending (`src[..delegates_from]`), then delegate rows ascending.
+/// Row `i` holds the arcs `off[i]..off[i + 1]` of `tgt` (global target
+/// ids) and `w`: a rank state's CSR before its targets are renumbered to
+/// local indices.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ArcRows {
+    /// Source of every row.
+    pub src: Vec<VertexId>,
+    /// First delegate row.
+    pub delegates_from: usize,
+    /// Row starts, plus the end of the last row.
+    pub off: Vec<u32>,
+    /// Global target of every arc, row by row.
+    pub tgt: Vec<VertexId>,
+    /// Weight of every arc, row by row.
+    pub w: Vec<f64>,
+}
+
+/// An arc as the rebalance ships it: `(src, dst, weight)`.
+pub type WireArc = (VertexId, VertexId, f64);
+
+impl ArcRows {
+    /// Lay `arcs` out as rows over `owned` (ascending), then `delegates`
+    /// (ascending): each row holds its source's arcs in list order. Every
+    /// arc's source must be one of them.
+    pub fn from_arcs(owned: Vec<VertexId>, delegates: &[VertexId], arcs: &[Arc]) -> ArcRows {
+        let delegates_from = owned.len();
+        let mut src = owned;
+        src.reserve_exact(delegates.len());
+        src.extend_from_slice(delegates);
+        let row_of = |v: VertexId| {
+            let (owned, delegates) = src.split_at(delegates_from);
+            (owned.binary_search(&v).ok())
+                .or_else(|| Some(delegates_from + delegates.binary_search(&v).ok()?))
+                .unwrap_or_else(|| panic!("arc source {v} is neither owned nor a delegate"))
+        };
+        // One lookup per run of equal sources: arc lists come grouped.
+        let rows = || {
+            let mut last = None;
+            arcs.iter().map(move |a| match last {
+                Some((v, row)) if v == a.src => row,
+                _ => {
+                    let row = row_of(a.src);
+                    last = Some((a.src, row));
+                    row
+                }
+            })
+        };
+        let mut off = vec![0u32; src.len() + 1];
+        for row in rows() {
+            off[row + 1] += 1;
+        }
+        for i in 0..src.len() {
+            off[i + 1] += off[i];
+        }
+        let mut next = off[..src.len()].to_vec();
+        let (mut tgt, mut w) = (vec![0; arcs.len()], vec![0.0; arcs.len()]);
+        for (a, row) in arcs.iter().zip(rows()) {
+            let at = &mut next[row];
+            tgt[*at as usize] = a.dst;
+            w[*at as usize] = a.weight;
+            *at += 1;
+        }
+        ArcRows {
+            src,
+            delegates_from,
+            off,
+            tgt,
+            w,
+        }
+    }
+
+    /// The arcs of row `i`, as positions into `tgt` and `w`.
+    pub fn row(&self, i: usize) -> Range<usize> {
+        self.off[i] as usize..self.off[i + 1] as usize
+    }
+
+    /// How many arcs the delegate rows hold: what the rebalance may move.
+    pub fn movable(&self) -> usize {
+        self.tgt.len() - self.off[self.delegates_from] as usize
+    }
+
+    /// The arcs as one list ascending by source, each row in its order.
+    pub fn to_arcs(&self) -> Vec<Arc> {
+        let mut order: Vec<usize> = (0..self.src.len()).collect();
+        order.sort_unstable_by_key(|&i| self.src[i]);
+        (order.into_iter())
+            .flat_map(|i| {
+                self.row(i).map(move |at| Arc {
+                    src: self.src[i],
+                    dst: self.tgt[at],
+                    weight: self.w[at],
+                })
+            })
+            .collect()
+    }
+
+    /// Append `received` (buckets in source-rank order, each in its order)
+    /// at the end of their delegates' rows: the delegate section is widened
+    /// in place from the back, within the room [`RebalancePlan::room`]
+    /// reserved. Every received arc's source must have a delegate row.
+    pub fn receive(&mut self, received: &[Vec<WireArc>]) {
+        let dfrom = self.delegates_from;
+        let row_of = |src: &[VertexId], v: VertexId| {
+            (src[dfrom..].binary_search(&v)).expect("a received arc has a delegate source")
+        };
+        let mut extra = vec![0u32; self.src.len() - dfrom];
+        for &(v, _, _) in received.iter().flatten() {
+            extra[row_of(&self.src, v)] += 1;
+        }
+        let len = self.tgt.len();
+        let mut shift: u32 = extra.iter().sum();
+        self.tgt.resize(len + shift as usize, 0);
+        self.w.resize(len + shift as usize, 0.0);
+        // Back to front, each delegate row moves up by the received arcs
+        // of the rows up to it; `extra` becomes the row's insert cursor.
+        for (j, extra) in extra.iter_mut().enumerate().rev() {
+            let (start, end) = (self.off[dfrom + j], self.off[dfrom + j + 1]);
+            self.off[dfrom + j + 1] = end + shift;
+            shift -= *extra;
+            let (from, to) = (start as usize..end as usize, (start + shift) as usize);
+            self.tgt.copy_within(from.clone(), to);
+            self.w.copy_within(from, to);
+            *extra = end + shift;
+        }
+        for &(v, dst, weight) in received.iter().flatten() {
+            let at = &mut extra[row_of(&self.src, v)];
+            self.tgt[*at as usize] = dst;
+            self.w[*at as usize] = weight;
+            *at += 1;
+        }
+    }
+
+    /// Drop the empty delegate rows whose source `keep` refuses; rows with
+    /// arcs stay.
+    pub fn retain_delegates(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
+        let (mut kept, mut start) = (self.delegates_from, self.off[self.delegates_from]);
+        for i in self.delegates_from..self.src.len() {
+            let end = self.off[i + 1];
+            if end > start || keep(self.src[i]) {
+                self.src[kept] = self.src[i];
+                self.off[kept + 1] = end;
+                kept += 1;
+            }
+            start = end;
+        }
+        self.src.truncate(kept);
+        self.off.truncate(kept + 1);
+    }
+}
+
+/// Rank `rank`'s delegate-partition rows, counted but not filled: the
+/// first of the two passes [`shard_rank_rows`] and [`RowShape::fill`]
+/// make over the rank's own rows.
+#[derive(Debug)]
+pub struct RowShape {
+    src: Vec<VertexId>,
+    delegates_from: usize,
+    off: Vec<u32>,
+}
+
+/// The count pass over rank `rank`'s rows (the round-robin-owned rows;
+/// `delegates` ascending): the size of every row of its pre-rebalance
+/// delegate-partition arcs, in [`ArcRows`] order — its owned low-degree
+/// vertices ascending, then every delegate ascending.
 ///
 /// The rule (paper §3.3 step 2) assigns arc `u→v` to `owner(u)` when `u`
 /// is low-degree and to `owner(v)` when `u` is a delegate. Every arc rank
@@ -279,84 +457,114 @@ pub fn delegates_from_degrees(
 /// stored, and every owned arc `u→v` with a delegate target synthesizes
 /// the reverse `v→u` (this covers delegate self-loops exactly once, since
 /// `u == v` fires the synthesis rule and not the direct one).
-///
-/// The list is sorted by `(src, dst)`, with no sort: a store's rows come
-/// target-ascending, and a delegate's copies come in owned-row order, so
-/// one counting pass over the owned rows sizes every source's block and a
-/// second fills them in place. Returns the arcs plus the delegate rows'
-/// position ranges, ascending: the movable arcs the rebalance draws from.
-pub fn shard_rank_arcs<G: GraphStore + ?Sized>(
+pub fn shard_rank_rows<G: GraphStore + ?Sized>(
     store: &G,
     rank: usize,
     nranks: usize,
     delegates: &[VertexId],
     is_delegate: &[bool],
-) -> (Vec<Arc>, Vec<Range<usize>>) {
+) -> RowShape {
     let n = store.num_vertices();
-    let rows = || (rank..n).step_by(nranks).map(|u| u as VertexId);
-    let low_rows = || rows().filter(|&u| !is_delegate[u as usize]);
-    let slot = |d: VertexId| delegates.binary_search(&d).expect("a delegate");
-    let mut adj = Vec::new();
-    let mut copies = vec![0usize; delegates.len()];
-    for u in rows() {
-        store.arcs_into(u, &mut adj);
-        for &(v, _) in adj.iter().filter(|a| is_delegate[a.0 as usize]) {
-            copies[slot(v)] += 1;
-        }
-    }
-    // Block starts: sources ascending, owned low-degree rows and delegate
-    // rows interleaved by id.
-    let mut starts = Vec::with_capacity(delegates.len());
-    let (mut at, mut low) = (0, low_rows().peekable());
-    for (&d, &count) in delegates.iter().zip(&copies) {
-        while let Some(u) = low.next_if(|&u| u < d) {
-            at += store.degree(u);
-        }
-        starts.push(at);
-        at += count;
-    }
-    let total = at + low.map(|u| store.degree(u)).sum::<usize>();
-    let movable: Vec<Range<usize>> = (starts.iter().zip(&copies))
-        .filter(|(_, &count)| count > 0)
-        .map(|(&start, &count)| start..start + count)
+    let mut src: Vec<VertexId> = (rank..n)
+        .step_by(nranks)
+        .filter(|&u| !is_delegate[u])
+        .map(|u| u as VertexId)
         .collect();
-
-    let blank = Arc {
-        src: 0,
-        dst: 0,
-        weight: 0.0,
-    };
-    let mut arcs = vec![blank; total];
-    let (mut next, mut copies_below, mut di) = (starts, 0, 0);
-    let mut direct_below = 0;
-    for u in rows() {
-        store.arcs_into(u, &mut adj);
-        if !is_delegate[u as usize] {
-            while di < delegates.len() && delegates[di] < u {
-                copies_below += copies[di];
-                di += 1;
-            }
-            let start = direct_below + copies_below;
-            for (arc, &(v, weight)) in arcs[start..start + adj.len()].iter_mut().zip(&adj) {
-                *arc = Arc {
-                    src: u,
-                    dst: v,
-                    weight,
-                };
-            }
-            direct_below += adj.len();
+    let delegates_from = src.len();
+    src.reserve_exact(delegates.len());
+    src.extend_from_slice(delegates);
+    let mut off = vec![0u32; src.len() + 1];
+    let (mut adj, mut low) = (Vec::new(), 0);
+    for u in (rank..n).step_by(nranks) {
+        store.arcs_into(u as VertexId, &mut adj);
+        if !is_delegate[u] {
+            off[low + 1] = adj.len() as u32;
+            low += 1;
         }
-        for &(v, weight) in adj.iter().filter(|a| is_delegate[a.0 as usize]) {
-            let at = &mut next[slot(v)];
-            arcs[*at] = Arc {
-                src: v,
-                dst: u,
-                weight,
-            };
-            *at += 1;
+        for &(v, _) in adj.iter().filter(|a| is_delegate[a.0 as usize]) {
+            off[delegates_from + delegate_row(delegates, v) + 1] += 1;
         }
     }
-    (arcs, movable)
+    let mut total = 0u64;
+    for o in &mut off {
+        total += *o as u64;
+        *o = u32::try_from(total).unwrap_or_else(|_| panic!("rank {rank}: past u32 arcs"));
+    }
+    RowShape {
+        src,
+        delegates_from,
+        off,
+    }
+}
+
+/// `d`'s index among the ascending `delegates`.
+fn delegate_row(delegates: &[VertexId], d: VertexId) -> usize {
+    delegates.binary_search(&d).expect("a delegate")
+}
+
+impl RowShape {
+    /// How many arcs the rows hold.
+    pub fn arcs(&self) -> usize {
+        self.off[self.src.len()] as usize
+    }
+
+    /// How many arcs the delegate rows hold: what the rebalance may move.
+    pub fn movable(&self) -> usize {
+        self.arcs() - self.off[self.delegates_from] as usize
+    }
+
+    /// The fill pass: write every arc's global target and weight into its
+    /// row, over the same rows of the same store as [`shard_rank_rows`],
+    /// with room for `capacity` arcs ([`RebalancePlan::room`]). A store's
+    /// rows come target-ascending and a delegate's arcs come in owned-row
+    /// order, so every row ascends by target.
+    pub fn fill<G: GraphStore + ?Sized>(
+        self,
+        store: &G,
+        rank: usize,
+        nranks: usize,
+        is_delegate: &[bool],
+        capacity: usize,
+    ) -> ArcRows {
+        let RowShape {
+            src,
+            delegates_from,
+            off,
+        } = self;
+        let total = off[src.len()] as usize;
+        let mut tgt = Vec::with_capacity(capacity);
+        let mut w = Vec::with_capacity(capacity);
+        tgt.resize(total, 0);
+        w.resize(total, 0.0);
+        let delegates = &src[delegates_from..];
+        let mut next = off[delegates_from..src.len()].to_vec();
+        let (mut adj, mut low) = (Vec::new(), 0);
+        for u in (rank..store.num_vertices()).step_by(nranks) {
+            let u = u as VertexId;
+            store.arcs_into(u, &mut adj);
+            if !is_delegate[u as usize] {
+                let start = off[low] as usize;
+                for (at, &(v, weight)) in (start..).zip(&adj) {
+                    tgt[at] = v;
+                    w[at] = weight;
+                }
+                low += 1;
+            }
+            for &(v, weight) in adj.iter().filter(|a| is_delegate[a.0 as usize]) {
+                let at = &mut next[delegate_row(delegates, v)];
+                tgt[*at as usize] = u;
+                w[*at as usize] = weight;
+                *at += 1;
+            }
+        }
+        ArcRows {
+            src,
+            delegates_from,
+            off,
+            tgt,
+            w,
+        }
+    }
 }
 
 /// The outcome of the delegate-arc rebalancing pass, computed purely from
@@ -375,24 +583,36 @@ pub struct RebalancePlan {
 }
 
 impl RebalancePlan {
-    /// Rank `rank`'s part of the plan: [`take_surplus`] out of its `arcs`
-    /// and `movable`, cut into one bucket per destination rank. Every
+    /// Rank `rank`'s part of the plan: [`take_surplus`] out of its
+    /// `rows`, cut into one bucket per destination rank, and the room the
+    /// rows keep trimmed to what [`ArcRows::receive`] then fills. Every
     /// destination appends the buckets it receives in source-rank order —
     /// [`Partition::delegate`] in place, the collective prepare over one
     /// alltoallv.
-    pub fn ship_surplus(
-        &self,
-        rank: usize,
-        arcs: &mut Vec<Arc>,
-        movable: &mut Vec<Range<usize>>,
-    ) -> Vec<Vec<Arc>> {
+    pub fn ship_surplus(&self, rank: usize, rows: &mut ArcRows) -> Vec<Vec<WireArc>> {
         let mut buckets = vec![Vec::new(); self.surplus.len()];
         let pool_base: usize = self.surplus[..rank].iter().sum();
-        let surplus = take_surplus(arcs, movable, self.surplus[rank]);
+        let surplus = take_surplus(rows, self.surplus[rank]);
         for (arc, &dest) in surplus.into_iter().zip(&self.dest[pool_base..]) {
             buckets[dest].push(arc);
         }
+        let room = rows.tgt.len() + self.received(rank);
+        rows.tgt.shrink_to(room);
+        rows.w.shrink_to(room);
         buckets
+    }
+
+    /// How many pool arcs the plan deals to `rank`.
+    pub fn received(&self, rank: usize) -> usize {
+        self.dest.iter().filter(|&&d| d == rank).count()
+    }
+
+    /// The arcs rank `rank`'s rows must have room for, given the `arcs`
+    /// they are filled with: those, or what is left after the surplus goes
+    /// and the received arcs come, if more. Sized before the fill, so the
+    /// rows never grow by a copy.
+    pub fn room(&self, rank: usize, arcs: usize) -> usize {
+        arcs.max(arcs - self.surplus[rank] + self.received(rank))
     }
 }
 
@@ -448,42 +668,31 @@ pub fn plan_rebalance(loads: &[usize], movable_counts: &[usize], nranks: usize) 
     }
 }
 
-/// How many arcs the position ranges `movable` cover.
-pub fn movable_len(movable: &[Range<usize>]) -> usize {
-    movable.iter().map(ExactSizeIterator::len).sum()
-}
-
-/// One rank's part of the rebalance: take the arcs at the `k` highest
-/// positions `movable` covers (disjoint ranges, ascending, into `arcs`:
-/// the delegate rows) out of `arcs` and return them highest position
-/// first, the order [`RebalancePlan::dest`] deals them in. The arcs left
-/// keep their order, and `movable` keeps the ranges left below the taken
-/// tail, still valid: what `k` `Vec::remove` calls leave, in one pass.
-pub fn take_surplus(arcs: &mut Vec<Arc>, movable: &mut Vec<Range<usize>>, k: usize) -> Vec<Arc> {
-    // The taken tail, highest range first.
-    let mut taken: Vec<Range<usize>> = Vec::new();
-    let mut left = k;
-    while left > 0 {
-        let run = movable.last_mut().expect("surplus within movable");
-        let cut = run.len().min(left);
-        taken.push(run.end - cut..run.end);
-        run.end -= cut;
-        left -= cut;
-        if run.start == run.end {
-            movable.pop();
+/// One rank's part of the rebalance: take the `k` last arcs of the
+/// delegate rows out of `rows` and return them last first, the order
+/// [`RebalancePlan::dest`] deals them in. The delegate rows are the tail
+/// of the row layout, ascending by delegate, so these are the tails of the
+/// highest delegate rows; the arcs left keep their rows and their order.
+pub fn take_surplus(rows: &mut ArcRows, k: usize) -> Vec<WireArc> {
+    assert!(k <= rows.movable(), "surplus within movable");
+    let (len, keep) = (rows.tgt.len(), rows.tgt.len() - k);
+    let mut row = rows.src.len();
+    let mut pool = Vec::with_capacity(k);
+    for at in (keep..len).rev() {
+        while rows.off[row] as usize > at {
+            row -= 1;
         }
+        pool.push((rows.src[row], rows.tgt[at], rows.w[at]));
     }
-    let pool: Vec<Arc> = (taken.iter())
-        .flat_map(|run| run.clone().rev())
-        .map(|i| arcs[i])
-        .collect();
-    if k > 0 {
-        let (mut at, mut gaps) = (0, taken.iter().rev().peekable());
-        arcs.retain(|_| {
-            at += 1;
-            while gaps.next_if(|run| run.end < at).is_some() {}
-            !gaps.peek().is_some_and(|run| run.contains(&(at - 1)))
-        });
+    rows.tgt.truncate(keep);
+    rows.w.truncate(keep);
+    for end in rows
+        .off
+        .iter_mut()
+        .rev()
+        .take_while(|end| **end as usize > keep)
+    {
+        *end = keep as u32;
     }
     pool
 }
@@ -718,27 +927,27 @@ mod tests {
             .collect()
     }
 
-    /// Ascending `indices` as ranges: runs of adjacent indices, cut at
-    /// random as adjacent delegate rows are.
-    fn ranges(indices: &[usize], rng: &mut impl rand::Rng) -> Vec<Range<usize>> {
-        let mut out: Vec<Range<usize>> = Vec::new();
-        for &i in indices {
-            match out.last_mut() {
-                Some(run) if run.end == i && rng.gen_range(0..3) > 0 => run.end += 1,
-                _ => out.push(i..i + 1),
+    /// `sources` rows, each source a delegate with `hub(v)` and holding
+    /// `len(v)` arcs, as the `(src, dst)`-sorted list the rows used to be
+    /// and the `(owned, delegates)` split the rows lay it out over.
+    fn row_case(
+        sources: u32,
+        mut hub: impl FnMut(u32) -> bool,
+        mut len: impl FnMut(u32) -> u32,
+    ) -> (Vec<Arc>, Vec<VertexId>, Vec<VertexId>) {
+        let (mut arcs, mut owned, mut delegates) = (Vec::new(), Vec::new(), Vec::new());
+        for v in 0..sources {
+            if hub(v) { &mut delegates } else { &mut owned }.push(v);
+            for dst in 0..len(v) {
+                let weight = arcs.len() as f64;
+                arcs.push(Arc {
+                    src: v,
+                    dst,
+                    weight,
+                });
             }
         }
-        out
-    }
-
-    /// `len` distinguishable arcs.
-    fn numbered_arcs(len: usize) -> Vec<Arc> {
-        let arc = |i| Arc {
-            src: i as VertexId,
-            dst: (i / 3) as VertexId,
-            weight: i as f64,
-        };
-        (0..len).map(arc).collect()
+        (arcs, owned, delegates)
     }
 
     #[test]
@@ -746,59 +955,105 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(24);
         for case in 0..200 {
-            let len = rng.gen_range(0..40usize);
-            // Dense draws give adjacent indices; every eighth case marks
-            // the last element, every fifth all of them.
+            let sources = rng.gen_range(0..12u32);
+            // Dense draws give adjacent delegate rows; every eighth case
+            // makes the last source a delegate, every fifth all of them.
+            // Rows may be empty.
             let density = [1, 2, 2, 5][case % 4];
-            let mut movable: Vec<usize> = (0..len)
-                .filter(|_| case % 5 == 0 || rng.gen_range(0..density) == 0)
-                .collect();
-            if case % 8 == 0 && len > 0 && movable.last() != Some(&(len - 1)) {
-                movable.push(len - 1);
-            }
+            let mut draw = StdRng::seed_from_u64(case as u64);
+            let (mut arcs, owned, delegates) = row_case(
+                sources,
+                |v| {
+                    let last = case % 8 == 0 && v + 1 == sources;
+                    case % 5 == 0 || last || draw.gen_range(0..density) == 0
+                },
+                |_| rng.gen_range(0..6),
+            );
+            let hub = |a: &Arc| delegates.binary_search(&a.src).is_ok();
+            let mut movable: Vec<usize> = (0..arcs.len()).filter(|&i| hub(&arcs[i])).collect();
             let k = match case % 3 {
                 0 => 0,
                 1 => movable.len(),
                 _ => rng.gen_range(0..movable.len() + 1),
             };
-            let (mut arcs, mut want_arcs) = (numbered_arcs(len), numbered_arcs(len));
-            let mut runs = ranges(&movable, &mut StdRng::seed_from_u64(case as u64));
-            let pool = take_surplus(&mut arcs, &mut runs, k);
-            let want_pool = remove_loop(&mut want_arcs, &mut movable, k);
+            let mut rows = ArcRows::from_arcs(owned.clone(), &delegates, &arcs);
+            let pool = take_surplus(&mut rows, k);
+            let want_pool: Vec<WireArc> = (remove_loop(&mut arcs, &mut movable, k).iter())
+                .map(|a| (a.src, a.dst, a.weight))
+                .collect();
             assert_eq!(pool, want_pool, "case {case}: pool order");
-            assert_eq!(arcs, want_arcs, "case {case}: arcs left");
-            let left: Vec<usize> = runs.into_iter().flatten().collect();
-            assert_eq!(left, movable, "case {case}: movable left");
+            let want = ArcRows::from_arcs(owned, &delegates, &arcs);
+            assert_eq!(rows, want, "case {case}: rows left");
+            assert_eq!(rows.movable(), movable.len(), "case {case}: movable left");
         }
     }
 
     #[test]
     fn take_surplus_is_linear() {
-        // A million arcs, 400 k of them surplus: one `Vec::remove` each
-        // would shift ~10^11 elements.
-        let mut arcs = numbered_arcs(1_000_000);
-        let mut movable: Vec<Range<usize>> = (0..1_000_000)
-            .filter(|i| i % 2 == 1)
-            .map(|i| i..i + 1)
-            .collect();
-        let pool = take_surplus(&mut arcs, &mut movable, 400_000);
+        // A million arcs, 400 k of them surplus, in 2000 rows: the owned
+        // rows (even sources) first, then the delegate rows (odd). One
+        // `Vec::remove` each would shift ~10^11 elements.
+        let mut src: Vec<VertexId> = (0..2000).step_by(2).collect();
+        src.extend((1..2000).step_by(2));
+        let mut rows = ArcRows {
+            src,
+            delegates_from: 1000,
+            off: (0..=2000).map(|i| i * 500).collect(),
+            tgt: (0..1_000_000).collect(),
+            w: (0..1_000_000).map(f64::from).collect(),
+        };
+        let pool = take_surplus(&mut rows, 400_000);
         assert_eq!(
-            (pool.len(), arcs.len(), movable_len(&movable)),
+            (pool.len(), rows.tgt.len(), rows.movable()),
             (400_000, 600_000, 100_000)
         );
-        assert_eq!((pool[0].src, pool[399_999].src), (999_999, 200_001));
-        assert_eq!(movable.last(), Some(&(199_999..200_000)));
-        assert!(arcs[200_000..].iter().all(|a| a.src % 2 == 0));
-        assert!(arcs[..200_000]
-            .iter()
-            .enumerate()
-            .all(|(i, a)| a.src as usize == i));
+        assert_eq!(
+            (pool[0], pool[399_999]),
+            ((1999, 999_999, 999_999.0), (401, 600_000, 600_000.0))
+        );
+        assert_eq!(rows.row(1199), 599_500..600_000);
+        assert!((1200..2000).all(|i| rows.row(i).is_empty()));
+        assert!((rows.tgt.iter().enumerate()).all(|(i, &t)| t as usize == i));
     }
 
     #[test]
     #[should_panic(expected = "surplus within movable")]
     fn take_surplus_rejects_more_than_movable() {
-        take_surplus(&mut numbered_arcs(4), &mut vec![1..2, 2..3], 3);
+        let (arcs, owned, delegates) = row_case(4, |v| v % 2 == 1, |v| v);
+        take_surplus(&mut ArcRows::from_arcs(owned, &delegates, &arcs), 5);
+    }
+
+    #[test]
+    fn receive_appends_each_arc_to_its_delegate_row_in_order() {
+        // What the rows replaced, kept as its specification: the received
+        // buckets appended to the arc list in order, grouped by source.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(50);
+        for case in 0..100 {
+            let sources = rng.gen_range(1..10u32);
+            let mut draw = StdRng::seed_from_u64(case);
+            let (mut arcs, owned, delegates) = row_case(
+                sources,
+                |v| v == 0 || draw.gen_range(0..2) == 0,
+                |_| rng.gen_range(0..4),
+            );
+            let buckets: Vec<Vec<WireArc>> = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    (0..rng.gen_range(0..5))
+                        .map(|i| {
+                            let src = delegates[rng.gen_range(0..delegates.len())];
+                            (src, 100 + i, rng.gen_range(0..1000) as f64)
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut rows = ArcRows::from_arcs(owned.clone(), &delegates, &arcs);
+            rows.receive(&buckets);
+            let received = buckets.iter().flatten();
+            arcs.extend(received.map(|&(src, dst, weight)| Arc { src, dst, weight }));
+            let want = ArcRows::from_arcs(owned, &delegates, &arcs);
+            assert_eq!(rows, want, "case {case}");
+        }
     }
 
     #[test]
